@@ -90,6 +90,11 @@ class FunctionalTriple:
     the discrete Dirichlet and truncated whole-space builds is exactly the
     discrete W^{1,p} norm.  Every callable must be homogeneous of the declared
     degree and even; property tests enforce this on randomized inputs.
+
+    metric and metric_solve optionally give a symmetric positive definite
+    matrix M for the sphere geometry, as an apply (M v) and a solve
+    (M^{-1} v); sphere descent then steps along M^{-1} grad instead of grad.
+    None means M = I.
     """
 
     exponents: Exponents
@@ -101,6 +106,8 @@ class FunctionalTriple:
     grad_A: Callable[[Array], Array]
     grad_B: Callable[[Array], Array]
     norm: Callable[[Array], float] | None = None
+    metric: Callable[[Array], Array] | None = None
+    metric_solve: Callable[[Array], Array] | None = None
     diagnostics: tuple[str, ...] = field(default=())
 
     def norm_of(self, u: Array) -> float:
@@ -113,7 +120,8 @@ class FunctionalTriple:
 
         The negative-cone branches reduce to positive-cone runs on this
         flipped triple with the parameter negated afterwards, because
-        phi(lam, u; A) = phi(-lam, u; -A).
+        phi(lam, u; A) = phi(-lam, u; -A).  The metric belongs to N alone
+        and carries over unchanged.
         """
         ea, ga = self.eval_A, self.grad_A
         return replace(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -95,7 +96,7 @@ class Grid:
             return tuple(n - 2 for n in self.n_nodes)
         return self.n_nodes
 
-    @property
+    @cached_property
     def n_dof(self) -> int:
         return int(np.prod(self.dof_shape))
 
@@ -484,6 +485,98 @@ def _gradient_part_2d(grid: Grid, p: float, eps_reg: float):
     return value, grad_full
 
 
+def _tridiagonal_solver(diag: Array, off: float):
+    """M^{-1} v for the symmetric tridiagonal M with diagonal diag and constant off-diagonal off.
+
+    The Thomas factorization (pivots and multipliers, O(n) floats) is computed
+    once; each solve is one forward and one backward sweep.
+    """
+    n = diag.size
+    inv_pivot = [0.0] * n
+    ratio = [0.0] * n
+    for i in range(n):
+        pivot = float(diag[i]) - (off * ratio[i - 1] if i else 0.0)
+        inv_pivot[i] = 1.0 / pivot
+        ratio[i] = off * inv_pivot[i]
+
+    def solve(v: Array) -> Array:
+        x = np.asarray(v, dtype=float).tolist()
+        prev = 0.0
+        for i in range(n):
+            prev = (x[i] - off * prev) * inv_pivot[i]
+            x[i] = prev
+        for i in range(n - 2, -1, -1):
+            x[i] -= ratio[i] * x[i + 1]
+        return np.array(x)
+
+    return solve
+
+
+def _dst1(x: Array, axis: int) -> Array:
+    """Unnormalized DST-I along axis, X_k = sum_j x_j sin(pi j k / (n + 1)), via an rfft.
+
+    The transform is the imaginary part of the FFT of the odd extension
+    (0, x, 0, -reversed x); applied twice it returns (n + 1)/2 times the input.
+    """
+    x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
+    n = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    out = -0.5 * np.fft.rfft(ext, axis=-1).imag[..., 1 : n + 1]
+    return np.moveaxis(out, -1, axis)
+
+
+def _dirichlet_2d_solver(grid: Grid):
+    """M^{-1} v for the 2D Dirichlet 5-point stiffness, diagonalized by DST-I on both axes."""
+    shape = grid.dof_shape
+    eig = [
+        4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2 / h**2
+        for n, h in zip(shape, grid.spacing)
+    ]
+    norm = (2.0 / (shape[0] + 1)) * (2.0 / (shape[1] + 1))
+    scale = norm / (grid.cell_volume * (eig[0][:, None] + eig[1][None, :]))
+
+    def solve(v: Array) -> Array:
+        coeffs = _dst1(_dst1(np.reshape(v, shape), 0), 1) * scale
+        return _dst1(_dst1(coeffs, 0), 1).ravel()
+
+    return solve
+
+
+def _stiffness_metric(grid: Grid, mass_w: Array | None):
+    """(apply, solve) of the p = 2 matrix M of the problem norm, or (None, None).
+
+    M is half the Hessian of the p = 2 gradient part plus, for truncated
+    problems, the lumped mass diag(mass_w * vol), so v^T M v = N(v) at p = 2.
+    It serves as the Sobolev metric of sphere descent for every p.
+    """
+    vol = grid.cell_volume
+    mass = None if mass_w is None else mass_w * vol
+    if grid.dimension == 1:
+        _, stiff_full = _gradient_part_1d(grid, 2.0, 0.0)
+        h = grid.spacing[0]
+        diag = np.full(grid.n_dof, 2.0 / h)
+        if not grid.dirichlet:
+            diag[0] = diag[-1] = 1.0 / h
+        if mass is not None:
+            diag += mass
+        solve = _tridiagonal_solver(diag, -1.0 / h)
+    elif grid.dirichlet:
+        _, stiff_full = _gradient_part_2d(grid, 2.0, 0.0)
+        solve = _dirichlet_2d_solver(grid)
+    else:
+        # The truncated 2D stencil has no x-differences along the last row of
+        # nodes, so its stiffness is not a Kronecker sum and no sine transform
+        # diagonalizes it; descent keeps the Euclidean metric there.
+        return None, None
+
+    def apply(v: Array) -> Array:
+        out = 0.5 * _restrict(grid, stiff_full(_embed(grid, v)))
+        return out if mass is None else out + mass * np.asarray(v, dtype=float)
+
+    return apply, solve
+
+
 def _decay_diagnostics(problem: PLaplacianProblem) -> tuple[str, ...]:
     """Truncation health checks for whole-space problems; warnings, never errors."""
     notes: list[str] = []
@@ -553,6 +646,7 @@ def build_dirichlet_triple(problem: PLaplacianProblem) -> FunctionalTriple:
     def grad_n(u: Array) -> Array:
         return _restrict(grid, n_grad_full(_embed(grid, u)))
 
+    metric, metric_solve = _stiffness_metric(grid, None)
     return FunctionalTriple(
         exponents=exps,
         dim=grid.n_dof,
@@ -562,6 +656,8 @@ def build_dirichlet_triple(problem: PLaplacianProblem) -> FunctionalTriple:
         grad_N=grad_n,
         grad_A=a_grad,
         grad_B=b_grad,
+        metric=metric,
+        metric_solve=metric_solve,
         diagnostics=tuple(diagnostics),
     )
 
@@ -595,6 +691,7 @@ def build_truncated_rn_triple(problem: PLaplacianProblem) -> FunctionalTriple:
     def grad_n(u: Array) -> Array:
         return _restrict(grid, n_grad_full(_embed(grid, u))) + m_grad(u)
 
+    metric, metric_solve = _stiffness_metric(grid, mass_w)
     return FunctionalTriple(
         exponents=exps,
         dim=grid.n_dof,
@@ -604,6 +701,8 @@ def build_truncated_rn_triple(problem: PLaplacianProblem) -> FunctionalTriple:
         grad_N=grad_n,
         grad_A=a_grad,
         grad_B=b_grad,
+        metric=metric,
+        metric_solve=metric_solve,
         diagnostics=tuple(diagnostics),
     )
 

@@ -3,14 +3,19 @@
 The restricted parameter of a unit vector u at level c and branch +/- is the
 fibering-map value at the corresponding critical scaling (local minimum for
 the plus branch, local maximum for the minus branch).  It is 0-homogeneous in
-u, so optimization runs as plain descent on the coefficients with a
+u, so optimization runs as descent on the coefficients with a
 renormalization to the problem-norm sphere after every step; the analytic
 gradient is
 
     grad_u = (alpha/a) * (t**(eta-alpha) grad_N/eta - lam grad_A/alpha
              - t**(beta-alpha) grad_B/beta),
 
-which is automatically tangent at exact roots.  Ground levels (k = 1) are
+which is automatically tangent at exact roots.  Steps follow the Sobolev
+gradient d = M^{-1} grad_u for the triple's metric M (the p = 2 stiffness of
+the problem norm on model problems, the identity on triples without one),
+with Barzilai-Borwein steps s^T M s / s^T y and a nonmonotone Armijo test on
+the decrease step * grad_u^T d.  In this metric the iteration count does not
+grow with the number of grid nodes.  Ground levels (k = 1) are
 exact multistart minima; k >= 2 levels are genus-type surrogate bounds from
 spheres of coefficient combinations over disjoint-support bases, labeled as
 surrogates everywhere.
@@ -336,13 +341,17 @@ def _sphere_descend(
     u0: Array,
     params: OptimizerParams,
 ) -> tuple[Array, float, int, bool, float]:
-    """Gradient descent with renormalization after every step.
+    """Preconditioned gradient descent with renormalization after every step.
 
-    Step lengths come from the Barzilai-Borwein quotient (ambient
-    differences), safeguarded by a nonmonotone Armijo backtracking against the
-    worst of the last few accepted values; both pieces are deterministic.
-    Returns (u, value, iterations, converged, gradient_norm).
+    The direction is d = M^{-1} grad for the triple's metric M (the Sobolev
+    gradient; d = grad when the triple has no metric).  Step lengths come from
+    the Barzilai-Borwein quotient s^T M s / s^T y of ambient differences,
+    safeguarded by a nonmonotone Armijo backtracking that asks for a decrease
+    of c1 * step * grad^T d below the worst of the last few accepted values;
+    both pieces are deterministic.  The stopping test stays the Euclidean
+    ||grad|| <= gtol.  Returns (u, value, iterations, converged, gradient_norm).
     """
+    metric, metric_solve = working.metric, working.metric_solve
     u = _normalize(working, u0)
     value = value_fn(u)
     gnorm = math.inf
@@ -355,17 +364,22 @@ def _sphere_descend(
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= params.gtol:
             return u, value, it, True, gnorm
+        if metric is None:
+            direction, slope = grad, gnorm * gnorm
+        else:
+            direction = metric_solve(grad)
+            slope = float(grad @ direction)
         if prev_grad is not None:
             s = u - prev_u
             y = grad - prev_grad
             sy = float(s @ y)
             if sy > 0.0 and math.isfinite(sy):
-                step_next = float(s @ s) / sy
+                step_next = float(s @ (s if metric is None else metric(s))) / sy
         step = min(max(step_next, params.step_min), 1e12)
         reference = max(recent)
         accepted = False
         while step >= params.step_min:
-            trial = u - step * grad
+            trial = u - step * direction
             try:
                 trial = _normalize(working, trial)
             except InfeasibleRayError:
@@ -376,7 +390,7 @@ def _sphere_descend(
                     trial_value = value_fn(trial)
                 except InfeasibleRayError:
                     trial_value = math.inf
-                if trial_value <= reference - params.armijo_c1 * step * gnorm * gnorm:
+                if trial_value <= reference - params.armijo_c1 * step * slope:
                     prev_u, prev_grad = u, grad
                     u = trial
                     value = trial_value

@@ -157,6 +157,12 @@ def test_norm_of_default_and_override():
     assert other.norm_of(u) == np.linalg.norm(u)
 
 
+def test_toy_triple_has_identity_metric():
+    # no metric means sphere descent runs in the Euclidean coefficient metric
+    assert TOY.metric is None and TOY.metric_solve is None
+    assert TOY.with_negated_a().metric is None
+
+
 def test_cone_membership_margins():
     tri = power_triple([1.0, 1.0], [1.0, -1.0], [1.0, -1.0])
     u_pos = np.array([2.0, 0.5])   # A > 0, B > 0

@@ -288,6 +288,64 @@ class TestQuadratureOracle:
         assert tri.eval_A(v) == pytest.approx(0.5 * h, rel=1e-13)
 
 
+class TestStiffnessMetric:
+    """The p = 2 metric M that sphere descent preconditions with."""
+
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            dirichlet_problem_1d(63, "1+x", "cos(2*pi*x)+0.2"),
+            truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0),
+            dirichlet_problem_2d((16, 12), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)"),
+        ],
+        ids=["dirichlet_1d", "truncated_1d", "dirichlet_2d_16x12"],
+    )
+    def test_solve_inverts_apply(self, prob):
+        tri = build_triple(prob)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v = rng.normal(size=tri.dim)
+            back = tri.metric_solve(tri.metric(v))
+            assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            dirichlet_problem_1d(63, "1+x", "cos(2*pi*x)+0.2"),
+            dirichlet_problem_2d((16, 12), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)"),
+        ],
+        ids=["dirichlet_1d", "dirichlet_2d_16x12"],
+    )
+    def test_quadratic_form_is_n_at_p2(self, prob):
+        tri = build_triple(prob)
+        rng = np.random.default_rng(6)
+        v = rng.normal(size=tri.dim)
+        assert float(v @ tri.metric(v)) == pytest.approx(tri.eval_N(v), rel=1e-12)
+
+    def test_truncated_form_adds_lumped_mass(self):
+        prob = truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=2.5)
+        tri = build_triple(prob)
+        h = prob.grid.spacing[0]
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=tri.dim)
+        lumped = np.full(tri.dim, h)
+        lumped[[0, -1]] = 0.5 * h
+        expected = float(np.sum(np.diff(v) ** 2) / h + np.sum(lumped * v * v))
+        assert float(v @ tri.metric(v)) == pytest.approx(expected, rel=1e-12)
+
+    def test_negated_a_keeps_metric(self, pos_problem):
+        tri = build_triple(pos_problem)
+        flipped = tri.with_negated_a()
+        assert flipped.metric is tri.metric
+        assert flipped.metric_solve is tri.metric_solve
+
+    def test_truncated_2d_has_no_metric(self):
+        grid = Grid(2, ((-3.0, 3.0), (-3.0, 3.0)), (9, 9), dirichlet=False)
+        weights = weights_from_expressions(grid, "exp(-x^2-y^2)", "exp(-x^2-y^2)")
+        tri = build_triple(PLaplacianProblem(grid, weights, 3.0, 1.5, 4.0, kind="truncated_rn"))
+        assert tri.metric is None and tri.metric_solve is None
+
+
 class TestEmbedRestrict:
     def test_round_trip_dirichlet_1d(self):
         g = Grid(1, ((0.0, 1.0),), (8,))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fibercurve.nehari_minmax as nm
 from conftest import random_cone_point
 from fibercurve.functional_core import ConeTag, FunctionalTriple, phi
 from fibercurve.model_problems import (
@@ -215,6 +216,57 @@ class TestGroundLevelRegression:
     def test_bad_branch_rejected(self, const_con_plus):
         with pytest.raises(ValueError, match="branch must be one of"):
             minimize_ground_level(const_con_plus, -0.01, "sideways")
+
+
+class TestMeshRefinement:
+    """Ground level at c = -0.01 on refined 1D Dirichlet grids.
+
+    Sphere descent runs in the p = 2 stiffness metric of the problem norm, so
+    its iteration count must not grow with the number of nodes, and every
+    refined level must certify.
+    """
+
+    C = -0.01
+
+    def _solve(self, n, p, monkeypatch):
+        """Level, record and the iteration count of every start."""
+        iters = []
+        descend = nm._sphere_descend
+
+        def counting(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            iters.append(out[2])
+            return out
+
+        prob = dirichlet_problem_1d(n, "1+x", "cos(2*pi*x)+0.2", p=p)
+        con = SphereConstraint(triple=build_triple(prob), tag=ConeTag.A_POS)
+        with monkeypatch.context() as patch:
+            patch.setattr(nm, "_sphere_descend", counting)
+            lam, rec = minimize_ground_level(con, self.C, "plus", multistart=2, seed=0)
+        return lam, rec, iters
+
+    def _assert_certified(self, rec):
+        assert rec.converged
+        assert rec.residual_grad <= 1e-6
+        assert rec.energy_defect <= 1e-8 * (1.0 + abs(self.C))
+
+    def test_p2_second_order_with_flat_iterations(self, monkeypatch):
+        levels, per_start = [], []
+        for n in (63, 127, 255):
+            lam, rec, iters = self._solve(n, 2.0, monkeypatch)
+            self._assert_certified(rec)
+            assert len(iters) == 2
+            levels.append(lam)
+            per_start.append(sum(iters) / len(iters))
+        # halving h quarters the error of a second-order scheme
+        order = np.log2((levels[1] - levels[0]) / (levels[2] - levels[1]))
+        assert abs(order - 2.0) <= 0.3
+        assert max(per_start) <= 1.5 * min(per_start)
+
+    def test_p3_certifies_within_default_max_iter(self, monkeypatch):
+        _, rec, iters = self._solve(127, 3.0, monkeypatch)
+        self._assert_certified(rec)
+        assert max(iters) < OptimizerParams().max_iter
 
 
 class TestThresholds:
