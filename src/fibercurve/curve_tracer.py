@@ -8,16 +8,18 @@ jump, and a Lipschitz check against the exact envelope slope -alpha/A at the
 optimizer (with a safety factor, since the slope bound is evaluated only at
 the endpoints of each segment).
 
-Also here: the zero-limit diagnostic for c -> 0- on the plus branch, bisection
-for level-set intersections lambda(c) = target, and the continuation of the
-minus curve through the upper threshold where its sign flips.
+Also here: the zero-limit diagnostic for c -> 0- on the plus branch, the
+level-set intersections lambda(c) = target (a bracketed Newton iteration on
+the same exact slope, with power-law extrapolation toward the plus ceiling
+c = 0), and the continuation of the minus curve through the upper threshold
+where its sign flips.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .nehari_minmax import (
     SphereConstraint,
     SurrogateInvalidError,
     extract_critical_point,
+    level_slope,
     minimize_c0,
     minimize_ground_level,
     surrogate_family,
@@ -404,7 +407,7 @@ def limit_check_zero(
 
 
 class _LevelProbe:
-    """Evaluate one (branch, k) level as a function of c with warm chaining."""
+    """Evaluate one (branch, k) level and its c-slope with warm chaining."""
 
     def __init__(self, constraint, branch, k, basis, n_samples, multistart, seed, params):
         self.constraint = constraint
@@ -424,7 +427,14 @@ class _LevelProbe:
         else:
             self.surrogate = None
 
-    def __call__(self, c: float) -> tuple[float, CriticalPointRecord]:
+    def __call__(self, c: float) -> tuple[float, float, CriticalPointRecord]:
+        """(level, d level / dc, record) at c.
+
+        The slope is the exact envelope derivative -alpha/A(t u) at the
+        optimizer u: the ground minimizer for k = 1, the surrogate maximizer
+        for k >= 2 (Danskin's theorem, since both levels are extrema over c-free
+        sets of rays).
+        """
         self.calls += 1
         ms = self.multistart if self.calls <= 2 else max(2, self.multistart // 8)
         if self.k == 1:
@@ -433,17 +443,17 @@ class _LevelProbe:
                 seed=(self.seed, self.k, self.calls), params=self.params,
                 extra_starts=self._warm_u,
             )
-            self._warm_u = [record.coefficients / record.t_root]
-            return lam, record
-        level = surrogate_level(
-            self.constraint, c, self.branch, self.surrogate,
-            warm_xi=self._warm_xi, params=self.params,
-        )
-        self._warm_xi = (level.xi,)
-        record = extract_critical_point(
-            self.constraint, c, self.branch, level.u_unit, k=self.k,
-        )
-        return level.value, record
+            u = record.coefficients / record.t_root
+            self._warm_u = [u]
+        else:
+            level = surrogate_level(
+                self.constraint, c, self.branch, self.surrogate,
+                warm_xi=self._warm_xi, params=self.params,
+            )
+            self._warm_xi = (level.xi,)
+            lam, u = level.value, level.u_unit
+            record = extract_critical_point(self.constraint, c, self.branch, u, k=self.k)
+        return lam, level_slope(self.constraint, c, u, self.branch), record
 
 
 def intersect_with_lambda(
@@ -463,18 +473,27 @@ def intersect_with_lambda(
     c_floor: float | None = None,
     max_expand: int = 60,
 ) -> dict:
-    """Solve level_k(c) = lam_target in c for each k in ks by bisection.
+    """Solve level_k(c) = lam_target in c for each k in ks.
 
-    The level is strictly monotone in c along a branch (slope -alpha/A at the
-    minimizer), so a sign change of level - target brackets a unique root.
-    When the seed window [c_lo, c_hi] does not bracket the target for some k,
-    the window is shifted along the monotone direction (geometric expansion,
-    bounded below by c_floor and above by 0 on the plus branch) before that k
-    is given up on.  Each k either yields a root entry or a skip entry with a
-    reason; family verdicts compare the roots across k.
+    The level is strictly monotone in c along a branch, with the exact slope
+    -alpha/A(t u) at the optimizer, so a sign change of level - target
+    brackets a unique root and every probe also yields the derivative.  When
+    the seed window [c_lo, c_hi] does not bracket the target for some k, the
+    window moves along the monotone direction by at least doubling, or by 1.5
+    Newton steps when those reach further; toward the plus-branch ceiling
+    c = 0 it extrapolates the local power law level ~ K|c|**gamma (gamma =
+    c * slope / level) past the target, and halves the gap to the ceiling
+    (or to c_floor below) when that guess leaves the admissible interval.
+    Inside the bracket a safeguarded Newton iteration (rtsafe) refines the
+    root, bisecting whenever a Newton step leaves the bracket or fails to
+    halve the step before last; it stops when the step or the bracket is
+    below tol_c * (1 + |c|), after at most max_bisect steps.  Each k either
+    yields a root entry or a skip entry with a reason; family verdicts compare
+    the roots across k.
 
     Returns a dict with "points" (one per solved k: k, c, lam, record,
-    iterations), "skipped" (k, reason), "c_increasing", and "norms_ok"
+    iterations = refinement steps, probes = level solves including the
+    bracketing ones), "skipped" (k, reason), "c_increasing", and "norms_ok"
     (plus branch: extracted norms strictly decreasing along the schedule;
     minus branch: strictly increasing).
     """
@@ -522,6 +541,16 @@ def intersect_with_lambda(
     }
 
 
+class _Sample(NamedTuple):
+    """One probe of the intersection: f = level - target and its c-slope."""
+
+    c: float
+    f: float
+    slope: float
+    lam: float
+    record: CriticalPointRecord
+
+
 def _intersect_single(
     probe: _LevelProbe,
     lam_target: float,
@@ -534,74 +563,82 @@ def _intersect_single(
     c_ceiling: float,
     max_expand: int,
 ) -> dict:
-    lam_lo, rec_lo = probe(c_lo)
-    lam_hi, rec_hi = probe(c_hi)
-    f_lo = lam_lo - lam_target
-    f_hi = lam_hi - lam_target
+    def sample(c: float) -> _Sample:
+        lam, slope, record = probe(c)
+        return _Sample(c, lam - lam_target, slope, lam, record)
 
+    def result(point: _Sample, iterations: int) -> dict:
+        return {"k": probe.k, "c": point.c, "lam": point.lam, "record": point.record,
+                "iterations": iterations, "probes": probe.calls}
+
+    lo, hi = sample(c_lo), sample(c_hi)
     expansions = 0
     width = c_hi - c_lo
-    while f_lo * f_hi > 0.0 and expansions < max_expand:
+    while lo.f * hi.f > 0.0 and expansions < max_expand:
         expansions += 1
-        width *= 2.0
         # Decide which way the target lies from the monotone direction.
-        target_above = (f_lo > 0.0 and slope_sign < 0) or (f_lo < 0.0 and slope_sign > 0)
+        target_above = (lo.f > 0.0) == (slope_sign < 0)
+        end = hi if target_above else lo
+        width = max(2.0 * width, 1.5 * abs(end.f / end.slope))
         if target_above:
-            # Need larger c.  On the plus branch c stays below 0, so the
-            # window creeps toward the ceiling by halving the gap instead.
-            c_lo, f_lo, rec_lo = c_hi, f_hi, rec_hi
-            c_hi = c_hi + width
-            if c_hi >= c_ceiling:
-                c_hi = 0.5 * (c_lo + c_ceiling) if math.isfinite(c_ceiling) else c_lo + width
-            if not (c_hi > c_lo):
+            c_new = end.c + width
+            if c_new >= c_ceiling:
+                # The plus ceiling is c = 0, where the level vanishes like
+                # K|c|**gamma; aim at half the |c| the power law predicts.
+                gamma = end.c * end.slope / end.lam
+                ratio = lam_target / end.lam
+                if gamma > 0.0 and 0.0 < ratio < 1.0:
+                    c_new = 0.5 * end.c * ratio ** (1.0 / gamma)
+                if not (end.c < c_new < c_ceiling):
+                    c_new = 0.5 * (end.c + c_ceiling)
+            if not (c_new > end.c):
                 raise ValueError(
                     f"k={probe.k}: target {lam_target!r} not reachable below c={c_ceiling!r}"
                 )
-            lam_hi, rec_hi = probe(c_hi)
-            f_hi = lam_hi - lam_target
+            lo, hi = hi, sample(c_new)
         else:
-            c_hi, f_hi, rec_hi = c_lo, f_lo, rec_lo
-            c_lo = c_lo - width
-            if c_floor is not None and c_lo <= c_floor:
-                c_lo = 0.5 * (c_hi + c_floor)
-            if not (c_lo < c_hi):
+            c_new = end.c - width
+            if c_floor is not None and c_new <= c_floor:
+                c_new = 0.5 * (end.c + c_floor)
+            if not (c_new < end.c):
                 raise ValueError(
                     f"k={probe.k}: target {lam_target!r} not reachable above c={c_floor!r}"
                 )
-            lam_lo, rec_lo = probe(c_lo)
-            f_lo = lam_lo - lam_target
-    if f_lo == 0.0:
-        return {"k": probe.k, "c": c_lo, "lam": lam_lo, "record": rec_lo, "iterations": 0}
-    if f_hi == 0.0:
-        return {"k": probe.k, "c": c_hi, "lam": lam_hi, "record": rec_hi, "iterations": 0}
-    if f_lo * f_hi > 0.0:
+            lo, hi = sample(c_new), lo
+    if lo.f == 0.0:
+        return result(lo, 0)
+    if hi.f == 0.0:
+        return result(hi, 0)
+    if lo.f * hi.f > 0.0:
         raise ValueError(
             f"k={probe.k}: target {lam_target!r} is not bracketed: "
-            f"level({c_lo!r})={lam_lo!r}, level({c_hi!r})={lam_hi!r}"
+            f"level({lo.c!r})={lo.lam!r}, level({hi.c!r})={hi.lam!r}"
         )
 
-    lo, hi = c_lo, c_hi
-    lam_mid, rec_mid = lam_lo, rec_lo
+    # Safeguarded Newton (rtsafe, Numerical Recipes 9.4) from the better end;
+    # [a, b] stays a bracket and f_a is the sign reference of its left end.
+    a, b, f_a = lo.c, hi.c, lo.f
+    point = lo if abs(lo.f) <= abs(hi.f) else hi
+    dx_old = dx = b - a
     it = 0
     for it in range(1, max_bisect + 1):
-        mid = 0.5 * (lo + hi)
-        lam_mid, rec_mid = probe(mid)
-        f_mid = lam_mid - lam_target
-        if f_mid == 0.0 or (hi - lo) <= tol_c * (1.0 + abs(mid)):
-            lo = hi = mid
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo = mid
-            f_lo = f_mid
+        newton = point.c - point.f / point.slope
+        if not (a < newton < b) or abs(2.0 * point.f) > abs(dx_old * point.slope):
+            dx_old, dx = dx, 0.5 * (b - a)
+            c = a + dx
         else:
-            hi = mid
-    return {
-        "k": probe.k,
-        "c": 0.5 * (lo + hi),
-        "lam": lam_mid,
-        "record": rec_mid,
-        "iterations": it,
-    }
+            dx_old, dx = dx, newton - point.c
+            c = newton
+        point = sample(c)
+        if point.f == 0.0 or abs(dx) <= tol_c * (1.0 + abs(c)):
+            break
+        if (point.f > 0.0) == (f_a > 0.0):
+            a, f_a = c, point.f
+        else:
+            b = c
+        if b - a <= tol_c * (1.0 + abs(c)):
+            break
+    return result(point, it)
 
 
 def extend_minus_past_cstarstar(

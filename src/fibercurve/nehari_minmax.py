@@ -253,12 +253,12 @@ def lambda_tilde(
     fibering profile and cross-checks the root-substituted formula against the
     direct fibering value.
     """
+    if branch not in _BRANCHES:
+        raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     working = constraint.working
     n, a, b = _ray_scalars(working, u)
     profile = classify_and_solve(RayData(n=n, a=a, b=b, exponents=working.exponents), c)
     t = profile.t_plus if branch == "plus" else profile.t_minus
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     if t is None:
         raise InfeasibleRayError(
             f"no {branch}-branch critical scaling: case {profile.case.value} at c={c!r}"
@@ -333,6 +333,10 @@ def _normalize(working: FunctionalTriple, u: Array) -> Array:
     return np.asarray(u, dtype=float) / nrm
 
 
+# Armijo slack for rounding noise in the level values, in units in the last place
+_ROUNDING_ULPS = 4
+
+
 def _sphere_descend(
     working: FunctionalTriple,
     feasible: Callable[[Array], bool],
@@ -350,6 +354,14 @@ def _sphere_descend(
     of c1 * step * grad^T d below the worst of the last few accepted values;
     both pieces are deterministic.  The stopping test stays the Euclidean
     ||grad|| <= gtol.  Returns (u, value, iterations, converged, gradient_norm).
+
+    The Armijo reference carries an allowance of _ROUNDING_ULPS units in the
+    last place of its value, in the spirit of the approximate Wolfe test of
+    Hager and Zhang (SIAM J. Optim. 16, 2005).  A warm start that already sits
+    at a minimizer asks for decreases (about 1e-20) far below the rounding of
+    the value itself (ulp(35) is about 7e-15); without the allowance a trial
+    one ulp above the single remembered value fails, a trial equal to it
+    passes without progress, and the descent runs to max_iter just above gtol.
     """
     metric, metric_solve = working.metric, working.metric_solve
     u = _normalize(working, u0)
@@ -377,6 +389,7 @@ def _sphere_descend(
                 step_next = float(s @ (s if metric is None else metric(s))) / sy
         step = min(max(step_next, params.step_min), 1e12)
         reference = max(recent)
+        reference += _ROUNDING_ULPS * math.ulp(reference)
         accepted = False
         while step >= params.step_min:
             trial = u - step * direction

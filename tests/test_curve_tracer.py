@@ -169,6 +169,8 @@ class TestIntersect:
         assert pt["c"] == pytest.approx(c_truth, rel=1e-6)
         assert pt["lam"] == pytest.approx(lam_truth, rel=1e-6)
         assert out["c_increasing"] and out["norms_ok"]
+        # Newton on the exact slope; bisection alone needed 34 level solves
+        assert pt["iterations"] < pt["probes"] <= 12
 
     def test_window_expansion_finds_outside_root(self, const_con_plus):
         lam_truth, _ = minimize_ground_level(const_con_plus, -0.05, "plus", multistart=8)
@@ -177,6 +179,23 @@ class TestIntersect:
         )
         (pt,) = out["points"]
         assert pt["c"] == pytest.approx(-0.05, rel=1e-6)
+        assert pt["probes"] <= 12
+
+    def test_power_law_expansion_toward_plus_ceiling(self, const_con_plus):
+        # The root sits far above the window, near the ceiling c = 0, where
+        # the level vanishes like |c|**((eta-alpha)/eta).  Halving the gap to
+        # the ceiling needs about 20 probes to get there; the power-law
+        # extrapolation needs one.  tol_c is tightened because the default
+        # absolute 1e-10 is coarser than the root itself.
+        c_truth = -1e-8
+        lam_truth, _ = minimize_ground_level(const_con_plus, c_truth, "plus", multistart=8)
+        out = intersect_with_lambda(
+            const_con_plus, "plus", lam_truth, -0.5, -0.01, multistart=8, tol_c=1e-15
+        )
+        (pt,) = out["points"]
+        assert pt["c"] == pytest.approx(c_truth, rel=1e-6)
+        assert pt["lam"] == pytest.approx(lam_truth, rel=1e-6)
+        assert pt["probes"] <= 12
 
     def test_missing_basis_skips_higher_k(self, const_con_plus):
         lam_truth, _ = minimize_ground_level(const_con_plus, -0.05, "plus", multistart=4)

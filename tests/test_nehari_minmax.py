@@ -90,6 +90,13 @@ class TestLambdaTilde:
         with pytest.raises(ValueError, match="branch must be one of"):
             lambda_tilde(const_con_plus, -0.01, u, "up")
 
+    def test_bad_branch_name_checked_before_the_ray(self, const_con_plus):
+        # the zero ray raises InfeasibleRayError (N = 0) if the branch is
+        # validated only after the ray scalars
+        u = np.zeros(const_con_plus.triple.dim)
+        with pytest.raises(ValueError, match="branch must be one of"):
+            lambda_tilde(const_con_plus, -0.01, u, "foo")
+
 
 class TestLevelSlope:
     def test_matches_finite_difference(self, pos_con_plus):
@@ -146,6 +153,40 @@ class TestLevelSlope:
                 continue
             assert slope > 0.0
             checked += 1
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_surrogate_level_slope_is_danskin(self, signed_problem, signed_con_both, branch):
+        # The k >= 2 surrogate is a maximum over a c-free set of rays, so its
+        # c-derivative is the ray slope at the maximizer (Danskin); the
+        # intersection Newton step relies on this.
+        basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
+        surrogate = GenusSurrogate(k=2, basis=basis, n_samples=16)
+        c, dc = -0.05, 1e-5
+        level = surrogate_level(signed_con_both, c, branch, surrogate)
+        slope = level_slope(signed_con_both, c, level.u_unit, branch)
+        hi = surrogate_level(signed_con_both, c + dc, branch, surrogate).value
+        lo = surrogate_level(signed_con_both, c - dc, branch, surrogate).value
+        assert slope == pytest.approx((hi - lo) / (2.0 * dc), rel=1e-3)
+
+
+class TestWarmStartAtRoundingFloor:
+    def test_warm_start_converges(self):
+        # A warm start from the minimizer at a nearby level begins at the
+        # rounding floor of the level value: the Armijo decrease it asks for
+        # (about 1e-20) is far below ulp(lambda).  Without a rounding
+        # allowance in the line search this ran to max_iter = 5000.
+        expr = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
+        tri = build_triple(dirichlet_problem_1d(31, expr, expr))
+        con = SphereConstraint(triple=tri, tag=ConeTag.A_POS_B_POS)
+        c0 = 60.0
+        _, cold = minimize_ground_level(con, c0, "minus", multistart=8, seed=0)
+        _, warm = minimize_ground_level(
+            con, c0 * (1.0 + 1e-7), "minus", multistart=0,
+            extra_starts=[cold.coefficients / cold.t_root],
+        )
+        assert warm.converged
+        assert warm.iterations <= 50
+        assert warm.residual_grad <= 1e-6
 
 
 class TestGroundLevelRegression:
