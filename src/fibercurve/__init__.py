@@ -8,11 +8,10 @@ trace curves c -> lambda.  The package provides the scalar fibering analysis
 along rays, discretized model problems on grids, the sphere optimizers, curve
 tracing with shape verdicts, and a CLI producing CSV/JSON/SVG artifacts.
 
-Scalar root-finding kernels run on a compiled backend when the extension
-built, with an identical pure-Python fallback (see fibercurve.backend()).
+The scalar root-finding kernels along one ray live in fibercurve._kernels,
+plain Python on floats.
 """
 
-from ._kernels import BACKEND, available_backends
 from .curve_tracer import (
     CurvePoint,
     EnergyCurve,
@@ -89,14 +88,7 @@ from .reporting import (
 
 __version__ = "0.1.0"
 
-
-def backend() -> str:
-    """Name of the active scalar-kernel backend: "compiled" or "pure"."""
-    return BACKEND
-
-
 __all__ = [
-    "BACKEND",
     "Case",
     "ConeTag",
     "CriticalPointRecord",
@@ -115,8 +107,6 @@ __all__ = [
     "SphereConstraint",
     "SurrogateLevel",
     "WeightField",
-    "available_backends",
-    "backend",
     "build_disjoint_basis",
     "build_report",
     "build_triple",

@@ -323,58 +323,65 @@ def _write_echo(out_dir: str, cfg: dict) -> None:
         fh.write("\n")
 
 
-def _trace_all(setup: Setup, c_values, quiet: bool):
-    """Trace every configured (branch, k); returns (curves, ground_converged)."""
+def _trace(setup: Setup, branch: str, c_values, ks, basis):
+    """trace_family on the branch's constraint with the config's solver settings."""
     cfg = setup.cfg
-    ks = sorted(set(int(k) for k in cfg["ks"]))
+    tol = cfg["tolerances"]
+    return trace_family(
+        setup.constraint_for_branch(branch), c_values, branch, ks=ks, basis=basis,
+        multistart=int(cfg["multistart"]), warm_multistart=int(cfg["warm_multistart"]),
+        seed=int(cfg["seed"]), params=setup.params, noise=tol["curve_noise"],
+        lipschitz_safety=tol["lipschitz_safety"], n_samples=int(cfg["n_samples"]),
+    )
+
+
+def _trace_branches(setup: Setup, plus_grid, minus_grid, log=None):
+    """Trace every configured (branch, k) on its branch's grid.
+
+    Returns (families by branch, curves in branch-then-k order, ground_ok),
+    where ground_ok is False once a k = 1 point did not converge.  log, when
+    given, receives one line per curve.
+    """
+    ks = sorted(set(int(k) for k in setup.cfg["ks"]))
     basis = setup.basis(max(ks)) if max(ks) > 1 else None
+    fams = {}
     curves = []
-    all_ok = True
-    for branch in cfg["branches"]:
+    ground_ok = True
+    for branch in setup.cfg["branches"]:
         if branch not in ("plus", "minus"):
             raise ConfigError(f"unknown branch {branch!r}")
-        fam = trace_family(
-            setup.constraint_for_branch(branch),
-            c_values,
-            branch,
-            ks=ks,
-            basis=basis,
-            multistart=int(cfg["multistart"]),
-            warm_multistart=int(cfg["warm_multistart"]),
-            seed=int(cfg["seed"]),
-            params=setup.params,
-            noise=cfg["tolerances"]["curve_noise"],
-            lipschitz_safety=cfg["tolerances"]["lipschitz_safety"],
-            n_samples=int(cfg["n_samples"]),
-        )
+        grid = plus_grid if branch == "plus" else minus_grid
+        fams[branch] = fam = _trace(setup, branch, grid, ks, basis)
         for k in ks:
             curve = fam[k]
             curves.append(curve)
-            bad = [p for p in curve.points if k == 1 and not p.record.converged]
-            if bad:
-                all_ok = False
-            _say(
-                quiet,
-                f"curve {branch} k={k}: {len(curve.points)} points"
-                + (f", truncated ({curve.truncation_reason})" if curve.truncation_reason else ""),
-            )
-    return curves, all_ok
+            if k == 1 and any(not p.record.converged for p in curve.points):
+                ground_ok = False
+            if log is not None:
+                log(
+                    f"curve {branch} k={k}: {len(curve.points)} points"
+                    + (f", truncated ({curve.truncation_reason})"
+                       if curve.truncation_reason else "")
+                )
+    return fams, curves, ground_ok
+
+
+def _certified(record, c: float, tol: dict) -> bool:
+    """Converged, with residual and energy defect within the tolerances."""
+    return (
+        record.converged
+        and record.residual_grad <= tol["residual_grad"]
+        and record.energy_defect <= tol["energy_defect_rel"] * (1.0 + abs(c))
+    )
 
 
 def _certify_points(curves, tol) -> tuple[bool, int]:
     """Residual and defect certification over converged exact points."""
-    ok = True
-    n_checked = 0
-    for curve in curves:
-        for p in curve.points:
-            if "surrogate" in p.flags or not p.record.converged:
-                continue
-            n_checked += 1
-            if p.record.residual_grad > tol["residual_grad"]:
-                ok = False
-            if p.record.energy_defect > tol["energy_defect_rel"] * (1.0 + abs(p.c)):
-                ok = False
-    return ok, n_checked
+    checked = [
+        p for curve in curves for p in curve.points
+        if "surrogate" not in p.flags and p.record.converged
+    ]
+    return all(_certified(p.record, p.c, tol) for p in checked), len(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +398,10 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
     if branch not in ("plus", "minus"):
         raise ConfigError(f"unknown branch {branch!r}")
     t0 = time.perf_counter()
-    curves, _ = _trace_one_point(setup, c, branch, k)
+    curves = [_trace_one_point(setup, c, branch, k)]
     elapsed = time.perf_counter() - t0
     point = curves[0].points[0]
-    tol = cfg["tolerances"]
-    certified = (
-        point.record.converged
-        and point.record.residual_grad <= tol["residual_grad"]
-        and point.record.energy_defect <= tol["energy_defect_rel"] * (1.0 + abs(c))
-    )
+    certified = _certified(point.record, c, cfg["tolerances"])
     report = build_report(
         cfg,
         curves=curves,
@@ -432,29 +434,22 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
 
 
 def _trace_one_point(setup: Setup, c: float, branch: str, k: int):
-    cfg = setup.cfg
     basis = setup.basis(k) if k > 1 else None
-    fam = trace_family(
-        setup.constraint_for_branch(branch), [c], branch, ks=(k,), basis=basis,
-        multistart=int(cfg["multistart"]), warm_multistart=int(cfg["warm_multistart"]),
-        seed=int(cfg["seed"]), params=setup.params,
-        noise=cfg["tolerances"]["curve_noise"],
-        lipschitz_safety=cfg["tolerances"]["lipschitz_safety"],
-        n_samples=int(cfg["n_samples"]),
-    )
-    curve = fam[k]
+    curve = _trace(setup, branch, [c], (k,), basis)[k]
     if not curve.points:
         raise InfeasibleLevelError(
             f"no {branch}-branch level at c={c!r}: {curve.truncation_reason}"
         )
-    return [curve], curve
+    return curve
 
 
 def cmd_trace(setup: Setup, out_dir: str, quiet: bool) -> int:
     cfg = setup.cfg
     c_values = _c_values(cfg)
     t0 = time.perf_counter()
-    curves, ground_ok = _trace_all(setup, c_values, quiet)
+    _, curves, ground_ok = _trace_branches(
+        setup, c_values, c_values, log=lambda line: _say(quiet, line)
+    )
     elapsed = time.perf_counter() - t0
     report = build_report(cfg, curves=curves, timing_seconds={"total": elapsed})
     write_report_json(os.path.join(out_dir, "report.json"), report)
@@ -466,18 +461,20 @@ def cmd_trace(setup: Setup, out_dir: str, quiet: bool) -> int:
     return EXIT_OK if ground_ok else EXIT_NOCONV
 
 
-def cmd_thresholds(setup: Setup, out_dir: str, quiet: bool) -> int:
+def _thresholds(setup: Setup):
+    """(c_star, c_star_star, zero-level minimizers) on the cone with B > 0."""
     cfg = setup.cfg
     constraint = setup.constraint(setup.tag_both)
+    opts = dict(multistart=int(cfg["multistart"]), seed=int(cfg["seed"]), params=setup.params)
+    c_star = compute_c_star(constraint, **opts)
+    c2, minimizers = compute_c_star_star(constraint, **opts)
+    return c_star, c2, minimizers
+
+
+def cmd_thresholds(setup: Setup, out_dir: str, quiet: bool) -> int:
+    cfg = setup.cfg
     t0 = time.perf_counter()
-    c_star = compute_c_star(
-        constraint, multistart=int(cfg["multistart"]), seed=int(cfg["seed"]),
-        params=setup.params,
-    )
-    c2, minimizers = compute_c_star_star(
-        constraint, multistart=int(cfg["multistart"]), seed=int(cfg["seed"]),
-        params=setup.params,
-    )
+    c_star, c2, minimizers = _thresholds(setup)
     elapsed = time.perf_counter() - t0
     thresholds = {
         "c_star": c_star,
@@ -506,15 +503,7 @@ def _run_battery(setup: Setup, quiet: bool):
     timing: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    constraint_both = setup.constraint(setup.tag_both)
-    c_star = compute_c_star(
-        constraint_both, multistart=int(cfg["multistart"]), seed=int(cfg["seed"]),
-        params=setup.params,
-    )
-    c2, minimizers = compute_c_star_star(
-        constraint_both, multistart=int(cfg["multistart"]), seed=int(cfg["seed"]),
-        params=setup.params,
-    )
+    c_star, c2, minimizers = _thresholds(setup)
     timing["thresholds"] = time.perf_counter() - t0
     _say(quiet, f"c_star = {c_star!r}, c_star_star = {c2!r}")
 
@@ -524,29 +513,10 @@ def _run_battery(setup: Setup, quiet: bool):
     else:
         plus_grid, minus_grid = _derived_grids(setup, c_star, c2)
 
-    ks = sorted(set(int(k) for k in cfg["ks"]))
-    basis = setup.basis(max(ks)) if max(ks) > 1 else None
     t0 = time.perf_counter()
-    curves = []
-    fams = {}
-    ground_ok = True
-    for branch in cfg["branches"]:
-        if branch not in ("plus", "minus"):
-            raise ConfigError(f"unknown branch {branch!r}")
-        grid = plus_grid if branch == "plus" else minus_grid
-        grid = [c for c in grid if c > c_star]
-        fam = trace_family(
-            setup.constraint_for_branch(branch), grid, branch, ks=ks, basis=basis,
-            multistart=int(cfg["multistart"]),
-            warm_multistart=int(cfg["warm_multistart"]), seed=int(cfg["seed"]),
-            params=setup.params, noise=tol["curve_noise"],
-            lipschitz_safety=tol["lipschitz_safety"], n_samples=int(cfg["n_samples"]),
-        )
-        fams[branch] = fam
-        for k in ks:
-            curves.append(fam[k])
-            if k == 1 and any(not p.record.converged for p in fam[k].points):
-                ground_ok = False
+    fams, curves, ground_ok = _trace_branches(
+        setup, [c for c in plus_grid if c > c_star], [c for c in minus_grid if c > c_star]
+    )
     timing["curves"] = time.perf_counter() - t0
 
     verdicts: dict[str, object] = {
@@ -646,7 +616,12 @@ def _print_verdicts(verdicts: dict, quiet: bool) -> bool:
     return all_ok
 
 
-def cmd_verify(setup: Setup, out_dir: str, quiet: bool) -> int:
+def _battery_command(setup: Setup, out_dir: str, quiet: bool, gate: bool) -> int:
+    """verify (gate=True) and report (gate=False): the same battery and artifacts.
+
+    Only verify turns a failed verdict into exit 3; both exit 2 when a
+    ground level did not converge.
+    """
     curves, thresholds, verdicts, extras, timing, ground_ok = _run_battery(setup, quiet)
     all_ok = _print_verdicts(verdicts, quiet)
     verdicts["all_ok"] = all_ok
@@ -661,25 +636,18 @@ def cmd_verify(setup: Setup, out_dir: str, quiet: bool) -> int:
         c_star=thresholds["c_star"], c_star_star=thresholds["c_star_star"],
     )
     if not ground_ok:
-        _say(quiet, "verification aborted: ground levels did not converge")
+        if gate:
+            _say(quiet, "verification aborted: ground levels did not converge")
         return EXIT_NOCONV
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    return EXIT_VERIFY if gate and not all_ok else EXIT_OK
+
+
+def cmd_verify(setup: Setup, out_dir: str, quiet: bool) -> int:
+    return _battery_command(setup, out_dir, quiet, gate=True)
 
 
 def cmd_report(setup: Setup, out_dir: str, quiet: bool) -> int:
-    curves, thresholds, verdicts, extras, timing, ground_ok = _run_battery(setup, quiet)
-    verdicts["all_ok"] = _print_verdicts(verdicts, quiet)
-    report = build_report(
-        setup.cfg, curves=curves, thresholds=thresholds, verdicts=verdicts,
-        extras=extras, timing_seconds=timing,
-    )
-    write_report_json(os.path.join(out_dir, "report.json"), report)
-    write_curves_csv(os.path.join(out_dir, "curves.csv"), curves)
-    write_diagram_svg(
-        os.path.join(out_dir, "diagram.svg"), curves,
-        c_star=thresholds["c_star"], c_star_star=thresholds["c_star_star"],
-    )
-    return EXIT_OK if ground_ok else EXIT_NOCONV
+    return _battery_command(setup, out_dir, quiet, gate=False)
 
 
 _COMMANDS = {
@@ -729,10 +697,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleLevelError, InfeasibleRayError) as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
-    except RuntimeError as exc:
+    except (InfeasibleRayError, RuntimeError, OverflowError) as exc:
+        # InfeasibleLevelError is a RuntimeError; OverflowError comes from a
+        # kernel whose scalings leave the double range on this problem
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NOCONV
     if code != EXIT_OK and not args.quiet:

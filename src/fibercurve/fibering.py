@@ -6,7 +6,7 @@ level c the fibering map
     fiber(t) = lambda_of(c, t*u)
 
 has critical points exactly at the positive roots of a two-term power function
-(see _kernels.pure), and the case table over (sign of b, position of c) is
+(see _kernels), and the case table over (sign of b, position of c) is
 exhaustive.  This module exposes the classification, the degenerate-collision
 pair (t_bar, c_bar), the zero-level pair (t0, c0) and the restricted parameter
 value used by the sphere optimizers.

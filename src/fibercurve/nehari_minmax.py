@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .fibering import RayData, classify_and_solve, restricted_lambda
+from .fibering import classify_and_solve  # noqa: F401 (perfbench/tracing.py patches it here)
 from .functional_core import Array, ConeTag, FunctionalTriple, phi, phi_grad
 
 __all__ = [
@@ -249,21 +249,13 @@ def lambda_tilde(
 ) -> tuple[float, float]:
     """Restricted parameter and critical scaling of u at level c on a branch.
 
-    Full-checking variant used outside hot loops: classifies through the
-    fibering profile and cross-checks the root-substituted formula against the
-    direct fibering value.
+    The same ray evaluation the optimizers run, with the parameter
+    sign-adjusted for negative cones.  Raises InfeasibleRayError when the ray
+    leaves the working cone or has no critical scaling on the branch.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    working = constraint.working
-    n, a, b = _ray_scalars(working, u)
-    profile = classify_and_solve(RayData(n=n, a=a, b=b, exponents=working.exponents), c)
-    t = profile.t_plus if branch == "plus" else profile.t_minus
-    if t is None:
-        raise InfeasibleRayError(
-            f"no {branch}-branch critical scaling: case {profile.case.value} at c={c!r}"
-        )
-    lam = restricted_lambda(RayData(n=n, a=a, b=b, exponents=working.exponents), c, t)
+    lam, t = _level_internal(constraint.working, c, branch, u)
     return constraint.lambda_sign * lam, t
 
 

@@ -278,6 +278,21 @@ class TestTraceAndThresholds:
         assert report["verdicts"]["limit_ratio_ok"] is False
 
 
+class TestKernelOverflow:
+    def test_overflow_exits_nonconverged_without_traceback(self, tmp_path):
+        # beta - eta = 0.01 and a tiny b push t_bar = (...)**(1/(beta-eta))
+        # past the double range inside the extremal-pair kernel
+        cfg = solve_config()
+        cfg["problem"].update(beta=2.01, weights={"a": "1+x", "b": "0.001"})
+        cfg_path = write_config(tmp_path, cfg)
+        code, _, err = run_cli(
+            ["thresholds", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "non-convergence" in err
+        assert "Traceback" not in err
+
+
 class TestConfigErrors:
     def run_expecting_config_error(self, tmp_path, cfg):
         cfg_path = write_config(tmp_path, cfg)

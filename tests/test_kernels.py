@@ -1,27 +1,14 @@
-"""Backend parity: the compiled scalar kernels must match pure Python exactly.
+"""The scalar kernels' contract: their error types and the roots they return.
 
-Every test here runs the same inputs through both backends and requires
-bit-identical floats (or the same exception type).  Random inputs stay inside
-the range where intermediate powers fit in a double; the overflow corner is
-exercised separately and must raise OverflowError on both sides.
+Random inputs stay inside the range where intermediate powers fit in a
+double; the overflow corner is exercised separately and must raise
+OverflowError.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from fibercurve._kernels import BACKEND, available_backends
-
-
-BACKENDS = available_backends()
-HAVE_COMPILED = "compiled" in BACKENDS
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="compiled kernels not built; nothing to compare"
-)
+from fibercurve import _kernels as K
 
 
 def draw_ray(rng):
@@ -34,144 +21,77 @@ def draw_ray(rng):
     return n, b, alpha, eta, beta, c
 
 
-def test_scalar_functions_bit_identical():
-    pure, comp = BACKENDS["pure"], BACKENDS["compiled"]
-    rng = np.random.default_rng(20240815)
-    for _ in range(4000):
-        n, b, alpha, eta, beta, c = draw_ray(rng)
-        t = rng.uniform(0.01, 5.0)
-        a = rng.uniform(-5.0, 5.0)
-        assert pure.g_value(n, b, alpha, eta, beta, c, t) == comp.g_value(
-            n, b, alpha, eta, beta, c, t
-        )
-        assert pure.g_deriv(n, b, alpha, eta, beta, t) == comp.g_deriv(
-            n, b, alpha, eta, beta, t
-        )
-        if a != 0.0:
-            for name in ("fiber_value", "fiber_d1", "fiber_d2"):
-                r1 = getattr(pure, name)(n, a, b, alpha, eta, beta, c, t)
-                r2 = getattr(comp, name)(n, a, b, alpha, eta, beta, c, t)
-                assert r1 == r2, (name, n, a, b, alpha, eta, beta, c, t)
-        if b > 0.0:
-            assert pure.extremal_pair(n, b, alpha, eta, beta) == comp.extremal_pair(
-                n, b, alpha, eta, beta
-            )
-            assert pure.zero_level_pair(n, b, eta, beta) == comp.zero_level_pair(
-                n, b, eta, beta
-            )
-
-
-def test_classify_bit_identical_across_cases():
-    pure, comp = BACKENDS["pure"], BACKENDS["compiled"]
-    rng = np.random.default_rng(7)
-    seen = set()
-    for _ in range(4000):
-        n, b, alpha, eta, beta, c = draw_ray(rng)
-        r1 = pure.classify(n, b, alpha, eta, beta, c)
-        r2 = comp.classify(n, b, alpha, eta, beta, c)
-        assert r1[0] == r2[0]
-        for x, y in zip(r1[1:], r2[1:]):
-            assert x == y or (np.isnan(x) and np.isnan(y))
-        seen.add(r1[0])
-    # random draws must exercise every non-degenerate case
-    assert {pure.CASE_NO_CRITICAL, pure.CASE_UNIQUE_MIN,
-            pure.CASE_UNIQUE_MAX, pure.CASE_TWO_ROOTS} <= seen
-
-
-def test_classify_degenerate_case_matches():
-    pure, comp = BACKENDS["pure"], BACKENDS["compiled"]
+def test_classify_degenerate_case_returns_t_bar_twice():
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = rng.uniform(0.1, 10.0)
         b = rng.uniform(0.1, 10.0)
         alpha, eta, beta = 1.5, 2.0, 4.0
-        t_bar, c_bar = pure.extremal_pair(n, b, alpha, eta, beta)
-        r1 = pure.classify(n, b, alpha, eta, beta, c_bar)
-        r2 = comp.classify(n, b, alpha, eta, beta, c_bar)
-        assert r1 == r2
-        assert r1[0] == pure.CASE_DEGENERATE
-        assert r1[1] == r1[2] == t_bar
+        t_bar, c_bar = K.extremal_pair(n, b, alpha, eta, beta)
+        case, tp, tm = K.classify(n, b, alpha, eta, beta, c_bar)
+        assert case == K.CASE_DEGENERATE
+        assert tp == tm == t_bar
 
 
-@pytest.mark.parametrize(
-    "name,args",
-    [
-        ("fiber_value", (1.0, 0.0, 1.0, 1.5, 2.0, 4.0, -0.01, 1.0)),
-        ("fiber_d1", (1.0, 0.0, 1.0, 1.5, 2.0, 4.0, -0.01, 1.0)),
-        ("fiber_d2", (1.0, 0.0, 1.0, 1.5, 2.0, 4.0, -0.01, 1.0)),
-    ],
-)
-def test_zero_a_raises_in_both(name, args):
-    for mod in BACKENDS.values():
-        with pytest.raises(ZeroDivisionError):
-            getattr(mod, name)(*args)
+@pytest.mark.parametrize("name", ["fiber_value", "fiber_d1", "fiber_d2"])
+def test_zero_a_raises(name):
+    with pytest.raises(ZeroDivisionError):
+        getattr(K, name)(1.0, 0.0, 1.0, 1.5, 2.0, 4.0, -0.01, 1.0)
 
 
-def test_error_parity_on_bad_t():
-    for mod in BACKENDS.values():
-        with pytest.raises(ValueError, match="t > 0 only"):
-            mod.fiber_value(1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.01, 0.0)
-        with pytest.raises(ValueError, match="t > 0 only"):
-            mod.fiber_d1(1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.01, -1.0)
-        with pytest.raises(ValueError, match="t >= 0 only"):
-            mod.g_value(1.0, 1.0, 1.5, 2.0, 4.0, -0.01, -0.5)
-        with pytest.raises(ValueError, match="t >= 0 only"):
-            mod.g_deriv(1.0, 1.0, 1.5, 2.0, 4.0, -0.5)
+def test_bad_t_raises():
+    with pytest.raises(ValueError, match="t > 0 only"):
+        K.fiber_value(1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.01, 0.0)
+    with pytest.raises(ValueError, match="t > 0 only"):
+        K.fiber_d1(1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.01, -1.0)
+    with pytest.raises(ValueError, match="t >= 0 only"):
+        K.g_value(1.0, 1.0, 1.5, 2.0, 4.0, -0.01, -0.5)
+    with pytest.raises(ValueError, match="t >= 0 only"):
+        K.g_deriv(1.0, 1.0, 1.5, 2.0, 4.0, -0.5)
 
 
-def test_error_parity_on_bad_ray():
-    for mod in BACKENDS.values():
-        with pytest.raises(ValueError, match="need n > 0"):
-            mod.extremal_pair(0.0, 1.0, 1.5, 2.0, 4.0)
-        with pytest.raises(ValueError, match="need b > 0"):
-            mod.extremal_pair(1.0, -1.0, 1.5, 2.0, 4.0)
-        with pytest.raises(ValueError, match="need n > 0"):
-            mod.zero_level_pair(-1.0, 1.0, 2.0, 4.0)
-        with pytest.raises(ValueError, match="need b > 0"):
-            mod.zero_level_pair(1.0, 0.0, 2.0, 4.0)
-        with pytest.raises(ValueError, match="needs n > 0"):
-            mod.classify(0.0, 1.0, 1.5, 2.0, 4.0, -0.01)
-        with pytest.raises(ValueError, match="finite data"):
-            mod.classify(1.0, float("nan"), 1.5, 2.0, 4.0, -0.01)
+def test_bad_ray_raises():
+    with pytest.raises(ValueError, match="need n > 0"):
+        K.extremal_pair(0.0, 1.0, 1.5, 2.0, 4.0)
+    with pytest.raises(ValueError, match="need b > 0"):
+        K.extremal_pair(1.0, -1.0, 1.5, 2.0, 4.0)
+    with pytest.raises(ValueError, match="need n > 0"):
+        K.zero_level_pair(-1.0, 1.0, 2.0, 4.0)
+    with pytest.raises(ValueError, match="need b > 0"):
+        K.zero_level_pair(1.0, 0.0, 2.0, 4.0)
+    with pytest.raises(ValueError, match="needs n > 0"):
+        K.classify(0.0, 1.0, 1.5, 2.0, 4.0, -0.01)
+    with pytest.raises(ValueError, match="finite data"):
+        K.classify(1.0, float("nan"), 1.5, 2.0, 4.0, -0.01)
 
 
-def test_overflow_raises_overflowerror_in_both():
+def test_overflow_raises_overflowerror():
     # beta - eta tiny: t_bar = (ratio)**(1/(beta-eta)) exceeds double range
-    for mod in BACKENDS.values():
-        with pytest.raises(OverflowError):
-            mod.extremal_pair(1.0, 1e-3, 1.5, 2.0, 2.01)
-        with pytest.raises(OverflowError):
-            mod.classify(1.0, 1e-3, 1.5, 2.0, 2.01, -0.5)
-        with pytest.raises(OverflowError):
-            mod.g_value(1.0, 1.0, 1.5, 2.0, 4.0, -0.5, 1e200)
+    with pytest.raises(OverflowError):
+        K.extremal_pair(1.0, 1e-3, 1.5, 2.0, 2.01)
+    with pytest.raises(OverflowError):
+        K.classify(1.0, 1e-3, 1.5, 2.0, 2.01, -0.5)
+    with pytest.raises(OverflowError):
+        K.g_value(1.0, 1.0, 1.5, 2.0, 4.0, -0.5, 1e200)
 
 
 def test_classify_roots_satisfy_g():
-    """Both backends' roots drive g to ~0 relative to its term sizes."""
+    """Roots drive g to ~0 relative to its term sizes, in every case."""
     rng = np.random.default_rng(3)
-    for mod in BACKENDS.values():
-        for _ in range(500):
-            n, b, alpha, eta, beta, c = draw_ray(rng)
-            case, tp, tm = mod.classify(n, b, alpha, eta, beta, c)
-            for t in (tp, tm):
-                if np.isnan(t):
-                    continue
-                scale = (
-                    (eta - alpha) / eta * n * t**eta
-                    + abs((beta - alpha) / beta * b) * t**beta
-                    + abs(alpha * c)
-                )
-                assert abs(mod.g_value(n, b, alpha, eta, beta, c, t)) <= 1e-9 * scale
-
-
-def test_backend_selection_env_var():
-    assert BACKEND == "compiled"
-    code = (
-        "from fibercurve._kernels import BACKEND; import fibercurve; "
-        "print(BACKEND, fibercurve.backend())"
-    )
-    env = dict(os.environ, FIBERCURVE_PURE="1")
-    res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert res.stdout.split() == ["pure", "pure"]
+    seen = set()
+    for _ in range(500):
+        n, b, alpha, eta, beta, c = draw_ray(rng)
+        case, tp, tm = K.classify(n, b, alpha, eta, beta, c)
+        seen.add(case)
+        for t in (tp, tm):
+            if np.isnan(t):
+                continue
+            scale = (
+                (eta - alpha) / eta * n * t**eta
+                + abs((beta - alpha) / beta * b) * t**beta
+                + abs(alpha * c)
+            )
+            assert abs(K.g_value(n, b, alpha, eta, beta, c, t)) <= 1e-9 * scale
+    # random draws must exercise every non-degenerate case
+    assert {K.CASE_NO_CRITICAL, K.CASE_UNIQUE_MIN,
+            K.CASE_UNIQUE_MAX, K.CASE_TWO_ROOTS} <= seen

@@ -5,6 +5,7 @@ import pytest
 
 import fibercurve.nehari_minmax as nm
 from conftest import random_cone_point
+from fibercurve.fibering import classify_and_solve, ray_data, restricted_lambda
 from fibercurve.functional_core import ConeTag, FunctionalTriple, phi
 from fibercurve.model_problems import (
     build_disjoint_basis,
@@ -96,6 +97,29 @@ class TestLambdaTilde:
         u = np.zeros(const_con_plus.triple.dim)
         with pytest.raises(ValueError, match="branch must be one of"):
             lambda_tilde(const_con_plus, -0.01, u, "foo")
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_agrees_with_fibering_profile(self, pos_con_plus, branch):
+        # the public fibering path: classify_and_solve's root, then the
+        # cross-checked restricted_lambda, on the same ray
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(40):
+            u = random_cone_point(pos_con_plus, rng)
+            ray = ray_data(pos_con_plus.working, u)
+            for c in (-0.2, -0.05, -0.005, 0.05):
+                profile = classify_and_solve(ray, c)
+                t_ref = profile.t_plus if branch == "plus" else profile.t_minus
+                if t_ref is None:
+                    with pytest.raises(InfeasibleRayError):
+                        lambda_tilde(pos_con_plus, c, u, branch)
+                    continue
+                lam_ref = pos_con_plus.lambda_sign * restricted_lambda(ray, c, t_ref)
+                lam, t = lambda_tilde(pos_con_plus, c, u, branch)
+                assert t == t_ref
+                assert lam == pytest.approx(lam_ref, rel=1e-10)
+                checked += 1
+        assert checked >= 40
 
 
 class TestLevelSlope:
