@@ -10,13 +10,27 @@ and its critical points are the positive roots of the two-term power function
 
     g(t) = (eta-alpha)/eta * n * t**eta - (beta-alpha)/beta * b * t**beta + alpha*c,
 
-since fiber'(t) = alpha/(a*t**(alpha+1)) * g(t).  Roots are found by bracketed
-bisection to relative width 1e-12 followed by one Newton polish.  These
-functions sit in the optimizer inner loop; they are plain Python on floats.
+since fiber'(t) = alpha/(a*t**(alpha+1)) * g(t).  For b > 0 the substitution
+s = t/t_bar, r = c/c_bar (the extremal pair) turns g(t) = 0 into
+
+    H(s) = (beta*s**eta - eta*s**beta)/(beta - eta) = r,
+
+whose roots depend on (r, eta, beta) alone: H rises from H(0) = 0 to its
+maximum H(1) = 1, falls through zero at s_z = (beta/eta)**(1/(beta-eta)) and
+is concave on s >= 1.  Each root is solved by safeguarded Newton (rtsafe,
+Numerical Recipes 9.4) inside a closed-form bracket; for b <= 0 the scaling
+by the b-free root t_seed gives the convex equation s**eta + q*s**beta = 1,
+where plain Newton from above converges monotonically.  Either iteration
+stops once a Newton step moves the root by at most _STEP_RTOL relative,
+after a few evaluations, and keeps the relative accuracy of roots far below
+t_bar.  These functions sit in the optimizer inner loop; they are plain
+Python on floats, and an OverflowError names the kernel and its arguments.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 
 CASE_NO_CRITICAL = 0
@@ -26,8 +40,32 @@ CASE_TWO_ROOTS = 3
 CASE_DEGENERATE = 4
 
 _NAN = float("nan")
+# a Newton step at most this fraction of the root ends the iteration; the
+# quadratic convergence leaves an error of about its square
+_STEP_RTOL = 1e-9
+_MAX_STEPS = 100
 
 
+def _names_overflow(kernel):
+    """kernel, re-raising a float OverflowError with its name and arguments."""
+    names = tuple(inspect.signature(kernel).parameters)
+
+    @functools.wraps(kernel)
+    def wrapped(*args, **kwargs):
+        try:
+            return kernel(*args, **kwargs)
+        except OverflowError as exc:
+            data = ", ".join(
+                f"{k}={v!r}" for k, v in [*zip(names, args), *kwargs.items()]
+            )
+            raise OverflowError(
+                f"{kernel.__name__} overflows the double range at {data}"
+            ) from exc
+
+    return wrapped
+
+
+@_names_overflow
 def fiber_value(n, a, b, alpha, eta, beta, c, t):
     if a == 0.0:
         raise ZeroDivisionError("fibering map undefined: A(u) = 0 on this ray")
@@ -38,6 +76,7 @@ def fiber_value(n, a, b, alpha, eta, beta, c, t):
     )
 
 
+@_names_overflow
 def fiber_d1(n, a, b, alpha, eta, beta, c, t):
     if a == 0.0:
         raise ZeroDivisionError("fibering map undefined: A(u) = 0 on this ray")
@@ -50,6 +89,7 @@ def fiber_d1(n, a, b, alpha, eta, beta, c, t):
     )
 
 
+@_names_overflow
 def fiber_d2(n, a, b, alpha, eta, beta, c, t):
     if a == 0.0:
         raise ZeroDivisionError("fibering map undefined: A(u) = 0 on this ray")
@@ -62,18 +102,21 @@ def fiber_d2(n, a, b, alpha, eta, beta, c, t):
     )
 
 
+@_names_overflow
 def g_value(n, b, alpha, eta, beta, c, t):
     if t < 0.0:
         raise ValueError(f"g defined for t >= 0 only, got t={t!r}")
     return (eta - alpha) / eta * n * t ** eta - (beta - alpha) / beta * b * t ** beta + alpha * c
 
 
+@_names_overflow
 def g_deriv(n, b, alpha, eta, beta, t):
     if t < 0.0:
         raise ValueError(f"g defined for t >= 0 only, got t={t!r}")
     return (eta - alpha) * n * t ** (eta - 1.0) - (beta - alpha) * b * t ** (beta - 1.0)
 
 
+@_names_overflow
 def extremal_pair(n, b, alpha, eta, beta):
     """(t_bar, c_bar): scaling placing the ray on the degenerate fiber, and its level.
 
@@ -91,9 +134,10 @@ def extremal_pair(n, b, alpha, eta, beta):
 
 # classify binds the pair under a private name, so that wrapping the public
 # extremal_pair (as the benchmark's call counter does) sees only outside calls
-_extremal_pair = extremal_pair
+_extremal_pair = extremal_pair.__wrapped__
 
 
+@_names_overflow
 def zero_level_pair(n, b, eta, beta):
     """(t0, c0): the unique scaling and positive level with fiber = fiber' = 0.
 
@@ -108,77 +152,59 @@ def zero_level_pair(n, b, eta, beta):
     return t0, c0
 
 
-def _bisect_root(n, b, alpha, eta, beta, c, lo, hi, rising):
-    """Root of g on [lo, hi]; g crosses - to + when rising, + to - otherwise."""
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        if hi - lo <= 1e-12 * (1.0 + mid):
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g_value(n, b, alpha, eta, beta, c, mid)
-        if (gm < 0.0) == rising:
-            lo = mid
+def _solve_h(r, eta, beta, lo, hi, s, rising):
+    """Root of H(s) = r in [lo, hi] by safeguarded Newton from s.
+
+    H - r is increasing on the bracket when rising, decreasing otherwise.  A
+    Newton step that leaves the bracket or fails to halve the step before
+    last becomes a bisection.  The iteration ends at the first Newton step
+    below _STEP_RTOL relative, which it takes even if rounding puts it just
+    outside the bracket, or when the bracket has no double left between its
+    ends.
+    """
+    k = beta - eta
+    dx_old = dx = hi - lo
+    for _ in range(_MAX_STEPS):
+        pe = s ** eta
+        pb = s ** beta
+        f = (beta * pe - eta * pb) / k - r
+        df = beta * eta * (pe - pb) / (k * s)
+        step = f / df if df else math.inf
+        if abs(step) <= _STEP_RTOL * s:
+            return s - step
+        if (f < 0.0) == rising:
+            lo = s
         else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    gp = g_deriv(n, b, alpha, eta, beta, t)
-    if gp != 0.0:
-        t_new = t - g_value(n, b, alpha, eta, beta, c, t) / gp
-        if t_new > 0.0 and math.isfinite(t_new):
-            t = t_new
-    return t
+            hi = s
+        if lo < s - step < hi and abs(step) <= 0.5 * abs(dx_old):
+            dx_old, dx = dx, step
+            s -= step
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            s = lo + dx
+            if not lo < s < hi:
+                return s
+    raise RuntimeError(f"no convergence solving H(s) = {r!r} on [{lo!r}, {hi!r}]")
 
 
-def _expand_down(n, b, alpha, eta, beta, c, hi):
-    """Largest halving of hi with g < 0 there; g(0+) = alpha*c < 0 guarantees one."""
-    lo = 0.5 * hi
-    for _ in range(4000):
-        if g_value(n, b, alpha, eta, beta, c, lo) < 0.0:
-            return lo
-        lo *= 0.5
-        if lo <= 0.0:
-            break
-    raise RuntimeError(
-        f"fibering root bracket failed expanding below t={hi!r} (n={n!r}, b={b!r}, c={c!r})"
-    )
+def _solve_convex(q, eta, beta):
+    """Root in (0, 1] of s**eta + q*s**beta = 1, q >= 0, by Newton from above.
+
+    The left side is convex and increasing, and it is >= 1 at the start
+    min(1, q**(-1/beta)), so every step stays right of the root.
+    """
+    s = 1.0 if q <= 1.0 else q ** (-1.0 / beta)
+    for _ in range(_MAX_STEPS):
+        pe = s ** eta
+        pb = q * s ** beta
+        step = (pe + pb - 1.0) * s / (eta * pe + beta * pb)
+        s -= step
+        if step <= _STEP_RTOL * s:
+            return s
+    raise RuntimeError(f"no convergence solving s**eta + q*s**beta = 1 at q={q!r}")
 
 
-def _expand_up(n, b, alpha, eta, beta, c, lo):
-    """Smallest doubling of lo with g < 0 there; g -> -inf as t -> inf for b > 0."""
-    t_cap = 1e300 ** (1.0 / beta)
-    hi = 2.0 * lo
-    for _ in range(2000):
-        if hi >= t_cap:
-            raise RuntimeError(
-                f"fibering root bracket overflow expanding above t={lo!r} "
-                f"(n={n!r}, b={b!r}, c={c!r})"
-            )
-        if g_value(n, b, alpha, eta, beta, c, hi) < 0.0:
-            return hi
-        hi *= 2.0
-    raise RuntimeError(
-        f"fibering root bracket failed expanding above t={lo!r} (n={n!r}, b={b!r}, c={c!r})"
-    )
-
-
-def _expand_up_positive(n, b, alpha, eta, beta, c, lo):
-    """Smallest doubling of lo with g > 0 there, for the increasing b <= 0 case."""
-    t_cap = 1e300 ** (1.0 / beta)
-    hi = 2.0 * lo
-    for _ in range(2000):
-        if hi >= t_cap:
-            raise RuntimeError(
-                f"fibering root bracket overflow expanding above t={lo!r} "
-                f"(n={n!r}, b={b!r}, c={c!r})"
-            )
-        if g_value(n, b, alpha, eta, beta, c, hi) > 0.0:
-            return hi
-        hi *= 2.0
-    raise RuntimeError(
-        f"fibering root bracket failed expanding above t={lo!r} (n={n!r}, b={b!r}, c={c!r})"
-    )
-
-
+@_names_overflow
 def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14):
     """Case label and critical scalings of the fibering map on one ray.
 
@@ -201,30 +227,38 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14):
     if b <= 0.0:
         if c >= 0.0:
             return CASE_NO_CRITICAL, _NAN, _NAN
-        # unique minimum: g increases from alpha*c < 0 to +inf
+        # unique minimum; with s = t/t_seed, g = -alpha*c*(s**eta + q*s**beta - 1)
         t_seed = (-alpha * c * eta / ((eta - alpha) * n)) ** (1.0 / eta)
-        if g_value(n, b, alpha, eta, beta, c, t_seed) < 0.0:
-            lo = t_seed
-            hi = _expand_up_positive(n, b, alpha, eta, beta, c, t_seed)
-        else:
-            lo = _expand_down(n, b, alpha, eta, beta, c, t_seed)
-            hi = t_seed
-        t_plus = _bisect_root(n, b, alpha, eta, beta, c, lo, hi, True)
-        return CASE_UNIQUE_MIN, t_plus, _NAN
+        q = (beta - alpha) / beta * -b * t_seed ** beta / (-alpha * c)
+        return CASE_UNIQUE_MIN, t_seed * _solve_convex(q, eta, beta), _NAN
 
     t_bar, c_bar = _extremal_pair(n, b, alpha, eta, beta)
+    if c < 0.0:
+        if abs(c - c_bar) <= deg_rtol * (1.0 + abs(c_bar)):
+            return CASE_DEGENERATE, t_bar, t_bar
+        if c < c_bar:
+            return CASE_NO_CRITICAL, _NAN, _NAN
+    elif c > 1e300 * -c_bar:
+        raise OverflowError(f"c/c_bar leaves the double range (c_bar={c_bar!r})")
+    r = c / c_bar if c else 0.0
+    s_z = (beta / eta) ** (1.0 / (beta - eta))
+    # H is concave on s >= 1, so its tangent at s_z lies above it: where the
+    # tangent reaches r < 1 is at or right of the root beyond the maximum
+    s_tangent = s_z - r / (beta * s_z ** (eta - 1.0))
     if c >= 0.0:
-        hi = _expand_up(n, b, alpha, eta, beta, c, t_bar)
-        t_minus = _bisect_root(n, b, alpha, eta, beta, c, t_bar, hi, False)
-        return CASE_UNIQUE_MAX, _NAN, t_minus
+        # H > -eta*s**beta/(beta-eta) bounds the root below as well
+        lo = max(s_z, (-r * (beta - eta) / eta) ** (1.0 / beta))
+        return CASE_UNIQUE_MAX, _NAN, t_bar * _solve_h(r, eta, beta, lo, s_tangent, lo, False)
 
-    if abs(c - c_bar) <= deg_rtol * (1.0 + abs(c_bar)):
-        return CASE_DEGENERATE, t_bar, t_bar
-    if c < c_bar:
-        return CASE_NO_CRITICAL, _NAN, _NAN
-
-    lo = _expand_down(n, b, alpha, eta, beta, c, t_bar)
-    t_plus = _bisect_root(n, b, alpha, eta, beta, c, lo, t_bar, True)
-    hi = _expand_up(n, b, alpha, eta, beta, c, t_bar)
-    t_minus = _bisect_root(n, b, alpha, eta, beta, c, t_bar, hi, False)
-    return CASE_TWO_ROOTS, t_plus, t_minus
+    # seeds: H < beta*s**eta/(beta-eta) bounds the small root below, sharply
+    # as r -> 0, where the tangent at s_z is sharp for the large root; near
+    # the maximum H ~ 1 - eta*beta*(s-1)**2/2
+    lo = (r * (beta - eta) / beta) ** (1.0 / eta)
+    if r < 0.5:
+        seed_plus, seed_minus = lo, s_tangent
+    else:
+        near = math.sqrt(2.0 * (1.0 - r) / (eta * beta))
+        seed_plus, seed_minus = max(lo, 1.0 - near), min(s_tangent, 1.0 + near)
+    s_plus = _solve_h(r, eta, beta, lo, 1.0, seed_plus, True)
+    s_minus = _solve_h(r, eta, beta, 1.0, s_tangent, seed_minus, False)
+    return CASE_TWO_ROOTS, t_bar * s_plus, t_bar * s_minus

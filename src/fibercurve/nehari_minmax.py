@@ -41,6 +41,10 @@ from . import _kernels as K
 from .fibering import classify_and_solve  # noqa: F401 (perfbench/tracing.py patches it here)
 from .functional_core import Array, ConeTag, FunctionalTriple, phi, phi_grad
 
+# objective value at a point, with a callable finishing the gradient there
+Evaluated = tuple[float, Callable[[], Array]]
+Evaluation = Callable[[Array], Evaluated]
+
 __all__ = [
     "CriticalPointRecord",
     "GenusSurrogate",
@@ -218,30 +222,34 @@ def _ray_scalars(working: FunctionalTriple, u: Array) -> tuple[float, float, flo
 
 def _level_internal(
     working: FunctionalTriple, c: float, branch: str, u: Array
-) -> tuple[float, float]:
-    """(lam, t_root) of the working problem; raises InfeasibleRayError off-branch."""
+) -> tuple[float, float, float]:
+    """(lam, t_root, A(u)) of the working problem; raises InfeasibleRayError off-branch."""
     e = working.exponents
     n, a, b = _ray_scalars(working, u)
     code, tp, tm = K.classify(n, b, e.alpha, e.eta, e.beta, c)
     t = _branch_root(code, tp, tm, branch)
     num = (e.beta - e.eta) / e.eta * n * t**e.eta - e.beta * c
     den = (e.beta - e.alpha) / e.alpha * a * t**e.alpha
-    return num / den, t
+    return num / den, t, a
 
 
-def _level_grad_internal(
-    working: FunctionalTriple, c: float, branch: str, u: Array
-) -> tuple[float, float, Array]:
-    """(lam, t_root, gradient) of the working problem at u."""
+def _level_evaluation(working: FunctionalTriple, c: float, branch: str) -> Evaluation:
+    """The descent's evaluation of the working problem's level at (c, branch)."""
     e = working.exponents
-    lam, t = _level_internal(working, c, branch, u)
-    a = float(working.eval_A(u))
-    g = (e.alpha / a) * (
-        t ** (e.eta - e.alpha) * np.asarray(working.grad_N(u), dtype=float) / e.eta
-        - lam * np.asarray(working.grad_A(u), dtype=float) / e.alpha
-        - t ** (e.beta - e.alpha) * np.asarray(working.grad_B(u), dtype=float) / e.beta
-    )
-    return lam, t, g
+
+    def evaluate(u: Array) -> Evaluated:
+        lam, t, a = _level_internal(working, c, branch, u)
+
+        def gradient() -> Array:
+            return (e.alpha / a) * (
+                t ** (e.eta - e.alpha) * np.asarray(working.grad_N(u), dtype=float) / e.eta
+                - lam * np.asarray(working.grad_A(u), dtype=float) / e.alpha
+                - t ** (e.beta - e.alpha) * np.asarray(working.grad_B(u), dtype=float) / e.beta
+            )
+
+        return lam, gradient
+
+    return evaluate
 
 
 def lambda_tilde(
@@ -255,7 +263,7 @@ def lambda_tilde(
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    lam, t = _level_internal(constraint.working, c, branch, u)
+    lam, t, _ = _level_internal(constraint.working, c, branch, u)
     return constraint.lambda_sign * lam, t
 
 
@@ -265,9 +273,9 @@ def level_slope(constraint: SphereConstraint, c: float, u: Array, branch: str) -
     A is the original (signed) concave term, so negative-cone constraints get
     positive slopes, matching the sign-flipped reporting.
     """
-    _, t = _level_internal(constraint.working, c, branch, u)
+    _, t, a = _level_internal(constraint.working, c, branch, u)
     e = constraint.triple.exponents
-    a_at_root = float(constraint.triple.eval_A(u)) * t**e.alpha
+    a_at_root = constraint.lambda_sign * a * t**e.alpha
     return -e.alpha / a_at_root
 
 
@@ -287,7 +295,7 @@ def extract_critical_point(
     problem's residual by the sign-flip identity.
     """
     working = constraint.working
-    lam_int, t = _level_internal(working, c, branch, u)
+    lam_int, t, _ = _level_internal(working, c, branch, u)
     lam = constraint.lambda_sign * lam_int
     v = t * np.asarray(u, dtype=float)
     triple = constraint.triple
@@ -332,12 +340,17 @@ _ROUNDING_ULPS = 4
 def _sphere_descend(
     working: FunctionalTriple,
     feasible: Callable[[Array], bool],
-    value_fn: Callable[[Array], float],
-    grad_fn: Callable[[Array], tuple[float, Array]],
+    evaluate: Evaluation,
     u0: Array,
     params: OptimizerParams,
 ) -> tuple[Array, float, int, bool, float]:
     """Preconditioned gradient descent with renormalization after every step.
+
+    evaluate(u) returns the objective value at u and a zero-argument callable
+    that finishes the gradient there from what the value already computed
+    (ray scalars, root).  Each point is evaluated once: the gradient is asked
+    for only at the start and at accepted trials, never re-evaluating the
+    value, and rejected trials cost the value alone.
 
     The direction is d = M^{-1} grad for the triple's metric M (the Sobolev
     gradient; d = grad when the triple has no metric).  Step lengths come from
@@ -357,14 +370,14 @@ def _sphere_descend(
     """
     metric, metric_solve = working.metric, working.metric_solve
     u = _normalize(working, u0)
-    value = value_fn(u)
+    value, gradient = evaluate(u)
     gnorm = math.inf
     step_next = params.step_init
     prev_u: Array | None = None
     prev_grad: Array | None = None
     recent = [value]
     for it in range(1, params.max_iter + 1):
-        value, grad = grad_fn(u)
+        grad = gradient()
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= params.gtol:
             return u, value, it, True, gnorm
@@ -392,13 +405,12 @@ def _sphere_descend(
                 continue
             if feasible(trial):
                 try:
-                    trial_value = value_fn(trial)
+                    trial_value, trial_gradient = evaluate(trial)
                 except InfeasibleRayError:
                     trial_value = math.inf
                 if trial_value <= reference - params.armijo_c1 * step * slope:
                     prev_u, prev_grad = u, grad
-                    u = trial
-                    value = trial_value
+                    u, value, gradient = trial, trial_value, trial_gradient
                     accepted = True
                     break
             step *= params.step_factor
@@ -502,14 +514,7 @@ def minimize_ground_level(
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     params = params or OptimizerParams()
     working = constraint.working
-
-    def value_fn(u: Array) -> float:
-        return _level_internal(working, c, branch, u)[0]
-
-    def grad_fn(u: Array) -> tuple[float, Array]:
-        lam, _, g = _level_grad_internal(working, c, branch, u)
-        return lam, g
-
+    evaluate = _level_evaluation(working, c, branch)
     check = _computable(working, c, branch)
     starts: list[Array] = []
     for w in extra_starts:
@@ -530,7 +535,7 @@ def minimize_ground_level(
 
     best: tuple[float, Array, int, bool] | None = None
     for u0 in starts:
-        u, value, iters, ok, _ = _sphere_descend(working, constraint.feasible, value_fn, grad_fn, u0, params)
+        u, value, iters, ok, _ = _sphere_descend(working, constraint.feasible, evaluate, u0, params)
         if best is None or value < best[0]:
             best = (value, u, iters, ok)
     value, u, iters, ok = best
@@ -544,44 +549,41 @@ def minimize_ground_level(
 # thresholds: ray functions of (N, B) only
 
 
-def _zero_level_value_grad(working: FunctionalTriple, u: Array, want_grad: bool):
+def _nb_level(pair, working: FunctionalTriple, u: Array) -> Evaluated:
+    """(level, gradient) of a ray level that pair(n, b, exponents) makes of (N, B) alone.
+
+    Both threshold levels, c_bar and c0, are n**q * b**-r times a constant
+    with q = beta/(beta-eta) and r = eta/(beta-eta), so one gradient serves.
+    """
     e = working.exponents
     n = float(working.eval_N(u))
     b = float(working.eval_B(u))
     if not (n > 0.0):
         raise InfeasibleRayError(f"coercive part not positive (N={n!r})")
     if b <= 0.0:
-        raise InfeasibleRayError(f"zero-level objective needs B > 0 (B={b!r})")
-    t0, c0 = K.zero_level_pair(n, b, e.eta, e.beta)
-    if not want_grad:
-        return c0, None
-    q = e.beta / (e.beta - e.eta)
-    r = e.eta / (e.beta - e.eta)
-    grad = c0 * (
-        q * np.asarray(working.grad_N(u), dtype=float) / n
-        - r * np.asarray(working.grad_B(u), dtype=float) / b
-    )
-    return c0, grad
+        raise InfeasibleRayError(f"threshold objective needs B > 0 (B={b!r})")
+    level = pair(n, b, e)
+
+    def gradient() -> Array:
+        q = e.beta / (e.beta - e.eta)
+        r = e.eta / (e.beta - e.eta)
+        return level * (
+            q * np.asarray(working.grad_N(u), dtype=float) / n
+            - r * np.asarray(working.grad_B(u), dtype=float) / b
+        )
+
+    return level, gradient
 
 
-def _extremal_value_grad(working: FunctionalTriple, u: Array, want_grad: bool):
-    e = working.exponents
-    n = float(working.eval_N(u))
-    b = float(working.eval_B(u))
-    if not (n > 0.0):
-        raise InfeasibleRayError(f"coercive part not positive (N={n!r})")
-    if b <= 0.0:
-        raise InfeasibleRayError(f"extremal objective needs B > 0 (B={b!r})")
-    _, c_bar = K.extremal_pair(n, b, e.alpha, e.eta, e.beta)
-    if not want_grad:
-        return c_bar, None
-    q = e.beta / (e.beta - e.eta)
-    r = e.eta / (e.beta - e.eta)
-    grad = c_bar * (
-        q * np.asarray(working.grad_N(u), dtype=float) / n
-        - r * np.asarray(working.grad_B(u), dtype=float) / b
+def _zero_level(working: FunctionalTriple, u: Array) -> Evaluated:
+    return _nb_level(lambda n, b, e: K.zero_level_pair(n, b, e.eta, e.beta)[1], working, u)
+
+
+def _negated_extremal_level(working: FunctionalTriple, u: Array) -> Evaluated:
+    c_bar, gradient = _nb_level(
+        lambda n, b, e: K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1], working, u
     )
-    return c_bar, grad
+    return -c_bar, lambda: -gradient()
 
 
 def _cluster_minima(
@@ -607,7 +609,7 @@ def _cluster_minima(
 
 def _minimize_ray_objective(
     constraint: SphereConstraint,
-    objective,
+    objective: Callable[[FunctionalTriple, Array], Evaluated],
     feasible: Callable[[Array], bool],
     purpose: int,
     multistart: int,
@@ -616,15 +618,12 @@ def _minimize_ray_objective(
 ) -> list[tuple[float, Array]]:
     working = constraint.working
 
-    def value_fn(u: Array) -> float:
-        return objective(working, u, False)[0]
-
-    def grad_fn(u: Array) -> tuple[float, Array]:
-        return objective(working, u, True)
+    def evaluate(u: Array) -> Evaluated:
+        return objective(working, u)
 
     def check(u: Array) -> bool:
         try:
-            value_fn(u)
+            evaluate(u)
         except InfeasibleRayError:
             return False
         return True
@@ -632,7 +631,7 @@ def _minimize_ray_objective(
     starts = _draw_starts(constraint, multistart, seed, purpose, check, params)
     minima = []
     for u0 in starts:
-        u, value, _, _, _ = _sphere_descend(working, feasible, value_fn, grad_fn, u0, params)
+        u, value, _, _, _ = _sphere_descend(working, feasible, evaluate, u0, params)
         minima.append((value, u))
     return _cluster_minima(minima)
 
@@ -656,13 +655,9 @@ def compute_c_star(
         eps_cone=constraint.eps_cone,
         start_support=constraint.start_support,
     )
-
-    def objective(working, u, want_grad):
-        value, grad = _extremal_value_grad(working, u, want_grad)
-        return (-value, None) if grad is None else (-value, -grad)
-
     minima = _minimize_ray_objective(
-        inter, objective, inter.feasible, _PURPOSE["c_star"], multistart, seed, params
+        inter, _negated_extremal_level, inter.feasible, _PURPOSE["c_star"],
+        multistart, seed, params,
     )
     c_star = -minima[0][0]
     if not (c_star < 0.0):
@@ -690,7 +685,7 @@ def compute_c_star_star(
         start_support=constraint.start_support,
     )
     minima = _minimize_ray_objective(
-        inter, _zero_level_value_grad, inter.feasible, _PURPOSE["c_star_star"],
+        inter, _zero_level, inter.feasible, _PURPOSE["c_star_star"],
         multistart, seed, params,
     )
     best = minima[0][0]
@@ -723,7 +718,7 @@ def minimize_c0(
         return b > 1e-12 * (1.0 + abs(b))
 
     minima = _minimize_ray_objective(
-        constraint, _zero_level_value_grad, feasible, _PURPOSE["c0"], multistart, seed, params
+        constraint, _zero_level, feasible, _PURPOSE["c0"], multistart, seed, params
     )
     best = minima[0][0]
     keep = [u for value, u in minima if abs(value - best) <= 1e-6 * (1.0 + abs(best))]
@@ -794,7 +789,7 @@ def surrogate_level(
     def value_fn(xi: Array) -> float:
         u = combo(xi)
         try:
-            lam, _ = _level_internal(working, c, branch, u)
+            lam = _level_internal(working, c, branch, u)[0]
         except InfeasibleRayError as exc:
             raise SurrogateInvalidError(
                 f"coefficient sample {xi!r} leaves the feasible cone: {exc}"
@@ -834,35 +829,30 @@ def surrogate_level(
         grad_B=lambda xi: np.zeros_like(xi),
     )
 
-    def neg_value(xi: Array) -> float:
-        return -value_fn(xi)
+    level = _level_evaluation(working, c, branch)
 
-    def neg_grad(xi: Array) -> tuple[float, Array]:
-        u = combo(xi)
+    def neg_evaluate(xi: Array) -> Evaluated:
         try:
-            lam, _, g = _level_grad_internal(working, c, branch, u)
+            lam, gradient = level(combo(xi))
         except InfeasibleRayError as exc:
             raise SurrogateInvalidError(
                 f"coefficient point {xi!r} leaves the feasible cone: {exc}"
             ) from None
-        return -lam, -(basis @ g)
+        return -lam, lambda: -(basis @ gradient())
 
     best_value = values[order[0]]
     best_xi = samples[order[0]]
     for xi0 in polish_starts:
-        try:
-            xi, neg_val, _, _, _ = _sphere_descend(
-                euclid, lambda xi: True, neg_value, neg_grad, xi0, ascent
-            )
-        except SurrogateInvalidError:
-            raise
+        xi, neg_val, _, _, _ = _sphere_descend(
+            euclid, lambda xi: True, neg_evaluate, xi0, ascent
+        )
         if -neg_val > best_value:
             best_value = -neg_val
             best_xi = xi
 
     u_best = combo(best_xi)
     u_best = u_best / working.norm_of(u_best)
-    lam_int, t = _level_internal(working, c, branch, u_best)
+    lam_int, t, _ = _level_internal(working, c, branch, u_best)
     return SurrogateLevel(
         value=constraint.lambda_sign * lam_int,
         k=k,

@@ -289,7 +289,10 @@ class TestKernelOverflow:
             ["thresholds", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         )
         assert code == 2
-        assert "non-convergence" in err
+        assert "non-convergence: extremal_pair overflows the double range at n=" in err
+        # the ray data and the exponents that overflowed
+        assert ", b=" in err
+        assert "alpha=1.5, eta=2.0, beta=2.01" in err
         assert "Traceback" not in err
 
 

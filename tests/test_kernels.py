@@ -5,8 +5,12 @@ double; the overflow corner is exercised separately and must raise
 OverflowError.
 """
 
+import decimal
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibercurve import _kernels as K
 
@@ -66,13 +70,23 @@ def test_bad_ray_raises():
 
 
 def test_overflow_raises_overflowerror():
-    # beta - eta tiny: t_bar = (ratio)**(1/(beta-eta)) exceeds double range
-    with pytest.raises(OverflowError):
+    # beta - eta tiny: t_bar = (ratio)**(1/(beta-eta)) exceeds double range;
+    # the message names the kernel, the ray data and the exponents
+    with pytest.raises(OverflowError, match=(
+        r"^extremal_pair overflows the double range at "
+        r"n=1\.0, b=0\.001, alpha=1\.5, eta=2\.0, beta=2\.01$"
+    )):
         K.extremal_pair(1.0, 1e-3, 1.5, 2.0, 2.01)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=(
+        r"^classify overflows the double range at "
+        r"n=1\.0, b=0\.001, alpha=1\.5, eta=2\.0, beta=2\.01, c=-0\.5$"
+    )):
         K.classify(1.0, 1e-3, 1.5, 2.0, 2.01, -0.5)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"^g_value .* c=-0\.5, t=1e\+200$"):
         K.g_value(1.0, 1.0, 1.5, 2.0, 4.0, -0.5, 1e200)
+    # c_bar underflows to zero, so the normalized level c/c_bar has no double
+    with pytest.raises(OverflowError, match=r"^classify .* c=1\.0$"):
+        K.classify(1e-300, 1.0, 1.5, 2.0, 4.0, 1.0)
 
 
 def test_classify_roots_satisfy_g():
@@ -95,3 +109,121 @@ def test_classify_roots_satisfy_g():
     # random draws must exercise every non-degenerate case
     assert {K.CASE_NO_CRITICAL, K.CASE_UNIQUE_MIN,
             K.CASE_UNIQUE_MAX, K.CASE_TWO_ROOTS} <= seen
+
+
+def _decimal_plus_root(n, b, alpha, eta, beta, c):
+    """The smaller root of g for the integer exponents eta = 2, beta = 4, by
+    bisection on [0, t_bar] in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        n, b, alpha, c = (decimal.Decimal(x) for x in (n, b, alpha, c))
+
+        def g(t):
+            return (2 - alpha) / 2 * n * t**2 - (4 - alpha) / 4 * b * t**4 + alpha * c
+
+        lo = decimal.Decimal(0)
+        hi = ((2 - alpha) * n / ((4 - alpha) * b)).sqrt()
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if g(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("c", [-1e-14, -1e-10])
+def test_small_plus_root_is_relatively_accurate(c):
+    """A plus root far below t_bar keeps its relative accuracy."""
+    ray = (1e3, 1.0, 1.5, 2.0, 4.0)
+    case, t_plus, _ = K.classify(*ray, c)
+    assert case == K.CASE_TWO_ROOTS
+    ref = _decimal_plus_root(*ray, c)
+    assert abs(t_plus - ref) <= 1e-14 * ref
+
+
+# ---------------------------------------------------------------------------
+# property tests: derandomized, so every run draws the same examples
+
+EXPONENTS = st.tuples(
+    st.floats(1.05, 2.5), st.floats(0.1, 2.0), st.floats(0.5, 3.0)
+).map(lambda d: (d[0], d[0] + d[1], d[0] + d[1] + d[2]))
+MAGNITUDE = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def _assert_roots_solve_g(n, b, alpha, eta, beta, c, roots):
+    for t in roots:
+        t1 = (eta - alpha) / eta * n * t**eta
+        t2 = (beta - alpha) / beta * b * t**beta
+        assert t > 0.0
+        g = K.g_value(n, b, alpha, eta, beta, c, t)
+        assert abs(g) <= 1e-9 * (abs(t1) + abs(t2) + abs(alpha * c))
+
+
+def _outside_band(c, c_bar, deg_rtol=1e-14):
+    return abs(c - c_bar) > deg_rtol * (1.0 + abs(c_bar))
+
+
+@PROPERTY
+@given(n=MAGNITUDE, b=MAGNITUDE, exps=EXPONENTS,
+       r=st.one_of(st.floats(-14.0, -0.01).map(lambda x: 10.0**x), st.floats(0.01, 0.99)))
+def test_two_roots_straddle_t_bar(n, b, exps, r):
+    t_bar, c_bar = K.extremal_pair(n, b, *exps)
+    c = r * c_bar
+    # the band is absolute: it swallows every c in (c_bar, 0) when |c_bar| << 1e-14
+    assume(_outside_band(c, c_bar))
+    case, t_plus, t_minus = K.classify(n, b, *exps, c)
+    assert case == K.CASE_TWO_ROOTS
+    assert t_plus < t_bar < t_minus
+    _assert_roots_solve_g(n, b, *exps, c, (t_plus, t_minus))
+
+
+@PROPERTY
+@given(n=MAGNITUDE, b=MAGNITUDE, exps=EXPONENTS, gap=st.floats(-12.0, -2.0))
+def test_two_roots_near_the_collision(n, b, exps, gap):
+    """r = c/c_bar close to 1 but outside the degenerate band."""
+    t_bar, c_bar = K.extremal_pair(n, b, *exps)
+    c = (1.0 - 10.0**gap) * c_bar
+    assume(_outside_band(c, c_bar))
+    case, t_plus, t_minus = K.classify(n, b, *exps, c)
+    assert case == K.CASE_TWO_ROOTS
+    assert t_plus < t_bar < t_minus
+    _assert_roots_solve_g(n, b, *exps, c, (t_plus, t_minus))
+
+
+@PROPERTY
+@given(n=MAGNITUDE, b=MAGNITUDE, exps=EXPONENTS,
+       c=st.one_of(st.just(0.0), MAGNITUDE))
+def test_nonnegative_level_has_one_maximum(n, b, exps, c):
+    t_bar, _ = K.extremal_pair(n, b, *exps)
+    case, t_plus, t_minus = K.classify(n, b, *exps, c)
+    assert case == K.CASE_UNIQUE_MAX
+    assert np.isnan(t_plus) and t_bar < t_minus
+    _assert_roots_solve_g(n, b, *exps, c, (t_minus,))
+
+
+@PROPERTY
+@given(n=MAGNITUDE, exps=EXPONENTS, c=MAGNITUDE, tiny=st.floats(-12.0, -9.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_vanishing_b(n, exps, c, tiny, sign):
+    """b -> 0+ keeps both roots (c_bar -> -inf); b -> 0- keeps the minimum."""
+    b = sign * n * 10.0**tiny
+    case, t_plus, t_minus = K.classify(n, b, *exps, -c)
+    if sign > 0.0:
+        t_bar, _ = K.extremal_pair(n, b, *exps)
+        assert case == K.CASE_TWO_ROOTS
+        assert t_plus < t_bar < t_minus
+        _assert_roots_solve_g(n, b, *exps, -c, (t_plus, t_minus))
+    else:
+        assert case == K.CASE_UNIQUE_MIN and np.isnan(t_minus)
+        _assert_roots_solve_g(n, b, *exps, -c, (t_plus,))
+
+
+@PROPERTY
+@given(n=MAGNITUDE, b=st.one_of(st.just(0.0), MAGNITUDE.map(lambda x: -x)),
+       exps=EXPONENTS, c=MAGNITUDE)
+def test_nonpositive_b_has_one_minimum(n, b, exps, c):
+    case, t_plus, t_minus = K.classify(n, b, *exps, -c)
+    assert case == K.CASE_UNIQUE_MIN and np.isnan(t_minus)
+    _assert_roots_solve_g(n, b, *exps, -c, (t_plus,))

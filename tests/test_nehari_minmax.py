@@ -486,3 +486,57 @@ class TestExtractCriticalPoint:
         assert np.array_equal(rec.coefficients, rec.t_root * u)
         # a generic ray point is scaled onto the level set but is not critical
         assert rec.residual_grad > 1e-3
+
+
+class TestWeightScaling:
+    """Scaling the weight a by kappa > 0 scales A, so lambda scales by 1/kappa
+    on every ray and at the ground optimum; the thresholds look at (N, B)
+    alone on the same cone, so they do not move."""
+
+    KAPPA = 3.0
+    C = -0.05
+
+    @pytest.fixture(scope="class")
+    def constraints(self):
+        def constraint(a):
+            prob = dirichlet_problem_1d(31, a, "cos(2*pi*x)+0.2", p=2.0, alpha=1.5, beta=4.0)
+            return SphereConstraint(triple=build_triple(prob), tag=ConeTag.A_POS)
+
+        return constraint("1+x"), constraint(f"{self.KAPPA}*(1+x)")
+
+    def test_fixed_ray(self, constraints):
+        base, scaled = constraints
+        rng = np.random.default_rng(5)
+        solved = 0
+        for _ in range(20):
+            u = random_cone_point(base, rng)
+            for branch in ("plus", "minus"):
+                try:
+                    lam, t = lambda_tilde(base, self.C, u, branch)
+                except InfeasibleRayError:
+                    # which branches a ray has depends on (N, B) alone
+                    with pytest.raises(InfeasibleRayError):
+                        lambda_tilde(scaled, self.C, u, branch)
+                    continue
+                lam_k, t_k = lambda_tilde(scaled, self.C, u, branch)
+                assert t_k == t
+                assert abs(self.KAPPA * lam_k - lam) <= 1e-13 * abs(lam)
+                solved += 1
+        assert solved >= 20
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_ground_optimum(self, constraints, branch):
+        base, scaled = constraints
+        lam, rec = minimize_ground_level(base, self.C, branch, multistart=4, seed=0)
+        lam_k, rec_k = minimize_ground_level(scaled, self.C, branch, multistart=4, seed=0)
+        for r in (rec, rec_k):
+            assert r.converged and r.residual_grad <= 1e-6
+        assert abs(self.KAPPA * lam_k - lam) <= 1e-9 * abs(lam)
+
+    def test_thresholds_do_not_move(self, constraints):
+        base, scaled = constraints
+        c_star = compute_c_star(base, multistart=4, seed=0)
+        assert abs(compute_c_star(scaled, multistart=4, seed=0) - c_star) <= 1e-12 * abs(c_star)
+        c_ss, _ = compute_c_star_star(base, multistart=4, seed=0)
+        c_ss_k, _ = compute_c_star_star(scaled, multistart=4, seed=0)
+        assert abs(c_ss_k - c_ss) <= 1e-12 * c_ss
