@@ -485,11 +485,12 @@ def intersect_with_lambda(
     c * slope / level) past the target, and halves the gap to the ceiling
     (or to c_floor below) when that guess leaves the admissible interval.
     Inside the bracket a safeguarded Newton iteration (rtsafe) refines the
-    root, bisecting whenever a Newton step leaves the bracket or fails to
-    halve the step before last; it stops when the step or the bracket is
-    below tol_c * (1 + |c|), after at most max_bisect steps.  Each k either
-    yields a root entry or a skip entry with a reason; family verdicts compare
-    the roots across k.
+    root (on the plus branch in log|c| and log|level|, where the power law
+    is nearly linear), bisecting whenever a Newton step leaves the bracket
+    or fails to halve the step before last; it stops when the step or the
+    bracket is below tol_c * (1 + |c|), after at most max_bisect steps.  Each
+    k either yields a root entry or a skip entry with a reason; family
+    verdicts compare the roots across k.
 
     Returns a dict with "points" (one per solved k: k, c, lam, record,
     iterations = refinement steps, probes = level solves including the
@@ -551,6 +552,22 @@ class _Sample(NamedTuple):
     record: CriticalPointRecord
 
 
+def _power_law_root(point: _Sample, lam_target: float) -> float | None:
+    """Where the local power law through a plus-branch probe reaches lam_target.
+
+    Toward the ceiling c = 0 the plus level behaves like K|c|**gamma with
+    gamma = c * slope / level, a line in log|c| and log|level|; this is the
+    Newton step in those coordinates, c * (lam_target / level)**(1/gamma).
+    Returns None when the probe does not fit a power law (gamma <= 0, or
+    level and target of different signs).
+    """
+    gamma = point.c * point.slope / point.lam
+    ratio = lam_target / point.lam
+    if point.c < 0.0 and gamma > 0.0 and ratio > 0.0:
+        return point.c * ratio ** (1.0 / gamma)
+    return None
+
+
 def _intersect_single(
     probe: _LevelProbe,
     lam_target: float,
@@ -585,10 +602,9 @@ def _intersect_single(
             if c_new >= c_ceiling:
                 # The plus ceiling is c = 0, where the level vanishes like
                 # K|c|**gamma; aim at half the |c| the power law predicts.
-                gamma = end.c * end.slope / end.lam
-                ratio = lam_target / end.lam
-                if gamma > 0.0 and 0.0 < ratio < 1.0:
-                    c_new = 0.5 * end.c * ratio ** (1.0 / gamma)
+                guess = _power_law_root(end, lam_target)
+                if guess is not None and guess > end.c:
+                    c_new = 0.5 * guess
                 if not (end.c < c_new < c_ceiling):
                     c_new = 0.5 * (end.c + c_ceiling)
             if not (c_new > end.c):
@@ -622,8 +638,10 @@ def _intersect_single(
     dx_old = dx = b - a
     it = 0
     for it in range(1, max_bisect + 1):
-        newton = point.c - point.f / point.slope
-        if not (a < newton < b) or abs(2.0 * point.f) > abs(dx_old * point.slope):
+        newton = _power_law_root(point, lam_target) if probe.branch == "plus" else None
+        if newton is None:
+            newton = point.c - point.f / point.slope
+        if not (a < newton < b) or abs(2.0 * (newton - point.c)) > abs(dx_old):
             dx_old, dx = dx, 0.5 * (b - a)
             c = a + dx
         else:

@@ -776,7 +776,11 @@ def build_disjoint_basis(problem: PLaplacianProblem, tag: ConeTag, k: int) -> Ar
     The qualifying nodes are split into k blocks along the first grid axis
     with a one-column gap between consecutive blocks, so any nonzero linear
     combination stays strictly inside the cone (the quadrature decomposes over
-    the disjoint supports).  Raises when the mask cannot host k such blocks.
+    the disjoint supports).  The gap column is what makes N additive: no
+    difference quotient of the gradient term spans two blocks, so
+    N(sum_i xi_i e_i) = sum_i |xi_i|**p N(e_i), as A and B are by their
+    node-wise quadrature.  Genus surrogates rely on this.  Raises when the
+    mask cannot host k such blocks.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

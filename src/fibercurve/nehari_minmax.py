@@ -15,10 +15,14 @@ gradient d = M^{-1} grad_u for the triple's metric M (the p = 2 stiffness of
 the problem norm on model problems, the identity on triples without one),
 with Barzilai-Borwein steps s^T M s / s^T y and a nonmonotone Armijo test on
 the decrease step * grad_u^T d.  In this metric the iteration count does not
-grow with the number of grid nodes.  Ground levels (k = 1) are
-exact multistart minima; k >= 2 levels are genus-type surrogate bounds from
-spheres of coefficient combinations over disjoint-support bases, labeled as
-surrogates everywhere.
+grow with the number of grid nodes.  A descent stops at ||grad_u|| <= gtol,
+or at the rounding floor, when its recent values no longer move in floating
+point.  Ground levels (k = 1) are exact multistart minima; k >= 2 levels are
+genus-type surrogate bounds from spheres of coefficient combinations over
+disjoint-support bases, labeled as surrogates everywhere.  On such a basis
+N, A and B are additive (checked on every pair), so a surrogate level is a
+function of the 3k numbers N(e_i), A(e_i), B(e_i): its sampling and polish
+never touch the grid.
 
 Negative-cone branches never run their own machinery: the energy satisfies
 phi(lam, u; A) = phi(-lam, u; -A), so constraints with a negative tag flip the
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import _kernels as K
 from .fibering import classify_and_solve  # noqa: F401 (perfbench/tracing.py patches it here)
-from .functional_core import Array, ConeTag, FunctionalTriple, phi, phi_grad
+from .functional_core import Array, ConeTag, Exponents, FunctionalTriple, phi, phi_grad
 
 # objective value at a point, with a callable finishing the gradient there
 Evaluated = tuple[float, Callable[[], Array]]
@@ -165,7 +169,10 @@ class GenusSurrogate:
 
     k is the genus being approximated, basis holds k unit vectors of pairwise
     disjoint support inside the cone, n_samples is the quadrature resolution
-    on the coefficient sphere.
+    on the coefficient sphere.  N, A and B must be additive over the basis:
+    no functional may couple two supports (the gradient in N does when two
+    blocks touch), so that N(sum_i xi_i e_i) = sum_i |xi_i|**eta N(e_i) and
+    likewise for A and B.  surrogate_level checks this on every pair.
     """
 
     k: int
@@ -210,27 +217,43 @@ def _branch_root(code: int, t_plus: float, t_minus: float, branch: str) -> float
 
 
 def _ray_scalars(working: FunctionalTriple, u: Array) -> tuple[float, float, float]:
-    n = float(working.eval_N(u))
-    a = float(working.eval_A(u))
-    b = float(working.eval_B(u))
+    """(N(u), A(u), B(u)) of the working problem."""
+    return float(working.eval_N(u)), float(working.eval_A(u)), float(working.eval_B(u))
+
+
+def _scalar_level(
+    e: Exponents, c: float, branch: str, n: float, a: float, b: float
+) -> tuple[float, float]:
+    """(lam, t_root) of a ray with scalars (n, a, b); raises InfeasibleRayError off-branch."""
     if not (n > 0.0):
         raise InfeasibleRayError(f"coercive part not positive on this ray (N={n!r})")
     if a <= 0.0:
         raise InfeasibleRayError(f"ray outside the working cone (A={a!r})")
-    return n, a, b
+    code, tp, tm = K.classify(n, b, e.alpha, e.eta, e.beta, c)
+    t = _branch_root(code, tp, tm, branch)
+    num = (e.beta - e.eta) / e.eta * n * t**e.eta - e.beta * c
+    den = (e.beta - e.alpha) / e.alpha * a * t**e.alpha
+    return num / den, t
 
 
 def _level_internal(
     working: FunctionalTriple, c: float, branch: str, u: Array
 ) -> tuple[float, float, float]:
     """(lam, t_root, A(u)) of the working problem; raises InfeasibleRayError off-branch."""
-    e = working.exponents
     n, a, b = _ray_scalars(working, u)
-    code, tp, tm = K.classify(n, b, e.alpha, e.eta, e.beta, c)
-    t = _branch_root(code, tp, tm, branch)
-    num = (e.beta - e.eta) / e.eta * n * t**e.eta - e.beta * c
-    den = (e.beta - e.alpha) / e.alpha * a * t**e.alpha
-    return num / den, t, a
+    lam, t = _scalar_level(working.exponents, c, branch, n, a, b)
+    return lam, t, a
+
+
+def _level_gradient(
+    e: Exponents, lam: float, t: float, a: float, grad_n: Array, grad_a: Array, grad_b: Array
+) -> Array:
+    """Gradient of the level from the gradients of N, A and B at a ray's root t."""
+    return (e.alpha / a) * (
+        t ** (e.eta - e.alpha) * grad_n / e.eta
+        - lam * grad_a / e.alpha
+        - t ** (e.beta - e.alpha) * grad_b / e.beta
+    )
 
 
 def _level_evaluation(working: FunctionalTriple, c: float, branch: str) -> Evaluation:
@@ -241,10 +264,11 @@ def _level_evaluation(working: FunctionalTriple, c: float, branch: str) -> Evalu
         lam, t, a = _level_internal(working, c, branch, u)
 
         def gradient() -> Array:
-            return (e.alpha / a) * (
-                t ** (e.eta - e.alpha) * np.asarray(working.grad_N(u), dtype=float) / e.eta
-                - lam * np.asarray(working.grad_A(u), dtype=float) / e.alpha
-                - t ** (e.beta - e.alpha) * np.asarray(working.grad_B(u), dtype=float) / e.beta
+            return _level_gradient(
+                e, lam, t, a,
+                np.asarray(working.grad_N(u), dtype=float),
+                np.asarray(working.grad_A(u), dtype=float),
+                np.asarray(working.grad_B(u), dtype=float),
             )
 
         return lam, gradient
@@ -335,6 +359,8 @@ def _normalize(working: FunctionalTriple, u: Array) -> Array:
 
 # Armijo slack for rounding noise in the level values, in units in the last place
 _ROUNDING_ULPS = 4
+# accepted values the nonmonotone Armijo reference remembers
+_WINDOW = 10
 
 
 def _sphere_descend(
@@ -367,6 +393,15 @@ def _sphere_descend(
     the value itself (ulp(35) is about 7e-15); without the allowance a trial
     one ulp above the single remembered value fails, a trial equal to it
     passes without progress, and the descent runs to max_iter just above gtol.
+
+    The same allowance ends a descent whose values have stopped moving in
+    floating point: once the window of the last _WINDOW accepted values spans
+    no more than _ROUNDING_ULPS units in the last place of its maximum, the
+    gradient is at its rounding floor and further steps only trade rounding
+    noise.  Such a stop counts as converged iff ||grad|| <= 10 gtol, the
+    verdict an exhausted line search gets.  This ends the surrogate polishes
+    at levels near 1e4, where ||grad|| rests near 8e-8 above an absolute gtol
+    of 1e-8.
     """
     metric, metric_solve = working.metric, working.metric_solve
     u = _normalize(working, u0)
@@ -381,6 +416,11 @@ def _sphere_descend(
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= params.gtol:
             return u, value, it, True, gnorm
+        if len(recent) == _WINDOW:
+            top = max(recent)
+            if top - min(recent) <= _ROUNDING_ULPS * math.ulp(top):
+                # rounding floor: the last accepted values no longer move
+                return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
         if metric is None:
             direction, slope = grad, gnorm * gnorm
         else:
@@ -418,7 +458,7 @@ def _sphere_descend(
             # line search exhausted: flat valley or cone-boundary pin
             return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
         recent.append(value)
-        if len(recent) > 10:
+        if len(recent) > _WINDOW:
             recent.pop(0)
         step_next = step * 2.0
     return u, value, params.max_iter, False, gnorm
@@ -731,6 +771,8 @@ def minimize_c0(
 
 _XI_MASTER_SEED = 20240811
 _XI_MAX_K = 16
+# relative tolerance of the pairwise additivity check on surrogate bases
+_ADDITIVITY_RTOL = 1e-12
 
 
 def _xi_samples(k: int, n_samples: int) -> Array:
@@ -759,6 +801,58 @@ def _xi_samples(k: int, n_samples: int) -> Array:
     return np.vstack(rows)
 
 
+def _basis_scalars(working: FunctionalTriple, basis: Array) -> Array:
+    """(N, A, B) of every basis vector as a (3, k) array, checked additive on every pair.
+
+    Raises SurrogateInvalidError naming the first pair (i, j) where N, A or B
+    of e_i + e_j differs from the sum of its values at e_i and e_j by more
+    than _ADDITIVITY_RTOL relative to the sum of their magnitudes.
+    """
+    scalars = np.array([_ray_scalars(working, e) for e in basis]).T
+    for i in range(basis.shape[0]):
+        for j in range(i + 1, basis.shape[0]):
+            joint = np.array(_ray_scalars(working, basis[i] + basis[j]))
+            expected = scalars[:, i] + scalars[:, j]
+            bad = np.abs(joint - expected) > _ADDITIVITY_RTOL * (
+                np.abs(scalars[:, i]) + np.abs(scalars[:, j])
+            )
+            if bad.any():
+                m = int(np.argmax(bad))
+                f = "NAB"[m]
+                raise SurrogateInvalidError(
+                    f"basis vectors {i} and {j} are not additive: "
+                    f"{f}(e_{i} + e_{j}) = {joint[m]!r}, "
+                    f"{f}(e_{i}) + {f}(e_{j}) = {expected[m]!r}; "
+                    "their supports interact (adjacent blocks need a gap column)"
+                )
+    return scalars
+
+
+def _coefficient_evaluation(
+    e: Exponents, c: float, branch: str, scalars: Array
+) -> Evaluation:
+    """Level at coefficients xi over an additive basis whose (N, A, B) are scalars.
+
+    N(sum_i xi_i e_i) = sum_i |xi_i|**eta N(e_i), and likewise for A with
+    alpha and B with beta, so a point costs 3k numbers and one root solve,
+    and the xi-gradient follows in closed form from the level's partials.
+    """
+    degrees = np.array([[e.eta], [e.alpha], [e.beta]])
+
+    def evaluate(xi: Array) -> Evaluated:
+        n, a, b = ((np.abs(xi) ** degrees) * scalars).sum(axis=1)
+        lam, t = _scalar_level(e, c, branch, float(n), float(a), float(b))
+
+        def gradient() -> Array:
+            # d/dxi_i of |xi_i|**d f(e_i) is d |xi_i|**(d-1) sign(xi_i) f(e_i)
+            grads = degrees * np.abs(xi) ** (degrees - 1.0) * np.sign(xi) * scalars
+            return _level_gradient(e, lam, t, float(a), *grads)
+
+        return lam, gradient
+
+    return evaluate
+
+
 def surrogate_level(
     constraint: SphereConstraint,
     c: float,
@@ -772,32 +866,35 @@ def surrogate_level(
     Samples the coefficient sphere of the surrogate basis, takes the largest
     restricted-parameter value and polishes it by ascent in coefficient space.
     The result bounds the true min-max level from above because the basis
-    sphere is one admissible competitor set.  Any infeasible sampled ray
-    raises SurrogateInvalidError: a basis violating the cone must be rebuilt,
-    not silently skipped.
+    sphere is one admissible competitor set.
+
+    Sampling and polish run on the per-basis scalars N(e_i), A(e_i), B(e_i)
+    (_coefficient_evaluation), computed once per call and checked additive
+    on every pair (_basis_scalars); only the maximizer is evaluated on the
+    model, which gives the reported value, t_root and u_unit.  A basis whose
+    pair is not additive, or any infeasible sampled ray, raises
+    SurrogateInvalidError: a basis violating the cone must be rebuilt, not
+    silently skipped.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     params = params or OptimizerParams()
     working = constraint.working
+    e = working.exponents
     basis = surrogate.basis
     k = surrogate.k
+    level = _coefficient_evaluation(e, c, branch, _basis_scalars(working, basis))
 
-    def combo(xi: Array) -> Array:
-        return basis.T @ xi
-
-    def value_fn(xi: Array) -> float:
-        u = combo(xi)
+    def evaluate(xi: Array, what: str) -> Evaluated:
         try:
-            lam = _level_internal(working, c, branch, u)[0]
+            return level(xi)
         except InfeasibleRayError as exc:
             raise SurrogateInvalidError(
-                f"coefficient sample {xi!r} leaves the feasible cone: {exc}"
+                f"coefficient {what} {xi!r} leaves the feasible cone: {exc}"
             ) from None
-        return lam
 
     samples = _xi_samples(k, surrogate.n_samples)
-    values = np.array([value_fn(xi) for xi in samples])
+    values = np.array([evaluate(xi, "sample")[0] for xi in samples])
     order = np.argsort(values)[::-1]
 
     polish_starts = [samples[i] for i in order[:3]]
@@ -817,28 +914,19 @@ def surrogate_level(
     )
 
     euclid = FunctionalTriple(
-        exponents=working.exponents,
+        exponents=e,
         dim=k,
-        eval_N=lambda xi: float(np.dot(xi, xi)) ** (working.exponents.eta / 2.0),
+        eval_N=lambda xi: float(np.dot(xi, xi)) ** (e.eta / 2.0),
         eval_A=lambda xi: 1.0,
         eval_B=lambda xi: 1.0,
-        grad_N=lambda xi: working.exponents.eta
-        * float(np.dot(xi, xi)) ** (working.exponents.eta / 2.0 - 1.0)
-        * xi,
+        grad_N=lambda xi: e.eta * float(np.dot(xi, xi)) ** (e.eta / 2.0 - 1.0) * xi,
         grad_A=lambda xi: np.zeros_like(xi),
         grad_B=lambda xi: np.zeros_like(xi),
     )
 
-    level = _level_evaluation(working, c, branch)
-
     def neg_evaluate(xi: Array) -> Evaluated:
-        try:
-            lam, gradient = level(combo(xi))
-        except InfeasibleRayError as exc:
-            raise SurrogateInvalidError(
-                f"coefficient point {xi!r} leaves the feasible cone: {exc}"
-            ) from None
-        return -lam, lambda: -(basis @ gradient())
+        lam, gradient = evaluate(xi, "point")
+        return -lam, lambda: -gradient()
 
     best_value = values[order[0]]
     best_xi = samples[order[0]]
@@ -850,7 +938,7 @@ def surrogate_level(
             best_value = -neg_val
             best_xi = xi
 
-    u_best = combo(best_xi)
+    u_best = basis.T @ best_xi
     u_best = u_best / working.norm_of(u_best)
     lam_int, t, _ = _level_internal(working, c, branch, u_best)
     return SurrogateLevel(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fibercurve.functional_core import ConeTag
-from fibercurve.model_problems import build_disjoint_basis, build_triple
+from fibercurve.model_problems import build_disjoint_basis, build_triple, dirichlet_problem_1d
 from fibercurve.curve_tracer import (
     extend_minus_past_cstarstar,
     geometric_grid,
@@ -14,7 +14,7 @@ from fibercurve.curve_tracer import (
     trace_curve,
     trace_family,
 )
-from fibercurve.nehari_minmax import minimize_ground_level
+from fibercurve.nehari_minmax import SphereConstraint, minimize_ground_level
 
 
 class TestGeometricGrid:
@@ -196,6 +196,20 @@ class TestIntersect:
         assert pt["c"] == pytest.approx(c_truth, rel=1e-6)
         assert pt["lam"] == pytest.approx(lam_truth, rel=1e-6)
         assert pt["probes"] <= 12
+
+    def test_log_newton_along_plus_power_law(self):
+        # The intersect benchmark's plus k = 1 root (target 10 in
+        # [-0.5, -0.01]).  Newton in c crept along the concave side of
+        # lambda ~ K|c|**gamma (-0.041, -0.082) until the rtsafe safeguard
+        # bisected three times: 12 probes.  In log|c| the power law is
+        # nearly linear and the root takes 5.
+        tri = build_triple(dirichlet_problem_1d(31, "sin(2*pi*x)+0.3", "cos(2*pi*x)+0.2"))
+        con = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
+        out = intersect_with_lambda(con, "plus", 10.0, -0.5, -0.01, multistart=8, seed=0)
+        (pt,) = out["points"]
+        assert pt["lam"] == pytest.approx(10.0, rel=1e-9)
+        assert pt["record"].converged and pt["record"].residual_grad <= 1e-6
+        assert pt["probes"] <= 8
 
     def test_missing_basis_skips_higher_k(self, const_con_plus):
         lam_truth, _ = minimize_ground_level(const_con_plus, -0.05, "plus", multistart=4)

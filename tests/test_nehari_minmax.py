@@ -194,7 +194,7 @@ class TestLevelSlope:
 
 
 class TestWarmStartAtRoundingFloor:
-    def test_warm_start_converges(self):
+    def test_warm_start_converges(self, monkeypatch):
         # A warm start from the minimizer at a nearby level begins at the
         # rounding floor of the level value: the Armijo decrease it asks for
         # (about 1e-20) is far below ulp(lambda).  Without a rounding
@@ -204,11 +204,22 @@ class TestWarmStartAtRoundingFloor:
         con = SphereConstraint(triple=tri, tag=ConeTag.A_POS_B_POS)
         c0 = 60.0
         _, cold = minimize_ground_level(con, c0, "minus", multistart=8, seed=0)
+        gnorms = []
+        descend = nm._sphere_descend
+
+        def recording(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            gnorms.append(out[4])
+            return out
+
+        monkeypatch.setattr(nm, "_sphere_descend", recording)
         _, warm = minimize_ground_level(
             con, c0 * (1.0 + 1e-7), "minus", multistart=0,
             extra_starts=[cold.coefficients / cold.t_root],
         )
         assert warm.converged
+        # converged by gtol itself, not by the rounding-floor stop
+        assert gnorms[0] <= OptimizerParams().gtol
         assert warm.iterations <= 50
         assert warm.residual_grad <= 1e-6
 
@@ -414,6 +425,80 @@ class TestSurrogates:
         surrogate = GenusSurrogate(k=2, basis=np.vstack([good, bad]), n_samples=8)
         with pytest.raises(SurrogateInvalidError, match="leaves the feasible cone"):
             surrogate_level(con, -0.05, "plus", surrogate)
+
+    @pytest.mark.parametrize(
+        "problem_name", ["signed_problem", "truncated_problem", "two_d_problem"]
+    )
+    def test_scalar_level_matches_model(self, problem_name, request):
+        # On a disjoint basis N, A and B of basis.T @ xi are sums of
+        # |xi_i|**degree times their values at the basis vectors, so the
+        # surrogate's level and xi-gradient must match the grid evaluation.
+        problem = request.getfixturevalue(problem_name)
+        con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
+        basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 3)
+        scalars = nm._basis_scalars(con.working, basis)
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(200):
+            xi = rng.standard_normal(3)
+            branch, c = ("plus", -1e-3) if checked % 2 else ("minus", 0.5)
+            evaluate = nm._coefficient_evaluation(con.working.exponents, c, branch, scalars)
+            u = basis.T @ xi
+            try:
+                lam, gradient = evaluate(xi)
+                ref, ref_gradient = nm._level_evaluation(con.working, c, branch)(u)
+            except InfeasibleRayError:
+                continue
+            assert lam == pytest.approx(lambda_tilde(con, c, u, branch)[0], rel=1e-12)
+            assert lam == pytest.approx(ref, rel=1e-12)
+            expected = basis @ ref_gradient()
+            assert np.linalg.norm(gradient() - expected) <= 1e-9 * np.linalg.norm(expected)
+            checked += 1
+            if checked == 20:
+                break
+        assert checked == 20
+
+    def test_adjacent_blocks_are_not_additive(self, pos_problem):
+        # Two blocks that touch share a difference quotient of the gradient
+        # term, so N(e_0 + e_1) != N(e_0) + N(e_1) (relative defect 0.5 here).
+        tri = build_triple(pos_problem)
+        con = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
+        basis = np.zeros((2, tri.dim))
+        basis[0, 5:12] = 1.0
+        basis[1, 12:19] = 1.0
+        basis /= np.array([[tri.norm_of(basis[0])], [tri.norm_of(basis[1])]])
+        surrogate = GenusSurrogate(k=2, basis=basis, n_samples=8)
+        with pytest.raises(SurrogateInvalidError, match="basis vectors 0 and 1 are not additive"):
+            surrogate_level(con, -0.05, "plus", surrogate)
+
+    def test_polish_stops_at_rounding_floor(self, monkeypatch):
+        # The minus-branch surrogates of the intersect benchmark sit at levels
+        # near 1.45e4, where the coefficient gradient rests near 8e-8, above
+        # gtol = 1e-8; the polish must end when its values stop moving
+        # instead of running to polish_iter.
+        expr = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
+        problem = dirichlet_problem_1d(31, expr, expr)
+        con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
+        basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 3)
+        c_ss, _ = compute_c_star_star(con, multistart=8, seed=0)
+        params = OptimizerParams()
+        capped = []
+        descend = nm._sphere_descend
+
+        def counting(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            if args[4].max_iter == params.polish_iter and out[2] == params.polish_iter:
+                capped.append(out[4])
+            return out
+
+        monkeypatch.setattr(nm, "_sphere_descend", counting)
+        for k in (2, 3):
+            surrogate = GenusSurrogate(k=k, basis=basis[:k], n_samples=16)
+            warm = ()
+            for c in (0.1 * c_ss, 0.9 * c_ss):
+                level = surrogate_level(con, c, "minus", surrogate, warm_xi=warm, params=params)
+                warm = (level.xi,)
+        assert capped == []
 
     def test_surrogate_validation(self):
         with pytest.raises(ValueError, match="basis has 1 vectors"):
