@@ -425,13 +425,19 @@ def _restrict(grid: Grid, full: Array) -> Array:
 # triples
 
 
+# The kernels below run on vectors of a few dozen entries, where numpy's
+# Python-level wrappers cost more than the arithmetic.  np.add.reduce(x,
+# axis=None) is the reduction np.sum(x) runs and full[1:] - full[:-1] the
+# subtraction np.diff(full) runs, so the results are the same floats.
+
+
 def _power_term(grid: Grid, node_w: Array, exponent: float):
     """Quadrature sum node_w * |u|^exponent * vol and its coefficient gradient."""
     vol = grid.cell_volume
 
     def value(u: Array) -> float:
         u = np.asarray(u, dtype=float)
-        return float(np.sum(node_w * np.abs(u) ** exponent) * vol)
+        return float(np.add.reduce(node_w * np.abs(u) ** exponent, axis=None) * vol)
 
     def grad(u: Array) -> Array:
         u = np.asarray(u, dtype=float)
@@ -444,13 +450,13 @@ def _gradient_part_1d(grid: Grid, p: float, eps_reg: float):
     h = grid.spacing[0]
 
     def value(full: Array) -> float:
-        d = np.diff(full) / h
-        return float(np.sum((d * d + eps_reg * eps_reg) ** (p / 2.0)) * h)
+        d = (full[1:] - full[:-1]) / h
+        return float(np.add.reduce((d * d + eps_reg * eps_reg) ** (p / 2.0), axis=None) * h)
 
     def grad_full(full: Array) -> Array:
-        d = np.diff(full) / h
+        d = (full[1:] - full[:-1]) / h
         psi = (d * d + eps_reg * eps_reg) ** ((p - 2.0) / 2.0) * d
-        out = np.zeros_like(full)
+        out = np.zeros(full.shape)
         out[:-1] -= p * psi
         out[1:] += p * psi
         return out
@@ -466,7 +472,7 @@ def _gradient_part_2d(grid: Grid, p: float, eps_reg: float):
         gx = (full[1:, :-1] - full[:-1, :-1]) / hx
         gy = (full[:-1, 1:] - full[:-1, :-1]) / hy
         mag2 = gx * gx + gy * gy + eps_reg * eps_reg
-        return float(np.sum(mag2 ** (p / 2.0)) * vol)
+        return float(np.add.reduce(mag2 ** (p / 2.0), axis=None) * vol)
 
     def grad_full(full: Array) -> Array:
         gx = (full[1:, :-1] - full[:-1, :-1]) / hx
@@ -475,7 +481,7 @@ def _gradient_part_2d(grid: Grid, p: float, eps_reg: float):
         w = p * mag2 ** ((p - 2.0) / 2.0)
         cx = w * gx * vol / hx
         cy = w * gy * vol / hy
-        out = np.zeros_like(full)
+        out = np.zeros(full.shape)
         out[:-1, :-1] -= cx
         out[1:, :-1] += cx
         out[:-1, :-1] -= cy

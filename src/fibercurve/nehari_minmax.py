@@ -106,8 +106,11 @@ class SphereConstraint:
 
     start_support optionally restricts random start vectors to a boolean DOF
     mask (model problems pass the sign-structure mask so starts are feasible
-    by construction).  eps_cone is the relative margin below which a point
-    counts as boundary during line searches.
+    by construction).  eps_cone is the relative margin of the one cone rule
+    (_inside_cone): a point is inside when A of the working problem, and B on
+    B-positive cones, exceed eps_cone times 1 + their magnitudes; closer
+    points count as boundary.  feasible(u) applies the rule to u's scalars;
+    the descents apply it to the scalars their levels then read.
     """
 
     triple: FunctionalTriple
@@ -130,13 +133,25 @@ class SphereConstraint:
     def feasible(self, u: Array) -> bool:
         working = self.working
         a = float(working.eval_A(u))
-        margin = a
-        scale = 1.0 + abs(a)
-        if self.tag.needs_b_pos:
-            b = float(working.eval_B(u))
-            margin = min(margin, b)
-            scale += abs(b)
-        return margin > self.eps_cone * scale
+        b = float(working.eval_B(u)) if self.tag.needs_b_pos else None
+        return _inside_cone(self.eps_cone, a, b)
+
+
+def _inside_cone(eps_cone: float, a: float, b: float | None = None) -> bool:
+    """The cone margin rule on ray scalars: a, and b when given, exceed
+    eps_cone times 1 + their magnitudes.  _inside_cone(eps, b) is the B > 0
+    cone alone."""
+    margin = a
+    scale = 1.0 + abs(a)
+    if b is not None:
+        margin = min(margin, b)
+        scale += abs(b)
+    return margin > eps_cone * scale
+
+
+def _outside_cone() -> Array:
+    """Gradient callable of a point outside the cone, whose value is +inf."""
+    raise InfeasibleRayError("no gradient outside the cone")
 
 
 @dataclass(frozen=True)
@@ -256,12 +271,26 @@ def _level_gradient(
     )
 
 
-def _level_evaluation(working: FunctionalTriple, c: float, branch: str) -> Evaluation:
-    """The descent's evaluation of the working problem's level at (c, branch)."""
+def _level_evaluation(constraint: SphereConstraint, c: float, branch: str) -> Evaluation:
+    """The descent's evaluation of the working problem's level at (c, branch).
+
+    The cone test and the level read one set of ray scalars, computed cone
+    first: A, then B on B-positive cones, and N only inside the cone.  A point
+    outside the cone has value +inf.
+    """
+    working = constraint.working
     e = working.exponents
+    eps_cone, needs_b_pos = constraint.eps_cone, constraint.tag.needs_b_pos
 
     def evaluate(u: Array) -> Evaluated:
-        lam, t, a = _level_internal(working, c, branch, u)
+        a = float(working.eval_A(u))
+        b = float(working.eval_B(u)) if needs_b_pos else None
+        if not _inside_cone(eps_cone, a, b):
+            return math.inf, _outside_cone
+        n = float(working.eval_N(u))
+        if b is None:
+            b = float(working.eval_B(u))
+        lam, t = _scalar_level(e, c, branch, n, a, b)
 
         def gradient() -> Array:
             return _level_gradient(
@@ -365,7 +394,6 @@ _WINDOW = 10
 
 def _sphere_descend(
     working: FunctionalTriple,
-    feasible: Callable[[Array], bool],
     evaluate: Evaluation,
     u0: Array,
     params: OptimizerParams,
@@ -376,7 +404,10 @@ def _sphere_descend(
     that finishes the gradient there from what the value already computed
     (ray scalars, root).  Each point is evaluated once: the gradient is asked
     for only at the start and at accepted trials, never re-evaluating the
-    value, and rejected trials cost the value alone.
+    value, and rejected trials cost the value alone.  The objective does its
+    own cone test on the scalars its value reads and returns +inf outside the
+    cone; such a trial, like one raising InfeasibleRayError, fails the Armijo
+    test.
 
     The direction is d = M^{-1} grad for the triple's metric M (the Sobolev
     gradient; d = grad when the triple has no metric).  Step lengths come from
@@ -413,7 +444,7 @@ def _sphere_descend(
     recent = [value]
     for it in range(1, params.max_iter + 1):
         grad = gradient()
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad @ grad)
         if gnorm <= params.gtol:
             return u, value, it, True, gnorm
         if len(recent) == _WINDOW:
@@ -437,22 +468,16 @@ def _sphere_descend(
         reference += _ROUNDING_ULPS * math.ulp(reference)
         accepted = False
         while step >= params.step_min:
-            trial = u - step * direction
             try:
-                trial = _normalize(working, trial)
+                trial = _normalize(working, u - step * direction)
+                trial_value, trial_gradient = evaluate(trial)
             except InfeasibleRayError:
-                step *= params.step_factor
-                continue
-            if feasible(trial):
-                try:
-                    trial_value, trial_gradient = evaluate(trial)
-                except InfeasibleRayError:
-                    trial_value = math.inf
-                if trial_value <= reference - params.armijo_c1 * step * slope:
-                    prev_u, prev_grad = u, grad
-                    u, value, gradient = trial, trial_value, trial_gradient
-                    accepted = True
-                    break
+                trial_value = math.inf
+            if trial_value <= reference - params.armijo_c1 * step * slope:
+                prev_u, prev_grad = u, grad
+                u, value, gradient = trial, trial_value, trial_gradient
+                accepted = True
+                break
             step *= params.step_factor
         if not accepted:
             # line search exhausted: flat valley or cone-boundary pin
@@ -554,7 +579,7 @@ def minimize_ground_level(
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     params = params or OptimizerParams()
     working = constraint.working
-    evaluate = _level_evaluation(working, c, branch)
+    evaluate = _level_evaluation(constraint, c, branch)
     check = _computable(working, c, branch)
     starts: list[Array] = []
     for w in extra_starts:
@@ -575,7 +600,7 @@ def minimize_ground_level(
 
     best: tuple[float, Array, int, bool] | None = None
     for u0 in starts:
-        u, value, iters, ok, _ = _sphere_descend(working, constraint.feasible, evaluate, u0, params)
+        u, value, iters, ok, _ = _sphere_descend(working, evaluate, u0, params)
         if best is None or value < best[0]:
             best = (value, u, iters, ok)
     value, u, iters, ok = best
@@ -589,15 +614,15 @@ def minimize_ground_level(
 # thresholds: ray functions of (N, B) only
 
 
-def _nb_level(pair, working: FunctionalTriple, u: Array) -> Evaluated:
+def _nb_level(pair, working: FunctionalTriple, u: Array, b: float) -> Evaluated:
     """(level, gradient) of a ray level that pair(n, b, exponents) makes of (N, B) alone.
 
-    Both threshold levels, c_bar and c0, are n**q * b**-r times a constant
-    with q = beta/(beta-eta) and r = eta/(beta-eta), so one gradient serves.
+    b is B(u), already read by the cone test.  Both threshold levels, c_bar
+    and c0, are n**q * b**-r times a constant with q = beta/(beta-eta) and
+    r = eta/(beta-eta), so one gradient serves.
     """
     e = working.exponents
     n = float(working.eval_N(u))
-    b = float(working.eval_B(u))
     if not (n > 0.0):
         raise InfeasibleRayError(f"coercive part not positive (N={n!r})")
     if b <= 0.0:
@@ -615,13 +640,13 @@ def _nb_level(pair, working: FunctionalTriple, u: Array) -> Evaluated:
     return level, gradient
 
 
-def _zero_level(working: FunctionalTriple, u: Array) -> Evaluated:
-    return _nb_level(lambda n, b, e: K.zero_level_pair(n, b, e.eta, e.beta)[1], working, u)
+def _zero_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
+    return _nb_level(lambda n, b, e: K.zero_level_pair(n, b, e.eta, e.beta)[1], working, u, b)
 
 
-def _negated_extremal_level(working: FunctionalTriple, u: Array) -> Evaluated:
+def _negated_extremal_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
     c_bar, gradient = _nb_level(
-        lambda n, b, e: K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1], working, u
+        lambda n, b, e: K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1], working, u, b
     )
     return -c_bar, lambda: -gradient()
 
@@ -649,21 +674,35 @@ def _cluster_minima(
 
 def _minimize_ray_objective(
     constraint: SphereConstraint,
-    objective: Callable[[FunctionalTriple, Array], Evaluated],
-    feasible: Callable[[Array], bool],
+    objective: Callable[[FunctionalTriple, Array, float], Evaluated],
     purpose: int,
     multistart: int,
     seed: int,
     params: OptimizerParams,
+    with_a: bool = True,
 ) -> list[tuple[float, Array]]:
+    """Multistart minima of a threshold objective over its cone.
+
+    The cone is A > 0 and B > 0 of the working problem, or B > 0 alone when
+    with_a is false; starts come from constraint.  The cone test reads A and
+    B, and the objective reuses that B.
+    """
     working = constraint.working
+    eps_cone = constraint.eps_cone
 
     def evaluate(u: Array) -> Evaluated:
-        return objective(working, u)
+        b = float(working.eval_B(u))
+        if with_a:
+            inside = _inside_cone(eps_cone, float(working.eval_A(u)), b)
+        else:
+            inside = _inside_cone(eps_cone, b)
+        if not inside:
+            return math.inf, _outside_cone
+        return objective(working, u, b)
 
     def check(u: Array) -> bool:
         try:
-            evaluate(u)
+            objective(working, u, float(working.eval_B(u)))
         except InfeasibleRayError:
             return False
         return True
@@ -671,7 +710,7 @@ def _minimize_ray_objective(
     starts = _draw_starts(constraint, multistart, seed, purpose, check, params)
     minima = []
     for u0 in starts:
-        u, value, _, _, _ = _sphere_descend(working, feasible, evaluate, u0, params)
+        u, value, _, _, _ = _sphere_descend(working, evaluate, u0, params)
         minima.append((value, u))
     return _cluster_minima(minima)
 
@@ -696,8 +735,7 @@ def compute_c_star(
         start_support=constraint.start_support,
     )
     minima = _minimize_ray_objective(
-        inter, _negated_extremal_level, inter.feasible, _PURPOSE["c_star"],
-        multistart, seed, params,
+        inter, _negated_extremal_level, _PURPOSE["c_star"], multistart, seed, params
     )
     c_star = -minima[0][0]
     if not (c_star < 0.0):
@@ -725,8 +763,7 @@ def compute_c_star_star(
         start_support=constraint.start_support,
     )
     minima = _minimize_ray_objective(
-        inter, _zero_level, inter.feasible, _PURPOSE["c_star_star"],
-        multistart, seed, params,
+        inter, _zero_level, _PURPOSE["c_star_star"], multistart, seed, params
     )
     best = minima[0][0]
     if not (best > 0.0):
@@ -744,21 +781,17 @@ def minimize_c0(
 ) -> tuple[float, list[Array]]:
     """Zero-crossing level minimized over the B > 0 cone alone.
 
-    The objective ignores A entirely, so the feasible set here is only
-    B(u) > 0; used by the conjecture-supporting weight construction, whose
-    hypothesis check (all minimizers inside the A > 0 cone) happens downstream.
+    The objective ignores A entirely, so the descent's cone here is only
+    B(u) > 0 (starts are drawn inside A > 0 as well); used by the
+    conjecture-supporting weight construction, whose hypothesis check (all
+    minimizers inside the A > 0 cone) happens downstream.
     """
     params = params or OptimizerParams()
     constraint = SphereConstraint(
         triple=triple, tag=ConeTag.A_POS, eps_cone=1e-12, start_support=start_support
     )
-
-    def feasible(u: Array) -> bool:
-        b = float(triple.eval_B(u))
-        return b > 1e-12 * (1.0 + abs(b))
-
     minima = _minimize_ray_objective(
-        constraint, _zero_level, feasible, _PURPOSE["c0"], multistart, seed, params
+        constraint, _zero_level, _PURPOSE["c0"], multistart, seed, params, with_a=False
     )
     best = minima[0][0]
     keep = [u for value, u in minima if abs(value - best) <= 1e-6 * (1.0 + abs(best))]
@@ -931,9 +964,7 @@ def surrogate_level(
     best_value = values[order[0]]
     best_xi = samples[order[0]]
     for xi0 in polish_starts:
-        xi, neg_val, _, _, _ = _sphere_descend(
-            euclid, lambda xi: True, neg_evaluate, xi0, ascent
-        )
+        xi, neg_val, _, _, _ = _sphere_descend(euclid, neg_evaluate, xi0, ascent)
         if -neg_val > best_value:
             best_value = -neg_val
             best_xi = xi

@@ -65,8 +65,9 @@ def curve_rows(curves: Sequence[EnergyCurve]) -> list[dict]:
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "True" if value else "False"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # repr of a numpy scalar names its type under numpy 2 (np.float64(0.5))
+        return repr(float(value))
     return str(value)
 
 

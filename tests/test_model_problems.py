@@ -20,7 +20,7 @@ from fibercurve.model_problems import (
     weights_from_csv,
     weights_from_expressions,
 )
-from fibercurve.model_problems import _embed, _restrict
+from fibercurve.model_problems import _dof_node_weights, _embed, _restrict
 
 
 class TestGrid:
@@ -344,6 +344,117 @@ class TestStiffnessMetric:
         weights = weights_from_expressions(grid, "exp(-x^2-y^2)", "exp(-x^2-y^2)")
         tri = build_triple(PLaplacianProblem(grid, weights, 3.0, 1.5, 4.0, kind="truncated_rn"))
         assert tri.metric is None and tri.metric_solve is None
+
+
+def _kernel_problem(dimension, kind, p):
+    if dimension == 1 and kind == "dirichlet":
+        return dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2", p=p)
+    if dimension == 1:
+        return truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=p)
+    if kind == "dirichlet":
+        return dirichlet_problem_2d((9, 7), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)", p=p)
+    grid = Grid(2, ((-3.0, 3.0), (-3.0, 3.0)), (9, 8), dirichlet=False)
+    weights = weights_from_expressions(grid, "exp(-x^2-y^2)", "exp(-x^2-y^2)-0.1")
+    return PLaplacianProblem(grid, weights, p, 1.5, 4.0, kind="truncated_rn")
+
+
+def _reference_kernels(problem):
+    """N, A, B, their gradients and the metric, written with np.sum and np.diff."""
+    grid = problem.grid
+    vol = grid.cell_volume
+    eps2 = problem.eps_reg * problem.eps_reg
+    abar = _dof_node_weights(grid, problem.weights.a).ravel()
+    bbar = _dof_node_weights(grid, problem.weights.b).ravel()
+    mass_w = None
+    if problem.kind == "truncated_rn":
+        mass_w = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel()
+
+    def power(w, e, u):
+        return float(np.sum(w * np.abs(u) ** e) * vol)
+
+    def power_grad(w, e, u):
+        return w * e * np.abs(u) ** (e - 1.0) * np.sign(u) * vol
+
+    def gradient_part(full, p, eps2):
+        """Value and full-node gradient of the sum of |grad_h u|^p over cells."""
+        out = np.zeros_like(full)
+        if grid.dimension == 1:
+            h = grid.spacing[0]
+            d = np.diff(full) / h
+            value = float(np.sum((d * d + eps2) ** (p / 2.0)) * h)
+            psi = (d * d + eps2) ** ((p - 2.0) / 2.0) * d
+            out[:-1] -= p * psi
+            out[1:] += p * psi
+            return value, out
+        hx, hy = grid.spacing
+        gx = np.diff(full, axis=0)[:, :-1] / hx
+        gy = np.diff(full, axis=1)[:-1, :] / hy
+        mag2 = gx * gx + gy * gy + eps2
+        value = float(np.sum(mag2 ** (p / 2.0)) * vol)
+        w = p * mag2 ** ((p - 2.0) / 2.0)
+        cx = w * gx * vol / hx
+        cy = w * gy * vol / hy
+        out[:-1, :-1] -= cx
+        out[1:, :-1] += cx
+        out[:-1, :-1] -= cy
+        out[:-1, 1:] += cy
+        return value, out
+
+    def eval_n(u):
+        value = gradient_part(_embed(grid, u), problem.p, eps2)[0]
+        return value if mass_w is None else value + power(mass_w, problem.p, u)
+
+    def grad_n(u):
+        grad = _restrict(grid, gradient_part(_embed(grid, u), problem.p, eps2)[1])
+        return grad if mass_w is None else grad + power_grad(mass_w, problem.p, u)
+
+    def metric(v):
+        out = 0.5 * _restrict(grid, gradient_part(_embed(grid, v), 2.0, 0.0)[1])
+        return out if mass_w is None else out + mass_w * vol * v
+
+    return {
+        "eval_N": eval_n,
+        "eval_A": lambda u: power(abar, problem.alpha, u),
+        "eval_B": lambda u: power(bbar, problem.beta, u),
+        "grad_N": grad_n,
+        "grad_A": lambda u: power_grad(abar, problem.alpha, u),
+        "grad_B": lambda u: power_grad(bbar, problem.beta, u),
+        "metric": metric,
+    }
+
+
+class TestKernelBitIdentity:
+    """The model kernels skip numpy's Python wrappers (np.sum, np.diff) on
+    their short vectors; every float must stay what the wrapped calls give.
+    This also guards the 2D truncated kernel, which no benchmark runs."""
+
+    @pytest.mark.parametrize(
+        "dimension,kind,p",
+        [
+            (1, "dirichlet", 2.0), (1, "dirichlet", 3.0),
+            (1, "truncated_rn", 2.0), (1, "truncated_rn", 3.0),
+            (2, "dirichlet", 2.0), (2, "dirichlet", 3.0),
+            # truncated problems need p > dimension
+            (2, "truncated_rn", 2.5), (2, "truncated_rn", 3.0),
+        ],
+    )
+    def test_kernels_equal_wrapped_reference(self, dimension, kind, p):
+        problem = _kernel_problem(dimension, kind, p)
+        tri = build_triple(problem)
+        ref = _reference_kernels(problem)
+        if dimension == 2 and kind == "truncated_rn":
+            assert tri.metric is None
+            del ref["metric"]
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            u = rng.standard_normal(tri.dim)
+            for name, expected in ref.items():
+                got = getattr(tri, name)(u)
+                if name.startswith("eval"):
+                    assert type(got) is float
+                    assert got == expected(u), name
+                else:
+                    assert np.array_equal(got, expected(u)), name
 
 
 class TestEmbedRestrict:

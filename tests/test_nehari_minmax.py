@@ -1,5 +1,8 @@
 """Level minimization, thresholds, surrogate levels, and their certification."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -386,6 +389,59 @@ class TestThresholds:
             assert float(tri.eval_B(u)) > 0.0
 
 
+class TestOneScalarSetPerTrial:
+    """A line-search trial's cone test and its level read the same A and B."""
+
+    def test_no_trial_reaches_a_or_b_twice(self, monkeypatch):
+        tri = build_triple(dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2"))
+        c_ss, _ = compute_c_star_star(
+            SphereConstraint(triple=tri, tag=ConeTag.A_POS_B_POS), multistart=4
+        )
+        seen = {"eval_A": Counter(), "eval_B": Counter()}
+
+        def recording(name):
+            fn = getattr(tri, name)
+
+            def wrapped(u):
+                seen[name][np.asarray(u, dtype=float).tobytes()] += 1
+                return fn(u)
+
+            return wrapped
+
+        recorded = dataclasses.replace(
+            tri, eval_A=recording("eval_A"), eval_B=recording("eval_B")
+        )
+        con = SphereConstraint(triple=recorded, tag=ConeTag.A_POS_B_POS)
+        # start drawing tests its candidates on their own; the descents'
+        # results are evaluated again (certification); neither is a trial
+        excluded = set()
+        draw, descend = nm._draw_starts, nm._sphere_descend
+
+        def vectors():
+            return set(seen["eval_A"]) | set(seen["eval_B"])
+
+        def drawing(*args, **kwargs):
+            before = vectors()
+            starts = draw(*args, **kwargs)
+            excluded.update(vectors() - before)
+            return starts
+
+        def descending(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            excluded.add(out[0].tobytes())
+            return out
+
+        monkeypatch.setattr(nm, "_draw_starts", drawing)
+        monkeypatch.setattr(nm, "_sphere_descend", descending)
+        minimize_ground_level(con, 0.5 * c_ss, "minus", multistart=4, seed=0)
+        compute_c_star(con, multistart=4, seed=0)
+        for name, counts in seen.items():
+            trials = [n for u, n in counts.items() if u not in excluded]
+            assert len(trials) > 100
+            repeated = sum(n > 1 for n in trials)
+            assert repeated == 0, f"{repeated} of {len(trials)} trials reach {name} twice"
+
+
 class TestSurrogates:
     def test_singleton_matches_direct_evaluation(self, pos_con_plus):
         rng = np.random.default_rng(3)
@@ -446,7 +502,7 @@ class TestSurrogates:
             u = basis.T @ xi
             try:
                 lam, gradient = evaluate(xi)
-                ref, ref_gradient = nm._level_evaluation(con.working, c, branch)(u)
+                ref, ref_gradient = nm._level_evaluation(con, c, branch)(u)
             except InfeasibleRayError:
                 continue
             assert lam == pytest.approx(lambda_tilde(con, c, u, branch)[0], rel=1e-12)
@@ -487,7 +543,7 @@ class TestSurrogates:
 
         def counting(*args, **kwargs):
             out = descend(*args, **kwargs)
-            if args[4].max_iter == params.polish_iter and out[2] == params.polish_iter:
+            if args[3].max_iter == params.polish_iter and out[2] == params.polish_iter:
                 capped.append(out[4])
             return out
 
