@@ -245,12 +245,7 @@ class Setup:
                 f"unknown cone {cfg['cone']!r}; choose from "
                 f"{', '.join(t.name for t in ConeTag)}"
             ) from None
-        if self.tag.needs_b_pos:
-            self.tag_both = self.tag
-        else:
-            self.tag_both = (
-                ConeTag.A_POS_B_POS if self.tag.a_sign > 0 else ConeTag.A_NEG_B_POS
-            )
+        self.tag_both = self.tag.b_positive
         tol = cfg["tolerances"]
         self.params = OptimizerParams(gtol=tol["gtol"], max_iter=int(tol["max_iter"]))
         self.use_support = cfg["start_support"] == "cone"

@@ -32,6 +32,7 @@ from .nehari_minmax import (
     OptimizerParams,
     SphereConstraint,
     SurrogateInvalidError,
+    _inside_cone,
     extract_critical_point,
     level_slope,
     minimize_c0,
@@ -166,44 +167,14 @@ def trace_curve(
     Ground curves warm-start each level from the previous minimizer and keep a
     reduced multistart for basin changes.  k >= 2 needs a disjoint basis and
     returns surrogate points (flagged).  Tracing truncates, not fails, when a
-    level becomes infeasible.
+    level becomes infeasible.  This is trace_family for the one k.
     """
-    if k > 1:
-        if basis is None:
-            raise ValueError("k >= 2 tracing needs a disjoint-support basis")
-        fam = trace_family(
-            constraint, c_values, branch, ks=(k,), basis=basis,
-            multistart=multistart, warm_multistart=warm_multistart, seed=seed,
-            params=params, noise=noise, lipschitz_safety=lipschitz_safety,
-            n_samples=n_samples,
-        )
-        return fam[k]
-
-    c_values = [float(c) for c in c_values]
-    if any(c1 <= c0 for c0, c1 in zip(c_values, c_values[1:])):
-        raise ValueError("c_values must be strictly increasing")
-    params = params or OptimizerParams()
-    points: list[CurvePoint] = []
-    truncation = ""
-    warm: list[Array] = []
-    for idx, c in enumerate(c_values):
-        ms = multistart if idx == 0 else warm_multistart
-        try:
-            lam, record = minimize_ground_level(
-                constraint, c, branch, multistart=ms, seed=(seed, idx),
-                params=params, extra_starts=warm,
-            )
-        except InfeasibleLevelError as exc:
-            truncation = f"stopped at c={c!r}: {exc}"
-            break
-        flags = () if record.converged else ("not_converged",)
-        points.append(CurvePoint(branch=branch, k=1, c=c, lam=lam, record=record, flags=flags))
-        warm = [record.coefficients / record.t_root]
-    verdicts = _curve_verdicts(constraint, points, noise, lipschitz_safety)
-    return EnergyCurve(
-        branch=branch, k=1, points=tuple(points), verdicts=verdicts,
-        truncation_reason=truncation,
-    )
+    return trace_family(
+        constraint, c_values, branch, ks=(k,), basis=basis,
+        multistart=multistart, warm_multistart=warm_multistart, seed=seed,
+        params=params, noise=noise, lipschitz_safety=lipschitz_safety,
+        n_samples=n_samples,
+    )[k]
 
 
 def trace_family(
@@ -686,9 +657,8 @@ def extend_minus_past_cstarstar(
     margins = []
     for i, m in enumerate(mins):
         a_val = float(working.eval_A(m))
-        scale = 1.0 + abs(a_val)
         margins.append(a_val)
-        if a_val <= constraint.eps_cone * scale:
+        if not _inside_cone(constraint.eps_cone, a_val):
             raise ValueError(
                 f"zero-crossing minimizer {i} leaves the concave-term cone "
                 f"(margin {a_val!r}); the continuation hypothesis fails"

@@ -80,6 +80,11 @@ class ConeTag(Enum):
     def needs_b_pos(self) -> bool:
         return self in (ConeTag.A_POS_B_POS, ConeTag.A_NEG_B_POS)
 
+    @property
+    def b_positive(self) -> ConeTag:
+        """The B-positive cone with this tag's sign of A."""
+        return ConeTag.A_POS_B_POS if self.a_sign > 0 else ConeTag.A_NEG_B_POS
+
 
 @dataclass(frozen=True)
 class FunctionalTriple:

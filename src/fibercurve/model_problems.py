@@ -37,10 +37,8 @@ __all__ = [
     "Grid",
     "PLaplacianProblem",
     "WeightField",
-    "build_dirichlet_triple",
     "build_disjoint_basis",
     "build_triple",
-    "build_truncated_rn_triple",
     "cone_node_mask",
     "construct_weight_for_conjecture",
     "dirichlet_problem_1d",
@@ -626,12 +624,14 @@ def _decay_diagnostics(problem: PLaplacianProblem) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def build_dirichlet_triple(problem: PLaplacianProblem) -> FunctionalTriple:
-    """Triple for the Dirichlet problem; N is the p-th power of the W^{1,p} seminorm."""
-    if problem.kind != "dirichlet":
-        raise ValueError("build_dirichlet_triple needs a dirichlet problem")
+def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
+    """Triple of a model problem; N is the p-th power of its W^{1,p} norm.
+
+    On Dirichlet problems that is the gradient seminorm; truncated
+    whole-space problems add the |u|^p mass term, which also enters the
+    metric, and carry the truncation diagnostics.
+    """
     grid = problem.grid
-    exps = problem.exponents
     if grid.dimension == 1:
         n_value, n_grad_full = _gradient_part_1d(grid, problem.p, problem.eps_reg)
     else:
@@ -640,66 +640,34 @@ def build_dirichlet_triple(problem: PLaplacianProblem) -> FunctionalTriple:
     bbar = _dof_node_weights(grid, problem.weights.b).ravel()
     a_value, a_grad = _power_term(grid, abar, problem.alpha)
     b_value, b_grad = _power_term(grid, bbar, problem.beta)
-
     diagnostics: list[str] = []
-    warning = problem.sobolev_warning()
-    if warning:
-        diagnostics.append(warning)
 
-    def eval_n(u: Array) -> float:
-        return n_value(_embed(grid, u))
+    if problem.kind == "dirichlet":
+        mass_w = None
 
-    def grad_n(u: Array) -> Array:
-        return _restrict(grid, n_grad_full(_embed(grid, u)))
+        def eval_n(u: Array) -> float:
+            return n_value(_embed(grid, u))
 
-    metric, metric_solve = _stiffness_metric(grid, None)
-    return FunctionalTriple(
-        exponents=exps,
-        dim=grid.n_dof,
-        eval_N=eval_n,
-        eval_A=a_value,
-        eval_B=b_value,
-        grad_N=grad_n,
-        grad_A=a_grad,
-        grad_B=b_grad,
-        metric=metric,
-        metric_solve=metric_solve,
-        diagnostics=tuple(diagnostics),
-    )
+        def grad_n(u: Array) -> Array:
+            return _restrict(grid, n_grad_full(_embed(grid, u)))
 
-
-def build_truncated_rn_triple(problem: PLaplacianProblem) -> FunctionalTriple:
-    """Triple for the truncated whole-space problem: N adds the |u|^p mass term."""
-    if problem.kind != "truncated_rn":
-        raise ValueError("build_truncated_rn_triple needs a truncated_rn problem")
-    grid = problem.grid
-    exps = problem.exponents
-    if grid.dimension == 1:
-        n_value, n_grad_full = _gradient_part_1d(grid, problem.p, problem.eps_reg)
     else:
-        n_value, n_grad_full = _gradient_part_2d(grid, problem.p, problem.eps_reg)
-    ones = np.ones(grid.cell_shape)
-    mass_w = _dof_node_weights(grid, ones).ravel()
-    m_value, m_grad = _power_term(grid, mass_w, problem.p)
-    abar = _dof_node_weights(grid, problem.weights.a).ravel()
-    bbar = _dof_node_weights(grid, problem.weights.b).ravel()
-    a_value, a_grad = _power_term(grid, abar, problem.alpha)
-    b_value, b_grad = _power_term(grid, bbar, problem.beta)
+        mass_w = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel()
+        m_value, m_grad = _power_term(grid, mass_w, problem.p)
+        diagnostics.extend(_decay_diagnostics(problem))
 
-    diagnostics = list(_decay_diagnostics(problem))
+        def eval_n(u: Array) -> float:
+            return n_value(_embed(grid, u)) + m_value(u)
+
+        def grad_n(u: Array) -> Array:
+            return _restrict(grid, n_grad_full(_embed(grid, u))) + m_grad(u)
+
     warning = problem.sobolev_warning()
     if warning:
         diagnostics.append(warning)
-
-    def eval_n(u: Array) -> float:
-        return n_value(_embed(grid, u)) + m_value(u)
-
-    def grad_n(u: Array) -> Array:
-        return _restrict(grid, n_grad_full(_embed(grid, u))) + m_grad(u)
-
     metric, metric_solve = _stiffness_metric(grid, mass_w)
     return FunctionalTriple(
-        exponents=exps,
+        exponents=problem.exponents,
         dim=grid.n_dof,
         eval_N=eval_n,
         eval_A=a_value,
@@ -711,12 +679,6 @@ def build_truncated_rn_triple(problem: PLaplacianProblem) -> FunctionalTriple:
         metric_solve=metric_solve,
         diagnostics=tuple(diagnostics),
     )
-
-
-def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
-    if problem.kind == "dirichlet":
-        return build_dirichlet_triple(problem)
-    return build_truncated_rn_triple(problem)
 
 
 # ---------------------------------------------------------------------------

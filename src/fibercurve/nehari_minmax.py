@@ -36,7 +36,7 @@ Thresholds: compute_c_star maximizes the degenerate-collision level c_bar(u)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,16 +88,20 @@ class SurrogateInvalidError(Exception):
 
 @dataclass
 class OptimizerParams:
-    """Projected-descent settings; defaults follow the library-wide policy."""
+    """Descent stop: ||grad|| <= gtol, or max_iter iterations."""
 
     gtol: float = 1e-8
     max_iter: int = 5000
-    armijo_c1: float = 1e-4
-    step_init: float = 1.0
-    step_factor: float = 0.5
-    step_min: float = 1e-16
-    polish_iter: int = 200
-    start_attempts: int = 200
+
+
+# line search: Armijo factor, first step, backtracking factor, smallest step
+_ARMIJO_C1 = 1e-4
+_STEP_INIT = 1.0
+_STEP_FACTOR = 0.5
+_STEP_MIN = 1e-16
+# iteration cap of the surrogate polish, and random draws per start
+_POLISH_ITER = 200
+_START_ATTEMPTS = 200
 
 
 @dataclass
@@ -109,8 +113,9 @@ class SphereConstraint:
     by construction).  eps_cone is the relative margin of the one cone rule
     (_inside_cone): a point is inside when A of the working problem, and B on
     B-positive cones, exceed eps_cone times 1 + their magnitudes; closer
-    points count as boundary.  feasible(u) applies the rule to u's scalars;
-    the descents apply it to the scalars their levels then read.
+    points count as boundary.  The descents apply the rule to the scalars
+    their levels then read, and accept a start where their objective is
+    finite; feasible(u) applies it alone (minimize_c0's A > 0 starts).
     """
 
     triple: FunctionalTriple
@@ -438,7 +443,7 @@ def _sphere_descend(
     u = _normalize(working, u0)
     value, gradient = evaluate(u)
     gnorm = math.inf
-    step_next = params.step_init
+    step_next = _STEP_INIT
     prev_u: Array | None = None
     prev_grad: Array | None = None
     recent = [value]
@@ -463,22 +468,22 @@ def _sphere_descend(
             sy = float(s @ y)
             if sy > 0.0 and math.isfinite(sy):
                 step_next = float(s @ (s if metric is None else metric(s))) / sy
-        step = min(max(step_next, params.step_min), 1e12)
+        step = min(max(step_next, _STEP_MIN), 1e12)
         reference = max(recent)
         reference += _ROUNDING_ULPS * math.ulp(reference)
         accepted = False
-        while step >= params.step_min:
+        while step >= _STEP_MIN:
             try:
                 trial = _normalize(working, u - step * direction)
                 trial_value, trial_gradient = evaluate(trial)
             except InfeasibleRayError:
                 trial_value = math.inf
-            if trial_value <= reference - params.armijo_c1 * step * slope:
+            if trial_value <= reference - _ARMIJO_C1 * step * slope:
                 prev_u, prev_grad = u, grad
                 u, value, gradient = trial, trial_value, trial_gradient
                 accepted = True
                 break
-            step *= params.step_factor
+            step *= _STEP_FACTOR
         if not accepted:
             # line search exhausted: flat valley or cone-boundary pin
             return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
@@ -499,62 +504,82 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _start_rule(evaluate: Evaluation) -> Callable[[Array], bool]:
+    """The start rule: u is usable when the descent's own evaluate(u) is
+    finite (it is +inf outside the cone and raises off the branch)."""
+
+    def usable(u: Array) -> bool:
+        try:
+            value, _ = evaluate(u)
+        except InfeasibleRayError:
+            return False
+        return math.isfinite(value)
+
+    return usable
+
+
+def _first_usable(
+    working: FunctionalTriple, usable: Callable[[Array], bool], candidates
+) -> Array | None:
+    """The unit vector of the first candidate that usable accepts, or None;
+    a candidate that cannot be normalized ends the search."""
+    for candidate in candidates:
+        try:
+            u = _normalize(working, np.asarray(candidate, dtype=float))
+        except InfeasibleRayError:
+            return None
+        if usable(u):
+            return u
+    return None
+
+
 def _draw_starts(
     constraint: SphereConstraint,
     count: int,
     seed,
     purpose: int,
-    check: Callable[[Array], bool],
-    params: OptimizerParams,
+    usable: Callable[[Array], bool],
 ) -> list[Array]:
-    """Deterministic feasible start vectors; seeds derive from (seed, purpose, index)."""
+    """Deterministic usable start vectors; seeds derive from (seed, purpose, index)."""
     working = constraint.working
     dim = constraint.triple.dim
     support = constraint.start_support
     starts: list[Array] = []
     for i in range(count):
         rng = np.random.default_rng(_seed_key(seed) + (purpose, i))
-        found = False
-        for _ in range(params.start_attempts):
+        for _ in range(_START_ATTEMPTS):
             g = rng.standard_normal(dim)
             if support is not None:
                 g = np.where(support, g, 0.0)
-            if not np.any(g):
-                continue
-            try:
-                u = _normalize(working, g)
-            except InfeasibleRayError:
-                continue
-            if constraint.feasible(u) and check(u):
-                starts.append(u)
-                found = True
-                break
             # a one-signed profile is feasible more often than a sign-changing one
-            try:
-                u = _normalize(working, np.abs(g))
-            except InfeasibleRayError:
-                continue
-            if constraint.feasible(u) and check(u):
+            u = _first_usable(working, usable, (g, np.abs(g))) if np.any(g) else None
+            if u is not None:
                 starts.append(u)
-                found = True
                 break
-        if not found:
+        else:
             raise InfeasibleLevelError(
                 f"could not sample a feasible start (index {i}) after "
-                f"{params.start_attempts} attempts; check the cone support"
+                f"{_START_ATTEMPTS} attempts; check the cone support"
             )
     return starts
 
 
-def _computable(working: FunctionalTriple, c: float, branch: str) -> Callable[[Array], bool]:
-    def check(u: Array) -> bool:
-        try:
-            _level_internal(working, c, branch, u)
-        except InfeasibleRayError:
-            return False
-        return True
-
-    return check
+def _multistart(
+    constraint: SphereConstraint,
+    evaluate: Evaluation,
+    usable: Callable[[Array], bool],
+    purpose: int,
+    count: int,
+    seed,
+    params: OptimizerParams,
+    extra_starts: Sequence[Array] = (),
+) -> list[tuple[Array, float, int, bool, float]]:
+    """One _sphere_descend result per start: the usable extra_starts, then
+    count drawn starts."""
+    working = constraint.working
+    starts = [u for w in extra_starts if (u := _first_usable(working, usable, (w,))) is not None]
+    starts += _draw_starts(constraint, count, seed, purpose, usable)
+    return [_sphere_descend(working, evaluate, u0, params) for u0 in starts]
 
 
 _PURPOSE = {"plus": 1, "minus": 2, "c_star": 3, "c_star_star": 4, "c0": 5}
@@ -573,37 +598,21 @@ def minimize_ground_level(
 
     Starts are deterministic functions of (seed, branch, index); extra_starts
     allows warm starting from neighboring levels (infeasible ones are skipped).
-    Raises InfeasibleLevelError when nothing feasible exists at this (c, branch).
+    The first minimum in start order wins.  Raises InfeasibleLevelError when
+    nothing feasible exists at this (c, branch).
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    params = params or OptimizerParams()
-    working = constraint.working
     evaluate = _level_evaluation(constraint, c, branch)
-    check = _computable(working, c, branch)
-    starts: list[Array] = []
-    for w in extra_starts:
-        try:
-            w = _normalize(working, np.asarray(w, dtype=float))
-        except InfeasibleRayError:
-            continue
-        if constraint.feasible(w) and check(w):
-            starts.append(w)
-    if multistart > 0:
-        starts.extend(
-            _draw_starts(constraint, multistart, seed, _PURPOSE[branch], check, params)
-        )
-    if not starts:
+    results = _multistart(
+        constraint, evaluate, _start_rule(evaluate), _PURPOSE[branch], multistart, seed,
+        params or OptimizerParams(), extra_starts,
+    )
+    if not results:
         raise InfeasibleLevelError(
             f"no feasible start for branch {branch!r} at c={c!r}"
         )
-
-    best: tuple[float, Array, int, bool] | None = None
-    for u0 in starts:
-        u, value, iters, ok, _ = _sphere_descend(working, evaluate, u0, params)
-        if best is None or value < best[0]:
-            best = (value, u, iters, ok)
-    value, u, iters, ok = best
+    u, _, iters, ok, _ = min(results, key=lambda r: r[1])
     record = extract_critical_point(
         constraint, c, branch, u, k=1, iterations=iters, converged=ok
     )
@@ -678,15 +687,18 @@ def _minimize_ray_objective(
     purpose: int,
     multistart: int,
     seed: int,
-    params: OptimizerParams,
+    params: OptimizerParams | None,
     with_a: bool = True,
 ) -> list[tuple[float, Array]]:
-    """Multistart minima of a threshold objective over its cone.
+    """Clustered multistart minima of a threshold objective over its cone.
 
-    The cone is A > 0 and B > 0 of the working problem, or B > 0 alone when
-    with_a is false; starts come from constraint.  The cone test reads A and
-    B, and the objective reuses that B.
+    The cone is the B-positive cone of constraint's tag (A > 0 and B > 0 of
+    the working problem), or B > 0 alone when with_a is false; then starts
+    must also pass constraint.feasible, so they still lie inside A > 0.  The
+    cone test reads A and B, and the objective reuses that B.
     """
+    if with_a:
+        constraint = replace(constraint, tag=constraint.tag.b_positive)
     working = constraint.working
     eps_cone = constraint.eps_cone
 
@@ -700,19 +712,18 @@ def _minimize_ray_objective(
             return math.inf, _outside_cone
         return objective(working, u, b)
 
-    def check(u: Array) -> bool:
-        try:
-            objective(working, u, float(working.eval_B(u)))
-        except InfeasibleRayError:
-            return False
-        return True
+    rule = _start_rule(evaluate)
+    usable = rule if with_a else (lambda u: constraint.feasible(u) and rule(u))
+    results = _multistart(
+        constraint, evaluate, usable, purpose, multistart, seed, params or OptimizerParams()
+    )
+    return _cluster_minima([(value, u) for u, value, _, _, _ in results])
 
-    starts = _draw_starts(constraint, multistart, seed, purpose, check, params)
-    minima = []
-    for u0 in starts:
-        u, value, _, _, _ = _sphere_descend(working, evaluate, u0, params)
-        minima.append((value, u))
-    return _cluster_minima(minima)
+
+def _near_best(minima: list[tuple[float, Array]]) -> tuple[float, list[Array]]:
+    """The best of sorted minima and the minimizers within relative 1e-6 of it."""
+    best = minima[0][0]
+    return best, [u for value, u in minima if abs(value - best) <= 1e-6 * (1.0 + abs(best))]
 
 
 def compute_c_star(
@@ -727,15 +738,8 @@ def compute_c_star(
     collision level (equivalently minimizes its negative), so the result is a
     certified inner approximation of the supremum.
     """
-    params = params or OptimizerParams()
-    inter = SphereConstraint(
-        triple=constraint.triple,
-        tag=ConeTag.A_NEG_B_POS if constraint.lambda_sign < 0 else ConeTag.A_POS_B_POS,
-        eps_cone=constraint.eps_cone,
-        start_support=constraint.start_support,
-    )
     minima = _minimize_ray_objective(
-        inter, _negated_extremal_level, _PURPOSE["c_star"], multistart, seed, params
+        constraint, _negated_extremal_level, _PURPOSE["c_star"], multistart, seed, params
     )
     c_star = -minima[0][0]
     if not (c_star < 0.0):
@@ -755,20 +759,11 @@ def compute_c_star_star(
     within relative 1e-6 of the best value (the numerical stand-in for the
     minimizing set).
     """
-    params = params or OptimizerParams()
-    inter = SphereConstraint(
-        triple=constraint.triple,
-        tag=ConeTag.A_NEG_B_POS if constraint.lambda_sign < 0 else ConeTag.A_POS_B_POS,
-        eps_cone=constraint.eps_cone,
-        start_support=constraint.start_support,
-    )
-    minima = _minimize_ray_objective(
-        inter, _zero_level, _PURPOSE["c_star_star"], multistart, seed, params
-    )
-    best = minima[0][0]
+    best, keep = _near_best(_minimize_ray_objective(
+        constraint, _zero_level, _PURPOSE["c_star_star"], multistart, seed, params
+    ))
     if not (best > 0.0):
         raise RuntimeError(f"computed upper threshold {best!r} is not positive")
-    keep = [u for value, u in minima if abs(value - best) <= 1e-6 * (1.0 + abs(best))]
     return best, keep
 
 
@@ -786,16 +781,12 @@ def minimize_c0(
     conjecture-supporting weight construction, whose hypothesis check (all
     minimizers inside the A > 0 cone) happens downstream.
     """
-    params = params or OptimizerParams()
     constraint = SphereConstraint(
         triple=triple, tag=ConeTag.A_POS, eps_cone=1e-12, start_support=start_support
     )
-    minima = _minimize_ray_objective(
+    return _near_best(_minimize_ray_objective(
         constraint, _zero_level, _PURPOSE["c0"], multistart, seed, params, with_a=False
-    )
-    best = minima[0][0]
-    keep = [u for value, u in minima if abs(value - best) <= 1e-6 * (1.0 + abs(best))]
-    return best, keep
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -937,14 +928,7 @@ def surrogate_level(
             raise ValueError(f"warm coefficient vector has shape {w.shape}, expected ({k},)")
         polish_starts.append(w)
 
-    ascent = OptimizerParams(
-        gtol=params.gtol,
-        max_iter=params.polish_iter,
-        armijo_c1=params.armijo_c1,
-        step_init=params.step_init,
-        step_factor=params.step_factor,
-        step_min=params.step_min,
-    )
+    ascent = OptimizerParams(gtol=params.gtol, max_iter=_POLISH_ITER)
 
     euclid = FunctionalTriple(
         exponents=e,

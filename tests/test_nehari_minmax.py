@@ -389,6 +389,23 @@ class TestThresholds:
             assert float(tri.eval_B(u)) > 0.0
 
 
+def recording_triple(tri):
+    """tri with eval_A and eval_B counting their calls per argument vector."""
+    seen = {"eval_A": Counter(), "eval_B": Counter()}
+
+    def recording(name):
+        fn = getattr(tri, name)
+
+        def wrapped(u):
+            seen[name][np.asarray(u, dtype=float).tobytes()] += 1
+            return fn(u)
+
+        return wrapped
+
+    recorded = dataclasses.replace(tri, eval_A=recording("eval_A"), eval_B=recording("eval_B"))
+    return recorded, seen
+
+
 class TestOneScalarSetPerTrial:
     """A line-search trial's cone test and its level read the same A and B."""
 
@@ -397,41 +414,19 @@ class TestOneScalarSetPerTrial:
         c_ss, _ = compute_c_star_star(
             SphereConstraint(triple=tri, tag=ConeTag.A_POS_B_POS), multistart=4
         )
-        seen = {"eval_A": Counter(), "eval_B": Counter()}
-
-        def recording(name):
-            fn = getattr(tri, name)
-
-            def wrapped(u):
-                seen[name][np.asarray(u, dtype=float).tobytes()] += 1
-                return fn(u)
-
-            return wrapped
-
-        recorded = dataclasses.replace(
-            tri, eval_A=recording("eval_A"), eval_B=recording("eval_B")
-        )
+        recorded, seen = recording_triple(tri)
         con = SphereConstraint(triple=recorded, tag=ConeTag.A_POS_B_POS)
-        # start drawing tests its candidates on their own; the descents'
-        # results are evaluated again (certification); neither is a trial
+        # a descent evaluates its start again (start drawing evaluated it
+        # first), and its result is evaluated again (certification)
         excluded = set()
-        draw, descend = nm._draw_starts, nm._sphere_descend
-
-        def vectors():
-            return set(seen["eval_A"]) | set(seen["eval_B"])
-
-        def drawing(*args, **kwargs):
-            before = vectors()
-            starts = draw(*args, **kwargs)
-            excluded.update(vectors() - before)
-            return starts
+        descend = nm._sphere_descend
 
         def descending(*args, **kwargs):
+            excluded.add(args[2].tobytes())
             out = descend(*args, **kwargs)
             excluded.add(out[0].tobytes())
             return out
 
-        monkeypatch.setattr(nm, "_draw_starts", drawing)
         monkeypatch.setattr(nm, "_sphere_descend", descending)
         minimize_ground_level(con, 0.5 * c_ss, "minus", multistart=4, seed=0)
         compute_c_star(con, multistart=4, seed=0)
@@ -440,6 +435,55 @@ class TestOneScalarSetPerTrial:
             assert len(trials) > 100
             repeated = sum(n > 1 for n in trials)
             assert repeated == 0, f"{repeated} of {len(trials)} trials reach {name} twice"
+
+
+class TestStartRule:
+    """A start is usable when the descent's own objective is finite there."""
+
+    class Drawn(Exception):
+        """The first descent began: every start has been drawn."""
+
+    @pytest.mark.parametrize("solve", ["ground", "c_star", "c_star_star", "c0"])
+    def test_drawing_reads_each_candidate_once(self, monkeypatch, solve):
+        tri = build_triple(dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2"))
+        recorded, seen = recording_triple(tri)
+        con = SphereConstraint(triple=recorded, tag=ConeTag.A_POS_B_POS)
+
+        def stop(*args, **kwargs):
+            raise self.Drawn
+
+        monkeypatch.setattr(nm, "_sphere_descend", stop)
+        x = np.linspace(0.0, 1.0, tri.dim + 2)[1:-1]
+        warm = [np.sin(np.pi * x), np.sin(3.0 * np.pi * x), np.zeros(tri.dim)]
+        with pytest.raises(self.Drawn):
+            if solve == "ground":
+                minimize_ground_level(con, 1.0, "minus", multistart=6, extra_starts=warm)
+            elif solve == "c_star":
+                compute_c_star(con, multistart=6)
+            elif solve == "c_star_star":
+                compute_c_star_star(con, multistart=6)
+            else:
+                minimize_c0(recorded, multistart=6)
+        for name, counts in seen.items():
+            assert len(counts) >= 6
+            assert max(counts.values()) == 1, f"a candidate reaches {name} twice"
+
+    def test_minimize_c0_starts_inside_the_a_cone(self, monkeypatch):
+        # The zero-crossing level ignores A; its starts still lie in A > 0.
+        # A's weight has mean zero here, so about half the draws have A < 0.
+        tri = build_triple(dirichlet_problem_1d(31, "sin(2*pi*x)", "cos(2*pi*x)+0.2"))
+        starts = []
+        descend = nm._sphere_descend
+
+        def recording(working, evaluate, u0, params):
+            starts.append(u0)
+            return descend(working, evaluate, u0, params)
+
+        monkeypatch.setattr(nm, "_sphere_descend", recording)
+        minimize_c0(tri, multistart=8, seed=0)
+        assert len(starts) == 8
+        a_cone = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
+        assert all(a_cone.feasible(u) for u in starts)
 
 
 class TestSurrogates:
@@ -531,7 +575,7 @@ class TestSurrogates:
         # The minus-branch surrogates of the intersect benchmark sit at levels
         # near 1.45e4, where the coefficient gradient rests near 8e-8, above
         # gtol = 1e-8; the polish must end when its values stop moving
-        # instead of running to polish_iter.
+        # instead of running to the polish's iteration cap.
         expr = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
         problem = dirichlet_problem_1d(31, expr, expr)
         con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
@@ -543,7 +587,7 @@ class TestSurrogates:
 
         def counting(*args, **kwargs):
             out = descend(*args, **kwargs)
-            if args[3].max_iter == params.polish_iter and out[2] == params.polish_iter:
+            if args[3].max_iter == nm._POLISH_ITER and out[2] == nm._POLISH_ITER:
                 capped.append(out[4])
             return out
 

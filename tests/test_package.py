@@ -62,3 +62,25 @@ def test_numpy_is_the_only_runtime_dependency():
     loaded = set(res.stdout.split())
     assert "numpy" in loaded
     assert loaded.isdisjoint({"scipy", "hypothesis"})
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every module attribute the benchmark's tracer patches exists, so a
+    refactor cannot silently break ``perfbench/run.py --trace 1``."""
+    import importlib
+    import inspect
+    import types
+
+    # run the tracer's source without importing it, which would cache bytecode there
+    path = README.parent / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    targets = [(module, attr) for module, attr, _ in tracing.LEAVES + tracing.SPANS]
+    targets += [("fibercurve.model_problems", "build_triple"), ("fibercurve.cli", "build_triple")]
+    missing = [
+        f"{module}.{attr}" for module, attr in targets
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
+    ground = inspect.signature(fibercurve.minimize_ground_level).parameters
+    assert {"constraint", "multistart", "extra_starts"} <= set(ground)
