@@ -552,13 +552,22 @@ def _stiffness_metric(grid: Grid, mass_w: Array | None):
 
     M is half the Hessian of the p = 2 gradient part plus, for truncated
     problems, the lumped mass diag(mass_w * vol), so v^T M v = N(v) at p = 2.
-    It serves as the Sobolev metric of sphere descent for every p.
+    It serves as the Sobolev metric of sphere descent for every p.  apply
+    runs the stiffness stencil directly: the same floats as half the p = 2
+    gradient kernel, whose factors 2 and 0.5 are exact, without its powers.
     """
     vol = grid.cell_volume
     mass = None if mass_w is None else mass_w * vol
     if grid.dimension == 1:
-        _, stiff_full = _gradient_part_1d(grid, 2.0, 0.0)
         h = grid.spacing[0]
+
+        def stiffness(full: Array) -> Array:
+            d = (full[1:] - full[:-1]) / h
+            out = np.zeros(full.shape)
+            out[:-1] -= d
+            out[1:] += d
+            return out
+
         diag = np.full(grid.n_dof, 2.0 / h)
         if not grid.dirichlet:
             diag[0] = diag[-1] = 1.0 / h
@@ -566,7 +575,18 @@ def _stiffness_metric(grid: Grid, mass_w: Array | None):
             diag += mass
         solve = _tridiagonal_solver(diag, -1.0 / h)
     elif grid.dirichlet:
-        _, stiff_full = _gradient_part_2d(grid, 2.0, 0.0)
+        hx, hy = grid.spacing
+
+        def stiffness(full: Array) -> Array:
+            cx = (full[1:, :-1] - full[:-1, :-1]) / hx * vol / hx
+            cy = (full[:-1, 1:] - full[:-1, :-1]) / hy * vol / hy
+            out = np.zeros(full.shape)
+            out[:-1, :-1] -= cx
+            out[1:, :-1] += cx
+            out[:-1, :-1] -= cy
+            out[:-1, 1:] += cy
+            return out
+
         solve = _dirichlet_2d_solver(grid)
     else:
         # The truncated 2D stencil has no x-differences along the last row of
@@ -575,7 +595,7 @@ def _stiffness_metric(grid: Grid, mass_w: Array | None):
         return None, None
 
     def apply(v: Array) -> Array:
-        out = 0.5 * _restrict(grid, stiff_full(_embed(grid, v)))
+        out = _restrict(grid, stiffness(_embed(grid, v)))
         return out if mass is None else out + mass * np.asarray(v, dtype=float)
 
     return apply, solve

@@ -435,9 +435,10 @@ def _sphere_descend(
     no more than _ROUNDING_ULPS units in the last place of its maximum, the
     gradient is at its rounding floor and further steps only trade rounding
     noise.  Such a stop counts as converged iff ||grad|| <= 10 gtol, the
-    verdict an exhausted line search gets.  This ends the surrogate polishes
-    at levels near 1e4, where ||grad|| rests near 8e-8 above an absolute gtol
-    of 1e-8.
+    verdict an exhausted line search gets.  It ends descents whose level
+    carries more rounding noise than a step toward the optimum can gain, as
+    on minus-branch levels at c far above c**, where the level's numerator
+    cancels.
     """
     metric, metric_solve = working.metric, working.metric_solve
     u = _normalize(working, u0)
@@ -852,24 +853,39 @@ def _basis_scalars(working: FunctionalTriple, basis: Array) -> Array:
     return scalars
 
 
+def _xi_of_s(alpha: float, s: Array) -> Array:
+    """Basis coefficients xi = sign(s) |s|**(2/alpha) of cusp-free coordinates s."""
+    return np.sign(s) * np.abs(s) ** (2.0 / alpha)
+
+
+def _s_of_xi(alpha: float, xi: Array) -> Array:
+    """Cusp-free coordinates s = sign(xi) |xi|**(alpha/2); zero entries stay zero."""
+    return np.sign(xi) * np.abs(xi) ** (alpha / 2.0)
+
+
 def _coefficient_evaluation(
     e: Exponents, c: float, branch: str, scalars: Array
 ) -> Evaluation:
-    """Level at coefficients xi over an additive basis whose (N, A, B) are scalars.
+    """Level at coordinates s over an additive basis whose (N, A, B) are scalars.
 
-    N(sum_i xi_i e_i) = sum_i |xi_i|**eta N(e_i), and likewise for A with
-    alpha and B with beta, so a point costs 3k numbers and one root solve,
-    and the xi-gradient follows in closed form from the level's partials.
+    The point is sum_i xi_i e_i with xi_i = sign(s_i) |s_i|**(2/alpha).  Then
+    N = sum_i |s_i|**(2 eta/alpha) N(e_i), A = sum_i |s_i|**2 A(e_i) and
+    B = sum_i |s_i|**(2 beta/alpha) B(e_i), so a point costs 3k numbers and
+    one root solve, and the s-gradient follows in closed form from the
+    level's partials.  In xi the level has a |xi_j|**alpha cusp on every axis
+    when alpha < 2, where a maximizer with some xi_j = 0 is not a critical
+    point; in s every degree is at least 2, A is a diagonal quadratic form,
+    and such a maximizer is a smooth critical point that a polish converges to.
     """
-    degrees = np.array([[e.eta], [e.alpha], [e.beta]])
+    degrees = np.array([[2.0 * e.eta / e.alpha], [2.0], [2.0 * e.beta / e.alpha]])
 
-    def evaluate(xi: Array) -> Evaluated:
-        n, a, b = ((np.abs(xi) ** degrees) * scalars).sum(axis=1)
+    def evaluate(s: Array) -> Evaluated:
+        n, a, b = ((np.abs(s) ** degrees) * scalars).sum(axis=1)
         lam, t = _scalar_level(e, c, branch, float(n), float(a), float(b))
 
         def gradient() -> Array:
-            # d/dxi_i of |xi_i|**d f(e_i) is d |xi_i|**(d-1) sign(xi_i) f(e_i)
-            grads = degrees * np.abs(xi) ** (degrees - 1.0) * np.sign(xi) * scalars
+            # d/ds_i of |s_i|**d f(e_i) is d |s_i|**(d-1) sign(s_i) f(e_i)
+            grads = degrees * np.abs(s) ** (degrees - 1.0) * np.sign(s) * scalars
             return _level_gradient(e, lam, t, float(a), *grads)
 
         return lam, gradient
@@ -899,6 +915,17 @@ def surrogate_level(
     pair is not additive, or any infeasible sampled ray, raises
     SurrogateInvalidError: a basis violating the cone must be rebuilt, not
     silently skipped.
+
+    Sampling and polish run in the coordinates s = sign(xi) |xi|**(alpha/2).
+    The maximizer often sits on a coordinate axis (some xi_j = 0), where the
+    level has a |xi_j|**alpha cusp for alpha < 2: its xi-gradient does not
+    vanish there, and an ascent in xi stalls short of gtol.  In s the level
+    is smooth on the axes and the maximizer is a critical point.  The level
+    is 0-homogeneous in s as in xi, so the polish stays on the Euclidean unit
+    sphere, with the metric scaled by the best sample's |level|: the first
+    trial step then turns the start by the relative gradient, whatever the
+    level's magnitude.  Samples, warm starts and the returned xi are in xi;
+    the map keeps zero entries zero, so samples stay nested across k.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
@@ -909,16 +936,16 @@ def surrogate_level(
     k = surrogate.k
     level = _coefficient_evaluation(e, c, branch, _basis_scalars(working, basis))
 
-    def evaluate(xi: Array, what: str) -> Evaluated:
+    def evaluate(s: Array, what: str) -> Evaluated:
         try:
-            return level(xi)
+            return level(s)
         except InfeasibleRayError as exc:
             raise SurrogateInvalidError(
-                f"coefficient {what} {xi!r} leaves the feasible cone: {exc}"
+                f"coefficient {what} {_xi_of_s(e.alpha, s)!r} leaves the feasible cone: {exc}"
             ) from None
 
-    samples = _xi_samples(k, surrogate.n_samples)
-    values = np.array([evaluate(xi, "sample")[0] for xi in samples])
+    samples = _s_of_xi(e.alpha, _xi_samples(k, surrogate.n_samples))
+    values = np.array([evaluate(s, "sample")[0] for s in samples])
     order = np.argsort(values)[::-1]
 
     polish_starts = [samples[i] for i in order[:3]]
@@ -926,40 +953,48 @@ def surrogate_level(
         w = np.asarray(w, dtype=float)
         if w.shape != (k,):
             raise ValueError(f"warm coefficient vector has shape {w.shape}, expected ({k},)")
-        polish_starts.append(w)
+        polish_starts.append(_s_of_xi(e.alpha, w))
 
     ascent = OptimizerParams(gtol=params.gtol, max_iter=_POLISH_ITER)
+    best_value = values[order[0]]
+    best_s = samples[order[0]]
+    # The gradient grows with the level.  With M = I the first trial step at
+    # a level near 4e3 turns the start by nearly 90 degrees, and backtracking
+    # takes the first higher point it meets, which can lie across a valley
+    # (an axis instead of the peak the start sat below).
+    scale = abs(best_value) or 1.0
 
     euclid = FunctionalTriple(
         exponents=e,
         dim=k,
-        eval_N=lambda xi: float(np.dot(xi, xi)) ** (e.eta / 2.0),
-        eval_A=lambda xi: 1.0,
-        eval_B=lambda xi: 1.0,
-        grad_N=lambda xi: e.eta * float(np.dot(xi, xi)) ** (e.eta / 2.0 - 1.0) * xi,
-        grad_A=lambda xi: np.zeros_like(xi),
-        grad_B=lambda xi: np.zeros_like(xi),
+        eval_N=lambda s: float(np.dot(s, s)) ** (e.eta / 2.0),
+        eval_A=lambda s: 1.0,
+        eval_B=lambda s: 1.0,
+        grad_N=lambda s: e.eta * float(np.dot(s, s)) ** (e.eta / 2.0 - 1.0) * s,
+        grad_A=lambda s: np.zeros_like(s),
+        grad_B=lambda s: np.zeros_like(s),
+        metric=lambda v: scale * v,
+        metric_solve=lambda g: g / scale,
     )
 
-    def neg_evaluate(xi: Array) -> Evaluated:
-        lam, gradient = evaluate(xi, "point")
+    def neg_evaluate(s: Array) -> Evaluated:
+        lam, gradient = evaluate(s, "point")
         return -lam, lambda: -gradient()
 
-    best_value = values[order[0]]
-    best_xi = samples[order[0]]
-    for xi0 in polish_starts:
-        xi, neg_val, _, _, _ = _sphere_descend(euclid, neg_evaluate, xi0, ascent)
+    for s0 in polish_starts:
+        s, neg_val, _, _, _ = _sphere_descend(euclid, neg_evaluate, s0, ascent)
         if -neg_val > best_value:
             best_value = -neg_val
-            best_xi = xi
+            best_s = s
 
+    best_xi = _xi_of_s(e.alpha, best_s)
     u_best = basis.T @ best_xi
     u_best = u_best / working.norm_of(u_best)
     lam_int, t, _ = _level_internal(working, c, branch, u_best)
     return SurrogateLevel(
         value=constraint.lambda_sign * lam_int,
         k=k,
-        xi=np.asarray(best_xi, dtype=float),
+        xi=best_xi,
         u_unit=u_best,
         t_root=t,
     )

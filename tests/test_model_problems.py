@@ -20,7 +20,13 @@ from fibercurve.model_problems import (
     weights_from_csv,
     weights_from_expressions,
 )
-from fibercurve.model_problems import _dof_node_weights, _embed, _restrict
+from fibercurve.model_problems import (
+    _dof_node_weights,
+    _embed,
+    _gradient_part_1d,
+    _gradient_part_2d,
+    _restrict,
+)
 
 
 class TestGrid:
@@ -321,6 +327,33 @@ class TestStiffnessMetric:
         rng = np.random.default_rng(6)
         v = rng.normal(size=tri.dim)
         assert float(v @ tri.metric(v)) == pytest.approx(tri.eval_N(v), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            dirichlet_problem_1d(63, "1+x", "cos(2*pi*x)+0.2"),
+            truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0),
+            dirichlet_problem_2d((16, 12), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)"),
+        ],
+        ids=["dirichlet_1d", "truncated_1d", "dirichlet_2d_16x12"],
+    )
+    def test_apply_equals_half_the_p2_gradient_kernel(self, prob):
+        # apply runs the stiffness stencil itself; the p = 2 gradient kernel
+        # gives twice its floats (the factors 2 and 0.5 are exact)
+        grid = prob.grid
+        tri = build_triple(prob)
+        part = _gradient_part_1d if grid.dimension == 1 else _gradient_part_2d
+        _, stiff_full = part(grid, 2.0, 0.0)
+        mass = None
+        if prob.kind == "truncated_rn":
+            mass = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel() * grid.cell_volume
+        rng = np.random.default_rng(9)
+        for _ in range(15):
+            v = rng.normal(size=tri.dim)
+            expected = 0.5 * _restrict(grid, stiff_full(_embed(grid, v)))
+            if mass is not None:
+                expected = expected + mass * v
+            assert np.array_equal(tri.metric(v), expected)
 
     def test_truncated_form_adds_lumped_mass(self):
         prob = truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=2.5)

@@ -1,6 +1,7 @@
 """Level minimization, thresholds, surrogate levels, and their certification."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -33,6 +34,9 @@ from fibercurve.nehari_minmax import (
     surrogate_family,
     surrogate_level,
 )
+
+# weight of the intersect benchmark's minus-branch instance (a = b)
+_MINUS_WEIGHT = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
 
 
 def one_dof_triple(alpha=1.5, eta=2.0, beta=4.0):
@@ -532,31 +536,102 @@ class TestSurrogates:
     def test_scalar_level_matches_model(self, problem_name, request):
         # On a disjoint basis N, A and B of basis.T @ xi are sums of
         # |xi_i|**degree times their values at the basis vectors, so the
-        # surrogate's level and xi-gradient must match the grid evaluation.
+        # surrogate's level at s, where xi = sign(s) |s|**(2/alpha), and its
+        # s-gradient must match the grid evaluation with the chain factor
+        # dxi_i/ds_i = (2/alpha) |s_i|**(2/alpha - 1).
         problem = request.getfixturevalue(problem_name)
         con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
         basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 3)
         scalars = nm._basis_scalars(con.working, basis)
+        power = 2.0 / con.working.exponents.alpha
         rng = np.random.default_rng(5)
         checked = 0
         for _ in range(200):
-            xi = rng.standard_normal(3)
+            s = rng.standard_normal(3)
             branch, c = ("plus", -1e-3) if checked % 2 else ("minus", 0.5)
             evaluate = nm._coefficient_evaluation(con.working.exponents, c, branch, scalars)
-            u = basis.T @ xi
+            u = basis.T @ (np.sign(s) * np.abs(s) ** power)
             try:
-                lam, gradient = evaluate(xi)
+                lam, gradient = evaluate(s)
                 ref, ref_gradient = nm._level_evaluation(con, c, branch)(u)
             except InfeasibleRayError:
                 continue
             assert lam == pytest.approx(lambda_tilde(con, c, u, branch)[0], rel=1e-12)
             assert lam == pytest.approx(ref, rel=1e-12)
-            expected = basis @ ref_gradient()
+            expected = power * np.abs(s) ** (power - 1.0) * (basis @ ref_gradient())
             assert np.linalg.norm(gradient() - expected) <= 1e-9 * np.linalg.norm(expected)
             checked += 1
             if checked == 20:
                 break
         assert checked == 20
+
+    def test_polishes_converge_by_gtol(self, monkeypatch, pos_problem):
+        # The maximizer often sits on a coordinate axis.  In xi the level has
+        # a |xi_j|**alpha cusp there and the polishes stopped at the rounding
+        # floor with ||g|| between 1e-5 and 3e-2; in s it is a smooth
+        # critical point.  Instances: the intersect benchmark's minus
+        # instance and the report benchmark's weights, inside their windows.
+        minus_problem = dirichlet_problem_1d(31, _MINUS_WEIGHT, _MINUS_WEIGHT)
+        params = OptimizerParams()
+        polishes = []
+        descend = nm._sphere_descend
+
+        def recording(*args, **kwargs):
+            out = descend(*args, **kwargs)
+            if args[3].max_iter == nm._POLISH_ITER:
+                polishes.append(out)
+            return out
+
+        monkeypatch.setattr(nm, "_sphere_descend", recording)
+        for problem, branch, cs in (
+            (minus_problem, "minus", (9.5, 85.0)),
+            (pos_problem, "minus", (23.5, 212.0)),
+            (pos_problem, "plus", (-0.2, -0.01)),
+        ):
+            tag = ConeTag.A_POS_B_POS if branch == "minus" else ConeTag.A_POS
+            con = SphereConstraint(triple=build_triple(problem), tag=tag)
+            basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 3)
+            for c in cs:
+                surrogate_family(con, c, branch, basis, ks=(2, 3), n_samples=16, params=params)
+        assert len(polishes) >= 36
+        for _, _, iterations, converged, gnorm in polishes:
+            assert converged and gnorm <= params.gtol and iterations <= 30
+
+    @pytest.mark.parametrize(
+        "problem,branch,c",
+        [
+            (dirichlet_problem_1d(31, _MINUS_WEIGHT, _MINUS_WEIGHT), "minus", 12.0),
+            (
+                dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2", p=3.0, alpha=2.5, beta=4.0),
+                "plus",
+                -0.05,
+            ),
+        ],
+        ids=["alpha1.5_minus", "p3_alpha2.5_plus"],
+    )
+    def test_k2_surrogate_is_the_quarter_circle_maximum(self, problem, branch, c):
+        # The level depends on |xi_i| only, so for k = 2 the quarter circle
+        # xi = (cos th, sin th) covers the coefficient sphere.  The first
+        # instance peaks on the diagonal, between two lower axis maxima that
+        # an unscaled first polish step at this level jumps to; the second
+        # has s-degrees (2.4, 2, 3.2) and peaks on an axis.
+        tag = ConeTag.A_POS_B_POS if branch == "minus" else ConeTag.A_POS
+        con = SphereConstraint(triple=build_triple(problem), tag=tag)
+        basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 2)
+        level = surrogate_level(con, c, branch, GenusSurrogate(k=2, basis=basis, n_samples=16))
+        assert np.all(np.isfinite(level.xi)) and math.isfinite(level.value)
+        e = con.working.exponents
+        scalars = nm._basis_scalars(con.working, basis)
+        th = np.linspace(0.0, 0.5 * np.pi, 200001)
+        circle = np.abs(np.stack([np.cos(th), np.sin(th)]))
+        n, a, b = (scalars[m] @ circle**d for m, d in enumerate((e.eta, e.alpha, e.beta)))
+        best = -math.inf
+        for nj, aj, bj in zip(n.tolist(), a.tolist(), b.tolist()):
+            try:
+                best = max(best, nm._scalar_level(e, c, branch, nj, aj, bj)[0])
+            except InfeasibleRayError:
+                pass
+        assert level.value == pytest.approx(best, rel=1e-12)
 
     def test_adjacent_blocks_are_not_additive(self, pos_problem):
         # Two blocks that touch share a difference quotient of the gradient
