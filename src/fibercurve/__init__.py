@@ -75,7 +75,6 @@ from .nehari_minmax import (
     level_slope,
     minimize_c0,
     minimize_ground_level,
-    surrogate_family,
     surrogate_level,
 )
 from .reporting import (
@@ -139,7 +138,6 @@ __all__ = [
     "render_diagram_svg",
     "restricted_lambda",
     "sign_masks",
-    "surrogate_family",
     "surrogate_level",
     "trace_curve",
     "trace_family",

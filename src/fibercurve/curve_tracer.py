@@ -1,24 +1,25 @@
 """Tracing level curves over the prescribed-value axis and checking their shape.
 
 A curve is the map c -> level(c) for one (branch, k), sampled on a user grid.
-Ground curves (k = 1) are exact multistart minima warm-started along the
-grid; k >= 2 curves are surrogate upper bounds chained both in k and in c.
-Each traced curve carries verdicts: monotonicity in c, the largest successive
-jump, and a Lipschitz check against the exact envelope slope -alpha/A at the
-optimizer (with a safety factor, since the slope bound is evaluated only at
-the endpoints of each segment).
+Every caller follows its levels with one continuation chain, _LevelChain:
+each solve starts from the optimizer found at the previous c.  Ground levels
+(k = 1) are exact multistart minima; k >= 2 levels are surrogate upper bounds
+chained both in k and in c.  Each traced curve carries verdicts: monotonicity
+in c, the largest successive jump, and a Lipschitz check against the exact
+envelope slope -alpha/A at the optimizer (with a safety factor, since the
+slope bound is evaluated only at the endpoints of each segment).
 
-Also here: the zero-limit diagnostic for c -> 0- on the plus branch, the
-level-set intersections lambda(c) = target (a bracketed Newton iteration on
-the same exact slope, with power-law extrapolation toward the plus ceiling
-c = 0), and the continuation of the minus curve through the upper threshold
-where its sign flips.
+Also here, on the same chain: the zero-limit diagnostic for c -> 0- on the
+plus branch, the level-set intersections lambda(c) = target (a bracketed
+Newton iteration on the same exact slope, with power-law extrapolation toward
+the plus ceiling c = 0), and the continuation of the minus curve through the
+upper threshold where its sign flips.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,13 +32,12 @@ from .nehari_minmax import (
     InfeasibleRayError,
     OptimizerParams,
     SphereConstraint,
-    SurrogateInvalidError,
+    SurrogateLevel,
     _inside_cone,
     extract_critical_point,
     level_slope,
     minimize_c0,
     minimize_ground_level,
-    surrogate_family,
     surrogate_level,
 )
 
@@ -52,6 +52,9 @@ __all__ = [
     "trace_curve",
     "trace_family",
 ]
+
+_TREND_FACTOR = 3.0  # largest ratio of the zero-limit scalings t / |c|**(1/eta)
+_MAX_REFINE = 200  # refinement steps of one intersection root inside its bracket
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,101 @@ def _curve_verdicts(
     return verdicts
 
 
+class _LevelChain:
+    """Levels of one (constraint, branch) for several k along a sequence of c.
+
+    Continuation in c (Allgower and Georg, Introduction to Numerical
+    Continuation Methods, 2003): every solve starts from the optimizer found
+    at the previous c.  For k = 1 that is minimize_ground_level with the
+    previous minimizer and extra_starts as starts; the first call draws
+    multistart further starts, later calls warm_multistart, and call n is
+    seeded (seed, n).  For k >= 2 it is surrogate_level over the first k
+    basis vectors, warm-started from the previous c's maximizer and from the
+    zero-padded maximizer of the next lower surrogate k at this c; that
+    embedded start makes the surrogates nondecreasing in k, and a level that
+    still falls below its lower neighbour is replaced by it.  A k whose level
+    is infeasible is dropped, and truncation[k] says where and why.
+    """
+
+    def __init__(self, constraint, branch, ks, basis=None, n_samples=64, multistart=32,
+                 warm_multistart=8, seed=0, params=None, extra_starts=()):
+        self.ks = sorted(set(int(k) for k in ks))
+        if any(k < 1 for k in self.ks):
+            raise ValueError("k values must be positive")
+        surrogate_ks = [k for k in self.ks if k >= 2]
+        if surrogate_ks:
+            if basis is None:
+                raise ValueError("a disjoint-support basis is required for k >= 2")
+            basis = np.atleast_2d(np.asarray(basis, dtype=float))
+            if basis.shape[0] < surrogate_ks[-1]:
+                raise ValueError(
+                    f"basis has {basis.shape[0]} vectors, largest requested k is "
+                    f"{surrogate_ks[-1]}"
+                )
+        self.surrogates = {k: GenusSurrogate(k, basis[:k], n_samples) for k in surrogate_ks}
+        self.constraint = constraint
+        self.branch = branch
+        self.multistart = multistart
+        self.warm_multistart = warm_multistart
+        self.seed = seed
+        self.params = params or OptimizerParams()
+        self.extra_starts = list(extra_starts)
+        self.alive = list(self.ks)
+        self.truncation = {k: "" for k in self.ks}
+        self.calls = 0
+        self._warm_u: list[Array] = []
+        self._warm_xi: dict[int, Array] = {}
+
+    def __call__(self, c: float) -> dict[int, tuple[float, Array, CriticalPointRecord]]:
+        """(level, unit optimizer, record) at c of every k not dropped yet."""
+        n = self.calls
+        self.calls += 1
+        levels = {}
+        lower = None  # the surrogate level of the next lower k at this c
+        for k in list(self.alive):
+            try:
+                if k == 1:
+                    lam, record = minimize_ground_level(
+                        self.constraint, c, self.branch,
+                        multistart=self.multistart if n == 0 else self.warm_multistart,
+                        seed=(self.seed, n), params=self.params,
+                        extra_starts=self._warm_u + self.extra_starts,
+                    )
+                    u = record.coefficients / record.t_root
+                    self._warm_u = [u]
+                else:
+                    lower = self._surrogate(c, k, lower)
+                    lam, u = lower.value, lower.u_unit
+                    record = extract_critical_point(
+                        self.constraint, c, self.branch, u, k=k, converged=False
+                    )
+            except (InfeasibleRayError, InfeasibleLevelError) as exc:
+                self.truncation[k] = f"stopped at c={c!r}: {exc}"
+                self.alive.remove(k)
+            else:
+                levels[k] = (lam, u, record)
+        return levels
+
+    def _surrogate(self, c: float, k: int, lower: SurrogateLevel | None) -> SurrogateLevel:
+        padded = None if lower is None else np.concatenate([lower.xi, np.zeros(k - lower.xi.size)])
+        warm = [w for w in (padded, self._warm_xi.get(k)) if w is not None]
+        level = surrogate_level(
+            self.constraint, c, self.branch, self.surrogates[k], warm_xi=warm, params=self.params
+        )
+        sign = self.constraint.lambda_sign
+        if lower is not None and sign * level.value < sign * lower.value:
+            level = replace(lower, k=k, xi=padded)
+        self._warm_xi[k] = level.xi
+        return level
+
+    def level(self, c: float, k: int) -> tuple[float, Array, CriticalPointRecord]:
+        """The level of k at c; raises InfeasibleLevelError once k is dropped."""
+        levels = self(c)
+        if k not in levels:
+            raise InfeasibleLevelError(self.truncation[k])
+        return levels[k]
+
+
 def trace_curve(
     constraint: SphereConstraint,
     c_values: Sequence[float],
@@ -191,90 +289,38 @@ def trace_family(
     lipschitz_safety: float = 3.0,
     n_samples: int = 64,
 ) -> dict[int, EnergyCurve]:
-    """Trace curves for several k at once, sharing work along both axes.
+    """Trace curves for several k at once along one _LevelChain.
 
     k = 1 points are exact ground minima; higher k are surrogate bounds over
     prefixes of the nested basis, warm-chained in k (guaranteeing pointwise
-    k-monotonicity among the surrogates) and in c.  Each returned curve gets a
-    "k_monotone" verdict computed across the family.
+    k-monotonicity among the surrogates) and in c.  A k whose level becomes
+    infeasible is truncated there; the other ks go on.  Each returned curve
+    gets a "k_monotone" verdict computed across the family.
     """
-    ks = sorted(set(int(k) for k in ks))
-    if any(k < 1 for k in ks):
-        raise ValueError("k values must be positive")
-    ks_surr = [k for k in ks if k >= 2]
-    if ks_surr and basis is None:
-        raise ValueError("k >= 2 tracing needs a disjoint-support basis")
-    if ks_surr:
-        basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        if basis.shape[0] < max(ks_surr):
-            raise ValueError(
-                f"basis has {basis.shape[0]} vectors, largest requested k is {max(ks_surr)}"
-            )
+    chain = _LevelChain(
+        constraint, branch, ks, basis=basis, n_samples=n_samples, multistart=multistart,
+        warm_multistart=warm_multistart, seed=seed, params=params,
+    )
+    ks = chain.ks
     c_values = [float(c) for c in c_values]
     if any(c1 <= c0 for c0, c1 in zip(c_values, c_values[1:])):
         raise ValueError("c_values must be strictly increasing")
-    params = params or OptimizerParams()
 
-    ground_points: list[CurvePoint] = []
-    surr_points: dict[int, list[CurvePoint]] = {k: [] for k in ks_surr}
-    truncation: dict[int, str] = {k: "" for k in ks}
-    warm_ground: list[Array] = []
-    warm_xi: dict[int, Array] = {}
-    alive = set(ks)
-
-    for idx, c in enumerate(c_values):
-        if 1 in alive:
-            ms = multistart if idx == 0 else warm_multistart
-            try:
-                lam, record = minimize_ground_level(
-                    constraint, c, branch,
-                    multistart=ms, seed=(seed, idx), params=params,
-                    extra_starts=warm_ground,
-                )
-                flags = () if record.converged else ("not_converged",)
-                ground_points.append(
-                    CurvePoint(branch=branch, k=1, c=c, lam=lam, record=record, flags=flags)
-                )
-                warm_ground = [record.coefficients / record.t_root]
-            except InfeasibleLevelError as exc:
-                truncation[1] = f"stopped at c={c!r}: {exc}"
-                alive.discard(1)
-        live_surr = [k for k in ks_surr if k in alive]
-        if live_surr:
-            try:
-                levels = surrogate_family(
-                    constraint, c, branch, basis, live_surr,
-                    n_samples=n_samples, warm_by_k=warm_xi or None, params=params,
-                )
-            except (InfeasibleRayError, InfeasibleLevelError) as exc:
-                for k in live_surr:
-                    truncation[k] = f"stopped at c={c!r}: {exc}"
-                    alive.discard(k)
-                levels = {}
-            for k, level in levels.items():
-                record = extract_critical_point(
-                    constraint, c, branch, level.u_unit, k=k, iterations=0, converged=False,
-                )
-                surr_points[k].append(
-                    CurvePoint(
-                        branch=branch, k=k, c=c, lam=level.value, record=record,
-                        flags=("surrogate",),
-                    )
-                )
-                warm_xi[k] = level.xi
+    points: dict[int, list[CurvePoint]] = {k: [] for k in ks}
+    for c in c_values:
+        for k, (lam, _, record) in chain(c).items():
+            flags = ("surrogate",) if k >= 2 else () if record.converged else ("not_converged",)
+            points[k].append(
+                CurvePoint(branch=branch, k=k, c=c, lam=lam, record=record, flags=flags)
+            )
 
     curves: dict[int, EnergyCurve] = {}
-    per_k_points: dict[int, list[CurvePoint]] = {}
-    if 1 in ks:
-        per_k_points[1] = ground_points
-    per_k_points.update(surr_points)
     for k in ks:
-        pts = per_k_points[k]
-        verdicts = _curve_verdicts(constraint, pts, noise, lipschitz_safety)
+        verdicts = _curve_verdicts(constraint, points[k], noise, lipschitz_safety)
         verdicts["k_monotone"] = True
         curves[k] = EnergyCurve(
-            branch=branch, k=k, points=tuple(pts), verdicts=verdicts,
-            truncation_reason=truncation[k],
+            branch=branch, k=k, points=tuple(points[k]), verdicts=verdicts,
+            truncation_reason=chain.truncation[k],
         )
 
     # family-wide k-monotonicity of reported levels at matching c
@@ -314,7 +360,6 @@ def limit_check_zero(
     constraint: SphereConstraint,
     schedule: Sequence[float] = (-1e-2, -1e-3, -1e-4),
     tol_limit: float = 0.05,
-    t_factor: float = 3.0,
     seed: int = 0,
     multistart: int = 32,
     params: OptimizerParams | None = None,
@@ -326,7 +371,8 @@ def limit_check_zero(
     decreases, its endpoint ratio falls below tol_limit, every minimizer obeys
     the closed-form scaling bound t <= (alpha*eta*beta*|c| / ((eta-alpha)*
     (beta-eta)*N(u)))**(1/eta), and the scalings track |c|**(1/eta) within a
-    factor t_factor.  Entries at or below c_star_value are dropped first.
+    factor 3.  Entries at or below c_star_value are dropped first.
+    Every level draws multistart starts beside the warm one.
     """
     schedule = sorted(float(c) for c in schedule)
     if any(c >= 0.0 for c in schedule):
@@ -335,17 +381,14 @@ def limit_check_zero(
         schedule = [c for c in schedule if c > c_star_value]
     if len(schedule) < 2:
         raise ValueError("zero-limit schedule needs at least two usable levels")
-    params = params or OptimizerParams()
+    chain = _LevelChain(
+        constraint, "plus", (1,), multistart=multistart, warm_multistart=multistart,
+        seed=seed, params=params,
+    )
     e = constraint.triple.exponents
     rows = []
-    warm: list[Array] = []
-    for idx, c in enumerate(schedule):
-        lam, record = minimize_ground_level(
-            constraint, c, "plus", multistart=multistart, seed=(seed, idx),
-            params=params, extra_starts=warm,
-        )
-        warm = [record.coefficients / record.t_root]
-        u = record.coefficients / record.t_root
+    for c in schedule:
+        lam, u, record = chain.level(c, 1)
         n_val = float(constraint.working.eval_N(u))
         t_bound = (
             e.alpha * e.eta * e.beta * (-c) / ((e.eta - e.alpha) * (e.beta - e.eta) * n_val)
@@ -373,58 +416,8 @@ def limit_check_zero(
         "tol_limit": tol_limit,
         "bound_ok": all(r["bound_ok"] for r in rows),
         "trend_ratio": trend_ratio,
-        "trend_ok": trend_ratio <= t_factor,
+        "trend_ok": trend_ratio <= _TREND_FACTOR,
     }
-
-
-class _LevelProbe:
-    """Evaluate one (branch, k) level and its c-slope with warm chaining."""
-
-    def __init__(self, constraint, branch, k, basis, n_samples, multistart, seed, params):
-        self.constraint = constraint
-        self.branch = branch
-        self.k = int(k)
-        self.multistart = multistart
-        self.seed = seed
-        self.params = params
-        self.calls = 0
-        self._warm_u: list[Array] = []
-        self._warm_xi: tuple[Array, ...] = ()
-        if self.k >= 2:
-            if basis is None:
-                raise ValueError("basis is required for k >= 2 intersections")
-            self.surrogate = GenusSurrogate(self.k, np.asarray(basis, dtype=float)[: self.k],
-                                            n_samples=n_samples)
-        else:
-            self.surrogate = None
-
-    def __call__(self, c: float) -> tuple[float, float, CriticalPointRecord]:
-        """(level, d level / dc, record) at c.
-
-        The slope is the exact envelope derivative -alpha/A(t u) at the
-        optimizer u: the ground minimizer for k = 1, the surrogate maximizer
-        for k >= 2 (Danskin's theorem, since both levels are extrema over c-free
-        sets of rays).
-        """
-        self.calls += 1
-        ms = self.multistart if self.calls <= 2 else max(2, self.multistart // 8)
-        if self.k == 1:
-            lam, record = minimize_ground_level(
-                self.constraint, c, self.branch, multistart=ms,
-                seed=(self.seed, self.k, self.calls), params=self.params,
-                extra_starts=self._warm_u,
-            )
-            u = record.coefficients / record.t_root
-            self._warm_u = [u]
-        else:
-            level = surrogate_level(
-                self.constraint, c, self.branch, self.surrogate,
-                warm_xi=self._warm_xi, params=self.params,
-            )
-            self._warm_xi = (level.xi,)
-            lam, u = level.value, level.u_unit
-            record = extract_critical_point(self.constraint, c, self.branch, u, k=self.k)
-        return lam, level_slope(self.constraint, c, u, self.branch), record
 
 
 def intersect_with_lambda(
@@ -440,7 +433,6 @@ def intersect_with_lambda(
     seed: int = 0,
     params: OptimizerParams | None = None,
     tol_c: float = 1e-10,
-    max_bisect: int = 200,
     c_floor: float | None = None,
     max_expand: int = 60,
 ) -> dict:
@@ -459,7 +451,9 @@ def intersect_with_lambda(
     root (on the plus branch in log|c| and log|level|, where the power law
     is nearly linear), bisecting whenever a Newton step leaves the bracket
     or fails to halve the step before last; it stops when the step or the
-    bracket is below tol_c * (1 + |c|), after at most max_bisect steps.  Each
+    bracket is below tol_c * (1 + |c|), after at most 200 steps.
+    Each k follows its own _LevelChain, seeded (seed, k), whose probes after
+    the first draw max(2, multistart // 8) starts beside the warm one.  Each
     k either yields a root entry or a skip entry with a reason; family
     verdicts compare the roots across k.
 
@@ -471,7 +465,6 @@ def intersect_with_lambda(
     """
     if not (c_lo < c_hi):
         raise ValueError("need c_lo < c_hi")
-    params = params or OptimizerParams()
     # Reported levels fall with c when the reported multiplier is +lambda and
     # rise when the A-negative reduction flips the sign at the boundary.
     slope_sign = -constraint.lambda_sign
@@ -479,19 +472,22 @@ def intersect_with_lambda(
 
     points = []
     skipped = []
-    for k in ks:
+    for k in map(int, ks):
         try:
-            probe = _LevelProbe(constraint, branch, k, basis, n_samples, multistart,
-                                (seed, int(k)), params)
-            entry = _intersect_single(
-                probe, lam_target, c_lo, c_hi, slope_sign, tol_c, max_bisect,
-                c_floor, c_ceiling, max_expand,
+            chain = _LevelChain(
+                constraint, branch, (k,), basis=basis, n_samples=n_samples,
+                multistart=multistart, warm_multistart=max(2, multistart // 8),
+                seed=(seed, k), params=params,
             )
-        except (InfeasibleLevelError, SurrogateInvalidError) as exc:
-            skipped.append({"k": int(k), "reason": f"level infeasible: {exc}"})
+            entry = _intersect_single(
+                chain, k, lam_target, c_lo, c_hi, slope_sign, tol_c, c_floor, c_ceiling,
+                max_expand,
+            )
+        except InfeasibleLevelError as exc:
+            skipped.append({"k": k, "reason": f"level infeasible: {exc}"})
             continue
         except ValueError as exc:
-            skipped.append({"k": int(k), "reason": str(exc)})
+            skipped.append({"k": k, "reason": str(exc)})
             continue
         points.append(entry)
 
@@ -540,24 +536,29 @@ def _power_law_root(point: _Sample, lam_target: float) -> float | None:
 
 
 def _intersect_single(
-    probe: _LevelProbe,
+    chain: _LevelChain,
+    k: int,
     lam_target: float,
     c_lo: float,
     c_hi: float,
     slope_sign: int,
     tol_c: float,
-    max_bisect: int,
     c_floor: float | None,
     c_ceiling: float,
     max_expand: int,
 ) -> dict:
     def sample(c: float) -> _Sample:
-        lam, slope, record = probe(c)
+        # The slope is the exact envelope derivative -alpha/A(t u) at the
+        # optimizer u: the ground minimizer for k = 1, the surrogate maximizer
+        # for k >= 2 (Danskin's theorem, since both levels are extrema over
+        # c-free sets of rays).
+        lam, u, record = chain.level(c, k)
+        slope = level_slope(chain.constraint, c, u, chain.branch)
         return _Sample(c, lam - lam_target, slope, lam, record)
 
     def result(point: _Sample, iterations: int) -> dict:
-        return {"k": probe.k, "c": point.c, "lam": point.lam, "record": point.record,
-                "iterations": iterations, "probes": probe.calls}
+        return {"k": k, "c": point.c, "lam": point.lam, "record": point.record,
+                "iterations": iterations, "probes": chain.calls}
 
     lo, hi = sample(c_lo), sample(c_hi)
     expansions = 0
@@ -580,7 +581,7 @@ def _intersect_single(
                     c_new = 0.5 * (end.c + c_ceiling)
             if not (c_new > end.c):
                 raise ValueError(
-                    f"k={probe.k}: target {lam_target!r} not reachable below c={c_ceiling!r}"
+                    f"k={k}: target {lam_target!r} not reachable below c={c_ceiling!r}"
                 )
             lo, hi = hi, sample(c_new)
         else:
@@ -589,7 +590,7 @@ def _intersect_single(
                 c_new = 0.5 * (end.c + c_floor)
             if not (c_new < end.c):
                 raise ValueError(
-                    f"k={probe.k}: target {lam_target!r} not reachable above c={c_floor!r}"
+                    f"k={k}: target {lam_target!r} not reachable above c={c_floor!r}"
                 )
             lo, hi = sample(c_new), lo
     if lo.f == 0.0:
@@ -598,7 +599,7 @@ def _intersect_single(
         return result(hi, 0)
     if lo.f * hi.f > 0.0:
         raise ValueError(
-            f"k={probe.k}: target {lam_target!r} is not bracketed: "
+            f"k={k}: target {lam_target!r} is not bracketed: "
             f"level({lo.c!r})={lo.lam!r}, level({hi.c!r})={hi.lam!r}"
         )
 
@@ -608,8 +609,8 @@ def _intersect_single(
     point = lo if abs(lo.f) <= abs(hi.f) else hi
     dx_old = dx = b - a
     it = 0
-    for it in range(1, max_bisect + 1):
-        newton = _power_law_root(point, lam_target) if probe.branch == "plus" else None
+    for it in range(1, _MAX_REFINE + 1):
+        newton = _power_law_root(point, lam_target) if chain.branch == "plus" else None
         if newton is None:
             newton = point.c - point.f / point.slope
         if not (a < newton < b) or abs(2.0 * (newton - point.c)) > abs(dx_old):
@@ -648,7 +649,6 @@ def extend_minus_past_cstarstar(
     c = threshold * (1 +/- delta) and at the threshold itself, expecting
     positive levels before, |level| <= zero_tol at, and negative levels after.
     """
-    params = params or OptimizerParams()
     working = constraint.working
     c2, mins = minimize_c0(
         constraint.triple, multistart=multistart, seed=seed,
@@ -667,14 +667,13 @@ def extend_minus_past_cstarstar(
     c_after = sorted(c2 * (1.0 + d) for d in deltas)
     grid = c_before + [c2] + c_after
 
+    chain = _LevelChain(
+        constraint, "minus", (1,), multistart=multistart, warm_multistart=multistart,
+        seed=seed, params=params, extra_starts=mins,
+    )
     rows = []
-    warm = [np.asarray(m, dtype=float) for m in mins]
-    for idx, c in enumerate(grid):
-        lam, record = minimize_ground_level(
-            constraint, c, "minus", multistart=multistart, seed=(seed, idx),
-            params=params, extra_starts=warm,
-        )
-        warm = [record.coefficients / record.t_root] + [np.asarray(m, dtype=float) for m in mins]
+    for c in grid:
+        lam, _, record = chain.level(c, 1)
         rows.append({"c": c, "lambda": lam, "record": record})
 
     sign = constraint.lambda_sign

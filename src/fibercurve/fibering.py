@@ -51,6 +51,9 @@ _CASE_FROM_CODE = {
     K.CASE_DEGENERATE: Case.TWO_ROOTS,  # double root, flagged via FiberingProfile.degenerate
 }
 
+# relative agreement restricted_lambda demands of its two formulas
+_CHECK_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RayData:
@@ -161,7 +164,7 @@ def classify_and_solve(ray: RayData, c: float, deg_rtol: float = 1e-14) -> Fiber
     )
 
 
-def restricted_lambda(ray: RayData, c: float, t_root: float, check_rtol: float = 1e-10) -> float:
+def restricted_lambda(ray: RayData, c: float, t_root: float) -> float:
     """Parameter value at a critical scaling, via the root-substituted formula.
 
     On critical scalings the fibering value can be rewritten as
@@ -170,14 +173,14 @@ def restricted_lambda(ray: RayData, c: float, t_root: float, check_rtol: float =
 
     which is the form whose c-derivative drives curve monotonicity.  The value
     is cross-checked against the direct fibering map; disagreement beyond
-    check_rtol (relative) means t_root is not a critical scaling.
+    1e-10 (relative) means t_root is not a critical scaling.
     """
     e = ray.exponents
     num = (e.beta - e.eta) / e.eta * ray.n * t_root**e.eta - e.beta * c
     den = (e.beta - e.alpha) / e.alpha * ray.a * t_root**e.alpha
     value = num / den
     direct = fibering_value(ray, c, t_root)
-    if abs(value - direct) > check_rtol * (1.0 + abs(direct)):
+    if abs(value - direct) > _CHECK_RTOL * (1.0 + abs(direct)):
         raise ValueError(
             f"restricted parameter inconsistent with fibering map at t={t_root!r}: "
             f"{value!r} vs {direct!r}; t is not a critical scaling"

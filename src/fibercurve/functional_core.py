@@ -90,11 +90,11 @@ class ConeTag(Enum):
 class FunctionalTriple:
     """Even homogeneous triple (N, A, B) with gradients and a problem norm.
 
-    eval_* return floats, grad_* return arrays of shape (dim,).  The norm is
-    the one used for unit spheres; by default it is N(u)**(1/eta), which for
-    the discrete Dirichlet and truncated whole-space builds is exactly the
-    discrete W^{1,p} norm.  Every callable must be homogeneous of the declared
-    degree and even; property tests enforce this on randomized inputs.
+    eval_* return floats, grad_* return arrays of shape (dim,).  The norm of
+    the unit spheres is N(u)**(1/eta), which for the discrete Dirichlet and
+    truncated whole-space builds is exactly the discrete W^{1,p} norm.  Every
+    callable must be homogeneous of the declared degree and even; property
+    tests enforce this on randomized inputs.
 
     metric and metric_solve optionally give a symmetric positive definite
     matrix M for the sphere geometry, as an apply (M v) and a solve
@@ -110,14 +110,11 @@ class FunctionalTriple:
     grad_N: Callable[[Array], Array]
     grad_A: Callable[[Array], Array]
     grad_B: Callable[[Array], Array]
-    norm: Callable[[Array], float] | None = None
     metric: Callable[[Array], Array] | None = None
     metric_solve: Callable[[Array], Array] | None = None
     diagnostics: tuple[str, ...] = field(default=())
 
     def norm_of(self, u: Array) -> float:
-        if self.norm is not None:
-            return float(self.norm(u))
         return float(self.eval_N(u)) ** (1.0 / self.exponents.eta)
 
     def with_negated_a(self) -> "FunctionalTriple":

@@ -65,7 +65,6 @@ __all__ = [
     "level_slope",
     "minimize_c0",
     "minimize_ground_level",
-    "surrogate_family",
     "surrogate_level",
 ]
 
@@ -82,8 +81,9 @@ class InfeasibleLevelError(RuntimeError):
     """No feasible start produced a finite level for this (c, branch)."""
 
 
-class SurrogateInvalidError(Exception):
-    """A sampled coefficient combination left the feasible cone."""
+class SurrogateInvalidError(InfeasibleLevelError):
+    """A sampled coefficient combination left the feasible cone, or the basis
+    is not additive: the surrogate level at this (c, branch) is infeasible."""
 
 
 @dataclass
@@ -224,7 +224,7 @@ class SurrogateLevel:
 _BRANCHES = ("plus", "minus")
 
 
-def _branch_root(code: int, t_plus: float, t_minus: float, branch: str) -> float:
+def _branch_root(t_plus: float, t_minus: float, branch: str) -> float:
     if branch == "plus":
         t = t_plus
     elif branch == "minus":
@@ -249,8 +249,8 @@ def _scalar_level(
         raise InfeasibleRayError(f"coercive part not positive on this ray (N={n!r})")
     if a <= 0.0:
         raise InfeasibleRayError(f"ray outside the working cone (A={a!r})")
-    code, tp, tm = K.classify(n, b, e.alpha, e.eta, e.beta, c)
-    t = _branch_root(code, tp, tm, branch)
+    _, tp, tm = K.classify(n, b, e.alpha, e.eta, e.beta, c)
+    t = _branch_root(tp, tm, branch)
     num = (e.beta - e.eta) / e.eta * n * t**e.eta - e.beta * c
     den = (e.beta - e.alpha) / e.alpha * a * t**e.alpha
     return num / den, t
@@ -661,10 +661,14 @@ def _negated_extremal_level(working: FunctionalTriple, u: Array, b: float) -> Ev
     return -c_bar, lambda: -gradient()
 
 
-def _cluster_minima(
-    minima: list[tuple[float, Array]], level_rtol: float = 1e-6, coeff_tol: float = 1e-3
-) -> list[tuple[float, Array]]:
-    """Deduplicate (value, u) pairs; sign-aligned coefficient distance below coeff_tol merges."""
+# threshold minima within this relative level of each other are the same level,
+# and merge when their sign-aligned coefficients also differ by at most _COEFF_TOL
+_LEVEL_RTOL = 1e-6
+_COEFF_TOL = 1e-3
+
+
+def _cluster_minima(minima: list[tuple[float, Array]]) -> list[tuple[float, Array]]:
+    """Deduplicate (value, u) pairs: equal levels with close sign-aligned coefficients merge."""
     kept: list[tuple[float, Array]] = []
     for value, u in sorted(minima, key=lambda vu: vu[0]):
         idx = int(np.argmax(np.abs(u)))
@@ -672,9 +676,9 @@ def _cluster_minima(
             u = -u
         dup = False
         for kv, ku in kept:
-            if abs(value - kv) <= level_rtol * (1.0 + abs(kv)) and float(
+            if abs(value - kv) <= _LEVEL_RTOL * (1.0 + abs(kv)) and float(
                 np.max(np.abs(u - ku))
-            ) <= coeff_tol:
+            ) <= _COEFF_TOL:
                 dup = True
                 break
         if not dup:
@@ -722,9 +726,9 @@ def _minimize_ray_objective(
 
 
 def _near_best(minima: list[tuple[float, Array]]) -> tuple[float, list[Array]]:
-    """The best of sorted minima and the minimizers within relative 1e-6 of it."""
+    """The best of sorted minima and the minimizers within relative _LEVEL_RTOL of it."""
     best = minima[0][0]
-    return best, [u for value, u in minima if abs(value - best) <= 1e-6 * (1.0 + abs(best))]
+    return best, [u for value, u in minima if abs(value - best) <= _LEVEL_RTOL * (1.0 + abs(best))]
 
 
 def compute_c_star(
@@ -999,55 +1003,3 @@ def surrogate_level(
         t_root=t,
     )
 
-
-def surrogate_family(
-    constraint: SphereConstraint,
-    c: float,
-    branch: str,
-    basis: Array,
-    ks: Sequence[int],
-    n_samples: int = 64,
-    warm_by_k: dict[int, Array] | None = None,
-    params: OptimizerParams | None = None,
-) -> dict[int, SurrogateLevel]:
-    """Surrogate levels for several k over prefixes of one nested basis.
-
-    Each level k reuses the polished maximizer of level k-1 (zero-padded) as a
-    warm start, which together with the embedded sampling makes the family
-    nondecreasing in k exactly.  warm_by_k carries maximizers from a previous
-    c (curve tracing).
-    """
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    out: dict[int, SurrogateLevel] = {}
-    prev_xi: Array | None = None
-    for k in sorted(ks):
-        if k > basis.shape[0]:
-            raise ValueError(f"nested basis has {basis.shape[0]} vectors, needs {k}")
-        warm: list[Array] = []
-        if prev_xi is not None:
-            warm.append(np.concatenate([prev_xi, np.zeros(k - prev_xi.size)]))
-        if warm_by_k and k in warm_by_k:
-            warm.append(np.asarray(warm_by_k[k], dtype=float))
-        level = surrogate_level(
-            constraint,
-            c,
-            branch,
-            GenusSurrogate(k=k, basis=basis[:k], n_samples=n_samples),
-            warm_xi=warm,
-            params=params,
-        )
-        if prev_xi is not None:
-            prev = out[max(out)]
-            sign = constraint.lambda_sign
-            if sign * level.value < sign * prev.value:
-                # the embedded warm start guarantees this cannot drop; keep the bound tight
-                level = SurrogateLevel(
-                    value=prev.value,
-                    k=k,
-                    xi=np.concatenate([prev.xi, np.zeros(k - prev.xi.size)]),
-                    u_unit=prev.u_unit,
-                    t_root=prev.t_root,
-                )
-        out[k] = level
-        prev_xi = level.xi
-    return out

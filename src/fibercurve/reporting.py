@@ -141,6 +141,8 @@ def write_report_json(path, report: Mapping) -> None:
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_SVG_SIZE = (640, 480)
+_SVG_TITLE = "level curves"
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -157,9 +159,6 @@ def render_diagram_svg(
     curves: Sequence[EnergyCurve],
     c_star: float | None = None,
     c_star_star: float | None = None,
-    width: int = 640,
-    height: int = 480,
-    title: str = "level curves",
 ) -> str:
     """Draw lambda (horizontal) against c (vertical) for every traced curve.
 
@@ -191,6 +190,7 @@ def render_diagram_svg(
     lam_lo, lam_hi = lam_lo - lam_pad, lam_hi + lam_pad
     c_lo, c_hi = c_lo - c_pad, c_hi + c_pad
 
+    width, height = _SVG_SIZE
     ml, mr, mt, mb = 74, 20, 34, 52
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -205,7 +205,7 @@ def render_diagram_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{ml + pw / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{_SVG_TITLE}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#333" stroke-width="1"/>',
     ]
@@ -276,6 +276,6 @@ def render_diagram_svg(
     return "\n".join(out) + "\n"
 
 
-def write_diagram_svg(path, curves, c_star=None, c_star_star=None, **kwargs) -> None:
+def write_diagram_svg(path, curves, c_star=None, c_star_star=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_diagram_svg(curves, c_star=c_star, c_star_star=c_star_star, **kwargs))
+        fh.write(render_diagram_svg(curves, c_star=c_star, c_star_star=c_star_star))

@@ -257,6 +257,20 @@ class TestTraceAndThresholds:
         assert len(rows) == 8
         assert (out_dir / "diagram.svg").exists()
 
+    def test_infeasible_surrogate_truncates_without_traceback(self, tmp_path):
+        # Far below c*, the first coefficient sample of the k = 2 surrogate
+        # leaves the cone; that curve is truncated and every artifact written.
+        cfg = battery_config(ks=[1, 2], c_grid={"values": [-1000, -100]}, n_samples=16)
+        cfg["problem"]["n_interior"] = 31
+        cfg_path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["trace", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        assert "curve plus k=2: 0 points, truncated (stopped at c=-1000.0" in out
+        for name in ("report.json", "curves.csv", "diagram.svg", "config.echo.json"):
+            assert (out_dir / name).exists()
+
     def test_thresholds_reports_signs(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config())
         out_dir = tmp_path / "out"

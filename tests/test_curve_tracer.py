@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fibercurve.curve_tracer as ct
 from fibercurve.functional_core import ConeTag
 from fibercurve.model_problems import build_disjoint_basis, build_triple, dirichlet_problem_1d
 from fibercurve.curve_tracer import (
@@ -101,6 +102,23 @@ class TestTraceFamily:
             assert "surrogate" in p2.flags
         assert k2.verdicts["monotone_decreasing"]
 
+    def test_infeasible_surrogate_ends_only_its_curves(self, pos_problem, pos_con_plus):
+        # Far below c*, the first basis vector alone has no plus-branch
+        # scaling, so the first coefficient sample of every surrogate leaves
+        # the cone; the surrogate curves stop there and the ground curve,
+        # whose minimizers use the whole grid, goes on.
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
+        fam = trace_family(
+            pos_con_plus, [-1e4, -1e3], "plus", ks=(1, 2, 3), basis=basis,
+            multistart=4, n_samples=16,
+        )
+        assert len(fam[1].points) == 2 and fam[1].truncation_reason == ""
+        for k in (2, 3):
+            assert fam[k].points == ()
+            reason = fam[k].truncation_reason
+            assert reason.startswith("stopped at c=-10000.0: coefficient sample")
+            assert "leaves the feasible cone" in reason
+
     def test_validation(self, signed_con_both):
         with pytest.raises(ValueError, match="must be positive"):
             trace_family(signed_con_both, [-0.1, -0.01], "plus", ks=(0, 1))
@@ -171,6 +189,18 @@ class TestIntersect:
         assert out["c_increasing"] and out["norms_ok"]
         # Newton on the exact slope; bisection alone needed 34 level solves
         assert pt["iterations"] < pt["probes"] <= 12
+
+    def test_surrogate_roots_are_not_converged(self, pos_problem, pos_con_plus):
+        # k >= 2 roots are surrogate bounds, recorded like curve surrogates
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
+        lam_truth, _ = minimize_ground_level(pos_con_plus, -0.05, "plus", multistart=4)
+        out = intersect_with_lambda(
+            pos_con_plus, "plus", lam_truth, -0.2, -0.01, ks=(1, 2, 3), basis=basis,
+            n_samples=16, multistart=4,
+        )
+        assert not out["skipped"]
+        converged = {p["k"]: p["record"].converged for p in out["points"]}
+        assert converged == {1: True, 2: False, 3: False}
 
     def test_window_expansion_finds_outside_root(self, const_con_plus):
         lam_truth, _ = minimize_ground_level(const_con_plus, -0.05, "plus", multistart=8)
@@ -249,3 +279,55 @@ class TestMinusContinuation:
     def test_hypothesis_violation_raises(self, signed_con_plus):
         with pytest.raises(ValueError, match="continuation hypothesis fails"):
             extend_minus_past_cstarstar(signed_con_plus, deltas=(0.05,), multistart=16)
+
+
+class TestLevelChain:
+    def test_one_warm_start_rule(self, monkeypatch, const_con_plus, pos_con_plus):
+        # Every k = 1 level of a curve, the zero limit, the c** crossing and an
+        # intersection follows one rule: the first solve draws the cold
+        # count, later solves the warm count beside the previous minimizer,
+        # solve n is seeded (seed, n), and extra starts join every solve.
+        calls = []
+        solve, c0 = ct.minimize_ground_level, ct.minimize_c0
+
+        def recording(*args, **kwargs):
+            lam, record = solve(*args, **kwargs)
+            starts = [np.array(w) for w in kwargs["extra_starts"]]
+            calls.append((kwargs["multistart"], kwargs["seed"], starts,
+                          record.coefficients / record.t_root))
+            return lam, record
+
+        zero_level_minimizers = []
+
+        def recording_c0(*args, **kwargs):
+            c2, mins = c0(*args, **kwargs)
+            zero_level_minimizers.extend(mins)
+            return c2, mins
+
+        monkeypatch.setattr(ct, "minimize_ground_level", recording)
+        monkeypatch.setattr(ct, "minimize_c0", recording_c0)
+
+        def check(cold, warm, seed, extra=()):
+            assert len(calls) >= 3
+            assert [m for m, _, _, _ in calls] == [cold] + [warm] * (len(calls) - 1)
+            assert [s for _, s, _, _ in calls] == [(seed, n) for n in range(len(calls))]
+            previous = []
+            for _, _, starts, u in calls:
+                expected = previous + list(extra)
+                assert len(starts) == len(expected)
+                assert all(np.array_equal(a, b) for a, b in zip(starts, expected))
+                previous = [u]
+            calls.clear()
+
+        trace_family(const_con_plus, [-0.2, -0.1, -0.05], "plus", ks=(1,),
+                     multistart=6, warm_multistart=3, seed=7)
+        check(cold=6, warm=3, seed=7)
+        limit_check_zero(const_con_plus, schedule=(-1e-2, -1e-3, -1e-4), multistart=3, seed=7)
+        check(cold=3, warm=3, seed=7)
+        extend_minus_past_cstarstar(pos_con_plus, deltas=(0.05,), multistart=3, seed=7)
+        assert zero_level_minimizers
+        check(cold=3, warm=3, seed=7, extra=zero_level_minimizers)
+        lam_truth, _ = solve(const_con_plus, -0.05, "plus", multistart=4)
+        intersect_with_lambda(const_con_plus, "plus", lam_truth, -0.2, -0.01, multistart=24,
+                              seed=7)
+        check(cold=24, warm=3, seed=(7, 1))

@@ -148,13 +148,10 @@ def test_with_negated_a_flips_sign_bit_exactly():
         assert phi(TOY, lam, u) == phi(flipped, -lam, u)
 
 
-def test_norm_of_default_and_override():
+def test_norm_of_default():
     u = np.array([1.0, 2.0, -0.5])
     e = TOY.exponents
     assert TOY.norm_of(u) == TOY.eval_N(u) ** (1.0 / e.eta)
-    import dataclasses
-    other = dataclasses.replace(TOY, norm=lambda v: float(np.linalg.norm(v)))
-    assert other.norm_of(u) == np.linalg.norm(u)
 
 
 def test_toy_triple_has_identity_metric():

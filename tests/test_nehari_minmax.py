@@ -9,6 +9,7 @@ import pytest
 
 import fibercurve.nehari_minmax as nm
 from conftest import random_cone_point
+from fibercurve.curve_tracer import _LevelChain, trace_family
 from fibercurve.fibering import classify_and_solve, ray_data, restricted_lambda
 from fibercurve.functional_core import ConeTag, FunctionalTriple, phi
 from fibercurve.model_problems import (
@@ -31,7 +32,6 @@ from fibercurve.nehari_minmax import (
     level_slope,
     minimize_c0,
     minimize_ground_level,
-    surrogate_family,
     surrogate_level,
 )
 
@@ -504,19 +504,22 @@ class TestSurrogates:
         assert level.k == 1
 
     def test_family_is_monotone_in_k(self, signed_problem, signed_con_both):
+        # the ground level, then surrogates chained in k over one nested basis
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 3)
-        fam = surrogate_family(
-            signed_con_both, -0.05, "plus", basis, ks=(1, 2, 3), n_samples=24
+        fam = trace_family(
+            signed_con_both, [-0.05], "plus", ks=(1, 2, 3), basis=basis, multistart=16,
+            n_samples=24,
         )
-        assert fam[1].value <= fam[2].value <= fam[3].value
+        lams = [fam[k].points[0].lam for k in (1, 2, 3)]
+        assert lams[0] <= lams[1] <= lams[2]
 
     def test_surrogate_bounds_ground_from_above(self, signed_problem, signed_con_both):
-        basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
-        fam = surrogate_family(
-            signed_con_both, -0.05, "plus", basis, ks=(1,), n_samples=24
+        basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)[:1]
+        level = surrogate_level(
+            signed_con_both, -0.05, "plus", GenusSurrogate(k=1, basis=basis, n_samples=24)
         )
         lam, _ = minimize_ground_level(signed_con_both, -0.05, "plus", multistart=16)
-        assert fam[1].value >= lam - 1e-12
+        assert level.value >= lam - 1e-12
 
     def test_infeasible_basis_raises(self, signed_problem):
         tri = build_triple(signed_problem)
@@ -591,8 +594,9 @@ class TestSurrogates:
             tag = ConeTag.A_POS_B_POS if branch == "minus" else ConeTag.A_POS
             con = SphereConstraint(triple=build_triple(problem), tag=tag)
             basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 3)
+            chain = _LevelChain(con, branch, (2, 3), basis=basis, n_samples=16, params=params)
             for c in cs:
-                surrogate_family(con, c, branch, basis, ks=(2, 3), n_samples=16, params=params)
+                assert set(chain(c)) == {2, 3}
         assert len(polishes) >= 36
         for _, _, iterations, converged, gnorm in polishes:
             assert converged and gnorm <= params.gtol and iterations <= 30
@@ -685,8 +689,8 @@ class TestSurrogates:
 
     def test_family_needs_enough_basis_vectors(self, signed_problem, signed_con_both):
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
-        with pytest.raises(ValueError, match="needs 3"):
-            surrogate_family(signed_con_both, -0.05, "plus", basis, ks=(3,))
+        with pytest.raises(ValueError, match="basis has 2 vectors, largest requested k is 3"):
+            _LevelChain(signed_con_both, "plus", (3,), basis=basis)
 
     def test_warm_xi_shape_checked(self, pos_con_plus):
         u = np.ones(pos_con_plus.triple.dim)
