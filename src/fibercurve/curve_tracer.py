@@ -451,7 +451,8 @@ def intersect_with_lambda(
     root (on the plus branch in log|c| and log|level|, where the power law
     is nearly linear), bisecting whenever a Newton step leaves the bracket
     or fails to halve the step before last; it stops when the step or the
-    bracket is below tol_c * (1 + |c|), after at most 200 steps.
+    bracket is below tol_c * (1 + |c|), or tol_c * |c| on the plus branch,
+    whose roots can lie at |c| far below 1; after at most 200 steps.
     Each k follows its own _LevelChain, seeded (seed, k), whose probes after
     the first draw max(2, multistart // 8) starts beside the warm one.  Each
     k either yields a root entry or a skip entry with a reason; family
@@ -608,9 +609,11 @@ def _intersect_single(
     a, b, f_a = lo.c, hi.c, lo.f
     point = lo if abs(lo.f) <= abs(hi.f) else hi
     dx_old = dx = b - a
+    # plus roots approach the ceiling c = 0, so their stop is relative to |c|
+    plus = chain.branch == "plus"
     it = 0
     for it in range(1, _MAX_REFINE + 1):
-        newton = _power_law_root(point, lam_target) if chain.branch == "plus" else None
+        newton = _power_law_root(point, lam_target) if plus else None
         if newton is None:
             newton = point.c - point.f / point.slope
         if not (a < newton < b) or abs(2.0 * (newton - point.c)) > abs(dx_old):
@@ -620,13 +623,14 @@ def _intersect_single(
             dx_old, dx = dx, newton - point.c
             c = newton
         point = sample(c)
-        if point.f == 0.0 or abs(dx) <= tol_c * (1.0 + abs(c)):
+        tol = tol_c * (abs(c) if plus else 1.0 + abs(c))
+        if point.f == 0.0 or abs(dx) <= tol:
             break
         if (point.f > 0.0) == (f_a > 0.0):
             a, f_a = c, point.f
         else:
             b = c
-        if b - a <= tol_c * (1.0 + abs(c)):
+        if b - a <= tol:
             break
     return result(point, it)
 

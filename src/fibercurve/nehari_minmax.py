@@ -102,6 +102,11 @@ _STEP_MIN = 1e-16
 # iteration cap of the surrogate polish, and random draws per start
 _POLISH_ITER = 200
 _START_ATTEMPTS = 200
+# Merge radius of a found minimizer in a multistart, relative to its sup-norm
+# (0.42 to 0.83 for unit grid minimizers, whatever the grid size).  On the
+# 1D Dirichlet instance with weights 1+x and cos(2 pi x)+0.2, a minus-branch
+# descent 0.084 relative from a local minimizer still ends in the lower one.
+_MERGE_RTOL = 0.03
 
 
 @dataclass
@@ -167,7 +172,10 @@ class CriticalPointRecord:
     coefficient-gradient norm of the energy at (lam, v) relative to the
     largest of its three term norms; energy_defect is |phi(lam, v) - c|.
     converged reports the optimizer's own stopping test, not the residual
-    thresholds, so certification stays a separate check.
+    thresholds, so certification stays a separate check.  Ground levels
+    (minimize_ground_level) also count the descents their multistart ran
+    (starts) and how many of those merged into a minimizer found before them
+    (merged_starts); other records leave both 0.
     """
 
     branch: str
@@ -181,6 +189,8 @@ class CriticalPointRecord:
     energy_defect: float
     iterations: int
     converged: bool
+    starts: int = 0
+    merged_starts: int = 0
 
 
 @dataclass(frozen=True)
@@ -402,6 +412,8 @@ def _sphere_descend(
     evaluate: Evaluation,
     u0: Array,
     params: OptimizerParams,
+    *,
+    merge: Callable[[Array, float], bool] | None = None,
 ) -> tuple[Array, float, int, bool, float]:
     """Preconditioned gradient descent with renormalization after every step.
 
@@ -439,6 +451,10 @@ def _sphere_descend(
     carries more rounding noise than a step toward the optimum can gain, as
     on minus-branch levels at c far above c**, where the level's numerator
     cancels.
+
+    merge(u, value), when given, is asked after every accepted step; when it
+    holds, the descent stops there, not converged, with the gradient norm of
+    the iterate before (see _multistart).
     """
     metric, metric_solve = working.metric, working.metric_solve
     u = _normalize(working, u0)
@@ -488,6 +504,8 @@ def _sphere_descend(
         if not accepted:
             # line search exhausted: flat valley or cone-boundary pin
             return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
+        if merge is not None and merge(u, value):
+            return u, value, it, False, gnorm
         recent.append(value)
         if len(recent) > _WINDOW:
             recent.pop(0)
@@ -574,13 +592,46 @@ def _multistart(
     seed,
     params: OptimizerParams,
     extra_starts: Sequence[Array] = (),
-) -> list[tuple[Array, float, int, bool, float]]:
-    """One _sphere_descend result per start: the usable extra_starts, then
-    count drawn starts."""
+) -> tuple[list[tuple[Array, float, int, bool, float]], int]:
+    """Descend from the usable extra_starts, then from count drawn starts.
+
+    Returns the _sphere_descend result of every descent that did not merge,
+    in start order, and the number that merged.  This is the clustering rule
+    of multi-level single linkage (Rinnooy Kan and Timmer, Math. Programming
+    39, 1987): the minimizer of every converged descent is found, and a later
+    descent merges when it ends, not converged, within _MERGE_RTOL times a
+    found minimizer's sup-norm of it, in the sign-aligned sup-norm of
+    _cluster_minima, with its value still above that minimizer's.  Its
+    descent ends at the first accepted step that gets there.  A descent below
+    every found minimizer never merges, so a lower basin is still found.
+    Whether a descent merges depends only on the starts before it, so more
+    drawn starts can only add results.
+    """
     working = constraint.working
     starts = [u for w in extra_starts if (u := _first_usable(working, usable, (w,))) is not None]
     starts += _draw_starts(constraint, count, seed, purpose, usable)
-    return [_sphere_descend(working, evaluate, u0, params) for u0 in starts]
+    found: list[tuple[float, Array, float]] = []  # (value, sign-aligned minimizer, radius)
+
+    def merges(u: Array, value: float) -> bool:
+        above = [(m, radius) for v, m, radius in found if value > v]
+        if not above:
+            return False
+        aligned = _sign_aligned(u)
+        return any(float(np.max(np.abs(aligned - m))) <= radius for m, radius in above)
+
+    results = []
+    merged = 0
+    for u0 in starts:
+        result = _sphere_descend(working, evaluate, u0, params, merge=merges)
+        u, value, _, converged, _ = result
+        if converged:
+            m = _sign_aligned(u)
+            found.append((value, m, _MERGE_RTOL * float(np.max(m))))
+        elif merges(u, value):
+            merged += 1
+            continue
+        results.append(result)
+    return results, merged
 
 
 _PURPOSE = {"plus": 1, "minus": 2, "c_star": 3, "c_star_star": 4, "c0": 5}
@@ -598,14 +649,19 @@ def minimize_ground_level(
     """Multistart ground level (k = 1): minimize the restricted parameter.
 
     Starts are deterministic functions of (seed, branch, index); extra_starts
-    allows warm starting from neighboring levels (infeasible ones are skipped).
-    The first minimum in start order wins.  Raises InfeasibleLevelError when
-    nothing feasible exists at this (c, branch).
+    allows warm starting from neighboring levels (infeasible ones are skipped)
+    and runs first.  A descent that comes close to a minimizer an earlier
+    descent converged to, while still above it, merges: it stops and is
+    dropped (_multistart).  The first minimum in start order of the other
+    descents wins, so a larger multistart can only lower the level.  The
+    record counts the descents run (starts) and merged (merged_starts).
+    Raises InfeasibleLevelError when nothing feasible exists at this
+    (c, branch).
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     evaluate = _level_evaluation(constraint, c, branch)
-    results = _multistart(
+    results, merged = _multistart(
         constraint, evaluate, _start_rule(evaluate), _PURPOSE[branch], multistart, seed,
         params or OptimizerParams(), extra_starts,
     )
@@ -617,7 +673,7 @@ def minimize_ground_level(
     record = extract_critical_point(
         constraint, c, branch, u, k=1, iterations=iters, converged=ok
     )
-    return record.lam, record
+    return record.lam, replace(record, starts=len(results) + merged, merged_starts=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +723,17 @@ _LEVEL_RTOL = 1e-6
 _COEFF_TOL = 1e-3
 
 
+def _sign_aligned(u: Array) -> Array:
+    """u or -u, whichever has its entry of largest magnitude positive; the
+    triples are even, so both are the same point of the level."""
+    return -u if u[int(np.argmax(np.abs(u)))] < 0.0 else u
+
+
 def _cluster_minima(minima: list[tuple[float, Array]]) -> list[tuple[float, Array]]:
     """Deduplicate (value, u) pairs: equal levels with close sign-aligned coefficients merge."""
     kept: list[tuple[float, Array]] = []
     for value, u in sorted(minima, key=lambda vu: vu[0]):
-        idx = int(np.argmax(np.abs(u)))
-        if u[idx] < 0.0:
-            u = -u
+        u = _sign_aligned(u)
         dup = False
         for kv, ku in kept:
             if abs(value - kv) <= _LEVEL_RTOL * (1.0 + abs(kv)) and float(
@@ -719,7 +779,7 @@ def _minimize_ray_objective(
 
     rule = _start_rule(evaluate)
     usable = rule if with_a else (lambda u: constraint.feasible(u) and rule(u))
-    results = _multistart(
+    results, _ = _multistart(
         constraint, evaluate, usable, purpose, multistart, seed, params or OptimizerParams()
     )
     return _cluster_minima([(value, u) for u, value, _, _, _ in results])

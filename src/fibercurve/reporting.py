@@ -42,6 +42,9 @@ CSV_COLUMNS = (
 
 
 def curve_rows(curves: Sequence[EnergyCurve]) -> list[dict]:
+    """One dict per curve point: the CSV_COLUMNS, and the descents the
+    point's multistart ran and merged (starts, merged_starts; 0 for
+    surrogates), which only the JSON report carries."""
     rows = []
     for curve in curves:
         for p in curve.points:
@@ -57,6 +60,8 @@ def curve_rows(curves: Sequence[EnergyCurve]) -> list[dict]:
                     "energy_defect": p.record.energy_defect,
                     "converged": p.record.converged,
                     "flags": ";".join(p.flags),
+                    "starts": p.record.starts,
+                    "merged_starts": p.record.merged_starts,
                 }
             )
     return rows
@@ -107,7 +112,8 @@ def build_report(
     extras: Mapping | None = None,
     timing_seconds: Mapping | None = None,
 ) -> dict:
-    """Assemble the run report; curve points inline the CSV fields."""
+    """Assemble the run report; curve points inline the CSV fields and the
+    multistart counts (curve_rows)."""
     curve_block = {}
     for curve in curves:
         key = f"{curve.branch}_k{curve.k}"

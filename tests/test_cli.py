@@ -173,6 +173,17 @@ class TestArtifacts:
             assert isinstance(report["verdicts"][name], bool)
         assert all(t > 0.0 for t in report["timing_seconds"].values())
 
+    def test_points_count_their_starts(self, verify_pass):
+        # a curve's first level draws multistart starts, each later one the
+        # warm start and warm_multistart draws; merged descents count in both
+        report = json.loads((verify_pass["dir"] / "report.json").read_text())
+        points = [p for curve in report["curves"].values() for p in curve["points"]]
+        for curve in report["curves"].values():
+            starts = [p["starts"] for p in curve["points"]]
+            assert starts == [8] + [5] * (len(starts) - 1)
+        assert all(0 <= p["merged_starts"] < p["starts"] for p in points)
+        assert sum(p["merged_starts"] for p in points) > 0
+
     def test_curve_points_mirror_csv(self, verify_pass):
         report = json.loads((verify_pass["dir"] / "report.json").read_text())
         rows = list(csv.DictReader(io.StringIO((verify_pass["dir"] / "curves.csv").read_text())))

@@ -15,6 +15,7 @@ from fibercurve.functional_core import ConeTag, FunctionalTriple, phi
 from fibercurve.model_problems import (
     build_disjoint_basis,
     build_triple,
+    cone_node_mask,
     dirichlet_problem_1d,
 )
 from fibercurve.nehari_minmax import (
@@ -479,15 +480,124 @@ class TestStartRule:
         starts = []
         descend = nm._sphere_descend
 
-        def recording(working, evaluate, u0, params):
+        def recording(working, evaluate, u0, params, *, merge=None):
             starts.append(u0)
-            return descend(working, evaluate, u0, params)
+            return descend(working, evaluate, u0, params, merge=merge)
 
         monkeypatch.setattr(nm, "_sphere_descend", recording)
         minimize_c0(tri, multistart=8, seed=0)
         assert len(starts) == 8
         a_cone = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
         assert all(a_cone.feasible(u) for u in starts)
+
+
+def two_basin_triple(w_low=2.0):
+    """N = |u|**4, A = |u_1|**3 + w_low |u_2|**3, B = |u|**6 on R^2.
+
+    N and B are constant on the unit circle, so the level falls as A rises.
+    With alpha = 3 > 2 both axes are local maxima of A: the level has a basin
+    at (1, 0) and a lower one at (0, 1), whose level is 1/w_low times the first.
+    """
+    from fibercurve.functional_core import Exponents
+
+    w = np.array([1.0, w_low])
+
+    def sq(u):
+        return float(np.dot(u, u))
+
+    return FunctionalTriple(
+        exponents=Exponents(3.0, 4.0, 6.0),
+        dim=2,
+        eval_N=lambda u: sq(u) ** 2,
+        eval_A=lambda u: float(np.dot(w, np.abs(u) ** 3)),
+        eval_B=lambda u: sq(u) ** 3,
+        grad_N=lambda u: 4.0 * sq(u) * np.asarray(u, dtype=float),
+        grad_A=lambda u: 3.0 * w * np.abs(u) * u,
+        grad_B=lambda u: 6.0 * sq(u) ** 2 * np.asarray(u, dtype=float),
+    )
+
+
+class TestMultistartMerge:
+    """A descent that enters a found minimizer's basin above it merges."""
+
+    # plus levels exist for c_bar = -1/324 < c < 0 on the two-basin circle
+    C = -1e-3
+
+    def test_drawn_start_finds_the_lower_basin(self):
+        con = SphereConstraint(two_basin_triple(), tag=ConeTag.A_POS)
+        warm = [np.array([1.0, 0.1]), np.array([-1.0, 0.05])]
+        lam_high, _ = minimize_ground_level(con, self.C, "plus", multistart=0, extra_starts=warm)
+        lam, rec = minimize_ground_level(
+            con, self.C, "plus", multistart=8, seed=0, extra_starts=warm
+        )
+        assert lam == pytest.approx(0.5 * lam_high, rel=1e-10)
+        assert rec.converged
+        assert abs(rec.coefficients[1]) / rec.u_norm == pytest.approx(1.0, abs=1e-6)
+        assert rec.starts == 10
+        # the second warm start lies in the first one's basin, as do some draws
+        assert rec.merged_starts >= 1
+
+    def test_descent_below_a_found_minimizer_never_merges(self):
+        # With w_low = 100 the basin of (1, 0) ends 0.01 rad from it, and
+        # from 0.015 rad on the level lies below its minimum.  A start 0.016
+        # rad away takes its first step to 0.025 rad, inside the merge
+        # radius but below the found minimizer, and goes on to the lower basin.
+        con = SphereConstraint(two_basin_triple(w_low=100.0), tag=ConeTag.A_POS)
+        found = np.array([1.0, 0.0])
+        near = np.array([math.cos(0.016), math.sin(0.016)])
+        assert float(np.max(np.abs(near - found))) <= nm._MERGE_RTOL
+        lam_high, _ = minimize_ground_level(con, self.C, "plus", multistart=0, extra_starts=[found])
+        lam, rec = minimize_ground_level(
+            con, self.C, "plus", multistart=0, extra_starts=[found, near]
+        )
+        assert lam == pytest.approx(0.01 * lam_high, rel=1e-10)
+        assert (rec.starts, rec.merged_starts) == (2, 0)
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_merged_iterates_descend_into_their_minimizer(self, monkeypatch, pos_problem, branch):
+        # the `report` instance and its curve grids, solved as its curves are
+        tag = ConeTag.A_POS if branch == "plus" else ConeTag.A_POS_B_POS
+        con = SphereConstraint(
+            build_triple(pos_problem), tag=tag, start_support=cone_node_mask(pos_problem, tag)
+        )
+        grid = [-7.86, -6.09, -4.32, -2.55, -0.79]
+        if branch == "minus":
+            grid += [70.7, 141.4, 212.1]
+        found: dict = {}  # merge predicate of one multistart -> its converged (value, u)
+        merged = []
+        descend = nm._sphere_descend
+
+        def recording(working, evaluate, u0, params, *, merge=None):
+            def watching(u, value):
+                if merge(u, value):
+                    merged.append((list(found[merge]), working, evaluate, u, value))
+                    return True
+                return False
+
+            found.setdefault(merge, [])
+            out = descend(working, evaluate, u0, params, merge=watching)
+            if out[3]:
+                found[merge].append((out[1], out[0]))
+            return out
+
+        monkeypatch.setattr(nm, "_sphere_descend", recording)
+        trace_family(con, grid, branch, ks=(1,), multistart=8, warm_multistart=4, seed=0)
+        assert len(merged) >= 10
+
+        def distance(u, m):
+            return float(np.max(np.abs(nm._sign_aligned(u) - nm._sign_aligned(m))))
+
+        for minima, working, evaluate, u, value in merged:
+            into = [
+                (distance(u, m), v, m) for v, m in minima
+                if value > v and distance(u, m) <= nm._MERGE_RTOL * float(np.max(np.abs(m)))
+            ]
+            assert into
+            _, v, m = min(into, key=lambda dvm: dvm[0])
+            end, end_value, _, converged, _ = descend(working, evaluate, u, OptimizerParams())
+            assert converged
+            assert distance(end, m) <= nm._COEFF_TOL
+            assert end_value >= v - 1e-6 * (1.0 + abs(v))
 
 
 class TestSurrogates:
