@@ -175,6 +175,16 @@ def merge_config(user: dict) -> dict:
     return cfg
 
 
+def _axis_counts(pcfg: dict, key: str, dim: int, what: str) -> list[int]:
+    """pcfg[key] as one node count per axis; a 1D count may be a bare number."""
+    value = pcfg[key]
+    counts = list(value) if isinstance(value, (list, tuple)) else [value]
+    if len(counts) != dim:
+        axes = ", ".join(("nx", "ny")[:dim])
+        raise ConfigError(f"{dim}d {what} need problem.{key} = [{axes}]")
+    return [int(n) for n in counts]
+
+
 def _build_problem(pcfg: dict) -> PLaplacianProblem:
     kind = pcfg["kind"]
     dim = pcfg["dimension"]
@@ -184,33 +194,21 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
         raise ConfigError(f"problem.dimension must be 1 or 2, got {dim!r}")
 
     if kind == "dirichlet":
-        n_int = pcfg["n_interior"]
-        if n_int is None:
+        if pcfg["n_interior"] is None:
             raise ConfigError("dirichlet problems need problem.n_interior")
+        counts = _axis_counts(pcfg, "n_interior", dim, "problems")
         bounds = pcfg["bounds"]
-        if dim == 1:
-            bounds = (0.0, 1.0) if bounds is None else tuple(bounds)
-            grid = Grid(1, (bounds,), (int(n_int) + 2,), dirichlet=True)
-        else:
-            if not isinstance(n_int, (list, tuple)) or len(n_int) != 2:
-                raise ConfigError("2d problems need problem.n_interior = [nx, ny]")
-            if bounds is None:
-                bounds = ((0.0, 1.0), (0.0, 1.0))
-            else:
-                bounds = tuple(tuple(b) for b in bounds)
-            grid = Grid(2, bounds, tuple(int(n) + 2 for n in n_int), dirichlet=True)
+        if bounds is None:
+            bounds = [(0.0, 1.0)] * dim
+        elif bounds and not isinstance(bounds[0], (list, tuple)):
+            bounds = [bounds]  # one axis, written as a bare pair
+        grid = Grid(dim, tuple(tuple(b) for b in bounds), tuple(n + 2 for n in counts))
     else:
-        n_nodes = pcfg["n_nodes"]
-        radius = pcfg["radius"]
-        if n_nodes is None or radius is None:
+        if pcfg["n_nodes"] is None or pcfg["radius"] is None:
             raise ConfigError("truncated problems need problem.n_nodes and problem.radius")
-        r = float(radius)
-        if dim == 1:
-            grid = Grid(1, ((-r, r),), (int(n_nodes),), dirichlet=False)
-        else:
-            if not isinstance(n_nodes, (list, tuple)) or len(n_nodes) != 2:
-                raise ConfigError("2d truncated problems need problem.n_nodes = [nx, ny]")
-            grid = Grid(2, ((-r, r), (-r, r)), tuple(int(n) for n in n_nodes), dirichlet=False)
+        r = float(pcfg["radius"])
+        counts = _axis_counts(pcfg, "n_nodes", dim, "truncated problems")
+        grid = Grid(dim, ((-r, r),) * dim, tuple(counts), dirichlet=False)
 
     wcfg = pcfg["weights"]
     if not isinstance(wcfg, dict):
@@ -286,19 +284,23 @@ def _c_values(cfg: dict) -> list[float]:
         raise ConfigError("this command needs a c_grid section")
     if not isinstance(gcfg, dict):
         raise ConfigError("c_grid must be an object")
-    if "values" in gcfg:
-        values = [float(v) for v in gcfg["values"]]
-    else:
-        for key in ("from", "to", "n"):
-            if key not in gcfg:
-                raise ConfigError("c_grid needs either values or from/to/n")
-        spacing = gcfg.get("spacing", "geometric")
-        if spacing == "geometric":
-            values = list(geometric_grid(float(gcfg["from"]), float(gcfg["to"]), int(gcfg["n"])))
-        elif spacing == "linear":
-            values = list(np.linspace(float(gcfg["from"]), float(gcfg["to"]), int(gcfg["n"])))
+    try:
+        if "values" in gcfg:
+            values = [float(v) for v in gcfg["values"]]
         else:
-            raise ConfigError(f"c_grid.spacing must be geometric or linear, got {spacing!r}")
+            for key in ("from", "to", "n"):
+                if key not in gcfg:
+                    raise ConfigError("c_grid needs either values or from/to/n")
+            ends, n = (float(gcfg["from"]), float(gcfg["to"])), int(gcfg["n"])
+            spacing = gcfg.get("spacing", "geometric")
+            if spacing == "geometric":
+                values = list(geometric_grid(*ends, n))
+            elif spacing == "linear":
+                values = list(np.linspace(*ends, n))
+            else:
+                raise ConfigError(f"c_grid.spacing must be geometric or linear, got {spacing!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad c_grid: {exc}") from None
     values = sorted(float(v) for v in values)
     if len(values) < 1:
         raise ConfigError("c_grid is empty")
@@ -338,6 +340,8 @@ def _trace_branches(setup: Setup, plus_grid, minus_grid, log=None):
     given, receives one line per curve.
     """
     ks = sorted(set(int(k) for k in setup.cfg["ks"]))
+    if not ks or ks[0] < 1:
+        raise ConfigError(f"ks must list curve indices k >= 1, got {setup.cfg['ks']!r}")
     basis = setup.basis(max(ks)) if max(ks) > 1 else None
     fams = {}
     curves = []
@@ -392,6 +396,8 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
     k = int(cfg["k"])
     if branch not in ("plus", "minus"):
         raise ConfigError(f"unknown branch {branch!r}")
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
     t0 = time.perf_counter()
     curves = [_trace_one_point(setup, c, branch, k)]
     elapsed = time.perf_counter() - t0

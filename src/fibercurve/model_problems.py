@@ -17,11 +17,21 @@ in 1D; a "rows,cols" header then row-major rows in 2D).
 
 The flat degree-of-freedom ordering is C order over grid indices (x index
 varies slowest in 2D).
+
+One code path serves every dimension: Grid.interior selects the
+degree-of-freedom nodes, quadrature and sign masks loop over cell corners, and
+the gradient kernel and the metric share one forward-difference stencil (per
+axis, a difference at each cell's lower corner and its transpose scatter).
+The metric M (the p = 2 stiffness, plus the lumped mass on truncated
+problems) has one solver per input: Thomas sweeps in 1D, a DST-I
+diagonalization on 2D Dirichlet grids, and none on 2D truncated grids, where
+descent keeps the Euclidean metric.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -29,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .functional_core import ConeTag, Exponents, FunctionalTriple
+from .functional_core import ConeTag, Exponents, FunctionalTriple, cone_membership
+from .nehari_minmax import minimize_c0
 
 Array = np.ndarray
 
@@ -88,7 +99,7 @@ class Grid:
     def cell_shape(self) -> tuple[int, ...]:
         return tuple(n - 1 for n in self.n_nodes)
 
-    @property
+    @cached_property
     def dof_shape(self) -> tuple[int, ...]:
         if self.dirichlet:
             return tuple(n - 2 for n in self.n_nodes)
@@ -97,6 +108,12 @@ class Grid:
     @cached_property
     def n_dof(self) -> int:
         return int(np.prod(self.dof_shape))
+
+    @cached_property
+    def interior(self) -> tuple[slice, ...]:
+        """Index of the degree-of-freedom nodes within the full node array."""
+        keep = slice(1, -1) if self.dirichlet else slice(None)
+        return (keep,) * self.dimension
 
     @property
     def cell_volume(self) -> float:
@@ -112,10 +129,8 @@ class Grid:
 
     def midpoint_mesh(self) -> dict[str, Array]:
         """Cell-midpoint coordinate arrays keyed by variable name, cell-shaped."""
-        if self.dimension == 1:
-            return {"x": self.cell_midpoints(0)}
-        mx, my = np.meshgrid(self.cell_midpoints(0), self.cell_midpoints(1), indexing="ij")
-        return {"x": mx, "y": my}
+        mids = (self.cell_midpoints(axis) for axis in range(self.dimension))
+        return dict(zip(("x", "y"), np.meshgrid(*mids, indexing="ij")))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +244,7 @@ def _read_weight_csv(path: str, cell_shape: tuple[int, ...]) -> Array:
                 f"weight file {path} has {values.size} values, grid needs {cell_shape[0]}"
             )
         return values
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     if len(header) != 2:
         raise ValueError(f'weight file {path} must start with a "rows,cols" header')
     rows, cols = (int(tok) for tok in header)
@@ -368,32 +383,31 @@ def truncated_problem_1d(
 # node-weight assembly (trapezoid quadrature)
 
 
+def _cell_corners(grid: Grid):
+    """Node-array slices of each cell's corners, the lower corner first.
+
+    The first axis varies fastest, (lo, lo), (hi, lo), (lo, hi), (hi, hi) in
+    2D, which is the order the node weights have always been summed in.
+    """
+    for corner in itertools.product((slice(None, -1), slice(1, None)), repeat=grid.dimension):
+        yield corner[::-1]
+
+
 def _node_weights_from_cells(grid: Grid, cell_values: Array) -> Array:
     """Scatter cell weights to nodes: each cell spreads evenly to its corners.
 
     The trapezoid quadrature sum over cells of w_cell * vol * mean_corners(f)
     equals the node sum of (scattered weight) * vol * f(node).
     """
-    shape = grid.n_nodes
-    out = np.zeros(shape)
-    if grid.dimension == 1:
-        out[:-1] += 0.5 * cell_values
-        out[1:] += 0.5 * cell_values
-    else:
-        out[:-1, :-1] += 0.25 * cell_values
-        out[1:, :-1] += 0.25 * cell_values
-        out[:-1, 1:] += 0.25 * cell_values
-        out[1:, 1:] += 0.25 * cell_values
+    out = np.zeros(grid.n_nodes)
+    share = 0.5**grid.dimension * cell_values
+    for corner in _cell_corners(grid):
+        out[corner] += share
     return out
 
 
 def _dof_node_weights(grid: Grid, cell_values: Array) -> Array:
-    full = _node_weights_from_cells(grid, cell_values)
-    if grid.dirichlet:
-        if grid.dimension == 1:
-            return full[1:-1]
-        return full[1:-1, 1:-1]
-    return full
+    return _node_weights_from_cells(grid, cell_values)[grid.interior]
 
 
 def _embed(grid: Grid, u: Array) -> Array:
@@ -404,19 +418,12 @@ def _embed(grid: Grid, u: Array) -> Array:
     if not grid.dirichlet:
         return u.reshape(grid.n_nodes)
     full = np.zeros(grid.n_nodes)
-    if grid.dimension == 1:
-        full[1:-1] = u
-    else:
-        full[1:-1, 1:-1] = u.reshape(grid.dof_shape)
+    full[grid.interior] = u.reshape(grid.dof_shape)
     return full
 
 
 def _restrict(grid: Grid, full: Array) -> Array:
-    if not grid.dirichlet:
-        return full.ravel()
-    if grid.dimension == 1:
-        return full[1:-1].copy()
-    return full[1:-1, 1:-1].ravel()
+    return full[grid.interior].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +432,8 @@ def _restrict(grid: Grid, full: Array) -> Array:
 
 # The kernels below run on vectors of a few dozen entries, where numpy's
 # Python-level wrappers cost more than the arithmetic.  np.add.reduce(x,
-# axis=None) is the reduction np.sum(x) runs and full[1:] - full[:-1] the
-# subtraction np.diff(full) runs, so the results are the same floats.
+# axis=None) is the reduction np.sum(x) runs and full[hi] - full[lo] the
+# subtraction np.diff(full, axis=i) runs, so the results are the same floats.
 
 
 def _power_term(grid: Grid, node_w: Array, exponent: float):
@@ -444,47 +451,61 @@ def _power_term(grid: Grid, node_w: Array, exponent: float):
     return value, grad
 
 
-def _gradient_part_1d(grid: Grid, p: float, eps_reg: float):
-    h = grid.spacing[0]
+def _forward_differences(grid: Grid):
+    """(differences, scatter, factors) of the per-cell forward-difference stencil.
 
-    def value(full: Array) -> float:
-        d = (full[1:] - full[:-1]) / h
-        return float(np.add.reduce((d * d + eps_reg * eps_reg) ** (p / 2.0), axis=None) * h)
+    differences(full) lists, per axis i, g_i = (u[cell + e_i] - u[cell]) / h_i
+    with each cell anchored at its lower corner.  scatter(c, scales) is its
+    transpose: each cell's c_i * scales[i] leaves the lower corner and lands
+    on corner + e_i.  The node gradient of vol * sum over cells of F(g) is
+    scatter(dF/dg, factors), where factors[i] = vol / h_i is exactly 1.0 in
+    1D.  The slices are built once, and the per-call loops are plain for
+    loops: a comprehension costs one more Python frame per call.
+    """
+    lo = (slice(None, -1),) * grid.dimension
+    his = [lo[:i] + (slice(1, None),) + lo[i + 1 :] for i in range(grid.dimension)]
+    axes = list(zip(his, grid.spacing))
 
-    def grad_full(full: Array) -> Array:
-        d = (full[1:] - full[:-1]) / h
-        psi = (d * d + eps_reg * eps_reg) ** ((p - 2.0) / 2.0) * d
-        out = np.zeros(full.shape)
-        out[:-1] -= p * psi
-        out[1:] += p * psi
+    def differences(full: Array) -> list[Array]:
+        base = full[lo]
+        g = []
+        for hi, h in axes:
+            g.append((full[hi] - base) / h)
+        return g
+
+    def scatter(coeffs: list[Array], scales: list[float]) -> Array:
+        out = np.zeros(grid.n_nodes)
+        for hi, c, s in zip(his, coeffs, scales):
+            c = c * s
+            out[lo] -= c
+            out[hi] += c
         return out
 
-    return value, grad_full
+    return differences, scatter, [grid.cell_volume / h for h in grid.spacing]
 
 
-def _gradient_part_2d(grid: Grid, p: float, eps_reg: float):
-    hx, hy = grid.spacing
+def _gradient_part(grid: Grid, p: float, eps_reg: float):
+    """Value and full-node gradient of vol * sum over cells of (|g|^2 + eps_reg^2)^(p/2)."""
+    differences, scatter, factors = _forward_differences(grid)
     vol = grid.cell_volume
+    eps2 = eps_reg * eps_reg
+    scales = [p * f for f in factors]
 
     def value(full: Array) -> float:
-        gx = (full[1:, :-1] - full[:-1, :-1]) / hx
-        gy = (full[:-1, 1:] - full[:-1, :-1]) / hy
-        mag2 = gx * gx + gy * gy + eps_reg * eps_reg
+        mag2 = eps2
+        for g in differences(full):
+            mag2 = mag2 + g * g
         return float(np.add.reduce(mag2 ** (p / 2.0), axis=None) * vol)
 
     def grad_full(full: Array) -> Array:
-        gx = (full[1:, :-1] - full[:-1, :-1]) / hx
-        gy = (full[:-1, 1:] - full[:-1, :-1]) / hy
-        mag2 = gx * gx + gy * gy + eps_reg * eps_reg
-        w = p * mag2 ** ((p - 2.0) / 2.0)
-        cx = w * gx * vol / hx
-        cy = w * gy * vol / hy
-        out = np.zeros(full.shape)
-        out[:-1, :-1] -= cx
-        out[1:, :-1] += cx
-        out[:-1, :-1] -= cy
-        out[:-1, 1:] += cy
-        return out
+        g = differences(full)
+        mag2 = eps2
+        for gi in g:
+            mag2 = mag2 + gi * gi
+        m = mag2 ** ((p - 2.0) / 2.0)
+        for gi in g:
+            gi *= m
+        return scatter(g, scales)
 
     return value, grad_full
 
@@ -553,21 +574,13 @@ def _stiffness_metric(grid: Grid, mass_w: Array | None):
     M is half the Hessian of the p = 2 gradient part plus, for truncated
     problems, the lumped mass diag(mass_w * vol), so v^T M v = N(v) at p = 2.
     It serves as the Sobolev metric of sphere descent for every p.  apply
-    runs the stiffness stencil directly: the same floats as half the p = 2
-    gradient kernel, whose factors 2 and 0.5 are exact, without its powers.
+    scatters the differences themselves through the gradient kernel's
+    stencil: the same floats as half the p = 2 kernel, whose factors 2 and
+    0.5 are exact, without its powers.
     """
-    vol = grid.cell_volume
-    mass = None if mass_w is None else mass_w * vol
+    mass = None if mass_w is None else mass_w * grid.cell_volume
     if grid.dimension == 1:
         h = grid.spacing[0]
-
-        def stiffness(full: Array) -> Array:
-            d = (full[1:] - full[:-1]) / h
-            out = np.zeros(full.shape)
-            out[:-1] -= d
-            out[1:] += d
-            return out
-
         diag = np.full(grid.n_dof, 2.0 / h)
         if not grid.dirichlet:
             diag[0] = diag[-1] = 1.0 / h
@@ -575,27 +588,16 @@ def _stiffness_metric(grid: Grid, mass_w: Array | None):
             diag += mass
         solve = _tridiagonal_solver(diag, -1.0 / h)
     elif grid.dirichlet:
-        hx, hy = grid.spacing
-
-        def stiffness(full: Array) -> Array:
-            cx = (full[1:, :-1] - full[:-1, :-1]) / hx * vol / hx
-            cy = (full[:-1, 1:] - full[:-1, :-1]) / hy * vol / hy
-            out = np.zeros(full.shape)
-            out[:-1, :-1] -= cx
-            out[1:, :-1] += cx
-            out[:-1, :-1] -= cy
-            out[:-1, 1:] += cy
-            return out
-
         solve = _dirichlet_2d_solver(grid)
     else:
         # The truncated 2D stencil has no x-differences along the last row of
         # nodes, so its stiffness is not a Kronecker sum and no sine transform
         # diagonalizes it; descent keeps the Euclidean metric there.
         return None, None
+    differences, scatter, factors = _forward_differences(grid)
 
     def apply(v: Array) -> Array:
-        out = _restrict(grid, stiffness(_embed(grid, v)))
+        out = _restrict(grid, scatter(differences(_embed(grid, v)), factors))
         return out if mass is None else out + mass * np.asarray(v, dtype=float)
 
     return apply, solve
@@ -609,14 +611,9 @@ def _decay_diagnostics(problem: PLaplacianProblem) -> tuple[str, ...]:
         total = float(np.sum(np.abs(cell))) * grid.cell_volume
         if total == 0.0:
             continue
-        if grid.dimension == 1:
-            q = max(1, cell.shape[0] // 4)
-            tail = float(np.sum(np.abs(cell[:q])) + np.sum(np.abs(cell[-q:]))) * grid.cell_volume
-        else:
-            qx = max(1, cell.shape[0] // 4)
-            qy = max(1, cell.shape[1] // 4)
-            inner = float(np.sum(np.abs(cell[qx:-qx, qy:-qy]))) * grid.cell_volume
-            tail = total - inner
+        quarter = [max(1, n // 4) for n in cell.shape]
+        inner = cell[tuple(slice(q, -q) for q in quarter)]
+        tail = total - float(np.sum(np.abs(inner))) * grid.cell_volume
         if tail / total > 0.2:
             notes.append(
                 f"weight {name} carries {tail / total:.1%} of its mass in the outer "
@@ -652,10 +649,7 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
     metric, and carry the truncation diagnostics.
     """
     grid = problem.grid
-    if grid.dimension == 1:
-        n_value, n_grad_full = _gradient_part_1d(grid, problem.p, problem.eps_reg)
-    else:
-        n_value, n_grad_full = _gradient_part_2d(grid, problem.p, problem.eps_reg)
+    n_value, n_grad_full = _gradient_part(grid, problem.p, problem.eps_reg)
     abar = _dof_node_weights(grid, problem.weights.a).ravel()
     bbar = _dof_node_weights(grid, problem.weights.b).ravel()
     a_value, a_grad = _power_term(grid, abar, problem.alpha)
@@ -722,25 +716,10 @@ def sign_masks(problem: PLaplacianProblem) -> dict[str, Array]:
 
 def _nodes_with_all_adjacent_cells(grid: Grid, cell_ok: Array) -> Array:
     """Boolean DOF mask of nodes whose every adjacent cell satisfies cell_ok."""
-    if grid.dimension == 1:
-        n = grid.n_nodes[0]
-        ok = np.empty(n, dtype=bool)
-        ok[0] = cell_ok[0]
-        ok[-1] = cell_ok[-1]
-        ok[1:-1] = cell_ok[:-1] & cell_ok[1:]
-    else:
-        acc = np.zeros(grid.n_nodes, dtype=int)
-        cnt = np.zeros(grid.n_nodes, dtype=int)
-        for sl in ((slice(None, -1), slice(None, -1)), (slice(1, None), slice(None, -1)),
-                   (slice(None, -1), slice(1, None)), (slice(1, None), slice(1, None))):
-            acc[sl] += cell_ok.astype(int)
-            cnt[sl] += 1
-        ok = acc == cnt
-    if grid.dirichlet:
-        if grid.dimension == 1:
-            return ok[1:-1]
-        return ok[1:-1, 1:-1].ravel()
-    return ok.ravel()
+    ok = np.ones(grid.n_nodes, dtype=bool)
+    for corner in _cell_corners(grid):
+        ok[corner] &= cell_ok
+    return ok[grid.interior].ravel()
 
 
 def cone_node_mask(problem: PLaplacianProblem, tag: ConeTag) -> Array:
@@ -772,13 +751,11 @@ def build_disjoint_basis(problem: PLaplacianProblem, tag: ConeTag, k: int) -> Ar
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    from .functional_core import cone_membership  # local to avoid polluting module API
-
     mask = cone_node_mask(problem, tag)
     grid = problem.grid
     dof_shape = grid.dof_shape
     mask_grid = mask.reshape(dof_shape)
-    axis_has = mask_grid.any(axis=1) if grid.dimension == 2 else mask_grid
+    axis_has = mask_grid.any(axis=tuple(range(1, grid.dimension)))
     cols = np.flatnonzero(axis_has)
     if cols.size < 2 * k - 1:
         raise ValueError(
@@ -791,10 +768,7 @@ def build_disjoint_basis(problem: PLaplacianProblem, tag: ConeTag, k: int) -> Ar
     for i, piece in enumerate(pieces):
         use = piece[:-1] if i < k - 1 and piece.size > 1 else piece
         block = np.zeros(dof_shape, dtype=bool)
-        if grid.dimension == 1:
-            block[use] = True
-        else:
-            block[use, :] = True
+        block[use] = True
         sel = block.ravel() & mask
         if not sel.any():
             raise ValueError(f"disjoint block {i} is empty; refine the grid or lower k")
@@ -817,13 +791,10 @@ def build_disjoint_basis(problem: PLaplacianProblem, tag: ConeTag, k: int) -> Ar
 
 def _bump_values(grid: Grid, center: Sequence[float] | float, radius: float) -> Array:
     """Smooth bump on cells: exp(1 - 1/(1 - r^2)) inside the ball, 0 outside."""
-    coords = grid.midpoint_mesh()
-    if grid.dimension == 1:
-        cx = float(center) if np.isscalar(center) else float(np.asarray(center).ravel()[0])
-        r2 = ((coords["x"] - cx) / radius) ** 2
-    else:
-        cx, cy = (float(v) for v in np.asarray(center).ravel()[:2])
-        r2 = ((coords["x"] - cx) / radius) ** 2 + ((coords["y"] - cy) / radius) ** 2
+    center = np.ravel(center).astype(float)
+    if center.size < grid.dimension:
+        raise ValueError(f"bump_center needs {grid.dimension} coordinates, got {center.size}")
+    r2 = sum(((x - cx) / radius) ** 2 for x, cx in zip(grid.midpoint_mesh().values(), center))
     out = np.zeros(grid.cell_shape)
     inside = r2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
@@ -847,8 +818,6 @@ def construct_weight_for_conjecture(
     A_eps(minimizer) > 0 for every found minimizer is returned.  Raises when
     the schedule is exhausted, naming the violating minimizer.
     """
-    from .nehari_minmax import minimize_c0  # deliberate late import; see module notes
-
     grid = problem.grid
     b_cell = problem.weights.b
     theta = _bump_values(grid, bump_center, bump_radius)

@@ -373,3 +373,22 @@ class TestConfigErrors:
     def test_unknown_cone_name(self, tmp_path):
         cfg = battery_config(cone="A_SIDEWAYS")
         self.run_expecting_config_error(tmp_path, cfg)
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [
+            ("trace", battery_config(c_grid={"from": -0.5, "to": -0.05, "n": 1})),
+            ("trace", battery_config(ks=[])),
+            ("trace", battery_config(ks=[0])),
+            ("solve", solve_config(k=0)),
+        ],
+        ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero"],
+    )
+    def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
+        cfg_path = write_config(tmp_path, cfg)
+        code, _, err = run_cli(
+            [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err

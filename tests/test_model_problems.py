@@ -23,8 +23,7 @@ from fibercurve.model_problems import (
 from fibercurve.model_problems import (
     _dof_node_weights,
     _embed,
-    _gradient_part_1d,
-    _gradient_part_2d,
+    _gradient_part,
     _restrict,
 )
 
@@ -170,6 +169,13 @@ class TestWeightField:
         g = Grid(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
         pa = tmp_path / "a.csv"
         pa.write_text("1.0,2.0,3.0,4.0\n" * 4)
+        with pytest.raises(ValueError, match="header"):
+            weights_from_csv(g, str(pa), str(pa))
+
+    def test_csv_2d_empty_file_needs_header(self, tmp_path):
+        g = Grid(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
+        pa = tmp_path / "a.csv"
+        pa.write_text("\n")
         with pytest.raises(ValueError, match="header"):
             weights_from_csv(g, str(pa), str(pa))
 
@@ -342,8 +348,7 @@ class TestStiffnessMetric:
         # gives twice its floats (the factors 2 and 0.5 are exact)
         grid = prob.grid
         tri = build_triple(prob)
-        part = _gradient_part_1d if grid.dimension == 1 else _gradient_part_2d
-        _, stiff_full = part(grid, 2.0, 0.0)
+        _, stiff_full = _gradient_part(grid, 2.0, 0.0)
         mass = None
         if prob.kind == "truncated_rn":
             mass = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel() * grid.cell_volume
@@ -410,27 +415,22 @@ def _reference_kernels(problem):
 
     def gradient_part(full, p, eps2):
         """Value and full-node gradient of the sum of |grad_h u|^p over cells."""
-        out = np.zeros_like(full)
-        if grid.dimension == 1:
-            h = grid.spacing[0]
-            d = np.diff(full) / h
-            value = float(np.sum((d * d + eps2) ** (p / 2.0)) * h)
-            psi = (d * d + eps2) ** ((p - 2.0) / 2.0) * d
-            out[:-1] -= p * psi
-            out[1:] += p * psi
-            return value, out
-        hx, hy = grid.spacing
-        gx = np.diff(full, axis=0)[:, :-1] / hx
-        gy = np.diff(full, axis=1)[:-1, :] / hy
-        mag2 = gx * gx + gy * gy + eps2
+        lo = (slice(None, -1),) * grid.dimension
+        g, his = [], []
+        for axis, h in enumerate(grid.spacing):
+            # np.diff shortens this axis; the others keep each cell's lower corner
+            g.append(np.diff(full, axis=axis)[lo[:axis] + (slice(None),) + lo[axis + 1 :]] / h)
+            his.append(lo[:axis] + (slice(1, None),) + lo[axis + 1 :])
+        mag2 = eps2
+        for gi in g:
+            mag2 = mag2 + gi * gi
         value = float(np.sum(mag2 ** (p / 2.0)) * vol)
-        w = p * mag2 ** ((p - 2.0) / 2.0)
-        cx = w * gx * vol / hx
-        cy = w * gy * vol / hy
-        out[:-1, :-1] -= cx
-        out[1:, :-1] += cx
-        out[:-1, :-1] -= cy
-        out[:-1, 1:] += cy
+        m = mag2 ** ((p - 2.0) / 2.0)
+        out = np.zeros_like(full)
+        for gi, hi, h in zip(g, his, grid.spacing):
+            c = (m * gi) * (p * (vol / h))
+            out[lo] -= c
+            out[hi] += c
         return value, out
 
     def eval_n(u):
@@ -510,6 +510,13 @@ class TestEmbedRestrict:
         g = Grid(1, ((-1.0, 1.0),), (7,), dirichlet=False)
         u = np.arange(7.0)
         assert np.array_equal(_restrict(g, _embed(g, u)), u)
+
+    def test_round_trip_free_2d(self):
+        g = Grid(2, ((-1.0, 1.0), (-2.0, 2.0)), (7, 5), dirichlet=False)
+        u = np.arange(35.0)
+        full = _embed(g, u)
+        assert full.shape == (7, 5) and full[0, 4] == 4.0
+        assert np.array_equal(_restrict(g, full), u)
 
     def test_size_check(self):
         g = Grid(1, ((0.0, 1.0),), (8,))
