@@ -152,6 +152,17 @@ def zero_level_pair(n, b, eta, beta):
     return t0, c0
 
 
+def threshold_ratio(alpha, eta, beta):
+    """kappa > 0 with c_bar = -kappa * c0 on every ray (n > 0, b > 0).
+
+    The two pair levels are the same power n**(beta/(beta-eta)) *
+    b**(-eta/(beta-eta)) of the ray data, so their ratio depends on the
+    exponents alone: kappa = ((eta-alpha)/alpha) * (t_bar/t0)**eta with
+    t_bar/t0 = ((eta-alpha)/(beta-alpha))**(1/(beta-eta)).
+    """
+    return (eta - alpha) / alpha * ((eta - alpha) / (beta - alpha)) ** (eta / (beta - eta))
+
+
 def _solve_h(r, eta, beta, lo, hi, s, rising):
     """Root of H(s) = r in [lo, hi] by safeguarded Newton from s.
 

@@ -77,6 +77,7 @@ from .nehari_minmax import (
     SphereConstraint,
     compute_c_star,
     compute_c_star_star,
+    minimize_c0,
 )
 from .reporting import build_report, write_curves_csv, write_diagram_svg, write_report_json
 
@@ -161,7 +162,8 @@ def _merge_section(user: dict, defaults: dict, name: str) -> dict:
 
 
 def merge_config(user: dict) -> dict:
-    """Defaults + user config, rejecting unknown keys; the echoed form."""
+    """Defaults + user config, rejecting unknown keys and numbers of the wrong
+    type; the echoed form."""
     cfg = _merge_section(user, _TOP_DEFAULTS, "config")
     if cfg["problem"] is None:
         raise ConfigError("config needs a \"problem\" section")
@@ -172,7 +174,40 @@ def merge_config(user: dict) -> dict:
     if not isinstance(tol, dict):
         raise ConfigError("\"tolerances\" must be an object")
     cfg["tolerances"] = _merge_section(tol, DEFAULT_TOLERANCES, "tolerances")
+    _check_numbers(cfg)
     return cfg
+
+
+# top-level keys read as one number (null only where the default is) or as a
+# list of numbers
+_NUMBER_KEYS = {
+    "multistart": int, "warm_multistart": int, "n_samples": int, "seed": int, "k": int,
+    "c": float,
+}
+_NUMBER_LIST_KEYS = {"ks": int, "limit_schedule": float, "threshold_deltas": float}
+
+
+def _number(kind, value, name: str):
+    """kind(value), kind int or float; ConfigError naming the key when it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}") from None
+
+
+def _check_numbers(cfg: dict) -> None:
+    """Every number-valued top-level and tolerance entry converts to its type."""
+    for key, kind in _NUMBER_KEYS.items():
+        if cfg[key] is not None or _TOP_DEFAULTS[key] is not None:
+            _number(kind, cfg[key], key)
+    for key, kind in _NUMBER_LIST_KEYS.items():
+        if not isinstance(cfg[key], list):
+            raise ConfigError(f"{key} must be a list, got {cfg[key]!r}")
+        for i, value in enumerate(cfg[key]):
+            _number(kind, value, f"{key}[{i}]")
+    for key, value in cfg["tolerances"].items():
+        _number(int if key == "max_iter" else float, value, f"tolerances.{key}")
 
 
 def _axis_counts(pcfg: dict, key: str, dim: int, what: str) -> list[int]:
@@ -182,7 +217,7 @@ def _axis_counts(pcfg: dict, key: str, dim: int, what: str) -> list[int]:
     if len(counts) != dim:
         axes = ", ".join(("nx", "ny")[:dim])
         raise ConfigError(f"{dim}d {what} need problem.{key} = [{axes}]")
-    return [int(n) for n in counts]
+    return [_number(int, n, f"problem.{key}") for n in counts]
 
 
 def _build_problem(pcfg: dict) -> PLaplacianProblem:
@@ -206,7 +241,7 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
     else:
         if pcfg["n_nodes"] is None or pcfg["radius"] is None:
             raise ConfigError("truncated problems need problem.n_nodes and problem.radius")
-        r = float(pcfg["radius"])
+        r = _number(float, pcfg["radius"], "problem.radius")
         counts = _axis_counts(pcfg, "n_nodes", dim, "truncated problems")
         grid = Grid(dim, ((-r, r),) * dim, tuple(counts), dirichlet=False)
 
@@ -223,10 +258,10 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
         weights = weights_from_expressions(grid, str(wcfg["a"]), str(wcfg["b"]))
     else:
         weights = weights_from_csv(grid, str(wcfg["a_csv"]), str(wcfg["b_csv"]))
-    return PLaplacianProblem(
-        grid, weights, float(pcfg["p"]), float(pcfg["alpha"]), float(pcfg["beta"]),
-        float(pcfg["eps_reg"]), kind,
+    p, alpha, beta, eps_reg = (
+        _number(float, pcfg[key], f"problem.{key}") for key in ("p", "alpha", "beta", "eps_reg")
     )
+    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg, kind)
 
 
 class Setup:
@@ -463,19 +498,24 @@ def cmd_trace(setup: Setup, out_dir: str, quiet: bool) -> int:
 
 
 def _thresholds(setup: Setup):
-    """(c_star, c_star_star, zero-level minimizers) on the cone with B > 0."""
+    """(c_star, c_star_star, c** minimizers, zero_level) on the cone with B > 0.
+
+    zero_level = (c0, minimizers) is the one zero-level solve over the B > 0
+    cone alone; c** comes from it, c* from c**, and the crossing reuses it.
+    """
     cfg = setup.cfg
     constraint = setup.constraint(setup.tag_both)
     opts = dict(multistart=int(cfg["multistart"]), seed=int(cfg["seed"]), params=setup.params)
-    c_star = compute_c_star(constraint, **opts)
-    c2, minimizers = compute_c_star_star(constraint, **opts)
-    return c_star, c2, minimizers
+    zero_level = minimize_c0(constraint.working, start_support=constraint.start_support, **opts)
+    c2, minimizers = compute_c_star_star(constraint, zero_level=zero_level, **opts)
+    c_star = compute_c_star(constraint, c_star_star=c2)
+    return c_star, c2, minimizers, zero_level
 
 
 def cmd_thresholds(setup: Setup, out_dir: str, quiet: bool) -> int:
     cfg = setup.cfg
     t0 = time.perf_counter()
-    c_star, c2, minimizers = _thresholds(setup)
+    c_star, c2, minimizers, _ = _thresholds(setup)
     elapsed = time.perf_counter() - t0
     thresholds = {
         "c_star": c_star,
@@ -504,7 +544,7 @@ def _run_battery(setup: Setup, quiet: bool):
     timing: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    c_star, c2, minimizers = _thresholds(setup)
+    c_star, c2, minimizers, zero_level = _thresholds(setup)
     timing["thresholds"] = time.perf_counter() - t0
     _say(quiet, f"c_star = {c_star!r}, c_star_star = {c2!r}")
 
@@ -562,10 +602,12 @@ def _run_battery(setup: Setup, quiet: bool):
                 setup.constraint_for_branch("minus"),
                 deltas=[float(d) for d in cfg["threshold_deltas"]],
                 multistart=int(cfg["multistart"]),
+                warm_multistart=int(cfg["warm_multistart"]),
                 seed=int(cfg["seed"]),
                 params=setup.params,
                 zero_tol=tol["zero_level_abs"],
                 noise=tol["curve_noise"],
+                zero_level=zero_level,
             )
             extras["zero_crossing"] = {
                 key: crossing[key]

@@ -639,25 +639,35 @@ def extend_minus_past_cstarstar(
     constraint: SphereConstraint,
     deltas: Sequence[float] = (0.01, 0.05),
     multistart: int = 32,
+    warm_multistart: int = 8,
     seed: int = 0,
     params: OptimizerParams | None = None,
     zero_tol: float = 1e-4,
     noise: float = 1e-6,
+    zero_level: tuple[float, Sequence[Array]] | None = None,
 ) -> dict:
     """Continue the minus ground curve through the upper threshold.
 
-    Recomputes the zero-crossing minimizing set over the B cone alone and
-    verifies it sits strictly inside the (working) A cone, which is the
-    hypothesis for the sign change of the minus level at the threshold; a
-    violating minimizer raises ValueError.  Then evaluates the curve on
-    c = threshold * (1 +/- delta) and at the threshold itself, expecting
-    positive levels before, |level| <= zero_tol at, and negative levels after.
+    Takes the zero-crossing minimizing set over the B cone alone: zero_level
+    = (c0, minimizers), minimize_c0's result on the working triple, or that
+    solve run here when it is not given.  Every minimizer must sit strictly
+    inside the working A cone, which is the hypothesis for the sign change
+    of the minus level at the threshold; a violating minimizer raises
+    ValueError.  (compute_c_star_star needs only one inside minimizer to
+    take c0 as c**; here all must be inside, so the threshold is c0 = c**.)
+    Then evaluates the curve on c = threshold * (1 +/- delta) and at the
+    threshold itself, expecting positive levels before, |level| <= zero_tol
+    at, and negative levels after.  The levels follow one _LevelChain,
+    started from the minimizers; the first level draws multistart further
+    starts and later ones warm_multistart, like the points of a curve.
     """
     working = constraint.working
-    c2, mins = minimize_c0(
-        constraint.triple, multistart=multistart, seed=seed,
-        start_support=constraint.start_support, params=params,
-    )
+    if zero_level is None:
+        zero_level = minimize_c0(
+            working, multistart=multistart, seed=seed,
+            start_support=constraint.start_support, params=params,
+        )
+    c2, mins = zero_level
     margins = []
     for i, m in enumerate(mins):
         a_val = float(working.eval_A(m))
@@ -672,7 +682,7 @@ def extend_minus_past_cstarstar(
     grid = c_before + [c2] + c_after
 
     chain = _LevelChain(
-        constraint, "minus", (1,), multistart=multistart, warm_multistart=multistart,
+        constraint, "minus", (1,), multistart=multistart, warm_multistart=warm_multistart,
         seed=seed, params=params, extra_starts=mins,
     )
     rows = []

@@ -28,9 +28,16 @@ Negative-cone branches never run their own machinery: the energy satisfies
 phi(lam, u; A) = phi(-lam, u; -A), so constraints with a negative tag flip the
 sign of A internally and negate the reported parameter.
 
-Thresholds: compute_c_star maximizes the degenerate-collision level c_bar(u)
-(always < 0) and compute_c_star_star minimizes the zero-crossing level c0(u)
-(always > 0); both are 0-homogeneous ray functions of (N, B) alone.
+Thresholds: c* is the sup over the A and B cone of the degenerate-collision
+level c_bar(u) < 0, and c** the inf of the zero-crossing level c0(u) > 0.
+Both are 0-homogeneous ray functions of (N, B) alone, and on every ray
+c_bar(u) = -kappa * c0(u) with kappa = K.threshold_ratio(alpha, eta, beta)
+(the extreme-value relation of the nonlinear Rayleigh quotients; Il'yasov,
+Topol. Methods Nonlinear Anal. 49, 2017), so c* = -kappa * c**.  One
+zero-level multistart over the B > 0 cone alone (minimize_c0) gives c**
+whenever any of its near-best minimizers lies inside the A cone, since c0
+ignores A and c** is at least that minimum; only when none does,
+compute_c_star_star minimizes c0 over the A and B cone.
 """
 
 from __future__ import annotations
@@ -634,7 +641,7 @@ def _multistart(
     return results, merged
 
 
-_PURPOSE = {"plus": 1, "minus": 2, "c_star": 3, "c_star_star": 4, "c0": 5}
+_PURPOSE = {"plus": 1, "minus": 2, "c_star_star": 4, "c0": 5}
 
 
 def minimize_ground_level(
@@ -708,13 +715,6 @@ def _nb_level(pair, working: FunctionalTriple, u: Array, b: float) -> Evaluated:
 
 def _zero_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
     return _nb_level(lambda n, b, e: K.zero_level_pair(n, b, e.eta, e.beta)[1], working, u, b)
-
-
-def _negated_extremal_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
-    c_bar, gradient = _nb_level(
-        lambda n, b, e: K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1], working, u, b
-    )
-    return -c_bar, lambda: -gradient()
 
 
 # threshold minima within this relative level of each other are the same level,
@@ -796,17 +796,21 @@ def compute_c_star(
     multistart: int = 32,
     seed: int = 0,
     params: OptimizerParams | None = None,
+    c_star_star: float | None = None,
 ) -> float:
     """Lower threshold: sup of the degenerate-collision level over the A and B cone.
 
-    Always strictly negative; the optimizer maximizes the 0-homogeneous
-    collision level (equivalently minimizes its negative), so the result is a
-    certified inner approximation of the supremum.
+    On every ray c_bar(u) = -kappa * c0(u), kappa = K.threshold_ratio of the
+    exponents, so the sup of c_bar is -kappa times the inf of c0 over the same
+    cone: c* = -kappa * c**.  c_star_star is that upper threshold of this
+    constraint when the caller has it; otherwise compute_c_star_star runs
+    with multistart, seed and params (one zero-level solve over the B > 0
+    cone, any-inside rule).  Always strictly negative.
     """
-    minima = _minimize_ray_objective(
-        constraint, _negated_extremal_level, _PURPOSE["c_star"], multistart, seed, params
-    )
-    c_star = -minima[0][0]
+    if c_star_star is None:
+        c_star_star, _ = compute_c_star_star(constraint, multistart, seed, params)
+    e = constraint.triple.exponents
+    c_star = -K.threshold_ratio(e.alpha, e.eta, e.beta) * c_star_star
     if not (c_star < 0.0):
         raise RuntimeError(f"computed lower threshold {c_star!r} is not negative")
     return c_star
@@ -817,16 +821,30 @@ def compute_c_star_star(
     multistart: int = 32,
     seed: int = 0,
     params: OptimizerParams | None = None,
+    zero_level: tuple[float, Sequence[Array]] | None = None,
 ) -> tuple[float, list[Array]]:
     """Upper threshold: inf of the zero-crossing level over the A and B cone.
 
-    Returns the threshold (always > 0) and the distinct minimizers found
-    within relative 1e-6 of the best value (the numerical stand-in for the
-    minimizing set).
+    c0 ignores A, so the solve runs over the B > 0 cone alone: minimize_c0
+    on the working triple, with starts inside the constraint's cone, or
+    zero_level = (c0, minimizers), its result, when the caller has it.  The
+    threshold is at least the B-cone minimum, and a minimizer inside the
+    working A cone attains it; so when any near-best minimizer lies inside,
+    the B-cone minimum is the threshold and the inside minimizers are its
+    minimizers.  Only when none lies inside does a second solve run, over the
+    A and B cone.  Returns the threshold (always > 0) and the distinct
+    minimizers found within relative 1e-6 of the best value (the numerical
+    stand-in for the minimizing set).
     """
-    best, keep = _near_best(_minimize_ray_objective(
-        constraint, _zero_level, _PURPOSE["c_star_star"], multistart, seed, params
-    ))
+    working = constraint.working
+    if zero_level is None:
+        zero_level = minimize_c0(working, multistart, seed, constraint.start_support, params)
+    best, minimizers = zero_level
+    keep = [u for u in minimizers if _inside_cone(constraint.eps_cone, float(working.eval_A(u)))]
+    if not keep:
+        best, keep = _near_best(_minimize_ray_objective(
+            constraint, _zero_level, _PURPOSE["c_star_star"], multistart, seed, params
+        ))
     if not (best > 0.0):
         raise RuntimeError(f"computed upper threshold {best!r} is not positive")
     return best, keep
@@ -842,9 +860,12 @@ def minimize_c0(
     """Zero-crossing level minimized over the B > 0 cone alone.
 
     The objective ignores A entirely, so the descent's cone here is only
-    B(u) > 0 (starts are drawn inside A > 0 as well); used by the
-    conjecture-supporting weight construction, whose hypothesis check (all
-    minimizers inside the A > 0 cone) happens downstream.
+    B(u) > 0 (starts are drawn inside A > 0 as well).  Returns the minimum
+    and the near-best minimizers.  On a constraint's working triple this is
+    the one zero-level solve behind compute_c_star_star, compute_c_star and
+    extend_minus_past_cstarstar; the conjecture-supporting weight
+    construction uses it too.  Those callers test the minimizers against the
+    A > 0 cone themselves.
     """
     constraint = SphereConstraint(
         triple=triple, tag=ConeTag.A_POS, eps_cone=1e-12, start_support=start_support

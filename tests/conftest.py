@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import fibercurve.nehari_minmax as nm
 from fibercurve import (
     ConeTag,
     SphereConstraint,
@@ -126,3 +129,16 @@ def random_cone_point(constraint, rng, max_tries=500):
             if constraint.feasible(v):
                 return v
     raise RuntimeError("could not sample a feasible cone point")
+
+
+def count_multistart_purposes(monkeypatch) -> Counter:
+    """A Counter of the purpose of every nm._multistart call from now on."""
+    purposes = Counter()
+    multistart = nm._multistart
+
+    def counting(constraint, evaluate, usable, purpose, *args, **kwargs):
+        purposes[purpose] += 1
+        return multistart(constraint, evaluate, usable, purpose, *args, **kwargs)
+
+    monkeypatch.setattr(nm, "_multistart", counting)
+    return purposes

@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+import fibercurve.nehari_minmax as nm
+from conftest import count_multistart_purposes
 from fibercurve.cli import main
 
 BASE_PROBLEM = {
@@ -303,10 +305,48 @@ class TestTraceAndThresholds:
         assert report["verdicts"]["limit_ratio_ok"] is False
 
 
+class TestZeroLevelSolve:
+    def test_report_runs_one_zero_level_multistart(self, tmp_path, monkeypatch):
+        # c**, c* and the crossing share one zero-level solve over the B cone;
+        # every other multistart of the battery is a ground level
+        purposes = count_multistart_purposes(monkeypatch)
+        cfg_path = write_config(tmp_path, battery_config())
+        code, _, _ = run_cli(
+            ["report", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]
+        )
+        assert code == 0
+        ground = {nm._PURPOSE["plus"], nm._PURPOSE["minus"]}
+        assert {p: n for p, n in purposes.items() if p not in ground} == {nm._PURPOSE["c0"]: 1}
+
+    def test_negative_a_cone_mirrors_the_positive_one(self, tmp_path):
+        # a -> -a with cone A_NEG is the same problem: equal thresholds and
+        # an equal crossing through c**, with negated levels
+        reports = {}
+        for cone, a in (("A_POS", "1+x"), ("A_NEG", "-(1+x)")):
+            cfg = battery_config(cone=cone)
+            cfg["problem"]["weights"]["a"] = a
+            cfg_path = write_config(tmp_path, cfg, name=f"{cone}.json")
+            out_dir = tmp_path / cone
+            code, _, err = run_cli(
+                ["report", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]
+            )
+            assert code == 0, err
+            reports[cone] = json.loads((out_dir / "report.json").read_text())
+        pos, neg = reports["A_POS"], reports["A_NEG"]
+        assert neg["thresholds"] == pos["thresholds"]
+        assert neg["zero_crossing"] == pos["zero_crossing"]
+        assert pos["zero_crossing"]["ok"]
+        assert neg["verdicts"]["zero_crossing"] == pos["verdicts"]["zero_crossing"]
+        assert [p["lambda"] for p in neg["curves"]["minus_k1"]["points"]] == [
+            -p["lambda"] for p in pos["curves"]["minus_k1"]["points"]
+        ]
+
+
 class TestKernelOverflow:
     def test_overflow_exits_nonconverged_without_traceback(self, tmp_path):
-        # beta - eta = 0.01 and a tiny b push t_bar = (...)**(1/(beta-eta))
-        # past the double range inside the extremal-pair kernel
+        # beta - eta = 0.01 and a tiny b push t0 = (n/b)**(1/(beta-eta))
+        # past the double range inside the zero-level-pair kernel, which the
+        # one zero-level solve behind both thresholds reaches first
         cfg = solve_config()
         cfg["problem"].update(beta=2.01, weights={"a": "1+x", "b": "0.001"})
         cfg_path = write_config(tmp_path, cfg)
@@ -314,10 +354,10 @@ class TestKernelOverflow:
             ["thresholds", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         )
         assert code == 2
-        assert "non-convergence: extremal_pair overflows the double range at n=" in err
+        assert "non-convergence: zero_level_pair overflows the double range at n=" in err
         # the ray data and the exponents that overflowed
         assert ", b=" in err
-        assert "alpha=1.5, eta=2.0, beta=2.01" in err
+        assert "eta=2.0, beta=2.01" in err
         assert "Traceback" not in err
 
 
@@ -381,8 +421,12 @@ class TestConfigErrors:
             ("trace", battery_config(ks=[])),
             ("trace", battery_config(ks=[0])),
             ("solve", solve_config(k=0)),
+            ("trace", battery_config(ks=["a"])),
+            ("trace", battery_config(multistart="x")),
+            ("trace", battery_config(problem=dict(BASE_PROBLEM, n_interior=[None]))),
         ],
-        ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero"],
+        ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
+             "multistart_not_int", "n_interior_null"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)

@@ -15,7 +15,7 @@ from fibercurve.curve_tracer import (
     trace_curve,
     trace_family,
 )
-from fibercurve.nehari_minmax import SphereConstraint, minimize_ground_level
+from fibercurve.nehari_minmax import SphereConstraint, compute_c_star_star, minimize_ground_level
 
 
 class TestGeometricGrid:
@@ -276,6 +276,25 @@ class TestMinusContinuation:
         cs = [r["c"] for r in out["points"]]
         assert cs == sorted(cs)
 
+    def test_negative_a_cone_mirrors_the_positive_one(self, pos_problem):
+        # a -> -a with the A-negative cone is the same problem: the crossing
+        # (from its own zero-level solve) and c** match, with negated levels
+        mirror = dirichlet_problem_1d(31, "-(1+x)", "cos(2*pi*x)+0.2", p=2.0, alpha=1.5, beta=4.0)
+        out = {}
+        for name, problem, tag in (("pos", pos_problem, ConeTag.A_POS_B_POS),
+                                   ("neg", mirror, ConeTag.A_NEG_B_POS)):
+            con = SphereConstraint(build_triple(problem), tag=tag)
+            out[name] = extend_minus_past_cstarstar(con, deltas=(0.05,), multistart=8, seed=0)
+            out[name]["threshold"] = compute_c_star_star(con, multistart=8, seed=0)[0]
+        pos, neg = out["pos"], out["neg"]
+        assert neg["threshold"] == pos["threshold"] == neg["c_star_star"] == pos["c_star_star"]
+        assert neg["minimizer_a_margins"] == pos["minimizer_a_margins"]
+        for key in ("positive_before", "zero_at_threshold", "negative_after", "ok"):
+            assert neg[key] == pos[key]
+        assert pos["ok"]
+        assert [r["c"] for r in neg["points"]] == [r["c"] for r in pos["points"]]
+        assert [r["lambda"] for r in neg["points"]] == [-r["lambda"] for r in pos["points"]]
+
     def test_hypothesis_violation_raises(self, signed_con_plus):
         with pytest.raises(ValueError, match="continuation hypothesis fails"):
             extend_minus_past_cstarstar(signed_con_plus, deltas=(0.05,), multistart=16)
@@ -324,9 +343,10 @@ class TestLevelChain:
         check(cold=6, warm=3, seed=7)
         limit_check_zero(const_con_plus, schedule=(-1e-2, -1e-3, -1e-4), multistart=3, seed=7)
         check(cold=3, warm=3, seed=7)
-        extend_minus_past_cstarstar(pos_con_plus, deltas=(0.05,), multistart=3, seed=7)
+        extend_minus_past_cstarstar(pos_con_plus, deltas=(0.05,), multistart=3,
+                                    warm_multistart=2, seed=7)
         assert zero_level_minimizers
-        check(cold=3, warm=3, seed=7, extra=zero_level_minimizers)
+        check(cold=3, warm=2, seed=7, extra=zero_level_minimizers)
         lam_truth, _ = solve(const_con_plus, -0.05, "plus", multistart=4)
         intersect_with_lambda(const_con_plus, "plus", lam_truth, -0.2, -0.01, multistart=24,
                               seed=7)

@@ -227,3 +227,17 @@ def test_nonpositive_b_has_one_minimum(n, b, exps, c):
     case, t_plus, t_minus = K.classify(n, b, *exps, -c)
     assert case == K.CASE_UNIQUE_MIN and np.isnan(t_minus)
     _assert_roots_solve_g(n, b, *exps, -c, (t_plus,))
+
+
+@PROPERTY
+@given(n=MAGNITUDE, b=MAGNITUDE, exps=EXPONENTS)
+def test_collision_level_is_a_fixed_multiple_of_the_zero_level(n, b, exps):
+    """c_bar = -kappa * c0 on every ray: both levels are n**(beta/(beta-eta))
+    * b**(-eta/(beta-eta)) times a constant of the exponents."""
+    try:
+        _, c_bar = K.extremal_pair(n, b, *exps)
+        _, c0 = K.zero_level_pair(n, b, *exps[1:])
+    except OverflowError:
+        assume(False)
+    assume(c0 > 0.0 and c_bar < 0.0)
+    assert abs(c_bar + K.threshold_ratio(*exps) * c0) <= 1e-13 * abs(c_bar)

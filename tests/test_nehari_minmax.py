@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import fibercurve.nehari_minmax as nm
-from conftest import random_cone_point
+from conftest import count_multistart_purposes, random_cone_point
+from fibercurve import _kernels as K
 from fibercurve.curve_tracer import _LevelChain, trace_family
 from fibercurve.fibering import classify_and_solve, ray_data, restricted_lambda
 from fibercurve.functional_core import ConeTag, FunctionalTriple, phi
@@ -369,8 +370,7 @@ class TestThresholds:
         c_star_star, _ = compute_c_star_star(const_con_both)
         assert c_star == pytest.approx(-1.0484707042149721, rel=1e-5)
         assert c_star_star == pytest.approx(15.727060563224589, rel=1e-5)
-        # both thresholds come from the same (N, B) minimizing rays on a
-        # constant-weight problem, where c_star_star / (-c_star) = 15 exactly
+        # c_bar = -c0 / 15 on every ray for the exponents (1.5, 2, 4)
         assert c_star_star / (-c_star) == pytest.approx(15.0, rel=1e-9)
 
     def test_pos_regression(self, pos_con_both):
@@ -384,6 +384,54 @@ class TestThresholds:
         lo = compute_c_star(const_con_both, multistart=4)
         hi = compute_c_star(const_con_both, multistart=12)
         assert hi >= lo
+
+    @pytest.mark.parametrize("instance", ["pos_con_both", "signed_con_both"])
+    def test_c_star_matches_an_extremal_level_multistart(self, request, instance):
+        # c* = -kappa * c** replaces a multistart of its own; maximizing the
+        # collision level c_bar directly over the A and B cone still agrees
+        con = request.getfixturevalue(instance)
+
+        def negated_extremal(working, u, b):
+            c_bar, gradient = nm._nb_level(
+                lambda n, b, e: K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1], working, u, b
+            )
+            return -c_bar, lambda: -gradient()
+
+        # purpose 3 is unused by the library: these starts are the test's own
+        minima = nm._minimize_ray_objective(con, negated_extremal, 3, 8, 0, None)
+        direct = -minima[0][0]
+        assert abs(compute_c_star(con, multistart=8, seed=0) - direct) <= 1e-12 * abs(direct)
+
+    def test_one_inside_minimizer_is_enough(self, monkeypatch, signed_con_both):
+        # Of the two B-cone minimizers of the signed instance one has A < 0:
+        # c** is the B-cone minimum, with the inside minimizer alone, and no
+        # solve over the A and B cone runs.
+        purposes = count_multistart_purposes(monkeypatch)
+        c0, b_cone = minimize_c0(signed_con_both.triple, multistart=8, seed=0)
+        margins = sorted(float(signed_con_both.triple.eval_A(u)) for u in b_cone)
+        assert margins[0] < 0.0 < margins[-1]
+        purposes.clear()
+        c2, minimizers = compute_c_star_star(signed_con_both, multistart=8, seed=0)
+        assert purposes == Counter({nm._PURPOSE["c0"]: 1})
+        assert c2 == c0
+        assert len(minimizers) == len(b_cone) - 1
+        assert all(signed_con_both.feasible(u) for u in minimizers)
+
+    def test_no_inside_minimizer_solves_over_both_cones(self, monkeypatch):
+        # A > 0 only inside sin(2 pi x) > 0.8, where B's weight is small: the
+        # B-cone minimizer has A < 0, so the threshold needs its own solve
+        # and lies above the B-cone minimum, pinned at the A cone boundary
+        problem = dirichlet_problem_1d(31, "sin(2*pi*x)-0.8", "cos(2*pi*x)+0.2")
+        con = SphereConstraint(
+            build_triple(problem), tag=ConeTag.A_POS_B_POS,
+            start_support=cone_node_mask(problem, ConeTag.A_POS_B_POS),
+        )
+        purposes = count_multistart_purposes(monkeypatch)
+        c2, minimizers = compute_c_star_star(con, multistart=8, seed=0)
+        assert purposes == Counter({nm._PURPOSE["c0"]: 1, nm._PURPOSE["c_star_star"]: 1})
+        c0, _ = minimize_c0(con.triple, multistart=8, seed=0, start_support=con.start_support)
+        assert c2 > 10.0 * c0
+        assert minimizers and all(con.feasible(u) for u in minimizers)
 
     def test_minimize_c0_ignores_a_sign(self, signed_problem):
         tri = build_triple(signed_problem)
