@@ -387,8 +387,8 @@ class TestThresholds:
 
     @pytest.mark.parametrize("instance", ["pos_con_both", "signed_con_both"])
     def test_c_star_matches_an_extremal_level_multistart(self, request, instance):
-        # c* = -kappa * c** replaces a multistart of its own; maximizing the
-        # collision level c_bar directly over the A and B cone still agrees
+        # c* = -kappa * c** agrees with maximizing the collision level c_bar
+        # directly over the A and B cone
         con = request.getfixturevalue(instance)
 
         def negated_extremal(working, u, b):
