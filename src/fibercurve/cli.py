@@ -15,7 +15,9 @@ produces byte-identical artifacts except for the "timing_seconds" subtree of
 report.json.
 
 Exit codes: 0 success, 1 bad config, 2 non-convergence or infeasibility,
-3 verification verdict failure.
+3 verification verdict failure.  Every config entry is checked and typed
+before any solve, integer entries taking integral numbers only; the one later
+config error is a cone with empty node support, found when it is first used.
 
 Config sketch (defaults shown in config.echo.json after any run)::
 
@@ -152,62 +154,67 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _merge_section(user: dict, defaults: dict, name: str) -> dict:
+def _number(kind, value, name: str):
+    """value as kind, int or float: a JSON number, and an integral one for int."""
+    integral = type(value) is int or type(value) is float and value.is_integer()
+    if not (integral if kind is int else type(value) in (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _typed(value, default, name: str):
+    """value with the type of its default, a number or a list; other entries as given."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_typed(v, default[0], f"{name}[{i}]") for i, v in enumerate(value)]
+    if isinstance(default, (int, float)):
+        return _number(type(default), value, name)
+    return value
+
+
+def _merge_section(user: dict, defaults: dict, name: str, typed_as=None) -> dict:
+    """defaults updated by user, typed like the defaults (typed_as: for null defaults)."""
     unknown = set(user) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {name} key(s): {', '.join(sorted(unknown))}")
     merged = dict(defaults)
-    merged.update(user)
+    for key, value in user.items():
+        default = defaults[key] if value is None else (typed_as or {}).get(key, defaults[key])
+        merged[key] = _typed(value, default, key if name == "config" else f"{name}.{key}")
     return merged
 
 
 def merge_config(user: dict) -> dict:
-    """Defaults + user config, rejecting unknown keys and numbers of the wrong
-    type; the echoed form."""
-    cfg = _merge_section(user, _TOP_DEFAULTS, "config")
+    """Defaults + user config, typed and with every choice checked; the echoed
+    form.  Setup checks the problem section, c grid and zero-limit schedule."""
+    cfg = _merge_section(user, _TOP_DEFAULTS, "config", {"c": 0.0})
     if cfg["problem"] is None:
         raise ConfigError("config needs a \"problem\" section")
-    if not isinstance(cfg["problem"], dict):
-        raise ConfigError("\"problem\" must be an object")
-    cfg["problem"] = _merge_section(cfg["problem"], _PROBLEM_DEFAULTS, "problem")
-    tol = cfg["tolerances"] if cfg["tolerances"] is not None else {}
-    if not isinstance(tol, dict):
-        raise ConfigError("\"tolerances\" must be an object")
-    cfg["tolerances"] = _merge_section(tol, DEFAULT_TOLERANCES, "tolerances")
-    _check_numbers(cfg)
+    for name, defaults, typed_as in (
+        ("problem", _PROBLEM_DEFAULTS, {"radius": 0.0}),
+        ("tolerances", DEFAULT_TOLERANCES, None),
+    ):
+        section = {} if cfg[name] is None else cfg[name]
+        if not isinstance(section, dict):
+            raise ConfigError(f"\"{name}\" must be an object")
+        cfg[name] = _merge_section(section, defaults, name, typed_as)
+    cones = [t.name for t in ConeTag]
+    if cfg["cone"] not in cones:
+        raise ConfigError(f"unknown cone {cfg['cone']!r}; choose from {', '.join(cones)}")
+    if cfg["start_support"] not in ("cone", "none"):
+        raise ConfigError("start_support must be \"cone\" or \"none\"")
+    for branch in [cfg["branch"], *cfg["branches"]]:
+        if branch not in ("plus", "minus"):
+            raise ConfigError(f"unknown branch {branch!r}")
+    if not cfg["ks"] or min(cfg["ks"]) < 1:
+        raise ConfigError(f"ks must list curve indices k >= 1, got {cfg['ks']!r}")
+    for key, low in (("k", 1), ("multistart", 1), ("warm_multistart", 0), ("n_samples", 1),
+                     ("seed", 0)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
     return cfg
-
-
-# top-level keys read as one number (null only where the default is) or as a
-# list of numbers
-_NUMBER_KEYS = {
-    "multistart": int, "warm_multistart": int, "n_samples": int, "seed": int, "k": int,
-    "c": float,
-}
-_NUMBER_LIST_KEYS = {"ks": int, "limit_schedule": float, "threshold_deltas": float}
-
-
-def _number(kind, value, name: str):
-    """kind(value), kind int or float; ConfigError naming the key when it fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}") from None
-
-
-def _check_numbers(cfg: dict) -> None:
-    """Every number-valued top-level and tolerance entry converts to its type."""
-    for key, kind in _NUMBER_KEYS.items():
-        if cfg[key] is not None or _TOP_DEFAULTS[key] is not None:
-            _number(kind, cfg[key], key)
-    for key, kind in _NUMBER_LIST_KEYS.items():
-        if not isinstance(cfg[key], list):
-            raise ConfigError(f"{key} must be a list, got {cfg[key]!r}")
-        for i, value in enumerate(cfg[key]):
-            _number(kind, value, f"{key}[{i}]")
-    for key, value in cfg["tolerances"].items():
-        _number(int if key == "max_iter" else float, value, f"tolerances.{key}")
 
 
 def _axis_counts(pcfg: dict, key: str, dim: int, what: str) -> list[int]:
@@ -234,56 +241,53 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
         counts = _axis_counts(pcfg, "n_interior", dim, "problems")
         bounds = pcfg["bounds"]
         if bounds is None:
-            bounds = [(0.0, 1.0)] * dim
-        elif bounds and not isinstance(bounds[0], (list, tuple)):
+            bounds = [[0.0, 1.0]] * dim
+        elif isinstance(bounds, list) and bounds and not isinstance(bounds[0], list):
             bounds = [bounds]  # one axis, written as a bare pair
+        bounds = _typed(bounds, [[0.0]], "problem.bounds")
+        if any(len(b) != 2 for b in bounds):
+            raise ConfigError(f"problem.bounds must hold [lo, hi] pairs, got {bounds!r}")
         grid = Grid(dim, tuple(tuple(b) for b in bounds), tuple(n + 2 for n in counts))
     else:
         if pcfg["n_nodes"] is None or pcfg["radius"] is None:
             raise ConfigError("truncated problems need problem.n_nodes and problem.radius")
-        r = _number(float, pcfg["radius"], "problem.radius")
+        r = pcfg["radius"]
         counts = _axis_counts(pcfg, "n_nodes", dim, "truncated problems")
         grid = Grid(dim, ((-r, r),) * dim, tuple(counts), dirichlet=False)
 
     wcfg = pcfg["weights"]
-    if not isinstance(wcfg, dict):
-        raise ConfigError("problem.weights must be an object")
-    has_expr = "a" in wcfg and "b" in wcfg
-    has_csv = "a_csv" in wcfg and "b_csv" in wcfg
-    if has_expr == has_csv:
+    if not isinstance(wcfg, dict) or set(wcfg) not in ({"a", "b"}, {"a_csv", "b_csv"}):
         raise ConfigError(
             "problem.weights needs either expressions {a, b} or files {a_csv, b_csv}"
         )
-    if has_expr:
+    if "a" in wcfg:
         weights = weights_from_expressions(grid, str(wcfg["a"]), str(wcfg["b"]))
     else:
-        weights = weights_from_csv(grid, str(wcfg["a_csv"]), str(wcfg["b_csv"]))
-    p, alpha, beta, eps_reg = (
-        _number(float, pcfg[key], f"problem.{key}") for key in ("p", "alpha", "beta", "eps_reg")
+        try:
+            weights = weights_from_csv(grid, str(wcfg["a_csv"]), str(wcfg["b_csv"]))
+        except OSError as exc:
+            raise ConfigError(f"cannot read weight file: {exc}") from None
+    return PLaplacianProblem(
+        grid, weights, pcfg["p"], pcfg["alpha"], pcfg["beta"], pcfg["eps_reg"], kind
     )
-    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg, kind)
 
 
 class Setup:
-    """Problem, triple, and constraint factory shared by the subcommands."""
+    """Problem, triple, c grid and constraint factory shared by the subcommands;
+    building it checks the problem section, c grid and zero-limit schedule."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
+        self.c_values = _c_grid(cfg["c_grid"])
+        if len(cfg["limit_schedule"]) < 2 or max(cfg["limit_schedule"]) >= 0.0:
+            raise ConfigError("limit_schedule needs at least two levels, all negative")
         self.problem = _build_problem(cfg["problem"])
         self.triple = build_triple(self.problem)
-        try:
-            self.tag = ConeTag[cfg["cone"]]
-        except KeyError:
-            raise ConfigError(
-                f"unknown cone {cfg['cone']!r}; choose from "
-                f"{', '.join(t.name for t in ConeTag)}"
-            ) from None
+        self.tag = ConeTag[cfg["cone"]]
         self.tag_both = self.tag.b_positive
         tol = cfg["tolerances"]
-        self.params = OptimizerParams(gtol=tol["gtol"], max_iter=int(tol["max_iter"]))
+        self.params = OptimizerParams(gtol=tol["gtol"], max_iter=tol["max_iter"])
         self.use_support = cfg["start_support"] == "cone"
-        if cfg["start_support"] not in ("cone", "none"):
-            raise ConfigError("start_support must be \"cone\" or \"none\"")
         self._cache: dict[ConeTag, SphereConstraint] = {}
 
     def constraint(self, tag: ConeTag) -> SphereConstraint:
@@ -313,31 +317,29 @@ class Setup:
         return build_disjoint_basis(self.problem, self.tag_both, k_max)
 
 
-def _c_values(cfg: dict) -> list[float]:
-    gcfg = cfg["c_grid"]
+def _c_grid(gcfg) -> list[float] | None:
+    """The c_grid section as sorted distinct values; None when there is none."""
     if gcfg is None:
-        raise ConfigError("this command needs a c_grid section")
+        return None
     if not isinstance(gcfg, dict):
         raise ConfigError("c_grid must be an object")
-    try:
-        if "values" in gcfg:
-            values = [float(v) for v in gcfg["values"]]
-        else:
-            for key in ("from", "to", "n"):
-                if key not in gcfg:
-                    raise ConfigError("c_grid needs either values or from/to/n")
-            ends, n = (float(gcfg["from"]), float(gcfg["to"])), int(gcfg["n"])
-            spacing = gcfg.get("spacing", "geometric")
-            if spacing == "geometric":
-                values = list(geometric_grid(*ends, n))
-            elif spacing == "linear":
-                values = list(np.linspace(*ends, n))
-            else:
-                raise ConfigError(f"c_grid.spacing must be geometric or linear, got {spacing!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad c_grid: {exc}") from None
+    grid = _merge_section(
+        gcfg, dict.fromkeys(("values", "from", "to", "n", "spacing")), "c_grid",
+        {"values": [0.0], "from": 0.0, "to": 0.0, "n": 0},
+    )
+    span = (grid["from"], grid["to"], grid["n"])
+    if grid["values"] is not None:
+        values = grid["values"]
+    elif None in span:
+        raise ConfigError("c_grid needs either values or from/to/n")
+    elif grid["spacing"] in (None, "geometric"):
+        values = geometric_grid(*span)
+    elif grid["spacing"] == "linear":
+        values = np.linspace(*span)
+    else:
+        raise ConfigError(f"c_grid.spacing must be geometric or linear, got {grid['spacing']!r}")
     values = sorted(float(v) for v in values)
-    if len(values) < 1:
+    if not values:
         raise ConfigError("c_grid is empty")
     if any(v1 <= v0 for v0, v1 in zip(values, values[1:])):
         raise ConfigError("c_grid values must be distinct")
@@ -361,9 +363,9 @@ def _trace(setup: Setup, branch: str, c_values, ks, basis):
     tol = cfg["tolerances"]
     return trace_family(
         setup.constraint_for_branch(branch), c_values, branch, ks=ks, basis=basis,
-        multistart=int(cfg["multistart"]), warm_multistart=int(cfg["warm_multistart"]),
-        seed=int(cfg["seed"]), params=setup.params, noise=tol["curve_noise"],
-        lipschitz_safety=tol["lipschitz_safety"], n_samples=int(cfg["n_samples"]),
+        multistart=cfg["multistart"], warm_multistart=cfg["warm_multistart"],
+        seed=cfg["seed"], params=setup.params, noise=tol["curve_noise"],
+        lipschitz_safety=tol["lipschitz_safety"], n_samples=cfg["n_samples"],
     )
 
 
@@ -374,16 +376,12 @@ def _trace_branches(setup: Setup, plus_grid, minus_grid, log=None):
     where ground_ok is False once a k = 1 point did not converge.  log, when
     given, receives one line per curve.
     """
-    ks = sorted(set(int(k) for k in setup.cfg["ks"]))
-    if not ks or ks[0] < 1:
-        raise ConfigError(f"ks must list curve indices k >= 1, got {setup.cfg['ks']!r}")
+    ks = sorted(set(setup.cfg["ks"]))
     basis = setup.basis(max(ks)) if max(ks) > 1 else None
     fams = {}
     curves = []
     ground_ok = True
     for branch in setup.cfg["branches"]:
-        if branch not in ("plus", "minus"):
-            raise ConfigError(f"unknown branch {branch!r}")
         grid = plus_grid if branch == "plus" else minus_grid
         fams[branch] = fam = _trace(setup, branch, grid, ks, basis)
         for k in ks:
@@ -426,13 +424,7 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
     cfg = setup.cfg
     if cfg["c"] is None:
         raise ConfigError("solve needs a top-level \"c\" value")
-    c = float(cfg["c"])
-    branch = cfg["branch"]
-    k = int(cfg["k"])
-    if branch not in ("plus", "minus"):
-        raise ConfigError(f"unknown branch {branch!r}")
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
+    c, branch, k = cfg["c"], cfg["branch"], cfg["k"]
     t0 = time.perf_counter()
     curves = [_trace_one_point(setup, c, branch, k)]
     elapsed = time.perf_counter() - t0
@@ -480,14 +472,14 @@ def _trace_one_point(setup: Setup, c: float, branch: str, k: int):
 
 
 def cmd_trace(setup: Setup, out_dir: str, quiet: bool) -> int:
-    cfg = setup.cfg
-    c_values = _c_values(cfg)
+    if setup.c_values is None:
+        raise ConfigError("this command needs a c_grid section")
     t0 = time.perf_counter()
     _, curves, ground_ok = _trace_branches(
-        setup, c_values, c_values, log=lambda line: _say(quiet, line)
+        setup, setup.c_values, setup.c_values, log=lambda line: _say(quiet, line)
     )
     elapsed = time.perf_counter() - t0
-    report = build_report(cfg, curves=curves, timing_seconds={"total": elapsed})
+    report = build_report(setup.cfg, curves=curves, timing_seconds={"total": elapsed})
     write_report_json(os.path.join(out_dir, "report.json"), report)
     write_curves_csv(os.path.join(out_dir, "curves.csv"), curves)
     write_diagram_svg(os.path.join(out_dir, "diagram.svg"), curves)
@@ -505,7 +497,7 @@ def _thresholds(setup: Setup):
     """
     cfg = setup.cfg
     constraint = setup.constraint(setup.tag_both)
-    opts = dict(multistart=int(cfg["multistart"]), seed=int(cfg["seed"]), params=setup.params)
+    opts = dict(multistart=cfg["multistart"], seed=cfg["seed"], params=setup.params)
     zero_level = minimize_c0(constraint.working, start_support=constraint.start_support, **opts)
     c2, minimizers = compute_c_star_star(constraint, zero_level=zero_level, **opts)
     c_star = compute_c_star(constraint, c_star_star=c2)
@@ -530,7 +522,7 @@ def cmd_thresholds(setup: Setup, out_dir: str, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _derived_grids(setup: Setup, c_star: float, c2: float):
+def _derived_grids(c_star: float, c2: float):
     """Default verification grids spanning (c_star, 0) and through c_star_star."""
     common = list(np.linspace(0.5 * c_star, 0.05 * c_star, 5))
     minus_extra = list(np.linspace(0.3 * c2, 0.9 * c2, 3))
@@ -548,11 +540,10 @@ def _run_battery(setup: Setup, quiet: bool):
     timing["thresholds"] = time.perf_counter() - t0
     _say(quiet, f"c_star = {c_star!r}, c_star_star = {c2!r}")
 
-    if cfg["c_grid"] is not None:
-        plus_grid = _c_values(cfg)
-        minus_grid = plus_grid
+    if setup.c_values is not None:
+        plus_grid = minus_grid = setup.c_values
     else:
-        plus_grid, minus_grid = _derived_grids(setup, c_star, c2)
+        plus_grid, minus_grid = _derived_grids(c_star, c2)
 
     t0 = time.perf_counter()
     fams, curves, ground_ok = _trace_branches(
@@ -569,7 +560,8 @@ def _run_battery(setup: Setup, quiet: bool):
     verdicts["k_monotone"] = all(c.verdicts.get("k_monotone", True) for c in curves)
 
     if "plus" in fams and "minus" in fams:
-        ordering = ordering_check(fams["plus"][1], fams["minus"][1], noise=tol["curve_noise"])
+        ordering = ordering_check(fams["plus"][1], fams["minus"][1], noise=tol["curve_noise"],
+                                  lambda_sign=setup.tag.a_sign)
         verdicts["pdm_ordering"] = ordering["ok"]
         verdicts["pdm_worst_gap"] = ordering["worst_gap"]
     certified, n_checked = _certify_points(curves, tol)
@@ -579,31 +571,34 @@ def _run_battery(setup: Setup, quiet: bool):
     extras: dict[str, object] = {}
     if "plus" in cfg["branches"]:
         t0 = time.perf_counter()
-        limit = limit_check_zero(
-            setup.constraint_for_branch("plus"),
-            schedule=[float(v) for v in cfg["limit_schedule"]],
-            tol_limit=tol["limit_ratio"],
-            seed=int(cfg["seed"]),
-            multistart=int(cfg["multistart"]),
-            params=setup.params,
-            c_star_value=c_star,
-        )
+        try:
+            limit = limit_check_zero(
+                setup.constraint_for_branch("plus"),
+                schedule=cfg["limit_schedule"],
+                tol_limit=tol["limit_ratio"],
+                seed=cfg["seed"],
+                multistart=cfg["multistart"],
+                params=setup.params,
+                c_star_value=c_star,
+            )
+        except ValueError as exc:  # fewer than two schedule levels lie above c*
+            limit = {"schedule_error": str(exc)}
         timing["zero_limit"] = time.perf_counter() - t0
         extras["zero_limit"] = limit
-        verdicts["limit_magnitude_decreasing"] = limit["magnitude_decreasing"]
-        verdicts["limit_ratio_ok"] = limit["limit_ok"]
-        verdicts["limit_scaling_bound"] = limit["bound_ok"]
-        verdicts["limit_scaling_trend"] = limit["trend_ok"]
+        verdicts["limit_magnitude_decreasing"] = limit.get("magnitude_decreasing", False)
+        verdicts["limit_ratio_ok"] = limit.get("limit_ok", False)
+        verdicts["limit_scaling_bound"] = limit.get("bound_ok", False)
+        verdicts["limit_scaling_trend"] = limit.get("trend_ok", False)
 
     if "minus" in cfg["branches"]:
         t0 = time.perf_counter()
         try:
             crossing = extend_minus_past_cstarstar(
                 setup.constraint_for_branch("minus"),
-                deltas=[float(d) for d in cfg["threshold_deltas"]],
-                multistart=int(cfg["multistart"]),
-                warm_multistart=int(cfg["warm_multistart"]),
-                seed=int(cfg["seed"]),
+                deltas=cfg["threshold_deltas"],
+                multistart=cfg["multistart"],
+                warm_multistart=cfg["warm_multistart"],
+                seed=cfg["seed"],
                 params=setup.params,
                 zero_tol=tol["zero_level_abs"],
                 noise=tol["curve_noise"],
@@ -725,15 +720,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = merge_config(_load_config(args.config))
+        user = _load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            user["seed"] = args.seed
+        cfg = merge_config(user)
         os.makedirs(args.out, exist_ok=True)
         setup = Setup(cfg)
         _write_echo(args.out, cfg)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    for note in setup.triple.diagnostics:
+        print(f"warning: {note}", file=sys.stderr)
 
     try:
         code = _COMMANDS[args.command](setup, args.out, args.quiet)

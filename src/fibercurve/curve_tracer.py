@@ -338,20 +338,21 @@ def trace_family(
 
 
 def ordering_check(
-    plus_curve: EnergyCurve, minus_curve: EnergyCurve, noise: float = 1e-6
+    plus_curve: EnergyCurve, minus_curve: EnergyCurve, noise: float = 1e-6, lambda_sign: float = 1.0
 ) -> dict:
     """Pointwise ordering of branches at matching (c, k): plus below minus.
 
     On each common ray the plus scaling is the fibering minimum and the minus
     scaling the maximum, and the plus branch minimizes over a larger feasible
     set, so the plus level can never exceed the minus level (up to noise).
+    A-negative cones report negated levels: the gap is lambda_sign * (plus - minus).
     """
     plus = {p.c: p.lam for p in plus_curve.points}
     minus = {p.c: p.lam for p in minus_curve.points}
     common = sorted(plus.keys() & minus.keys())
     worst = -math.inf
     for c in common:
-        worst = max(worst, plus[c] - minus[c])
+        worst = max(worst, lambda_sign * (plus[c] - minus[c]))
     ok = worst <= noise * (1.0 + max(abs(minus[c]) for c in common)) if common else True
     return {"ok": bool(ok), "worst_gap": worst, "n_compared": len(common)}
 

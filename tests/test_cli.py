@@ -337,6 +337,9 @@ class TestZeroLevelSolve:
         assert neg["zero_crossing"] == pos["zero_crossing"]
         assert pos["zero_crossing"]["ok"]
         assert neg["verdicts"]["zero_crossing"] == pos["verdicts"]["zero_crossing"]
+        # plus <= minus is compared on sign-adjusted levels, so pdm_ordering
+        # and its worst gap mirror too
+        assert neg["verdicts"] == pos["verdicts"]
         assert [p["lambda"] for p in neg["curves"]["minus_k1"]["points"]] == [
             -p["lambda"] for p in pos["curves"]["minus_k1"]["points"]
         ]
@@ -424,9 +427,22 @@ class TestConfigErrors:
             ("trace", battery_config(ks=["a"])),
             ("trace", battery_config(multistart="x")),
             ("trace", battery_config(problem=dict(BASE_PROBLEM, n_interior=[None]))),
+            ("solve", solve_config(tolerances={"gtol": "1e-8"})),
+            ("solve", solve_config(tolerances={"residual_grad": "1e-6"})),
+            ("trace", battery_config(multistart=2.7)),
+            ("trace", battery_config(seed=True)),
+            ("trace", battery_config(problem=dict(BASE_PROBLEM, bounds=[0, "a"]))),
+            ("trace", battery_config(problem=dict(BASE_PROBLEM, bounds=5))),
+            ("trace", battery_config(
+                problem=dict(BASE_PROBLEM, weights={"a_csv": "nope.csv", "b_csv": "nope.csv"})
+            )),
+            ("report", battery_config(limit_schedule=[0.01, -0.001])),
+            ("report", battery_config(limit_schedule=[-0.01])),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
-             "multistart_not_int", "n_interior_null"],
+             "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
+             "multistart_fraction", "seed_bool", "bounds_not_number", "bounds_not_pairs",
+             "weight_file_missing", "limit_schedule_positive", "limit_schedule_short"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)
@@ -436,3 +452,62 @@ class TestConfigErrors:
         assert code == 1
         assert "config error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            battery_config(ks=[0]),
+            battery_config(branches=["plus", "sideways"]),
+            battery_config(c_grid={"from": -0.5, "to": -0.05, "n": 1}),
+        ],
+        ids=["ks", "branches", "c_grid"],
+    )
+    def test_report_checks_the_config_before_any_solve(self, tmp_path, monkeypatch, cfg):
+        purposes = count_multistart_purposes(monkeypatch)
+        cfg_path = write_config(tmp_path, cfg)
+        code, _, err = run_cli(
+            ["report", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert err.startswith("config error")
+        assert not purposes
+
+
+class TestZeroLimitSchedule:
+    @pytest.mark.parametrize("command,expected", [("verify", 3), ("report", 0)])
+    def test_schedule_below_c_star_fails_the_limit_verdicts(self, tmp_path, command, expected):
+        # c* is about -15 on this instance, so only -0.01 of the schedule
+        # lies above it: the zero limit has too few levels, which is a
+        # recorded failure and not a crash
+        cfg = battery_config(limit_schedule=[-100, -50, -0.01])
+        cfg_path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli([command, "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == expected, err
+        assert "Traceback" not in err
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["config.echo.json", "curves.csv", "diagram.svg", "report.json"]
+        report = json.loads((out_dir / "report.json").read_text())
+        assert "two usable levels" in report["zero_limit"]["schedule_error"]
+        for name in ("limit_magnitude_decreasing", "limit_ratio_ok", "limit_scaling_bound",
+                     "limit_scaling_trend"):
+            assert report["verdicts"][name] is False
+
+
+class TestDiagnostics:
+    def test_truncation_warnings_reach_stderr(self, tmp_path):
+        # constant weights keep half their mass in the outer quarter of the
+        # truncated domain
+        problem = {"kind": "truncated_rn", "n_nodes": 41, "radius": 4.0, "p": 3.0,
+                   "weights": {"a": "1", "b": "1"}}
+        cfg_path = write_config(tmp_path, solve_config(problem=problem))
+        code, _, err = run_cli(
+            ["thresholds", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]
+        )
+        assert code == 0, err
+        for name in ("a", "b"):
+            assert f"warning: weight {name} carries" in err
+            assert "outer quarter of the truncated domain" in err
+
+    def test_dirichlet_battery_prints_no_warning(self, verify_pass):
+        assert "warning:" not in verify_pass["err"]

@@ -1,5 +1,7 @@
 """Curve tracing over energy levels, shape verdicts, intersection solves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,20 @@ class TestOrderingCheck:
         assert out["ok"]
         assert out["n_compared"] == 3
         assert out["worst_gap"] < 0.0
+
+    def test_negated_levels_on_a_negative_cone(self, const_con_plus):
+        # an A-negative cone reports every level negated; with its
+        # lambda_sign the comparison is the A-positive one
+        grid = geometric_grid(-0.3, -0.05, 3)
+        plus = trace_curve(const_con_plus, grid, "plus", multistart=6)
+        minus = trace_curve(const_con_plus, grid, "minus", multistart=6)
+
+        def negated(curve):
+            return replace(curve, points=tuple(replace(p, lam=-p.lam) for p in curve.points))
+
+        mirrored = ordering_check(negated(plus), negated(minus), lambda_sign=-1.0)
+        assert mirrored == ordering_check(plus, minus)
+        assert not ordering_check(negated(plus), negated(minus))["ok"]
 
     def test_empty_overlap(self, const_con_plus):
         plus = trace_curve(const_con_plus, [-0.1], "plus", multistart=2)
