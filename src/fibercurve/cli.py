@@ -505,7 +505,6 @@ def _thresholds(setup: Setup):
 
 
 def cmd_thresholds(setup: Setup, out_dir: str, quiet: bool) -> int:
-    cfg = setup.cfg
     t0 = time.perf_counter()
     c_star, c2, minimizers, _ = _thresholds(setup)
     elapsed = time.perf_counter() - t0
@@ -515,7 +514,7 @@ def cmd_thresholds(setup: Setup, out_dir: str, quiet: bool) -> int:
         "n_zero_level_minimizers": len(minimizers),
         "ordered": bool(c_star < 0.0 < c2),
     }
-    report = build_report(cfg, thresholds=thresholds, timing_seconds={"total": elapsed})
+    report = build_report(setup.cfg, thresholds=thresholds, timing_seconds={"total": elapsed})
     write_report_json(os.path.join(out_dir, "report.json"), report)
     _say(quiet, f"c_star = {c_star!r}")
     _say(quiet, f"c_star_star = {c2!r} ({len(minimizers)} minimizer(s))")
@@ -551,9 +550,7 @@ def _run_battery(setup: Setup, quiet: bool):
     )
     timing["curves"] = time.perf_counter() - t0
 
-    verdicts: dict[str, object] = {
-        "thresholds_ordered": bool(c_star < 0.0 < c2),
-    }
+    verdicts: dict[str, object] = {"thresholds_ordered": bool(c_star < 0.0 < c2)}
     verdicts["curve_monotone"] = all(c.verdicts["monotone_decreasing"] for c in curves)
     verdicts["curve_lipschitz"] = all(c.verdicts["lipschitz_ok"] for c in curves)
     verdicts["norm_monotone"] = all(c.verdicts["norm_monotone"] for c in curves)
@@ -571,7 +568,9 @@ def _run_battery(setup: Setup, quiet: bool):
     extras: dict[str, object] = {}
     if "plus" in cfg["branches"]:
         t0 = time.perf_counter()
-        try:
+        if sum(c > c_star for c in cfg["limit_schedule"]) < 2:  # Setup checked the rest
+            limit = {"schedule_error": f"need two usable levels above c* = {c_star!r}"}
+        else:
             limit = limit_check_zero(
                 setup.constraint_for_branch("plus"),
                 schedule=cfg["limit_schedule"],
@@ -581,8 +580,6 @@ def _run_battery(setup: Setup, quiet: bool):
                 params=setup.params,
                 c_star_value=c_star,
             )
-        except ValueError as exc:  # fewer than two schedule levels lie above c*
-            limit = {"schedule_error": str(exc)}
         timing["zero_limit"] = time.perf_counter() - t0
         extras["zero_limit"] = limit
         verdicts["limit_magnitude_decreasing"] = limit.get("magnitude_decreasing", False)
@@ -643,15 +640,10 @@ _GATING_VERDICTS = (
 
 
 def _print_verdicts(verdicts: dict, quiet: bool) -> bool:
-    all_ok = True
-    for name in _GATING_VERDICTS:
-        if name not in verdicts:
-            continue
-        ok = bool(verdicts[name])
-        _say(quiet, f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            all_ok = False
-    return all_ok
+    gating = [name for name in _GATING_VERDICTS if name in verdicts]
+    for name in gating:
+        _say(quiet, f"{'PASS' if verdicts[name] else 'FAIL'}  {name}")
+    return all(bool(verdicts[name]) for name in gating)
 
 
 def _battery_command(setup: Setup, out_dir: str, quiet: bool, gate: bool) -> int:

@@ -338,14 +338,15 @@ def trace_family(
 
 
 def ordering_check(
-    plus_curve: EnergyCurve, minus_curve: EnergyCurve, noise: float = 1e-6, lambda_sign: float = 1.0
+    plus_curve: EnergyCurve, minus_curve: EnergyCurve, noise: float = 1e-6, *, lambda_sign=1.0
 ) -> dict:
     """Pointwise ordering of branches at matching (c, k): plus below minus.
 
     On each common ray the plus scaling is the fibering minimum and the minus
     scaling the maximum, and the plus branch minimizes over a larger feasible
     set, so the plus level can never exceed the minus level (up to noise).
-    A-negative cones report negated levels: the gap is lambda_sign * (plus - minus).
+    A-negative cones report negated levels and the curves do not carry the
+    sign: their callers must pass lambda_sign = -1.0 (the default suits A_POS).
     """
     plus = {p.c: p.lam for p in plus_curve.points}
     minus = {p.c: p.lam for p in minus_curve.points}

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+import fibercurve.cli as cli
 import fibercurve.nehari_minmax as nm
 from conftest import count_multistart_purposes
 from fibercurve.cli import main
@@ -492,6 +493,17 @@ class TestZeroLimitSchedule:
         for name in ("limit_magnitude_decreasing", "limit_ratio_ok", "limit_scaling_bound",
                      "limit_scaling_trend"):
             assert report["verdicts"][name] is False
+
+    def test_other_zero_limit_errors_are_not_schedule_errors(self, tmp_path, monkeypatch):
+        # a ValueError from the level chain is a defect, not a bad schedule:
+        # it must escape instead of being recorded as schedule_error
+        def broken_chain(*args, **kwargs):
+            raise ValueError("need b > 0")
+
+        monkeypatch.setattr(cli, "limit_check_zero", broken_chain)
+        cfg_path = write_config(tmp_path, battery_config())
+        with pytest.raises(ValueError, match="need b > 0"):
+            run_cli(["report", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
 
 
 class TestDiagnostics:
