@@ -40,8 +40,10 @@ Config sketch (defaults shown in config.echo.json after any run)::
       "multistart": 32, "warm_multistart": 8, "n_samples": 64,
       "seed": 0, "start_support": "cone",
       "limit_schedule": [-0.01, -0.001, -0.0001],
-      "threshold_deltas": [0.01, 0.05],
-      "tolerances": {"residual_grad": 1e-6, "energy_defect_rel": 1e-8, ...}
+      "threshold_deltas": [0.01, 0.05],   // each in (0, 1)
+      "tolerances": {"residual_grad": 1e-6, "energy_defect_rel": 1e-8, "gtol": 1e-8,
+                     "max_iter": 5000, "curve_noise": 1e-6, "limit_ratio": 0.05}
+                                        // all > 0 but curve_noise >= 0
     }
 """
 
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -98,13 +101,10 @@ class ConfigError(Exception):
 DEFAULT_TOLERANCES = {
     "residual_grad": 1e-6,
     "energy_defect_rel": 1e-8,
-    "cone_margin": 1e-12,
     "gtol": 1e-8,
     "max_iter": 5000,
     "curve_noise": 1e-6,
     "limit_ratio": 0.05,
-    "zero_level_abs": 1e-4,
-    "lipschitz_safety": 3.0,
 }
 
 _TOP_DEFAULTS = {
@@ -214,6 +214,17 @@ def merge_config(user: dict) -> dict:
                      ("seed", 0)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+    tol = cfg["tolerances"]
+    if tol["max_iter"] < 1:
+        raise ConfigError(f"tolerances.max_iter must be at least 1, got {tol['max_iter']}")
+    for key in ("gtol", "residual_grad", "energy_defect_rel", "limit_ratio", "curve_noise"):
+        value = tol[key]
+        if not math.isfinite(value) or value < 0.0 or (value == 0.0 and key != "curve_noise"):
+            need = "at least 0" if key == "curve_noise" else "positive"
+            raise ConfigError(f"tolerances.{key} must be finite and {need}, got {value!r}")
+    deltas = cfg["threshold_deltas"]
+    if not deltas or not all(0.0 < d < 1.0 for d in deltas):
+        raise ConfigError(f"threshold_deltas must list deltas in (0, 1), got {deltas!r}")
     return cfg
 
 
@@ -301,12 +312,7 @@ class Setup:
                         "refine the grid or pass start_support = \"none\""
                     )
                 support = mask
-            self._cache[tag] = SphereConstraint(
-                triple=self.triple,
-                tag=tag,
-                eps_cone=self.cfg["tolerances"]["cone_margin"],
-                start_support=support,
-            )
+            self._cache[tag] = SphereConstraint(self.triple, tag=tag, start_support=support)
         return self._cache[tag]
 
     def constraint_for_branch(self, branch: str) -> SphereConstraint:
@@ -360,12 +366,11 @@ def _write_echo(out_dir: str, cfg: dict) -> None:
 def _trace(setup: Setup, branch: str, c_values, ks, basis):
     """trace_family on the branch's constraint with the config's solver settings."""
     cfg = setup.cfg
-    tol = cfg["tolerances"]
     return trace_family(
         setup.constraint_for_branch(branch), c_values, branch, ks=ks, basis=basis,
         multistart=cfg["multistart"], warm_multistart=cfg["warm_multistart"],
-        seed=cfg["seed"], params=setup.params, noise=tol["curve_noise"],
-        lipschitz_safety=tol["lipschitz_safety"], n_samples=cfg["n_samples"],
+        seed=cfg["seed"], params=setup.params, noise=cfg["tolerances"]["curve_noise"],
+        n_samples=cfg["n_samples"],
     )
 
 
@@ -557,8 +562,7 @@ def _run_battery(setup: Setup, quiet: bool):
     verdicts["k_monotone"] = all(c.verdicts.get("k_monotone", True) for c in curves)
 
     if "plus" in fams and "minus" in fams:
-        ordering = ordering_check(fams["plus"][1], fams["minus"][1], noise=tol["curve_noise"],
-                                  lambda_sign=setup.tag.a_sign)
+        ordering = ordering_check(fams["plus"][1], fams["minus"][1], noise=tol["curve_noise"])
         verdicts["pdm_ordering"] = ordering["ok"]
         verdicts["pdm_worst_gap"] = ordering["worst_gap"]
     certified, n_checked = _certify_points(curves, tol)
@@ -582,10 +586,10 @@ def _run_battery(setup: Setup, quiet: bool):
             )
         timing["zero_limit"] = time.perf_counter() - t0
         extras["zero_limit"] = limit
-        verdicts["limit_magnitude_decreasing"] = limit.get("magnitude_decreasing", False)
-        verdicts["limit_ratio_ok"] = limit.get("limit_ok", False)
-        verdicts["limit_scaling_bound"] = limit.get("bound_ok", False)
-        verdicts["limit_scaling_trend"] = limit.get("trend_ok", False)
+        verdicts["limit_magnitude_decreasing"] = bool(limit.get("magnitude_decreasing"))
+        verdicts["limit_ratio_ok"] = bool(limit.get("limit_ok"))
+        verdicts["limit_scaling_bound"] = bool(limit.get("bound_ok"))
+        verdicts["limit_scaling_trend"] = bool(limit.get("trend_ok"))
 
     if "minus" in cfg["branches"]:
         t0 = time.perf_counter()
@@ -597,7 +601,6 @@ def _run_battery(setup: Setup, quiet: bool):
                 warm_multistart=cfg["warm_multistart"],
                 seed=cfg["seed"],
                 params=setup.params,
-                zero_tol=tol["zero_level_abs"],
                 noise=tol["curve_noise"],
                 zero_level=zero_level,
             )
@@ -623,27 +626,12 @@ def _run_battery(setup: Setup, quiet: bool):
     return curves, thresholds, verdicts, extras, timing, ground_ok
 
 
-_GATING_VERDICTS = (
-    "thresholds_ordered",
-    "curve_monotone",
-    "curve_lipschitz",
-    "norm_monotone",
-    "k_monotone",
-    "pdm_ordering",
-    "residuals_certified",
-    "limit_magnitude_decreasing",
-    "limit_ratio_ok",
-    "limit_scaling_bound",
-    "limit_scaling_trend",
-    "zero_crossing",
-)
-
-
 def _print_verdicts(verdicts: dict, quiet: bool) -> bool:
-    gating = [name for name in _GATING_VERDICTS if name in verdicts]
-    for name in gating:
-        _say(quiet, f"{'PASS' if verdicts[name] else 'FAIL'}  {name}")
-    return all(bool(verdicts[name]) for name in gating)
+    """Print and gate the bool verdicts in the order the battery recorded them."""
+    gating = {name: ok for name, ok in verdicts.items() if isinstance(ok, bool)}
+    for name, ok in gating.items():
+        _say(quiet, f"{'PASS' if ok else 'FAIL'}  {name}")
+    return all(gating.values())
 
 
 def _battery_command(setup: Setup, out_dir: str, quiet: bool, gate: bool) -> int:

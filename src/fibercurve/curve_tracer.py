@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .functional_core import Array
+from .functional_core import Array, _inside_cone
 from .nehari_minmax import (
     CriticalPointRecord,
     GenusSurrogate,
@@ -33,7 +33,6 @@ from .nehari_minmax import (
     OptimizerParams,
     SphereConstraint,
     SurrogateLevel,
-    _inside_cone,
     extract_critical_point,
     level_slope,
     minimize_c0,
@@ -54,6 +53,10 @@ __all__ = [
 ]
 
 _TREND_FACTOR = 3.0  # largest ratio of the zero-limit scalings t / |c|**(1/eta)
+# safety factor on the Lipschitz bound alpha/min A of a curve segment, whose
+# envelope slope is evaluated only at the segment's endpoints
+_LIPSCHITZ_SAFETY = 3.0
+_ZERO_LEVEL_ABS = 1e-4  # largest |level| of the minus curve at c**
 _MAX_REFINE = 200  # refinement steps of one intersection root inside its bracket
 
 
@@ -73,6 +76,8 @@ class EnergyCurve:
 
     truncation_reason is empty for a fully traced grid; otherwise it explains
     why tracing stopped early (the remaining grid values are dropped).
+    lambda_sign is the constraint's: -1.0 on A-negative cones, whose levels
+    are reported negated.
     """
 
     branch: str
@@ -80,6 +85,7 @@ class EnergyCurve:
     points: tuple[CurvePoint, ...]
     verdicts: dict
     truncation_reason: str = ""
+    lambda_sign: float = 1.0
 
 
 def geometric_grid(c_from: float, c_to: float, n: int) -> np.ndarray:
@@ -96,7 +102,6 @@ def _curve_verdicts(
     constraint: SphereConstraint,
     points: Sequence[CurvePoint],
     noise: float,
-    lipschitz_safety: float,
 ) -> dict:
     """Shape checks for one traced curve, ordered by increasing c."""
     lams = [p.lam for p in points]
@@ -128,7 +133,7 @@ def _curve_verdicts(
         a1 = abs(float(constraint.triple.eval_A(p1.record.coefficients)))
         a_min = min(a0, a1)
         if a_min > 0.0:
-            bound = lipschitz_safety * (alpha / a_min) * abs(p1.c - p0.c)
+            bound = _LIPSCHITZ_SAFETY * (alpha / a_min) * abs(p1.c - p0.c)
             worst_ratio = max(worst_ratio, jump / bound if bound > 0.0 else math.inf)
             if jump > bound:
                 lip = False
@@ -257,7 +262,6 @@ def trace_curve(
     seed: int = 0,
     params: OptimizerParams | None = None,
     noise: float = 1e-6,
-    lipschitz_safety: float = 3.0,
     n_samples: int = 64,
 ) -> EnergyCurve:
     """Trace one (branch, k) curve over c_values (sorted by increasing c).
@@ -270,8 +274,7 @@ def trace_curve(
     return trace_family(
         constraint, c_values, branch, ks=(k,), basis=basis,
         multistart=multistart, warm_multistart=warm_multistart, seed=seed,
-        params=params, noise=noise, lipschitz_safety=lipschitz_safety,
-        n_samples=n_samples,
+        params=params, noise=noise, n_samples=n_samples,
     )[k]
 
 
@@ -286,7 +289,6 @@ def trace_family(
     seed: int = 0,
     params: OptimizerParams | None = None,
     noise: float = 1e-6,
-    lipschitz_safety: float = 3.0,
     n_samples: int = 64,
 ) -> dict[int, EnergyCurve]:
     """Trace curves for several k at once along one _LevelChain.
@@ -316,11 +318,11 @@ def trace_family(
 
     curves: dict[int, EnergyCurve] = {}
     for k in ks:
-        verdicts = _curve_verdicts(constraint, points[k], noise, lipschitz_safety)
+        verdicts = _curve_verdicts(constraint, points[k], noise)
         verdicts["k_monotone"] = True
         curves[k] = EnergyCurve(
             branch=branch, k=k, points=tuple(points[k]), verdicts=verdicts,
-            truncation_reason=chain.truncation[k],
+            truncation_reason=chain.truncation[k], lambda_sign=constraint.lambda_sign,
         )
 
     # family-wide k-monotonicity of reported levels at matching c
@@ -338,22 +340,27 @@ def trace_family(
 
 
 def ordering_check(
-    plus_curve: EnergyCurve, minus_curve: EnergyCurve, noise: float = 1e-6, *, lambda_sign=1.0
+    plus_curve: EnergyCurve, minus_curve: EnergyCurve, noise: float = 1e-6
 ) -> dict:
     """Pointwise ordering of branches at matching (c, k): plus below minus.
 
     On each common ray the plus scaling is the fibering minimum and the minus
     scaling the maximum, and the plus branch minimizes over a larger feasible
     set, so the plus level can never exceed the minus level (up to noise).
-    A-negative cones report negated levels and the curves do not carry the
-    sign: their callers must pass lambda_sign = -1.0 (the default suits A_POS).
+    A-negative cones report negated levels, so the comparison reads the
+    curves' lambda_sign; curves of opposite signs raise ValueError.
     """
+    sign = plus_curve.lambda_sign
+    if minus_curve.lambda_sign != sign:
+        raise ValueError(
+            f"curves of opposite cone signs: plus {sign!r}, minus {minus_curve.lambda_sign!r}"
+        )
     plus = {p.c: p.lam for p in plus_curve.points}
     minus = {p.c: p.lam for p in minus_curve.points}
     common = sorted(plus.keys() & minus.keys())
     worst = -math.inf
     for c in common:
-        worst = max(worst, lambda_sign * (plus[c] - minus[c]))
+        worst = max(worst, sign * (plus[c] - minus[c]))
     ok = worst <= noise * (1.0 + max(abs(minus[c]) for c in common)) if common else True
     return {"ok": bool(ok), "worst_gap": worst, "n_compared": len(common)}
 
@@ -644,7 +651,6 @@ def extend_minus_past_cstarstar(
     warm_multistart: int = 8,
     seed: int = 0,
     params: OptimizerParams | None = None,
-    zero_tol: float = 1e-4,
     noise: float = 1e-6,
     zero_level: tuple[float, Sequence[Array]] | None = None,
 ) -> dict:
@@ -657,12 +663,15 @@ def extend_minus_past_cstarstar(
     of the minus level at the threshold; a violating minimizer raises
     ValueError.  (compute_c_star_star needs only one inside minimizer to
     take c0 as c**; here all must be inside, so the threshold is c0 = c**.)
-    Then evaluates the curve on c = threshold * (1 +/- delta) and at the
-    threshold itself, expecting positive levels before, |level| <= zero_tol
-    at, and negative levels after.  The levels follow one _LevelChain,
-    started from the minimizers; the first level draws multistart further
-    starts and later ones warm_multistart, like the points of a curve.
+    Then evaluates the curve on c = threshold * (1 +/- delta), each delta in
+    (0, 1), and at the threshold itself, expecting positive levels before,
+    |level| <= _ZERO_LEVEL_ABS at, and negative levels after.  The levels
+    follow one _LevelChain, started from the minimizers; the first level
+    draws multistart further starts and later ones warm_multistart, like the
+    points of a curve.
     """
+    if len(deltas) == 0 or not all(0.0 < d < 1.0 for d in deltas):
+        raise ValueError(f"deltas must be a nonempty list in (0, 1), got {list(deltas)!r}")
     working = constraint.working
     if zero_level is None:
         zero_level = minimize_c0(
@@ -674,7 +683,7 @@ def extend_minus_past_cstarstar(
     for i, m in enumerate(mins):
         a_val = float(working.eval_A(m))
         margins.append(a_val)
-        if not _inside_cone(constraint.eps_cone, a_val):
+        if not _inside_cone(a_val):
             raise ValueError(
                 f"zero-crossing minimizer {i} leaves the concave-term cone "
                 f"(margin {a_val!r}); the continuation hypothesis fails"
@@ -697,7 +706,7 @@ def extend_minus_past_cstarstar(
     at = [r for r in rows if r["c"] == c2]
     after = [r for r in rows if r["c"] > c2]
     positive_before = all(sign * r["lambda"] > noise for r in before)
-    zero_at = all(abs(r["lambda"]) <= zero_tol for r in at)
+    zero_at = all(abs(r["lambda"]) <= _ZERO_LEVEL_ABS for r in at)
     negative_after = all(sign * r["lambda"] < -noise for r in after)
     return {
         "c_star_star": c2,

@@ -173,17 +173,34 @@ def lambda_of(triple: FunctionalTriple, c: float, u: Array) -> float:
     return value
 
 
+# Relative margin of the cone rule: a value within _CONE_RTOL of 0, relative
+# to 1 + the magnitudes of the cone's values, counts as the boundary.
+_CONE_RTOL = 1e-12
+
+
+def _inside_cone(a: float, b: float | None = None) -> bool:
+    """The one cone rule on ray scalars: a, and b when given, exceed
+    _CONE_RTOL times 1 + their magnitudes.  a is the sign-adjusted A (a
+    negative cone is the positive cone of -A, since phi(lam, u; A) =
+    phi(-lam, u; -A)); _inside_cone(b) is the B > 0 cone alone."""
+    margin = a
+    scale = 1.0 + abs(a)
+    if b is not None:
+        margin = min(margin, b)
+        scale += abs(b)
+    return margin > _CONE_RTOL * scale
+
+
 def cone_membership(
     triple: FunctionalTriple, tag: ConeTag, u: Array
 ) -> tuple[bool, float]:
-    """Strict cone test returning (member, margin).
+    """Cone test returning (member, margin) by the one cone rule (_inside_cone).
 
-    The margin is the smallest of the strict quantities defining the cone
-    (sign-adjusted A, and B where required), so membership holds exactly when
-    margin > 0.  The zero vector has margin 0 and is never a member.
+    The margin is the smallest of the quantities defining the cone
+    (sign-adjusted A, and B where required); membership holds when it exceeds
+    _CONE_RTOL times 1 + their magnitudes.  The zero vector has margin 0 and
+    is never a member.
     """
-    a = float(triple.eval_A(u))
-    margin = tag.a_sign * a
-    if tag.needs_b_pos:
-        margin = min(margin, float(triple.eval_B(u)))
-    return margin > 0.0, margin
+    a = tag.a_sign * float(triple.eval_A(u))
+    b = float(triple.eval_B(u)) if tag.needs_b_pos else None
+    return _inside_cone(a, b), a if b is None else min(a, b)

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functional_core import ConeTag, Exponents, FunctionalTriple, cone_membership
+from .functional_core import ConeTag, Exponents, FunctionalTriple, _inside_cone, cone_membership
 from .nehari_minmax import minimize_c0
 
 Array = np.ndarray
@@ -814,9 +814,10 @@ def construct_weight_for_conjecture(
     b_plus is the positive part of the problem's convex weight.  The bump must
     sit inside a ball where b_plus vanishes (checked).  The zero-level
     objective and its minimizers depend only on (N, B), so the minimizer set
-    is computed once and the largest eps in the schedule with
-    A_eps(minimizer) > 0 for every found minimizer is returned.  Raises when
-    the schedule is exhausted, naming the violating minimizer.
+    is computed once and the largest eps in the schedule that keeps every
+    found minimizer inside the A_eps > 0 cone (by the one cone rule,
+    functional_core._inside_cone) is returned.  Raises when the schedule is
+    exhausted, naming the violating minimizer.
     """
     grid = problem.grid
     b_cell = problem.weights.b
@@ -861,10 +862,7 @@ def construct_weight_for_conjecture(
         bump_part.append(float(np.sum(theta_bar * w) * vol))
 
     for eps in schedule:
-        margins = [pa - eps * ba for pa, ba in zip(pos_part, bump_part)]
-        worst = min(margins)
-        scale = 1.0 + max(abs(m) for m in margins)
-        if worst > 1e-12 * scale:
+        if all(_inside_cone(pa - eps * ba) for pa, ba in zip(pos_part, bump_part)):
             a_cell = b_plus - eps * theta
             return (
                 WeightField(

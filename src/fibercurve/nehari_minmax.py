@@ -50,7 +50,9 @@ import numpy as np
 
 from . import _kernels as K
 from .fibering import classify_and_solve  # noqa: F401 (perfbench/tracing.py patches it here)
-from .functional_core import Array, ConeTag, Exponents, FunctionalTriple, phi, phi_grad
+from .functional_core import (
+    Array, ConeTag, Exponents, FunctionalTriple, _inside_cone, phi, phi_grad,
+)
 
 # objective value at a point, with a callable finishing the gradient there
 Evaluated = tuple[float, Callable[[], Array]]
@@ -122,17 +124,17 @@ class SphereConstraint:
 
     start_support optionally restricts random start vectors to a boolean DOF
     mask (model problems pass the sign-structure mask so starts are feasible
-    by construction).  eps_cone is the relative margin of the one cone rule
-    (_inside_cone): a point is inside when A of the working problem, and B on
-    B-positive cones, exceed eps_cone times 1 + their magnitudes; closer
-    points count as boundary.  The descents apply the rule to the scalars
-    their levels then read, and accept a start where their objective is
-    finite; feasible(u) applies it alone (minimize_c0's A > 0 starts).
+    by construction).  Every cone decision follows the one cone rule
+    (functional_core._inside_cone): a point is inside when A of the working
+    problem, and B on B-positive cones, exceed _CONE_RTOL times 1 + their
+    magnitudes; closer points count as boundary.  The descents apply the rule
+    to the scalars their levels then read, and accept a start where their
+    objective is finite; feasible(u) applies it alone (minimize_c0's A > 0
+    starts).
     """
 
     triple: FunctionalTriple
     tag: ConeTag = ConeTag.A_POS
-    eps_cone: float = 1e-12
     start_support: Array | None = None
 
     def __post_init__(self) -> None:
@@ -151,19 +153,7 @@ class SphereConstraint:
         working = self.working
         a = float(working.eval_A(u))
         b = float(working.eval_B(u)) if self.tag.needs_b_pos else None
-        return _inside_cone(self.eps_cone, a, b)
-
-
-def _inside_cone(eps_cone: float, a: float, b: float | None = None) -> bool:
-    """The cone margin rule on ray scalars: a, and b when given, exceed
-    eps_cone times 1 + their magnitudes.  _inside_cone(eps, b) is the B > 0
-    cone alone."""
-    margin = a
-    scale = 1.0 + abs(a)
-    if b is not None:
-        margin = min(margin, b)
-        scale += abs(b)
-    return margin > eps_cone * scale
+        return _inside_cone(a, b)
 
 
 def _outside_cone() -> Array:
@@ -302,12 +292,12 @@ def _level_evaluation(constraint: SphereConstraint, c: float, branch: str) -> Ev
     """
     working = constraint.working
     e = working.exponents
-    eps_cone, needs_b_pos = constraint.eps_cone, constraint.tag.needs_b_pos
+    needs_b_pos = constraint.tag.needs_b_pos
 
     def evaluate(u: Array) -> Evaluated:
         a = float(working.eval_A(u))
         b = float(working.eval_B(u)) if needs_b_pos else None
-        if not _inside_cone(eps_cone, a, b):
+        if not _inside_cone(a, b):
             return math.inf, _outside_cone
         n = float(working.eval_N(u))
         if b is None:
@@ -765,14 +755,10 @@ def _minimize_ray_objective(
     if with_a:
         constraint = replace(constraint, tag=constraint.tag.b_positive)
     working = constraint.working
-    eps_cone = constraint.eps_cone
 
     def evaluate(u: Array) -> Evaluated:
         b = float(working.eval_B(u))
-        if with_a:
-            inside = _inside_cone(eps_cone, float(working.eval_A(u)), b)
-        else:
-            inside = _inside_cone(eps_cone, b)
+        inside = _inside_cone(float(working.eval_A(u)), b) if with_a else _inside_cone(b)
         if not inside:
             return math.inf, _outside_cone
         return objective(working, u, b)
@@ -840,7 +826,7 @@ def compute_c_star_star(
     if zero_level is None:
         zero_level = minimize_c0(working, multistart, seed, constraint.start_support, params)
     best, minimizers = zero_level
-    keep = [u for u in minimizers if _inside_cone(constraint.eps_cone, float(working.eval_A(u)))]
+    keep = [u for u in minimizers if _inside_cone(float(working.eval_A(u)))]
     if not keep:
         best, keep = _near_best(_minimize_ray_objective(
             constraint, _zero_level, _PURPOSE["c_star_star"], multistart, seed, params
@@ -867,9 +853,7 @@ def minimize_c0(
     construction uses it too.  Those callers test the minimizers against the
     A > 0 cone themselves.
     """
-    constraint = SphereConstraint(
-        triple=triple, tag=ConeTag.A_POS, eps_cone=1e-12, start_support=start_support
-    )
+    constraint = SphereConstraint(triple=triple, tag=ConeTag.A_POS, start_support=start_support)
     return _near_best(_minimize_ray_objective(
         constraint, _zero_level, _PURPOSE["c0"], multistart, seed, params, with_a=False
     ))

@@ -124,6 +124,11 @@ class TestVerify:
         assert "FAIL  limit_ratio_ok" in verify_default["out"]
         assert "verification failure" in verify_default["out"]
 
+    def test_verdict_lines_in_battery_order(self, verify_default):
+        lines = [line.split() for line in verify_default["out"].splitlines()]
+        printed = [words[1] for words in lines if words and words[0] in ("PASS", "FAIL")]
+        assert printed == list(GATING_VERDICTS)
+
     def test_other_verdicts_still_pass_at_default(self, verify_default):
         for name in GATING_VERDICTS:
             if name == "limit_ratio_ok":
@@ -381,10 +386,15 @@ class TestConfigErrors:
         err = self.run_expecting_config_error(tmp_path, cfg)
         assert "unknown_top" in err
 
-    def test_unknown_tolerance_key(self, tmp_path):
-        cfg = battery_config(tolerances={"no_such_tol": 1.0})
+    # the cone margin, the Lipschitz safety factor and the zero-level bound
+    # are constants of the code, not config keys
+    @pytest.mark.parametrize(
+        "key", ["no_such_tol", "cone_margin", "lipschitz_safety", "zero_level_abs"]
+    )
+    def test_unknown_tolerance_key(self, tmp_path, key):
+        cfg = battery_config(tolerances={key: 1.0})
         err = self.run_expecting_config_error(tmp_path, cfg)
-        assert "no_such_tol" in err
+        assert f"unknown tolerances key(s): {key}" in err
 
     def test_missing_problem_section(self, tmp_path):
         cfg = battery_config()
@@ -439,11 +449,19 @@ class TestConfigErrors:
             )),
             ("report", battery_config(limit_schedule=[0.01, -0.001])),
             ("report", battery_config(limit_schedule=[-0.01])),
+            ("report", battery_config(threshold_deltas=[])),
+            ("report", battery_config(threshold_deltas=[1.5])),
+            ("solve", solve_config(tolerances={"max_iter": 0})),
+            ("solve", solve_config(tolerances={"gtol": -1})),
+            ("solve", solve_config(tolerances={"gtol": float("nan")})),
+            ("solve", solve_config(tolerances={"curve_noise": -1e-6})),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
              "multistart_fraction", "seed_bool", "bounds_not_number", "bounds_not_pairs",
-             "weight_file_missing", "limit_schedule_positive", "limit_schedule_short"],
+             "weight_file_missing", "limit_schedule_positive", "limit_schedule_short",
+             "threshold_deltas_empty", "threshold_delta_above_one", "max_iter_zero",
+             "gtol_negative", "gtol_nan", "curve_noise_negative"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)

@@ -9,6 +9,7 @@ import fibercurve.curve_tracer as ct
 from fibercurve.functional_core import ConeTag
 from fibercurve.model_problems import build_disjoint_basis, build_triple, dirichlet_problem_1d
 from fibercurve.curve_tracer import (
+    EnergyCurve,
     extend_minus_past_cstarstar,
     geometric_grid,
     intersect_with_lambda,
@@ -87,6 +88,18 @@ class TestTraceCurve:
 
 
 class TestTraceFamily:
+    def test_curves_carry_the_cone_sign(self, const_con_plus):
+        # an A-negative cone reports negated levels, and its curves say so
+        mirror = dirichlet_problem_1d(15, "-(1+x)", "cos(2*pi*x)+0.2", p=2.0, alpha=1.5, beta=4.0)
+        neg = trace_family(
+            SphereConstraint(build_triple(mirror), tag=ConeTag.A_NEG), [-0.1], "plus", ks=(1,),
+            multistart=2,
+        )[1]
+        assert neg.lambda_sign == -1.0
+        assert neg.points[0].lam < 0.0
+        pos = trace_family(const_con_plus, [-0.1], "plus", ks=(1,), multistart=2)[1]
+        assert pos.lambda_sign == 1.0
+
     def test_k_monotone_with_surrogates(self, signed_problem, signed_con_both):
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
         grid = geometric_grid(-0.2, -0.05, 3)
@@ -144,18 +157,26 @@ class TestOrderingCheck:
         assert out["worst_gap"] < 0.0
 
     def test_negated_levels_on_a_negative_cone(self, const_con_plus):
-        # an A-negative cone reports every level negated; with its
-        # lambda_sign the comparison is the A-positive one
+        # an A-negative cone reports every level negated; its curves carry
+        # lambda_sign -1, and with it the comparison is the A-positive one
         grid = geometric_grid(-0.3, -0.05, 3)
         plus = trace_curve(const_con_plus, grid, "plus", multistart=6)
         minus = trace_curve(const_con_plus, grid, "minus", multistart=6)
 
-        def negated(curve):
-            return replace(curve, points=tuple(replace(p, lam=-p.lam) for p in curve.points))
+        def negated(curve, lambda_sign=-1.0):
+            points = tuple(replace(p, lam=-p.lam) for p in curve.points)
+            return replace(curve, points=points, lambda_sign=lambda_sign)
 
-        mirrored = ordering_check(negated(plus), negated(minus), lambda_sign=-1.0)
-        assert mirrored == ordering_check(plus, minus)
-        assert not ordering_check(negated(plus), negated(minus))["ok"]
+        assert ordering_check(negated(plus), negated(minus)) == ordering_check(plus, minus)
+        assert not ordering_check(negated(plus, 1.0), negated(minus, 1.0))["ok"]
+
+    def test_mixed_signs_raise(self):
+        plus = EnergyCurve(branch="plus", k=1, points=(), verdicts={})
+        minus = EnergyCurve(branch="minus", k=1, points=(), verdicts={}, lambda_sign=-1.0)
+        with pytest.raises(ValueError, match="opposite cone signs"):
+            ordering_check(plus, minus)
+        with pytest.raises(ValueError, match="opposite cone signs"):
+            ordering_check(replace(minus, branch="plus"), replace(plus, branch="minus"))
 
     def test_empty_overlap(self, const_con_plus):
         plus = trace_curve(const_con_plus, [-0.1], "plus", multistart=2)
@@ -310,6 +331,11 @@ class TestMinusContinuation:
         assert pos["ok"]
         assert [r["c"] for r in neg["points"]] == [r["c"] for r in pos["points"]]
         assert [r["lambda"] for r in neg["points"]] == [-r["lambda"] for r in pos["points"]]
+
+    @pytest.mark.parametrize("deltas", [(), (0.05, 1.0), (0.0,)], ids=["empty", "one", "zero"])
+    def test_deltas_outside_the_unit_interval_raise(self, pos_con_plus, deltas):
+        with pytest.raises(ValueError, match=r"deltas must be a nonempty list in \(0, 1\)"):
+            extend_minus_past_cstarstar(pos_con_plus, deltas=deltas)
 
     def test_hypothesis_violation_raises(self, signed_con_plus):
         with pytest.raises(ValueError, match="continuation hypothesis fails"):

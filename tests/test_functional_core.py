@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
+import fibercurve.nehari_minmax as nm
 from fibercurve import (
     ConeTag,
     Exponents,
     FunctionalTriple,
+    SphereConstraint,
     cone_membership,
     lambda_of,
     phi,
     phi_grad,
 )
+from fibercurve.functional_core import _CONE_RTOL
 
 
 def power_triple(wn, wa, wb, alpha=1.5, eta=2.0, beta=4.0):
@@ -175,6 +180,27 @@ def test_cone_membership_margins():
     # the zero vector is never a member
     ok, margin = cone_membership(tri, ConeTag.A_POS, np.zeros(2))
     assert not ok and margin == 0.0
+
+
+@pytest.mark.parametrize("tag", [ConeTag.A_POS, ConeTag.A_NEG], ids=["a_pos", "a_neg"])
+@pytest.mark.parametrize(
+    "a, inside",
+    [(0.5 * _CONE_RTOL, False), (_CONE_RTOL * (1.0 + _CONE_RTOL), False),
+     (1.01 * _CONE_RTOL, True)],
+    ids=["within_margin", "at_margin", "past_margin"],
+)
+def test_one_cone_rule(tag, a, inside):
+    """Membership, SphereConstraint.feasible and the ground objective agree:
+    a sign-adjusted A in (0, _CONE_RTOL (1 + |A|)] is the boundary, outside."""
+    tri = power_triple([1.0], [tag.a_sign * a], [1.0])
+    u = np.array([1.0])
+    member, margin = cone_membership(tri, tag, u)
+    assert margin == a
+    assert member is inside
+    constraint = SphereConstraint(tri, tag=tag)
+    assert constraint.feasible(u) is inside
+    value, _ = nm._level_evaluation(constraint, -0.01, "plus")(u)
+    assert math.isfinite(value) is inside
 
 
 def test_phi_rejects_non_finite_data():

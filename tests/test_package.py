@@ -67,6 +67,7 @@ def test_numpy_is_the_only_runtime_dependency():
 def test_benchmark_tracer_targets_resolve():
     """Every module attribute the benchmark's tracer patches exists, so a
     refactor cannot silently break ``perfbench/run.py --trace 1``."""
+    import dataclasses
     import importlib
     import inspect
     import types
@@ -84,3 +85,6 @@ def test_benchmark_tracer_targets_resolve():
     assert missing == []
     ground = inspect.signature(fibercurve.minimize_ground_level).parameters
     assert {"constraint", "multistart", "extra_starts"} <= set(ground)
+    # the tracer times the six functional callables of every built triple
+    fields = {f.name for f in dataclasses.fields(fibercurve.FunctionalTriple)}
+    assert set(tracing.TRIPLE_FIELDS) <= fields
