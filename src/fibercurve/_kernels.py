@@ -216,7 +216,7 @@ def _solve_convex(q, eta, beta):
 
 
 @_names_overflow
-def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14):
+def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14, branch=None):
     """Case label and critical scalings of the fibering map on one ray.
 
     Returns (case, t_plus, t_minus) with NaN for absent roots:
@@ -228,8 +228,13 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14):
       b >  0, c ~= c_bar    -> (CASE_DEGENERATE, t_bar, t_bar)
       b >  0, c <  c_bar    -> (CASE_NO_CRITICAL, nan, nan)
 
-    The degenerate band is |c - c_bar| <= deg_rtol * (1 + |c_bar|).
+    The degenerate band is |c - c_bar| <= deg_rtol * (1 + |c_bar|).  With
+    branch "plus" or "minus" only that root is solved for: the other slot is
+    NaN whatever the case, and the requested slot is the one the call without
+    branch returns.
     """
+    if branch not in (None, "plus", "minus"):
+        raise ValueError(f"branch must be None, 'plus' or 'minus', got {branch!r}")
     if not (n > 0.0) or not math.isfinite(n):
         raise ValueError(f"ray classification needs n > 0, got n={n!r}")
     if not math.isfinite(b) or not math.isfinite(c):
@@ -238,6 +243,8 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14):
     if b <= 0.0:
         if c >= 0.0:
             return CASE_NO_CRITICAL, _NAN, _NAN
+        if branch == "minus":
+            return CASE_UNIQUE_MIN, _NAN, _NAN
         # unique minimum; with s = t/t_seed, g = -alpha*c*(s**eta + q*s**beta - 1)
         t_seed = (-alpha * c * eta / ((eta - alpha) * n)) ** (1.0 / eta)
         q = (beta - alpha) / beta * -b * t_seed ** beta / (-alpha * c)
@@ -246,7 +253,8 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14):
     t_bar, c_bar = _extremal_pair(n, b, alpha, eta, beta)
     if c < 0.0:
         if abs(c - c_bar) <= deg_rtol * (1.0 + abs(c_bar)):
-            return CASE_DEGENERATE, t_bar, t_bar
+            return (CASE_DEGENERATE, _NAN if branch == "minus" else t_bar,
+                    _NAN if branch == "plus" else t_bar)
         if c < c_bar:
             return CASE_NO_CRITICAL, _NAN, _NAN
     elif c > 1e300 * -c_bar:
@@ -257,6 +265,8 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14):
     # tangent reaches r < 1 is at or right of the root beyond the maximum
     s_tangent = s_z - r / (beta * s_z ** (eta - 1.0))
     if c >= 0.0:
+        if branch == "plus":
+            return CASE_UNIQUE_MAX, _NAN, _NAN
         # H > -eta*s**beta/(beta-eta) bounds the root below as well
         lo = max(s_z, (-r * (beta - eta) / eta) ** (1.0 / beta))
         return CASE_UNIQUE_MAX, _NAN, t_bar * _solve_h(r, eta, beta, lo, s_tangent, lo, False)
@@ -270,6 +280,9 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14):
     else:
         near = math.sqrt(2.0 * (1.0 - r) / (eta * beta))
         seed_plus, seed_minus = max(lo, 1.0 - near), min(s_tangent, 1.0 + near)
-    s_plus = _solve_h(r, eta, beta, lo, 1.0, seed_plus, True)
-    s_minus = _solve_h(r, eta, beta, 1.0, s_tangent, seed_minus, False)
-    return CASE_TWO_ROOTS, t_bar * s_plus, t_bar * s_minus
+    t_plus = t_minus = _NAN
+    if branch != "minus":
+        t_plus = t_bar * _solve_h(r, eta, beta, lo, 1.0, seed_plus, True)
+    if branch != "plus":
+        t_minus = t_bar * _solve_h(r, eta, beta, 1.0, s_tangent, seed_minus, False)
+    return CASE_TWO_ROOTS, t_plus, t_minus

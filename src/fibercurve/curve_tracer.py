@@ -33,11 +33,14 @@ from .nehari_minmax import (
     OptimizerParams,
     SphereConstraint,
     SurrogateLevel,
+    _SurrogateData,
+    _surrogate_data,
+    _surrogate_level,
     extract_critical_point,
     level_slope,
     minimize_c0,
     minimize_ground_level,
-    surrogate_level,
+    surrogate_level,  # noqa: F401 (perfbench/tracing.py patches it here)
 )
 
 __all__ = [
@@ -168,8 +171,12 @@ class _LevelChain:
     basis vectors, warm-started from the previous c's maximizer and from the
     zero-padded maximizer of the next lower surrogate k at this c; that
     embedded start makes the surrogates nondecreasing in k, and a level that
-    still falls below its lower neighbour is replaced by it.  A k whose level
-    is infeasible is dropped, and truncation[k] says where and why.
+    still falls below its lower neighbour is replaced by it.  What a
+    surrogate level reads that does not depend on c (the basis scalars and
+    the coefficient samples with their N, A and B) is built once per k, at
+    its first call, so a basis that is not additive drops k at that call.  A
+    k whose level is infeasible is dropped, and truncation[k] says where and
+    why.
     """
 
     def __init__(self, constraint, branch, ks, basis=None, n_samples=64, multistart=32,
@@ -200,6 +207,7 @@ class _LevelChain:
         self.calls = 0
         self._warm_u: list[Array] = []
         self._warm_xi: dict[int, Array] = {}
+        self._surrogate_data: dict[int, _SurrogateData] = {}
 
     def __call__(self, c: float) -> dict[int, tuple[float, Array, CriticalPointRecord]]:
         """(level, unit optimizer, record) at c of every k not dropped yet."""
@@ -234,8 +242,11 @@ class _LevelChain:
     def _surrogate(self, c: float, k: int, lower: SurrogateLevel | None) -> SurrogateLevel:
         padded = None if lower is None else np.concatenate([lower.xi, np.zeros(k - lower.xi.size)])
         warm = [w for w in (padded, self._warm_xi.get(k)) if w is not None]
-        level = surrogate_level(
-            self.constraint, c, self.branch, self.surrogates[k], warm_xi=warm, params=self.params
+        if k not in self._surrogate_data:
+            self._surrogate_data[k] = _surrogate_data(self.constraint.working, self.surrogates[k])
+        level = _surrogate_level(
+            self.constraint, c, self.branch, self._surrogate_data[k], warm_xi=warm,
+            params=self.params,
         )
         sign = self.constraint.lambda_sign
         if lower is not None and sign * level.value < sign * lower.value:

@@ -256,7 +256,7 @@ def _scalar_level(
         raise InfeasibleRayError(f"coercive part not positive on this ray (N={n!r})")
     if a <= 0.0:
         raise InfeasibleRayError(f"ray outside the working cone (A={a!r})")
-    _, tp, tm = K.classify(n, b, e.alpha, e.eta, e.beta, c)
+    _, tp, tm = K.classify(n, b, e.alpha, e.eta, e.beta, c, branch=branch)
     t = _branch_root(tp, tm, branch)
     num = (e.beta - e.eta) / e.eta * n * t**e.eta - e.beta * c
     den = (e.beta - e.alpha) / e.alpha * a * t**e.alpha
@@ -431,6 +431,14 @@ def _sphere_descend(
     both pieces are deterministic.  The stopping test stays the Euclidean
     ||grad|| <= gtol.  Returns (u, value, iterations, converged, gradient_norm).
 
+    The first trial, which has no Barzilai-Borwein quotient yet, is capped at
+    step ||d||_M <= 2 ||u||_M.  The gradient is tangent, so d is M-orthogonal
+    to u and the trial turns u by at most atan 2 on the sphere (Absil,
+    Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008).
+    Uncapped, a unit first step at a large gradient turns u by nearly 90
+    degrees, and the backtracking must halve it 20 to 35 times before it
+    tests a nearby point.
+
     The Armijo reference carries an allowance of _ROUNDING_ULPS units in the
     last place of its value, in the spirit of the approximate Wolfe test of
     Hager and Zhang (SIAM J. Optim. 16, 2005).  A warm start that already sits
@@ -455,6 +463,7 @@ def _sphere_descend(
     """
     metric, metric_solve = working.metric, working.metric_solve
     u = _normalize(working, u0)
+    radius = math.sqrt(float(u @ (u if metric is None else metric(u))))  # ||u||_M
     value, gradient = evaluate(u)
     gnorm = math.inf
     step_next = _STEP_INIT
@@ -483,6 +492,9 @@ def _sphere_descend(
             if sy > 0.0 and math.isfinite(sy):
                 step_next = float(s @ (s if metric is None else metric(s))) / sy
         step = min(max(step_next, _STEP_MIN), 1e12)
+        if prev_grad is None:
+            # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope)
+            step = min(step, 2.0 * radius / math.sqrt(slope))
         reference = max(recent)
         reference += _ROUNDING_ULPS * math.ulp(reference)
         accepted = False
@@ -592,6 +604,24 @@ def _multistart(
 ) -> tuple[list[tuple[Array, float, int, bool, float]], int]:
     """Descend from the usable extra_starts, then from count drawn starts.
 
+    Returns _descend_merging's results and merge count.  Whether a descent
+    merges depends only on the starts before it, so more drawn starts can
+    only add results.
+    """
+    working = constraint.working
+    starts = [u for w in extra_starts if (u := _first_usable(working, usable, (w,))) is not None]
+    starts += _draw_starts(constraint, count, seed, purpose, usable)
+    return _descend_merging(working, evaluate, starts, params)
+
+
+def _descend_merging(
+    working: FunctionalTriple,
+    evaluate: Evaluation,
+    starts: Sequence[Array],
+    params: OptimizerParams,
+) -> tuple[list[tuple[Array, float, int, bool, float]], int]:
+    """Descend from every start in order; a descent into a found basin merges.
+
     Returns the _sphere_descend result of every descent that did not merge,
     in start order, and the number that merged.  This is the clustering rule
     of multi-level single linkage (Rinnooy Kan and Timmer, Math. Programming
@@ -601,12 +631,8 @@ def _multistart(
     _cluster_minima, with its value still above that minimizer's.  Its
     descent ends at the first accepted step that gets there.  A descent below
     every found minimizer never merges, so a lower basin is still found.
-    Whether a descent merges depends only on the starts before it, so more
-    drawn starts can only add results.
+    Ground levels, thresholds and surrogate polishes all descend here.
     """
-    working = constraint.working
-    starts = [u for w in extra_starts if (u := _first_usable(working, usable, (w,))) is not None]
-    starts += _draw_starts(constraint, count, seed, purpose, usable)
     found: list[tuple[float, Array, float]] = []  # (value, sign-aligned minimizer, radius)
 
     def merges(u: Array, value: float) -> bool:
@@ -932,6 +958,11 @@ def _s_of_xi(alpha: float, xi: Array) -> Array:
     return np.sign(xi) * np.abs(xi) ** (alpha / 2.0)
 
 
+def _s_degrees(e: Exponents) -> Array:
+    """Degrees in |s_i| of N, A and B over an additive basis, as a (3, 1) column."""
+    return np.array([[2.0 * e.eta / e.alpha], [2.0], [2.0 * e.beta / e.alpha]])
+
+
 def _coefficient_evaluation(
     e: Exponents, c: float, branch: str, scalars: Array
 ) -> Evaluation:
@@ -946,7 +977,7 @@ def _coefficient_evaluation(
     point; in s every degree is at least 2, A is a diagonal quadratic form,
     and such a maximizer is a smooth critical point that a polish converges to.
     """
-    degrees = np.array([[2.0 * e.eta / e.alpha], [2.0], [2.0 * e.beta / e.alpha]])
+    degrees = _s_degrees(e)
 
     def evaluate(s: Array) -> Evaluated:
         n, a, b = ((np.abs(s) ** degrees) * scalars).sum(axis=1)
@@ -960,6 +991,36 @@ def _coefficient_evaluation(
         return lam, gradient
 
     return evaluate
+
+
+@dataclass(frozen=True)
+class _SurrogateData:
+    """What a surrogate level reads that does not depend on c or the branch.
+
+    scalars are the (3, k) per-basis (N, A, B) of _basis_scalars, samples the
+    (m, k) coefficient samples in s, and sample_scalars the (3, m) (N, A, B)
+    of the samples.
+    """
+
+    surrogate: GenusSurrogate
+    scalars: Array
+    samples: Array
+    sample_scalars: Array
+
+
+def _surrogate_data(working: FunctionalTriple, surrogate: GenusSurrogate) -> _SurrogateData:
+    """The c-free surrogate data of surrogate on the working triple.
+
+    Raises SurrogateInvalidError when the basis is not additive.
+    """
+    e = working.exponents
+    scalars = _basis_scalars(working, surrogate.basis)
+    samples = _s_of_xi(e.alpha, _xi_samples(surrogate.k, surrogate.n_samples))
+    # the sums of _coefficient_evaluation for every sample at once, (3, m, k) -> (3, m)
+    sample_scalars = (
+        np.abs(samples) ** _s_degrees(e)[:, :, None] * scalars[:, None, :]
+    ).sum(axis=2)
+    return _SurrogateData(surrogate, scalars, samples, sample_scalars)
 
 
 def surrogate_level(
@@ -992,41 +1053,62 @@ def surrogate_level(
     is smooth on the axes and the maximizer is a critical point.  The level
     is 0-homogeneous in s as in xi, so the polish stays on the Euclidean unit
     sphere, with the metric scaled by the best sample's |level|: the first
-    trial step then turns the start by the relative gradient, whatever the
-    level's magnitude.  Samples, warm starts and the returned xi are in xi;
+    trial step then turns the start by the relative gradient (at most
+    atan 2), whatever the level's magnitude.  Samples, warm starts and the returned xi are in xi;
     the map keeps zero entries zero, so samples stay nested across k.
+
+    The polish descends from the warm starts, then from the three best
+    samples, in one multistart (_descend_merging): a polish that comes within
+    the merge radius of a maximizer an earlier one converged to, while still
+    below it, stops there and is dropped.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    data = _surrogate_data(constraint.working, surrogate)
+    return _surrogate_level(constraint, c, branch, data, warm_xi, params)
+
+
+def _surrogate_level(
+    constraint: SphereConstraint,
+    c: float,
+    branch: str,
+    data: _SurrogateData,
+    warm_xi: Sequence[Array] = (),
+    params: OptimizerParams | None = None,
+) -> SurrogateLevel:
+    """surrogate_level on the c-free data _surrogate_data built for the
+    constraint's working triple, which a _LevelChain builds once per k."""
     params = params or OptimizerParams()
     working = constraint.working
     e = working.exponents
-    basis = surrogate.basis
-    k = surrogate.k
-    level = _coefficient_evaluation(e, c, branch, _basis_scalars(working, basis))
+    k = data.surrogate.k
+    level = _coefficient_evaluation(e, c, branch, data.scalars)
 
-    def evaluate(s: Array, what: str) -> Evaluated:
+    def invalid(s: Array, what: str, exc: InfeasibleRayError) -> SurrogateInvalidError:
+        return SurrogateInvalidError(
+            f"coefficient {what} {_xi_of_s(e.alpha, s)!r} leaves the feasible cone: {exc}"
+        )
+
+    values = []
+    for s, (n, a, b) in zip(data.samples, data.sample_scalars.T.tolist()):
         try:
-            return level(s)
+            values.append(_scalar_level(e, c, branch, n, a, b)[0])
         except InfeasibleRayError as exc:
-            raise SurrogateInvalidError(
-                f"coefficient {what} {_xi_of_s(e.alpha, s)!r} leaves the feasible cone: {exc}"
-            ) from None
-
-    samples = _s_of_xi(e.alpha, _xi_samples(k, surrogate.n_samples))
-    values = np.array([evaluate(s, "sample")[0] for s in samples])
+            raise invalid(s, "sample", exc) from None
+    values = np.array(values)
     order = np.argsort(values)[::-1]
 
-    polish_starts = [samples[i] for i in order[:3]]
+    polish_starts = []
     for w in warm_xi:
         w = np.asarray(w, dtype=float)
         if w.shape != (k,):
             raise ValueError(f"warm coefficient vector has shape {w.shape}, expected ({k},)")
         polish_starts.append(_s_of_xi(e.alpha, w))
+    polish_starts += [data.samples[i] for i in order[:3]]
 
     ascent = OptimizerParams(gtol=params.gtol, max_iter=_POLISH_ITER)
     best_value = values[order[0]]
-    best_s = samples[order[0]]
+    best_s = data.samples[order[0]]
     # The gradient grows with the level.  With M = I the first trial step at
     # a level near 4e3 turns the start by nearly 90 degrees, and backtracking
     # takes the first higher point it meets, which can lie across a valley
@@ -1047,17 +1129,20 @@ def surrogate_level(
     )
 
     def neg_evaluate(s: Array) -> Evaluated:
-        lam, gradient = evaluate(s, "point")
+        try:
+            lam, gradient = level(s)
+        except InfeasibleRayError as exc:
+            raise invalid(s, "point", exc) from None
         return -lam, lambda: -gradient()
 
-    for s0 in polish_starts:
-        s, neg_val, _, _, _ = _sphere_descend(euclid, neg_evaluate, s0, ascent)
+    results, _ = _descend_merging(euclid, neg_evaluate, polish_starts, ascent)
+    for s, neg_val, _, _, _ in results:
         if -neg_val > best_value:
             best_value = -neg_val
             best_s = s
 
     best_xi = _xi_of_s(e.alpha, best_s)
-    u_best = basis.T @ best_xi
+    u_best = data.surrogate.basis.T @ best_xi
     u_best = u_best / working.norm_of(u_best)
     lam_int, t, _ = _level_internal(working, c, branch, u_best)
     return SurrogateLevel(
@@ -1067,4 +1152,3 @@ def surrogate_level(
         u_unit=u_best,
         t_root=t,
     )
-

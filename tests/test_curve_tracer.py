@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fibercurve.curve_tracer as ct
+import fibercurve.nehari_minmax as nm
 from fibercurve.functional_core import ConeTag
 from fibercurve.model_problems import build_disjoint_basis, build_triple, dirichlet_problem_1d
 from fibercurve.curve_tracer import (
@@ -18,7 +19,12 @@ from fibercurve.curve_tracer import (
     trace_curve,
     trace_family,
 )
-from fibercurve.nehari_minmax import SphereConstraint, compute_c_star_star, minimize_ground_level
+from fibercurve.nehari_minmax import (
+    SphereConstraint,
+    compute_c_star_star,
+    minimize_ground_level,
+    surrogate_level,
+)
 
 
 class TestGeometricGrid:
@@ -393,3 +399,39 @@ class TestLevelChain:
         intersect_with_lambda(const_con_plus, "plus", lam_truth, -0.2, -0.01, multistart=24,
                               seed=7)
         check(cold=24, warm=3, seed=(7, 1))
+
+    def test_surrogate_data_built_once_per_k(self, monkeypatch, pos_problem):
+        # The basis scalars and the coefficient samples with their N, A and B
+        # do not depend on c: a chain builds them at its first surrogate call
+        # of each k, and every level it gets from them is the level a fresh
+        # surrogate_level call gives with the same warm starts.
+        con = SphereConstraint(build_triple(pos_problem), tag=ConeTag.A_POS)
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
+        built = []
+        basis_scalars = nm._basis_scalars
+
+        def counting(working, vectors):
+            built.append(vectors.shape[0])
+            return basis_scalars(working, vectors)
+
+        calls = []
+        level_of = ct._surrogate_level
+
+        def recording(constraint, c, branch, data, warm_xi=(), params=None):
+            level = level_of(constraint, c, branch, data, warm_xi, params)
+            calls.append((c, data.surrogate, list(warm_xi), params, level))
+            return level
+
+        monkeypatch.setattr(nm, "_basis_scalars", counting)
+        monkeypatch.setattr(ct, "_surrogate_level", recording)
+        chain = ct._LevelChain(con, "plus", (2, 3), basis=basis, n_samples=16)
+        grid = [-0.5, -0.2, -0.1, -0.05]
+        for c in grid:
+            assert set(chain(c)) == {2, 3}
+        assert sorted(built) == [2, 3]
+        assert len(calls) == 2 * len(grid)
+        for c, surrogate, warm, params, level in calls:
+            fresh = surrogate_level(con, c, "plus", surrogate, warm_xi=warm, params=params)
+            assert (fresh.value, fresh.t_root) == (level.value, level.t_root)
+            assert np.array_equal(fresh.xi, level.xi)
+            assert np.array_equal(fresh.u_unit, level.u_unit)

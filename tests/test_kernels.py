@@ -6,6 +6,8 @@ OverflowError.
 """
 
 import decimal
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -241,3 +243,42 @@ def test_collision_level_is_a_fixed_multiple_of_the_zero_level(n, b, exps):
         assume(False)
     assume(c0 > 0.0 and c_bar < 0.0)
     assert abs(c_bar + K.threshold_ratio(*exps) * c0) <= 1e-13 * abs(c_bar)
+
+
+# rows of classify's case table: b <= 0 or b > 0, and where c lies
+CASE_ROWS = ("b<=0,c>=0", "b<=0,c<0", "b>0,c>=0", "b>0,c_bar<c<0", "b>0,c=c_bar", "b>0,c<c_bar")
+
+
+def _row_ray(row, n, m, exps, x, edge):
+    """(b, c) of a ray in one case-table row: m > 0 sizes b and c, x in (0, 1)
+    places c between c_bar and 0 or below c_bar, and edge puts b or c at 0."""
+    if row.startswith("b<=0"):
+        b = 0.0 if edge else -m
+        return b, (0.0 if edge else x * m) if row.endswith("c>=0") else -x * m
+    _, c_bar = K.extremal_pair(n, m, *exps)
+    return m, {
+        "b>0,c>=0": 0.0 if edge else x * m,
+        "b>0,c_bar<c<0": x * c_bar,
+        "b>0,c=c_bar": c_bar,
+        "b>0,c<c_bar": c_bar / x,
+    }[row]
+
+
+@PROPERTY
+@given(row=st.sampled_from(CASE_ROWS), n=MAGNITUDE, m=MAGNITUDE, exps=EXPONENTS,
+       x=st.floats(0.01, 0.99), edge=st.booleans())
+def test_one_branch_solves_the_same_root(row, n, m, exps, x, edge):
+    """classify(..., branch=...) fills the requested slot bit for bit as the
+    call without branch does, and leaves the other one NaN."""
+    b, c = _row_ray(row, n, m, exps, x, edge)
+    case, *roots = K.classify(n, b, *exps, c)
+    for slot, branch in enumerate(("plus", "minus")):
+        one_case, *one = K.classify(n, b, *exps, c, branch=branch)
+        assert one_case == case
+        assert struct.pack("<d", one[slot]) == struct.pack("<d", roots[slot])
+        assert math.isnan(one[1 - slot])
+
+
+def test_unknown_branch_raises():
+    with pytest.raises(ValueError, match="branch must be"):
+        K.classify(1.0, 1.0, 1.5, 2.0, 4.0, -0.01, branch="both")

@@ -459,6 +459,27 @@ def recording_triple(tri):
     return recorded, seen
 
 
+def recording_descents(monkeypatch) -> list:
+    """(merge predicate, params, result, merged) of every nm._sphere_descend
+    call from now on; merged says whether the descent stopped by merging."""
+    descents = []
+    descend = nm._sphere_descend
+
+    def recording(working, evaluate, u0, params, *, merge=None):
+        merged = [False]
+
+        def watching(u, value):
+            merged.append(merge(u, value))
+            return merged[-1]
+
+        out = descend(working, evaluate, u0, params, merge=None if merge is None else watching)
+        descents.append((merge, params, out, merged[-1]))
+        return out
+
+    monkeypatch.setattr(nm, "_sphere_descend", recording)
+    return descents
+
+
 class TestOneScalarSetPerTrial:
     """A line-search trial's cone test and its level read the same A and B."""
 
@@ -481,13 +502,61 @@ class TestOneScalarSetPerTrial:
             return out
 
         monkeypatch.setattr(nm, "_sphere_descend", descending)
-        minimize_ground_level(con, 0.5 * c_ss, "minus", multistart=4, seed=0)
-        compute_c_star(con, multistart=4, seed=0)
+        # enough starts that A and B each see more than 100 trials
+        minimize_ground_level(con, 0.5 * c_ss, "minus", multistart=8, seed=0)
+        compute_c_star(con, multistart=8, seed=0)
         for name, counts in seen.items():
             trials = [n for u, n in counts.items() if u not in excluded]
             assert len(trials) > 100
             repeated = sum(n > 1 for n in trials)
             assert repeated == 0, f"{repeated} of {len(trials)} trials reach {name} twice"
+
+
+class TestFirstTrial:
+    def test_first_trial_turns_at_most_atan_2(self, monkeypatch, pos_problem):
+        # d = M^-1 grad is M-orthogonal to u, so the first trial u - step d
+        # turns u by atan(step ||d||_M / ||u||_M) on the sphere; the first
+        # step is capped at step ||d||_M <= 2 ||u||_M.  Descents on the report
+        # benchmark's instance: ground levels and surrogate polishes along
+        # two short curves per branch, and the zero-level multistart.
+        first = []  # (working, u, u - step d) of every descent that tried a step
+        current = []
+        descend, normalize = nm._sphere_descend, nm._normalize
+
+        def descending(working, evaluate, u0, params, *, merge=None):
+            current[:] = [working]
+            try:
+                return descend(working, evaluate, u0, params, merge=merge)
+            finally:
+                if len(current) == 3:
+                    first.append(tuple(current))
+                current.clear()
+
+        def normalizing(working, v):
+            u = normalize(working, v)
+            if 0 < len(current) < 3:
+                # the start, normalized, then the first trial before normalizing
+                current.append(u if len(current) == 1 else np.asarray(v, dtype=float))
+            return u
+
+        monkeypatch.setattr(nm, "_sphere_descend", descending)
+        monkeypatch.setattr(nm, "_normalize", normalizing)
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
+        tri = build_triple(pos_problem)
+        for branch, grid in (("plus", [-4.32, -0.79]), ("minus", [-0.79, 141.4])):
+            tag = ConeTag.A_POS if branch == "plus" else ConeTag.A_POS_B_POS
+            con = SphereConstraint(tri, tag=tag, start_support=cone_node_mask(pos_problem, tag))
+            trace_family(con, grid, branch, ks=(1, 2, 3), basis=basis, multistart=8,
+                         warm_multistart=4, n_samples=16, seed=0)
+        compute_c_star_star(SphereConstraint(tri, tag=ConeTag.A_POS_B_POS), multistart=8)
+        assert len(first) >= 50
+        assert any(working.dim == 3 for working, _, _ in first)
+
+        def m_norm(working, x):
+            return math.sqrt(float(x @ (x if working.metric is None else working.metric(x))))
+
+        for working, u, v in first:
+            assert m_norm(working, u - v) <= 2.0 * m_norm(working, u) * (1.0 + 1e-12)
 
 
 class TestStartRule:
@@ -730,20 +799,13 @@ class TestSurrogates:
         # The maximizer often sits on a coordinate axis.  In xi the level has
         # a |xi_j|**alpha cusp there and the polishes stopped at the rounding
         # floor with ||g|| between 1e-5 and 3e-2; in s it is a smooth
-        # critical point.  Instances: the intersect benchmark's minus
-        # instance and the report benchmark's weights, inside their windows.
+        # critical point.  A polish that merges stops early on purpose, inside
+        # the merge radius of a maximizer its own surrogate call converged
+        # to.  Instances: the intersect benchmark's minus instance and the
+        # report benchmark's weights, inside their windows.
         minus_problem = dirichlet_problem_1d(31, _MINUS_WEIGHT, _MINUS_WEIGHT)
         params = OptimizerParams()
-        polishes = []
-        descend = nm._sphere_descend
-
-        def recording(*args, **kwargs):
-            out = descend(*args, **kwargs)
-            if args[3].max_iter == nm._POLISH_ITER:
-                polishes.append(out)
-            return out
-
-        monkeypatch.setattr(nm, "_sphere_descend", recording)
+        descents = recording_descents(monkeypatch)
         for problem, branch, cs in (
             (minus_problem, "minus", (9.5, 85.0)),
             (pos_problem, "minus", (23.5, 212.0)),
@@ -755,9 +817,51 @@ class TestSurrogates:
             chain = _LevelChain(con, branch, (2, 3), basis=basis, n_samples=16, params=params)
             for c in cs:
                 assert set(chain(c)) == {2, 3}
+        polishes = [(merge, out, merged) for merge, ascent, out, merged in descents
+                    if ascent.max_iter == nm._POLISH_ITER]
         assert len(polishes) >= 36
-        for _, _, iterations, converged, gnorm in polishes:
+        maxima = {}  # merge predicate -> the (value, s) its call's polishes converged to
+        for merge, (s, value, iterations, converged, gnorm), merged in polishes:
+            if merged:
+                aligned = nm._sign_aligned(s)
+                assert any(
+                    value > v and float(np.max(np.abs(aligned - nm._sign_aligned(m))))
+                    <= nm._MERGE_RTOL * float(np.max(np.abs(m)))
+                    for v, m in maxima[merge]
+                )
+                continue
             assert converged and gnorm <= params.gtol and iterations <= 30
+            maxima.setdefault(merge, []).append((value, s))
+        assert any(merged for _, _, merged in polishes)
+
+    def test_warm_start_at_the_maximizer_merges_the_sample_polishes(self, monkeypatch):
+        # This level peaks on the diagonal.  Its three best samples are two
+        # axis points, which are critical points in s and stop at once, and
+        # one that a cold polish climbs in several iterations; after a warm
+        # start at the maximizer that polish merges into it.
+        problem = dirichlet_problem_1d(31, _MINUS_WEIGHT, _MINUS_WEIGHT)
+        con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
+        basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 2)
+        surrogate = GenusSurrogate(k=2, basis=basis, n_samples=16)
+        descents = recording_descents(monkeypatch)
+        cold = surrogate_level(con, 12.0, "minus", surrogate)
+        cold_polishes = [(out[2], out[3], merged) for _, _, out, merged in descents]
+        descents.clear()
+        warm = surrogate_level(con, 12.0, "minus", surrogate, warm_xi=[cold.xi])
+        polishes = [(out[2], out[3], merged) for _, _, out, merged in descents]
+        assert (warm.value, warm.t_root) == (cold.value, cold.t_root)
+        assert np.array_equal(warm.xi, cold.xi)
+        assert polishes[0][:2] == (1, True)  # the warm start converges where it starts
+        assert len(cold_polishes) == len(polishes) - 1 == 3
+        assert not any(merged for _, _, merged in cold_polishes)
+        assert any(iterations > 2 for iterations, _, _ in cold_polishes)
+        for (cold_iterations, _, _), (iterations, converged, merged) in zip(
+            cold_polishes, polishes[1:]
+        ):
+            if cold_iterations == 1:
+                assert converged and iterations == 1
+            else:
+                assert merged and iterations < cold_iterations
 
     @pytest.mark.parametrize(
         "problem,branch,c",
