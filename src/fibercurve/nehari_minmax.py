@@ -1054,8 +1054,9 @@ def surrogate_level(
     is 0-homogeneous in s as in xi, so the polish stays on the Euclidean unit
     sphere, with the metric scaled by the best sample's |level|: the first
     trial step then turns the start by the relative gradient (at most
-    atan 2), whatever the level's magnitude.  Samples, warm starts and the returned xi are in xi;
-    the map keeps zero entries zero, so samples stay nested across k.
+    atan 2), whatever the level's magnitude.  Samples, warm starts and the
+    returned xi are in xi; the map keeps zero entries zero, so samples stay
+    nested across k.
 
     The polish descends from the warm starts, then from the three best
     samples, in one multistart (_descend_merging): a polish that comes within
