@@ -110,13 +110,6 @@ def g_value(n, b, alpha, eta, beta, c, t):
 
 
 @_names_overflow
-def g_deriv(n, b, alpha, eta, beta, t):
-    if t < 0.0:
-        raise ValueError(f"g defined for t >= 0 only, got t={t!r}")
-    return (eta - alpha) * n * t ** (eta - 1.0) - (beta - alpha) * b * t ** (beta - 1.0)
-
-
-@_names_overflow
 def extremal_pair(n, b, alpha, eta, beta):
     """(t_bar, c_bar): scaling placing the ray on the degenerate fiber, and its level.
 

@@ -16,8 +16,10 @@ report.json.
 
 Exit codes: 0 success, 1 bad config, 2 non-convergence or infeasibility,
 3 verification verdict failure.  Every config entry is checked and typed
-before any solve, integer entries taking integral numbers only; the one later
-config error is a cone with empty node support, found when it is first used.
+before any solve, integer entries taking integral numbers only.  Two config
+errors show later, when what they concern is first built: a cone with empty
+node support, and a grid whose cone support cannot host the disjoint basis of
+the largest k.
 
 Config sketch (defaults shown in config.echo.json after any run)::
 
@@ -76,6 +78,7 @@ from .model_problems import (
     weights_from_expressions,
 )
 from .nehari_minmax import (
+    _XI_MAX_K,
     InfeasibleLevelError,
     InfeasibleRayError,
     OptimizerParams,
@@ -208,8 +211,11 @@ def merge_config(user: dict) -> dict:
     for branch in [cfg["branch"], *cfg["branches"]]:
         if branch not in ("plus", "minus"):
             raise ConfigError(f"unknown branch {branch!r}")
-    if not cfg["ks"] or min(cfg["ks"]) < 1:
-        raise ConfigError(f"ks must list curve indices k >= 1, got {cfg['ks']!r}")
+    # the genus surrogates sample coefficient spheres of at most _XI_MAX_K dimensions
+    if not cfg["ks"] or min(cfg["ks"]) < 1 or max(cfg["ks"]) > _XI_MAX_K:
+        raise ConfigError(f"ks must list curve indices 1 <= k <= {_XI_MAX_K}, got {cfg['ks']!r}")
+    if cfg["k"] > _XI_MAX_K:
+        raise ConfigError(f"k must be at most {_XI_MAX_K}, got {cfg['k']}")
     for key, low in (("k", 1), ("multistart", 1), ("warm_multistart", 0), ("n_samples", 1),
                      ("seed", 0)):
         if cfg[key] < low:
@@ -320,7 +326,10 @@ class Setup:
         return self.constraint(self.tag_both if branch == "minus" else self.tag)
 
     def basis(self, k_max: int):
-        return build_disjoint_basis(self.problem, self.tag_both, k_max)
+        try:
+            return build_disjoint_basis(self.problem, self.tag_both, k_max)
+        except ValueError as exc:
+            raise ConfigError(f"no surrogate basis for k = {k_max}: {exc}") from None
 
 
 def _c_grid(gcfg) -> list[float] | None:

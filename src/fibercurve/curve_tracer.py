@@ -61,6 +61,8 @@ _TREND_FACTOR = 3.0  # largest ratio of the zero-limit scalings t / |c|**(1/eta)
 _LIPSCHITZ_SAFETY = 3.0
 _ZERO_LEVEL_ABS = 1e-4  # largest |level| of the minus curve at c**
 _MAX_REFINE = 200  # refinement steps of one intersection root inside its bracket
+_TOL_C = 1e-10  # refinement stop of an intersection root, in units of 1 + |c| (plus: |c|)
+_MAX_EXPAND = 60  # moves of a seed window that does not bracket the target
 
 
 @dataclass(frozen=True)
@@ -452,9 +454,7 @@ def intersect_with_lambda(
     multistart: int = 32,
     seed: int = 0,
     params: OptimizerParams | None = None,
-    tol_c: float = 1e-10,
     c_floor: float | None = None,
-    max_expand: int = 60,
 ) -> dict:
     """Solve level_k(c) = lam_target in c for each k in ks.
 
@@ -462,17 +462,18 @@ def intersect_with_lambda(
     -alpha/A(t u) at the optimizer, so a sign change of level - target
     brackets a unique root and every probe also yields the derivative.  When
     the seed window [c_lo, c_hi] does not bracket the target for some k, the
-    window moves along the monotone direction by at least doubling, or by 1.5
-    Newton steps when those reach further; toward the plus-branch ceiling
-    c = 0 it extrapolates the local power law level ~ K|c|**gamma (gamma =
-    c * slope / level) past the target, and halves the gap to the ceiling
-    (or to c_floor below) when that guess leaves the admissible interval.
+    window moves along the monotone direction, at most _MAX_EXPAND times, by
+    at least doubling, or by 1.5 Newton steps when those reach further;
+    toward the plus-branch ceiling c = 0 it extrapolates the local power law
+    level ~ K|c|**gamma (gamma = c * slope / level) past the target, and
+    halves the gap to the ceiling (or to c_floor below) when that guess
+    leaves the admissible interval.
     Inside the bracket a safeguarded Newton iteration (rtsafe) refines the
     root (on the plus branch in log|c| and log|level|, where the power law
     is nearly linear), bisecting whenever a Newton step leaves the bracket
     or fails to halve the step before last; it stops when the step or the
-    bracket is below tol_c * (1 + |c|), or tol_c * |c| on the plus branch,
-    whose roots can lie at |c| far below 1; after at most 200 steps.
+    bracket is below _TOL_C * (1 + |c|), or _TOL_C * |c| on the plus branch,
+    whose roots can lie at |c| far below 1; after at most _MAX_REFINE steps.
     Each k follows its own _LevelChain, seeded (seed, k), whose probes after
     the first draw max(2, multistart // 8) starts beside the warm one.  Each
     k either yields a root entry or a skip entry with a reason; family
@@ -501,8 +502,7 @@ def intersect_with_lambda(
                 seed=(seed, k), params=params,
             )
             entry = _intersect_single(
-                chain, k, lam_target, c_lo, c_hi, slope_sign, tol_c, c_floor, c_ceiling,
-                max_expand,
+                chain, k, lam_target, c_lo, c_hi, slope_sign, c_floor, c_ceiling
             )
         except InfeasibleLevelError as exc:
             skipped.append({"k": k, "reason": f"level infeasible: {exc}"})
@@ -563,10 +563,8 @@ def _intersect_single(
     c_lo: float,
     c_hi: float,
     slope_sign: int,
-    tol_c: float,
     c_floor: float | None,
     c_ceiling: float,
-    max_expand: int,
 ) -> dict:
     def sample(c: float) -> _Sample:
         # The slope is the exact envelope derivative -alpha/A(t u) at the
@@ -584,7 +582,7 @@ def _intersect_single(
     lo, hi = sample(c_lo), sample(c_hi)
     expansions = 0
     width = c_hi - c_lo
-    while lo.f * hi.f > 0.0 and expansions < max_expand:
+    while lo.f * hi.f > 0.0 and expansions < _MAX_EXPAND:
         expansions += 1
         # Decide which way the target lies from the monotone direction.
         target_above = (lo.f > 0.0) == (slope_sign < 0)
@@ -643,7 +641,7 @@ def _intersect_single(
             dx_old, dx = dx, newton - point.c
             c = newton
         point = sample(c)
-        tol = tol_c * (abs(c) if plus else 1.0 + abs(c))
+        tol = _TOL_C * (abs(c) if plus else 1.0 + abs(c))
         if point.f == 0.0 or abs(dx) <= tol:
             break
         if (point.f > 0.0) == (f_a > 0.0):

@@ -211,8 +211,8 @@ class GenusSurrogate:
         object.__setattr__(self, "basis", basis)
         if basis.shape[0] != self.k:
             raise ValueError(f"basis has {basis.shape[0]} vectors, k={self.k}")
-        if self.k < 1 or self.k > 16:
-            raise ValueError("k must be between 1 and 16")
+        if self.k < 1 or self.k > _XI_MAX_K:
+            raise ValueError(f"k must be between 1 and {_XI_MAX_K}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
 
@@ -625,18 +625,20 @@ def _descend_merging(
     Returns the _sphere_descend result of every descent that did not merge,
     in start order, and the number that merged.  This is the clustering rule
     of multi-level single linkage (Rinnooy Kan and Timmer, Math. Programming
-    39, 1987): the minimizer of every converged descent is found, and a later
-    descent merges when it ends, not converged, within _MERGE_RTOL times a
-    found minimizer's sup-norm of it, in the sign-aligned sup-norm of
-    _cluster_minima, with its value still above that minimizer's.  Its
-    descent ends at the first accepted step that gets there.  A descent below
-    every found minimizer never merges, so a lower basin is still found.
-    Ground levels, thresholds and surrogate polishes all descend here.
+    39, 1987), and the solver's only test of "a minimizer already found": the
+    minimizer of every converged descent is found, and a later descent merges
+    when it ends, converged or not, within _MERGE_RTOL times a found
+    minimizer's sup-norm of it, in the sign-aligned sup-norm (u and -u are
+    the same point), at a value not below that minimizer's.  The descent is
+    also asked after every accepted step, and ends at the first one that
+    gets there.  A descent below every found minimizer never merges, so a
+    lower basin is still found.  Ground levels, thresholds and surrogate
+    polishes all descend here.
     """
     found: list[tuple[float, Array, float]] = []  # (value, sign-aligned minimizer, radius)
 
     def merges(u: Array, value: float) -> bool:
-        above = [(m, radius) for v, m, radius in found if value > v]
+        above = [(m, radius) for v, m, radius in found if value >= v]
         if not above:
             return False
         aligned = _sign_aligned(u)
@@ -647,12 +649,12 @@ def _descend_merging(
     for u0 in starts:
         result = _sphere_descend(working, evaluate, u0, params, merge=merges)
         u, value, _, converged, _ = result
+        if merges(u, value):
+            merged += 1
+            continue
         if converged:
             m = _sign_aligned(u)
             found.append((value, m, _MERGE_RTOL * float(np.max(m))))
-        elif merges(u, value):
-            merged += 1
-            continue
         results.append(result)
     return results, merged
 
@@ -674,8 +676,8 @@ def minimize_ground_level(
     Starts are deterministic functions of (seed, branch, index); extra_starts
     allows warm starting from neighboring levels (infeasible ones are skipped)
     and runs first.  A descent that comes close to a minimizer an earlier
-    descent converged to, while still above it, merges: it stops and is
-    dropped (_multistart).  The first minimum in start order of the other
+    descent converged to, at a value not below it, merges: it stops and is
+    dropped (_descend_merging).  The first minimum in start order of the other
     descents wins, so a larger multistart can only lower the level.  The
     record counts the descents run (starts) and merged (merged_starts).
     Raises InfeasibleLevelError when nothing feasible exists at this
@@ -733,33 +735,14 @@ def _zero_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
     return _nb_level(lambda n, b, e: K.zero_level_pair(n, b, e.eta, e.beta)[1], working, u, b)
 
 
-# threshold minima within this relative level of each other are the same level,
-# and merge when their sign-aligned coefficients also differ by at most _COEFF_TOL
+# threshold minima within this relative level of the best are near-best
 _LEVEL_RTOL = 1e-6
-_COEFF_TOL = 1e-3
 
 
 def _sign_aligned(u: Array) -> Array:
     """u or -u, whichever has its entry of largest magnitude positive; the
     triples are even, so both are the same point of the level."""
     return -u if u[int(np.argmax(np.abs(u)))] < 0.0 else u
-
-
-def _cluster_minima(minima: list[tuple[float, Array]]) -> list[tuple[float, Array]]:
-    """Deduplicate (value, u) pairs: equal levels with close sign-aligned coefficients merge."""
-    kept: list[tuple[float, Array]] = []
-    for value, u in sorted(minima, key=lambda vu: vu[0]):
-        u = _sign_aligned(u)
-        dup = False
-        for kv, ku in kept:
-            if abs(value - kv) <= _LEVEL_RTOL * (1.0 + abs(kv)) and float(
-                np.max(np.abs(u - ku))
-            ) <= _COEFF_TOL:
-                dup = True
-                break
-        if not dup:
-            kept.append((value, u))
-    return kept
 
 
 def _minimize_ray_objective(
@@ -771,7 +754,10 @@ def _minimize_ray_objective(
     params: OptimizerParams | None,
     with_a: bool = True,
 ) -> list[tuple[float, Array]]:
-    """Clustered multistart minima of a threshold objective over its cone.
+    """Multistart minima of a threshold objective over its cone.
+
+    Returns (value, sign-aligned minimizer) of every descent that did not
+    merge (_descend_merging), sorted by value.
 
     The cone is the B-positive cone of constraint's tag (A > 0 and B > 0 of
     the working problem), or B > 0 alone when with_a is false; then starts
@@ -794,7 +780,8 @@ def _minimize_ray_objective(
     results, _ = _multistart(
         constraint, evaluate, usable, purpose, multistart, seed, params or OptimizerParams()
     )
-    return _cluster_minima([(value, u) for u, value, _, _, _ in results])
+    minima = [(value, _sign_aligned(u)) for u, value, _, _, _ in results]
+    return sorted(minima, key=lambda vu: vu[0])
 
 
 def _near_best(minima: list[tuple[float, Array]]) -> tuple[float, list[Array]]:
@@ -1059,9 +1046,10 @@ def surrogate_level(
     nested across k.
 
     The polish descends from the warm starts, then from the three best
-    samples, in one multistart (_descend_merging): a polish that comes within
-    the merge radius of a maximizer an earlier one converged to, while still
-    below it, stops there and is dropped.
+    samples, once from each distinct start, in one multistart
+    (_descend_merging): a polish that comes within the merge radius of a
+    maximizer an earlier one converged to, while not above it, stops there
+    and is dropped.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
@@ -1106,6 +1094,11 @@ def _surrogate_level(
             raise ValueError(f"warm coefficient vector has shape {w.shape}, expected ({k},)")
         polish_starts.append(_s_of_xi(e.alpha, w))
     polish_starts += [data.samples[i] for i in order[:3]]
+    # an axis maximizer is often a warm start and a best sample: descend once from it
+    polish_starts = [
+        s for i, s in enumerate(polish_starts)
+        if not any(np.array_equal(s, t) for t in polish_starts[:i])
+    ]
 
     ascent = OptimizerParams(gtol=params.gtol, max_iter=_POLISH_ITER)
     best_value = values[order[0]]

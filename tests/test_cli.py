@@ -455,13 +455,18 @@ class TestConfigErrors:
             ("solve", solve_config(tolerances={"gtol": -1})),
             ("solve", solve_config(tolerances={"gtol": float("nan")})),
             ("solve", solve_config(tolerances={"curve_noise": -1e-6})),
+            ("trace", battery_config(ks=[1, 17])),
+            ("solve", solve_config(k=17)),
+            # 15 nodes leave the cone support 8 columns, too few for 9 blocks
+            ("trace", battery_config(ks=[1, 9])),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
              "multistart_fraction", "seed_bool", "bounds_not_number", "bounds_not_pairs",
              "weight_file_missing", "limit_schedule_positive", "limit_schedule_short",
              "threshold_deltas_empty", "threshold_delta_above_one", "max_iter_zero",
-             "gtol_negative", "gtol_nan", "curve_noise_negative"],
+             "gtol_negative", "gtol_nan", "curve_noise_negative", "ks_above_16",
+             "solve_k_above_16", "ks_beyond_basis"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)

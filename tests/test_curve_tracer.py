@@ -258,12 +258,11 @@ class TestIntersect:
         # The root sits far above the window, near the ceiling c = 0, where
         # the level vanishes like |c|**((eta-alpha)/eta).  Halving the gap to
         # the ceiling needs about 20 probes to get there; the power-law
-        # extrapolation needs one.  tol_c is tightened because the default
-        # absolute 1e-10 is coarser than the root itself.
+        # extrapolation needs one.
         c_truth = -1e-8
         lam_truth, _ = minimize_ground_level(const_con_plus, c_truth, "plus", multistart=8)
         out = intersect_with_lambda(
-            const_con_plus, "plus", lam_truth, -0.5, -0.01, multistart=8, tol_c=1e-15
+            const_con_plus, "plus", lam_truth, -0.5, -0.01, multistart=8
         )
         (pt,) = out["points"]
         assert pt["c"] == pytest.approx(c_truth, rel=1e-6)
@@ -296,7 +295,7 @@ class TestIntersect:
 
     def test_unreachable_target_reports_reason(self, const_con_plus):
         out = intersect_with_lambda(
-            const_con_plus, "plus", -5.0, -0.2, -0.1, multistart=2, max_expand=6
+            const_con_plus, "plus", -5.0, -0.2, -0.1, multistart=2
         )
         assert not out["points"]
         (skip,) = out["skipped"]

@@ -52,8 +52,6 @@ def test_bad_t_raises():
         K.fiber_d1(1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.01, -1.0)
     with pytest.raises(ValueError, match="t >= 0 only"):
         K.g_value(1.0, 1.0, 1.5, 2.0, 4.0, -0.01, -0.5)
-    with pytest.raises(ValueError, match="t >= 0 only"):
-        K.g_deriv(1.0, 1.0, 1.5, 2.0, 4.0, -0.5)
 
 
 def test_bad_ray_raises():
