@@ -15,11 +15,9 @@ produces byte-identical artifacts except for the "timing_seconds" subtree of
 report.json.
 
 Exit codes: 0 success, 1 bad config, 2 non-convergence or infeasibility,
-3 verification verdict failure.  Every config entry is checked and typed
-before any solve, integer entries taking integral numbers only.  Two config
-errors show later, when what they concern is first built: a cone with empty
-node support, and a grid whose cone support cannot host the disjoint basis of
-the largest k.
+3 verification verdict failure.  Every config entry is checked and typed,
+and every config error exits 1, before any solve; integer entries take
+integral numbers only.
 
 Config sketch (defaults shown in config.echo.json after any run)::
 
@@ -36,11 +34,9 @@ Config sketch (defaults shown in config.echo.json after any run)::
       "cone": "A_POS",
       "branches": ["plus", "minus"],
       "ks": [1],
-      "c_grid": {"from": -0.5, "to": -0.001, "n": 9,
-                 "spacing": "geometric"},   // or {"values": [...]}
+      "c_grid": {"from": -0.5, "to": -0.001, "n": 9},  // geometric; or {"values": [...]}
       "c": -0.01, "branch": "plus", "k": 1,   // solve only
-      "multistart": 32, "warm_multistart": 8, "n_samples": 64,
-      "seed": 0, "start_support": "cone",
+      "multistart": 32, "warm_multistart": 8, "n_samples": 64, "seed": 0,
       "limit_schedule": [-0.01, -0.001, -0.0001],
       "threshold_deltas": [0.01, 0.05],   // each in (0, 1)
       "tolerances": {"residual_grad": 1e-6, "energy_defect_rel": 1e-8, "gtol": 1e-8,
@@ -123,7 +119,6 @@ _TOP_DEFAULTS = {
     "warm_multistart": 8,
     "n_samples": 64,
     "seed": 0,
-    "start_support": "cone",
     "limit_schedule": [-1e-2, -1e-3, -1e-4],
     "threshold_deltas": [0.01, 0.05],
     "tolerances": None,
@@ -206,8 +201,6 @@ def merge_config(user: dict) -> dict:
     cones = [t.name for t in ConeTag]
     if cfg["cone"] not in cones:
         raise ConfigError(f"unknown cone {cfg['cone']!r}; choose from {', '.join(cones)}")
-    if cfg["start_support"] not in ("cone", "none"):
-        raise ConfigError("start_support must be \"cone\" or \"none\"")
     for branch in [cfg["branch"], *cfg["branches"]]:
         if branch not in ("plus", "minus"):
             raise ConfigError(f"unknown branch {branch!r}")
@@ -290,8 +283,9 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
 
 
 class Setup:
-    """Problem, triple, c grid and constraint factory shared by the subcommands;
-    building it checks the problem section, c grid and zero-limit schedule."""
+    """Problem, triple, c grid and the cone constraints shared by the
+    subcommands; building it checks the problem section, c grid and
+    zero-limit schedule."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -300,34 +294,25 @@ class Setup:
             raise ConfigError("limit_schedule needs at least two levels, all negative")
         self.problem = _build_problem(cfg["problem"])
         self.triple = build_triple(self.problem)
-        self.tag = ConeTag[cfg["cone"]]
-        self.tag_both = self.tag.b_positive
         tol = cfg["tolerances"]
         self.params = OptimizerParams(gtol=tol["gtol"], max_iter=tol["max_iter"])
-        self.use_support = cfg["start_support"] == "cone"
-        self._cache: dict[ConeTag, SphereConstraint] = {}
-
-    def constraint(self, tag: ConeTag) -> SphereConstraint:
-        if tag not in self._cache:
-            support = None
-            if self.use_support:
-                mask = cone_node_mask(self.problem, tag)
-                if not mask.any():
-                    raise ConfigError(
-                        f"cone {tag.name} has empty node support on this grid; "
-                        "refine the grid or pass start_support = \"none\""
-                    )
-                support = mask
-            self._cache[tag] = SphereConstraint(self.triple, tag=tag, start_support=support)
-        return self._cache[tag]
+        # the configured cone and its B > 0 part, each drawing starts on its node mask
+        tag = ConeTag[cfg["cone"]]
+        self.cone, self.cone_both = (
+            SphereConstraint(self.triple, tag=t, start_support=cone_node_mask(self.problem, t))
+            for t in (tag, tag.b_positive)
+        )
 
     def constraint_for_branch(self, branch: str) -> SphereConstraint:
         # minus-branch levels only exist where the convex term is positive
-        return self.constraint(self.tag_both if branch == "minus" else self.tag)
+        return self.cone_both if branch == "minus" else self.cone
 
     def basis(self, k_max: int):
+        """The disjoint surrogate basis for curves up to k_max; None at k_max = 1."""
+        if k_max == 1:
+            return None
         try:
-            return build_disjoint_basis(self.problem, self.tag_both, k_max)
+            return build_disjoint_basis(self.problem, self.cone_both.tag, k_max)
         except ValueError as exc:
             raise ConfigError(f"no surrogate basis for k = {k_max}: {exc}") from None
 
@@ -339,7 +324,7 @@ def _c_grid(gcfg) -> list[float] | None:
     if not isinstance(gcfg, dict):
         raise ConfigError("c_grid must be an object")
     grid = _merge_section(
-        gcfg, dict.fromkeys(("values", "from", "to", "n", "spacing")), "c_grid",
+        gcfg, dict.fromkeys(("values", "from", "to", "n")), "c_grid",
         {"values": [0.0], "from": 0.0, "to": 0.0, "n": 0},
     )
     span = (grid["from"], grid["to"], grid["n"])
@@ -347,12 +332,8 @@ def _c_grid(gcfg) -> list[float] | None:
         values = grid["values"]
     elif None in span:
         raise ConfigError("c_grid needs either values or from/to/n")
-    elif grid["spacing"] in (None, "geometric"):
-        values = geometric_grid(*span)
-    elif grid["spacing"] == "linear":
-        values = np.linspace(*span)
     else:
-        raise ConfigError(f"c_grid.spacing must be geometric or linear, got {grid['spacing']!r}")
+        values = geometric_grid(*span)
     values = sorted(float(v) for v in values)
     if not values:
         raise ConfigError("c_grid is empty")
@@ -383,15 +364,15 @@ def _trace(setup: Setup, branch: str, c_values, ks, basis):
     )
 
 
-def _trace_branches(setup: Setup, plus_grid, minus_grid, log=None):
-    """Trace every configured (branch, k) on its branch's grid.
+def _trace_branches(setup: Setup, basis, plus_grid, minus_grid, log=None):
+    """Trace every configured (branch, k) on its branch's grid with basis,
+    setup.basis(max(ks)).
 
     Returns (families by branch, curves in branch-then-k order, ground_ok),
     where ground_ok is False once a k = 1 point did not converge.  log, when
     given, receives one line per curve.
     """
     ks = sorted(set(setup.cfg["ks"]))
-    basis = setup.basis(max(ks)) if max(ks) > 1 else None
     fams = {}
     curves = []
     ground_ok = True
@@ -439,9 +420,14 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
     if cfg["c"] is None:
         raise ConfigError("solve needs a top-level \"c\" value")
     c, branch, k = cfg["c"], cfg["branch"], cfg["k"]
+    basis = setup.basis(k)
     t0 = time.perf_counter()
-    curves = [_trace_one_point(setup, c, branch, k)]
+    curves = [_trace(setup, branch, [c], (k,), basis)[k]]
     elapsed = time.perf_counter() - t0
+    if not curves[0].points:
+        raise InfeasibleLevelError(
+            f"no {branch}-branch level at c={c!r}: {curves[0].truncation_reason}"
+        )
     point = curves[0].points[0]
     certified = _certified(point.record, c, cfg["tolerances"])
     report = build_report(
@@ -475,22 +461,13 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _trace_one_point(setup: Setup, c: float, branch: str, k: int):
-    basis = setup.basis(k) if k > 1 else None
-    curve = _trace(setup, branch, [c], (k,), basis)[k]
-    if not curve.points:
-        raise InfeasibleLevelError(
-            f"no {branch}-branch level at c={c!r}: {curve.truncation_reason}"
-        )
-    return curve
-
-
 def cmd_trace(setup: Setup, out_dir: str, quiet: bool) -> int:
     if setup.c_values is None:
         raise ConfigError("this command needs a c_grid section")
+    basis = setup.basis(max(setup.cfg["ks"]))
     t0 = time.perf_counter()
     _, curves, ground_ok = _trace_branches(
-        setup, setup.c_values, setup.c_values, log=lambda line: _say(quiet, line)
+        setup, basis, setup.c_values, setup.c_values, log=lambda line: _say(quiet, line)
     )
     elapsed = time.perf_counter() - t0
     report = build_report(setup.cfg, curves=curves, timing_seconds={"total": elapsed})
@@ -510,7 +487,7 @@ def _thresholds(setup: Setup):
     cone alone; c** comes from it, c* from c**, and the crossing reuses it.
     """
     cfg = setup.cfg
-    constraint = setup.constraint(setup.tag_both)
+    constraint = setup.cone_both
     opts = dict(multistart=cfg["multistart"], seed=cfg["seed"], params=setup.params)
     zero_level = minimize_c0(constraint.working, start_support=constraint.start_support, **opts)
     c2, minimizers = compute_c_star_star(constraint, zero_level=zero_level, **opts)
@@ -547,6 +524,7 @@ def _run_battery(setup: Setup, quiet: bool):
     cfg = setup.cfg
     tol = cfg["tolerances"]
     timing: dict[str, float] = {}
+    basis = setup.basis(max(cfg["ks"]))
 
     t0 = time.perf_counter()
     c_star, c2, minimizers, zero_level = _thresholds(setup)
@@ -560,7 +538,7 @@ def _run_battery(setup: Setup, quiet: bool):
 
     t0 = time.perf_counter()
     fams, curves, ground_ok = _trace_branches(
-        setup, [c for c in plus_grid if c > c_star], [c for c in minus_grid if c > c_star]
+        setup, basis, [c for c in plus_grid if c > c_star], [c for c in minus_grid if c > c_star]
     )
     timing["curves"] = time.perf_counter() - t0
 

@@ -78,9 +78,8 @@ class FiberingProfile:
 
     t_plus is the local-minimum scaling, t_minus the local-maximum scaling,
     None when absent.  phi_plus / phi_minus are the fibering-map values there.
-    extremal_c and zero_level_c are filled whenever b > 0.  degenerate marks
-    the collision c = extremal_c, where the double root is reported in both
-    slots instead of raising.
+    degenerate marks the collision c = c_bar (extremal_pair), where the double
+    root is reported in both slots instead of raising.
     """
 
     case: Case
@@ -88,8 +87,6 @@ class FiberingProfile:
     t_minus: float | None
     phi_plus: float | None
     phi_minus: float | None
-    extremal_c: float | None
-    zero_level_c: float | None
     degenerate: bool = False
 
 
@@ -143,13 +140,6 @@ def classify_and_solve(ray: RayData, c: float, deg_rtol: float = 1e-14) -> Fiber
         )
     e = ray.exponents
     code, t_plus, t_minus = K.classify(ray.n, ray.b, e.alpha, e.eta, e.beta, c, deg_rtol)
-
-    extremal_c: float | None = None
-    zero_level_c: float | None = None
-    if ray.b > 0.0:
-        extremal_c = K.extremal_pair(ray.n, ray.b, e.alpha, e.eta, e.beta)[1]
-        zero_level_c = K.zero_level_pair(ray.n, ray.b, e.eta, e.beta)[1]
-
     tp = None if math.isnan(t_plus) else float(t_plus)
     tm = None if math.isnan(t_minus) else float(t_minus)
     return FiberingProfile(
@@ -158,8 +148,6 @@ def classify_and_solve(ray: RayData, c: float, deg_rtol: float = 1e-14) -> Fiber
         t_minus=tm,
         phi_plus=None if tp is None else fibering_value(ray, c, tp),
         phi_minus=None if tm is None else fibering_value(ray, c, tm),
-        extremal_c=extremal_c,
-        zero_level_c=zero_level_c,
         degenerate=(code == K.CASE_DEGENERATE),
     )
 

@@ -51,7 +51,7 @@ import numpy as np
 from . import _kernels as K
 from .fibering import classify_and_solve  # noqa: F401 (perfbench/tracing.py patches it here)
 from .functional_core import (
-    Array, ConeTag, Exponents, FunctionalTriple, _inside_cone, phi, phi_grad,
+    Array, ConeTag, Exponents, FunctionalTriple, _inside_cone, cone_membership, phi, phi_grad,
 )
 
 # objective value at a point, with a callable finishing the gradient there
@@ -124,13 +124,13 @@ class SphereConstraint:
 
     start_support optionally restricts random start vectors to a boolean DOF
     mask (model problems pass the sign-structure mask so starts are feasible
-    by construction).  Every cone decision follows the one cone rule
-    (functional_core._inside_cone): a point is inside when A of the working
-    problem, and B on B-positive cones, exceed _CONE_RTOL times 1 + their
-    magnitudes; closer points count as boundary.  The descents apply the rule
-    to the scalars their levels then read, and accept a start where their
-    objective is finite; feasible(u) applies it alone (minimize_c0's A > 0
-    starts).
+    by construction); an empty mask restricts nothing.  Every cone decision
+    follows the one cone rule (functional_core._inside_cone): a point is
+    inside when A of the working problem, and B on B-positive cones, exceed
+    _CONE_RTOL times 1 + their magnitudes; closer points count as boundary.
+    The descents apply the rule to the scalars their levels then read, and
+    accept a start where their objective is finite; feasible(u) applies it
+    alone (minimize_c0's A > 0 starts).
     """
 
     triple: FunctionalTriple
@@ -150,10 +150,7 @@ class SphereConstraint:
         return self.tag.a_sign
 
     def feasible(self, u: Array) -> bool:
-        working = self.working
-        a = float(working.eval_A(u))
-        b = float(working.eval_B(u)) if self.tag.needs_b_pos else None
-        return _inside_cone(a, b)
+        return cone_membership(self.triple, self.tag, u)[0]
 
 
 def _outside_cone() -> Array:
@@ -577,7 +574,7 @@ def _draw_starts(
         rng = np.random.default_rng(_seed_key(seed) + (purpose, i))
         for _ in range(_START_ATTEMPTS):
             g = rng.standard_normal(dim)
-            if support is not None:
+            if support is not None and support.any():  # an empty support restricts nothing
                 g = np.where(support, g, 0.0)
             # a one-signed profile is feasible more often than a sign-changing one
             u = _first_usable(working, usable, (g, np.abs(g))) if np.any(g) else None

@@ -255,6 +255,22 @@ class TestSolve:
         assert code == 2
         assert "non-convergence" in err
 
+    def test_empty_cone_support_restricts_no_start(self, tmp_path):
+        # a changes sign from cell to cell on 15 nodes: no node has a > 0 on
+        # both its cells, so the cone's node mask is empty, and starts are
+        # drawn on every node
+        cfg = solve_config(c=-0.05)
+        cfg["problem"]["weights"]["a"] = "sin(16*pi*x)+0.1"
+        setup = cli.Setup(cli.merge_config(json.loads(json.dumps(cfg))))
+        assert not setup.cone.start_support.any()
+        cfg_path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["solve", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 0, err
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["verdicts"]["certified"] is True
+        assert report["solution"]["lambda"] == pytest.approx(43.89875290660286, rel=1e-9)
+
     def test_solve_requires_c(self, tmp_path):
         cfg = solve_config()
         del cfg["c"]
@@ -323,6 +339,28 @@ class TestZeroLevelSolve:
         assert code == 0
         ground = {nm._PURPOSE["plus"], nm._PURPOSE["minus"]}
         assert {p: n for p, n in purposes.items() if p not in ground} == {nm._PURPOSE["c0"]: 1}
+
+    def test_failed_crossing_hypothesis_is_reported(self, tmp_path):
+        # a > 0 only on (0.15, 0.35): the zero-level minimizer over the B
+        # cone leaves the A cone, so the minus level need not change sign at
+        # c**; the battery records why instead of crashing.
+        # 200 iterations keep the run short; its ground levels then stop
+        # unconverged, hence exit 2.
+        cfg = battery_config(
+            branches=["minus"], multistart=4, warm_multistart=2, tolerances={"max_iter": 200}
+        )
+        cfg["problem"]["weights"]["a"] = "sin(2*pi*x)-0.8"
+        cfg_path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            ["report", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"]
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        report = json.loads((out_dir / "report.json").read_text())
+        assert list(report["zero_crossing"]) == ["hypothesis_error"]
+        assert "zero-crossing minimizer 0 leaves" in report["zero_crossing"]["hypothesis_error"]
+        assert report["verdicts"]["zero_crossing"] is False
 
     def test_negative_a_cone_mirrors_the_positive_one(self, tmp_path):
         # a -> -a with cone A_NEG is the same problem: equal thresholds and
@@ -459,6 +497,12 @@ class TestConfigErrors:
             ("solve", solve_config(k=17)),
             # 15 nodes leave the cone support 8 columns, too few for 9 blocks
             ("trace", battery_config(ks=[1, 9])),
+            # no key sets what the code works out: each cone draws starts on
+            # its node mask, and from/to/n is geometric (values lists others)
+            ("trace", battery_config(start_support="cone")),
+            ("trace", battery_config(
+                c_grid={"from": -0.5, "to": -0.05, "n": 4, "spacing": "geometric"}
+            )),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
@@ -466,7 +510,7 @@ class TestConfigErrors:
              "weight_file_missing", "limit_schedule_positive", "limit_schedule_short",
              "threshold_deltas_empty", "threshold_delta_above_one", "max_iter_zero",
              "gtol_negative", "gtol_nan", "curve_noise_negative", "ks_above_16",
-             "solve_k_above_16", "ks_beyond_basis"],
+             "solve_k_above_16", "ks_beyond_basis", "start_support_key", "spacing_key"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)
@@ -483,8 +527,9 @@ class TestConfigErrors:
             battery_config(ks=[0]),
             battery_config(branches=["plus", "sideways"]),
             battery_config(c_grid={"from": -0.5, "to": -0.05, "n": 1}),
+            battery_config(ks=[1, 9]),
         ],
-        ids=["ks", "branches", "c_grid"],
+        ids=["ks", "branches", "c_grid", "ks_beyond_basis"],
     )
     def test_report_checks_the_config_before_any_solve(self, tmp_path, monkeypatch, cfg):
         purposes = count_multistart_purposes(monkeypatch)

@@ -8,7 +8,12 @@ import pytest
 import fibercurve.curve_tracer as ct
 import fibercurve.nehari_minmax as nm
 from fibercurve.functional_core import ConeTag
-from fibercurve.model_problems import build_disjoint_basis, build_triple, dirichlet_problem_1d
+from fibercurve.model_problems import (
+    build_disjoint_basis,
+    build_triple,
+    cone_node_mask,
+    dirichlet_problem_1d,
+)
 from fibercurve.curve_tracer import (
     EnergyCurve,
     extend_minus_past_cstarstar,
@@ -253,6 +258,30 @@ class TestIntersect:
         (pt,) = out["points"]
         assert pt["c"] == pytest.approx(-0.05, rel=1e-6)
         assert pt["probes"] <= 12
+
+    def test_window_moves_down_to_a_root_below(self, pos_problem, pos_triple):
+        # The target is the plus level at c = -0.3, below the window: the
+        # window moves down, doubling, to the root of a bracketing window;
+        # a floor above the root halves the gap to it until no move is left.
+        tag = ConeTag.A_POS
+        con = SphereConstraint(pos_triple, tag=tag, start_support=cone_node_mask(pos_problem, tag))
+        lam_truth, _ = minimize_ground_level(con, -0.3, "plus", multistart=8, seed=0)
+        (moved,) = intersect_with_lambda(
+            con, "plus", lam_truth, -0.05, -0.01, multistart=8, seed=0
+        )["points"]
+        (bracketed,) = intersect_with_lambda(
+            con, "plus", lam_truth, -0.5, -0.01, multistart=8, seed=0
+        )["points"]
+        assert moved["c"] == pytest.approx(bracketed["c"], rel=1e-9)
+        assert moved["c"] == pytest.approx(-0.3, rel=1e-9)
+        assert moved["probes"] > bracketed["probes"]
+        out = intersect_with_lambda(
+            con, "plus", lam_truth, -0.05, -0.01, multistart=8, seed=0, c_floor=-0.2
+        )
+        assert not out["points"]
+        (skip,) = out["skipped"]
+        assert skip["k"] == 1
+        assert "not reachable above c=-0.2" in skip["reason"]
 
     def test_power_law_expansion_toward_plus_ceiling(self, const_con_plus):
         # The root sits far above the window, near the ceiling c = 0, where

@@ -606,6 +606,17 @@ class TestStartRule:
         a_cone = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
         assert all(a_cone.feasible(u) for u in starts)
 
+    def test_empty_support_draws_the_unrestricted_starts(self, pos_triple):
+        # a grid too coarse for a weight's sign structure leaves an empty
+        # node mask, which restricts nothing
+        free = SphereConstraint(pos_triple, tag=ConeTag.A_POS_B_POS)
+        empty = dataclasses.replace(free, start_support=np.zeros(pos_triple.dim, dtype=bool))
+        free_starts, empty_starts = (
+            nm._draw_starts(con, 8, 0, nm._PURPOSE["minus"], free.feasible)
+            for con in (free, empty)
+        )
+        assert [u.tobytes() for u in empty_starts] == [u.tobytes() for u in free_starts]
+
 
 def two_basin_triple(w_low=2.0):
     """N = |u|**4, A = |u_1|**3 + w_low |u_2|**3, B = |u|**6 on R^2.
