@@ -489,7 +489,7 @@ def _thresholds(setup: Setup):
     cfg = setup.cfg
     constraint = setup.cone_both
     opts = dict(multistart=cfg["multistart"], seed=cfg["seed"], params=setup.params)
-    zero_level = minimize_c0(constraint.working, start_support=constraint.start_support, **opts)
+    zero_level = minimize_c0(constraint, **opts)
     c2, minimizers = compute_c_star_star(constraint, zero_level=zero_level, **opts)
     c_star = compute_c_star(constraint, c_star_star=c2)
     return c_star, c2, minimizers, zero_level

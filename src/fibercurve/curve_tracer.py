@@ -33,14 +33,11 @@ from .nehari_minmax import (
     OptimizerParams,
     SphereConstraint,
     SurrogateLevel,
-    _SurrogateData,
-    _surrogate_data,
-    _surrogate_level,
     extract_critical_point,
     level_slope,
     minimize_c0,
     minimize_ground_level,
-    surrogate_level,  # noqa: F401 (perfbench/tracing.py patches it here)
+    surrogate_level,
 )
 
 __all__ = [
@@ -173,12 +170,11 @@ class _LevelChain:
     basis vectors, warm-started from the previous c's maximizer and from the
     zero-padded maximizer of the next lower surrogate k at this c; that
     embedded start makes the surrogates nondecreasing in k, and a level that
-    still falls below its lower neighbour is replaced by it.  What a
-    surrogate level reads that does not depend on c (the basis scalars and
-    the coefficient samples with their N, A and B) is built once per k, at
-    its first call, so a basis that is not additive drops k at that call.  A
-    k whose level is infeasible is dropped, and truncation[k] says where and
-    why.
+    still falls below its lower neighbour is replaced by it.  The
+    GenusSurrogate of each k, which holds what its levels read that does not
+    depend on c, is built at the first call of that k, so a basis that is
+    not additive drops k at that call.  A k whose level is infeasible is
+    dropped, and truncation[k] says where and why.
     """
 
     def __init__(self, constraint, branch, ks, basis=None, n_samples=64, multistart=32,
@@ -196,7 +192,9 @@ class _LevelChain:
                     f"basis has {basis.shape[0]} vectors, largest requested k is "
                     f"{surrogate_ks[-1]}"
                 )
-        self.surrogates = {k: GenusSurrogate(k, basis[:k], n_samples) for k in surrogate_ks}
+        self.basis = basis
+        self.n_samples = n_samples
+        self.surrogates: dict[int, GenusSurrogate] = {}
         self.constraint = constraint
         self.branch = branch
         self.multistart = multistart
@@ -209,7 +207,6 @@ class _LevelChain:
         self.calls = 0
         self._warm_u: list[Array] = []
         self._warm_xi: dict[int, Array] = {}
-        self._surrogate_data: dict[int, _SurrogateData] = {}
 
     def __call__(self, c: float) -> dict[int, tuple[float, Array, CriticalPointRecord]]:
         """(level, unit optimizer, record) at c of every k not dropped yet."""
@@ -244,11 +241,10 @@ class _LevelChain:
     def _surrogate(self, c: float, k: int, lower: SurrogateLevel | None) -> SurrogateLevel:
         padded = None if lower is None else np.concatenate([lower.xi, np.zeros(k - lower.xi.size)])
         warm = [w for w in (padded, self._warm_xi.get(k)) if w is not None]
-        if k not in self._surrogate_data:
-            self._surrogate_data[k] = _surrogate_data(self.constraint.working, self.surrogates[k])
-        level = _surrogate_level(
-            self.constraint, c, self.branch, self._surrogate_data[k], warm_xi=warm,
-            params=self.params,
+        if k not in self.surrogates:
+            self.surrogates[k] = GenusSurrogate(self.constraint, self.basis[:k], self.n_samples)
+        level = surrogate_level(
+            self.surrogates[k], c, self.branch, warm_xi=warm, params=self.params
         )
         sign = self.constraint.lambda_sign
         if lower is not None and sign * level.value < sign * lower.value:
@@ -466,8 +462,10 @@ def intersect_with_lambda(
     at least doubling, or by 1.5 Newton steps when those reach further;
     toward the plus-branch ceiling c = 0 it extrapolates the local power law
     level ~ K|c|**gamma (gamma = c * slope / level) past the target, and
-    halves the gap to the ceiling (or to c_floor below) when that guess
-    leaves the admissible interval.
+    halves the gap to the ceiling when that guess leaves the admissible
+    interval; a move down that would reach or pass c_floor probes c_floor
+    itself, and the target is not reachable when that probe does not
+    bracket it.
     Inside the bracket a safeguarded Newton iteration (rtsafe) refines the
     root (on the plus branch in log|c| and log|level|, where the power law
     is nearly linear), bisecting whenever a Newton step leaves the bracket
@@ -606,7 +604,8 @@ def _intersect_single(
         else:
             c_new = end.c - width
             if c_floor is not None and c_new <= c_floor:
-                c_new = 0.5 * (end.c + c_floor)
+                # one probe at the floor decides whether the target is reachable
+                c_new = c_floor
             if not (c_new < end.c):
                 raise ValueError(
                     f"k={k}: target {lam_target!r} not reachable above c={c_floor!r}"
@@ -666,7 +665,7 @@ def extend_minus_past_cstarstar(
     """Continue the minus ground curve through the upper threshold.
 
     Takes the zero-crossing minimizing set over the B cone alone: zero_level
-    = (c0, minimizers), minimize_c0's result on the working triple, or that
+    = (c0, minimizers), minimize_c0's result on the constraint, or that
     solve run here when it is not given.  Every minimizer must sit strictly
     inside the working A cone, which is the hypothesis for the sign change
     of the minus level at the threshold; a violating minimizer raises
@@ -683,10 +682,7 @@ def extend_minus_past_cstarstar(
         raise ValueError(f"deltas must be a nonempty list in (0, 1), got {list(deltas)!r}")
     working = constraint.working
     if zero_level is None:
-        zero_level = minimize_c0(
-            working, multistart=multistart, seed=seed,
-            start_support=constraint.start_support, params=params,
-        )
+        zero_level = minimize_c0(constraint, multistart=multistart, seed=seed, params=params)
     c2, mins = zero_level
     margins = []
     for i, m in enumerate(mins):

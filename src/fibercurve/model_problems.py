@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .functional_core import ConeTag, Exponents, FunctionalTriple, _inside_cone, cone_membership
-from .nehari_minmax import minimize_c0
+from .nehari_minmax import SphereConstraint, minimize_c0
 
 Array = np.ndarray
 
@@ -848,7 +848,7 @@ def construct_weight_for_conjecture(
     triple = build_triple(probe)
     support_mask = cone_node_mask(probe, ConeTag.A_POS_B_POS)
     _, minimizers = minimize_c0(
-        triple, multistart=multistart, seed=seed, start_support=support_mask
+        SphereConstraint(triple, start_support=support_mask), multistart=multistart, seed=seed
     )
 
     bplus_bar = _dof_node_weights(grid, b_plus).ravel()

@@ -188,33 +188,6 @@ class CriticalPointRecord:
 
 
 @dataclass(frozen=True)
-class GenusSurrogate:
-    """Surrogate competitor set: the coefficient sphere over a disjoint basis.
-
-    k is the genus being approximated, basis holds k unit vectors of pairwise
-    disjoint support inside the cone, n_samples is the quadrature resolution
-    on the coefficient sphere.  N, A and B must be additive over the basis:
-    no functional may couple two supports (the gradient in N does when two
-    blocks touch), so that N(sum_i xi_i e_i) = sum_i |xi_i|**eta N(e_i) and
-    likewise for A and B.  surrogate_level checks this on every pair.
-    """
-
-    k: int
-    basis: Array
-    n_samples: int = 64
-
-    def __post_init__(self) -> None:
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
-        object.__setattr__(self, "basis", basis)
-        if basis.shape[0] != self.k:
-            raise ValueError(f"basis has {basis.shape[0]} vectors, k={self.k}")
-        if self.k < 1 or self.k > _XI_MAX_K:
-            raise ValueError(f"k must be between 1 and {_XI_MAX_K}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-
-
-@dataclass(frozen=True)
 class SurrogateLevel:
     """Surrogate level value with the maximizing coefficient combination."""
 
@@ -822,19 +795,18 @@ def compute_c_star_star(
     """Upper threshold: inf of the zero-crossing level over the A and B cone.
 
     c0 ignores A, so the solve runs over the B > 0 cone alone: minimize_c0
-    on the working triple, with starts inside the constraint's cone, or
-    zero_level = (c0, minimizers), its result, when the caller has it.  The
-    threshold is at least the B-cone minimum, and a minimizer inside the
-    working A cone attains it; so when any near-best minimizer lies inside,
-    the B-cone minimum is the threshold and the inside minimizers are its
-    minimizers.  Only when none lies inside does a second solve run, over the
-    A and B cone.  Returns the threshold (always > 0) and the distinct
-    minimizers found within relative 1e-6 of the best value (the numerical
-    stand-in for the minimizing set).
+    on the constraint, or zero_level = (c0, minimizers), its result, when
+    the caller has it.  The threshold is at least the B-cone minimum, and a
+    minimizer inside the working A cone attains it; so when any near-best
+    minimizer lies inside, the B-cone minimum is the threshold and the
+    inside minimizers are its minimizers.  Only when none lies inside does a
+    second solve run, over the A and B cone.  Returns the threshold (always
+    > 0) and the distinct minimizers found within relative 1e-6 of the best
+    value (the numerical stand-in for the minimizing set).
     """
     working = constraint.working
     if zero_level is None:
-        zero_level = minimize_c0(working, multistart, seed, constraint.start_support, params)
+        zero_level = minimize_c0(constraint, multistart, seed, params)
     best, minimizers = zero_level
     keep = [u for u in minimizers if _inside_cone(float(working.eval_A(u)))]
     if not keep:
@@ -847,23 +819,22 @@ def compute_c_star_star(
 
 
 def minimize_c0(
-    triple: FunctionalTriple,
+    constraint: SphereConstraint,
     multistart: int = 16,
     seed: int = 0,
-    start_support: Array | None = None,
     params: OptimizerParams | None = None,
 ) -> tuple[float, list[Array]]:
     """Zero-crossing level minimized over the B > 0 cone alone.
 
     The objective ignores A entirely, so the descent's cone here is only
-    B(u) > 0 (starts are drawn inside A > 0 as well).  Returns the minimum
-    and the near-best minimizers.  On a constraint's working triple this is
-    the one zero-level solve behind compute_c_star_star, compute_c_star and
-    extend_minus_past_cstarstar; the conjecture-supporting weight
-    construction uses it too.  Those callers test the minimizers against the
-    A > 0 cone themselves.
+    B(u) > 0; starts are drawn inside the constraint's working A > 0 cone as
+    well, on its start support.  Returns the minimum and the near-best
+    minimizers.  This is the one zero-level solve behind
+    compute_c_star_star, compute_c_star and extend_minus_past_cstarstar;
+    the conjecture-supporting weight construction uses it too.  Those
+    callers test the minimizers against the A > 0 cone themselves.
     """
-    constraint = SphereConstraint(triple=triple, tag=ConeTag.A_POS, start_support=start_support)
+    constraint = SphereConstraint(constraint.working, start_support=constraint.start_support)
     return _near_best(_minimize_ray_objective(
         constraint, _zero_level, _PURPOSE["c0"], multistart, seed, params, with_a=False
     ))
@@ -977,41 +948,48 @@ def _coefficient_evaluation(
     return evaluate
 
 
-@dataclass(frozen=True)
-class _SurrogateData:
-    """What a surrogate level reads that does not depend on c or the branch.
+class GenusSurrogate:
+    """Surrogate competitor set: the coefficient sphere over a disjoint basis.
 
-    scalars are the (3, k) per-basis (N, A, B) of _basis_scalars, samples the
-    (m, k) coefficient samples in s, and sample_scalars the (3, m) (N, A, B)
-    of the samples.
+    basis holds k unit vectors of pairwise disjoint support inside the cone
+    of constraint, k the genus being approximated; n_samples is the
+    quadrature resolution on the coefficient sphere.  N, A and B must be
+    additive over the basis: no functional may couple two supports (the
+    gradient in N does when two blocks touch), so that N(sum_i xi_i e_i) =
+    sum_i |xi_i|**eta N(e_i) and likewise for A and B.
+
+    Everything a surrogate level reads that does not depend on c or the
+    branch is built here, once, on the constraint's working triple: scalars,
+    the (3, k) per-basis (N, A, B), checked additive on every pair
+    (_basis_scalars raises SurrogateInvalidError naming the first pair that
+    is not); samples, the (m, k) coefficient samples in s; and
+    sample_scalars, the (3, m) (N, A, B) of the samples.
     """
 
-    surrogate: GenusSurrogate
-    scalars: Array
-    samples: Array
-    sample_scalars: Array
-
-
-def _surrogate_data(working: FunctionalTriple, surrogate: GenusSurrogate) -> _SurrogateData:
-    """The c-free surrogate data of surrogate on the working triple.
-
-    Raises SurrogateInvalidError when the basis is not additive.
-    """
-    e = working.exponents
-    scalars = _basis_scalars(working, surrogate.basis)
-    samples = _s_of_xi(e.alpha, _xi_samples(surrogate.k, surrogate.n_samples))
-    # the sums of _coefficient_evaluation for every sample at once, (3, m, k) -> (3, m)
-    sample_scalars = (
-        np.abs(samples) ** _s_degrees(e)[:, :, None] * scalars[:, None, :]
-    ).sum(axis=2)
-    return _SurrogateData(surrogate, scalars, samples, sample_scalars)
+    def __init__(self, constraint: SphereConstraint, basis: Array, n_samples: int = 64) -> None:
+        basis = np.atleast_2d(np.asarray(basis, dtype=float))
+        k = basis.shape[0]
+        if k < 1 or k > _XI_MAX_K:
+            raise ValueError(f"k must be between 1 and {_XI_MAX_K}")
+        if n_samples < 1:
+            raise ValueError("n_samples must be positive")
+        self.constraint = constraint
+        self.basis = basis
+        self.k = k
+        self.n_samples = n_samples
+        e = constraint.working.exponents
+        self.scalars = _basis_scalars(constraint.working, basis)
+        self.samples = _s_of_xi(e.alpha, _xi_samples(k, n_samples))
+        # the sums of _coefficient_evaluation for every sample at once, (3, m, k) -> (3, m)
+        self.sample_scalars = (
+            np.abs(self.samples) ** _s_degrees(e)[:, :, None] * self.scalars[:, None, :]
+        ).sum(axis=2)
 
 
 def surrogate_level(
-    constraint: SphereConstraint,
+    surrogate: GenusSurrogate,
     c: float,
     branch: str,
-    surrogate: GenusSurrogate,
     warm_xi: Sequence[Array] = (),
     params: OptimizerParams | None = None,
 ) -> SurrogateLevel:
@@ -1023,12 +1001,12 @@ def surrogate_level(
     sphere is one admissible competitor set.
 
     Sampling and polish run on the per-basis scalars N(e_i), A(e_i), B(e_i)
-    (_coefficient_evaluation), computed once per call and checked additive
-    on every pair (_basis_scalars); only the maximizer is evaluated on the
-    model, which gives the reported value, t_root and u_unit.  A basis whose
-    pair is not additive, or any infeasible sampled ray, raises
-    SurrogateInvalidError: a basis violating the cone must be rebuilt, not
-    silently skipped.
+    (_coefficient_evaluation) and the sample scalars that the surrogate
+    built once; only the maximizer is evaluated on the model of the
+    surrogate's constraint, which gives the reported value, t_root and
+    u_unit.  Any infeasible sampled ray raises SurrogateInvalidError, as
+    does a basis that is not additive when the surrogate is built: a basis
+    violating the cone must be rebuilt, not silently skipped.
 
     Sampling and polish run in the coordinates s = sign(xi) |xi|**(alpha/2).
     The maximizer often sits on a coordinate axis (some xi_j = 0), where the
@@ -1050,25 +1028,12 @@ def surrogate_level(
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    data = _surrogate_data(constraint.working, surrogate)
-    return _surrogate_level(constraint, c, branch, data, warm_xi, params)
-
-
-def _surrogate_level(
-    constraint: SphereConstraint,
-    c: float,
-    branch: str,
-    data: _SurrogateData,
-    warm_xi: Sequence[Array] = (),
-    params: OptimizerParams | None = None,
-) -> SurrogateLevel:
-    """surrogate_level on the c-free data _surrogate_data built for the
-    constraint's working triple, which a _LevelChain builds once per k."""
     params = params or OptimizerParams()
+    constraint = surrogate.constraint
     working = constraint.working
     e = working.exponents
-    k = data.surrogate.k
-    level = _coefficient_evaluation(e, c, branch, data.scalars)
+    k = surrogate.k
+    level = _coefficient_evaluation(e, c, branch, surrogate.scalars)
 
     def invalid(s: Array, what: str, exc: InfeasibleRayError) -> SurrogateInvalidError:
         return SurrogateInvalidError(
@@ -1076,7 +1041,7 @@ def _surrogate_level(
         )
 
     values = []
-    for s, (n, a, b) in zip(data.samples, data.sample_scalars.T.tolist()):
+    for s, (n, a, b) in zip(surrogate.samples, surrogate.sample_scalars.T.tolist()):
         try:
             values.append(_scalar_level(e, c, branch, n, a, b)[0])
         except InfeasibleRayError as exc:
@@ -1090,7 +1055,7 @@ def _surrogate_level(
         if w.shape != (k,):
             raise ValueError(f"warm coefficient vector has shape {w.shape}, expected ({k},)")
         polish_starts.append(_s_of_xi(e.alpha, w))
-    polish_starts += [data.samples[i] for i in order[:3]]
+    polish_starts += [surrogate.samples[i] for i in order[:3]]
     # an axis maximizer is often a warm start and a best sample: descend once from it
     polish_starts = [
         s for i, s in enumerate(polish_starts)
@@ -1099,7 +1064,7 @@ def _surrogate_level(
 
     ascent = OptimizerParams(gtol=params.gtol, max_iter=_POLISH_ITER)
     best_value = values[order[0]]
-    best_s = data.samples[order[0]]
+    best_s = surrogate.samples[order[0]]
     # The gradient grows with the level.  With M = I the first trial step at
     # a level near 4e3 turns the start by nearly 90 degrees, and backtracking
     # takes the first higher point it meets, which can lie across a valley
@@ -1133,7 +1098,7 @@ def _surrogate_level(
             best_s = s
 
     best_xi = _xi_of_s(e.alpha, best_s)
-    u_best = data.surrogate.basis.T @ best_xi
+    u_best = surrogate.basis.T @ best_xi
     u_best = u_best / working.norm_of(u_best)
     lam_int, t, _ = _level_internal(working, c, branch, u_best)
     return SurrogateLevel(

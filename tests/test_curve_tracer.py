@@ -25,6 +25,7 @@ from fibercurve.curve_tracer import (
     trace_family,
 )
 from fibercurve.nehari_minmax import (
+    GenusSurrogate,
     SphereConstraint,
     compute_c_star_star,
     minimize_ground_level,
@@ -262,7 +263,7 @@ class TestIntersect:
     def test_window_moves_down_to_a_root_below(self, pos_problem, pos_triple):
         # The target is the plus level at c = -0.3, below the window: the
         # window moves down, doubling, to the root of a bracketing window;
-        # a floor above the root halves the gap to it until no move is left.
+        # a floor above the root ends the moves with the target unreachable.
         tag = ConeTag.A_POS
         con = SphereConstraint(pos_triple, tag=tag, start_support=cone_node_mask(pos_problem, tag))
         lam_truth, _ = minimize_ground_level(con, -0.3, "plus", multistart=8, seed=0)
@@ -282,6 +283,31 @@ class TestIntersect:
         (skip,) = out["skipped"]
         assert skip["k"] == 1
         assert "not reachable above c=-0.2" in skip["reason"]
+
+    def test_one_probe_at_the_floor_decides_reachability(self, monkeypatch, pos_problem,
+                                                           pos_triple):
+        # The target is the plus level at c = -0.3, below the floor -0.2.
+        # The first move down would pass the floor, so it probes the floor
+        # itself, which does not bracket the target, and the next move ends.
+        # Halving the gap to the floor instead took 55 level solves.
+        tag = ConeTag.A_POS
+        con = SphereConstraint(pos_triple, tag=tag, start_support=cone_node_mask(pos_problem, tag))
+        probes = []
+        level = ct._LevelChain.level
+
+        def recording(chain, c, k):
+            probes.append(c)
+            return level(chain, c, k)
+
+        monkeypatch.setattr(ct._LevelChain, "level", recording)
+        out = intersect_with_lambda(
+            con, "plus", 4.583013195078587, -0.05, -0.01, multistart=8, seed=0, c_floor=-0.2
+        )
+        assert not out["points"]
+        (skip,) = out["skipped"]
+        assert "not reachable above c=-0.2" in skip["reason"]
+        assert len(probes) <= 3
+        assert probes[-1] == -0.2
 
     def test_power_law_expansion_toward_plus_ceiling(self, const_con_plus):
         # The root sits far above the window, near the ceiling c = 0, where
@@ -430,9 +456,10 @@ class TestLevelChain:
 
     def test_surrogate_data_built_once_per_k(self, monkeypatch, pos_problem):
         # The basis scalars and the coefficient samples with their N, A and B
-        # do not depend on c: a chain builds them at its first surrogate call
-        # of each k, and every level it gets from them is the level a fresh
-        # surrogate_level call gives with the same warm starts.
+        # do not depend on c: a chain builds each k's GenusSurrogate at its
+        # first call of that k, calls surrogate_level once per k and c, and
+        # every level it gets is the level a fresh surrogate gives with the
+        # same warm starts.
         con = SphereConstraint(build_triple(pos_problem), tag=ConeTag.A_POS)
         basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
         built = []
@@ -443,23 +470,25 @@ class TestLevelChain:
             return basis_scalars(working, vectors)
 
         calls = []
-        level_of = ct._surrogate_level
+        level_of = ct.surrogate_level
 
-        def recording(constraint, c, branch, data, warm_xi=(), params=None):
-            level = level_of(constraint, c, branch, data, warm_xi, params)
-            calls.append((c, data.surrogate, list(warm_xi), params, level))
+        def recording(surrogate, c, branch, warm_xi=(), params=None):
+            level = level_of(surrogate, c, branch, warm_xi, params)
+            calls.append((surrogate, c, branch, list(warm_xi), params, level))
             return level
 
         monkeypatch.setattr(nm, "_basis_scalars", counting)
-        monkeypatch.setattr(ct, "_surrogate_level", recording)
+        monkeypatch.setattr(ct, "surrogate_level", recording)
         chain = ct._LevelChain(con, "plus", (2, 3), basis=basis, n_samples=16)
         grid = [-0.5, -0.2, -0.1, -0.05]
         for c in grid:
             assert set(chain(c)) == {2, 3}
         assert sorted(built) == [2, 3]
         assert len(calls) == 2 * len(grid)
-        for c, surrogate, warm, params, level in calls:
-            fresh = surrogate_level(con, c, "plus", surrogate, warm_xi=warm, params=params)
+        for surrogate, c, branch, warm, params, level in calls:
+            assert surrogate.constraint is con
+            fresh_surrogate = GenusSurrogate(con, surrogate.basis, surrogate.n_samples)
+            fresh = surrogate_level(fresh_surrogate, c, branch, warm_xi=warm, params=params)
             assert (fresh.value, fresh.t_root) == (level.value, level.t_root)
             assert np.array_equal(fresh.xi, level.xi)
             assert np.array_equal(fresh.u_unit, level.u_unit)

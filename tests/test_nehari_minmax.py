@@ -192,12 +192,12 @@ class TestLevelSlope:
         # c-derivative is the ray slope at the maximizer (Danskin); the
         # intersection Newton step relies on this.
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
-        surrogate = GenusSurrogate(k=2, basis=basis, n_samples=16)
+        surrogate = GenusSurrogate(signed_con_both, basis, n_samples=16)
         c, dc = -0.05, 1e-5
-        level = surrogate_level(signed_con_both, c, branch, surrogate)
+        level = surrogate_level(surrogate, c, branch)
         slope = level_slope(signed_con_both, c, level.u_unit, branch)
-        hi = surrogate_level(signed_con_both, c + dc, branch, surrogate).value
-        lo = surrogate_level(signed_con_both, c - dc, branch, surrogate).value
+        hi = surrogate_level(surrogate, c + dc, branch).value
+        lo = surrogate_level(surrogate, c - dc, branch).value
         assert slope == pytest.approx((hi - lo) / (2.0 * dc), rel=1e-3)
 
 
@@ -406,7 +406,7 @@ class TestThresholds:
         # c** is the B-cone minimum, with the inside minimizer alone, and no
         # solve over the A and B cone runs.
         purposes = count_multistart_purposes(monkeypatch)
-        c0, b_cone = minimize_c0(signed_con_both.triple, multistart=8, seed=0)
+        c0, b_cone = minimize_c0(signed_con_both, multistart=8, seed=0)
         margins = sorted(float(signed_con_both.triple.eval_A(u)) for u in b_cone)
         assert margins[0] < 0.0 < margins[-1]
         purposes.clear()
@@ -428,13 +428,13 @@ class TestThresholds:
         purposes = count_multistart_purposes(monkeypatch)
         c2, minimizers = compute_c_star_star(con, multistart=8, seed=0)
         assert purposes == Counter({nm._PURPOSE["c0"]: 1, nm._PURPOSE["c_star_star"]: 1})
-        c0, _ = minimize_c0(con.triple, multistart=8, seed=0, start_support=con.start_support)
+        c0, _ = minimize_c0(con, multistart=8, seed=0)
         assert c2 > 10.0 * c0
         assert minimizers and all(con.feasible(u) for u in minimizers)
 
     def test_minimize_c0_ignores_a_sign(self, signed_problem):
         tri = build_triple(signed_problem)
-        best, minimizers = minimize_c0(tri, multistart=8, seed=0)
+        best, minimizers = minimize_c0(SphereConstraint(tri), multistart=8, seed=0)
         assert best > 0.0
         assert minimizers
         for u in minimizers:
@@ -584,7 +584,7 @@ class TestStartRule:
             elif solve == "c_star_star":
                 compute_c_star_star(con, multistart=6)
             else:
-                minimize_c0(recorded, multistart=6)
+                minimize_c0(con, multistart=6)
         for name, counts in seen.items():
             assert len(counts) >= 6
             assert max(counts.values()) == 1, f"a candidate reaches {name} twice"
@@ -601,7 +601,7 @@ class TestStartRule:
             return descend(working, evaluate, u0, params, merge=merge)
 
         monkeypatch.setattr(nm, "_sphere_descend", recording)
-        minimize_c0(tri, multistart=8, seed=0)
+        minimize_c0(SphereConstraint(tri), multistart=8, seed=0)
         assert len(starts) == 8
         a_cone = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
         assert all(a_cone.feasible(u) for u in starts)
@@ -772,9 +772,7 @@ class TestSurrogates:
         rng = np.random.default_rng(3)
         u = random_cone_point(pos_con_plus, rng)
         c = -0.05
-        level = surrogate_level(
-            pos_con_plus, c, "plus", GenusSurrogate(k=1, basis=u[None, :])
-        )
+        level = surrogate_level(GenusSurrogate(pos_con_plus, u[None, :]), c, "plus")
         lam, t = lambda_tilde(pos_con_plus, c, u, "plus")
         assert level.value == pytest.approx(lam, rel=1e-12)
         assert level.t_root == pytest.approx(t, rel=1e-12)
@@ -792,9 +790,7 @@ class TestSurrogates:
 
     def test_surrogate_bounds_ground_from_above(self, signed_problem, signed_con_both):
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)[:1]
-        level = surrogate_level(
-            signed_con_both, -0.05, "plus", GenusSurrogate(k=1, basis=basis, n_samples=24)
-        )
+        level = surrogate_level(GenusSurrogate(signed_con_both, basis, n_samples=24), -0.05, "plus")
         lam, _ = minimize_ground_level(signed_con_both, -0.05, "plus", multistart=16)
         assert level.value >= lam - 1e-12
 
@@ -806,9 +802,9 @@ class TestSurrogates:
         # spike where the concave weight is negative (second half of (0,1))
         bad[int(tri.dim * 0.6)] = 1.0
         bad /= tri.norm_of(bad)
-        surrogate = GenusSurrogate(k=2, basis=np.vstack([good, bad]), n_samples=8)
+        surrogate = GenusSurrogate(con, np.vstack([good, bad]), n_samples=8)
         with pytest.raises(SurrogateInvalidError, match="leaves the feasible cone"):
-            surrogate_level(con, -0.05, "plus", surrogate)
+            surrogate_level(surrogate, -0.05, "plus")
 
     @pytest.mark.parametrize(
         "problem_name", ["signed_problem", "truncated_problem", "two_d_problem"]
@@ -892,12 +888,12 @@ class TestSurrogates:
         problem = dirichlet_problem_1d(31, _MINUS_WEIGHT, _MINUS_WEIGHT)
         con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
         basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 2)
-        surrogate = GenusSurrogate(k=2, basis=basis, n_samples=16)
+        surrogate = GenusSurrogate(con, basis, n_samples=16)
         descents = recording_descents(monkeypatch)
-        cold = surrogate_level(con, 12.0, "minus", surrogate)
+        cold = surrogate_level(surrogate, 12.0, "minus")
         cold_polishes = [(out[2], out[3], merged) for _, _, out, merged in descents]
         descents.clear()
-        warm = surrogate_level(con, 12.0, "minus", surrogate, warm_xi=[cold.xi])
+        warm = surrogate_level(surrogate, 12.0, "minus", warm_xi=[cold.xi])
         polishes = [(out[2], out[3], merged) for _, _, out, merged in descents]
         assert (warm.value, warm.t_root) == (cold.value, cold.t_root)
         assert np.array_equal(warm.xi, cold.xi)
@@ -934,7 +930,7 @@ class TestSurrogates:
         tag = ConeTag.A_POS_B_POS if branch == "minus" else ConeTag.A_POS
         con = SphereConstraint(triple=build_triple(problem), tag=tag)
         basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 2)
-        level = surrogate_level(con, c, branch, GenusSurrogate(k=2, basis=basis, n_samples=16))
+        level = surrogate_level(GenusSurrogate(con, basis, n_samples=16), c, branch)
         assert np.all(np.isfinite(level.xi)) and math.isfinite(level.value)
         e = con.working.exponents
         scalars = nm._basis_scalars(con.working, basis)
@@ -958,9 +954,8 @@ class TestSurrogates:
         basis[0, 5:12] = 1.0
         basis[1, 12:19] = 1.0
         basis /= np.array([[tri.norm_of(basis[0])], [tri.norm_of(basis[1])]])
-        surrogate = GenusSurrogate(k=2, basis=basis, n_samples=8)
         with pytest.raises(SurrogateInvalidError, match="basis vectors 0 and 1 are not additive"):
-            surrogate_level(con, -0.05, "plus", surrogate)
+            GenusSurrogate(con, basis, n_samples=8)
 
     def test_polish_stops_at_rounding_floor(self, monkeypatch):
         # The minus-branch surrogates of the intersect benchmark sit at levels
@@ -984,20 +979,34 @@ class TestSurrogates:
 
         monkeypatch.setattr(nm, "_sphere_descend", counting)
         for k in (2, 3):
-            surrogate = GenusSurrogate(k=k, basis=basis[:k], n_samples=16)
+            surrogate = GenusSurrogate(con, basis[:k], n_samples=16)
             warm = ()
             for c in (0.1 * c_ss, 0.9 * c_ss):
-                level = surrogate_level(con, c, "minus", surrogate, warm_xi=warm, params=params)
+                level = surrogate_level(surrogate, c, "minus", warm_xi=warm, params=params)
                 warm = (level.xi,)
         assert capped == []
 
-    def test_surrogate_validation(self):
-        with pytest.raises(ValueError, match="basis has 1 vectors"):
-            GenusSurrogate(k=2, basis=np.ones((1, 4)))
+    def test_basis_scalars_built_once_per_surrogate(self, monkeypatch, pos_problem,
+                                                    pos_con_plus):
+        built = []
+        basis_scalars = nm._basis_scalars
+
+        def counting(working, vectors):
+            built.append(vectors.shape[0])
+            return basis_scalars(working, vectors)
+
+        monkeypatch.setattr(nm, "_basis_scalars", counting)
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 2)
+        surrogate = GenusSurrogate(pos_con_plus, basis, n_samples=8)
+        for c in (-0.1, -0.05):
+            surrogate_level(surrogate, c, "plus")
+        assert built == [2]
+
+    def test_surrogate_validation(self, pos_con_plus):
         with pytest.raises(ValueError, match="between 1 and 16"):
-            GenusSurrogate(k=17, basis=np.ones((17, 4)))
+            GenusSurrogate(pos_con_plus, np.ones((17, 4)))
         with pytest.raises(ValueError, match="n_samples"):
-            GenusSurrogate(k=1, basis=np.ones((1, 4)), n_samples=0)
+            GenusSurrogate(pos_con_plus, np.ones((1, 4)), n_samples=0)
 
     def test_family_needs_enough_basis_vectors(self, signed_problem, signed_con_both):
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
@@ -1009,9 +1018,7 @@ class TestSurrogates:
         u /= pos_con_plus.triple.norm_of(u)
         with pytest.raises(ValueError, match="warm coefficient vector"):
             surrogate_level(
-                pos_con_plus, -0.05, "plus",
-                GenusSurrogate(k=1, basis=u[None, :]),
-                warm_xi=[np.ones(3)],
+                GenusSurrogate(pos_con_plus, u[None, :]), -0.05, "plus", warm_xi=[np.ones(3)]
             )
 
 
