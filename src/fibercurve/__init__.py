@@ -55,7 +55,6 @@ from .model_problems import (
     construct_weight_for_conjecture,
     dirichlet_problem_1d,
     dirichlet_problem_2d,
-    sign_masks,
     truncated_problem_1d,
     weights_from_csv,
     weights_from_expressions,
@@ -137,7 +136,6 @@ __all__ = [
     "ray_data",
     "render_diagram_svg",
     "restricted_lambda",
-    "sign_masks",
     "surrogate_level",
     "trace_curve",
     "trace_family",

@@ -227,13 +227,15 @@ def merge_config(user: dict) -> dict:
     return cfg
 
 
-def _axis_counts(pcfg: dict, key: str, dim: int, what: str) -> list[int]:
+def _axis_counts(pcfg: dict, key: str, dim: int) -> list[int]:
     """pcfg[key] as one node count per axis; a 1D count may be a bare number."""
     value = pcfg[key]
     counts = list(value) if isinstance(value, (list, tuple)) else [value]
     if len(counts) != dim:
-        axes = ", ".join(("nx", "ny")[:dim])
-        raise ConfigError(f"{dim}d {what} need problem.{key} = [{axes}]")
+        raise ConfigError(
+            f"problem.{key} needs one count per axis of problem.dimension = {dim}, "
+            f"got {value!r}"
+        )
     return [_number(int, n, f"problem.{key}") for n in counts]
 
 
@@ -242,13 +244,11 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
     dim = pcfg["dimension"]
     if kind not in ("dirichlet", "truncated_rn"):
         raise ConfigError(f"problem.kind must be dirichlet or truncated_rn, got {kind!r}")
-    if dim not in (1, 2):
-        raise ConfigError(f"problem.dimension must be 1 or 2, got {dim!r}")
 
     if kind == "dirichlet":
         if pcfg["n_interior"] is None:
             raise ConfigError("dirichlet problems need problem.n_interior")
-        counts = _axis_counts(pcfg, "n_interior", dim, "problems")
+        counts = _axis_counts(pcfg, "n_interior", dim)
         bounds = pcfg["bounds"]
         if bounds is None:
             bounds = [[0.0, 1.0]] * dim
@@ -257,13 +257,13 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
         bounds = _typed(bounds, [[0.0]], "problem.bounds")
         if any(len(b) != 2 for b in bounds):
             raise ConfigError(f"problem.bounds must hold [lo, hi] pairs, got {bounds!r}")
-        grid = Grid(dim, tuple(tuple(b) for b in bounds), tuple(n + 2 for n in counts))
+        grid = Grid(tuple(tuple(b) for b in bounds), tuple(n + 2 for n in counts))
     else:
         if pcfg["n_nodes"] is None or pcfg["radius"] is None:
             raise ConfigError("truncated problems need problem.n_nodes and problem.radius")
         r = pcfg["radius"]
-        counts = _axis_counts(pcfg, "n_nodes", dim, "truncated problems")
-        grid = Grid(dim, ((-r, r),) * dim, tuple(counts), dirichlet=False)
+        counts = _axis_counts(pcfg, "n_nodes", dim)
+        grid = Grid(((-r, r),) * dim, tuple(counts), dirichlet=False)
 
     wcfg = pcfg["weights"]
     if not isinstance(wcfg, dict) or set(wcfg) not in ({"a", "b"}, {"a_csv", "b_csv"}):
@@ -278,7 +278,7 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
         except OSError as exc:
             raise ConfigError(f"cannot read weight file: {exc}") from None
     return PLaplacianProblem(
-        grid, weights, pcfg["p"], pcfg["alpha"], pcfg["beta"], pcfg["eps_reg"], kind
+        grid, weights, pcfg["p"], pcfg["alpha"], pcfg["beta"], pcfg["eps_reg"]
     )
 
 
@@ -693,11 +693,12 @@ def main(argv=None) -> int:
         cfg = merge_config(user)
         os.makedirs(args.out, exist_ok=True)
         setup = Setup(cfg)
+        notes = setup.problem.diagnostics()
         _write_echo(args.out, cfg)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for note in setup.triple.diagnostics:
+    for note in notes:
         print(f"warning: {note}", file=sys.stderr)
 
     try:

@@ -19,7 +19,7 @@ toy closed-form triples and grid discretizations share one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -112,7 +112,6 @@ class FunctionalTriple:
     grad_B: Callable[[Array], Array]
     metric: Callable[[Array], Array] | None = None
     metric_solve: Callable[[Array], Array] | None = None
-    diagnostics: tuple[str, ...] = field(default=())
 
     def norm_of(self, u: Array) -> float:
         return float(self.eval_N(u)) ** (1.0 / self.exponents.eta)

@@ -19,9 +19,10 @@ The flat degree-of-freedom ordering is C order over grid indices (x index
 varies slowest in 2D).
 
 One code path serves every dimension: Grid.interior selects the
-degree-of-freedom nodes, quadrature and sign masks loop over cell corners, and
-the gradient kernel and the metric share one forward-difference stencil (per
-axis, a difference at each cell's lower corner and its transpose scatter).
+degree-of-freedom nodes, quadrature and cone node masks loop over cell
+corners, and the gradient kernel and the metric share one forward-difference
+stencil (per axis, a difference at each cell's lower corner and its transpose
+scatter).
 The metric M (the p = 2 stiffness, plus the lumped mass on truncated
 problems) has one solver per input: Thomas sweeps in 1D, a DST-I
 diagonalization on 2D Dirichlet grids, and none on 2D truncated grids, where
@@ -55,7 +56,6 @@ __all__ = [
     "dirichlet_problem_1d",
     "dirichlet_problem_2d",
     "eval_weight_expression",
-    "sign_masks",
     "truncated_problem_1d",
     "weights_from_csv",
     "weights_from_expressions",
@@ -68,9 +68,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid. n_nodes counts nodes per axis including endpoints."""
+    """Uniform tensor grid. n_nodes counts nodes per axis including endpoints.
 
-    dimension: int
+    dirichlet grids fix the boundary nodes at 0; the others make every node a
+    degree of freedom.
+    """
+
     bounds: tuple[tuple[float, float], ...]
     n_nodes: tuple[int, ...]
     dirichlet: bool = True
@@ -78,7 +81,7 @@ class Grid:
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2):
             raise ValueError(f"grid dimension must be 1 or 2, got {self.dimension}")
-        if len(self.bounds) != self.dimension or len(self.n_nodes) != self.dimension:
+        if len(self.bounds) != self.dimension:
             raise ValueError("bounds and n_nodes must have one entry per axis")
         for (lo, hi), n in zip(self.bounds, self.n_nodes):
             if not (hi > lo):
@@ -90,6 +93,10 @@ class Grid:
                     if self.dirichlet
                     else f"axis with {n} nodes rejected: need at least {min_nodes} nodes"
                 )
+
+    @property
+    def dimension(self) -> int:
+        return len(self.n_nodes)
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -275,10 +282,11 @@ def weights_from_csv(grid: Grid, a_path: str, b_path: str) -> WeightField:
 class PLaplacianProblem:
     """Grid + weights + exponents for one discretized model problem.
 
-    kind is "dirichlet" or "truncated_rn".  eta equals p.  p < 2 is rejected
-    unless eps_reg > 0 turns on the smoothed gradient magnitude
-    (|g|^2 + eps_reg^2)^(1/2), which trades exact homogeneity for
-    differentiability.
+    A dirichlet grid makes a Dirichlet problem; any other grid makes a
+    truncated whole-space problem, which adds the |u|^p mass term to N and
+    needs p > dimension.  eta equals p.  p < 2 is rejected unless eps_reg > 0
+    turns on the smoothed gradient magnitude (|g|^2 + eps_reg^2)^(1/2), which
+    trades exact homogeneity for differentiability.
     """
 
     grid: Grid
@@ -287,11 +295,8 @@ class PLaplacianProblem:
     alpha: float
     beta: float
     eps_reg: float = 0.0
-    kind: str = "dirichlet"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("dirichlet", "truncated_rn"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
         Exponents(self.alpha, self.p, self.beta)  # validates 1 < alpha < p < beta
         if self.eps_reg < 0.0:
             raise ValueError("eps_reg must be nonnegative")
@@ -305,33 +310,32 @@ class PLaplacianProblem:
                 f"weights shaped {self.weights.a.shape} do not match grid cells "
                 f"{self.grid.cell_shape}"
             )
-        if self.kind == "truncated_rn":
-            if self.grid.dirichlet:
-                raise ValueError("truncated whole-space problems use dirichlet=False grids")
-            if not (self.p > self.grid.dimension):
-                raise ValueError(
-                    f"truncated whole-space problems need p > dimension, got "
-                    f"p={self.p}, dimension={self.grid.dimension}"
-                )
-        elif not self.grid.dirichlet:
-            raise ValueError("dirichlet problems need a dirichlet grid")
+        if not self.grid.dirichlet and self.p <= self.grid.dimension:
+            raise ValueError(
+                f"truncated whole-space problems need p > dimension, got "
+                f"p={self.p}, dimension={self.grid.dimension}"
+            )
 
     @property
     def exponents(self) -> Exponents:
         return Exponents(self.alpha, self.p, self.beta)
 
-    def sobolev_warning(self) -> str | None:
-        """Warn when beta reaches the critical embedding exponent (never for p >= dim)."""
+    def diagnostics(self) -> tuple[str, ...]:
+        """Warnings about the problem, never errors.
+
+        The truncation checks of a whole-space problem come first, then the
+        note when beta reaches the critical embedding exponent (never for
+        p >= dimension).
+        """
+        notes = [] if self.grid.dirichlet else _decay_diagnostics(self)
         d, p = self.grid.dimension, self.p
-        if p >= d:
-            return None
-        p_star = d * p / (d - p)
+        p_star = d * p / (d - p) if p < d else math.inf
         if self.beta >= p_star:
-            return (
+            notes.append(
                 f"beta={self.beta} is at or above the critical exponent {p_star:.6g}; "
                 "the continuum problem may lose compactness"
             )
-        return None
+        return tuple(notes)
 
 
 def dirichlet_problem_1d(
@@ -344,9 +348,9 @@ def dirichlet_problem_1d(
     bounds: tuple[float, float] = (0.0, 1.0),
     eps_reg: float = 0.0,
 ) -> PLaplacianProblem:
-    grid = Grid(1, (bounds,), (n_interior + 2,), dirichlet=True)
+    grid = Grid((bounds,), (n_interior + 2,))
     weights = weights_from_expressions(grid, a_expr, b_expr)
-    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg, "dirichlet")
+    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg)
 
 
 def dirichlet_problem_2d(
@@ -359,9 +363,9 @@ def dirichlet_problem_2d(
     bounds: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0)),
     eps_reg: float = 0.0,
 ) -> PLaplacianProblem:
-    grid = Grid(2, bounds, (n_interior[0] + 2, n_interior[1] + 2), dirichlet=True)
+    grid = Grid(bounds, (n_interior[0] + 2, n_interior[1] + 2))
     weights = weights_from_expressions(grid, a_expr, b_expr)
-    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg, "dirichlet")
+    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg)
 
 
 def truncated_problem_1d(
@@ -374,9 +378,9 @@ def truncated_problem_1d(
     beta: float = 4.0,
     eps_reg: float = 0.0,
 ) -> PLaplacianProblem:
-    grid = Grid(1, ((-radius, radius),), (n_nodes,), dirichlet=False)
+    grid = Grid(((-radius, radius),), (n_nodes,), dirichlet=False)
     weights = weights_from_expressions(grid, a_expr, b_expr)
-    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg, "truncated_rn")
+    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +607,7 @@ def _stiffness_metric(grid: Grid, mass_w: Array | None):
     return apply, solve
 
 
-def _decay_diagnostics(problem: PLaplacianProblem) -> tuple[str, ...]:
+def _decay_diagnostics(problem: PLaplacianProblem) -> list[str]:
     """Truncation health checks for whole-space problems; warnings, never errors."""
     notes: list[str] = []
     grid = problem.grid
@@ -621,11 +625,10 @@ def _decay_diagnostics(problem: PLaplacianProblem) -> tuple[str, ...]:
             )
     kind, a_src, b_src = problem.weights.provenance
     if kind == "expression":
-        lo, hi = grid.bounds[0]
-        radius = 0.5 * (hi - lo)
+        # each axis doubles about its own midpoint
+        axes = [(0.5 * (lo + hi), hi - lo) for lo, hi in grid.bounds]
         doubled = Grid(
-            grid.dimension,
-            tuple((-2.0 * radius, 2.0 * radius) for _ in range(grid.dimension)),
+            tuple((mid - width, mid + width) for mid, width in axes),
             tuple(2 * (n - 1) + 1 for n in grid.n_nodes),
             dirichlet=False,
         )
@@ -638,7 +641,7 @@ def _decay_diagnostics(problem: PLaplacianProblem) -> tuple[str, ...]:
                     f"weight {name} gains {(mass2 - mass) / mass:.1%} more absolute mass when "
                     "the truncation radius doubles; it may not be integrable"
                 )
-    return tuple(notes)
+    return notes
 
 
 def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
@@ -646,7 +649,7 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
 
     On Dirichlet problems that is the gradient seminorm; truncated
     whole-space problems add the |u|^p mass term, which also enters the
-    metric, and carry the truncation diagnostics.
+    metric.
     """
     grid = problem.grid
     n_value, n_grad_full = _gradient_part(grid, problem.p, problem.eps_reg)
@@ -654,9 +657,8 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
     bbar = _dof_node_weights(grid, problem.weights.b).ravel()
     a_value, a_grad = _power_term(grid, abar, problem.alpha)
     b_value, b_grad = _power_term(grid, bbar, problem.beta)
-    diagnostics: list[str] = []
 
-    if problem.kind == "dirichlet":
+    if grid.dirichlet:
         mass_w = None
 
         def eval_n(u: Array) -> float:
@@ -668,7 +670,6 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
     else:
         mass_w = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel()
         m_value, m_grad = _power_term(grid, mass_w, problem.p)
-        diagnostics.extend(_decay_diagnostics(problem))
 
         def eval_n(u: Array) -> float:
             return n_value(_embed(grid, u)) + m_value(u)
@@ -676,9 +677,6 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
         def grad_n(u: Array) -> Array:
             return _restrict(grid, n_grad_full(_embed(grid, u))) + m_grad(u)
 
-    warning = problem.sobolev_warning()
-    if warning:
-        diagnostics.append(warning)
     metric, metric_solve = _stiffness_metric(grid, mass_w)
     return FunctionalTriple(
         exponents=problem.exponents,
@@ -691,27 +689,11 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
         grad_B=b_grad,
         metric=metric,
         metric_solve=metric_solve,
-        diagnostics=tuple(diagnostics),
     )
 
 
 # ---------------------------------------------------------------------------
-# sign structure, start supports, surrogate bases
-
-
-def sign_masks(problem: PLaplacianProblem) -> dict[str, Array]:
-    """Flat cell index sets by strict sign of each weight.
-
-    Keys A_PLUS, A_MINUS, A_ZERO, B_PLUS, B_MINUS, B_ZERO; the three sets of
-    each weight partition the cell index range.
-    """
-    out: dict[str, Array] = {}
-    for name, cell in (("A", problem.weights.a), ("B", problem.weights.b)):
-        flat = cell.ravel()
-        out[f"{name}_PLUS"] = np.flatnonzero(flat > 0.0)
-        out[f"{name}_MINUS"] = np.flatnonzero(flat < 0.0)
-        out[f"{name}_ZERO"] = np.flatnonzero(flat == 0.0)
-    return out
+# cone node masks, surrogate bases
 
 
 def _nodes_with_all_adjacent_cells(grid: Grid, cell_ok: Array) -> Array:

@@ -26,6 +26,7 @@ BASE_PROBLEM = {
     "beta": 4.0,
     "weights": {"a": "1+x", "b": "cos(2*pi*x)+0.2"},
 }
+THREE_D_PROBLEM = dict(BASE_PROBLEM, dimension=3, n_interior=[15, 15, 15])
 
 GATING_VERDICTS = (
     "thresholds_ordered",
@@ -446,6 +447,12 @@ class TestConfigErrors:
         err = self.run_expecting_config_error(tmp_path, cfg)
         assert "alpha" in err
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_axis_counts_follow_the_dimension(self, tmp_path, dimension):
+        cfg = battery_config(problem=dict(BASE_PROBLEM, dimension=dimension))
+        err = self.run_expecting_config_error(tmp_path, cfg)
+        assert f"one count per axis of problem.dimension = {dimension}, got 15" in err
+
     def test_invalid_json_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
@@ -503,6 +510,8 @@ class TestConfigErrors:
             ("trace", battery_config(
                 c_grid={"from": -0.5, "to": -0.05, "n": 4, "spacing": "geometric"}
             )),
+            # the grid rejects a third axis
+            ("trace", battery_config(problem=THREE_D_PROBLEM)),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
@@ -510,7 +519,8 @@ class TestConfigErrors:
              "weight_file_missing", "limit_schedule_positive", "limit_schedule_short",
              "threshold_deltas_empty", "threshold_delta_above_one", "max_iter_zero",
              "gtol_negative", "gtol_nan", "curve_noise_negative", "ks_above_16",
-             "solve_k_above_16", "ks_beyond_basis", "start_support_key", "spacing_key"],
+             "solve_k_above_16", "ks_beyond_basis", "start_support_key", "spacing_key",
+             "dimension_3"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)
@@ -528,8 +538,9 @@ class TestConfigErrors:
             battery_config(branches=["plus", "sideways"]),
             battery_config(c_grid={"from": -0.5, "to": -0.05, "n": 1}),
             battery_config(ks=[1, 9]),
+            battery_config(problem=THREE_D_PROBLEM),
         ],
-        ids=["ks", "branches", "c_grid", "ks_beyond_basis"],
+        ids=["ks", "branches", "c_grid", "ks_beyond_basis", "dimension_3"],
     )
     def test_report_checks_the_config_before_any_solve(self, tmp_path, monkeypatch, cfg):
         purposes = count_multistart_purposes(monkeypatch)

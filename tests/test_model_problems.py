@@ -15,7 +15,6 @@ from fibercurve.model_problems import (
     dirichlet_problem_1d,
     dirichlet_problem_2d,
     eval_weight_expression,
-    sign_masks,
     truncated_problem_1d,
     weights_from_csv,
     weights_from_expressions,
@@ -30,9 +29,10 @@ from fibercurve.model_problems import (
 
 class TestGrid:
     def test_basic_geometry(self):
-        g = Grid(1, ((0.0, 2.0),), (11,))
+        g = Grid(((0.0, 2.0),), (11,))
         assert g.spacing == (0.2,)
         assert g.cell_shape == (10,)
+        assert g.dimension == 1
         assert g.dof_shape == (9,)
         assert g.n_dof == 9
         assert g.cell_volume == pytest.approx(0.2)
@@ -40,7 +40,8 @@ class TestGrid:
         assert np.allclose(g.cell_midpoints(0), np.linspace(0.1, 1.9, 10))
 
     def test_2d_geometry(self):
-        g = Grid(2, ((0.0, 1.0), (0.0, 2.0)), (5, 9))
+        g = Grid(((0.0, 1.0), (0.0, 2.0)), (5, 9))
+        assert g.dimension == 2
         assert g.spacing == (0.25, 0.25)
         assert g.cell_volume == pytest.approx(0.0625)
         assert g.dof_shape == (3, 7)
@@ -50,28 +51,28 @@ class TestGrid:
         assert mesh["y"].shape == (4, 8)
 
     def test_non_dirichlet_dofs_are_all_nodes(self):
-        g = Grid(1, ((-1.0, 1.0),), (7,), dirichlet=False)
+        g = Grid(((-1.0, 1.0),), (7,), dirichlet=False)
         assert g.dof_shape == (7,)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError, match="dimension must be 1 or 2"):
-            Grid(3, ((0, 1), (0, 1), (0, 1)), (5, 5, 5))
+            Grid(((0, 1), (0, 1), (0, 1)), (5, 5, 5))
 
     def test_rejects_mismatched_axes(self):
         with pytest.raises(ValueError, match="one entry per axis"):
-            Grid(2, ((0, 1),), (5, 5))
+            Grid(((0, 1),), (5, 5))
 
     def test_rejects_empty_bounds(self):
         with pytest.raises(ValueError, match="empty axis bounds"):
-            Grid(1, ((1.0, 1.0),), (5,))
+            Grid(((1.0, 1.0),), (5,))
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError, match="rejected"):
-            Grid(1, ((0.0, 1.0),), (4,))
+            Grid(((0.0, 1.0),), (4,))
         with pytest.raises(ValueError, match="rejected"):
-            Grid(1, ((0.0, 1.0),), (2,), dirichlet=False)
+            Grid(((0.0, 1.0),), (2,), dirichlet=False)
         # 3 nodes is enough without a boundary condition
-        Grid(1, ((0.0, 1.0),), (3,), dirichlet=False)
+        Grid(((0.0, 1.0),), (3,), dirichlet=False)
 
 
 class TestWeightExpressions:
@@ -127,7 +128,7 @@ class TestWeightField:
             WeightField(a=np.array([1.0, np.nan]), b=np.zeros(2))
 
     def test_expression_provenance(self):
-        g = Grid(1, ((0.0, 1.0),), (6,))
+        g = Grid(((0.0, 1.0),), (6,))
         w = weights_from_expressions(g, "1+x", "cos(2*pi*x)")
         assert w.a.shape == (5,)
         assert w.provenance == ("expression", "1+x", "cos(2*pi*x)")
@@ -136,7 +137,7 @@ class TestWeightField:
         assert np.allclose(w.b, np.cos(2 * np.pi * mids))
 
     def test_csv_round_trip_1d(self, tmp_path):
-        g = Grid(1, ((0.0, 1.0),), (6,))
+        g = Grid(((0.0, 1.0),), (6,))
         a = np.linspace(-1, 1, 5)
         b = np.linspace(2, 3, 5)
         pa = tmp_path / "a.csv"
@@ -149,7 +150,7 @@ class TestWeightField:
         assert w.provenance[0] == "csv"
 
     def test_csv_round_trip_2d(self, tmp_path):
-        g = Grid(2, ((0.0, 1.0), (0.0, 1.0)), (5, 6))
+        g = Grid(((0.0, 1.0), (0.0, 1.0)), (5, 6))
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 5))
         lines = ["4,5"] + [",".join(repr(float(v)) for v in row) for row in a]
@@ -159,21 +160,21 @@ class TestWeightField:
         assert np.array_equal(w.a, a)
 
     def test_csv_wrong_count(self, tmp_path):
-        g = Grid(1, ((0.0, 1.0),), (6,))
+        g = Grid(((0.0, 1.0),), (6,))
         pa = tmp_path / "a.csv"
         pa.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError, match="grid needs 5"):
             weights_from_csv(g, str(pa), str(pa))
 
     def test_csv_2d_needs_header(self, tmp_path):
-        g = Grid(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
+        g = Grid(((0.0, 1.0), (0.0, 1.0)), (5, 5))
         pa = tmp_path / "a.csv"
         pa.write_text("1.0,2.0,3.0,4.0\n" * 4)
         with pytest.raises(ValueError, match="header"):
             weights_from_csv(g, str(pa), str(pa))
 
     def test_csv_2d_empty_file_needs_header(self, tmp_path):
-        g = Grid(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
+        g = Grid(((0.0, 1.0), (0.0, 1.0)), (5, 5))
         pa = tmp_path / "a.csv"
         pa.write_text("\n")
         with pytest.raises(ValueError, match="header"):
@@ -181,12 +182,6 @@ class TestWeightField:
 
 
 class TestProblemValidation:
-    def test_rejects_unknown_kind(self):
-        g = Grid(1, ((0.0, 1.0),), (8,))
-        w = weights_from_expressions(g, "1", "1")
-        with pytest.raises(ValueError, match="unknown problem kind"):
-            PLaplacianProblem(g, w, 2.0, 1.5, 4.0, kind="neumann")
-
     def test_rejects_small_p_without_smoothing(self):
         with pytest.raises(ValueError, match="eps_reg"):
             dirichlet_problem_1d(9, "1", "1", p=1.7)
@@ -198,43 +193,31 @@ class TestProblemValidation:
             dirichlet_problem_1d(9, "1", "1", eps_reg=-1.0)
 
     def test_rejects_weight_shape_mismatch(self):
-        g = Grid(1, ((0.0, 1.0),), (8,))
+        g = Grid(((0.0, 1.0),), (8,))
         w = WeightField(a=np.ones(3), b=np.ones(3))
         with pytest.raises(ValueError, match="do not match grid cells"):
             PLaplacianProblem(g, w, 2.0, 1.5, 4.0)
 
     def test_truncated_needs_free_grid_and_large_p(self):
-        g = Grid(1, ((-2.0, 2.0),), (9,), dirichlet=True)
-        w = weights_from_expressions(g, "1", "1")
-        with pytest.raises(ValueError, match="dirichlet=False"):
-            PLaplacianProblem(g, w, 3.0, 1.5, 4.0, kind="truncated_rn")
         # p > dimension can only fail in 2d since p > alpha > 1 always holds
-        free2 = Grid(2, ((-2.0, 2.0), (-2.0, 2.0)), (7, 7), dirichlet=False)
+        free2 = Grid(((-2.0, 2.0), (-2.0, 2.0)), (7, 7), dirichlet=False)
         wf = weights_from_expressions(free2, "1", "1")
         with pytest.raises(ValueError, match="p > dimension"):
-            PLaplacianProblem(free2, wf, 2.0, 1.5, 4.0, kind="truncated_rn")
-
-    def test_dirichlet_needs_dirichlet_grid(self):
-        free = Grid(1, ((0.0, 1.0),), (9,), dirichlet=False)
-        w = weights_from_expressions(free, "1", "1")
-        with pytest.raises(ValueError, match="dirichlet grid"):
-            PLaplacianProblem(free, w, 2.0, 1.5, 4.0, kind="dirichlet")
+            PLaplacianProblem(free2, wf, 2.0, 1.5, 4.0)
 
     def test_sobolev_warning_only_below_dimension(self):
         # 1d with p >= 1 never warns
-        assert dirichlet_problem_1d(9, "1", "1", p=2.0).sobolev_warning() is None
+        assert dirichlet_problem_1d(9, "1", "1", p=2.0).diagnostics() == ()
         # 2d, p = 1.5: critical exponent is 2*1.5/0.5 = 6
         warn = dirichlet_problem_2d(
             (6, 6), "1", "1", p=1.5, alpha=1.2, beta=6.5, eps_reg=1e-3
         )
-        msg = warn.sobolev_warning()
-        assert msg is not None and "critical exponent" in msg
+        (msg,) = warn.diagnostics()
+        assert "critical exponent" in msg
         ok = dirichlet_problem_2d(
             (6, 6), "1", "1", p=1.5, alpha=1.2, beta=5.0, eps_reg=1e-3
         )
-        assert ok.sobolev_warning() is None
-        tri = build_triple(warn)
-        assert any("critical exponent" in d for d in tri.diagnostics)
+        assert ok.diagnostics() == ()
 
 
 class TestQuadratureOracle:
@@ -350,7 +333,7 @@ class TestStiffnessMetric:
         tri = build_triple(prob)
         _, stiff_full = _gradient_part(grid, 2.0, 0.0)
         mass = None
-        if prob.kind == "truncated_rn":
+        if not grid.dirichlet:
             mass = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel() * grid.cell_volume
         rng = np.random.default_rng(9)
         for _ in range(15):
@@ -378,9 +361,9 @@ class TestStiffnessMetric:
         assert flipped.metric_solve is tri.metric_solve
 
     def test_truncated_2d_has_no_metric(self):
-        grid = Grid(2, ((-3.0, 3.0), (-3.0, 3.0)), (9, 9), dirichlet=False)
+        grid = Grid(((-3.0, 3.0), (-3.0, 3.0)), (9, 9), dirichlet=False)
         weights = weights_from_expressions(grid, "exp(-x^2-y^2)", "exp(-x^2-y^2)")
-        tri = build_triple(PLaplacianProblem(grid, weights, 3.0, 1.5, 4.0, kind="truncated_rn"))
+        tri = build_triple(PLaplacianProblem(grid, weights, 3.0, 1.5, 4.0))
         assert tri.metric is None and tri.metric_solve is None
 
 
@@ -391,9 +374,9 @@ def _kernel_problem(dimension, kind, p):
         return truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=p)
     if kind == "dirichlet":
         return dirichlet_problem_2d((9, 7), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)", p=p)
-    grid = Grid(2, ((-3.0, 3.0), (-3.0, 3.0)), (9, 8), dirichlet=False)
+    grid = Grid(((-3.0, 3.0), (-3.0, 3.0)), (9, 8), dirichlet=False)
     weights = weights_from_expressions(grid, "exp(-x^2-y^2)", "exp(-x^2-y^2)-0.1")
-    return PLaplacianProblem(grid, weights, p, 1.5, 4.0, kind="truncated_rn")
+    return PLaplacianProblem(grid, weights, p, 1.5, 4.0)
 
 
 def _reference_kernels(problem):
@@ -404,7 +387,7 @@ def _reference_kernels(problem):
     abar = _dof_node_weights(grid, problem.weights.a).ravel()
     bbar = _dof_node_weights(grid, problem.weights.b).ravel()
     mass_w = None
-    if problem.kind == "truncated_rn":
+    if not grid.dirichlet:
         mass_w = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel()
 
     def power(w, e, u):
@@ -492,14 +475,14 @@ class TestKernelBitIdentity:
 
 class TestEmbedRestrict:
     def test_round_trip_dirichlet_1d(self):
-        g = Grid(1, ((0.0, 1.0),), (8,))
+        g = Grid(((0.0, 1.0),), (8,))
         u = np.arange(1.0, 7.0)
         full = _embed(g, u)
         assert full[0] == full[-1] == 0.0
         assert np.array_equal(_restrict(g, full), u)
 
     def test_round_trip_dirichlet_2d(self):
-        g = Grid(2, ((0.0, 1.0), (0.0, 1.0)), (6, 5))
+        g = Grid(((0.0, 1.0), (0.0, 1.0)), (6, 5))
         rng = np.random.default_rng(0)
         u = rng.normal(size=g.n_dof)
         full = _embed(g, u)
@@ -507,36 +490,24 @@ class TestEmbedRestrict:
         assert np.array_equal(_restrict(g, full), u)
 
     def test_round_trip_free(self):
-        g = Grid(1, ((-1.0, 1.0),), (7,), dirichlet=False)
+        g = Grid(((-1.0, 1.0),), (7,), dirichlet=False)
         u = np.arange(7.0)
         assert np.array_equal(_restrict(g, _embed(g, u)), u)
 
     def test_round_trip_free_2d(self):
-        g = Grid(2, ((-1.0, 1.0), (-2.0, 2.0)), (7, 5), dirichlet=False)
+        g = Grid(((-1.0, 1.0), (-2.0, 2.0)), (7, 5), dirichlet=False)
         u = np.arange(35.0)
         full = _embed(g, u)
         assert full.shape == (7, 5) and full[0, 4] == 4.0
         assert np.array_equal(_restrict(g, full), u)
 
     def test_size_check(self):
-        g = Grid(1, ((0.0, 1.0),), (8,))
+        g = Grid(((0.0, 1.0),), (8,))
         with pytest.raises(ValueError, match="expected 6 coefficients"):
             _embed(g, np.zeros(7))
 
 
 class TestSignStructure:
-    def test_masks_partition_cells(self):
-        prob = dirichlet_problem_1d(30, "sin(2*pi*x)+0.3", "cos(2*pi*x)+0.2")
-        masks = sign_masks(prob)
-        n_cells = prob.grid.cell_shape[0]
-        for w in ("A", "B"):
-            parts = [masks[f"{w}_PLUS"], masks[f"{w}_MINUS"], masks[f"{w}_ZERO"]]
-            combined = np.sort(np.concatenate(parts))
-            assert np.array_equal(combined, np.arange(n_cells))
-        a = prob.weights.a.ravel()
-        assert np.all(a[masks["A_PLUS"]] > 0)
-        assert np.all(a[masks["A_MINUS"]] < 0)
-
     def test_cone_mask_needs_all_adjacent_cells(self):
         # a changes sign mid-domain: nodes straddling the sign change drop out
         prob = dirichlet_problem_1d(19, "0.5-x", "1")
@@ -594,15 +565,26 @@ class TestDisjointBasis:
 class TestTruncationDiagnostics:
     def test_clean_decay_has_no_notes(self):
         prob = truncated_problem_1d(41, 6.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0)
-        tri = build_triple(prob)
-        assert tri.diagnostics == ()
+        assert prob.diagnostics() == ()
 
-    def test_slow_decay_is_flagged(self):
-        prob = truncated_problem_1d(41, 4.0, "1", "exp(-x^2)", p=3.0)
-        tri = build_triple(prob)
-        text = " ".join(tri.diagnostics)
+    @pytest.mark.parametrize(
+        "bounds,n_nodes,a_expr,b_expr,note",
+        [
+            ((-4.0, 4.0), 41, "1", "exp(-x^2)", "weight a carries"),
+            ((-2.0, 2.0), 81, "1/(1+x^2)", "exp(-x^2)", "weight a gains"),
+            # the same weights about the centre of a shifted box: the doubled
+            # box doubles each axis about its own midpoint
+            ((2.0, 6.0), 81, "1/(1+(x-4)^2)", "exp(-(x-4)^2)", "weight a gains"),
+        ],
+        ids=["constant_weight", "centred", "shifted"],
+    )
+    def test_slow_decay_is_flagged(self, bounds, n_nodes, a_expr, b_expr, note):
+        grid = Grid((bounds,), (n_nodes,), dirichlet=False)
+        weights = weights_from_expressions(grid, a_expr, b_expr)
+        text = " ".join(PLaplacianProblem(grid, weights, 3.0, 1.5, 4.0).diagnostics())
         assert "outer" in text or "doubles" in text
-        # the constant weight is the offender, not the gaussian
+        assert note in text
+        # the slowly decaying a is the offender, not the gaussian
         assert "weight a" in text
         assert "weight b" not in text
 
