@@ -27,7 +27,7 @@ Config sketch (defaults shown in config.echo.json after any run)::
         "dimension": 1,
         "n_interior": 31,               // 2d: [nx, ny]; truncated: n_nodes
         "bounds": [0.0, 1.0],           // truncated: "radius" instead
-        "p": 2.0, "alpha": 1.5, "beta": 4.0, "eps_reg": 0.0,
+        "p": 2.0, "alpha": 1.5, "beta": 4.0,   // any p > 1
         "weights": {"a": "sin(2*pi*x) + 0.3", "b": "cos(2*pi*x) + 0.2"}
                                         // or {"a_csv": "...", "b_csv": "..."}
       },
@@ -134,7 +134,6 @@ _PROBLEM_DEFAULTS = {
     "p": 2.0,
     "alpha": 1.5,
     "beta": 4.0,
-    "eps_reg": 0.0,
     "weights": None,
 }
 
@@ -277,9 +276,7 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
             weights = weights_from_csv(grid, str(wcfg["a_csv"]), str(wcfg["b_csv"]))
         except OSError as exc:
             raise ConfigError(f"cannot read weight file: {exc}") from None
-    return PLaplacianProblem(
-        grid, weights, pcfg["p"], pcfg["alpha"], pcfg["beta"], pcfg["eps_reg"]
-    )
+    return PLaplacianProblem(grid, weights, pcfg["p"], pcfg["alpha"], pcfg["beta"])
 
 
 class Setup:

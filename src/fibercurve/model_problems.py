@@ -284,9 +284,8 @@ class PLaplacianProblem:
 
     A dirichlet grid makes a Dirichlet problem; any other grid makes a
     truncated whole-space problem, which adds the |u|^p mass term to N and
-    needs p > dimension.  eta equals p.  p < 2 is rejected unless eps_reg > 0
-    turns on the smoothed gradient magnitude (|g|^2 + eps_reg^2)^(1/2), which
-    trades exact homogeneity for differentiability.
+    needs p > dimension.  eta equals p.  N is exactly p-homogeneous for every
+    p > 1, p in (1, 2) included: N(tu) = t^p N(u).
     """
 
     grid: Grid
@@ -294,17 +293,9 @@ class PLaplacianProblem:
     p: float
     alpha: float
     beta: float
-    eps_reg: float = 0.0
 
     def __post_init__(self) -> None:
         Exponents(self.alpha, self.p, self.beta)  # validates 1 < alpha < p < beta
-        if self.eps_reg < 0.0:
-            raise ValueError("eps_reg must be nonnegative")
-        if self.p < 2.0 and self.eps_reg == 0.0:
-            raise ValueError(
-                "p < 2 rejected by default policy: the gradient kernel is not "
-                "differentiable; pass eps_reg > 0 to opt into smoothing"
-            )
         if self.weights.a.shape != self.grid.cell_shape:
             raise ValueError(
                 f"weights shaped {self.weights.a.shape} do not match grid cells "
@@ -346,11 +337,10 @@ def dirichlet_problem_1d(
     alpha: float = 1.5,
     beta: float = 4.0,
     bounds: tuple[float, float] = (0.0, 1.0),
-    eps_reg: float = 0.0,
 ) -> PLaplacianProblem:
     grid = Grid((bounds,), (n_interior + 2,))
     weights = weights_from_expressions(grid, a_expr, b_expr)
-    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg)
+    return PLaplacianProblem(grid, weights, p, alpha, beta)
 
 
 def dirichlet_problem_2d(
@@ -361,11 +351,10 @@ def dirichlet_problem_2d(
     alpha: float = 1.5,
     beta: float = 4.0,
     bounds: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0)),
-    eps_reg: float = 0.0,
 ) -> PLaplacianProblem:
     grid = Grid(bounds, (n_interior[0] + 2, n_interior[1] + 2))
     weights = weights_from_expressions(grid, a_expr, b_expr)
-    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg)
+    return PLaplacianProblem(grid, weights, p, alpha, beta)
 
 
 def truncated_problem_1d(
@@ -376,11 +365,10 @@ def truncated_problem_1d(
     p: float = 3.0,
     alpha: float = 1.5,
     beta: float = 4.0,
-    eps_reg: float = 0.0,
 ) -> PLaplacianProblem:
     grid = Grid(((-radius, radius),), (n_nodes,), dirichlet=False)
     weights = weights_from_expressions(grid, a_expr, b_expr)
-    return PLaplacianProblem(grid, weights, p, alpha, beta, eps_reg)
+    return PLaplacianProblem(grid, weights, p, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +476,40 @@ def _forward_differences(grid: Grid):
     return differences, scatter, [grid.cell_volume / h for h in grid.spacing]
 
 
-def _gradient_part(grid: Grid, p: float, eps_reg: float):
-    """Value and full-node gradient of vol * sum over cells of (|g|^2 + eps_reg^2)^(p/2)."""
+def _gradient_part(grid: Grid, p: float):
+    """Value and full-node gradient of vol * sum over cells of |g|^p.
+
+    The gradient scatters p |g|^(p-2) g.  For p < 2 the cell weight
+    |g|^(p-2) is infinite where g = 0, while the p-gradient |g|^(p-2) g is
+    continuous there and equals 0, so such flat cells get weight 0; that
+    choice is made here, once, and p >= 2 keeps the plain power.
+    """
     differences, scatter, factors = _forward_differences(grid)
     vol = grid.cell_volume
-    eps2 = eps_reg * eps_reg
     scales = [p * f for f in factors]
 
+    if p >= 2.0:
+        def weight(mag2: Array) -> Array:
+            return mag2 ** ((p - 2.0) / 2.0)
+    else:
+        def weight(mag2: Array) -> Array:
+            with np.errstate(divide="ignore"):
+                m = mag2 ** ((p - 2.0) / 2.0)
+            m[mag2 == 0.0] = 0.0
+            return m
+
     def value(full: Array) -> float:
-        mag2 = eps2
+        mag2 = 0.0
         for g in differences(full):
             mag2 = mag2 + g * g
         return float(np.add.reduce(mag2 ** (p / 2.0), axis=None) * vol)
 
     def grad_full(full: Array) -> Array:
         g = differences(full)
-        mag2 = eps2
+        mag2 = 0.0
         for gi in g:
             mag2 = mag2 + gi * gi
-        m = mag2 ** ((p - 2.0) / 2.0)
+        m = weight(mag2)
         for gi in g:
             gi *= m
         return scatter(g, scales)
@@ -632,10 +635,13 @@ def _decay_diagnostics(problem: PLaplacianProblem) -> list[str]:
             tuple(2 * (n - 1) + 1 for n in grid.n_nodes),
             dirichlet=False,
         )
-        coords = doubled.midpoint_mesh()
-        for name, src, cell in (("a", a_src, problem.weights.a), ("b", b_src, problem.weights.b)):
+        # a constant expression spreads over every cell, as on the original grid
+        wide = weights_from_expressions(doubled, a_src, b_src)
+        for name, cell, wide_cell in (
+            ("a", problem.weights.a, wide.a), ("b", problem.weights.b, wide.b)
+        ):
             mass = float(np.sum(np.abs(cell))) * grid.cell_volume
-            mass2 = float(np.sum(np.abs(eval_weight_expression(src, coords)))) * doubled.cell_volume
+            mass2 = float(np.sum(np.abs(wide_cell))) * doubled.cell_volume
             if mass > 0.0 and (mass2 - mass) / mass > 0.01:
                 notes.append(
                     f"weight {name} gains {(mass2 - mass) / mass:.1%} more absolute mass when "
@@ -652,7 +658,7 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
     metric.
     """
     grid = problem.grid
-    n_value, n_grad_full = _gradient_part(grid, problem.p, problem.eps_reg)
+    n_value, n_grad_full = _gradient_part(grid, problem.p)
     abar = _dof_node_weights(grid, problem.weights.a).ravel()
     bbar = _dof_node_weights(grid, problem.weights.b).ravel()
     a_value, a_grad = _power_term(grid, abar, problem.alpha)

@@ -675,12 +675,11 @@ def minimize_ground_level(
 # thresholds: ray functions of (N, B) only
 
 
-def _nb_level(pair, working: FunctionalTriple, u: Array, b: float) -> Evaluated:
-    """(level, gradient) of a ray level that pair(n, b, exponents) makes of (N, B) alone.
+def _zero_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
+    """(level, gradient) of the ray's zero level c0, a function of (N, B) alone.
 
-    b is B(u), already read by the cone test.  Both threshold levels, c_bar
-    and c0, are n**q * b**-r times a constant with q = beta/(beta-eta) and
-    r = eta/(beta-eta), so one gradient serves.
+    b is B(u), already read by the cone test.  c0 is n**q * b**-r times a
+    constant with q = beta/(beta-eta) and r = eta/(beta-eta).
     """
     e = working.exponents
     n = float(working.eval_N(u))
@@ -688,7 +687,7 @@ def _nb_level(pair, working: FunctionalTriple, u: Array, b: float) -> Evaluated:
         raise InfeasibleRayError(f"coercive part not positive (N={n!r})")
     if b <= 0.0:
         raise InfeasibleRayError(f"threshold objective needs B > 0 (B={b!r})")
-    level = pair(n, b, e)
+    level = K.zero_level_pair(n, b, e.eta, e.beta)[1]
 
     def gradient() -> Array:
         q = e.beta / (e.beta - e.eta)
@@ -699,10 +698,6 @@ def _nb_level(pair, working: FunctionalTriple, u: Array, b: float) -> Evaluated:
         )
 
     return level, gradient
-
-
-def _zero_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
-    return _nb_level(lambda n, b, e: K.zero_level_pair(n, b, e.eta, e.beta)[1], working, u, b)
 
 
 # threshold minima within this relative level of the best are near-best

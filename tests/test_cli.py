@@ -512,6 +512,8 @@ class TestConfigErrors:
             )),
             # the grid rejects a third axis
             ("trace", battery_config(problem=THREE_D_PROBLEM)),
+            # every p > 1 runs the exact kernel: there is no smoothing key
+            ("trace", battery_config(problem=dict(BASE_PROBLEM, eps_reg=1e-3))),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
@@ -520,7 +522,7 @@ class TestConfigErrors:
              "threshold_deltas_empty", "threshold_delta_above_one", "max_iter_zero",
              "gtol_negative", "gtol_nan", "curve_noise_negative", "ks_above_16",
              "solve_k_above_16", "ks_beyond_basis", "start_support_key", "spacing_key",
-             "dimension_3"],
+             "dimension_3", "eps_reg_key"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)
@@ -588,7 +590,7 @@ class TestZeroLimitSchedule:
 class TestDiagnostics:
     def test_truncation_warnings_reach_stderr(self, tmp_path):
         # constant weights keep half their mass in the outer quarter of the
-        # truncated domain
+        # truncated domain, and double it when the radius doubles
         problem = {"kind": "truncated_rn", "n_nodes": 41, "radius": 4.0, "p": 3.0,
                    "weights": {"a": "1", "b": "1"}}
         cfg_path = write_config(tmp_path, solve_config(problem=problem))
@@ -598,7 +600,9 @@ class TestDiagnostics:
         assert code == 0, err
         for name in ("a", "b"):
             assert f"warning: weight {name} carries" in err
-            assert "outer quarter of the truncated domain" in err
+            assert f"warning: weight {name} gains 100.0% more absolute mass" in err
+        assert "outer quarter of the truncated domain" in err
+        assert "it may not be integrable" in err
 
     def test_dirichlet_battery_prints_no_warning(self, verify_pass):
         assert "warning:" not in verify_pass["err"]

@@ -182,16 +182,6 @@ class TestWeightField:
 
 
 class TestProblemValidation:
-    def test_rejects_small_p_without_smoothing(self):
-        with pytest.raises(ValueError, match="eps_reg"):
-            dirichlet_problem_1d(9, "1", "1", p=1.7)
-        prob = dirichlet_problem_1d(9, "1", "1", p=1.7, eps_reg=1e-3)
-        assert prob.eps_reg == 1e-3
-
-    def test_rejects_negative_eps(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            dirichlet_problem_1d(9, "1", "1", eps_reg=-1.0)
-
     def test_rejects_weight_shape_mismatch(self):
         g = Grid(((0.0, 1.0),), (8,))
         w = WeightField(a=np.ones(3), b=np.ones(3))
@@ -209,14 +199,10 @@ class TestProblemValidation:
         # 1d with p >= 1 never warns
         assert dirichlet_problem_1d(9, "1", "1", p=2.0).diagnostics() == ()
         # 2d, p = 1.5: critical exponent is 2*1.5/0.5 = 6
-        warn = dirichlet_problem_2d(
-            (6, 6), "1", "1", p=1.5, alpha=1.2, beta=6.5, eps_reg=1e-3
-        )
+        warn = dirichlet_problem_2d((6, 6), "1", "1", p=1.5, alpha=1.2, beta=6.5)
         (msg,) = warn.diagnostics()
         assert "critical exponent" in msg
-        ok = dirichlet_problem_2d(
-            (6, 6), "1", "1", p=1.5, alpha=1.2, beta=5.0, eps_reg=1e-3
-        )
+        ok = dirichlet_problem_2d((6, 6), "1", "1", p=1.5, alpha=1.2, beta=5.0)
         assert ok.diagnostics() == ()
 
 
@@ -331,7 +317,7 @@ class TestStiffnessMetric:
         # gives twice its floats (the factors 2 and 0.5 are exact)
         grid = prob.grid
         tri = build_triple(prob)
-        _, stiff_full = _gradient_part(grid, 2.0, 0.0)
+        _, stiff_full = _gradient_part(grid, 2.0)
         mass = None
         if not grid.dirichlet:
             mass = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel() * grid.cell_volume
@@ -368,12 +354,15 @@ class TestStiffnessMetric:
 
 
 def _kernel_problem(dimension, kind, p):
+    alpha = 1.5 if p >= 2.0 else 1.2  # alpha < p
     if dimension == 1 and kind == "dirichlet":
-        return dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2", p=p)
+        return dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2", p=p, alpha=alpha)
     if dimension == 1:
-        return truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=p)
+        return truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=p, alpha=alpha)
     if kind == "dirichlet":
-        return dirichlet_problem_2d((9, 7), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)", p=p)
+        return dirichlet_problem_2d(
+            (9, 7), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)", p=p, alpha=alpha
+        )
     grid = Grid(((-3.0, 3.0), (-3.0, 3.0)), (9, 8), dirichlet=False)
     weights = weights_from_expressions(grid, "exp(-x^2-y^2)", "exp(-x^2-y^2)-0.1")
     return PLaplacianProblem(grid, weights, p, 1.5, 4.0)
@@ -383,7 +372,6 @@ def _reference_kernels(problem):
     """N, A, B, their gradients and the metric, written with np.sum and np.diff."""
     grid = problem.grid
     vol = grid.cell_volume
-    eps2 = problem.eps_reg * problem.eps_reg
     abar = _dof_node_weights(grid, problem.weights.a).ravel()
     bbar = _dof_node_weights(grid, problem.weights.b).ravel()
     mass_w = None
@@ -396,7 +384,7 @@ def _reference_kernels(problem):
     def power_grad(w, e, u):
         return w * e * np.abs(u) ** (e - 1.0) * np.sign(u) * vol
 
-    def gradient_part(full, p, eps2):
+    def gradient_part(full, p):
         """Value and full-node gradient of the sum of |grad_h u|^p over cells."""
         lo = (slice(None, -1),) * grid.dimension
         g, his = [], []
@@ -404,11 +392,13 @@ def _reference_kernels(problem):
             # np.diff shortens this axis; the others keep each cell's lower corner
             g.append(np.diff(full, axis=axis)[lo[:axis] + (slice(None),) + lo[axis + 1 :]] / h)
             his.append(lo[:axis] + (slice(1, None),) + lo[axis + 1 :])
-        mag2 = eps2
+        mag2 = 0.0
         for gi in g:
             mag2 = mag2 + gi * gi
         value = float(np.sum(mag2 ** (p / 2.0)) * vol)
-        m = mag2 ** ((p - 2.0) / 2.0)
+        # a flat cell (g = 0) has p-gradient 0; the base 1 there keeps
+        # 0 ** ((p - 2) / 2) finite for p < 2, and m * g is still 0
+        m = np.where(mag2 > 0.0, mag2, 1.0) ** ((p - 2.0) / 2.0)
         out = np.zeros_like(full)
         for gi, hi, h in zip(g, his, grid.spacing):
             c = (m * gi) * (p * (vol / h))
@@ -417,15 +407,15 @@ def _reference_kernels(problem):
         return value, out
 
     def eval_n(u):
-        value = gradient_part(_embed(grid, u), problem.p, eps2)[0]
+        value = gradient_part(_embed(grid, u), problem.p)[0]
         return value if mass_w is None else value + power(mass_w, problem.p, u)
 
     def grad_n(u):
-        grad = _restrict(grid, gradient_part(_embed(grid, u), problem.p, eps2)[1])
+        grad = _restrict(grid, gradient_part(_embed(grid, u), problem.p)[1])
         return grad if mass_w is None else grad + power_grad(mass_w, problem.p, u)
 
     def metric(v):
-        out = 0.5 * _restrict(grid, gradient_part(_embed(grid, v), 2.0, 0.0)[1])
+        out = 0.5 * _restrict(grid, gradient_part(_embed(grid, v), 2.0)[1])
         return out if mass_w is None else out + mass_w * vol * v
 
     return {
@@ -450,6 +440,8 @@ class TestKernelBitIdentity:
             (1, "dirichlet", 2.0), (1, "dirichlet", 3.0),
             (1, "truncated_rn", 2.0), (1, "truncated_rn", 3.0),
             (2, "dirichlet", 2.0), (2, "dirichlet", 3.0),
+            # p < 2 runs the flat-cell guard; the 2D Dirichlet corner cell is flat
+            (1, "dirichlet", 1.5), (1, "truncated_rn", 1.5), (2, "dirichlet", 1.5),
             # truncated problems need p > dimension
             (2, "truncated_rn", 2.5), (2, "truncated_rn", 3.0),
         ],
@@ -471,6 +463,42 @@ class TestKernelBitIdentity:
                     assert got == expected(u), name
                 else:
                     assert np.array_equal(got, expected(u)), name
+
+
+@pytest.mark.parametrize("p", [1.5, 1.7])
+@pytest.mark.parametrize(
+    "dimension,kind", [(1, "dirichlet"), (1, "truncated_rn"), (2, "dirichlet")]
+)
+class TestExactSmallP:
+    """p in (1, 2) runs the exact kernel: N stays p-homogeneous, and its
+    gradient is finite and right on flat cells, where |g|^(p-2) is infinite."""
+
+    def test_n_is_p_homogeneous(self, dimension, kind, p):
+        tri = build_triple(_kernel_problem(dimension, kind, p))
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            u = rng.standard_normal(tri.dim)
+            n = tri.eval_N(u)
+            for t in (0.01, 0.5, 3.0):
+                assert tri.eval_N(t * u) == pytest.approx(t**p * n, rel=1e-14, abs=0.0)
+
+    def test_gradient_on_flat_cells_matches_central_differences(self, dimension, kind, p):
+        problem = _kernel_problem(dimension, kind, p)
+        tri = build_triple(problem)
+        # zero outside one block of nodes: every cell away from it is flat
+        u = np.zeros(problem.grid.dof_shape)
+        block = tuple(slice(n // 3, 2 * n // 3) for n in u.shape)
+        u[block] = 1.0 + np.random.default_rng(4).random(u[block].shape)
+        u = u.ravel()
+        grad = tri.grad_N(u)
+        assert np.all(np.isfinite(grad))
+        h = 1e-6
+        fd = np.empty(tri.dim)
+        for i in range(tri.dim):
+            e = np.zeros(tri.dim)
+            e[i] = h
+            fd[i] = (tri.eval_N(u + e) - tri.eval_N(u - e)) / (2.0 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
 
 
 class TestEmbedRestrict:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fibercurve.nehari_minmax as nm
-from conftest import count_multistart_purposes, random_cone_point
+from conftest import count_multistart_purposes, random_cone_point, record_acceptance_line
 from fibercurve import _kernels as K
 from fibercurve.curve_tracer import _LevelChain, trace_family
 from fibercurve.fibering import classify_and_solve, ray_data, restricted_lambda
@@ -329,10 +329,10 @@ class TestMeshRefinement:
             lam, rec = minimize_ground_level(con, self.C, "plus", multistart=2, seed=0)
         return lam, rec, iters
 
-    def _assert_certified(self, rec):
+    def _assert_certified(self, rec, c=C):
         assert rec.converged
         assert rec.residual_grad <= 1e-6
-        assert rec.energy_defect <= 1e-8 * (1.0 + abs(self.C))
+        assert rec.energy_defect <= 1e-8 * (1.0 + abs(c))
 
     def test_p2_second_order_with_flat_iterations(self, monkeypatch):
         levels, per_start = [], []
@@ -351,6 +351,32 @@ class TestMeshRefinement:
         _, rec, iters = self._solve(127, 3.0, monkeypatch)
         self._assert_certified(rec)
         assert max(iters) < OptimizerParams().max_iter
+
+    @pytest.mark.parametrize(
+        "branch,c,expected",
+        [
+            ("plus", -0.01, [1.0668454, 1.0669084, 1.0669381, 1.0669485]),
+            ("minus", 5.0, [6.9778346, 7.0028164, 7.0093621, 7.0110192]),
+        ],
+    )
+    def test_exact_p17_certifies_under_refinement(self, branch, c, expected):
+        # p < 2 runs the exact kernel, with no smoothing of |Du|^p.  Observed
+        # orders over n = 31, 63, 127, 255: plus 1.08 then 1.51, minus 1.93
+        # then 1.98.
+        levels = []
+        for n in (31, 63, 127, 255):
+            prob = dirichlet_problem_1d(n, "1+x", "cos(2*pi*x)+0.2", p=1.7, alpha=1.2)
+            con = SphereConstraint(triple=build_triple(prob), tag=ConeTag.A_POS)
+            lam, rec = minimize_ground_level(con, c, branch, multistart=4, seed=0)
+            self._assert_certified(rec, c)
+            levels.append(lam)
+        assert levels == pytest.approx(expected, abs=5e-8)
+        steps = np.diff(levels)
+        orders = np.log2(steps[:-1] / steps[1:])
+        record_acceptance_line(
+            f"PASS  exact p = 1.7 {branch} ground levels certified, n = 31..255: observed orders "
+            + ", ".join(f"{o:.2f}" for o in orders)
+        )
 
 
 class TestThresholds:
@@ -391,10 +417,12 @@ class TestThresholds:
         con = request.getfixturevalue(instance)
 
         def negated_extremal(working, u, b):
-            c_bar, gradient = nm._nb_level(
-                lambda n, b, e: K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1], working, u, b
-            )
-            return -c_bar, lambda: -gradient()
+            # c_bar = const * N**q * B**-r, q = beta/(beta-eta), r = eta/(beta-eta)
+            e = working.exponents
+            n = float(working.eval_N(u))
+            c_bar = K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1]
+            q, r = e.beta / (e.beta - e.eta), e.eta / (e.beta - e.eta)
+            return -c_bar, lambda: -c_bar * (q * working.grad_N(u) / n - r * working.grad_B(u) / b)
 
         # purpose 3 is unused by the library: these starts are the test's own
         minima = nm._minimize_ray_objective(con, negated_extremal, 3, 8, 0, None)
