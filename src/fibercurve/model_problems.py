@@ -202,7 +202,9 @@ def eval_weight_expression(expr: str, coords: dict[str, Array]):
             return _EXPR_FUNCS[node.func.id](walk(node.args[0]))
         raise ValueError(f"construct {type(node).__name__} not allowed in weight expression")
 
-    value = walk(tree)
+    # overflow and division by zero surface as the non-finite check below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = walk(tree)
     out = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"weight expression {expr!r} produced non-finite values")
@@ -481,22 +483,14 @@ def _gradient_part(grid: Grid, p: float):
 
     The gradient scatters p |g|^(p-2) g.  For p < 2 the cell weight
     |g|^(p-2) is infinite where g = 0, while the p-gradient |g|^(p-2) g is
-    continuous there and equals 0, so such flat cells get weight 0; that
-    choice is made here, once, and p >= 2 keeps the plain power.
+    continuous there and equals 0.  Flat cells therefore take the finite
+    base 1 instead of 0; m * g is still 0 there, so every p > 1 runs one
+    warning-free expression, and for p >= 2 the floats are those of the
+    plain power.
     """
     differences, scatter, factors = _forward_differences(grid)
     vol = grid.cell_volume
     scales = [p * f for f in factors]
-
-    if p >= 2.0:
-        def weight(mag2: Array) -> Array:
-            return mag2 ** ((p - 2.0) / 2.0)
-    else:
-        def weight(mag2: Array) -> Array:
-            with np.errstate(divide="ignore"):
-                m = mag2 ** ((p - 2.0) / 2.0)
-            m[mag2 == 0.0] = 0.0
-            return m
 
     def value(full: Array) -> float:
         mag2 = 0.0
@@ -509,7 +503,7 @@ def _gradient_part(grid: Grid, p: float):
         mag2 = 0.0
         for gi in g:
             mag2 = mag2 + gi * gi
-        m = weight(mag2)
+        m = np.where(mag2 > 0.0, mag2, 1.0) ** ((p - 2.0) / 2.0)
         for gi in g:
             gi *= m
         return scatter(g, scales)

@@ -514,6 +514,10 @@ class TestConfigErrors:
             ("trace", battery_config(problem=THREE_D_PROBLEM)),
             # every p > 1 runs the exact kernel: there is no smoothing key
             ("trace", battery_config(problem=dict(BASE_PROBLEM, eps_reg=1e-3))),
+            # the weight overflows to inf: a config error, not a numpy warning
+            ("trace", battery_config(
+                problem=dict(BASE_PROBLEM, weights={"a": "exp(1000*x + 1000)", "b": "1"})
+            )),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
@@ -522,7 +526,7 @@ class TestConfigErrors:
              "threshold_deltas_empty", "threshold_delta_above_one", "max_iter_zero",
              "gtol_negative", "gtol_nan", "curve_noise_negative", "ks_above_16",
              "solve_k_above_16", "ks_beyond_basis", "start_support_key", "spacing_key",
-             "dimension_3", "eps_reg_key"],
+             "dimension_3", "eps_reg_key", "weight_overflow"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)
