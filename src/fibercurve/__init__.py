@@ -13,7 +13,6 @@ plain Python on floats.
 """
 
 from .curve_tracer import (
-    CurvePoint,
     EnergyCurve,
     extend_minus_past_cstarstar,
     geometric_grid,
@@ -90,7 +89,6 @@ __all__ = [
     "Case",
     "ConeTag",
     "CriticalPointRecord",
-    "CurvePoint",
     "EnergyCurve",
     "Exponents",
     "FiberingProfile",

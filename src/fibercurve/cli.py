@@ -16,8 +16,8 @@ report.json.
 
 Exit codes: 0 success, 1 bad config, 2 non-convergence or infeasibility,
 3 verification verdict failure.  Every config entry is checked and typed,
-and every config error exits 1, before any solve; integer entries take
-integral numbers only.
+and every config error exits 1, before any solve; numbers must be finite
+and integer entries integral.
 
 Config sketch (defaults shown in config.echo.json after any run)::
 
@@ -152,10 +152,14 @@ def _load_config(path: str) -> dict:
 
 
 def _number(kind, value, name: str):
-    """value as kind, int or float: a JSON number, and an integral one for int."""
-    integral = type(value) is int or type(value) is float and value.is_integer()
-    if not (integral if kind is int else type(value) in (int, float)):
-        noun = "an integer" if kind is int else "a number"
+    """value as kind, int or float: a finite JSON number, and an integral one for int.
+
+    json reads NaN, Infinity and -Infinity as floats; none of them is a number here.
+    """
+    finite = type(value) is int or type(value) is float and math.isfinite(value)
+    integral = type(value) is int or finite and value.is_integer()
+    if not (integral if kind is int else finite):
+        noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
     return kind(value)
 
@@ -217,9 +221,9 @@ def merge_config(user: dict) -> dict:
         raise ConfigError(f"tolerances.max_iter must be at least 1, got {tol['max_iter']}")
     for key in ("gtol", "residual_grad", "energy_defect_rel", "limit_ratio", "curve_noise"):
         value = tol[key]
-        if not math.isfinite(value) or value < 0.0 or (value == 0.0 and key != "curve_noise"):
+        if value < 0.0 or (value == 0.0 and key != "curve_noise"):
             need = "at least 0" if key == "curve_noise" else "positive"
-            raise ConfigError(f"tolerances.{key} must be finite and {need}, got {value!r}")
+            raise ConfigError(f"tolerances.{key} must be {need}, got {value!r}")
     deltas = cfg["threshold_deltas"]
     if not deltas or not all(0.0 < d < 1.0 for d in deltas):
         raise ConfigError(f"threshold_deltas must list deltas in (0, 1), got {deltas!r}")
@@ -379,7 +383,7 @@ def _trace_branches(setup: Setup, basis, plus_grid, minus_grid, log=None):
         for k in ks:
             curve = fam[k]
             curves.append(curve)
-            if k == 1 and any(not p.record.converged for p in curve.points):
+            if k == 1 and any(not p.converged for p in curve.points):
                 ground_ok = False
             if log is not None:
                 log(
@@ -390,22 +394,19 @@ def _trace_branches(setup: Setup, basis, plus_grid, minus_grid, log=None):
     return fams, curves, ground_ok
 
 
-def _certified(record, c: float, tol: dict) -> bool:
+def _certified(record, tol: dict) -> bool:
     """Converged, with residual and energy defect within the tolerances."""
     return (
         record.converged
         and record.residual_grad <= tol["residual_grad"]
-        and record.energy_defect <= tol["energy_defect_rel"] * (1.0 + abs(c))
+        and record.energy_defect <= tol["energy_defect_rel"] * (1.0 + abs(record.c))
     )
 
 
 def _certify_points(curves, tol) -> tuple[bool, int]:
-    """Residual and defect certification over converged exact points."""
-    checked = [
-        p for curve in curves for p in curve.points
-        if "surrogate" not in p.flags and p.record.converged
-    ]
-    return all(_certified(p.record, p.c, tol) for p in checked), len(checked)
+    """Residual and defect certification over converged ground (k = 1) points."""
+    checked = [p for curve in curves for p in curve.points if p.k == 1 and p.converged]
+    return all(_certified(p, tol) for p in checked), len(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,7 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
             f"no {branch}-branch level at c={c!r}: {curves[0].truncation_reason}"
         )
     point = curves[0].points[0]
-    certified = _certified(point.record, c, cfg["tolerances"])
+    certified = _certified(point, cfg["tolerances"])
     report = build_report(
         cfg,
         curves=curves,
@@ -437,12 +438,12 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
                 "k": k,
                 "c": c,
                 "lambda": point.lam,
-                "t_root": point.record.t_root,
-                "u_norm": point.record.u_norm,
-                "residual_grad": point.record.residual_grad,
-                "energy_defect": point.record.energy_defect,
-                "converged": point.record.converged,
-                "coefficients": point.record.coefficients,
+                "t_root": point.t_root,
+                "u_norm": point.u_norm,
+                "residual_grad": point.residual_grad,
+                "energy_defect": point.energy_defect,
+                "converged": point.converged,
+                "coefficients": point.coefficients,
             }
         },
         timing_seconds={"total": elapsed},
@@ -450,8 +451,8 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
     write_report_json(os.path.join(out_dir, "report.json"), report)
     write_curves_csv(os.path.join(out_dir, "curves.csv"), curves)
     _say(quiet, f"lambda = {point.lam!r} at c={c!r} ({branch}, k={k})")
-    _say(quiet, f"residual_grad = {point.record.residual_grad:.3e}, "
-                f"energy_defect = {point.record.energy_defect:.3e}")
+    _say(quiet, f"residual_grad = {point.residual_grad:.3e}, "
+                f"energy_defect = {point.energy_defect:.3e}")
     if k == 1 and not certified:
         _say(quiet, "solve did not certify: residual or defect above tolerance")
         return EXIT_NOCONV

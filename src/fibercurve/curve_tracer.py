@@ -33,7 +33,6 @@ from .nehari_minmax import (
     OptimizerParams,
     SphereConstraint,
     SurrogateLevel,
-    extract_critical_point,
     level_slope,
     minimize_c0,
     minimize_ground_level,
@@ -41,7 +40,6 @@ from .nehari_minmax import (
 )
 
 __all__ = [
-    "CurvePoint",
     "EnergyCurve",
     "extend_minus_past_cstarstar",
     "geometric_grid",
@@ -63,28 +61,20 @@ _MAX_EXPAND = 60  # moves of a seed window that does not bracket the target
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    branch: str
-    k: int
-    c: float
-    lam: float
-    record: CriticalPointRecord
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class EnergyCurve:
     """Sampled level curve with shape verdicts.
 
-    truncation_reason is empty for a fully traced grid; otherwise it explains
-    why tracing stopped early (the remaining grid values are dropped).
+    points are the records of the curve's levels, by increasing c; k >= 2
+    records are surrogate bounds, never converged.  truncation_reason is
+    empty for a fully traced grid; otherwise it explains why tracing
+    stopped early (the remaining grid values are dropped).
     lambda_sign is the constraint's: -1.0 on A-negative cones, whose levels
     are reported negated.
     """
 
     branch: str
     k: int
-    points: tuple[CurvePoint, ...]
+    points: tuple[CriticalPointRecord, ...]
     verdicts: dict
     truncation_reason: str = ""
     lambda_sign: float = 1.0
@@ -102,7 +92,7 @@ def geometric_grid(c_from: float, c_to: float, n: int) -> np.ndarray:
 
 def _curve_verdicts(
     constraint: SphereConstraint,
-    points: Sequence[CurvePoint],
+    points: Sequence[CriticalPointRecord],
     noise: float,
 ) -> dict:
     """Shape checks for one traced curve, ordered by increasing c."""
@@ -131,8 +121,8 @@ def _curve_verdicts(
         # reported levels fall with c on positive cones and rise on negative ones
         if sign * (p1.lam - p0.lam) > noise * (1.0 + abs(p0.lam)):
             mono = False
-        a0 = abs(float(constraint.triple.eval_A(p0.record.coefficients)))
-        a1 = abs(float(constraint.triple.eval_A(p1.record.coefficients)))
+        a0 = abs(float(constraint.triple.eval_A(p0.coefficients)))
+        a1 = abs(float(constraint.triple.eval_A(p1.coefficients)))
         a_min = min(a0, a1)
         if a_min > 0.0:
             bound = _LIPSCHITZ_SAFETY * (alpha / a_min) * abs(p1.c - p0.c)
@@ -142,7 +132,7 @@ def _curve_verdicts(
         else:
             lip = False
 
-    norms = [p.record.u_norm for p in points]
+    norms = [p.u_norm for p in points]
     if points[0].branch == "plus":
         norm_mono = all(n1 <= n0 * (1.0 + 1e-9) + noise for n0, n1 in zip(norms, norms[1:]))
     else:
@@ -208,8 +198,8 @@ class _LevelChain:
         self._warm_u: list[Array] = []
         self._warm_xi: dict[int, Array] = {}
 
-    def __call__(self, c: float) -> dict[int, tuple[float, Array, CriticalPointRecord]]:
-        """(level, unit optimizer, record) at c of every k not dropped yet."""
+    def __call__(self, c: float) -> dict[int, CriticalPointRecord]:
+        """The record at c of every k not dropped yet."""
         n = self.calls
         self.calls += 1
         levels = {}
@@ -217,25 +207,21 @@ class _LevelChain:
         for k in list(self.alive):
             try:
                 if k == 1:
-                    lam, record = minimize_ground_level(
+                    _, record = minimize_ground_level(
                         self.constraint, c, self.branch,
                         multistart=self.multistart if n == 0 else self.warm_multistart,
                         seed=(self.seed, n), params=self.params,
                         extra_starts=self._warm_u + self.extra_starts,
                     )
-                    u = record.coefficients / record.t_root
-                    self._warm_u = [u]
+                    self._warm_u = [record.coefficients / record.t_root]
                 else:
                     lower = self._surrogate(c, k, lower)
-                    lam, u = lower.value, lower.u_unit
-                    record = extract_critical_point(
-                        self.constraint, c, self.branch, u, k=k, converged=False
-                    )
+                    record = lower.record
             except (InfeasibleRayError, InfeasibleLevelError) as exc:
                 self.truncation[k] = f"stopped at c={c!r}: {exc}"
                 self.alive.remove(k)
             else:
-                levels[k] = (lam, u, record)
+                levels[k] = record
         return levels
 
     def _surrogate(self, c: float, k: int, lower: SurrogateLevel | None) -> SurrogateLevel:
@@ -247,13 +233,13 @@ class _LevelChain:
             self.surrogates[k], c, self.branch, warm_xi=warm, params=self.params
         )
         sign = self.constraint.lambda_sign
-        if lower is not None and sign * level.value < sign * lower.value:
-            level = replace(lower, k=k, xi=padded)
+        if lower is not None and sign * level.record.lam < sign * lower.record.lam:
+            level = replace(lower, record=replace(lower.record, k=k), xi=padded)
         self._warm_xi[k] = level.xi
         return level
 
-    def level(self, c: float, k: int) -> tuple[float, Array, CriticalPointRecord]:
-        """The level of k at c; raises InfeasibleLevelError once k is dropped."""
+    def level(self, c: float, k: int) -> CriticalPointRecord:
+        """The record of k at c; raises InfeasibleLevelError once k is dropped."""
         levels = self(c)
         if k not in levels:
             raise InfeasibleLevelError(self.truncation[k])
@@ -277,8 +263,8 @@ def trace_curve(
 
     Ground curves warm-start each level from the previous minimizer and keep a
     reduced multistart for basin changes.  k >= 2 needs a disjoint basis and
-    returns surrogate points (flagged).  Tracing truncates, not fails, when a
-    level becomes infeasible.  This is trace_family for the one k.
+    returns surrogate records (not converged).  Tracing truncates, not fails,
+    when a level becomes infeasible.  This is trace_family for the one k.
     """
     return trace_family(
         constraint, c_values, branch, ks=(k,), basis=basis,
@@ -317,13 +303,10 @@ def trace_family(
     if any(c1 <= c0 for c0, c1 in zip(c_values, c_values[1:])):
         raise ValueError("c_values must be strictly increasing")
 
-    points: dict[int, list[CurvePoint]] = {k: [] for k in ks}
+    points: dict[int, list[CriticalPointRecord]] = {k: [] for k in ks}
     for c in c_values:
-        for k, (lam, _, record) in chain(c).items():
-            flags = ("surrogate",) if k >= 2 else () if record.converged else ("not_converged",)
-            points[k].append(
-                CurvePoint(branch=branch, k=k, c=c, lam=lam, record=record, flags=flags)
-            )
+        for k, record in chain(c).items():
+            points[k].append(record)
 
     curves: dict[int, EnergyCurve] = {}
     for k in ks:
@@ -406,15 +389,15 @@ def limit_check_zero(
     e = constraint.triple.exponents
     rows = []
     for c in schedule:
-        lam, u, record = chain.level(c, 1)
-        n_val = float(constraint.working.eval_N(u))
+        record = chain.level(c, 1)
+        n_val = float(constraint.working.eval_N(record.coefficients / record.t_root))
         t_bound = (
             e.alpha * e.eta * e.beta * (-c) / ((e.eta - e.alpha) * (e.beta - e.eta) * n_val)
         ) ** (1.0 / e.eta)
         rows.append(
             {
                 "c": c,
-                "lambda": lam,
+                "lambda": record.lam,
                 "t_root": record.t_root,
                 "t_bound": t_bound,
                 "bound_ok": record.t_root <= t_bound * (1.0 + 1e-10),
@@ -534,7 +517,6 @@ class _Sample(NamedTuple):
     c: float
     f: float
     slope: float
-    lam: float
     record: CriticalPointRecord
 
 
@@ -547,8 +529,8 @@ def _power_law_root(point: _Sample, lam_target: float) -> float | None:
     Returns None when the probe does not fit a power law (gamma <= 0, or
     level and target of different signs).
     """
-    gamma = point.c * point.slope / point.lam
-    ratio = lam_target / point.lam
+    gamma = point.c * point.slope / point.record.lam
+    ratio = lam_target / point.record.lam
     if point.c < 0.0 and gamma > 0.0 and ratio > 0.0:
         return point.c * ratio ** (1.0 / gamma)
     return None
@@ -569,12 +551,13 @@ def _intersect_single(
         # optimizer u: the ground minimizer for k = 1, the surrogate maximizer
         # for k >= 2 (Danskin's theorem, since both levels are extrema over
         # c-free sets of rays).
-        lam, u, record = chain.level(c, k)
+        record = chain.level(c, k)
+        u = record.coefficients / record.t_root
         slope = level_slope(chain.constraint, c, u, chain.branch)
-        return _Sample(c, lam - lam_target, slope, lam, record)
+        return _Sample(c, record.lam - lam_target, slope, record)
 
     def result(point: _Sample, iterations: int) -> dict:
-        return {"k": k, "c": point.c, "lam": point.lam, "record": point.record,
+        return {"k": k, "c": point.c, "lam": point.record.lam, "record": point.record,
                 "iterations": iterations, "probes": chain.calls}
 
     lo, hi = sample(c_lo), sample(c_hi)
@@ -618,7 +601,7 @@ def _intersect_single(
     if lo.f * hi.f > 0.0:
         raise ValueError(
             f"k={k}: target {lam_target!r} is not bracketed: "
-            f"level({lo.c!r})={lo.lam!r}, level({hi.c!r})={hi.lam!r}"
+            f"level({lo.c!r})={lo.record.lam!r}, level({hi.c!r})={hi.record.lam!r}"
         )
 
     # Safeguarded Newton (rtsafe, Numerical Recipes 9.4) from the better end;
@@ -676,7 +659,7 @@ def extend_minus_past_cstarstar(
     |level| <= _ZERO_LEVEL_ABS at, and negative levels after.  The levels
     follow one _LevelChain, started from the minimizers; the first level
     draws multistart further starts and later ones warm_multistart, like the
-    points of a curve.
+    points of a curve; "points" holds their records, by increasing c.
     """
     if len(deltas) == 0 or not all(0.0 < d < 1.0 for d in deltas):
         raise ValueError(f"deltas must be a nonempty list in (0, 1), got {list(deltas)!r}")
@@ -701,22 +684,19 @@ def extend_minus_past_cstarstar(
         constraint, "minus", (1,), multistart=multistart, warm_multistart=warm_multistart,
         seed=seed, params=params, extra_starts=mins,
     )
-    rows = []
-    for c in grid:
-        lam, _, record = chain.level(c, 1)
-        rows.append({"c": c, "lambda": lam, "record": record})
+    points = [chain.level(c, 1) for c in grid]
 
     sign = constraint.lambda_sign
-    before = [r for r in rows if r["c"] < c2]
-    at = [r for r in rows if r["c"] == c2]
-    after = [r for r in rows if r["c"] > c2]
-    positive_before = all(sign * r["lambda"] > noise for r in before)
-    zero_at = all(abs(r["lambda"]) <= _ZERO_LEVEL_ABS for r in at)
-    negative_after = all(sign * r["lambda"] < -noise for r in after)
+    before = [p for p in points if p.c < c2]
+    at = [p for p in points if p.c == c2]
+    after = [p for p in points if p.c > c2]
+    positive_before = all(sign * p.lam > noise for p in before)
+    zero_at = all(abs(p.lam) <= _ZERO_LEVEL_ABS for p in at)
+    negative_after = all(sign * p.lam < -noise for p in after)
     return {
         "c_star_star": c2,
         "minimizer_a_margins": margins,
-        "points": rows,
+        "points": points,
         "positive_before": bool(positive_before),
         "zero_at_threshold": bool(zero_at),
         "negative_after": bool(negative_after),

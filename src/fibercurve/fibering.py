@@ -77,7 +77,7 @@ class FiberingProfile:
     """Classification of one fiber at one energy level.
 
     t_plus is the local-minimum scaling, t_minus the local-maximum scaling,
-    None when absent.  phi_plus / phi_minus are the fibering-map values there.
+    None when absent (fibering_value gives the fibering-map value there).
     degenerate marks the collision c = c_bar (extremal_pair), where the double
     root is reported in both slots instead of raising.
     """
@@ -85,8 +85,6 @@ class FiberingProfile:
     case: Case
     t_plus: float | None
     t_minus: float | None
-    phi_plus: float | None
-    phi_minus: float | None
     degenerate: bool = False
 
 
@@ -140,14 +138,10 @@ def classify_and_solve(ray: RayData, c: float, deg_rtol: float = 1e-14) -> Fiber
         )
     e = ray.exponents
     code, t_plus, t_minus = K.classify(ray.n, ray.b, e.alpha, e.eta, e.beta, c, deg_rtol)
-    tp = None if math.isnan(t_plus) else float(t_plus)
-    tm = None if math.isnan(t_minus) else float(t_minus)
     return FiberingProfile(
         case=_CASE_FROM_CODE[code],
-        t_plus=tp,
-        t_minus=tm,
-        phi_plus=None if tp is None else fibering_value(ray, c, tp),
-        phi_minus=None if tm is None else fibering_value(ray, c, tm),
+        t_plus=None if math.isnan(t_plus) else float(t_plus),
+        t_minus=None if math.isnan(t_minus) else float(t_minus),
         degenerate=(code == K.CASE_DEGENERATE),
     )
 

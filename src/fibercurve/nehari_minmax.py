@@ -189,13 +189,10 @@ class CriticalPointRecord:
 
 @dataclass(frozen=True)
 class SurrogateLevel:
-    """Surrogate level value with the maximizing coefficient combination."""
+    """Record of a surrogate level (not converged) and its maximizing coefficients xi."""
 
-    value: float
-    k: int
+    record: CriticalPointRecord
     xi: Array
-    u_unit: Array
-    t_root: float
 
 
 _BRANCHES = ("plus", "minus")
@@ -998,10 +995,11 @@ def surrogate_level(
     Sampling and polish run on the per-basis scalars N(e_i), A(e_i), B(e_i)
     (_coefficient_evaluation) and the sample scalars that the surrogate
     built once; only the maximizer is evaluated on the model of the
-    surrogate's constraint, which gives the reported value, t_root and
-    u_unit.  Any infeasible sampled ray raises SurrogateInvalidError, as
-    does a basis that is not additive when the surrogate is built: a basis
-    violating the cone must be rebuilt, not silently skipped.
+    surrogate's constraint, and its record (extract_critical_point, not
+    converged) is the reported level.  Any infeasible sampled ray raises
+    SurrogateInvalidError, as does a basis that is not additive when the
+    surrogate is built: a basis violating the cone must be rebuilt, not
+    silently skipped.
 
     Sampling and polish run in the coordinates s = sign(xi) |xi|**(alpha/2).
     The maximizer often sits on a coordinate axis (some xi_j = 0), where the
@@ -1095,11 +1093,5 @@ def surrogate_level(
     best_xi = _xi_of_s(e.alpha, best_s)
     u_best = surrogate.basis.T @ best_xi
     u_best = u_best / working.norm_of(u_best)
-    lam_int, t, _ = _level_internal(working, c, branch, u_best)
-    return SurrogateLevel(
-        value=constraint.lambda_sign * lam_int,
-        k=k,
-        xi=best_xi,
-        u_unit=u_best,
-        t_root=t,
-    )
+    record = extract_critical_point(constraint, c, branch, u_best, k=k, converged=False)
+    return SurrogateLevel(record=record, xi=best_xi)

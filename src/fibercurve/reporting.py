@@ -44,7 +44,9 @@ CSV_COLUMNS = (
 def curve_rows(curves: Sequence[EnergyCurve]) -> list[dict]:
     """One dict per curve point: the CSV_COLUMNS, and the descents the
     point's multistart ran and merged (starts, merged_starts; 0 for
-    surrogates), which only the JSON report carries."""
+    surrogates), which only the JSON report carries.  flags is derived:
+    "surrogate" for k >= 2, "not_converged" for an unconverged ground
+    level, empty otherwise."""
     rows = []
     for curve in curves:
         for p in curve.points:
@@ -54,14 +56,14 @@ def curve_rows(curves: Sequence[EnergyCurve]) -> list[dict]:
                     "k": p.k,
                     "c": p.c,
                     "lambda": p.lam,
-                    "t_root": p.record.t_root,
-                    "u_norm": p.record.u_norm,
-                    "residual_grad": p.record.residual_grad,
-                    "energy_defect": p.record.energy_defect,
-                    "converged": p.record.converged,
-                    "flags": ";".join(p.flags),
-                    "starts": p.record.starts,
-                    "merged_starts": p.record.merged_starts,
+                    "t_root": p.t_root,
+                    "u_norm": p.u_norm,
+                    "residual_grad": p.residual_grad,
+                    "energy_defect": p.energy_defect,
+                    "converged": p.converged,
+                    "flags": "surrogate" if p.k >= 2 else "" if p.converged else "not_converged",
+                    "starts": p.starts,
+                    "merged_starts": p.merged_starts,
                 }
             )
     return rows

@@ -489,11 +489,11 @@ class TestCurveStructure:
 class TestEnergyDefects:
     def test_converged_points_certified(self, curve12, family4, conjecture_run, intersect_plus):
         # surrogate entries are upper-bound witnesses, not critical points,
-        # so only unflagged curve points and k = 1 intersections qualify
-        records = [p.record for p in curve12["plus"].points if "surrogate" not in p.flags]
-        records += [p.record for p in curve12["minus"].points if "surrogate" not in p.flags]
+        # so only k = 1 curve points and k = 1 intersections qualify
+        records = [p for p in curve12["plus"].points if p.k == 1]
+        records += [p for p in curve12["minus"].points if p.k == 1]
         for curve in family4["family"].values():
-            records += [p.record for p in curve.points if "surrogate" not in p.flags]
+            records += [p for p in curve.points if p.k == 1]
         records += conjecture_run["records"]
         records += [p["record"] for p in intersect_plus["points"] if p["k"] == 1]
         converged = [r for r in records if r.converged]
@@ -601,7 +601,7 @@ class TestSignFlipReduction:
             assert p.c == q.c
             worst = max(worst, abs(p.lam + q.lam) / (1.0 + abs(q.lam)))
             coeff_ok = coeff_ok and np.allclose(
-                p.record.coefficients, q.record.coefficients, rtol=0.0, atol=1e-10
+                p.coefficients, q.coefficients, rtol=0.0, atol=1e-10
             )
         ok = (
             len(curve_neg.points) == len(curve_flip.points) == 4

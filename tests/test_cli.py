@@ -518,6 +518,11 @@ class TestConfigErrors:
             ("trace", battery_config(
                 problem=dict(BASE_PROBLEM, weights={"a": "exp(1000*x + 1000)", "b": "1"})
             )),
+            # json reads NaN and Infinity; no config number may be either
+            ("solve", solve_config(c=float("nan"))),
+            ("trace", battery_config(c_grid={"values": [-0.5, float("nan")]})),
+            ("trace", battery_config(c_grid={"from": float("-inf"), "to": -0.05, "n": 4})),
+            ("report", battery_config(limit_schedule=[float("nan"), -0.01, -0.001])),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
@@ -526,7 +531,8 @@ class TestConfigErrors:
              "threshold_deltas_empty", "threshold_delta_above_one", "max_iter_zero",
              "gtol_negative", "gtol_nan", "curve_noise_negative", "ks_above_16",
              "solve_k_above_16", "ks_beyond_basis", "start_support_key", "spacing_key",
-             "dimension_3", "eps_reg_key", "weight_overflow"],
+             "dimension_3", "eps_reg_key", "weight_overflow", "c_nan", "c_grid_value_nan",
+             "c_grid_from_inf", "limit_schedule_nan"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)
@@ -545,8 +551,10 @@ class TestConfigErrors:
             battery_config(c_grid={"from": -0.5, "to": -0.05, "n": 1}),
             battery_config(ks=[1, 9]),
             battery_config(problem=THREE_D_PROBLEM),
+            battery_config(limit_schedule=[float("-inf"), -0.001]),
         ],
-        ids=["ks", "branches", "c_grid", "ks_beyond_basis", "dimension_3"],
+        ids=["ks", "branches", "c_grid", "ks_beyond_basis", "dimension_3",
+             "limit_schedule_inf"],
     )
     def test_report_checks_the_config_before_any_solve(self, tmp_path, monkeypatch, cfg):
         purposes = count_multistart_purposes(monkeypatch)

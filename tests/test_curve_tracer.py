@@ -31,6 +31,7 @@ from fibercurve.nehari_minmax import (
     minimize_ground_level,
     surrogate_level,
 )
+from fibercurve.reporting import curve_rows
 
 
 class TestGeometricGrid:
@@ -76,7 +77,7 @@ class TestTraceCurve:
         c2 = trace_curve(const_con_plus, grid, "plus", multistart=4)
         assert [p.lam for p in c1.points] == [p.lam for p in c2.points]
         for p1, p2 in zip(c1.points, c2.points):
-            assert np.array_equal(p1.record.coefficients, p2.record.coefficients)
+            assert np.array_equal(p1.coefficients, p2.coefficients)
 
     def test_truncates_at_infeasible_level(self, const_con_plus):
         # the plus branch has no critical scaling at c = 0
@@ -125,8 +126,8 @@ class TestTraceFamily:
         assert k1.verdicts["k_monotone"] and k2.verdicts["k_monotone"]
         for p1, p2 in zip(k1.points, k2.points):
             assert p2.lam >= p1.lam - 1e-9
-            assert "surrogate" not in p1.flags
-            assert "surrogate" in p2.flags
+        assert all(row["flags"] != "surrogate" for row in curve_rows([k1]))
+        assert all(row["flags"] == "surrogate" for row in curve_rows([k2]))
         assert k2.verdicts["monotone_decreasing"]
 
     def test_infeasible_surrogate_ends_only_its_curves(self, pos_problem, pos_con_plus):
@@ -370,7 +371,7 @@ class TestMinusContinuation:
         assert out["c_star_star"] == pytest.approx(235.66445356206995, rel=1e-4)
         assert out["positive_before"] and out["zero_at_threshold"] and out["negative_after"]
         assert all(m > 0 for m in out["minimizer_a_margins"])
-        cs = [r["c"] for r in out["points"]]
+        cs = [r.c for r in out["points"]]
         assert cs == sorted(cs)
 
     def test_negative_a_cone_mirrors_the_positive_one(self, pos_problem):
@@ -389,8 +390,8 @@ class TestMinusContinuation:
         for key in ("positive_before", "zero_at_threshold", "negative_after", "ok"):
             assert neg[key] == pos[key]
         assert pos["ok"]
-        assert [r["c"] for r in neg["points"]] == [r["c"] for r in pos["points"]]
-        assert [r["lambda"] for r in neg["points"]] == [-r["lambda"] for r in pos["points"]]
+        assert [r.c for r in neg["points"]] == [r.c for r in pos["points"]]
+        assert [r.lam for r in neg["points"]] == [-r.lam for r in pos["points"]]
 
     @pytest.mark.parametrize("deltas", [(), (0.05, 1.0), (0.0,)], ids=["empty", "one", "zero"])
     def test_deltas_outside_the_unit_interval_raise(self, pos_con_plus, deltas):
@@ -489,6 +490,7 @@ class TestLevelChain:
             assert surrogate.constraint is con
             fresh_surrogate = GenusSurrogate(con, surrogate.basis, surrogate.n_samples)
             fresh = surrogate_level(fresh_surrogate, c, branch, warm_xi=warm, params=params)
-            assert (fresh.value, fresh.t_root) == (level.value, level.t_root)
+            assert (fresh.record.lam, fresh.record.t_root) == (level.record.lam,
+                                                                level.record.t_root)
             assert np.array_equal(fresh.xi, level.xi)
-            assert np.array_equal(fresh.u_unit, level.u_unit)
+            assert np.array_equal(fresh.record.coefficients, level.record.coefficients)

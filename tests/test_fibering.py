@@ -223,7 +223,7 @@ def test_morse_signs_and_value_ordering():
         if prof.case is Case.TWO_ROOTS and not prof.degenerate:
             n_two += 1
             assert prof.t_plus < prof.t_minus
-            assert prof.phi_plus < prof.phi_minus
+            assert fibering_value(ray, c, prof.t_plus) < fibering_value(ray, c, prof.t_minus)
     assert n_two > 100
 
 

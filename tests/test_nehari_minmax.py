@@ -194,10 +194,10 @@ class TestLevelSlope:
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
         surrogate = GenusSurrogate(signed_con_both, basis, n_samples=16)
         c, dc = -0.05, 1e-5
-        level = surrogate_level(surrogate, c, branch)
-        slope = level_slope(signed_con_both, c, level.u_unit, branch)
-        hi = surrogate_level(surrogate, c + dc, branch).value
-        lo = surrogate_level(surrogate, c - dc, branch).value
+        record = surrogate_level(surrogate, c, branch).record
+        slope = level_slope(signed_con_both, c, record.coefficients / record.t_root, branch)
+        hi = surrogate_level(surrogate, c + dc, branch).record.lam
+        lo = surrogate_level(surrogate, c - dc, branch).record.lam
         assert slope == pytest.approx((hi - lo) / (2.0 * dc), rel=1e-3)
 
 
@@ -800,11 +800,11 @@ class TestSurrogates:
         rng = np.random.default_rng(3)
         u = random_cone_point(pos_con_plus, rng)
         c = -0.05
-        level = surrogate_level(GenusSurrogate(pos_con_plus, u[None, :]), c, "plus")
+        record = surrogate_level(GenusSurrogate(pos_con_plus, u[None, :]), c, "plus").record
         lam, t = lambda_tilde(pos_con_plus, c, u, "plus")
-        assert level.value == pytest.approx(lam, rel=1e-12)
-        assert level.t_root == pytest.approx(t, rel=1e-12)
-        assert level.k == 1
+        assert record.lam == pytest.approx(lam, rel=1e-12)
+        assert record.t_root == pytest.approx(t, rel=1e-12)
+        assert record.k == 1
 
     def test_family_is_monotone_in_k(self, signed_problem, signed_con_both):
         # the ground level, then surrogates chained in k over one nested basis
@@ -820,7 +820,7 @@ class TestSurrogates:
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)[:1]
         level = surrogate_level(GenusSurrogate(signed_con_both, basis, n_samples=24), -0.05, "plus")
         lam, _ = minimize_ground_level(signed_con_both, -0.05, "plus", multistart=16)
-        assert level.value >= lam - 1e-12
+        assert level.record.lam >= lam - 1e-12
 
     def test_infeasible_basis_raises(self, signed_problem):
         tri = build_triple(signed_problem)
@@ -923,7 +923,7 @@ class TestSurrogates:
         descents.clear()
         warm = surrogate_level(surrogate, 12.0, "minus", warm_xi=[cold.xi])
         polishes = [(out[2], out[3], merged) for _, _, out, merged in descents]
-        assert (warm.value, warm.t_root) == (cold.value, cold.t_root)
+        assert (warm.record.lam, warm.record.t_root) == (cold.record.lam, cold.record.t_root)
         assert np.array_equal(warm.xi, cold.xi)
         assert polishes[0][:2] == (1, True)  # the warm start converges where it starts
         assert len(cold_polishes) == len(polishes) - 1 == 3
@@ -959,7 +959,7 @@ class TestSurrogates:
         con = SphereConstraint(triple=build_triple(problem), tag=tag)
         basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 2)
         level = surrogate_level(GenusSurrogate(con, basis, n_samples=16), c, branch)
-        assert np.all(np.isfinite(level.xi)) and math.isfinite(level.value)
+        assert np.all(np.isfinite(level.xi)) and math.isfinite(level.record.lam)
         e = con.working.exponents
         scalars = nm._basis_scalars(con.working, basis)
         th = np.linspace(0.0, 0.5 * np.pi, 200001)
@@ -971,7 +971,7 @@ class TestSurrogates:
                 best = max(best, nm._scalar_level(e, c, branch, nj, aj, bj)[0])
             except InfeasibleRayError:
                 pass
-        assert level.value == pytest.approx(best, rel=1e-12)
+        assert level.record.lam == pytest.approx(best, rel=1e-12)
 
     def test_adjacent_blocks_are_not_additive(self, pos_problem):
         # Two blocks that touch share a difference quotient of the gradient
