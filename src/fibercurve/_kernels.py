@@ -24,13 +24,13 @@ where plain Newton from above converges monotonically.  Either iteration
 stops once a Newton step moves the root by at most _STEP_RTOL relative,
 after a few evaluations, and keeps the relative accuracy of roots far below
 t_bar.  These functions sit in the optimizer inner loop; they are plain
-Python on floats, and an OverflowError names the kernel and its arguments.
+Python on floats, one frame per call: each public kernel re-raises a float
+OverflowError with its own name and arguments, and no wrapper sits between
+a caller and the arithmetic.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import math
 
 CASE_NO_CRITICAL = 0
@@ -46,70 +46,69 @@ _STEP_RTOL = 1e-9
 _MAX_STEPS = 100
 
 
-def _names_overflow(kernel):
-    """kernel, re-raising a float OverflowError with its name and arguments."""
-    names = tuple(inspect.signature(kernel).parameters)
-
-    @functools.wraps(kernel)
-    def wrapped(*args, **kwargs):
-        try:
-            return kernel(*args, **kwargs)
-        except OverflowError as exc:
-            data = ", ".join(
-                f"{k}={v!r}" for k, v in [*zip(names, args), *kwargs.items()]
-            )
-            raise OverflowError(
-                f"{kernel.__name__} overflows the double range at {data}"
-            ) from exc
-
-    return wrapped
+def _overflow(kernel, **data):
+    """OverflowError naming the kernel and the arguments it overflowed at."""
+    args = ", ".join(f"{k}={v!r}" for k, v in data.items())
+    return OverflowError(f"{kernel} overflows the double range at {args}")
 
 
-@_names_overflow
 def fiber_value(n, a, b, alpha, eta, beta, c, t):
     if a == 0.0:
         raise ZeroDivisionError("fibering map undefined: A(u) = 0 on this ray")
     if t <= 0.0:
         raise ValueError(f"fibering map defined for t > 0 only, got t={t!r}")
-    return (alpha / a) * (
-        t ** (eta - alpha) * n / eta - t ** (beta - alpha) * b / beta - t ** (-alpha) * c
-    )
+    try:
+        return (alpha / a) * (
+            t ** (eta - alpha) * n / eta - t ** (beta - alpha) * b / beta - t ** (-alpha) * c
+        )
+    except OverflowError as exc:
+        raise _overflow("fiber_value", n=n, a=a, b=b, alpha=alpha, eta=eta, beta=beta,
+                        c=c, t=t) from exc
 
 
-@_names_overflow
 def fiber_d1(n, a, b, alpha, eta, beta, c, t):
     if a == 0.0:
         raise ZeroDivisionError("fibering map undefined: A(u) = 0 on this ray")
     if t <= 0.0:
         raise ValueError(f"fibering map defined for t > 0 only, got t={t!r}")
-    return (alpha / a) * (
-        (eta - alpha) / eta * n * t ** (eta - alpha - 1.0)
-        - (beta - alpha) / beta * b * t ** (beta - alpha - 1.0)
-        + alpha * c * t ** (-alpha - 1.0)
-    )
+    try:
+        return (alpha / a) * (
+            (eta - alpha) / eta * n * t ** (eta - alpha - 1.0)
+            - (beta - alpha) / beta * b * t ** (beta - alpha - 1.0)
+            + alpha * c * t ** (-alpha - 1.0)
+        )
+    except OverflowError as exc:
+        raise _overflow("fiber_d1", n=n, a=a, b=b, alpha=alpha, eta=eta, beta=beta,
+                        c=c, t=t) from exc
 
 
-@_names_overflow
 def fiber_d2(n, a, b, alpha, eta, beta, c, t):
     if a == 0.0:
         raise ZeroDivisionError("fibering map undefined: A(u) = 0 on this ray")
     if t <= 0.0:
         raise ValueError(f"fibering map defined for t > 0 only, got t={t!r}")
-    return (alpha / a) * (
-        (eta - alpha) * (eta - alpha - 1.0) / eta * n * t ** (eta - alpha - 2.0)
-        - (beta - alpha) * (beta - alpha - 1.0) / beta * b * t ** (beta - alpha - 2.0)
-        - alpha * (alpha + 1.0) * c * t ** (-alpha - 2.0)
-    )
+    try:
+        return (alpha / a) * (
+            (eta - alpha) * (eta - alpha - 1.0) / eta * n * t ** (eta - alpha - 2.0)
+            - (beta - alpha) * (beta - alpha - 1.0) / beta * b * t ** (beta - alpha - 2.0)
+            - alpha * (alpha + 1.0) * c * t ** (-alpha - 2.0)
+        )
+    except OverflowError as exc:
+        raise _overflow("fiber_d2", n=n, a=a, b=b, alpha=alpha, eta=eta, beta=beta,
+                        c=c, t=t) from exc
 
 
-@_names_overflow
 def g_value(n, b, alpha, eta, beta, c, t):
     if t < 0.0:
         raise ValueError(f"g defined for t >= 0 only, got t={t!r}")
-    return (eta - alpha) / eta * n * t ** eta - (beta - alpha) / beta * b * t ** beta + alpha * c
+    try:
+        return (
+            (eta - alpha) / eta * n * t ** eta - (beta - alpha) / beta * b * t ** beta + alpha * c
+        )
+    except OverflowError as exc:
+        raise _overflow("g_value", n=n, b=b, alpha=alpha, eta=eta, beta=beta, c=c, t=t) from exc
 
 
-@_names_overflow
 def extremal_pair(n, b, alpha, eta, beta):
     """(t_bar, c_bar): scaling placing the ray on the degenerate fiber, and its level.
 
@@ -120,17 +119,19 @@ def extremal_pair(n, b, alpha, eta, beta):
         raise ValueError("extremal pair undefined: need n > 0")
     if b <= 0.0:
         raise ValueError("extremal pair undefined: need b > 0")
-    t_bar = ((eta - alpha) * n / ((beta - alpha) * b)) ** (1.0 / (beta - eta))
-    c_bar = -(eta - alpha) * (beta - eta) / (eta * beta * alpha) * n * t_bar ** eta
-    return t_bar, c_bar
+    try:
+        t_bar = ((eta - alpha) * n / ((beta - alpha) * b)) ** (1.0 / (beta - eta))
+        c_bar = -(eta - alpha) * (beta - eta) / (eta * beta * alpha) * n * t_bar ** eta
+        return t_bar, c_bar
+    except OverflowError as exc:
+        raise _overflow("extremal_pair", n=n, b=b, alpha=alpha, eta=eta, beta=beta) from exc
 
 
 # classify binds the pair under a private name, so that wrapping the public
 # extremal_pair (as the benchmark's call counter does) sees only outside calls
-_extremal_pair = extremal_pair.__wrapped__
+_extremal_pair = extremal_pair
 
 
-@_names_overflow
 def zero_level_pair(n, b, eta, beta):
     """(t0, c0): the unique scaling and positive level with fiber = fiber' = 0.
 
@@ -140,9 +141,12 @@ def zero_level_pair(n, b, eta, beta):
         raise ValueError("zero-level pair undefined: need n > 0")
     if b <= 0.0:
         raise ValueError("zero-level pair undefined: need b > 0")
-    t0 = (n / b) ** (1.0 / (beta - eta))
-    c0 = (beta - eta) / (eta * beta) * n * t0 ** eta
-    return t0, c0
+    try:
+        t0 = (n / b) ** (1.0 / (beta - eta))
+        c0 = (beta - eta) / (eta * beta) * n * t0 ** eta
+        return t0, c0
+    except OverflowError as exc:
+        raise _overflow("zero_level_pair", n=n, b=b, eta=eta, beta=beta) from exc
 
 
 def threshold_ratio(alpha, eta, beta):
@@ -208,7 +212,6 @@ def _solve_convex(q, eta, beta):
     raise RuntimeError(f"no convergence solving s**eta + q*s**beta = 1 at q={q!r}")
 
 
-@_names_overflow
 def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14, branch=None):
     """Case label and critical scalings of the fibering map on one ray.
 
@@ -226,56 +229,59 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14, branch=None):
     NaN whatever the case, and the requested slot is the one the call without
     branch returns.
     """
-    if branch not in (None, "plus", "minus"):
-        raise ValueError(f"branch must be None, 'plus' or 'minus', got {branch!r}")
-    if not (n > 0.0) or not math.isfinite(n):
-        raise ValueError(f"ray classification needs n > 0, got n={n!r}")
-    if not math.isfinite(b) or not math.isfinite(c):
-        raise ValueError(f"ray classification needs finite data, got b={b!r}, c={c!r}")
+    try:
+        if branch not in (None, "plus", "minus"):
+            raise ValueError(f"branch must be None, 'plus' or 'minus', got {branch!r}")
+        if not (n > 0.0) or not math.isfinite(n):
+            raise ValueError(f"ray classification needs n > 0, got n={n!r}")
+        if not math.isfinite(b) or not math.isfinite(c):
+            raise ValueError(f"ray classification needs finite data, got b={b!r}, c={c!r}")
 
-    if b <= 0.0:
+        if b <= 0.0:
+            if c >= 0.0:
+                return CASE_NO_CRITICAL, _NAN, _NAN
+            if branch == "minus":
+                return CASE_UNIQUE_MIN, _NAN, _NAN
+            # unique minimum; with s = t/t_seed, g = -alpha*c*(s**eta + q*s**beta - 1)
+            t_seed = (-alpha * c * eta / ((eta - alpha) * n)) ** (1.0 / eta)
+            q = (beta - alpha) / beta * -b * t_seed ** beta / (-alpha * c)
+            return CASE_UNIQUE_MIN, t_seed * _solve_convex(q, eta, beta), _NAN
+
+        t_bar, c_bar = _extremal_pair(n, b, alpha, eta, beta)
+        if c < 0.0:
+            if abs(c - c_bar) <= deg_rtol * (1.0 + abs(c_bar)):
+                return (CASE_DEGENERATE, _NAN if branch == "minus" else t_bar,
+                        _NAN if branch == "plus" else t_bar)
+            if c < c_bar:
+                return CASE_NO_CRITICAL, _NAN, _NAN
+        elif c > 1e300 * -c_bar:
+            raise OverflowError(f"c/c_bar leaves the double range (c_bar={c_bar!r})")
+        r = c / c_bar if c else 0.0
+        s_z = (beta / eta) ** (1.0 / (beta - eta))
+        # H is concave on s >= 1, so its tangent at s_z lies above it: where the
+        # tangent reaches r < 1 is at or right of the root beyond the maximum
+        s_tangent = s_z - r / (beta * s_z ** (eta - 1.0))
         if c >= 0.0:
-            return CASE_NO_CRITICAL, _NAN, _NAN
-        if branch == "minus":
-            return CASE_UNIQUE_MIN, _NAN, _NAN
-        # unique minimum; with s = t/t_seed, g = -alpha*c*(s**eta + q*s**beta - 1)
-        t_seed = (-alpha * c * eta / ((eta - alpha) * n)) ** (1.0 / eta)
-        q = (beta - alpha) / beta * -b * t_seed ** beta / (-alpha * c)
-        return CASE_UNIQUE_MIN, t_seed * _solve_convex(q, eta, beta), _NAN
+            if branch == "plus":
+                return CASE_UNIQUE_MAX, _NAN, _NAN
+            # H > -eta*s**beta/(beta-eta) bounds the root below as well
+            lo = max(s_z, (-r * (beta - eta) / eta) ** (1.0 / beta))
+            return CASE_UNIQUE_MAX, _NAN, t_bar * _solve_h(r, eta, beta, lo, s_tangent, lo, False)
 
-    t_bar, c_bar = _extremal_pair(n, b, alpha, eta, beta)
-    if c < 0.0:
-        if abs(c - c_bar) <= deg_rtol * (1.0 + abs(c_bar)):
-            return (CASE_DEGENERATE, _NAN if branch == "minus" else t_bar,
-                    _NAN if branch == "plus" else t_bar)
-        if c < c_bar:
-            return CASE_NO_CRITICAL, _NAN, _NAN
-    elif c > 1e300 * -c_bar:
-        raise OverflowError(f"c/c_bar leaves the double range (c_bar={c_bar!r})")
-    r = c / c_bar if c else 0.0
-    s_z = (beta / eta) ** (1.0 / (beta - eta))
-    # H is concave on s >= 1, so its tangent at s_z lies above it: where the
-    # tangent reaches r < 1 is at or right of the root beyond the maximum
-    s_tangent = s_z - r / (beta * s_z ** (eta - 1.0))
-    if c >= 0.0:
-        if branch == "plus":
-            return CASE_UNIQUE_MAX, _NAN, _NAN
-        # H > -eta*s**beta/(beta-eta) bounds the root below as well
-        lo = max(s_z, (-r * (beta - eta) / eta) ** (1.0 / beta))
-        return CASE_UNIQUE_MAX, _NAN, t_bar * _solve_h(r, eta, beta, lo, s_tangent, lo, False)
-
-    # seeds: H < beta*s**eta/(beta-eta) bounds the small root below, sharply
-    # as r -> 0, where the tangent at s_z is sharp for the large root; near
-    # the maximum H ~ 1 - eta*beta*(s-1)**2/2
-    lo = (r * (beta - eta) / beta) ** (1.0 / eta)
-    if r < 0.5:
-        seed_plus, seed_minus = lo, s_tangent
-    else:
-        near = math.sqrt(2.0 * (1.0 - r) / (eta * beta))
-        seed_plus, seed_minus = max(lo, 1.0 - near), min(s_tangent, 1.0 + near)
-    t_plus = t_minus = _NAN
-    if branch != "minus":
-        t_plus = t_bar * _solve_h(r, eta, beta, lo, 1.0, seed_plus, True)
-    if branch != "plus":
-        t_minus = t_bar * _solve_h(r, eta, beta, 1.0, s_tangent, seed_minus, False)
-    return CASE_TWO_ROOTS, t_plus, t_minus
+        # seeds: H < beta*s**eta/(beta-eta) bounds the small root below, sharply
+        # as r -> 0, where the tangent at s_z is sharp for the large root; near
+        # the maximum H ~ 1 - eta*beta*(s-1)**2/2
+        lo = (r * (beta - eta) / beta) ** (1.0 / eta)
+        if r < 0.5:
+            seed_plus, seed_minus = lo, s_tangent
+        else:
+            near = math.sqrt(2.0 * (1.0 - r) / (eta * beta))
+            seed_plus, seed_minus = max(lo, 1.0 - near), min(s_tangent, 1.0 + near)
+        t_plus = t_minus = _NAN
+        if branch != "minus":
+            t_plus = t_bar * _solve_h(r, eta, beta, lo, 1.0, seed_plus, True)
+        if branch != "plus":
+            t_minus = t_bar * _solve_h(r, eta, beta, 1.0, s_tangent, seed_minus, False)
+        return CASE_TWO_ROOTS, t_plus, t_minus
+    except OverflowError as exc:
+        raise _overflow("classify", n=n, b=b, alpha=alpha, eta=eta, beta=beta, c=c) from exc

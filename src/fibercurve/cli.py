@@ -154,14 +154,18 @@ def _load_config(path: str) -> dict:
 def _number(kind, value, name: str):
     """value as kind, int or float: a finite JSON number, and an integral one for int.
 
-    json reads NaN, Infinity and -Infinity as floats; none of them is a number here.
+    json reads NaN, Infinity and -Infinity as floats; none of them is a number here,
+    nor is an integer literal beyond the double range where a float is asked for.
     """
     finite = type(value) is int or type(value) is float and math.isfinite(value)
     integral = type(value) is int or finite and value.is_integer()
-    if not (integral if kind is int else finite):
-        noun = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{name} must be {noun}, got {value!r}")
-    return kind(value)
+    if integral if kind is int else finite:
+        try:
+            return kind(value)
+        except OverflowError:  # an integer literal beyond the double range
+            pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 def _typed(value, default, name: str):

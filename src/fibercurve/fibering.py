@@ -15,8 +15,8 @@ value used by the sphere optimizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import _kernels as K
 from .functional_core import Array, Exponents, FunctionalTriple
@@ -43,38 +43,53 @@ class Case(Enum):
     TWO_ROOTS = "two_roots"
 
 
+# kernel case code -> (Case, FiberingProfile.degenerate)
 _CASE_FROM_CODE = {
-    K.CASE_NO_CRITICAL: Case.NO_CRITICAL,
-    K.CASE_UNIQUE_MIN: Case.UNIQUE_MIN,
-    K.CASE_UNIQUE_MAX: Case.UNIQUE_MAX,
-    K.CASE_TWO_ROOTS: Case.TWO_ROOTS,
-    K.CASE_DEGENERATE: Case.TWO_ROOTS,  # double root, flagged via FiberingProfile.degenerate
+    K.CASE_NO_CRITICAL: (Case.NO_CRITICAL, False),
+    K.CASE_UNIQUE_MIN: (Case.UNIQUE_MIN, False),
+    K.CASE_UNIQUE_MAX: (Case.UNIQUE_MAX, False),
+    K.CASE_TWO_ROOTS: (Case.TWO_ROOTS, False),
+    K.CASE_DEGENERATE: (Case.TWO_ROOTS, True),  # the double root, in both slots
 }
 
 # relative agreement restricted_lambda demands of its two formulas
 _CHECK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RayData:
-    """Scalar data (n, a, b) of one ray together with the exponents."""
-
+class _RayFields(NamedTuple):
     n: float
     a: float
     b: float
     exponents: Exponents
 
-    def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("a", self.a), ("b", self.b)):
-            if not math.isfinite(value):
-                raise ValueError(f"ray data must be finite, got {name}={value!r}")
-        if self.n <= 0.0:
-            raise ValueError(f"ray data needs n > 0 (coercive part), got n={self.n!r}")
+
+class RayData(_RayFields):
+    """Scalar data (n, a, b) of one ray together with the exponents.
+
+    An immutable named tuple, checked on construction: n, a and b finite and
+    n > 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: float, a: float, b: float, exponents: Exponents) -> RayData:
+        isfinite = math.isfinite
+        if not (isfinite(n) and isfinite(a) and isfinite(b)):
+            for name, value in (("n", n), ("a", a), ("b", b)):
+                if not isfinite(value):
+                    raise ValueError(f"ray data must be finite, got {name}={value!r}")
+        if n <= 0.0:
+            raise ValueError(f"ray data needs n > 0 (coercive part), got n={n!r}")
+        return tuple.__new__(cls, (n, a, b, exponents))
+
+    @classmethod
+    def _make(cls, iterable) -> RayData:
+        # _replace builds through _make: check its fields too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FiberingProfile:
-    """Classification of one fiber at one energy level.
+class FiberingProfile(NamedTuple):
+    """Classification of one fiber at one energy level, an immutable named tuple.
 
     t_plus is the local-minimum scaling, t_minus the local-maximum scaling,
     None when absent (fibering_value gives the fibering-map value there).
@@ -138,11 +153,12 @@ def classify_and_solve(ray: RayData, c: float, deg_rtol: float = 1e-14) -> Fiber
         )
     e = ray.exponents
     code, t_plus, t_minus = K.classify(ray.n, ray.b, e.alpha, e.eta, e.beta, c, deg_rtol)
+    case, degenerate = _CASE_FROM_CODE[code]
     return FiberingProfile(
-        case=_CASE_FROM_CODE[code],
-        t_plus=None if math.isnan(t_plus) else float(t_plus),
-        t_minus=None if math.isnan(t_minus) else float(t_minus),
-        degenerate=(code == K.CASE_DEGENERATE),
+        case,
+        None if math.isnan(t_plus) else t_plus,
+        None if math.isnan(t_minus) else t_minus,
+        degenerate,
     )
 
 
@@ -155,14 +171,19 @@ def restricted_lambda(ray: RayData, c: float, t_root: float) -> float:
 
     which is the form whose c-derivative drives curve monotonicity.  The value
     is cross-checked against the direct fibering map; disagreement beyond
-    1e-10 (relative) means t_root is not a critical scaling.
+    1e-10 (relative) means t_root is not a critical scaling.  c must be finite
+    and t_root finite and > 0.
     """
-    e = ray.exponents
-    num = (e.beta - e.eta) / e.eta * ray.n * t_root**e.eta - e.beta * c
-    den = (e.beta - e.alpha) / e.alpha * ray.a * t_root**e.alpha
+    if not (math.isfinite(c) and 0.0 < t_root < math.inf):
+        raise ValueError(
+            f"restricted parameter needs a finite c and a finite t > 0, got c={c!r}, t={t_root!r}"
+        )
+    n, a, b, e = ray
+    num = (e.beta - e.eta) / e.eta * n * t_root**e.eta - e.beta * c
+    den = (e.beta - e.alpha) / e.alpha * a * t_root**e.alpha
     value = num / den
-    direct = fibering_value(ray, c, t_root)
-    if abs(value - direct) > _CHECK_RTOL * (1.0 + abs(direct)):
+    direct = K.fiber_value(n, a, b, e.alpha, e.eta, e.beta, c, t_root)
+    if not abs(value - direct) <= _CHECK_RTOL * (1.0 + abs(direct)):
         raise ValueError(
             f"restricted parameter inconsistent with fibering map at t={t_root!r}: "
             f"{value!r} vs {direct!r}; t is not a critical scaling"

@@ -523,6 +523,9 @@ class TestConfigErrors:
             ("trace", battery_config(c_grid={"values": [-0.5, float("nan")]})),
             ("trace", battery_config(c_grid={"from": float("-inf"), "to": -0.05, "n": 4})),
             ("report", battery_config(limit_schedule=[float("nan"), -0.01, -0.001])),
+            # an integer literal beyond the double range where a float is asked for
+            ("solve", solve_config(c=10**400)),
+            ("report", battery_config(limit_schedule=[-10**400, -0.001])),
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
@@ -532,7 +535,8 @@ class TestConfigErrors:
              "gtol_negative", "gtol_nan", "curve_noise_negative", "ks_above_16",
              "solve_k_above_16", "ks_beyond_basis", "start_support_key", "spacing_key",
              "dimension_3", "eps_reg_key", "weight_overflow", "c_nan", "c_grid_value_nan",
-             "c_grid_from_inf", "limit_schedule_nan"],
+             "c_grid_from_inf", "limit_schedule_nan", "c_int_beyond_double",
+             "limit_schedule_int_beyond_double"],
     )
     def test_config_errors_exit_cleanly(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)

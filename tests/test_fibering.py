@@ -7,6 +7,7 @@ quadratic in t**2, giving closed forms to pin exact values.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.optimize import brentq
 from fibercurve import (
     Case,
     Exponents,
+    FiberingProfile,
     RayData,
     classify_and_solve,
     extremal_pair,
@@ -317,6 +319,81 @@ def test_ray_data_validation():
         RayData(n=0.0, a=1.0, b=1.0, exponents=E_TOY)
     with pytest.raises(ValueError, match="finite"):
         RayData(n=1.0, a=float("nan"), b=1.0, exponents=E_TOY)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"n": math.nan}, "ray data must be finite, got n=nan"),
+        ({"n": math.inf}, "ray data must be finite, got n=inf"),
+        ({"a": math.nan}, "ray data must be finite, got a=nan"),
+        ({"a": -math.inf}, "ray data must be finite, got a=-inf"),
+        ({"b": math.nan}, "ray data must be finite, got b=nan"),
+        ({"b": math.inf}, "ray data must be finite, got b=inf"),
+        # the first bad field is named
+        ({"n": math.inf, "b": math.nan}, "ray data must be finite, got n=inf"),
+        ({"n": 0.0}, "ray data needs n > 0 (coercive part), got n=0.0"),
+        ({"n": -1.0}, "ray data needs n > 0 (coercive part), got n=-1.0"),
+    ],
+    ids=["n_nan", "n_inf", "a_nan", "a_neg_inf", "b_nan", "b_inf", "n_and_b",
+         "n_zero", "n_negative"],
+)
+def test_ray_data_rejects_bad_fields(fields, message):
+    data = {"n": 1.0, "a": 1.0, "b": 1.0, **fields}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RayData(exponents=E_TOY, **data)
+
+
+class TestRecordContract:
+    """RayData and FiberingProfile are immutable named tuples."""
+
+    def test_fields_and_default(self):
+        assert RayData._fields == ("n", "a", "b", "exponents")
+        assert FiberingProfile._fields == ("case", "t_plus", "t_minus", "degenerate")
+        assert FiberingProfile._field_defaults == {"degenerate": False}
+        assert FiberingProfile(Case.NO_CRITICAL, None, None).degenerate is False
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert RayData(2.0, 0.5, -1.0, E_TOY) == RayData(n=2.0, a=0.5, b=-1.0, exponents=E_TOY)
+        assert (FiberingProfile(Case.TWO_ROOTS, 0.1, 0.2, True)
+                == FiberingProfile(case=Case.TWO_ROOTS, t_plus=0.1, t_minus=0.2, degenerate=True))
+        # a named tuple equals the plain tuple of its fields
+        assert TOY == (1.0, 1.0, 1.0, E_TOY)
+        assert type(TOY._replace(b=-1.0)) is RayData
+
+    def test_replace_checks_the_fields(self):
+        with pytest.raises(ValueError, match="must be finite, got b=nan"):
+            TOY._replace(b=math.nan)
+        with pytest.raises(ValueError, match="needs n > 0"):
+            TOY._replace(n=0.0)
+
+    @pytest.mark.parametrize("field", ["n", "a", "b", "exponents"])
+    def test_ray_data_fields_are_read_only(self, field):
+        with pytest.raises(AttributeError):
+            setattr(TOY, field, 2.0)
+
+    @pytest.mark.parametrize("field", ["case", "t_plus", "t_minus", "degenerate"])
+    def test_profile_fields_are_read_only(self, field):
+        prof = classify_and_solve(TOY, -0.01)
+        with pytest.raises(AttributeError):
+            setattr(prof, field, None)
+
+    def test_no_new_attributes(self):
+        with pytest.raises(AttributeError):
+            TOY.extra = 1.0
+        with pytest.raises(AttributeError):
+            classify_and_solve(TOY, -0.01).extra = 1.0
+
+
+@pytest.mark.parametrize(
+    "c,t_root",
+    [(-0.01, math.nan), (-0.01, math.inf), (math.nan, 0.5), (math.inf, 0.5), (-0.01, 0.0)],
+    ids=["t_nan", "t_inf", "c_nan", "c_inf", "t_zero"],
+)
+def test_restricted_lambda_rejects_non_finite_input(c, t_root):
+    ray = RayData(1.0, 1.0, 1.0, E_TOY)
+    with pytest.raises(ValueError, match="needs a finite c and a finite t > 0"):
+        restricted_lambda(ray, c, t_root)
 
 
 def test_classify_rejects_nonpositive_a():

@@ -89,6 +89,42 @@ def test_overflow_raises_overflowerror():
         K.classify(1e-300, 1.0, 1.5, 2.0, 4.0, 1.0)
 
 
+FIBER_ARGS = "n=1.0, a=1.0, b=1.0, alpha=1.5, eta=2.0, beta=4.0, c=-0.5"
+NARROW_ARGS = "n=1.0, b=0.001, alpha=1.5, eta=2.0, beta=2.01"
+
+
+@pytest.mark.parametrize(
+    "kernel,args,kwargs,named",
+    [
+        # t**(beta-alpha) and t**(eta-alpha-1) beyond the double range
+        ("fiber_value", (1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.5, 1e300), {},
+         f"{FIBER_ARGS}, t=1e+300"),
+        ("fiber_d1", (1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.5, 1e300), {},
+         f"{FIBER_ARGS}, t=1e+300"),
+        # t**(-alpha-2) beyond the double range
+        ("fiber_d2", (1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.5, 1e-100), {},
+         f"{FIBER_ARGS}, t=1e-100"),
+        ("g_value", (1.0, 1.0, 1.5, 2.0, 4.0, -0.5, 1e200), {},
+         "n=1.0, b=1.0, alpha=1.5, eta=2.0, beta=4.0, c=-0.5, t=1e+200"),
+        # beta - eta tiny: t_bar and c0 leave the double range
+        ("extremal_pair", (1.0, 1e-3, 1.5, 2.0, 2.01), {}, NARROW_ARGS),
+        ("zero_level_pair", (1.0, 1e-3, 2.0, 2.01), {}, "n=1.0, b=0.001, eta=2.0, beta=2.01"),
+        ("classify", (1.0, 1e-3, 1.5, 2.0, 2.01, -0.5), {}, f"{NARROW_ARGS}, c=-0.5"),
+        ("classify", (1.0, 1e-3, 1.5, 2.0, 2.01, -0.5), {"branch": "plus"},
+         f"{NARROW_ARGS}, c=-0.5"),
+    ],
+    ids=["fiber_value", "fiber_d1", "fiber_d2", "g_value", "extremal_pair",
+         "zero_level_pair", "classify", "classify_plus"],
+)
+def test_overflow_names_kernel_and_arguments(kernel, args, kwargs, named):
+    """Every public kernel names itself and its ray data, exponents, c and t,
+    and chains the float error it caught."""
+    with pytest.raises(OverflowError) as info:
+        getattr(K, kernel)(*args, **kwargs)
+    assert str(info.value) == f"{kernel} overflows the double range at {named}"
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
 def test_classify_roots_satisfy_g():
     """Roots drive g to ~0 relative to its term sizes, in every case."""
     rng = np.random.default_rng(3)
