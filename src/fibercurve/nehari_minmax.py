@@ -3,9 +3,10 @@
 The restricted parameter of a unit vector u at level c and branch +/- is the
 fibering-map value at the corresponding critical scaling (local minimum for
 the plus branch, local maximum for the minus branch).  It is 0-homogeneous in
-u, so optimization runs as descent on the coefficients with a
-renormalization to the problem-norm sphere after every step; the analytic
-gradient is
+u, so optimization runs as descent on the problem-norm sphere: a trial
+point is any representative v of its ray, and one read of N(v), A(v) and
+B(v) gives the unit vector u = v / N(v)**(1/eta) and, through the degrees of
+A and B, the scalars of u, where N = 1.  The analytic gradient is
 
     grad_u = (alpha/a) * (t**(eta-alpha) grad_N/eta - lam grad_A/alpha
              - t**(beta-alpha) grad_B/beta),
@@ -14,8 +15,9 @@ which is automatically tangent at exact roots.  Steps follow the Sobolev
 gradient d = M^{-1} grad_u for the triple's metric M (the p = 2 stiffness of
 the problem norm on model problems, the identity on triples without one),
 with Barzilai-Borwein steps s^T M s / s^T y and a nonmonotone Armijo test on
-the decrease step * grad_u^T d.  In this metric the iteration count does not
-grow with the number of grid nodes.  A descent stops at ||grad_u|| <= gtol,
+the decrease step * grad_u^T d.  The descent carries M u, so it applies M
+once, at its start.  In this metric the iteration count does not grow with
+the number of grid nodes.  A descent stops at ||grad_u|| <= gtol,
 or at the rounding floor, when its recent values no longer move in floating
 point.  Ground levels (k = 1) are exact multistart minima; k >= 2 levels are
 genus-type surrogate bounds from spheres of coefficient combinations over
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +58,27 @@ from .functional_core import (
 
 # objective value at a point, with a callable finishing the gradient there
 Evaluated = tuple[float, Callable[[], Array]]
-Evaluation = Callable[[Array], Evaluated]
+
+
+class SpherePoint(NamedTuple):
+    """A sphere point evaluated from a representative v of its ray.
+
+    u = v / nrm is the unit vector, value the objective at u and gradient a
+    zero-argument callable finishing the objective's gradient at u from what
+    the value already computed.
+    """
+
+    u: Array
+    nrm: float
+    value: float
+    gradient: Callable[[], Array]
+
+
+Evaluation = Callable[[Array], SpherePoint]
+# a start rule: the evaluated point of a usable candidate, None for any other
+StartRule = Callable[[Array], SpherePoint | None]
+# a metric M as (apply, solve), v -> M v and g -> M^{-1} g; None is M = I
+Metric = tuple[Callable[[Array], Array], Callable[[Array], Array]] | None
 
 __all__ = [
     "CriticalPointRecord",
@@ -242,34 +264,59 @@ def _level_internal(
 def _level_gradient(
     e: Exponents, lam: float, t: float, a: float, grad_n: Array, grad_a: Array, grad_b: Array
 ) -> Array:
-    """Gradient of the level from the gradients of N, A and B at a ray's root t."""
-    return (e.alpha / a) * (
-        t ** (e.eta - e.alpha) * grad_n / e.eta
-        - lam * grad_a / e.alpha
-        - t ** (e.beta - e.alpha) * grad_b / e.beta
+    """Gradient of the level from the gradients of N, A and B at a ray's root t,
+
+        (alpha/a) (t**(eta-alpha) grad_n/eta - lam grad_a/alpha - t**(beta-alpha) grad_b/beta),
+
+    with its three coefficients formed before any vector is touched.
+    """
+    scale = e.alpha / a
+    return (
+        (scale * t ** (e.eta - e.alpha) / e.eta) * grad_n
+        - (lam / a) * grad_a
+        - (scale * t ** (e.beta - e.alpha) / e.beta) * grad_b
     )
+
+
+def _unit_vector(v: Array, nrm: float) -> Array:
+    """v / nrm; raises InfeasibleRayError unless nrm is positive and finite."""
+    if not (nrm > 0.0) or not math.isfinite(nrm):
+        raise InfeasibleRayError(f"cannot normalize: norm={nrm!r}")
+    return v / nrm
+
+
+def _unit_scalars(
+    working: FunctionalTriple, v: Array, with_a: bool = True
+) -> tuple[Array, float, float, float]:
+    """(u, nrm, A(u), B(u)) of the unit vector u = v / nrm of a nonzero v.
+
+    N, A and B are read once each, at v.  nrm = N(v)**(1/eta), and A and B
+    are scaled to u by the powers of nrm their degrees give, so N(u) = 1.
+    A is not read, and is nan, when with_a is false.
+    """
+    e = working.exponents
+    nrm = working.norm_of(v)
+    u = _unit_vector(v, nrm)
+    a = float(working.eval_A(v)) / nrm**e.alpha if with_a else math.nan
+    return u, nrm, a, float(working.eval_B(v)) / nrm**e.beta
 
 
 def _level_evaluation(constraint: SphereConstraint, c: float, branch: str) -> Evaluation:
     """The descent's evaluation of the working problem's level at (c, branch).
 
-    The cone test and the level read one set of ray scalars, computed cone
-    first: A, then B on B-positive cones, and N only inside the cone.  A point
-    outside the cone has value +inf.
+    The cone test and the level read one set of scalars of the unit vector
+    (_unit_scalars): A, and B on B-positive cones, decide the cone, and a
+    point outside it has value +inf.  The gradient is read at the unit vector.
     """
     working = constraint.working
     e = working.exponents
     needs_b_pos = constraint.tag.needs_b_pos
 
-    def evaluate(u: Array) -> Evaluated:
-        a = float(working.eval_A(u))
-        b = float(working.eval_B(u)) if needs_b_pos else None
-        if not _inside_cone(a, b):
-            return math.inf, _outside_cone
-        n = float(working.eval_N(u))
-        if b is None:
-            b = float(working.eval_B(u))
-        lam, t = _scalar_level(e, c, branch, n, a, b)
+    def evaluate(v: Array) -> SpherePoint:
+        u, nrm, a, b = _unit_scalars(working, v)
+        if not _inside_cone(a, b if needs_b_pos else None):
+            return SpherePoint(u, nrm, math.inf, _outside_cone)
+        lam, t = _scalar_level(e, c, branch, 1.0, a, b)
 
         def gradient() -> Array:
             return _level_gradient(
@@ -279,7 +326,7 @@ def _level_evaluation(constraint: SphereConstraint, c: float, branch: str) -> Ev
                 np.asarray(working.grad_B(u), dtype=float),
             )
 
-        return lam, gradient
+        return SpherePoint(u, nrm, lam, gradient)
 
     return evaluate
 
@@ -358,13 +405,6 @@ def extract_critical_point(
 # descent machinery
 
 
-def _normalize(working: FunctionalTriple, u: Array) -> Array:
-    nrm = working.norm_of(u)
-    if not (nrm > 0.0) or not math.isfinite(nrm):
-        raise InfeasibleRayError(f"cannot normalize: norm={nrm!r}")
-    return np.asarray(u, dtype=float) / nrm
-
-
 # Armijo slack for rounding noise in the level values, in units in the last place
 _ROUNDING_ULPS = 4
 # accepted values the nonmonotone Armijo reference remembers
@@ -372,31 +412,37 @@ _WINDOW = 10
 
 
 def _sphere_descend(
-    working: FunctionalTriple,
+    metric: Metric,
     evaluate: Evaluation,
-    u0: Array,
+    start: SpherePoint,
     params: OptimizerParams,
     *,
     merge: Callable[[Array, float], bool] | None = None,
 ) -> tuple[Array, float, int, bool, float]:
-    """Preconditioned gradient descent with renormalization after every step.
+    """Preconditioned gradient descent on the sphere, from an evaluated start.
 
-    evaluate(u) returns the objective value at u and a zero-argument callable
-    that finishes the gradient there from what the value already computed
-    (ray scalars, root).  Each point is evaluated once: the gradient is asked
-    for only at the start and at accepted trials, never re-evaluating the
-    value, and rejected trials cost the value alone.  The objective does its
-    own cone test on the scalars its value reads and returns +inf outside the
-    cone; such a trial, like one raising InfeasibleRayError, fails the Armijo
-    test.
+    evaluate(v) takes any representative v of a ray and returns its
+    SpherePoint: the unit vector, the objective value there and a
+    zero-argument callable that finishes the gradient there from what the
+    value already computed (ray scalars, root).  Each point is evaluated
+    once: start is the evaluation that accepted it, a trial u - step d is
+    evaluated as it stands and normalized by the evaluation, the gradient is
+    asked for only at the start and at accepted trials, and rejected trials
+    cost the value alone.  The objective does its own cone test and returns
+    +inf outside the cone; such a trial, like one raising InfeasibleRayError,
+    fails the Armijo test.
 
-    The direction is d = M^{-1} grad for the triple's metric M (the Sobolev
-    gradient; d = grad when the triple has no metric).  Step lengths come from
-    the Barzilai-Borwein quotient s^T M s / s^T y of ambient differences,
+    The direction is d = M^{-1} grad for the metric M (the Sobolev gradient;
+    d = grad when metric is None).  Step lengths come from the
+    Barzilai-Borwein quotient s^T M s / s^T y of ambient differences,
     safeguarded by a nonmonotone Armijo backtracking that asks for a decrease
     of c1 * step * grad^T d below the worst of the last few accepted values;
-    both pieces are deterministic.  The stopping test stays the Euclidean
-    ||grad|| <= gtol.  Returns (u, value, iterations, converged, gradient_norm).
+    both pieces are deterministic.  M is applied once per descent, to the
+    start: the descent carries M u, and an accepted trial (u - step d) / nrm
+    has M u = (M u - step grad) / nrm, since M d = grad.  So s^T M s is
+    s^T (M u - M u_prev).  The stopping test stays the Euclidean
+    ||grad|| <= gtol.  Returns (u, value, iterations, converged,
+    gradient_norm).
 
     The first trial, which has no Barzilai-Borwein quotient yet, is capped at
     step ||d||_M <= 2 ||u||_M.  The gradient is tangent, so d is M-orthogonal
@@ -428,13 +474,14 @@ def _sphere_descend(
     holds, the descent stops there, not converged, with the gradient norm of
     the iterate before (see _multistart).
     """
-    metric, metric_solve = working.metric, working.metric_solve
-    u = _normalize(working, u0)
-    radius = math.sqrt(float(u @ (u if metric is None else metric(u))))  # ||u||_M
-    value, gradient = evaluate(u)
+    apply_m, solve_m = metric or (None, None)
+    u, _, value, gradient = start
+    mu = u if apply_m is None else apply_m(u)  # M u, carried from here on
+    radius = math.sqrt(float(u @ mu))  # ||u||_M
     gnorm = math.inf
     step_next = _STEP_INIT
     prev_u: Array | None = None
+    prev_mu: Array | None = None
     prev_grad: Array | None = None
     recent = [value]
     for it in range(1, params.max_iter + 1):
@@ -447,39 +494,37 @@ def _sphere_descend(
             if top - min(recent) <= _ROUNDING_ULPS * math.ulp(top):
                 # rounding floor: the last accepted values no longer move
                 return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
-        if metric is None:
+        if solve_m is None:
             direction, slope = grad, gnorm * gnorm
         else:
-            direction = metric_solve(grad)
+            direction = solve_m(grad)
             slope = float(grad @ direction)
         if prev_grad is not None:
             s = u - prev_u
             y = grad - prev_grad
             sy = float(s @ y)
             if sy > 0.0 and math.isfinite(sy):
-                step_next = float(s @ (s if metric is None else metric(s))) / sy
+                step_next = float(s @ (mu - prev_mu)) / sy
         step = min(max(step_next, _STEP_MIN), 1e12)
         if prev_grad is None:
             # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope)
             step = min(step, 2.0 * radius / math.sqrt(slope))
         reference = max(recent)
         reference += _ROUNDING_ULPS * math.ulp(reference)
-        accepted = False
         while step >= _STEP_MIN:
             try:
-                trial = _normalize(working, u - step * direction)
-                trial_value, trial_gradient = evaluate(trial)
+                trial = evaluate(u - step * direction)
             except InfeasibleRayError:
-                trial_value = math.inf
-            if trial_value <= reference - _ARMIJO_C1 * step * slope:
-                prev_u, prev_grad = u, grad
-                u, value, gradient = trial, trial_value, trial_gradient
-                accepted = True
+                trial = None
+            if trial is not None and trial.value <= reference - _ARMIJO_C1 * step * slope:
                 break
             step *= _STEP_FACTOR
-        if not accepted:
+        else:
             # line search exhausted: flat valley or cone-boundary pin
             return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
+        prev_u, prev_mu, prev_grad = u, mu, grad
+        u, _, value, gradient = trial
+        mu = (mu - step * grad) / trial.nrm
         if merge is not None and merge(u, value):
             return u, value, it, False, gnorm
         recent.append(value)
@@ -499,33 +544,19 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _start_rule(evaluate: Evaluation) -> Callable[[Array], bool]:
-    """The start rule: u is usable when the descent's own evaluate(u) is
-    finite (it is +inf outside the cone and raises off the branch)."""
+def _start_rule(evaluate: Evaluation) -> StartRule:
+    """The start rule: a candidate is usable when the descent's own
+    evaluate is finite there (it is +inf outside the cone and raises off the
+    branch), and that evaluation is the descent's start."""
 
-    def usable(u: Array) -> bool:
+    def usable(v: Array) -> SpherePoint | None:
         try:
-            value, _ = evaluate(u)
-        except InfeasibleRayError:
-            return False
-        return math.isfinite(value)
-
-    return usable
-
-
-def _first_usable(
-    working: FunctionalTriple, usable: Callable[[Array], bool], candidates
-) -> Array | None:
-    """The unit vector of the first candidate that usable accepts, or None;
-    a candidate that cannot be normalized ends the search."""
-    for candidate in candidates:
-        try:
-            u = _normalize(working, np.asarray(candidate, dtype=float))
+            point = evaluate(v)
         except InfeasibleRayError:
             return None
-        if usable(u):
-            return u
-    return None
+        return point if math.isfinite(point.value) else None
+
+    return usable
 
 
 def _draw_starts(
@@ -533,13 +564,12 @@ def _draw_starts(
     count: int,
     seed,
     purpose: int,
-    usable: Callable[[Array], bool],
-) -> list[Array]:
-    """Deterministic usable start vectors; seeds derive from (seed, purpose, index)."""
-    working = constraint.working
+    usable: StartRule,
+) -> list[SpherePoint]:
+    """Deterministic usable starts, evaluated; seeds derive from (seed, purpose, index)."""
     dim = constraint.triple.dim
     support = constraint.start_support
-    starts: list[Array] = []
+    starts: list[SpherePoint] = []
     for i in range(count):
         rng = np.random.default_rng(_seed_key(seed) + (purpose, i))
         for _ in range(_START_ATTEMPTS):
@@ -547,9 +577,9 @@ def _draw_starts(
             if support is not None and support.any():  # an empty support restricts nothing
                 g = np.where(support, g, 0.0)
             # a one-signed profile is feasible more often than a sign-changing one
-            u = _first_usable(working, usable, (g, np.abs(g))) if np.any(g) else None
-            if u is not None:
-                starts.append(u)
+            start = (usable(g) or usable(np.abs(g))) if np.any(g) else None
+            if start is not None:
+                starts.append(start)
                 break
         else:
             raise InfeasibleLevelError(
@@ -562,7 +592,7 @@ def _draw_starts(
 def _multistart(
     constraint: SphereConstraint,
     evaluate: Evaluation,
-    usable: Callable[[Array], bool],
+    usable: StartRule,
     purpose: int,
     count: int,
     seed,
@@ -575,19 +605,23 @@ def _multistart(
     merges depends only on the starts before it, so more drawn starts can
     only add results.
     """
-    working = constraint.working
-    starts = [u for w in extra_starts if (u := _first_usable(working, usable, (w,))) is not None]
+    starts = [
+        start for w in extra_starts
+        if (start := usable(np.asarray(w, dtype=float))) is not None
+    ]
     starts += _draw_starts(constraint, count, seed, purpose, usable)
-    return _descend_merging(working, evaluate, starts, params)
+    working = constraint.working
+    metric = None if working.metric is None else (working.metric, working.metric_solve)
+    return _descend_merging(metric, evaluate, starts, params)
 
 
 def _descend_merging(
-    working: FunctionalTriple,
+    metric: Metric,
     evaluate: Evaluation,
-    starts: Sequence[Array],
+    starts: Sequence[SpherePoint],
     params: OptimizerParams,
 ) -> tuple[list[tuple[Array, float, int, bool, float]], int]:
-    """Descend from every start in order; a descent into a found basin merges.
+    """Descend from every evaluated start in order; a descent into a found basin merges.
 
     Returns the _sphere_descend result of every descent that did not merge,
     in start order, and the number that merged.  This is the clustering rule
@@ -613,8 +647,8 @@ def _descend_merging(
 
     results = []
     merged = 0
-    for u0 in starts:
-        result = _sphere_descend(working, evaluate, u0, params, merge=merges)
+    for start in starts:
+        result = _sphere_descend(metric, evaluate, start, params, merge=merges)
         u, value, _, converged, _ = result
         if merges(u, value):
             merged += 1
@@ -673,25 +707,21 @@ def minimize_ground_level(
 
 
 def _zero_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
-    """(level, gradient) of the ray's zero level c0, a function of (N, B) alone.
+    """(level, gradient) of the zero level c0 at a unit vector u, a function of (N, B) alone.
 
-    b is B(u), already read by the cone test.  c0 is n**q * b**-r times a
-    constant with q = beta/(beta-eta) and r = eta/(beta-eta).
+    b is B(u) > 0, already read by the cone test, and N(u) = 1.  c0 is
+    n**q * b**-r times a constant with q = beta/(beta-eta) and r =
+    eta/(beta-eta), so its gradient is c0 * (q grad_N(u) - r grad_B(u) / b).
     """
     e = working.exponents
-    n = float(working.eval_N(u))
-    if not (n > 0.0):
-        raise InfeasibleRayError(f"coercive part not positive (N={n!r})")
-    if b <= 0.0:
-        raise InfeasibleRayError(f"threshold objective needs B > 0 (B={b!r})")
-    level = K.zero_level_pair(n, b, e.eta, e.beta)[1]
+    level = K.zero_level_pair(1.0, b, e.eta, e.beta)[1]
 
     def gradient() -> Array:
         q = e.beta / (e.beta - e.eta)
         r = e.eta / (e.beta - e.eta)
-        return level * (
-            q * np.asarray(working.grad_N(u), dtype=float) / n
-            - r * np.asarray(working.grad_B(u), dtype=float) / b
+        return (
+            (level * q) * np.asarray(working.grad_N(u), dtype=float)
+            - (level * r / b) * np.asarray(working.grad_B(u), dtype=float)
         )
 
     return level, gradient
@@ -723,24 +753,30 @@ def _minimize_ray_objective(
 
     The cone is the B-positive cone of constraint's tag (A > 0 and B > 0 of
     the working problem), or B > 0 alone when with_a is false; then starts
-    must also pass constraint.feasible, so they still lie inside A > 0.  The
-    cone test reads A and B, and the objective reuses that B.
+    must also pass constraint.feasible at their unit vector, so they still
+    lie inside A > 0.  The cone test reads the scalars of the unit vector
+    (_unit_scalars, A only when with_a), and objective(working, u, b) gets
+    the unit vector u and its B.
     """
     if with_a:
         constraint = replace(constraint, tag=constraint.tag.b_positive)
     working = constraint.working
 
-    def evaluate(u: Array) -> Evaluated:
-        b = float(working.eval_B(u))
-        inside = _inside_cone(float(working.eval_A(u)), b) if with_a else _inside_cone(b)
-        if not inside:
-            return math.inf, _outside_cone
-        return objective(working, u, b)
+    def evaluate(v: Array) -> SpherePoint:
+        u, nrm, a, b = _unit_scalars(working, v, with_a)
+        if not (_inside_cone(a, b) if with_a else _inside_cone(b)):
+            return SpherePoint(u, nrm, math.inf, _outside_cone)
+        return SpherePoint(u, nrm, *objective(working, u, b))
 
     rule = _start_rule(evaluate)
-    usable = rule if with_a else (lambda u: constraint.feasible(u) and rule(u))
+
+    def inside_a(v: Array) -> SpherePoint | None:
+        start = rule(v)
+        return start if start is not None and constraint.feasible(start.u) else None
+
     results, _ = _multistart(
-        constraint, evaluate, usable, purpose, multistart, seed, params or OptimizerParams()
+        constraint, evaluate, rule if with_a else inside_a, purpose, multistart, seed,
+        params or OptimizerParams(),
     )
     minima = [(value, _sign_aligned(u)) for u, value, _, _, _ in results]
     return sorted(minima, key=lambda vu: vu[0])
@@ -1064,27 +1100,19 @@ def surrogate_level(
     # (an axis instead of the peak the start sat below).
     scale = abs(best_value) or 1.0
 
-    euclid = FunctionalTriple(
-        exponents=e,
-        dim=k,
-        eval_N=lambda s: float(np.dot(s, s)) ** (e.eta / 2.0),
-        eval_A=lambda s: 1.0,
-        eval_B=lambda s: 1.0,
-        grad_N=lambda s: e.eta * float(np.dot(s, s)) ** (e.eta / 2.0 - 1.0) * s,
-        grad_A=lambda s: np.zeros_like(s),
-        grad_B=lambda s: np.zeros_like(s),
-        metric=lambda v: scale * v,
-        metric_solve=lambda g: g / scale,
-    )
-
-    def neg_evaluate(s: Array) -> Evaluated:
+    def ascent_point(v: Array) -> SpherePoint:
+        nrm = math.sqrt(float(v @ v))
+        s = _unit_vector(v, nrm)
         try:
             lam, gradient = level(s)
         except InfeasibleRayError as exc:
             raise invalid(s, "point", exc) from None
-        return -lam, lambda: -gradient()
+        return SpherePoint(s, nrm, -lam, lambda: -gradient())
 
-    results, _ = _descend_merging(euclid, neg_evaluate, polish_starts, ascent)
+    metric = (lambda v: scale * v, lambda g: g / scale)
+    results, _ = _descend_merging(
+        metric, ascent_point, [ascent_point(s) for s in polish_starts], ascent
+    )
     for s, neg_val, _, _, _ in results:
         if -neg_val > best_value:
             best_value = -neg_val

@@ -199,7 +199,7 @@ def test_one_cone_rule(tag, a, inside):
     assert member is inside
     constraint = SphereConstraint(tri, tag=tag)
     assert constraint.feasible(u) is inside
-    value, _ = nm._level_evaluation(constraint, -0.01, "plus")(u)
+    value = nm._level_evaluation(constraint, -0.01, "plus")(u).value
     assert math.isfinite(value) is inside
 
 

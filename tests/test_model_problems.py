@@ -381,7 +381,8 @@ def _reference_kernels(problem):
         return float(np.sum(w * np.abs(u) ** e) * vol)
 
     def power_grad(w, e, u):
-        return w * e * np.abs(u) ** (e - 1.0) * np.sign(u) * vol
+        # the kernel forms its weights w * (e * vol) once per term
+        return w * (e * vol) * (np.abs(u) ** (e - 1.0) * np.sign(u))
 
     def gradient_part(full, p):
         """Value and full-node gradient of the sum of |grad_h u|^p over cells."""

@@ -18,6 +18,7 @@ from fibercurve.model_problems import (
     build_triple,
     cone_node_mask,
     dirichlet_problem_1d,
+    dirichlet_problem_2d,
 )
 from fibercurve.nehari_minmax import (
     GenusSurrogate,
@@ -470,8 +471,8 @@ class TestThresholds:
 
 
 def recording_triple(tri):
-    """tri with eval_A and eval_B counting their calls per argument vector."""
-    seen = {"eval_A": Counter(), "eval_B": Counter()}
+    """tri with eval_N, eval_A and eval_B counting their calls per argument vector."""
+    seen = {"eval_N": Counter(), "eval_A": Counter(), "eval_B": Counter()}
 
     def recording(name):
         fn = getattr(tri, name)
@@ -482,7 +483,7 @@ def recording_triple(tri):
 
         return wrapped
 
-    recorded = dataclasses.replace(tri, eval_A=recording("eval_A"), eval_B=recording("eval_B"))
+    recorded = dataclasses.replace(tri, **{name: recording(name) for name in seen})
     return recorded, seen
 
 
@@ -492,14 +493,14 @@ def recording_descents(monkeypatch) -> list:
     descents = []
     descend = nm._sphere_descend
 
-    def recording(working, evaluate, u0, params, *, merge=None):
+    def recording(metric, evaluate, start, params, *, merge=None):
         merged = [False]
 
         def watching(u, value):
             merged.append(merge(u, value))
             return merged[-1]
 
-        out = descend(working, evaluate, u0, params, merge=None if merge is None else watching)
+        out = descend(metric, evaluate, start, params, merge=None if merge is None else watching)
         descents.append((merge, params, out, merged[-1]))
         return out
 
@@ -508,7 +509,9 @@ def recording_descents(monkeypatch) -> list:
 
 
 class TestOneScalarSetPerTrial:
-    """A line-search trial's cone test and its level read the same A and B."""
+    """A start or a line-search trial reads N, A and B once each: its cone
+    test and its level read one scalar set, and the descent reuses the
+    evaluation that accepted its start."""
 
     def test_no_trial_reaches_a_or_b_twice(self, monkeypatch):
         tri = build_triple(dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2"))
@@ -517,26 +520,155 @@ class TestOneScalarSetPerTrial:
         )
         recorded, seen = recording_triple(tri)
         con = SphereConstraint(triple=recorded, tag=ConeTag.A_POS_B_POS)
-        # a descent evaluates its start again (start drawing evaluated it
-        # first), and its result is evaluated again (certification)
+        # a descent's result is evaluated again, and certification reads its
+        # scaled vector t u more than once (the energy and u_norm read N)
         excluded = set()
-        descend = nm._sphere_descend
+        descend, extract = nm._sphere_descend, nm.extract_critical_point
 
         def descending(*args, **kwargs):
-            excluded.add(args[2].tobytes())
             out = descend(*args, **kwargs)
             excluded.add(out[0].tobytes())
             return out
 
+        def certifying(*args, **kwargs):
+            record = extract(*args, **kwargs)
+            excluded.add(record.coefficients.tobytes())
+            return record
+
         monkeypatch.setattr(nm, "_sphere_descend", descending)
-        # enough starts that A and B each see more than 100 trials
+        monkeypatch.setattr(nm, "extract_critical_point", certifying)
+        # enough starts that N, A and B each see more than 100 starts and trials
         minimize_ground_level(con, 0.5 * c_ss, "minus", multistart=8, seed=0)
         compute_c_star(con, multistart=8, seed=0)
+        assert excluded
         for name, counts in seen.items():
             trials = [n for u, n in counts.items() if u not in excluded]
             assert len(trials) > 100
             repeated = sum(n > 1 for n in trials)
-            assert repeated == 0, f"{repeated} of {len(trials)} trials reach {name} twice"
+            assert repeated == 0, f"{repeated} of {len(trials)} points reach {name} twice"
+
+
+def counting_triple(tri):
+    """tri with its six functional callables counting their calls in one Counter."""
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(tri, name)
+
+        def wrapped(u):
+            calls[name] += 1
+            return fn(u)
+
+        return wrapped
+
+    names = ("eval_N", "eval_A", "eval_B", "grad_N", "grad_A", "grad_B")
+    return dataclasses.replace(tri, **{name: counting(name) for name in names}), calls
+
+
+def records_equal(a, b) -> bool:
+    """Bit-identical records: every field equal, arrays byte for byte."""
+    return all(
+        x.tobytes() == y.tobytes() if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b))
+    )
+
+
+class TestNoStateOutlivesACall:
+    """A solve repeated on one constraint or surrogate does the same work and
+    returns the same bits: nothing one call evaluates is kept for the next."""
+
+    def test_repeated_solves_repeat_their_work(self, pos_problem):
+        counted, calls = counting_triple(build_triple(pos_problem))
+        ground = SphereConstraint(counted, tag=ConeTag.A_POS, start_support=cone_node_mask(
+            pos_problem, ConeTag.A_POS))
+        both = SphereConstraint(counted, tag=ConeTag.A_POS_B_POS)
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 2)
+        surrogate = GenusSurrogate(both, basis, n_samples=16)
+        solves = {
+            "ground": lambda: minimize_ground_level(ground, -0.05, "plus", multistart=4, seed=0),
+            "c_star_star": lambda: compute_c_star_star(both, multistart=4, seed=0),
+            "surrogate": lambda: surrogate_level(surrogate, 50.0, "minus"),
+        }
+        for name, solve in solves.items():
+            runs = []
+            for _ in range(2):
+                calls.clear()
+                runs.append((solve(), Counter(calls)))
+            (first, first_calls), (second, second_calls) = runs
+            assert first_calls == second_calls and sum(first_calls.values()) > 0, name
+            if name == "ground":
+                assert first[0] == second[0] and records_equal(first[1], second[1])
+            elif name == "c_star_star":
+                assert first[0] == second[0] and len(first[1]) == len(second[1]) > 0
+                assert all(u.tobytes() == v.tobytes() for u, v in zip(first[1], second[1]))
+            else:
+                assert records_equal(first.record, second.record)
+                assert first.xi.tobytes() == second.xi.tobytes()
+
+
+class TrackedMs(np.ndarray):
+    """M u as the metric returned it, and everything the descent derives from
+    it; each vector s that a descent multiplies from the left, with the
+    vector it multiplies, is logged."""
+
+    log: list = []
+
+    def __rmatmul__(self, other):
+        TrackedMs.log.append((np.array(other, dtype=float), self.view(np.ndarray).copy()))
+        return other @ self.view(np.ndarray)
+
+
+class TestMetricOncePerDescent:
+    """A descent applies M once, to its start, and carries M u: an accepted
+    trial (u - step d) / nrm has M u = (M u - step grad) / nrm.  The
+    Barzilai-Borwein numerator s^T M s is then s^T (M u - M u_prev)."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            dirichlet_problem_1d(255, "1+x", "cos(2*pi*x)+0.2"),
+            dirichlet_problem_2d((32, 32), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)"),
+        ],
+        ids=["d1_n255", "d2_32x32"],
+    )
+    def test_carried_numerator_matches_the_metric(self, monkeypatch, problem):
+        tri = build_triple(problem)
+        applied = []
+
+        def metric(v):
+            applied.append(v)
+            return tri.metric(v).view(TrackedMs)
+
+        norms = []  # Euclidean norms of every evaluated unit vector
+        level_evaluation = nm._level_evaluation
+
+        def recording(*args):
+            evaluate = level_evaluation(*args)
+
+            def evaluating(v):
+                point = evaluate(v)
+                norms.append(float(np.linalg.norm(point.u)))
+                return point
+
+            return evaluating
+
+        monkeypatch.setattr(nm, "_level_evaluation", recording)
+        monkeypatch.setattr(TrackedMs, "log", [])
+        con = SphereConstraint(dataclasses.replace(tri, metric=metric), tag=ConeTag.A_POS)
+        _, rec = minimize_ground_level(con, -0.01, "plus", multistart=2, seed=0)
+        assert rec.converged
+        assert len(applied) == rec.starts == 2
+        # the start radius u^T M u, then one numerator per Barzilai-Borwein step
+        products = TrackedMs.log
+        assert len(products) >= 2 + 10
+        eps = np.finfo(float).eps
+        for s, m_s in products:
+            exact = tri.metric(s)
+            carried = float(s @ m_s)
+            # s is a difference of unit vectors, each rounded to about eps |u|
+            # per entry, and s^T M s is only defined to that rounding of s
+            floor = 4.0 * eps * max(norms) * float(np.linalg.norm(exact))
+            assert abs(carried - float(s @ exact)) <= 1e-10 * float(s @ exact) + floor
 
 
 class TestFirstTrial:
@@ -546,28 +678,24 @@ class TestFirstTrial:
         # step is capped at step ||d||_M <= 2 ||u||_M.  Descents on the report
         # benchmark's instance: ground levels and surrogate polishes along
         # two short curves per branch, and the zero-level multistart.
-        first = []  # (working, u, u - step d) of every descent that tried a step
-        current = []
-        descend, normalize = nm._sphere_descend, nm._normalize
+        first = []  # (metric, u, u - step d) of every descent that tried a step
+        descend = nm._sphere_descend
 
-        def descending(working, evaluate, u0, params, *, merge=None):
-            current[:] = [working]
+        def descending(metric, evaluate, start, params, *, merge=None):
+            trials = []
+
+            def evaluating(v):
+                trials.append(np.array(v, dtype=float))
+                return evaluate(v)
+
             try:
-                return descend(working, evaluate, u0, params, merge=merge)
+                return descend(metric, evaluating, start, params, merge=merge)
             finally:
-                if len(current) == 3:
-                    first.append(tuple(current))
-                current.clear()
-
-        def normalizing(working, v):
-            u = normalize(working, v)
-            if 0 < len(current) < 3:
-                # the start, normalized, then the first trial before normalizing
-                current.append(u if len(current) == 1 else np.asarray(v, dtype=float))
-            return u
+                if trials:
+                    # the start's unit vector and the first trial before normalizing
+                    first.append((metric, start.u, trials[0]))
 
         monkeypatch.setattr(nm, "_sphere_descend", descending)
-        monkeypatch.setattr(nm, "_normalize", normalizing)
         basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
         tri = build_triple(pos_problem)
         for branch, grid in (("plus", [-4.32, -0.79]), ("minus", [-0.79, 141.4])):
@@ -577,13 +705,13 @@ class TestFirstTrial:
                          warm_multistart=4, n_samples=16, seed=0)
         compute_c_star_star(SphereConstraint(tri, tag=ConeTag.A_POS_B_POS), multistart=8)
         assert len(first) >= 50
-        assert any(working.dim == 3 for working, _, _ in first)
+        assert any(u.size == 3 for _, u, _ in first)
 
-        def m_norm(working, x):
-            return math.sqrt(float(x @ (x if working.metric is None else working.metric(x))))
+        def m_norm(metric, x):
+            return math.sqrt(float(x @ (x if metric is None else metric[0](x))))
 
-        for working, u, v in first:
-            assert m_norm(working, u - v) <= 2.0 * m_norm(working, u) * (1.0 + 1e-12)
+        for metric, u, v in first:
+            assert m_norm(metric, u - v) <= 2.0 * m_norm(metric, u) * (1.0 + 1e-12)
 
 
 class TestStartRule:
@@ -624,9 +752,9 @@ class TestStartRule:
         starts = []
         descend = nm._sphere_descend
 
-        def recording(working, evaluate, u0, params, *, merge=None):
-            starts.append(u0)
-            return descend(working, evaluate, u0, params, merge=merge)
+        def recording(metric, evaluate, start, params, *, merge=None):
+            starts.append(start.u)
+            return descend(metric, evaluate, start, params, merge=merge)
 
         monkeypatch.setattr(nm, "_sphere_descend", recording)
         minimize_c0(SphereConstraint(tri), multistart=8, seed=0)
@@ -639,11 +767,12 @@ class TestStartRule:
         # node mask, which restricts nothing
         free = SphereConstraint(pos_triple, tag=ConeTag.A_POS_B_POS)
         empty = dataclasses.replace(free, start_support=np.zeros(pos_triple.dim, dtype=bool))
+        usable = nm._start_rule(nm._level_evaluation(free, -0.01, "minus"))
         free_starts, empty_starts = (
-            nm._draw_starts(con, 8, 0, nm._PURPOSE["minus"], free.feasible)
+            nm._draw_starts(con, 8, 0, nm._PURPOSE["minus"], usable)
             for con in (free, empty)
         )
-        assert [u.tobytes() for u in empty_starts] == [u.tobytes() for u in free_starts]
+        assert [p.u.tobytes() for p in empty_starts] == [p.u.tobytes() for p in free_starts]
 
 
 def two_basin_triple(w_low=2.0):
@@ -742,8 +871,8 @@ class TestMultistartMerge:
         # w_low = 1; each start converges at once and neither merges
         con = SphereConstraint(two_basin_triple(w_low), tag=ConeTag.A_POS)
         evaluate = nm._level_evaluation(con, self.C, "plus")
-        axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        results, merged = nm._descend_merging(con.working, evaluate, axes, OptimizerParams())
+        axes = [evaluate(np.array([1.0, 0.0])), evaluate(np.array([0.0, 1.0]))]
+        results, merged = nm._descend_merging(None, evaluate, axes, OptimizerParams())
         assert merged == 0
         assert [tuple(u) for u, _, _, converged, _ in results if converged] == [(1, 0), (0, 1)]
         assert results[1][1] == pytest.approx(results[0][1] / w_low, rel=1e-12)
@@ -762,15 +891,15 @@ class TestMultistartMerge:
         merged = []
         descend = nm._sphere_descend
 
-        def recording(working, evaluate, u0, params, *, merge=None):
+        def recording(metric, evaluate, start, params, *, merge=None):
             def watching(u, value):
                 if merge(u, value):
-                    merged.append((list(found[merge]), working, evaluate, u, value))
+                    merged.append((list(found[merge]), metric, evaluate, u, value))
                     return True
                 return False
 
             found.setdefault(merge, [])
-            out = descend(working, evaluate, u0, params, merge=watching)
+            out = descend(metric, evaluate, start, params, merge=watching)
             if out[3]:
                 found[merge].append((out[1], out[0]))
             return out
@@ -782,14 +911,16 @@ class TestMultistartMerge:
         def distance(u, m):
             return float(np.max(np.abs(nm._sign_aligned(u) - nm._sign_aligned(m))))
 
-        for minima, working, evaluate, u, value in merged:
+        for minima, metric, evaluate, u, value in merged:
             into = [
                 (distance(u, m), v, m) for v, m in minima
                 if value > v and distance(u, m) <= nm._MERGE_RTOL * float(np.max(np.abs(m)))
             ]
             assert into
             _, v, m = min(into, key=lambda dvm: dvm[0])
-            end, end_value, _, converged, _ = descend(working, evaluate, u, OptimizerParams())
+            end, end_value, _, converged, _ = descend(
+                metric, evaluate, evaluate(u), OptimizerParams()
+            )
             assert converged
             assert distance(end, m) <= 1e-3
             assert end_value >= v - 1e-6 * (1.0 + abs(v))
@@ -857,12 +988,14 @@ class TestSurrogates:
             u = basis.T @ (np.sign(s) * np.abs(s) ** power)
             try:
                 lam, gradient = evaluate(s)
-                ref, ref_gradient = nm._level_evaluation(con, c, branch)(u)
+                ref = nm._level_evaluation(con, c, branch)(u)
             except InfeasibleRayError:
                 continue
             assert lam == pytest.approx(lambda_tilde(con, c, u, branch)[0], rel=1e-12)
-            assert lam == pytest.approx(ref, rel=1e-12)
-            expected = power * np.abs(s) ** (power - 1.0) * (basis @ ref_gradient())
+            assert lam == pytest.approx(ref.value, rel=1e-12)
+            # the evaluation's gradient is at the unit vector u / ref.nrm, and
+            # the level is 0-homogeneous: its gradient at u is that / ref.nrm
+            expected = power * np.abs(s) ** (power - 1.0) * (basis @ ref.gradient()) / ref.nrm
             assert np.linalg.norm(gradient() - expected) <= 1e-9 * np.linalg.norm(expected)
             checked += 1
             if checked == 20:
