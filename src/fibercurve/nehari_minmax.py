@@ -6,12 +6,18 @@ the plus branch, local maximum for the minus branch).  It is 0-homogeneous in
 u, so optimization runs as descent on the problem-norm sphere: a trial
 point is any representative v of its ray, and one read of N(v), A(v) and
 B(v) gives the unit vector u = v / N(v)**(1/eta) and, through the degrees of
-A and B, the scalars of u, where N = 1.  The analytic gradient is
+A and B, the scalars of u, where N = 1.  Every descent objective (the level,
+the zero level c0, the surrogate level in coefficient space) is a function
+of the ray scalars (n, a, b) that gives its value and its partials
+(f_n, f_a, f_b); the level takes its partials from the fibering map at its
+root by the envelope theorem.  One sphere evaluation turns any objective into
+the gradient f_n grad_N + f_a grad_A + f_b grad_B, for the level
 
     grad_u = (alpha/a) * (t**(eta-alpha) grad_N/eta - lam grad_A/alpha
              - t**(beta-alpha) grad_B/beta),
 
-which is automatically tangent at exact roots.  Steps follow the Sobolev
+which is automatically tangent at exact roots, and one multistart minimizes
+it for ground levels and both thresholds.  Steps follow the Sobolev
 gradient d = M^{-1} grad_u for the triple's metric M (the p = 2 stiffness of
 the problem norm on model problems, the identity on triples without one),
 with Barzilai-Borwein steps s^T M s / s^T y and a nonmonotone Armijo test on
@@ -56,8 +62,10 @@ from .functional_core import (
     Array, ConeTag, Exponents, FunctionalTriple, _inside_cone, cone_membership, phi, phi_grad,
 )
 
-# objective value at a point, with a callable finishing the gradient there
-Evaluated = tuple[float, Callable[[], Array]]
+# a descent objective: objective(n, a, b) gives its value at the ray scalars
+# (n, a, b) and a callable giving its partials (f_n, f_a, f_b) there
+Partials = tuple[float, float, float]
+Objective = Callable[[float, float, float], tuple[float, Callable[[], Partials]]]
 
 
 class SpherePoint(NamedTuple):
@@ -126,6 +134,7 @@ class OptimizerParams:
 
 
 # line search: Armijo factor, first step, backtracking factor, smallest step
+# in units of ||u||_M / ||d||_M (scale-free, like the first-trial cap)
 _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
 _STEP_FACTOR = 0.5
@@ -261,21 +270,36 @@ def _level_internal(
     return lam, t, a
 
 
-def _level_gradient(
-    e: Exponents, lam: float, t: float, a: float, grad_n: Array, grad_a: Array, grad_b: Array
-) -> Array:
-    """Gradient of the level from the gradients of N, A and B at a ray's root t,
+def _level_objective(e: Exponents, c: float, branch: str) -> Objective:
+    """The level at (c, branch) as an objective of the ray scalars (n, a, b).
 
-        (alpha/a) (t**(eta-alpha) grad_n/eta - lam grad_a/alpha - t**(beta-alpha) grad_b/beta),
+    The fibering map is stationary in t at the root t, so by the envelope
+    theorem the partials are those of phi(lam, t; n, a, b) = c at fixed t:
 
-    with its three coefficients formed before any vector is touched.
+        (alpha/a) t**(eta-alpha)/eta,  -lam/a,  -(alpha/a) t**(beta-alpha)/beta.
     """
-    scale = e.alpha / a
-    return (
-        (scale * t ** (e.eta - e.alpha) / e.eta) * grad_n
-        - (lam / a) * grad_a
-        - (scale * t ** (e.beta - e.alpha) / e.beta) * grad_b
-    )
+
+    def objective(n: float, a: float, b: float) -> tuple[float, Callable[[], Partials]]:
+        lam, t = _scalar_level(e, c, branch, n, a, b)
+
+        def partials() -> Partials:
+            scale = e.alpha / a
+            f_n = scale * t ** (e.eta - e.alpha) / e.eta
+            return f_n, -lam / a, -(scale * t ** (e.beta - e.alpha) / e.beta)
+
+        return lam, partials
+
+    return objective
+
+
+def _chain_rule(partials: Partials, gradient_of: Callable[[int], Array]) -> Array:
+    """f_n grad_N + f_a grad_A + f_b grad_B for partials (f_n, f_a, f_b).
+
+    gradient_of(i) gives the gradient of the i-th ray scalar (N, A, B) and
+    is not asked where the partial is 0.
+    """
+    first, *rest = [f * gradient_of(i) for i, f in enumerate(partials) if f != 0.0]
+    return sum(rest, first)
 
 
 def _unit_vector(v: Array, nrm: float) -> Array:
@@ -301,32 +325,33 @@ def _unit_scalars(
     return u, nrm, a, float(working.eval_B(v)) / nrm**e.beta
 
 
-def _level_evaluation(constraint: SphereConstraint, c: float, branch: str) -> Evaluation:
-    """The descent's evaluation of the working problem's level at (c, branch).
+def _sphere_evaluation(
+    constraint: SphereConstraint, objective: Objective, with_a: bool = True
+) -> Evaluation:
+    """The descent's evaluation of an objective on the working problem's sphere.
 
-    The cone test and the level read one set of scalars of the unit vector
-    (_unit_scalars): A, and B on B-positive cones, decide the cone, and a
-    point outside it has value +inf.  The gradient is read at the unit vector.
+    The cone test and the objective read one set of scalars of the unit
+    vector u (_unit_scalars), where N = 1: A, and B on B-positive cones,
+    decide the cone, or B alone when with_a is false, and then A is not
+    read.  A point outside the cone has value +inf.  The gradient at u is the
+    chain rule of the objective's partials (_chain_rule), with the gradients
+    of N, A and B read at u.
     """
     working = constraint.working
-    e = working.exponents
     needs_b_pos = constraint.tag.needs_b_pos
+    grads = (working.grad_N, working.grad_A, working.grad_B)
 
     def evaluate(v: Array) -> SpherePoint:
-        u, nrm, a, b = _unit_scalars(working, v)
-        if not _inside_cone(a, b if needs_b_pos else None):
+        u, nrm, a, b = _unit_scalars(working, v, with_a)
+        inside = _inside_cone(a, b if needs_b_pos else None) if with_a else _inside_cone(b)
+        if not inside:
             return SpherePoint(u, nrm, math.inf, _outside_cone)
-        lam, t = _scalar_level(e, c, branch, 1.0, a, b)
+        value, partials = objective(1.0, a, b)
 
         def gradient() -> Array:
-            return _level_gradient(
-                e, lam, t, a,
-                np.asarray(working.grad_N(u), dtype=float),
-                np.asarray(working.grad_A(u), dtype=float),
-                np.asarray(working.grad_B(u), dtype=float),
-            )
+            return _chain_rule(partials(), lambda i: np.asarray(grads[i](u), dtype=float))
 
-        return SpherePoint(u, nrm, lam, gradient)
+        return SpherePoint(u, nrm, value, gradient)
 
     return evaluate
 
@@ -499,19 +524,21 @@ def _sphere_descend(
         else:
             direction = solve_m(grad)
             slope = float(grad @ direction)
+        # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope), and a step below
+        # step_min turns u by less than _STEP_MIN radians on the sphere
+        step_min = _STEP_MIN * radius / math.sqrt(slope)
         if prev_grad is not None:
             s = u - prev_u
             y = grad - prev_grad
             sy = float(s @ y)
             if sy > 0.0 and math.isfinite(sy):
                 step_next = float(s @ (mu - prev_mu)) / sy
-        step = min(max(step_next, _STEP_MIN), 1e12)
+        step = min(max(step_next, step_min), 1e12)
         if prev_grad is None:
-            # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope)
             step = min(step, 2.0 * radius / math.sqrt(slope))
         reference = max(recent)
         reference += _ROUNDING_ULPS * math.ulp(reference)
-        while step >= _STEP_MIN:
+        while step >= step_min:
             try:
                 trial = evaluate(u - step * direction)
             except InfeasibleRayError:
@@ -544,17 +571,22 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _start_rule(evaluate: Evaluation) -> StartRule:
+def _start_rule(
+    evaluate: Evaluation, feasible: Callable[[Array], bool] | None = None
+) -> StartRule:
     """The start rule: a candidate is usable when the descent's own
     evaluate is finite there (it is +inf outside the cone and raises off the
-    branch), and that evaluation is the descent's start."""
+    branch) and feasible, when given, holds at its unit vector; that
+    evaluation is the descent's start."""
 
     def usable(v: Array) -> SpherePoint | None:
         try:
             point = evaluate(v)
         except InfeasibleRayError:
             return None
-        return point if math.isfinite(point.value) else None
+        if math.isfinite(point.value) and (feasible is None or feasible(point.u)):
+            return point
+        return None
 
     return usable
 
@@ -592,19 +624,22 @@ def _draw_starts(
 def _multistart(
     constraint: SphereConstraint,
     evaluate: Evaluation,
-    usable: StartRule,
     purpose: int,
     count: int,
     seed,
-    params: OptimizerParams,
+    params: OptimizerParams | None,
     extra_starts: Sequence[Array] = (),
+    feasible: Callable[[Array], bool] | None = None,
 ) -> tuple[list[tuple[Array, float, int, bool, float]], int]:
-    """Descend from the usable extra_starts, then from count drawn starts.
+    """The one multistart minimizer of ground levels and thresholds.
 
-    Returns _descend_merging's results and merge count.  Whether a descent
-    merges depends only on the starts before it, so more drawn starts can
-    only add results.
+    Descends from the usable extra_starts, then from count drawn starts
+    (_start_rule(evaluate, feasible)), in one _descend_merging.  Returns the
+    descents that did not merge, sorted by value (ties in start order), and
+    the merge count.  Whether a descent merges depends only on the starts
+    before it, so more drawn starts can only add results.
     """
+    usable = _start_rule(evaluate, feasible)
     starts = [
         start for w in extra_starts
         if (start := usable(np.asarray(w, dtype=float))) is not None
@@ -612,7 +647,8 @@ def _multistart(
     starts += _draw_starts(constraint, count, seed, purpose, usable)
     working = constraint.working
     metric = None if working.metric is None else (working.metric, working.metric_solve)
-    return _descend_merging(metric, evaluate, starts, params)
+    results, merged = _descend_merging(metric, evaluate, starts, params or OptimizerParams())
+    return sorted(results, key=lambda r: r[1]), merged
 
 
 def _descend_merging(
@@ -686,16 +722,17 @@ def minimize_ground_level(
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    evaluate = _level_evaluation(constraint, c, branch)
+    evaluate = _sphere_evaluation(
+        constraint, _level_objective(constraint.working.exponents, c, branch)
+    )
     results, merged = _multistart(
-        constraint, evaluate, _start_rule(evaluate), _PURPOSE[branch], multistart, seed,
-        params or OptimizerParams(), extra_starts,
+        constraint, evaluate, _PURPOSE[branch], multistart, seed, params, extra_starts
     )
     if not results:
         raise InfeasibleLevelError(
             f"no feasible start for branch {branch!r} at c={c!r}"
         )
-    u, _, iters, ok, _ = min(results, key=lambda r: r[1])
+    u, _, iters, ok, _ = results[0]
     record = extract_critical_point(
         constraint, c, branch, u, k=1, iterations=iters, converged=ok
     )
@@ -706,25 +743,21 @@ def minimize_ground_level(
 # thresholds: ray functions of (N, B) only
 
 
-def _zero_level(working: FunctionalTriple, u: Array, b: float) -> Evaluated:
-    """(level, gradient) of the zero level c0 at a unit vector u, a function of (N, B) alone.
+def _zero_level(e: Exponents) -> Objective:
+    """The zero level c0 as an objective of the ray scalars, a function of (n, b) alone.
 
-    b is B(u) > 0, already read by the cone test, and N(u) = 1.  c0 is
-    n**q * b**-r times a constant with q = beta/(beta-eta) and r =
-    eta/(beta-eta), so its gradient is c0 * (q grad_N(u) - r grad_B(u) / b).
+    c0 is n**q * b**-r times a constant with q = beta/(beta-eta) and
+    r = eta/(beta-eta), so its partials are (q c0/n, 0, -r c0/b).  b > 0 is
+    left to the cone test.
     """
-    e = working.exponents
-    level = K.zero_level_pair(1.0, b, e.eta, e.beta)[1]
+    q = e.beta / (e.beta - e.eta)
+    r = e.eta / (e.beta - e.eta)
 
-    def gradient() -> Array:
-        q = e.beta / (e.beta - e.eta)
-        r = e.eta / (e.beta - e.eta)
-        return (
-            (level * q) * np.asarray(working.grad_N(u), dtype=float)
-            - (level * r / b) * np.asarray(working.grad_B(u), dtype=float)
-        )
+    def objective(n: float, a: float, b: float) -> tuple[float, Callable[[], Partials]]:
+        c0 = K.zero_level_pair(n, b, e.eta, e.beta)[1]
+        return c0, lambda: (q * c0 / n, 0.0, -(r * c0 / b))
 
-    return level, gradient
+    return objective
 
 
 # threshold minima within this relative level of the best are near-best
@@ -737,55 +770,12 @@ def _sign_aligned(u: Array) -> Array:
     return -u if u[int(np.argmax(np.abs(u)))] < 0.0 else u
 
 
-def _minimize_ray_objective(
-    constraint: SphereConstraint,
-    objective: Callable[[FunctionalTriple, Array, float], Evaluated],
-    purpose: int,
-    multistart: int,
-    seed: int,
-    params: OptimizerParams | None,
-    with_a: bool = True,
-) -> list[tuple[float, Array]]:
-    """Multistart minima of a threshold objective over its cone.
-
-    Returns (value, sign-aligned minimizer) of every descent that did not
-    merge (_descend_merging), sorted by value.
-
-    The cone is the B-positive cone of constraint's tag (A > 0 and B > 0 of
-    the working problem), or B > 0 alone when with_a is false; then starts
-    must also pass constraint.feasible at their unit vector, so they still
-    lie inside A > 0.  The cone test reads the scalars of the unit vector
-    (_unit_scalars, A only when with_a), and objective(working, u, b) gets
-    the unit vector u and its B.
-    """
-    if with_a:
-        constraint = replace(constraint, tag=constraint.tag.b_positive)
-    working = constraint.working
-
-    def evaluate(v: Array) -> SpherePoint:
-        u, nrm, a, b = _unit_scalars(working, v, with_a)
-        if not (_inside_cone(a, b) if with_a else _inside_cone(b)):
-            return SpherePoint(u, nrm, math.inf, _outside_cone)
-        return SpherePoint(u, nrm, *objective(working, u, b))
-
-    rule = _start_rule(evaluate)
-
-    def inside_a(v: Array) -> SpherePoint | None:
-        start = rule(v)
-        return start if start is not None and constraint.feasible(start.u) else None
-
-    results, _ = _multistart(
-        constraint, evaluate, rule if with_a else inside_a, purpose, multistart, seed,
-        params or OptimizerParams(),
-    )
-    minima = [(value, _sign_aligned(u)) for u, value, _, _, _ in results]
-    return sorted(minima, key=lambda vu: vu[0])
-
-
-def _near_best(minima: list[tuple[float, Array]]) -> tuple[float, list[Array]]:
-    """The best of sorted minima and the minimizers within relative _LEVEL_RTOL of it."""
-    best = minima[0][0]
-    return best, [u for value, u in minima if abs(value - best) <= _LEVEL_RTOL * (1.0 + abs(best))]
+def _near_best(results: list[tuple[Array, float, int, bool, float]]) -> tuple[float, list[Array]]:
+    """The best value of _multistart's results and the sign-aligned minimizers
+    within relative _LEVEL_RTOL of it."""
+    best = results[0][1]
+    close = _LEVEL_RTOL * (1.0 + abs(best))
+    return best, [_sign_aligned(u) for u, value, _, _, _ in results if abs(value - best) <= close]
 
 
 def compute_c_star(
@@ -838,9 +828,11 @@ def compute_c_star_star(
     best, minimizers = zero_level
     keep = [u for u in minimizers if _inside_cone(float(working.eval_A(u)))]
     if not keep:
-        best, keep = _near_best(_minimize_ray_objective(
-            constraint, _zero_level, _PURPOSE["c_star_star"], multistart, seed, params
-        ))
+        both = replace(constraint, tag=constraint.tag.b_positive)
+        evaluate = _sphere_evaluation(both, _zero_level(working.exponents))
+        best, keep = _near_best(
+            _multistart(both, evaluate, _PURPOSE["c_star_star"], multistart, seed, params)[0]
+        )
     if not (best > 0.0):
         raise RuntimeError(f"computed upper threshold {best!r} is not positive")
     return best, keep
@@ -863,9 +855,13 @@ def minimize_c0(
     callers test the minimizers against the A > 0 cone themselves.
     """
     constraint = SphereConstraint(constraint.working, start_support=constraint.start_support)
-    return _near_best(_minimize_ray_objective(
-        constraint, _zero_level, _PURPOSE["c0"], multistart, seed, params, with_a=False
-    ))
+    evaluate = _sphere_evaluation(
+        constraint, _zero_level(constraint.working.exponents), with_a=False
+    )
+    return _near_best(_multistart(
+        constraint, evaluate, _PURPOSE["c0"], multistart, seed, params,
+        feasible=constraint.feasible,
+    )[0])
 
 
 # ---------------------------------------------------------------------------
@@ -962,14 +958,16 @@ def _coefficient_evaluation(
     """
     degrees = _s_degrees(e)
 
-    def evaluate(s: Array) -> Evaluated:
+    objective = _level_objective(e, c, branch)
+
+    def evaluate(s: Array) -> tuple[float, Callable[[], Array]]:
         n, a, b = ((np.abs(s) ** degrees) * scalars).sum(axis=1)
-        lam, t = _scalar_level(e, c, branch, float(n), float(a), float(b))
+        lam, partials = objective(float(n), float(a), float(b))
 
         def gradient() -> Array:
             # d/ds_i of |s_i|**d f(e_i) is d |s_i|**(d-1) sign(s_i) f(e_i)
             grads = degrees * np.abs(s) ** (degrees - 1.0) * np.sign(s) * scalars
-            return _level_gradient(e, lam, t, float(a), *grads)
+            return _chain_rule(partials(), grads.__getitem__)
 
         return lam, gradient
 

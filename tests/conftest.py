@@ -131,14 +131,20 @@ def random_cone_point(constraint, rng, max_tries=500):
     raise RuntimeError("could not sample a feasible cone point")
 
 
+def level_evaluation(constraint, c, branch):
+    """The ground solve's sphere evaluation of the level at (c, branch)."""
+    objective = nm._level_objective(constraint.working.exponents, c, branch)
+    return nm._sphere_evaluation(constraint, objective)
+
+
 def count_multistart_purposes(monkeypatch) -> Counter:
     """A Counter of the purpose of every nm._multistart call from now on."""
     purposes = Counter()
     multistart = nm._multistart
 
-    def counting(constraint, evaluate, usable, purpose, *args, **kwargs):
+    def counting(constraint, evaluate, purpose, *args, **kwargs):
         purposes[purpose] += 1
-        return multistart(constraint, evaluate, usable, purpose, *args, **kwargs)
+        return multistart(constraint, evaluate, purpose, *args, **kwargs)
 
     monkeypatch.setattr(nm, "_multistart", counting)
     return purposes

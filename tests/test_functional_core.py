@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import fibercurve.nehari_minmax as nm
+from conftest import level_evaluation
 from fibercurve import (
     ConeTag,
     Exponents,
@@ -199,7 +199,7 @@ def test_one_cone_rule(tag, a, inside):
     assert member is inside
     constraint = SphereConstraint(tri, tag=tag)
     assert constraint.feasible(u) is inside
-    value = nm._level_evaluation(constraint, -0.01, "plus")(u).value
+    value = level_evaluation(constraint, -0.01, "plus")(u).value
     assert math.isfinite(value) is inside
 
 

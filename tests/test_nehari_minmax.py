@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import fibercurve.nehari_minmax as nm
-from conftest import count_multistart_purposes, random_cone_point, record_acceptance_line
+from conftest import (
+    count_multistart_purposes,
+    level_evaluation,
+    random_cone_point,
+    record_acceptance_line,
+)
 from fibercurve import _kernels as K
 from fibercurve.curve_tracer import _LevelChain, trace_family
 from fibercurve.fibering import classify_and_solve, ray_data, restricted_lambda
@@ -19,6 +24,7 @@ from fibercurve.model_problems import (
     cone_node_mask,
     dirichlet_problem_1d,
     dirichlet_problem_2d,
+    truncated_problem_1d,
 )
 from fibercurve.nehari_minmax import (
     GenusSurrogate,
@@ -417,17 +423,18 @@ class TestThresholds:
         # directly over the A and B cone
         con = request.getfixturevalue(instance)
 
-        def negated_extremal(working, u, b):
-            # c_bar = const * N**q * B**-r, q = beta/(beta-eta), r = eta/(beta-eta)
-            e = working.exponents
-            n = float(working.eval_N(u))
-            c_bar = K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1]
-            q, r = e.beta / (e.beta - e.eta), e.eta / (e.beta - e.eta)
-            return -c_bar, lambda: -c_bar * (q * working.grad_N(u) / n - r * working.grad_B(u) / b)
+        e = con.working.exponents
+        q, r = e.beta / (e.beta - e.eta), e.eta / (e.beta - e.eta)
 
+        def negated_extremal(n, a, b):
+            # c_bar = const * N**q * B**-r, q = beta/(beta-eta), r = eta/(beta-eta)
+            c_bar = K.extremal_pair(n, b, e.alpha, e.eta, e.beta)[1]
+            return -c_bar, lambda: (-c_bar * q / n, 0.0, c_bar * r / b)
+
+        evaluate = nm._sphere_evaluation(con, negated_extremal)
         # purpose 3 is unused by the library: these starts are the test's own
-        minima = nm._minimize_ray_objective(con, negated_extremal, 3, 8, 0, None)
-        direct = -minima[0][0]
+        results, _ = nm._multistart(con, evaluate, 3, 8, 0, None)
+        direct = -results[0][1]
         assert abs(compute_c_star(con, multistart=8, seed=0) - direct) <= 1e-12 * abs(direct)
 
     def test_one_inside_minimizer_is_enough(self, monkeypatch, signed_con_both):
@@ -460,6 +467,37 @@ class TestThresholds:
         c0, _ = minimize_c0(con, multistart=8, seed=0)
         assert c2 > 10.0 * c0
         assert minimizers and all(con.feasible(u) for u in minimizers)
+
+    def test_zero_level_descends_at_any_scale(self, monkeypatch):
+        # 1D Dirichlet p = 3, beta = 4: c0 = const N**4 / B**3 is 1e18 to 1e26
+        # at random starts, with gradients to match.  The step floor is
+        # relative, step ||d||_M >= _STEP_MIN ||u||_M, so these descents run;
+        # an absolute floor of 1e-16 lay above their first-trial cap, every
+        # descent stopped at iteration 1, and c** was the best start's value
+        # (8.5e16, 3.6e20 and 2.8e24 at n = 31, 63 and 127).
+        descents = recording_descents(monkeypatch)
+        levels = []
+        for n in (31, 63, 127):
+            problem = dirichlet_problem_1d(n, "1+x", "cos(2*pi*x)+0.2", p=3.0, beta=4.0)
+            tag = ConeTag.A_POS_B_POS
+            con = SphereConstraint(
+                build_triple(problem), tag=tag, start_support=cone_node_mask(problem, tag)
+            )
+            c_ss, minimizers = compute_c_star_star(con, multistart=8, seed=0)
+            tri = con.working
+            e = tri.exponents
+            q, r = e.beta / (e.beta - e.eta), e.eta / (e.beta - e.eta)
+            assert minimizers
+            for u in minimizers:
+                # the zero level's Euler-Lagrange equation q N'(u) = r B'(u) / B(u)
+                term_n = q * tri.grad_N(u)
+                term_b = r * tri.grad_B(u) / tri.eval_B(u)
+                scale = max(np.linalg.norm(term_n), np.linalg.norm(term_b))
+                assert np.linalg.norm(term_n - term_b) <= 1e-8 * scale
+            levels.append(c_ss)
+        assert descents and all(out[2] > 1 for _, _, out, _ in descents)
+        assert max(levels) < 1e9
+        assert abs(levels[2] - levels[1]) < 0.01 * levels[1]
 
     def test_minimize_c0_ignores_a_sign(self, signed_problem):
         tri = build_triple(signed_problem)
@@ -606,6 +644,101 @@ class TestNoStateOutlivesACall:
                 assert first.xi.tobytes() == second.xi.tobytes()
 
 
+class TestGradNCountsIterations:
+    """The benchmark's tracer derives a ground solve's descent iterations as
+    its grad_N calls minus 2: every iteration of every descent, merged or
+    not, reads grad_N once, starts read no gradient, and certification
+    (extract_critical_point) reads grad_N twice."""
+
+    @pytest.mark.parametrize(
+        "problem, branch, c",
+        [
+            (dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2"), "plus", -0.01),
+            (dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2"), "minus", 5.0),
+            (dirichlet_problem_1d(63, "1+x", "cos(2*pi*x)+0.2", p=3.0), "plus", -0.01),
+            (dirichlet_problem_2d((16, 16), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)"), "plus", -0.01),
+        ],
+        ids=["d1_p2_plus", "d1_p2_minus", "d1_p3_plus", "d2_p2_16x16"],
+    )
+    def test_grad_n_calls_are_iterations_plus_two(self, monkeypatch, problem, branch, c):
+        counted, calls = counting_triple(build_triple(problem))
+        tag = ConeTag.A_POS if branch == "plus" else ConeTag.A_POS_B_POS
+        con = SphereConstraint(counted, tag=tag, start_support=cone_node_mask(problem, tag))
+        _, warm = minimize_ground_level(con, c, branch, multistart=2, seed=0)
+        descents = recording_descents(monkeypatch)
+        calls.clear()
+        _, rec = minimize_ground_level(
+            con, c, branch, multistart=8, seed=1, extra_starts=[warm.coefficients]
+        )
+        assert len(descents) == rec.starts == 9
+        assert rec.merged_starts > 0
+        assert calls["grad_N"] == sum(out[2] for _, _, out, _ in descents) + 2
+
+
+# the objective-gradient instances: 1D p = 2 and p = 3, 2D p = 2, truncated p = 3
+OBJECTIVE_PROBLEMS = {
+    "d1_p2": lambda: dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2"),
+    "d1_p3": lambda: dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2", p=3.0),
+    "d2_p2": lambda: dirichlet_problem_2d((12, 12), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)"),
+    "trunc_p3": lambda: truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0),
+}
+
+
+def central_difference_error(value, x, grad, rng) -> float:
+    """Largest gap between grad . d and the central difference of value along
+    random unit directions d at x, relative to ||grad||."""
+    h = 1e-5 * np.linalg.norm(x)
+    worst = 0.0
+    for _ in range(4):
+        d = rng.standard_normal(x.size)
+        d /= np.linalg.norm(d)
+        slope = (value(x + h * d) - value(x - h * d)) / (2.0 * h)
+        worst = max(worst, abs(slope - grad @ d) / np.linalg.norm(grad))
+    return worst
+
+
+class TestObjectiveGradients:
+    """Every descent objective's chain-rule gradient matches central
+    differences of its value: the ground level on both branches and the zero
+    level on the grid sphere, and the surrogate polish's level in s."""
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVE_PROBLEMS))
+    @pytest.mark.parametrize("objective", ["plus", "minus", "zero_level"])
+    def test_sphere_objective(self, name, objective):
+        tri = build_triple(OBJECTIVE_PROBLEMS[name]())
+        e = tri.exponents
+        if objective == "zero_level":
+            con = SphereConstraint(tri, tag=ConeTag.A_POS_B_POS)
+            evaluate = nm._sphere_evaluation(con, nm._zero_level(e))
+        else:
+            tag = ConeTag.A_POS if objective == "plus" else ConeTag.A_POS_B_POS
+            con = SphereConstraint(tri, tag=tag)
+            c = -0.01 if objective == "plus" else 1.0
+            evaluate = level_evaluation(con, c, objective)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            point = evaluate(random_cone_point(con, rng))
+            error = central_difference_error(
+                lambda v: evaluate(v).value, point.u, point.gradient(), rng
+            )
+            assert error <= 1e-5
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVE_PROBLEMS))
+    @pytest.mark.parametrize("branch, c", [("plus", -0.01), ("minus", 1.0)])
+    def test_surrogate_polish_objective(self, name, branch, c):
+        problem = OBJECTIVE_PROBLEMS[name]()
+        con = SphereConstraint(build_triple(problem), tag=ConeTag.A_POS_B_POS)
+        basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 3)
+        scalars = nm._basis_scalars(con.working, basis)
+        evaluate = nm._coefficient_evaluation(con.working.exponents, c, branch, scalars)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            s = rng.standard_normal(3)
+            _, gradient = evaluate(s)
+            error = central_difference_error(lambda x: evaluate(x)[0], s, gradient(), rng)
+            assert error <= 1e-5
+
+
 class TrackedMs(np.ndarray):
     """M u as the metric returned it, and everything the descent derives from
     it; each vector s that a descent multiplies from the left, with the
@@ -640,10 +773,10 @@ class TestMetricOncePerDescent:
             return tri.metric(v).view(TrackedMs)
 
         norms = []  # Euclidean norms of every evaluated unit vector
-        level_evaluation = nm._level_evaluation
+        sphere_evaluation = nm._sphere_evaluation
 
         def recording(*args):
-            evaluate = level_evaluation(*args)
+            evaluate = sphere_evaluation(*args)
 
             def evaluating(v):
                 point = evaluate(v)
@@ -652,7 +785,7 @@ class TestMetricOncePerDescent:
 
             return evaluating
 
-        monkeypatch.setattr(nm, "_level_evaluation", recording)
+        monkeypatch.setattr(nm, "_sphere_evaluation", recording)
         monkeypatch.setattr(TrackedMs, "log", [])
         con = SphereConstraint(dataclasses.replace(tri, metric=metric), tag=ConeTag.A_POS)
         _, rec = minimize_ground_level(con, -0.01, "plus", multistart=2, seed=0)
@@ -767,7 +900,7 @@ class TestStartRule:
         # node mask, which restricts nothing
         free = SphereConstraint(pos_triple, tag=ConeTag.A_POS_B_POS)
         empty = dataclasses.replace(free, start_support=np.zeros(pos_triple.dim, dtype=bool))
-        usable = nm._start_rule(nm._level_evaluation(free, -0.01, "minus"))
+        usable = nm._start_rule(level_evaluation(free, -0.01, "minus"))
         free_starts, empty_starts = (
             nm._draw_starts(con, 8, 0, nm._PURPOSE["minus"], usable)
             for con in (free, empty)
@@ -870,7 +1003,7 @@ class TestMultistartMerge:
         # (1, 0) and (0, 1) are distinct minimizers, at equal levels when
         # w_low = 1; each start converges at once and neither merges
         con = SphereConstraint(two_basin_triple(w_low), tag=ConeTag.A_POS)
-        evaluate = nm._level_evaluation(con, self.C, "plus")
+        evaluate = level_evaluation(con, self.C, "plus")
         axes = [evaluate(np.array([1.0, 0.0])), evaluate(np.array([0.0, 1.0]))]
         results, merged = nm._descend_merging(None, evaluate, axes, OptimizerParams())
         assert merged == 0
@@ -988,7 +1121,7 @@ class TestSurrogates:
             u = basis.T @ (np.sign(s) * np.abs(s) ** power)
             try:
                 lam, gradient = evaluate(s)
-                ref = nm._level_evaluation(con, c, branch)(u)
+                ref = level_evaluation(con, c, branch)(u)
             except InfeasibleRayError:
                 continue
             assert lam == pytest.approx(lambda_tilde(con, c, u, branch)[0], rel=1e-12)
