@@ -70,7 +70,6 @@ from .nehari_minmax import (
     compute_c_star_star,
     extract_critical_point,
     lambda_tilde,
-    level_slope,
     minimize_c0,
     minimize_ground_level,
     surrogate_level,
@@ -124,7 +123,6 @@ __all__ = [
     "intersect_with_lambda",
     "lambda_of",
     "lambda_tilde",
-    "level_slope",
     "limit_check_zero",
     "minimize_c0",
     "minimize_ground_level",

@@ -17,7 +17,9 @@ report.json.
 Exit codes: 0 success, 1 bad config, 2 non-convergence or infeasibility,
 3 verification verdict failure.  Every config entry is checked and typed,
 and every config error exits 1, before any solve; numbers must be finite
-and integer entries integral.
+and integer entries integral.  An entry the run would ignore is an error
+too: a problem key of the other kind, or from/to/n beside c_grid values; a
+null entry counts as unset, so a config.echo.json runs as a config.
 
 Config sketch (defaults shown in config.echo.json after any run)::
 
@@ -251,6 +253,10 @@ def _build_problem(pcfg: dict) -> PLaplacianProblem:
     dim = pcfg["dimension"]
     if kind not in ("dirichlet", "truncated_rn"):
         raise ConfigError(f"problem.kind must be dirichlet or truncated_rn, got {kind!r}")
+    # a key of the other kind would be ignored; null stands for unset
+    for key in ("n_nodes", "radius") if kind == "dirichlet" else ("n_interior", "bounds"):
+        if pcfg[key] is not None:
+            raise ConfigError(f"problem.{key} does not apply to {kind} problems")
 
     if kind == "dirichlet":
         if pcfg["n_interior"] is None:
@@ -334,6 +340,9 @@ def _c_grid(gcfg) -> list[float] | None:
     )
     span = (grid["from"], grid["to"], grid["n"])
     if grid["values"] is not None:
+        given = [key for key, v in zip(("from", "to", "n"), span) if v is not None]
+        if given:
+            raise ConfigError(f"c_grid takes values or from/to/n, got values and {'/'.join(given)}")
         values = grid["values"]
     elif None in span:
         raise ConfigError("c_grid needs either values or from/to/n")

@@ -4,14 +4,16 @@ A curve is the map c -> level(c) for one (branch, k), sampled on a user grid.
 Every caller follows its levels with one continuation chain, _LevelChain:
 each solve starts from the optimizer found at the previous c.  Ground levels
 (k = 1) are exact multistart minima; k >= 2 levels are surrogate upper bounds
-chained both in k and in c.  Each traced curve carries verdicts: monotonicity
-in c, the largest successive jump, and a Lipschitz check against the exact
-envelope slope -alpha/A at the optimizer (with a safety factor, since the
-slope bound is evaluated only at the endpoints of each segment).
+chained both in k and in c.  Every level's record carries its exact c-slope
+-alpha/A(t u) at the optimizer (Danskin's theorem), which the verdicts and
+the intersections read.  Each traced curve carries verdicts: monotonicity in
+c, the largest successive jump, and a Lipschitz check of each segment
+against the larger record slope of its endpoints (with a safety factor,
+since the slope is known only at the endpoints).
 
 Also here, on the same chain: the zero-limit diagnostic for c -> 0- on the
 plus branch, the level-set intersections lambda(c) = target (a bracketed
-Newton iteration on the same exact slope, with power-law extrapolation toward
+Newton iteration on the records' slopes, with power-law extrapolation toward
 the plus ceiling c = 0), and the continuation of the minus curve through the
 upper threshold where its sign flips.
 """
@@ -33,7 +35,6 @@ from .nehari_minmax import (
     OptimizerParams,
     SphereConstraint,
     SurrogateLevel,
-    level_slope,
     minimize_c0,
     minimize_ground_level,
     surrogate_level,
@@ -51,8 +52,8 @@ __all__ = [
 ]
 
 _TREND_FACTOR = 3.0  # largest ratio of the zero-limit scalings t / |c|**(1/eta)
-# safety factor on the Lipschitz bound alpha/min A of a curve segment, whose
-# envelope slope is evaluated only at the segment's endpoints
+# safety factor on the Lipschitz bound max |slope| of a curve segment, whose
+# slope is known only at the segment's endpoints
 _LIPSCHITZ_SAFETY = 3.0
 _ZERO_LEVEL_ABS = 1e-4  # largest |level| of the minus curve at c**
 _MAX_REFINE = 200  # refinement steps of one intersection root inside its bracket
@@ -90,12 +91,9 @@ def geometric_grid(c_from: float, c_to: float, n: int) -> np.ndarray:
     return sign * np.geomspace(abs(c_from), abs(c_to), n)
 
 
-def _curve_verdicts(
-    constraint: SphereConstraint,
-    points: Sequence[CriticalPointRecord],
-    noise: float,
-) -> dict:
-    """Shape checks for one traced curve, ordered by increasing c."""
+def _curve_verdicts(points: Sequence[CriticalPointRecord], sign: float, noise: float) -> dict:
+    """Shape checks for one traced curve, ordered by increasing c; sign is
+    the constraint's lambda_sign."""
     lams = [p.lam for p in points]
     verdicts: dict = {
         "n_points": len(points),
@@ -109,27 +107,19 @@ def _curve_verdicts(
         )
         return verdicts
 
-    sign = constraint.lambda_sign
     mono = True
     lip = True
     max_jump = 0.0
     worst_ratio = 0.0
-    alpha = constraint.triple.exponents.alpha
     for p0, p1 in zip(points[:-1], points[1:]):
         jump = abs(p1.lam - p0.lam)
         max_jump = max(max_jump, jump)
         # reported levels fall with c on positive cones and rise on negative ones
         if sign * (p1.lam - p0.lam) > noise * (1.0 + abs(p0.lam)):
             mono = False
-        a0 = abs(float(constraint.triple.eval_A(p0.coefficients)))
-        a1 = abs(float(constraint.triple.eval_A(p1.coefficients)))
-        a_min = min(a0, a1)
-        if a_min > 0.0:
-            bound = _LIPSCHITZ_SAFETY * (alpha / a_min) * abs(p1.c - p0.c)
-            worst_ratio = max(worst_ratio, jump / bound if bound > 0.0 else math.inf)
-            if jump > bound:
-                lip = False
-        else:
+        bound = _LIPSCHITZ_SAFETY * max(abs(p0.slope), abs(p1.slope)) * abs(p1.c - p0.c)
+        worst_ratio = max(worst_ratio, jump / bound if bound > 0.0 else math.inf)
+        if jump > bound:
             lip = False
 
     norms = [p.u_norm for p in points]
@@ -310,7 +300,7 @@ def trace_family(
 
     curves: dict[int, EnergyCurve] = {}
     for k in ks:
-        verdicts = _curve_verdicts(constraint, points[k], noise)
+        verdicts = _curve_verdicts(points[k], constraint.lambda_sign, noise)
         verdicts["k_monotone"] = True
         curves[k] = EnergyCurve(
             branch=branch, k=k, points=tuple(points[k]), verdicts=verdicts,
@@ -512,11 +502,10 @@ def intersect_with_lambda(
 
 
 class _Sample(NamedTuple):
-    """One probe of the intersection: f = level - target and its c-slope."""
+    """One probe of the intersection: f = level - target, and the level's record."""
 
     c: float
     f: float
-    slope: float
     record: CriticalPointRecord
 
 
@@ -529,7 +518,7 @@ def _power_law_root(point: _Sample, lam_target: float) -> float | None:
     Returns None when the probe does not fit a power law (gamma <= 0, or
     level and target of different signs).
     """
-    gamma = point.c * point.slope / point.record.lam
+    gamma = point.c * point.record.slope / point.record.lam
     ratio = lam_target / point.record.lam
     if point.c < 0.0 and gamma > 0.0 and ratio > 0.0:
         return point.c * ratio ** (1.0 / gamma)
@@ -547,14 +536,12 @@ def _intersect_single(
     c_ceiling: float,
 ) -> dict:
     def sample(c: float) -> _Sample:
-        # The slope is the exact envelope derivative -alpha/A(t u) at the
-        # optimizer u: the ground minimizer for k = 1, the surrogate maximizer
-        # for k >= 2 (Danskin's theorem, since both levels are extrema over
-        # c-free sets of rays).
+        # The record's slope is the exact envelope derivative -alpha/A(t u) at
+        # the optimizer u: the ground minimizer for k = 1, the surrogate
+        # maximizer for k >= 2 (Danskin's theorem, since both levels are
+        # extrema over c-free sets of rays).
         record = chain.level(c, k)
-        u = record.coefficients / record.t_root
-        slope = level_slope(chain.constraint, c, u, chain.branch)
-        return _Sample(c, record.lam - lam_target, slope, record)
+        return _Sample(c, record.lam - lam_target, record)
 
     def result(point: _Sample, iterations: int) -> dict:
         return {"k": k, "c": point.c, "lam": point.record.lam, "record": point.record,
@@ -568,7 +555,7 @@ def _intersect_single(
         # Decide which way the target lies from the monotone direction.
         target_above = (lo.f > 0.0) == (slope_sign < 0)
         end = hi if target_above else lo
-        width = max(2.0 * width, 1.5 * abs(end.f / end.slope))
+        width = max(2.0 * width, 1.5 * abs(end.f / end.record.slope))
         if target_above:
             c_new = end.c + width
             if c_new >= c_ceiling:
@@ -615,7 +602,7 @@ def _intersect_single(
     for it in range(1, _MAX_REFINE + 1):
         newton = _power_law_root(point, lam_target) if plus else None
         if newton is None:
-            newton = point.c - point.f / point.slope
+            newton = point.c - point.f / point.record.slope
         if not (a < newton < b) or abs(2.0 * (newton - point.c)) > abs(dx_old):
             dx_old, dx = dx, 0.5 * (b - a)
             c = a + dx

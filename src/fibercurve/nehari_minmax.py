@@ -101,7 +101,6 @@ __all__ = [
     "compute_c_star_star",
     "extract_critical_point",
     "lambda_tilde",
-    "level_slope",
     "minimize_c0",
     "minimize_ground_level",
     "surrogate_level",
@@ -193,7 +192,10 @@ def _outside_cone() -> Array:
 class CriticalPointRecord:
     """One candidate critical pair (lam, v) with its certification data.
 
-    coefficients is the scaled vector v = t_root * u; residual_grad is the
+    coefficients is the scaled vector v = t_root * u; slope is the level's
+    c-derivative along the ray of u, -alpha/A(v) with the original (signed)
+    A, which by Danskin's theorem is also the c-slope of a ground minimum or
+    a surrogate maximum at its optimizer; residual_grad is the
     coefficient-gradient norm of the energy at (lam, v) relative to the
     largest of its three term norms; energy_defect is |phi(lam, v) - c|.
     converged reports the optimizer's own stopping test, not the residual
@@ -209,6 +211,7 @@ class CriticalPointRecord:
     lam: float
     coefficients: Array
     t_root: float
+    slope: float
     u_norm: float
     residual_grad: float
     energy_defect: float
@@ -371,18 +374,6 @@ def lambda_tilde(
     return constraint.lambda_sign * lam, t
 
 
-def level_slope(constraint: SphereConstraint, c: float, u: Array, branch: str) -> float:
-    """Exact c-derivative of the reported level along a fixed ray: -alpha/A(t u).
-
-    A is the original (signed) concave term, so negative-cone constraints get
-    positive slopes, matching the sign-flipped reporting.
-    """
-    _, t, a = _level_internal(constraint.working, c, branch, u)
-    e = constraint.triple.exponents
-    a_at_root = constraint.lambda_sign * a * t**e.alpha
-    return -e.alpha / a_at_root
-
-
 def extract_critical_point(
     constraint: SphereConstraint,
     c: float,
@@ -396,14 +387,17 @@ def extract_critical_point(
 
     The residual and defect are evaluated on the original triple with the
     reported (sign-adjusted) parameter, which coincides with the working
-    problem's residual by the sign-flip identity.
+    problem's residual by the sign-flip identity.  The slope -alpha/A(t u)
+    takes A(t u) = lambda_sign * a * t**alpha from the working A(u) = a, so
+    negative cones get positive slopes, like their reported levels.
     """
     working = constraint.working
-    lam_int, t, _ = _level_internal(working, c, branch, u)
+    lam_int, t, a = _level_internal(working, c, branch, u)
     lam = constraint.lambda_sign * lam_int
     v = t * np.asarray(u, dtype=float)
     triple = constraint.triple
     e = triple.exponents
+    slope = -e.alpha / (constraint.lambda_sign * a * t**e.alpha)
     res_vec = phi_grad(triple, lam, v)
     term_n = float(np.linalg.norm(np.asarray(triple.grad_N(v), dtype=float))) / e.eta
     term_a = abs(lam) * float(np.linalg.norm(np.asarray(triple.grad_A(v), dtype=float))) / e.alpha
@@ -418,6 +412,7 @@ def extract_critical_point(
         lam=lam,
         coefficients=v,
         t_root=t,
+        slope=slope,
         u_norm=triple.norm_of(v),
         residual_grad=residual,
         energy_defect=defect,

@@ -27,6 +27,8 @@ BASE_PROBLEM = {
     "weights": {"a": "1+x", "b": "cos(2*pi*x)+0.2"},
 }
 THREE_D_PROBLEM = dict(BASE_PROBLEM, dimension=3, n_interior=[15, 15, 15])
+TRUNCATED_PROBLEM = {"kind": "truncated_rn", "n_nodes": 41, "radius": 4.0, "p": 3.0,
+                     "weights": {"a": "1", "b": "1"}}
 
 GATING_VERDICTS = (
     "thresholds_ordered",
@@ -569,6 +571,59 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith("config error")
         assert not purposes
+
+    # a key the run would not read is an error, not silently dropped
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [
+            ("solve", solve_config(problem=dict(BASE_PROBLEM, radius=9.0, n_nodes=None)),
+             "problem.radius"),
+            ("solve", solve_config(problem=dict(BASE_PROBLEM, n_nodes=7)), "problem.n_nodes"),
+            ("solve", solve_config(problem=dict(TRUNCATED_PROBLEM, n_interior=15)),
+             "problem.n_interior"),
+            ("solve", solve_config(problem=dict(TRUNCATED_PROBLEM, bounds=[0.0, 1.0])),
+             "problem.bounds"),
+            ("trace", battery_config(c_grid={"values": [-0.5, -0.1], "from": -0.5}), "from"),
+            ("trace", battery_config(c_grid={"values": [-0.5, -0.1], "to": -0.05}), "to"),
+            ("trace", battery_config(c_grid={"values": [-0.5, -0.1], "n": 4}), "n"),
+        ],
+        ids=["dirichlet_radius", "dirichlet_n_nodes", "truncated_n_interior",
+             "truncated_bounds", "c_grid_values_and_from", "c_grid_values_and_to",
+             "c_grid_values_and_n"],
+    )
+    def test_ignored_key_is_a_config_error(self, tmp_path, monkeypatch, command, cfg, key):
+        purposes = count_multistart_purposes(monkeypatch)
+        cfg_path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli([command, "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 1
+        assert err.startswith("config error")
+        if key.startswith("problem."):
+            assert f"{key} does not apply to {cfg['problem']['kind']} problems" in err
+        else:
+            assert f"got values and {key}" in err
+        assert not purposes
+        assert not (out_dir / "config.echo.json").exists()
+
+    @pytest.mark.parametrize("problem", [BASE_PROBLEM, TRUNCATED_PROBLEM],
+                             ids=["dirichlet", "truncated"])
+    def test_config_echo_runs_as_a_config(self, tmp_path, problem):
+        # the echo holds every key, null where unset; fed back it runs the same
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg_path = write_config(tmp_path, battery_config(problem=problem, multistart=2))
+        code, _, err = run_cli(["thresholds", "--config", str(cfg_path), "--out", str(first)])
+        assert code == 0, err
+        echo = first / "config.echo.json"
+        dirichlet = problem["kind"] == "dirichlet"
+        unset = ("n_nodes", "radius") if dirichlet else ("n_interior", "bounds")
+        assert all(json.loads(echo.read_text())["problem"][key] is None for key in unset)
+        code, _, err = run_cli(["thresholds", "--config", str(echo), "--out", str(second)])
+        assert code == 0, err
+        assert (second / "config.echo.json").read_text() == echo.read_text()
+        reports = [json.loads((d / "report.json").read_text()) for d in (first, second)]
+        for report in reports:
+            report.pop("timing_seconds")
+        assert reports[0] == reports[1]
 
 
 class TestZeroLimitSchedule:

@@ -100,6 +100,36 @@ class TestTraceCurve:
             trace_curve(const_con_plus, [-0.1, -0.01], "plus", k=2)
 
 
+class TestLipschitzVerdict:
+    @staticmethod
+    def segment(sign, jump):
+        # two levels 0.5 apart in c with slopes of size 2 and 1: the bound is
+        # 3 * max|slope| * |dc| = 3.0; reported levels fall with c when sign
+        # is 1 and rise when it is -1, and the slopes have the same signs
+        def record(c, lam, slope):
+            return nm.CriticalPointRecord(
+                branch="plus", k=1, c=c, lam=sign * lam, coefficients=np.ones(3), t_root=1.0,
+                slope=-sign * slope, u_norm=1.0, residual_grad=0.0, energy_defect=0.0,
+                iterations=0, converged=True,
+            )
+
+        return [record(-1.0, 4.0, 2.0), record(-0.5, 4.0 - jump, 1.0)]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_jump_above_the_bound_fails(self, sign):
+        v = ct._curve_verdicts(self.segment(sign, 3.5), sign, 1e-6)
+        assert v["monotone_decreasing"]
+        assert not v["lipschitz_ok"]
+        assert v["lipschitz_worst_ratio"] > 1.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_jump_just_below_the_bound_passes(self, sign):
+        # the bound takes the larger slope: the smaller one would fail this jump
+        v = ct._curve_verdicts(self.segment(sign, 2.997), sign, 1e-6)
+        assert v["lipschitz_ok"]
+        assert 0.99 < v["lipschitz_worst_ratio"] < 1.0
+
+
 class TestTraceFamily:
     def test_curves_carry_the_cone_sign(self, const_con_plus):
         # an A-negative cone reports negated levels, and its curves say so

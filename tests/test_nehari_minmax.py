@@ -37,7 +37,6 @@ from fibercurve.nehari_minmax import (
     compute_c_star_star,
     extract_critical_point,
     lambda_tilde,
-    level_slope,
     minimize_c0,
     minimize_ground_level,
     surrogate_level,
@@ -161,7 +160,7 @@ class TestLevelSlope:
                     # up and a finite difference cannot resolve the slope
                     continue
             for branch, lam0 in levels.items():
-                slope = level_slope(pos_con_plus, c, u, branch)
+                slope = extract_critical_point(pos_con_plus, c, branch, u).slope
                 if abs(slope) * dc < 1e-11 * (1.0 + abs(lam0)):
                     # difference quotient numerator sits at the rounding
                     # floor of lam itself (huge level, flat slope)
@@ -187,7 +186,7 @@ class TestLevelSlope:
                 if not con.feasible(u):
                     continue
             try:
-                slope = level_slope(con, -0.05, u, "plus")
+                slope = extract_critical_point(con, -0.05, "plus", u).slope
             except InfeasibleRayError:
                 continue
             assert slope > 0.0
@@ -201,11 +200,36 @@ class TestLevelSlope:
         basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
         surrogate = GenusSurrogate(signed_con_both, basis, n_samples=16)
         c, dc = -0.05, 1e-5
-        record = surrogate_level(surrogate, c, branch).record
-        slope = level_slope(signed_con_both, c, record.coefficients / record.t_root, branch)
+        slope = surrogate_level(surrogate, c, branch).record.slope
         hi = surrogate_level(surrogate, c + dc, branch).record.lam
         lo = surrogate_level(surrogate, c - dc, branch).record.lam
         assert slope == pytest.approx((hi - lo) / (2.0 * dc), rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "a_expr,p,tag,branch,c,dc",
+        [
+            ("1+x", 2.0, ConeTag.A_POS, "plus", -0.05, 1e-5),
+            ("1+x", 2.0, ConeTag.A_POS_B_POS, "minus", 5.0, 1e-4),
+            ("1+x", 3.0, ConeTag.A_POS, "plus", -0.05, 1e-5),
+            ("-(1+x)", 2.0, ConeTag.A_NEG, "plus", -0.05, 1e-5),
+            ("-(1+x)", 2.0, ConeTag.A_NEG_B_POS, "minus", 5.0, 1e-4),
+        ],
+        ids=["p2_plus", "p2_minus", "p3_plus", "a_flipped_plus", "a_flipped_minus"],
+    )
+    def test_ground_level_slope_is_danskin(self, a_expr, p, tag, branch, c, dc):
+        # The ground level is a minimum over a c-free set of rays, so its
+        # c-derivative is the ray slope at the minimizer (Danskin); the k = 1
+        # intersection Newton step relies on this.  The neighbouring levels
+        # are warm-started from the minimizer at c.
+        problem = dirichlet_problem_1d(31, a_expr, "cos(2*pi*x)+0.2", p=p, alpha=1.5, beta=4.0)
+        con = SphereConstraint(triple=build_triple(problem), tag=tag)
+        _, record = minimize_ground_level(con, c, branch, multistart=4)
+        warm = [record.coefficients / record.t_root]
+        hi, _ = minimize_ground_level(con, c + dc, branch, multistart=4, extra_starts=warm)
+        lo, _ = minimize_ground_level(con, c - dc, branch, multistart=4, extra_starts=warm)
+        assert record.slope == pytest.approx((hi - lo) / (2.0 * dc), rel=1e-6)
+        # reported levels fall with c on A-positive cones and rise on A-negative ones
+        assert record.slope * tag.a_sign < 0.0
 
 
 class TestWarmStartAtRoundingFloor:

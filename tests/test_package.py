@@ -3,6 +3,7 @@ example runs as printed, and numpy is the only runtime dependency."""
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import re
@@ -64,18 +65,25 @@ def test_numpy_is_the_only_runtime_dependency():
     assert loaded.isdisjoint({"scipy", "hypothesis"})
 
 
-def test_benchmark_tracer_targets_resolve():
-    """Every module attribute the benchmark's tracer patches exists, so a
-    refactor cannot silently break ``perfbench/run.py --trace 1``."""
-    import dataclasses
-    import importlib
-    import inspect
+def benchmark_tracing():
+    """The benchmark's tracer module, perfbench/tracing.py."""
     import types
 
     # run the tracer's source without importing it, which would cache bytecode there
     path = README.parent / "perfbench" / "tracing.py"
     tracing = types.ModuleType("perfbench_tracing")
     exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    return tracing
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every module attribute the benchmark's tracer patches exists, so a
+    refactor cannot silently break ``perfbench/run.py --trace 1``."""
+    import dataclasses
+    import importlib
+    import inspect
+
+    tracing = benchmark_tracing()
     targets = [(module, attr) for module, attr, _ in tracing.LEAVES + tracing.SPANS]
     targets += [("fibercurve.model_problems", "build_triple"), ("fibercurve.cli", "build_triple")]
     missing = [
@@ -88,3 +96,32 @@ def test_benchmark_tracer_targets_resolve():
     # the tracer times the six functional callables of every built triple
     fields = {f.name for f in dataclasses.fields(fibercurve.FunctionalTriple)}
     assert set(tracing.TRIPLE_FIELDS) <= fields
+
+
+def test_traced_report_computes_what_an_untraced_one_does(tmp_path):
+    """A report run inside the benchmark's tracer writes the artifacts of a
+    bare run, so the traced pass measures the program it claims to."""
+    from fibercurve import cli
+
+    cfg = {
+        "problem": {"kind": "dirichlet", "dimension": 1, "n_interior": 15,
+                    "weights": {"a": "1+x", "b": "cos(2*pi*x)+0.2"}},
+        "ks": [1, 2], "multistart": 2, "n_samples": 8, "seed": 1,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+
+    def report(out, context):
+        with context, contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(["report", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+
+    bare, traced = tmp_path / "bare", tmp_path / "traced"
+    tracer = benchmark_tracing().Tracer()
+    assert report(bare, contextlib.nullcontext()) == report(traced, tracer)
+    assert tracer.calls["cli"] == 1 and tracer.calls["functional.eval_N"] > 0
+    for name in ("curves.csv", "diagram.svg", "config.echo.json"):
+        assert (traced / name).read_text() == (bare / name).read_text(), name
+    reports = [json.loads((out / "report.json").read_text()) for out in (bare, traced)]
+    for r in reports:
+        r.pop("timing_seconds")
+    assert reports[0] == reports[1]

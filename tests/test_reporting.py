@@ -10,7 +10,8 @@ from fibercurve.reporting import CSV_COLUMNS, write_curves_csv
 def record(k=1, converged=True, **fields):
     values = dict(
         branch="plus", k=k, c=-0.5, lam=0.1, coefficients=np.ones(3), t_root=2.0,
-        u_norm=1.0, residual_grad=1e-9, energy_defect=0.0, iterations=7, converged=converged,
+        slope=-0.75, u_norm=1.0, residual_grad=1e-9, energy_defect=0.0, iterations=7,
+        converged=converged,
     )
     values.update(fields)
     return CriticalPointRecord(**values)
