@@ -141,7 +141,7 @@ _STEP_MIN = 1e-16
 # iteration cap of the surrogate polish, and random draws per start
 _POLISH_ITER = 200
 _START_ATTEMPTS = 200
-# Merge radius of a found minimizer in a multistart, relative to its sup-norm
+# Merge radius of a found point in a multistart, relative to its sup-norm
 # (0.42 to 0.83 for unit grid minimizers, whatever the grid size).  On the
 # 1D Dirichlet instance with weights 1+x and cos(2 pi x)+0.2, a minus-branch
 # descent 0.084 relative from a local minimizer still ends in the lower one.
@@ -566,6 +566,13 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_multistart(multistart: int, least: int) -> None:
+    """A ground level draws at least 0 starts (a warm chain passes 0 beside
+    its warm start); a threshold solve draws at least 1."""
+    if multistart < least:
+        raise ValueError(f"multistart must be at least {least}, got {multistart!r}")
+
+
 def _start_rule(
     evaluate: Evaluation, feasible: Callable[[Array], bool] | None = None
 ) -> StartRule:
@@ -654,20 +661,20 @@ def _descend_merging(
 ) -> tuple[list[tuple[Array, float, int, bool, float]], int]:
     """Descend from every evaluated start in order; a descent into a found basin merges.
 
-    Returns the _sphere_descend result of every descent that did not merge,
-    in start order, and the number that merged.  This is the clustering rule
-    of multi-level single linkage (Rinnooy Kan and Timmer, Math. Programming
-    39, 1987), and the solver's only test of "a minimizer already found": the
-    minimizer of every converged descent is found, and a later descent merges
-    when it ends, converged or not, within _MERGE_RTOL times a found
-    minimizer's sup-norm of it, in the sign-aligned sup-norm (u and -u are
-    the same point), at a value not below that minimizer's.  The descent is
-    also asked after every accepted step, and ends at the first one that
-    gets there.  A descent below every found minimizer never merges, so a
-    lower basin is still found.  Ground levels, thresholds and surrogate
-    polishes all descend here.
+    Returns the _sphere_descend result of every descent that did not merge, in
+    start order, and the number that merged.  This is the clustering rule of
+    multi-level single linkage (Rinnooy Kan and Timmer, Math. Programming 39,
+    1987), and the solver's only test of "a minimizer already found": the end
+    point of every descent that does not merge is found, converged or not, and
+    a later descent merges when it ends within _MERGE_RTOL times a found
+    point's sup-norm of it, in the sign-aligned sup-norm (u and -u are the same
+    point), at a value not below that point's.  So where no descent converges,
+    the first one still stops the repeats.  The descent is also asked after
+    every accepted step, and ends at the first one that gets there.  A descent
+    below every found point never merges, so a lower basin is still found.
+    Ground levels, thresholds and surrogate polishes all descend here.
     """
-    found: list[tuple[float, Array, float]] = []  # (value, sign-aligned minimizer, radius)
+    found: list[tuple[float, Array, float]] = []  # (value, sign-aligned end point, radius)
 
     def merges(u: Array, value: float) -> bool:
         above = [(m, radius) for v, m, radius in found if value >= v]
@@ -680,13 +687,12 @@ def _descend_merging(
     merged = 0
     for start in starts:
         result = _sphere_descend(metric, evaluate, start, params, merge=merges)
-        u, value, _, converged, _ = result
+        u, value = result[:2]
         if merges(u, value):
             merged += 1
             continue
-        if converged:
-            m = _sign_aligned(u)
-            found.append((value, m, _MERGE_RTOL * float(np.max(m))))
+        m = _sign_aligned(u)
+        found.append((value, m, _MERGE_RTOL * float(np.max(m))))
         results.append(result)
     return results, merged
 
@@ -707,16 +713,16 @@ def minimize_ground_level(
 
     Starts are deterministic functions of (seed, branch, index); extra_starts
     allows warm starting from neighboring levels (infeasible ones are skipped)
-    and runs first.  A descent that comes close to a minimizer an earlier
-    descent converged to, at a value not below it, merges: it stops and is
-    dropped (_descend_merging).  The first minimum in start order of the other
-    descents wins, so a larger multistart can only lower the level.  The
-    record counts the descents run (starts) and merged (merged_starts).
-    Raises InfeasibleLevelError when nothing feasible exists at this
-    (c, branch).
+    and runs first.  A descent that comes close to the end point of an earlier
+    descent that did not merge, at a value not below it, merges: it stops and
+    is dropped (_descend_merging).  The first minimum in start order of the
+    other descents wins, so a larger multistart can only lower the level.  The
+    record counts the descents run (starts) and merged (merged_starts).  Raises
+    InfeasibleLevelError when nothing feasible exists at this (c, branch).
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    _check_multistart(multistart, 0)
     evaluate = _sphere_evaluation(
         constraint, _level_objective(constraint.working.exponents, c, branch)
     )
@@ -823,6 +829,7 @@ def compute_c_star_star(
     best, minimizers = zero_level
     keep = [u for u in minimizers if _inside_cone(float(working.eval_A(u)))]
     if not keep:
+        _check_multistart(multistart, 1)
         both = replace(constraint, tag=constraint.tag.b_positive)
         evaluate = _sphere_evaluation(both, _zero_level(working.exponents))
         best, keep = _near_best(
@@ -849,6 +856,7 @@ def minimize_c0(
     the conjecture-supporting weight construction uses it too.  Those
     callers test the minimizers against the A > 0 cone themselves.
     """
+    _check_multistart(multistart, 1)
     constraint = SphereConstraint(constraint.working, start_support=constraint.start_support)
     evaluate = _sphere_evaluation(
         constraint, _zero_level(constraint.working.exponents), with_a=False
@@ -1044,9 +1052,9 @@ def surrogate_level(
 
     The polish descends from the warm starts, then from the three best
     samples, once from each distinct start, in one multistart
-    (_descend_merging): a polish that comes within the merge radius of a
-    maximizer an earlier one converged to, while not above it, stops there
-    and is dropped.
+    (_descend_merging): a polish that comes within the merge radius of
+    where an earlier polish that did not merge ended, while not above it,
+    stops there and is dropped.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")

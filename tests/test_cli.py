@@ -319,6 +319,20 @@ class TestTraceAndThresholds:
         assert report["thresholds"]["c_star"] < 0.0
         assert report["thresholds"]["c_star_star"] > 0.0
 
+    def test_thresholds_counts_distinct_minimizers(self, tmp_path):
+        # p = 3: the zero level's descents stop at the rounding floor, in
+        # two basins; the repeats merge, so two minimizers are reported
+        cfg = solve_config(cone="A_POS")
+        cfg["problem"].update(n_interior=63, p=3.0, beta=4.0)
+        cfg_path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(["thresholds", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 0
+        assert "c_star_star = 823349754.2208073 (2 minimizer(s))" in out
+        thresholds = json.loads((out_dir / "report.json").read_text())["thresholds"]
+        assert thresholds["n_zero_level_minimizers"] == 2
+        assert thresholds["c_star_star"] == 823349754.2208073
+
     def test_report_subcommand_does_not_gate(self, tmp_path):
         # same failing config as the default verify run, but the report
         # command records the verdict without turning it into an exit code

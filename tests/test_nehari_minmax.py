@@ -15,7 +15,7 @@ from conftest import (
     record_acceptance_line,
 )
 from fibercurve import _kernels as K
-from fibercurve.curve_tracer import _LevelChain, trace_family
+from fibercurve.curve_tracer import EnergyCurve, _LevelChain, trace_family
 from fibercurve.fibering import classify_and_solve, ray_data, restricted_lambda
 from fibercurve.functional_core import ConeTag, FunctionalTriple, phi
 from fibercurve.model_problems import (
@@ -41,6 +41,7 @@ from fibercurve.nehari_minmax import (
     minimize_ground_level,
     surrogate_level,
 )
+from fibercurve.reporting import curve_rows
 
 # weight of the intersect benchmark's minus-branch instance (a = b)
 _MINUS_WEIGHT = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
@@ -498,7 +499,9 @@ class TestThresholds:
         # relative, step ||d||_M >= _STEP_MIN ||u||_M, so these descents run;
         # an absolute floor of 1e-16 lay above their first-trial cap, every
         # descent stopped at iteration 1, and c** was the best start's value
-        # (8.5e16, 3.6e20 and 2.8e24 at n = 31, 63 and 127).
+        # (8.5e16, 3.6e20 and 2.8e24 at n = 31, 63 and 127).  The descents
+        # end unconverged at the rounding floor, and each solve's found set
+        # holds their end points, so no minimizer returned repeats another.
         descents = recording_descents(monkeypatch)
         levels = []
         for n in (31, 63, 127):
@@ -518,6 +521,10 @@ class TestThresholds:
                 term_b = r * tri.grad_B(u) / tri.eval_B(u)
                 scale = max(np.linalg.norm(term_n), np.linalg.norm(term_b))
                 assert np.linalg.norm(term_n - term_b) <= 1e-8 * scale
+            for i, u in enumerate(minimizers):
+                for w in minimizers[:i]:
+                    radius = nm._MERGE_RTOL * float(np.max(np.abs(w)))
+                    assert float(np.max(np.abs(u - w))) > radius
             levels.append(c_ss)
         assert descents and all(out[2] > 1 for _, _, out, _ in descents)
         assert max(levels) < 1e9
@@ -530,6 +537,34 @@ class TestThresholds:
         assert minimizers
         for u in minimizers:
             assert float(tri.eval_B(u)) > 0.0
+
+
+class TestMultistartCount:
+    """A threshold solve draws at least one start and a ground level at
+    least none (a warm chain passes 0 beside its warm start); a smaller
+    count is a ValueError that names multistart."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return dirichlet_problem_1d(15, "1+x", "cos(2*pi*x)+0.2")
+
+    @pytest.fixture(scope="class")
+    def con_both(self, problem):
+        return SphereConstraint(build_triple(problem), tag=ConeTag.A_POS_B_POS)
+
+    @pytest.mark.parametrize("solve", [compute_c_star_star, minimize_c0, compute_c_star])
+    def test_threshold_solve_needs_a_start(self, con_both, solve):
+        with pytest.raises(ValueError, match="multistart must be at least 1, got 0"):
+            solve(con_both, multistart=0)
+
+    def test_given_c_star_star_runs_no_solve(self, con_both):
+        c_star_star, _ = compute_c_star_star(con_both, multistart=2)
+        assert compute_c_star(con_both, multistart=0, c_star_star=c_star_star) < 0.0
+
+    def test_ground_level_count_is_not_negative(self, problem):
+        con = SphereConstraint(build_triple(problem), tag=ConeTag.A_POS)
+        with pytest.raises(ValueError, match="multistart must be at least 0, got -3"):
+            minimize_ground_level(con, -0.01, "plus", multistart=-3)
 
 
 def recording_triple(tri):
@@ -1014,6 +1049,37 @@ class TestMultistartMerge:
         ((results, merged),) = calls
         assert (len(results), merged) == (1, 3)
         assert results[0][0][0] == -1.0
+
+    def test_unconverged_repeat_merges(self, pos_con_plus):
+        # Every descent that does not merge is a merge target, converged or
+        # not: the repeat of a descent cut at max_iter stops where it ended.
+        tri = pos_con_plus.working
+        evaluate = level_evaluation(pos_con_plus, -0.01, "plus")
+        start = evaluate(random_cone_point(pos_con_plus, np.random.default_rng(0)))
+        results, merged = nm._descend_merging(
+            (tri.metric, tri.metric_solve), evaluate, [start, start], OptimizerParams(max_iter=3)
+        )
+        assert (len(results), merged) == (1, 1)
+        _, _, iterations, converged, _ = results[0]
+        assert (iterations, converged) == (3, False)
+
+    def test_unconverged_level_stays_flagged_when_repeats_merge(self, signed_problem):
+        # On the signed instance no descent of this level converges in 200
+        # iterations.  The repeats merge into the first descent's end point,
+        # and the level is still the first minimum, flagged as unconverged.
+        tag = ConeTag.A_NEG
+        con = SphereConstraint(
+            build_triple(signed_problem), tag=tag,
+            start_support=cone_node_mask(signed_problem, tag),
+        )
+        lam, rec = minimize_ground_level(
+            con, -1.0, "plus", multistart=4, seed=0, params=OptimizerParams(max_iter=200)
+        )
+        assert lam == -49.97418148302787
+        assert not rec.converged
+        assert (rec.starts, rec.merged_starts) == (4, 3)
+        curve = EnergyCurve(branch="plus", k=1, points=(rec,), verdicts={})
+        assert curve_rows([curve])[0]["flags"] == "not_converged"
 
     def test_sign_flipped_repeat_merges(self):
         # the triples are even: -u is the minimizer u again
