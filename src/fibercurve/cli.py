@@ -213,6 +213,9 @@ def merge_config(user: dict) -> dict:
     for branch in [cfg["branch"], *cfg["branches"]]:
         if branch not in ("plus", "minus"):
             raise ConfigError(f"unknown branch {branch!r}")
+    # a repeated branch would be traced twice, and no branch verifies nothing
+    if not cfg["branches"] or len(set(cfg["branches"])) < len(cfg["branches"]):
+        raise ConfigError(f"branches must list distinct branches, got {cfg['branches']!r}")
     # the genus surrogates sample coefficient spheres of at most _XI_MAX_K dimensions
     if not cfg["ks"] or min(cfg["ks"]) < 1 or max(cfg["ks"]) > _XI_MAX_K:
         raise ConfigError(f"ks must list curve indices 1 <= k <= {_XI_MAX_K}, got {cfg['ks']!r}")

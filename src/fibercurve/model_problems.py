@@ -792,7 +792,6 @@ def construct_weight_for_conjecture(
     problem: PLaplacianProblem,
     bump_center: Sequence[float] | float,
     bump_radius: float,
-    eps_schedule: Sequence[float] | None = None,
     multistart: int = 16,
     seed: int = 0,
 ) -> tuple[WeightField, float]:
@@ -801,8 +800,9 @@ def construct_weight_for_conjecture(
     b_plus is the positive part of the problem's convex weight.  The bump must
     sit inside a ball where b_plus vanishes (checked).  The zero-level
     objective and its minimizers depend only on (N, B), so the minimizer set
-    is computed once and the largest eps in the schedule that keeps every
-    found minimizer inside the A_eps > 0 cone (by the one cone rule,
+    is computed once and the largest eps of the schedule top * 0.5**j
+    (j = 0, ..., 10, top the largest b_plus), then 0, that keeps every found
+    minimizer inside the A_eps > 0 cone (by the one cone rule,
     functional_core._inside_cone) is returned.  Raises when the schedule is
     exhausted, naming the violating minimizer.
     """
@@ -818,14 +818,10 @@ def construct_weight_for_conjecture(
             "positive part of b to vanish on an open ball around the bump"
         )
     b_plus = np.maximum(b_cell, 0.0)
-    if eps_schedule is None:
-        top = float(np.max(b_plus))
-        if top == 0.0:
-            raise ValueError("b has no positive part; the construction is empty")
-        eps_schedule = [top * 0.5**j for j in range(11)] + [0.0]
-    schedule = sorted({float(e) for e in eps_schedule}, reverse=True)
-    if any(e < 0.0 for e in schedule):
-        raise ValueError("eps_schedule must be nonnegative")
+    top = float(np.max(b_plus))
+    if top == 0.0:
+        raise ValueError("b has no positive part; the construction is empty")
+    schedule = [top * 0.5**j for j in range(11)] + [0.0]
 
     # minimizers of the zero-level objective over the b > 0 cone
     probe = replace(

@@ -85,8 +85,8 @@ class SpherePoint(NamedTuple):
 Evaluation = Callable[[Array], SpherePoint]
 # a start rule: the evaluated point of a usable candidate, None for any other
 StartRule = Callable[[Array], SpherePoint | None]
-# a metric M as (apply, solve), v -> M v and g -> M^{-1} g; None is M = I
-Metric = tuple[Callable[[Array], Array], Callable[[Array], Array]] | None
+# a metric M as (apply, solve), v -> M v and g -> M^{-1} g
+Metric = tuple[Callable[[Array], Array], Callable[[Array], Array]]
 
 __all__ = [
     "CriticalPointRecord",
@@ -232,18 +232,6 @@ class SurrogateLevel:
 _BRANCHES = ("plus", "minus")
 
 
-def _branch_root(t_plus: float, t_minus: float, branch: str) -> float:
-    if branch == "plus":
-        t = t_plus
-    elif branch == "minus":
-        t = t_minus
-    else:
-        raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    if math.isnan(t):
-        raise InfeasibleRayError(f"no {branch}-branch critical scaling on this ray")
-    return t
-
-
 def _ray_scalars(working: FunctionalTriple, u: Array) -> tuple[float, float, float]:
     """(N(u), A(u), B(u)) of the working problem."""
     return float(working.eval_N(u)), float(working.eval_A(u)), float(working.eval_B(u))
@@ -257,8 +245,10 @@ def _scalar_level(
         raise InfeasibleRayError(f"coercive part not positive on this ray (N={n!r})")
     if a <= 0.0:
         raise InfeasibleRayError(f"ray outside the working cone (A={a!r})")
-    _, tp, tm = K.classify(n, b, e.alpha, e.eta, e.beta, c, branch=branch)
-    t = _branch_root(tp, tm, branch)
+    _, t_plus, t_minus = K.classify(n, b, e.alpha, e.eta, e.beta, c, branch=branch)
+    t = t_plus if branch == "plus" else t_minus
+    if math.isnan(t):
+        raise InfeasibleRayError(f"no {branch}-branch critical scaling on this ray")
     num = (e.beta - e.eta) / e.eta * n * t**e.eta - e.beta * c
     den = (e.beta - e.alpha) / e.alpha * a * t**e.alpha
     return num / den, t
@@ -452,8 +442,9 @@ def _sphere_descend(
     +inf outside the cone; such a trial, like one raising InfeasibleRayError,
     fails the Armijo test.
 
-    The direction is d = M^{-1} grad for the metric M (the Sobolev gradient;
-    d = grad when metric is None).  Step lengths come from the
+    The direction is d = M^{-1} grad for the metric M = (apply, solve): the
+    Sobolev gradient for a triple's metric, the gradient itself for the
+    identity pair.  Step lengths come from the
     Barzilai-Borwein quotient s^T M s / s^T y of ambient differences,
     safeguarded by a nonmonotone Armijo backtracking that asks for a decrease
     of c1 * step * grad^T d below the worst of the last few accepted values;
@@ -494,9 +485,9 @@ def _sphere_descend(
     holds, the descent stops there, not converged, with the gradient norm of
     the iterate before (see _multistart).
     """
-    apply_m, solve_m = metric or (None, None)
+    apply_m, solve_m = metric
     u, _, value, gradient = start
-    mu = u if apply_m is None else apply_m(u)  # M u, carried from here on
+    mu = apply_m(u)  # M u, carried from here on
     radius = math.sqrt(float(u @ mu))  # ||u||_M
     gnorm = math.inf
     step_next = _STEP_INIT
@@ -514,11 +505,8 @@ def _sphere_descend(
             if top - min(recent) <= _ROUNDING_ULPS * math.ulp(top):
                 # rounding floor: the last accepted values no longer move
                 return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
-        if solve_m is None:
-            direction, slope = grad, gnorm * gnorm
-        else:
-            direction = solve_m(grad)
-            slope = float(grad @ direction)
+        direction = solve_m(grad)
+        slope = float(grad @ direction)
         # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope), and a step below
         # step_min turns u by less than _STEP_MIN radians on the sphere
         step_min = _STEP_MIN * radius / math.sqrt(slope)
@@ -554,6 +542,11 @@ def _sphere_descend(
             recent.pop(0)
         step_next = step * 2.0
     return u, value, params.max_iter, False, gnorm
+
+
+def _identity(v: Array) -> Array:
+    """M v and M^{-1} v of the identity metric M = I."""
+    return v
 
 
 def _seed_key(seed) -> tuple[int, ...]:
@@ -636,7 +629,8 @@ def _multistart(
     """The one multistart minimizer of ground levels and thresholds.
 
     Descends from the usable extra_starts, then from count drawn starts
-    (_start_rule(evaluate, feasible)), in one _descend_merging.  Returns the
+    (_start_rule(evaluate, feasible)), in one _descend_merging, in the
+    triple's metric or, on a triple without one, the identity.  Returns the
     descents that did not merge, sorted by value (ties in start order), and
     the merge count.  Whether a descent merges depends only on the starts
     before it, so more drawn starts can only add results.
@@ -648,7 +642,7 @@ def _multistart(
     ]
     starts += _draw_starts(constraint, count, seed, purpose, usable)
     working = constraint.working
-    metric = None if working.metric is None else (working.metric, working.metric_solve)
+    metric = (working.metric or _identity, working.metric_solve or _identity)
     results, merged = _descend_merging(metric, evaluate, starts, params or OptimizerParams())
     return sorted(results, key=lambda r: r[1]), merged
 
@@ -948,31 +942,43 @@ def _s_degrees(e: Exponents) -> Array:
 def _coefficient_evaluation(
     e: Exponents, c: float, branch: str, scalars: Array
 ) -> Evaluation:
-    """Level at coordinates s over an additive basis whose (N, A, B) are scalars.
+    """The surrogate polish's evaluation: the negated level at coordinates s
+    over an additive basis whose (N, A, B) are scalars.
 
-    The point is sum_i xi_i e_i with xi_i = sign(s_i) |s_i|**(2/alpha).  Then
+    The level is 0-homogeneous in s, so a representative v of a ray is
+    normalized on the Euclidean unit sphere, s = v / nrm, and the point is
+    sum_i xi_i e_i with xi_i = sign(s_i) |s_i|**(2/alpha).  Then
     N = sum_i |s_i|**(2 eta/alpha) N(e_i), A = sum_i |s_i|**2 A(e_i) and
     B = sum_i |s_i|**(2 beta/alpha) B(e_i), so a point costs 3k numbers and
     one root solve, and the s-gradient follows in closed form from the
-    level's partials.  In xi the level has a |xi_j|**alpha cusp on every axis
-    when alpha < 2, where a maximizer with some xi_j = 0 is not a critical
-    point; in s every degree is at least 2, A is a diagonal quadratic form,
-    and such a maximizer is a smooth critical point that a polish converges to.
+    level's partials.  Value and gradient are negated, so a descent on them
+    maximizes the level.  A point where the level has no root raises
+    SurrogateInvalidError naming its xi.  In xi the level has a
+    |xi_j|**alpha cusp on every axis when alpha < 2, where a maximizer with
+    some xi_j = 0 is not a critical point; in s every degree is at least 2,
+    A is a diagonal quadratic form, and such a maximizer is a smooth
+    critical point that a polish converges to.
     """
     degrees = _s_degrees(e)
-
     objective = _level_objective(e, c, branch)
 
-    def evaluate(s: Array) -> tuple[float, Callable[[], Array]]:
+    def evaluate(v: Array) -> SpherePoint:
+        nrm = math.sqrt(float(v @ v))
+        s = _unit_vector(v, nrm)
         n, a, b = ((np.abs(s) ** degrees) * scalars).sum(axis=1)
-        lam, partials = objective(float(n), float(a), float(b))
+        try:
+            lam, partials = objective(float(n), float(a), float(b))
+        except InfeasibleRayError as exc:
+            raise SurrogateInvalidError(
+                f"coefficient point {_xi_of_s(e.alpha, s)!r} leaves the feasible cone: {exc}"
+            ) from None
 
         def gradient() -> Array:
             # d/ds_i of |s_i|**d f(e_i) is d |s_i|**(d-1) sign(s_i) f(e_i)
             grads = degrees * np.abs(s) ** (degrees - 1.0) * np.sign(s) * scalars
-            return _chain_rule(partials(), grads.__getitem__)
+            return -_chain_rule(partials(), grads.__getitem__)
 
-        return lam, gradient
+        return SpherePoint(s, nrm, -lam, gradient)
 
     return evaluate
 
@@ -1029,14 +1035,14 @@ def surrogate_level(
     The result bounds the true min-max level from above because the basis
     sphere is one admissible competitor set.
 
-    Sampling and polish run on the per-basis scalars N(e_i), A(e_i), B(e_i)
-    (_coefficient_evaluation) and the sample scalars that the surrogate
-    built once; only the maximizer is evaluated on the model of the
-    surrogate's constraint, and its record (extract_critical_point, not
-    converged) is the reported level.  Any infeasible sampled ray raises
-    SurrogateInvalidError, as does a basis that is not additive when the
-    surrogate is built: a basis violating the cone must be rebuilt, not
-    silently skipped.
+    Sampling runs on the sample scalars that the surrogate built once, and
+    the polish on the per-basis scalars N(e_i), A(e_i), B(e_i) through its
+    sphere evaluation (_coefficient_evaluation); only the maximizer is
+    evaluated on the model of the surrogate's constraint, and its record
+    (extract_critical_point, not converged) is the reported level.  Any
+    infeasible sampled or polished ray raises SurrogateInvalidError, as does
+    a basis that is not additive when the surrogate is built: a basis
+    violating the cone must be rebuilt, not silently skipped.
 
     Sampling and polish run in the coordinates s = sign(xi) |xi|**(alpha/2).
     The maximizer often sits on a coordinate axis (some xi_j = 0), where the
@@ -1054,7 +1060,9 @@ def surrogate_level(
     samples, once from each distinct start, in one multistart
     (_descend_merging): a polish that comes within the merge radius of
     where an earlier polish that did not merge ended, while not above it,
-    stops there and is dropped.
+    stops there and is dropped.  The level is the highest of one list, the
+    ends of the polishes that did not merge and then the evaluated starts;
+    the first wins ties.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
@@ -1063,20 +1071,14 @@ def surrogate_level(
     working = constraint.working
     e = working.exponents
     k = surrogate.k
-    level = _coefficient_evaluation(e, c, branch, surrogate.scalars)
-
-    def invalid(s: Array, what: str, exc: InfeasibleRayError) -> SurrogateInvalidError:
-        return SurrogateInvalidError(
-            f"coefficient {what} {_xi_of_s(e.alpha, s)!r} leaves the feasible cone: {exc}"
-        )
-
     values = []
     for s, (n, a, b) in zip(surrogate.samples, surrogate.sample_scalars.T.tolist()):
         try:
             values.append(_scalar_level(e, c, branch, n, a, b)[0])
         except InfeasibleRayError as exc:
-            raise invalid(s, "sample", exc) from None
-    values = np.array(values)
+            raise SurrogateInvalidError(
+                f"coefficient sample {_xi_of_s(e.alpha, s)!r} leaves the feasible cone: {exc}"
+            ) from None
     order = np.argsort(values)[::-1]
 
     polish_starts = []
@@ -1092,32 +1094,19 @@ def surrogate_level(
         if not any(np.array_equal(s, t) for t in polish_starts[:i])
     ]
 
-    ascent = OptimizerParams(gtol=params.gtol, max_iter=_POLISH_ITER)
-    best_value = values[order[0]]
-    best_s = surrogate.samples[order[0]]
     # The gradient grows with the level.  With M = I the first trial step at
     # a level near 4e3 turns the start by nearly 90 degrees, and backtracking
     # takes the first higher point it meets, which can lie across a valley
     # (an axis instead of the peak the start sat below).
-    scale = abs(best_value) or 1.0
-
-    def ascent_point(v: Array) -> SpherePoint:
-        nrm = math.sqrt(float(v @ v))
-        s = _unit_vector(v, nrm)
-        try:
-            lam, gradient = level(s)
-        except InfeasibleRayError as exc:
-            raise invalid(s, "point", exc) from None
-        return SpherePoint(s, nrm, -lam, lambda: -gradient())
-
+    scale = abs(values[order[0]]) or 1.0
     metric = (lambda v: scale * v, lambda g: g / scale)
-    results, _ = _descend_merging(
-        metric, ascent_point, [ascent_point(s) for s in polish_starts], ascent
-    )
-    for s, neg_val, _, _, _ in results:
-        if -neg_val > best_value:
-            best_value = -neg_val
-            best_s = s
+    polish = _coefficient_evaluation(e, c, branch, surrogate.scalars)
+    starts = [polish(s) for s in polish_starts]
+    ascent = OptimizerParams(gtol=params.gtol, max_iter=_POLISH_ITER)
+    results, _ = _descend_merging(metric, polish, starts, ascent)
+    # the highest level of the polish ends, then of the starts; the first wins ties
+    ends = [(u, value) for u, value, _, _, _ in results] + [(p.u, p.value) for p in starts]
+    best_s = min(ends, key=lambda end: end[1])[0]
 
     best_xi = _xi_of_s(e.alpha, best_s)
     u_best = surrogate.basis.T @ best_xi

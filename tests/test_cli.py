@@ -572,9 +572,12 @@ class TestConfigErrors:
             battery_config(ks=[1, 9]),
             battery_config(problem=THREE_D_PROBLEM),
             battery_config(limit_schedule=[float("-inf"), -0.001]),
+            # a repeated branch would be traced twice, and no branch verifies nothing
+            battery_config(branches=["plus", "plus"]),
+            battery_config(branches=[]),
         ],
         ids=["ks", "branches", "c_grid", "ks_beyond_basis", "dimension_3",
-             "limit_schedule_inf"],
+             "limit_schedule_inf", "branches_repeated", "branches_empty"],
     )
     def test_report_checks_the_config_before_any_solve(self, tmp_path, monkeypatch, cfg):
         purposes = count_multistart_purposes(monkeypatch)
@@ -585,6 +588,42 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith("config error")
         assert not purposes
+
+    @pytest.mark.parametrize(
+        "command,cfg,message",
+        [
+            ("thresholds", [battery_config()], "config root must be a JSON object"),
+            ("thresholds", battery_config(tolerances=[1e-6]), '"tolerances" must be an object'),
+            ("thresholds", battery_config(problem=dict(BASE_PROBLEM, kind="neumann")),
+             "problem.kind must be dirichlet or truncated_rn, got 'neumann'"),
+            ("thresholds", battery_config(problem=dict(BASE_PROBLEM, n_interior=None)),
+             "dirichlet problems need problem.n_interior"),
+            ("thresholds", battery_config(problem=dict(BASE_PROBLEM, bounds=[[0.0, 0.5, 1.0]])),
+             "problem.bounds must hold [lo, hi] pairs, got [[0.0, 0.5, 1.0]]"),
+            ("thresholds", battery_config(problem=dict(TRUNCATED_PROBLEM, radius=None)),
+             "truncated problems need problem.n_nodes and problem.radius"),
+            ("thresholds", battery_config(problem=dict(BASE_PROBLEM, weights={"a": "1+x"})),
+             "problem.weights needs either expressions {a, b} or files {a_csv, b_csv}"),
+            ("trace", battery_config(c_grid=[-0.5, -0.05]), "c_grid must be an object"),
+            ("trace", battery_config(c_grid={"from": -0.5, "to": -0.05}),
+             "c_grid needs either values or from/to/n"),
+            ("trace", battery_config(c_grid={"values": []}), "c_grid is empty"),
+            ("trace", battery_config(c_grid={"values": [-0.5, -0.1, -0.5]}),
+             "c_grid values must be distinct"),
+            ("trace", battery_config(c_grid=None), "this command needs a c_grid section"),
+        ],
+        ids=["root_not_object", "section_not_object", "problem_kind", "n_interior_missing",
+             "bounds_not_pairs_of_two", "truncated_radius_missing", "weights_form",
+             "c_grid_not_object", "c_grid_incomplete", "c_grid_empty", "c_grid_repeated",
+             "trace_without_c_grid"],
+    )
+    def test_config_error_messages(self, tmp_path, command, cfg, message):
+        cfg_path = write_config(tmp_path, cfg)
+        code, _, err = run_cli(
+            [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert err == f"config error: {message}\n"
 
     # a key the run would not read is an error, not silently dropped
     @pytest.mark.parametrize(
@@ -638,6 +677,30 @@ class TestConfigErrors:
         for report in reports:
             report.pop("timing_seconds")
         assert reports[0] == reports[1]
+
+
+class TestNonConvergenceExits:
+    def test_trace_without_any_level_exits_nonconverged(self, tmp_path):
+        # far below c*, the minus branch has no level on any ray
+        cfg = battery_config(branches=["minus"], c_grid={"values": [-1e6]})
+        cfg_path = write_config(tmp_path, cfg)
+        code, out, err = run_cli(
+            ["trace", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "curve minus k=1: 0 points, truncated (stopped at c=-1000000.0" in out
+        assert "no curve produced any point" in out
+        assert "Traceback" not in err
+
+    def test_verify_aborts_when_ground_levels_do_not_converge(self, tmp_path):
+        cfg_path = write_config(tmp_path, battery_config(tolerances={"max_iter": 1}))
+        code, out, err = run_cli(
+            ["verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "verification aborted: ground levels did not converge" in out
+        assert "exit 2: non-convergence" in out
+        assert "Traceback" not in err
 
 
 class TestZeroLimitSchedule:

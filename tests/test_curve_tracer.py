@@ -130,6 +130,17 @@ class TestLipschitzVerdict:
         assert 0.99 < v["lipschitz_worst_ratio"] < 1.0
 
 
+class TestMonotoneVerdict:
+    # the level rises with c on a positive cone and falls on a negative one,
+    # against the cone's direction; the noise bound is 1e-6 * (1 + 4) = 5e-6
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("rise, monotone", [(0.5, False), (4e-6, True)])
+    def test_level_moving_against_the_cone_sign(self, sign, rise, monotone):
+        v = ct._curve_verdicts(TestLipschitzVerdict.segment(sign, -rise), sign, 1e-6)
+        assert v["monotone_decreasing"] is monotone
+        assert v["lipschitz_ok"]
+
+
 class TestTraceFamily:
     def test_curves_carry_the_cone_sign(self, const_con_plus):
         # an A-negative cone reports negated levels, and its curves say so
@@ -176,6 +187,24 @@ class TestTraceFamily:
             reason = fam[k].truncation_reason
             assert reason.startswith("stopped at c=-10000.0: coefficient sample")
             assert "leaves the feasible cone" in reason
+
+    def test_surrogate_below_the_ground_fails_k_monotone(self, monkeypatch, pos_problem,
+                                                         pos_con_plus):
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 2)
+        level_of = ct.surrogate_level
+
+        def lowered(surrogate, c, branch, warm_xi=(), params=None):
+            level = level_of(surrogate, c, branch, warm_xi, params)
+            return replace(level, record=replace(level.record, lam=-1.0))
+
+        monkeypatch.setattr(ct, "surrogate_level", lowered)
+        fam = trace_family(
+            pos_con_plus, [-0.2, -0.1], "plus", ks=(1, 2), basis=basis,
+            multistart=4, n_samples=16,
+        )
+        assert [p.lam for p in fam[2].points] == [-1.0, -1.0]
+        assert fam[1].verdicts["k_monotone"]
+        assert not fam[2].verdicts["k_monotone"]
 
     def test_validation(self, signed_con_both):
         with pytest.raises(ValueError, match="must be positive"):
@@ -387,6 +416,16 @@ class TestIntersect:
         (skip,) = out["skipped"]
         assert "not" in skip["reason"]
 
+    def test_infeasible_level_is_skipped(self, const_con_plus):
+        # the plus branch has no critical scaling at c > 0 on any ray
+        out = intersect_with_lambda(const_con_plus, "plus", 1.0, 0.1, 0.2, multistart=2)
+        assert not out["points"]
+        (skip,) = out["skipped"]
+        assert skip["k"] == 1
+        assert skip["reason"].startswith(
+            "level infeasible: stopped at c=0.1: could not sample a feasible start"
+        )
+
     def test_window_validation(self, const_con_plus):
         with pytest.raises(ValueError, match="c_lo < c_hi"):
             intersect_with_lambda(const_con_plus, "plus", 1.0, -0.1, -0.2)
@@ -524,3 +563,31 @@ class TestLevelChain:
                                                                 level.record.t_root)
             assert np.array_equal(fresh.xi, level.xi)
             assert np.array_equal(fresh.record.coefficients, level.record.coefficients)
+
+    def test_level_of_a_dropped_k_raises(self, const_con_plus):
+        # no start is drawn and the plus branch has no level at c > 0
+        chain = ct._LevelChain(const_con_plus, "plus", (1,), multistart=0)
+        for c in (0.1, 0.2):
+            with pytest.raises(nm.InfeasibleLevelError, match="stopped at c=0.1: no feasible"):
+                chain.level(c, 1)
+        assert chain.alive == []
+
+    def test_surrogate_below_its_lower_neighbour_is_replaced(self, monkeypatch, pos_problem):
+        # A k = 3 level below the k = 2 level at the same c is replaced by
+        # it, with k = 3 and the k = 2 maximizer zero-padded as its xi.
+        con = SphereConstraint(build_triple(pos_problem), tag=ConeTag.A_POS)
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
+        level_of = ct.surrogate_level
+
+        def lowered(surrogate, c, branch, warm_xi=(), params=None):
+            level = level_of(surrogate, c, branch, warm_xi, params)
+            if surrogate.k == 3:
+                level = replace(level, record=replace(level.record, lam=-1.0))
+            return level
+
+        monkeypatch.setattr(ct, "surrogate_level", lowered)
+        chain = ct._LevelChain(con, "plus", (2, 3), basis=basis, n_samples=16)
+        levels = chain(-0.1)
+        assert levels[2].lam > 0.0
+        assert levels[3] == replace(levels[2], k=3)
+        assert np.array_equal(chain._warm_xi[3], np.append(chain._warm_xi[2], 0.0))

@@ -333,6 +333,13 @@ class TestGroundLevelRegression:
         with pytest.raises(ValueError, match="branch must be one of"):
             minimize_ground_level(const_con_plus, -0.01, "sideways")
 
+    def test_no_feasible_start_raises(self, const_con_plus):
+        # the plus branch has no critical scaling at c > 0, so the one extra
+        # start is not usable, and no start is drawn
+        u = np.ones(const_con_plus.triple.dim)
+        with pytest.raises(InfeasibleLevelError, match="no feasible start for branch 'plus'"):
+            minimize_ground_level(const_con_plus, 0.1, "plus", multistart=0, extra_starts=[u])
+
 
 class TestMeshRefinement:
     """Ground level at c = -0.01 on refined 1D Dirichlet grids.
@@ -792,9 +799,10 @@ class TestObjectiveGradients:
         evaluate = nm._coefficient_evaluation(con.working.exponents, c, branch, scalars)
         rng = np.random.default_rng(4)
         for _ in range(3):
-            s = rng.standard_normal(3)
-            _, gradient = evaluate(s)
-            error = central_difference_error(lambda x: evaluate(x)[0], s, gradient(), rng)
+            point = evaluate(rng.standard_normal(3))
+            error = central_difference_error(
+                lambda v: evaluate(v).value, point.u, point.gradient(), rng
+            )
             assert error <= 1e-5
 
 
@@ -1095,7 +1103,8 @@ class TestMultistartMerge:
         con = SphereConstraint(two_basin_triple(w_low), tag=ConeTag.A_POS)
         evaluate = level_evaluation(con, self.C, "plus")
         axes = [evaluate(np.array([1.0, 0.0])), evaluate(np.array([0.0, 1.0]))]
-        results, merged = nm._descend_merging(None, evaluate, axes, OptimizerParams())
+        identity = (nm._identity, nm._identity)
+        results, merged = nm._descend_merging(identity, evaluate, axes, OptimizerParams())
         assert merged == 0
         assert [tuple(u) for u, _, _, converged, _ in results if converged] == [(1, 0), (0, 1)]
         assert results[1][1] == pytest.approx(results[0][1] / w_low, rel=1e-12)
@@ -1188,15 +1197,28 @@ class TestSurrogates:
         with pytest.raises(SurrogateInvalidError, match="leaves the feasible cone"):
             surrogate_level(surrogate, -0.05, "plus")
 
+    def test_polish_point_without_a_root_raises(self, pos_problem):
+        # B > 0 on the basis, so the plus branch has no root at c > 0
+        con = SphereConstraint(build_triple(pos_problem), tag=ConeTag.A_POS_B_POS)
+        basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 2)
+        scalars = nm._basis_scalars(con.working, basis)
+        polish = nm._coefficient_evaluation(con.working.exponents, 0.5, "plus", scalars)
+        with pytest.raises(
+            SurrogateInvalidError,
+            match=r"coefficient point array\(\[.*\]\) leaves the feasible cone: no plus-branch",
+        ):
+            polish(np.array([3.0, 4.0]))
+
     @pytest.mark.parametrize(
         "problem_name", ["signed_problem", "truncated_problem", "two_d_problem"]
     )
     def test_scalar_level_matches_model(self, problem_name, request):
         # On a disjoint basis N, A and B of basis.T @ xi are sums of
         # |xi_i|**degree times their values at the basis vectors, so the
-        # surrogate's level at s, where xi = sign(s) |s|**(2/alpha), and its
-        # s-gradient must match the grid evaluation with the chain factor
-        # dxi_i/ds_i = (2/alpha) |s_i|**(2/alpha - 1).
+        # surrogate's level at a unit s, where xi = sign(s) |s|**(2/alpha),
+        # and its s-gradient must match the grid evaluation with the chain
+        # factor dxi_i/ds_i = (2/alpha) |s_i|**(2/alpha - 1).  The polish
+        # evaluation returns the negated level.
         problem = request.getfixturevalue(problem_name)
         con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
         basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 3)
@@ -1206,20 +1228,23 @@ class TestSurrogates:
         checked = 0
         for _ in range(200):
             s = rng.standard_normal(3)
+            s /= np.linalg.norm(s)
             branch, c = ("plus", -1e-3) if checked % 2 else ("minus", 0.5)
             evaluate = nm._coefficient_evaluation(con.working.exponents, c, branch, scalars)
             u = basis.T @ (np.sign(s) * np.abs(s) ** power)
             try:
-                lam, gradient = evaluate(s)
+                point = evaluate(s)
                 ref = level_evaluation(con, c, branch)(u)
-            except InfeasibleRayError:
+            except (InfeasibleRayError, SurrogateInvalidError):
                 continue
+            lam = -point.value
             assert lam == pytest.approx(lambda_tilde(con, c, u, branch)[0], rel=1e-12)
             assert lam == pytest.approx(ref.value, rel=1e-12)
             # the evaluation's gradient is at the unit vector u / ref.nrm, and
             # the level is 0-homogeneous: its gradient at u is that / ref.nrm
             expected = power * np.abs(s) ** (power - 1.0) * (basis @ ref.gradient()) / ref.nrm
-            assert np.linalg.norm(gradient() - expected) <= 1e-9 * np.linalg.norm(expected)
+            gradient = -point.gradient()
+            assert np.linalg.norm(gradient - expected) <= 1e-9 * np.linalg.norm(expected)
             checked += 1
             if checked == 20:
                 break
