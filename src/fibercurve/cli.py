@@ -41,8 +41,8 @@ Config sketch (defaults shown in config.echo.json after any run)::
       "multistart": 32, "warm_multistart": 8, "n_samples": 64, "seed": 0,
       "limit_schedule": [-0.01, -0.001, -0.0001],
       "threshold_deltas": [0.01, 0.05],   // each in (0, 1)
-      "tolerances": {"residual_grad": 1e-6, "energy_defect_rel": 1e-8, "gtol": 1e-8,
-                     "max_iter": 5000, "curve_noise": 1e-6, "limit_ratio": 0.05}
+      "tolerances": {"residual_grad": 1e-6, "energy_defect_rel": 1e-8, "max_iter": 5000,
+                     "curve_noise": 1e-6, "limit_ratio": 0.05}
                                         // all > 0 but curve_noise >= 0
     }
 """
@@ -76,6 +76,7 @@ from .model_problems import (
     weights_from_expressions,
 )
 from .nehari_minmax import (
+    _CERTIFY_RTOL,
     _XI_MAX_K,
     InfeasibleLevelError,
     InfeasibleRayError,
@@ -100,9 +101,9 @@ class ConfigError(Exception):
 
 
 DEFAULT_TOLERANCES = {
-    "residual_grad": 1e-6,
+    # a descent's converged stop meets this bound of the certificate
+    "residual_grad": _CERTIFY_RTOL,
     "energy_defect_rel": 1e-8,
-    "gtol": 1e-8,
     "max_iter": 5000,
     "curve_noise": 1e-6,
     "limit_ratio": 0.05,
@@ -228,7 +229,7 @@ def merge_config(user: dict) -> dict:
     tol = cfg["tolerances"]
     if tol["max_iter"] < 1:
         raise ConfigError(f"tolerances.max_iter must be at least 1, got {tol['max_iter']}")
-    for key in ("gtol", "residual_grad", "energy_defect_rel", "limit_ratio", "curve_noise"):
+    for key in ("residual_grad", "energy_defect_rel", "limit_ratio", "curve_noise"):
         value = tol[key]
         if value < 0.0 or (value == 0.0 and key != "curve_noise"):
             need = "at least 0" if key == "curve_noise" else "positive"
@@ -309,7 +310,7 @@ class Setup:
         self.problem = _build_problem(cfg["problem"])
         self.triple = build_triple(self.problem)
         tol = cfg["tolerances"]
-        self.params = OptimizerParams(gtol=tol["gtol"], max_iter=tol["max_iter"])
+        self.params = OptimizerParams(max_iter=tol["max_iter"])
         # the configured cone and its B > 0 part, each drawing starts on its node mask
         tag = ConeTag[cfg["cone"]]
         self.cone, self.cone_both = (

@@ -219,9 +219,7 @@ class _LevelChain:
         warm = [w for w in (padded, self._warm_xi.get(k)) if w is not None]
         if k not in self.surrogates:
             self.surrogates[k] = GenusSurrogate(self.constraint, self.basis[:k], self.n_samples)
-        level = surrogate_level(
-            self.surrogates[k], c, self.branch, warm_xi=warm, params=self.params
-        )
+        level = surrogate_level(self.surrogates[k], c, self.branch, warm_xi=warm)
         sign = self.constraint.lambda_sign
         if lower is not None and sign * level.record.lam < sign * lower.record.lam:
             level = replace(lower, record=replace(lower.record, k=k), xi=padded)

@@ -23,14 +23,18 @@ the problem norm on model problems, the identity on triples without one),
 with Barzilai-Borwein steps s^T M s / s^T y and a nonmonotone Armijo test on
 the decrease step * grad_u^T d.  The descent carries M u, so it applies M
 once, at its start.  In this metric the iteration count does not grow with
-the number of grid nodes.  A descent stops at ||grad_u|| <= gtol,
-or at the rounding floor, when its recent values no longer move in floating
-point.  Ground levels (k = 1) are exact multistart minima; k >= 2 levels are
-genus-type surrogate bounds from spheres of coefficient combinations over
-disjoint-support bases, labeled as surrogates everywhere.  On such a basis
-N, A and B are additive (checked on every pair), so a surrogate level is a
-function of the 3k numbers N(e_i), A(e_i), B(e_i): its sampling and polish
-never touch the grid.
+the number of grid nodes.  A descent stops on one relative test: the
+gradient's norm against the largest norm of its three chain-rule terms,
+which for the level is the certificate's residual_grad.  It stops converged
+once that ratio is at most _STOP_RTOL; at the rounding floor, when its
+recent values no longer move in floating point, or when its line search is
+exhausted, it is converged iff the ratio meets the certificate's bound
+_CERTIFY_RTOL.  Ground levels (k = 1) are exact multistart minima; k >= 2
+levels are genus-type surrogate bounds from spheres of coefficient
+combinations over disjoint-support bases, labeled as surrogates everywhere.
+On such a basis N, A and B are additive (checked on every pair), so a
+surrogate level is a function of the 3k numbers N(e_i), A(e_i), B(e_i): its
+sampling and polish never touch the grid.
 
 Negative-cone branches never run their own machinery: the energy satisfies
 phi(lam, u; A) = phi(-lam, u; -A), so constraints with a negative tag flip the
@@ -73,13 +77,14 @@ class SpherePoint(NamedTuple):
 
     u = v / nrm is the unit vector, value the objective at u and gradient a
     zero-argument callable finishing the objective's gradient at u from what
-    the value already computed.
+    the value already computed, with the squared norm of its largest
+    chain-rule term (_chain_rule), the scale of the descent's stopping test.
     """
 
     u: Array
     nrm: float
     value: float
-    gradient: Callable[[], Array]
+    gradient: Callable[[], tuple[Array, float]]
 
 
 Evaluation = Callable[[Array], SpherePoint]
@@ -126,9 +131,9 @@ class SurrogateInvalidError(InfeasibleLevelError):
 
 @dataclass
 class OptimizerParams:
-    """Descent stop: ||grad|| <= gtol, or max_iter iterations."""
+    """A descent's iteration cap; it stops earlier on the relative residual
+    test of _sphere_descend."""
 
-    gtol: float = 1e-8
     max_iter: int = 5000
 
 
@@ -138,6 +143,12 @@ _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
 _STEP_FACTOR = 0.5
 _STEP_MIN = 1e-16
+# the descent's stopping ratio ||grad|| / max_i ||f_i grad_i|| (_sphere_descend):
+# a descent stops converged at _STOP_RTOL, and a rounding-floor or exhausted
+# line-search stop is converged at _CERTIFY_RTOL, the bound a certified
+# level's residual_grad meets
+_STOP_RTOL = 1e-8
+_CERTIFY_RTOL = 1e-6
 # iteration cap of the surrogate polish, and random draws per start
 _POLISH_ITER = 200
 _START_ATTEMPTS = 200
@@ -198,8 +209,9 @@ class CriticalPointRecord:
     a surrogate maximum at its optimizer; residual_grad is the
     coefficient-gradient norm of the energy at (lam, v) relative to the
     largest of its three term norms; energy_defect is |phi(lam, v) - c|.
-    converged reports the optimizer's own stopping test, not the residual
-    thresholds, so certification stays a separate check.  Ground levels
+    converged reports the descent's stop, whose test is this residual
+    (_sphere_descend), so a converged level has residual_grad <=
+    _CERTIFY_RTOL; certification also checks the energy defect.  Ground levels
     (minimize_ground_level) also count the descents their multistart ran
     (starts) and how many of those merged into a minimizer found before them
     (merged_starts); other records leave both 0.
@@ -285,14 +297,19 @@ def _level_objective(e: Exponents, c: float, branch: str) -> Objective:
     return objective
 
 
-def _chain_rule(partials: Partials, gradient_of: Callable[[int], Array]) -> Array:
-    """f_n grad_N + f_a grad_A + f_b grad_B for partials (f_n, f_a, f_b).
+def _chain_rule(partials: Partials, gradient_of: Callable[[int], Array]) -> tuple[Array, float]:
+    """f_n grad_N + f_a grad_A + f_b grad_B for partials (f_n, f_a, f_b), and
+    the largest squared norm ||f_i grad_i||**2 of its terms.
 
     gradient_of(i) gives the gradient of the i-th ray scalar (N, A, B) and
-    is not asked where the partial is 0.
+    is not asked where the partial is 0.  For the level all three terms
+    carry the factor alpha / (a t**(alpha-1)) of the energy gradient at the
+    critical point, so the gradient's norm over the largest term's is
+    extract_critical_point's residual_grad.
     """
-    first, *rest = [f * gradient_of(i) for i, f in enumerate(partials) if f != 0.0]
-    return sum(rest, first)
+    terms = [f * gradient_of(i) for i, f in enumerate(partials) if f != 0.0]
+    first, *rest = terms
+    return sum(rest, first), float(max(map(np.dot, terms, terms)))
 
 
 def _unit_vector(v: Array, nrm: float) -> Array:
@@ -328,7 +345,7 @@ def _sphere_evaluation(
     decide the cone, or B alone when with_a is false, and then A is not
     read.  A point outside the cone has value +inf.  The gradient at u is the
     chain rule of the objective's partials (_chain_rule), with the gradients
-    of N, A and B read at u.
+    of N, A and B read at u, and comes with its largest squared term norm.
     """
     working = constraint.working
     needs_b_pos = constraint.tag.needs_b_pos
@@ -341,7 +358,7 @@ def _sphere_evaluation(
             return SpherePoint(u, nrm, math.inf, _outside_cone)
         value, partials = objective(1.0, a, b)
 
-        def gradient() -> Array:
+        def gradient() -> tuple[Array, float]:
             return _chain_rule(partials(), lambda i: np.asarray(grads[i](u), dtype=float))
 
         return SpherePoint(u, nrm, value, gradient)
@@ -350,12 +367,13 @@ def _sphere_evaluation(
 
 
 def lambda_tilde(
-    constraint: SphereConstraint, c: float, u: Array, branch: str
+    constraint: SphereConstraint, c: float, branch: str, u: Array
 ) -> tuple[float, float]:
     """Restricted parameter and critical scaling of u at level c on a branch.
 
     The same ray evaluation the optimizers run, with the parameter
-    sign-adjusted for negative cones.  Raises InfeasibleRayError when the ray
+    sign-adjusted for negative cones; the arguments come in the order of
+    extract_critical_point's.  Raises InfeasibleRayError when the ray
     leaves the working cone or has no critical scaling on the branch.
     """
     if branch not in _BRANCHES:
@@ -433,8 +451,9 @@ def _sphere_descend(
 
     evaluate(v) takes any representative v of a ray and returns its
     SpherePoint: the unit vector, the objective value there and a
-    zero-argument callable that finishes the gradient there from what the
-    value already computed (ray scalars, root).  Each point is evaluated
+    zero-argument callable that finishes the gradient there, with its
+    largest squared chain-rule term norm, from what the value already
+    computed (ray scalars, root).  Each point is evaluated
     once: start is the evaluation that accepted it, a trial u - step d is
     evaluated as it stands and normalized by the evaluation, the gradient is
     asked for only at the start and at accepted trials, and rejected trials
@@ -451,9 +470,15 @@ def _sphere_descend(
     both pieces are deterministic.  M is applied once per descent, to the
     start: the descent carries M u, and an accepted trial (u - step d) / nrm
     has M u = (M u - step grad) / nrm, since M d = grad.  So s^T M s is
-    s^T (M u - M u_prev).  The stopping test stays the Euclidean
-    ||grad|| <= gtol.  Returns (u, value, iterations, converged,
-    gradient_norm).
+    s^T (M u - M u_prev).
+
+    The stopping test is relative and the same for every objective: the
+    residual ||grad|| / max_i ||f_i grad_i||, the Euclidean gradient norm
+    over the largest of its chain-rule terms.  It is scale-free, whatever
+    the objective's magnitude (the zero level near 8e8 at p = 3), and for
+    the level it is the certificate's residual_grad.  The descent stops,
+    converged, at residual <= _STOP_RTOL.  Returns (u, value, iterations,
+    converged, residual).
 
     The first trial, which has no Barzilai-Borwein quotient yet, is capped at
     step ||d||_M <= 2 ||u||_M.  The gradient is tangent, so d is M-orthogonal
@@ -469,42 +494,43 @@ def _sphere_descend(
     at a minimizer asks for decreases (about 1e-20) far below the rounding of
     the value itself (ulp(35) is about 7e-15); without the allowance a trial
     one ulp above the single remembered value fails, a trial equal to it
-    passes without progress, and the descent runs to max_iter just above gtol.
+    passes without progress, and the descent runs to max_iter.
 
     The same allowance ends a descent whose values have stopped moving in
     floating point: once the window of the last _WINDOW accepted values spans
     no more than _ROUNDING_ULPS units in the last place of its maximum, the
     gradient is at its rounding floor and further steps only trade rounding
-    noise.  Such a stop counts as converged iff ||grad|| <= 10 gtol, the
-    verdict an exhausted line search gets.  It ends descents whose level
-    carries more rounding noise than a step toward the optimum can gain, as
-    on minus-branch levels at c far above c**, where the level's numerator
-    cancels.
+    noise.  Such a stop, like an exhausted line search, counts as converged
+    iff residual <= _CERTIFY_RTOL: converged means the point would certify.
+    It ends descents whose level carries more rounding noise than a step
+    toward the optimum can gain, as on minus-branch levels at c far above
+    c**, where the level's numerator cancels.  A stop at max_iter is not
+    converged.
 
     merge(u, value), when given, is asked after every accepted step; when it
-    holds, the descent stops there, not converged, with the gradient norm of
-    the iterate before (see _multistart).
+    holds, the descent stops there, not converged, with the residual of the
+    iterate before (see _multistart).
     """
     apply_m, solve_m = metric
     u, _, value, gradient = start
     mu = apply_m(u)  # M u, carried from here on
     radius = math.sqrt(float(u @ mu))  # ||u||_M
-    gnorm = math.inf
+    residual = math.inf
     step_next = _STEP_INIT
     prev_u: Array | None = None
     prev_mu: Array | None = None
     prev_grad: Array | None = None
     recent = [value]
     for it in range(1, params.max_iter + 1):
-        grad = gradient()
-        gnorm = math.sqrt(grad @ grad)
-        if gnorm <= params.gtol:
-            return u, value, it, True, gnorm
+        grad, scale2 = gradient()
+        residual = math.sqrt(float(grad @ grad) / scale2)
+        if residual <= _STOP_RTOL:
+            return u, value, it, True, residual
         if len(recent) == _WINDOW:
             top = max(recent)
             if top - min(recent) <= _ROUNDING_ULPS * math.ulp(top):
                 # rounding floor: the last accepted values no longer move
-                return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
+                return u, value, it, residual <= _CERTIFY_RTOL, residual
         direction = solve_m(grad)
         slope = float(grad @ direction)
         # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope), and a step below
@@ -531,17 +557,17 @@ def _sphere_descend(
             step *= _STEP_FACTOR
         else:
             # line search exhausted: flat valley or cone-boundary pin
-            return u, value, it, gnorm <= 10.0 * params.gtol, gnorm
+            return u, value, it, residual <= _CERTIFY_RTOL, residual
         prev_u, prev_mu, prev_grad = u, mu, grad
         u, _, value, gradient = trial
         mu = (mu - step * grad) / trial.nrm
         if merge is not None and merge(u, value):
-            return u, value, it, False, gnorm
+            return u, value, it, False, residual
         recent.append(value)
         if len(recent) > _WINDOW:
             recent.pop(0)
         step_next = step * 2.0
-    return u, value, params.max_iter, False, gnorm
+    return u, value, params.max_iter, False, residual
 
 
 def _identity(v: Array) -> Array:
@@ -973,10 +999,10 @@ def _coefficient_evaluation(
                 f"coefficient point {_xi_of_s(e.alpha, s)!r} leaves the feasible cone: {exc}"
             ) from None
 
-        def gradient() -> Array:
+        def gradient() -> tuple[Array, float]:
             # d/ds_i of |s_i|**d f(e_i) is d |s_i|**(d-1) sign(s_i) f(e_i)
             grads = degrees * np.abs(s) ** (degrees - 1.0) * np.sign(s) * scalars
-            return -_chain_rule(partials(), grads.__getitem__)
+            return _chain_rule([-f for f in partials()], grads.__getitem__)
 
         return SpherePoint(s, nrm, -lam, gradient)
 
@@ -1026,7 +1052,6 @@ def surrogate_level(
     c: float,
     branch: str,
     warm_xi: Sequence[Array] = (),
-    params: OptimizerParams | None = None,
 ) -> SurrogateLevel:
     """Upper-bound surrogate for the genus-k level on positive-A constraints.
 
@@ -1047,14 +1072,14 @@ def surrogate_level(
     Sampling and polish run in the coordinates s = sign(xi) |xi|**(alpha/2).
     The maximizer often sits on a coordinate axis (some xi_j = 0), where the
     level has a |xi_j|**alpha cusp for alpha < 2: its xi-gradient does not
-    vanish there, and an ascent in xi stalls short of gtol.  In s the level
-    is smooth on the axes and the maximizer is a critical point.  The level
-    is 0-homogeneous in s as in xi, so the polish stays on the Euclidean unit
-    sphere, with the metric scaled by the best sample's |level|: the first
-    trial step then turns the start by the relative gradient (at most
-    atan 2), whatever the level's magnitude.  Samples, warm starts and the
-    returned xi are in xi; the map keeps zero entries zero, so samples stay
-    nested across k.
+    vanish there, and an ascent in xi stalls short of its stopping test.  In
+    s the level is smooth on the axes and the maximizer is a critical point.
+    The level is 0-homogeneous in s as in xi, so the polish stays on the
+    Euclidean unit sphere, with the metric scaled by the best sample's
+    |level|: the first trial step then turns the start by the relative
+    gradient (at most atan 2), whatever the level's magnitude.  Samples, warm
+    starts and the returned xi are in xi; the map keeps zero entries zero, so
+    samples stay nested across k.
 
     The polish descends from the warm starts, then from the three best
     samples, once from each distinct start, in one multistart
@@ -1066,7 +1091,6 @@ def surrogate_level(
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    params = params or OptimizerParams()
     constraint = surrogate.constraint
     working = constraint.working
     e = working.exponents
@@ -1102,8 +1126,7 @@ def surrogate_level(
     metric = (lambda v: scale * v, lambda g: g / scale)
     polish = _coefficient_evaluation(e, c, branch, surrogate.scalars)
     starts = [polish(s) for s in polish_starts]
-    ascent = OptimizerParams(gtol=params.gtol, max_iter=_POLISH_ITER)
-    results, _ = _descend_merging(metric, polish, starts, ascent)
+    results, _ = _descend_merging(metric, polish, starts, OptimizerParams(max_iter=_POLISH_ITER))
     # the highest level of the polish ends, then of the starts; the first wins ties
     ends = [(u, value) for u, value, _, _, _ in results] + [(p.u, p.value) for p in starts]
     best_s = min(ends, key=lambda end: end[1])[0]

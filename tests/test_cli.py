@@ -320,18 +320,18 @@ class TestTraceAndThresholds:
         assert report["thresholds"]["c_star_star"] > 0.0
 
     def test_thresholds_counts_distinct_minimizers(self, tmp_path):
-        # p = 3: the zero level's descents stop at the rounding floor, in
-        # two basins; the repeats merge, so two minimizers are reported
+        # p = 3: the zero level's descents end in two basins, where c0 is
+        # near 8e8; the repeats merge, so two minimizers are reported
         cfg = solve_config(cone="A_POS")
         cfg["problem"].update(n_interior=63, p=3.0, beta=4.0)
         cfg_path = write_config(tmp_path, cfg)
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(["thresholds", "--config", str(cfg_path), "--out", str(out_dir)])
         assert code == 0
-        assert "c_star_star = 823349754.2208073 (2 minimizer(s))" in out
+        assert "c_star_star = 823349754.220809 (2 minimizer(s))" in out
         thresholds = json.loads((out_dir / "report.json").read_text())["thresholds"]
         assert thresholds["n_zero_level_minimizers"] == 2
-        assert thresholds["c_star_star"] == 823349754.2208073
+        assert thresholds["c_star_star"] == 823349754.220809
 
     def test_report_subcommand_does_not_gate(self, tmp_path):
         # same failing config as the default verify run, but the report
@@ -561,6 +561,17 @@ class TestConfigErrors:
         )
         assert code == 1
         assert "config error" in err
+        assert "Traceback" not in err
+
+    def test_removed_gtol_key_names_itself(self, tmp_path):
+        # descents stop on the certificate's relative residual, so there is
+        # no absolute gradient tolerance to set
+        cfg_path = write_config(tmp_path, solve_config(tolerances={"gtol": 1e-8}))
+        code, _, err = run_cli(
+            ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "unknown tolerances key(s): gtol" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

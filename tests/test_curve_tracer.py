@@ -193,8 +193,8 @@ class TestTraceFamily:
         basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 2)
         level_of = ct.surrogate_level
 
-        def lowered(surrogate, c, branch, warm_xi=(), params=None):
-            level = level_of(surrogate, c, branch, warm_xi, params)
+        def lowered(surrogate, c, branch, warm_xi=()):
+            level = level_of(surrogate, c, branch, warm_xi)
             return replace(level, record=replace(level.record, lam=-1.0))
 
         monkeypatch.setattr(ct, "surrogate_level", lowered)
@@ -542,9 +542,9 @@ class TestLevelChain:
         calls = []
         level_of = ct.surrogate_level
 
-        def recording(surrogate, c, branch, warm_xi=(), params=None):
-            level = level_of(surrogate, c, branch, warm_xi, params)
-            calls.append((surrogate, c, branch, list(warm_xi), params, level))
+        def recording(surrogate, c, branch, warm_xi=()):
+            level = level_of(surrogate, c, branch, warm_xi)
+            calls.append((surrogate, c, branch, list(warm_xi), level))
             return level
 
         monkeypatch.setattr(nm, "_basis_scalars", counting)
@@ -555,10 +555,10 @@ class TestLevelChain:
             assert set(chain(c)) == {2, 3}
         assert sorted(built) == [2, 3]
         assert len(calls) == 2 * len(grid)
-        for surrogate, c, branch, warm, params, level in calls:
+        for surrogate, c, branch, warm, level in calls:
             assert surrogate.constraint is con
             fresh_surrogate = GenusSurrogate(con, surrogate.basis, surrogate.n_samples)
-            fresh = surrogate_level(fresh_surrogate, c, branch, warm_xi=warm, params=params)
+            fresh = surrogate_level(fresh_surrogate, c, branch, warm_xi=warm)
             assert (fresh.record.lam, fresh.record.t_root) == (level.record.lam,
                                                                 level.record.t_root)
             assert np.array_equal(fresh.xi, level.xi)
@@ -579,8 +579,8 @@ class TestLevelChain:
         basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
         level_of = ct.surrogate_level
 
-        def lowered(surrogate, c, branch, warm_xi=(), params=None):
-            level = level_of(surrogate, c, branch, warm_xi, params)
+        def lowered(surrogate, c, branch, warm_xi=()):
+            level = level_of(surrogate, c, branch, warm_xi)
             if surrogate.k == 3:
                 level = replace(level, record=replace(level.record, lam=-1.0))
             return level

@@ -72,7 +72,7 @@ class TestLambdaTilde:
             u = random_cone_point(pos_con_plus, rng)
             for c, branch in ((-0.05, "plus"), (-0.05, "minus")):
                 try:
-                    lam, t = lambda_tilde(pos_con_plus, c, u, branch)
+                    lam, t = lambda_tilde(pos_con_plus, c, branch, u)
                 except InfeasibleRayError:
                     continue
                 value = phi(tri, lam, t * u)
@@ -91,27 +91,27 @@ class TestLambdaTilde:
     def test_branch_ordering_on_shared_ray(self, const_con_plus):
         u = np.ones(const_con_plus.triple.dim)
         u = u / const_con_plus.triple.norm_of(u)
-        lam_p, t_p = lambda_tilde(const_con_plus, -0.01, u, "plus")
-        lam_m, t_m = lambda_tilde(const_con_plus, -0.01, u, "minus")
+        lam_p, t_p = lambda_tilde(const_con_plus, -0.01, "plus", u)
+        lam_m, t_m = lambda_tilde(const_con_plus, -0.01, "minus", u)
         assert t_p < t_m
         assert lam_p < lam_m
 
     def test_infeasible_branch_raises(self, const_con_plus):
         u = np.ones(const_con_plus.triple.dim)
         with pytest.raises(InfeasibleRayError, match="no plus-branch"):
-            lambda_tilde(const_con_plus, 0.1, u, "plus")
+            lambda_tilde(const_con_plus, 0.1, "plus", u)
 
     def test_bad_branch_name(self, const_con_plus):
         u = np.ones(const_con_plus.triple.dim)
         with pytest.raises(ValueError, match="branch must be one of"):
-            lambda_tilde(const_con_plus, -0.01, u, "up")
+            lambda_tilde(const_con_plus, -0.01, "up", u)
 
     def test_bad_branch_name_checked_before_the_ray(self, const_con_plus):
         # the zero ray raises InfeasibleRayError (N = 0) if the branch is
         # validated only after the ray scalars
         u = np.zeros(const_con_plus.triple.dim)
         with pytest.raises(ValueError, match="branch must be one of"):
-            lambda_tilde(const_con_plus, -0.01, u, "foo")
+            lambda_tilde(const_con_plus, -0.01, "foo", u)
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_agrees_with_fibering_profile(self, pos_con_plus, branch):
@@ -127,10 +127,10 @@ class TestLambdaTilde:
                 t_ref = profile.t_plus if branch == "plus" else profile.t_minus
                 if t_ref is None:
                     with pytest.raises(InfeasibleRayError):
-                        lambda_tilde(pos_con_plus, c, u, branch)
+                        lambda_tilde(pos_con_plus, c, branch, u)
                     continue
                 lam_ref = pos_con_plus.lambda_sign * restricted_lambda(ray, c, t_ref)
-                lam, t = lambda_tilde(pos_con_plus, c, u, branch)
+                lam, t = lambda_tilde(pos_con_plus, c, branch, u)
                 assert t == t_ref
                 assert lam == pytest.approx(lam_ref, rel=1e-10)
                 checked += 1
@@ -150,12 +150,12 @@ class TestLevelSlope:
             levels = {}
             for branch in ("plus", "minus"):
                 try:
-                    levels[branch] = lambda_tilde(pos_con_plus, c, u, branch)[0]
+                    levels[branch] = lambda_tilde(pos_con_plus, c, branch, u)[0]
                 except InfeasibleRayError:
                     pass
             if len(levels) == 2:
-                tp = lambda_tilde(pos_con_plus, c, u, "plus")[1]
-                tm = lambda_tilde(pos_con_plus, c, u, "minus")[1]
+                tp = lambda_tilde(pos_con_plus, c, "plus", u)[1]
+                tm = lambda_tilde(pos_con_plus, c, "minus", u)[1]
                 if tm < 2.0 * tp:
                     # nearly coalesced roots: the level curvature in c blows
                     # up and a finite difference cannot resolve the slope
@@ -166,8 +166,8 @@ class TestLevelSlope:
                     # difference quotient numerator sits at the rounding
                     # floor of lam itself (huge level, flat slope)
                     continue
-                hi, _ = lambda_tilde(pos_con_plus, c + dc, u, branch)
-                lo, _ = lambda_tilde(pos_con_plus, c - dc, u, branch)
+                hi, _ = lambda_tilde(pos_con_plus, c + dc, branch, u)
+                lo, _ = lambda_tilde(pos_con_plus, c - dc, branch, u)
                 fd = (hi - lo) / (2.0 * dc)
                 assert slope == pytest.approx(fd, rel=1e-4)
                 assert slope < 0.0
@@ -244,12 +244,12 @@ class TestWarmStartAtRoundingFloor:
         con = SphereConstraint(triple=tri, tag=ConeTag.A_POS_B_POS)
         c0 = 60.0
         _, cold = minimize_ground_level(con, c0, "minus", multistart=8, seed=0)
-        gnorms = []
+        residuals = []
         descend = nm._sphere_descend
 
         def recording(*args, **kwargs):
             out = descend(*args, **kwargs)
-            gnorms.append(out[4])
+            residuals.append(out[4])
             return out
 
         monkeypatch.setattr(nm, "_sphere_descend", recording)
@@ -258,10 +258,59 @@ class TestWarmStartAtRoundingFloor:
             extra_starts=[cold.coefficients / cold.t_root],
         )
         assert warm.converged
-        # converged by gtol itself, not by the rounding-floor stop
-        assert gnorms[0] <= OptimizerParams().gtol
+        # converged by the relative stopping test itself, not by the
+        # rounding-floor stop, whose verdict asks only for _CERTIFY_RTOL
+        assert residuals[0] <= nm._STOP_RTOL
         assert warm.iterations <= 50
         assert warm.residual_grad <= 1e-6
+
+    def test_warm_p3_level_converges(self):
+        # A p = 3 level warm-started from the minimizer 1e-5 away in c.  An
+        # absolute stop ||g|| <= 1e-8 ended its descent at the rounding floor
+        # of the level at ||g|| = 1.2e-7, unconverged although its residual
+        # of 8.3e-8 certifies; the relative test stops it converged, at the
+        # same level.
+        problem = dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2", p=3.0, alpha=1.5, beta=4.0)
+        tag = ConeTag.A_POS
+        con = SphereConstraint(
+            build_triple(problem), tag=tag, start_support=cone_node_mask(problem, tag)
+        )
+        _, record = minimize_ground_level(con, -0.05, "plus", multistart=4)
+        lam, warm = minimize_ground_level(
+            con, -0.04999, "plus", multistart=4,
+            extra_starts=[record.coefficients / record.t_root],
+        )
+        assert warm.converged
+        assert warm.residual_grad <= nm._CERTIFY_RTOL
+        assert lam == pytest.approx(1.6509135756581086, rel=1e-12)
+
+
+class TestStopIsTheCertificate:
+    @pytest.mark.parametrize(
+        "a_expr,tag,branch,c",
+        [
+            ("1+x", ConeTag.A_POS, "plus", -0.01),
+            ("1+x", ConeTag.A_POS_B_POS, "minus", 5.0),
+            ("-(1+x)", ConeTag.A_NEG, "plus", -0.05),
+        ],
+        ids=["plus", "minus", "a_flipped_plus"],
+    )
+    def test_descent_residual_is_the_records(self, monkeypatch, a_expr, tag, branch, c):
+        # The gradient's norm over its largest chain-rule term is the
+        # residual_grad of the record at the descent's end: the level's
+        # partials carry the energy gradient's terms times one factor.
+        problem = dirichlet_problem_1d(31, a_expr, "cos(2*pi*x)+0.2")
+        con = SphereConstraint(build_triple(problem), tag=tag)
+        descents = recording_descents(monkeypatch)
+        _, record = minimize_ground_level(con, c, branch, multistart=4)
+        ends = [out for _, _, out, merged in descents if not merged]
+        assert ends
+        for u, _, _, converged, residual in ends:
+            assert converged
+            certificate = extract_critical_point(con, c, branch, u).residual_grad
+            assert residual == pytest.approx(certificate, rel=1e-2)
+        best = min(ends, key=lambda out: out[1])
+        assert best[4] == pytest.approx(record.residual_grad, rel=1e-2)
 
 
 class TestGroundLevelRegression:
@@ -506,9 +555,11 @@ class TestThresholds:
         # relative, step ||d||_M >= _STEP_MIN ||u||_M, so these descents run;
         # an absolute floor of 1e-16 lay above their first-trial cap, every
         # descent stopped at iteration 1, and c** was the best start's value
-        # (8.5e16, 3.6e20 and 2.8e24 at n = 31, 63 and 127).  The descents
-        # end unconverged at the rounding floor, and each solve's found set
-        # holds their end points, so no minimizer returned repeats another.
+        # (8.5e16, 3.6e20 and 2.8e24 at n = 31, 63 and 127).  The stopping
+        # test is relative, so with c0 near 8e8 every descent that does not
+        # merge converges; an absolute ||g|| <= 1e-8 left all of them at the
+        # rounding floor, unconverged.  Each solve's found set holds their
+        # end points, so no minimizer returned repeats another.
         descents = recording_descents(monkeypatch)
         levels = []
         for n in (31, 63, 127):
@@ -534,6 +585,8 @@ class TestThresholds:
                     assert float(np.max(np.abs(u - w))) > radius
             levels.append(c_ss)
         assert descents and all(out[2] > 1 for _, _, out, _ in descents)
+        ends = [out for _, _, out, merged in descents if not merged]
+        assert ends and all(out[3] and out[4] <= 1e-8 for out in ends)
         assert max(levels) < 1e9
         assert abs(levels[2] - levels[1]) < 0.01 * levels[1]
 
@@ -785,7 +838,7 @@ class TestObjectiveGradients:
         for _ in range(3):
             point = evaluate(random_cone_point(con, rng))
             error = central_difference_error(
-                lambda v: evaluate(v).value, point.u, point.gradient(), rng
+                lambda v: evaluate(v).value, point.u, point.gradient()[0], rng
             )
             assert error <= 1e-5
 
@@ -801,7 +854,7 @@ class TestObjectiveGradients:
         for _ in range(3):
             point = evaluate(rng.standard_normal(3))
             error = central_difference_error(
-                lambda v: evaluate(v).value, point.u, point.gradient(), rng
+                lambda v: evaluate(v).value, point.u, point.gradient()[0], rng
             )
             assert error <= 1e-5
 
@@ -1164,7 +1217,7 @@ class TestSurrogates:
         u = random_cone_point(pos_con_plus, rng)
         c = -0.05
         record = surrogate_level(GenusSurrogate(pos_con_plus, u[None, :]), c, "plus").record
-        lam, t = lambda_tilde(pos_con_plus, c, u, "plus")
+        lam, t = lambda_tilde(pos_con_plus, c, "plus", u)
         assert record.lam == pytest.approx(lam, rel=1e-12)
         assert record.t_root == pytest.approx(t, rel=1e-12)
         assert record.k == 1
@@ -1238,12 +1291,12 @@ class TestSurrogates:
             except (InfeasibleRayError, SurrogateInvalidError):
                 continue
             lam = -point.value
-            assert lam == pytest.approx(lambda_tilde(con, c, u, branch)[0], rel=1e-12)
+            assert lam == pytest.approx(lambda_tilde(con, c, branch, u)[0], rel=1e-12)
             assert lam == pytest.approx(ref.value, rel=1e-12)
             # the evaluation's gradient is at the unit vector u / ref.nrm, and
             # the level is 0-homogeneous: its gradient at u is that / ref.nrm
-            expected = power * np.abs(s) ** (power - 1.0) * (basis @ ref.gradient()) / ref.nrm
-            gradient = -point.gradient()
+            expected = power * np.abs(s) ** (power - 1.0) * (basis @ ref.gradient()[0]) / ref.nrm
+            gradient = -point.gradient()[0]
             assert np.linalg.norm(gradient - expected) <= 1e-9 * np.linalg.norm(expected)
             checked += 1
             if checked == 20:
@@ -1256,7 +1309,8 @@ class TestSurrogates:
         # floor with ||g|| between 1e-5 and 3e-2; in s it is a smooth
         # critical point.  A polish that merges stops early on purpose, inside
         # the merge radius of a maximizer its own surrogate call converged
-        # to.  Instances: the intersect benchmark's minus instance and the
+        # to.  Every other polish converges by the relative stopping test
+        # itself.  Instances: the intersect benchmark's minus instance and the
         # report benchmark's weights, inside their windows.
         minus_problem = dirichlet_problem_1d(31, _MINUS_WEIGHT, _MINUS_WEIGHT)
         params = OptimizerParams()
@@ -1276,7 +1330,7 @@ class TestSurrogates:
                     if ascent.max_iter == nm._POLISH_ITER]
         assert len(polishes) >= 36
         maxima = {}  # merge predicate -> the (value, s) its call's polishes converged to
-        for merge, (s, value, iterations, converged, gnorm), merged in polishes:
+        for merge, (s, value, iterations, converged, residual), merged in polishes:
             if merged:
                 aligned = nm._sign_aligned(s)
                 assert any(
@@ -1285,7 +1339,7 @@ class TestSurrogates:
                     for v, m in maxima[merge]
                 )
                 continue
-            assert converged and gnorm <= params.gtol and iterations <= 30
+            assert converged and residual <= nm._STOP_RTOL and iterations <= 30
             maxima.setdefault(merge, []).append((value, s))
         assert any(merged for _, _, merged in polishes)
 
@@ -1368,15 +1422,14 @@ class TestSurrogates:
 
     def test_polish_stops_at_rounding_floor(self, monkeypatch):
         # The minus-branch surrogates of the intersect benchmark sit at levels
-        # near 1.45e4, where the coefficient gradient rests near 8e-8, above
-        # gtol = 1e-8; the polish must end when its values stop moving
-        # instead of running to the polish's iteration cap.
+        # near 1.45e4, where the coefficient gradient rests near 8e-8; the
+        # polish must end, by its relative test or when its values stop
+        # moving, instead of running to the polish's iteration cap.
         expr = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
         problem = dirichlet_problem_1d(31, expr, expr)
         con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
         basis = build_disjoint_basis(problem, ConeTag.A_POS_B_POS, 3)
         c_ss, _ = compute_c_star_star(con, multistart=8, seed=0)
-        params = OptimizerParams()
         capped = []
         descend = nm._sphere_descend
 
@@ -1391,7 +1444,7 @@ class TestSurrogates:
             surrogate = GenusSurrogate(con, basis[:k], n_samples=16)
             warm = ()
             for c in (0.1 * c_ss, 0.9 * c_ss):
-                level = surrogate_level(surrogate, c, "minus", warm_xi=warm, params=params)
+                level = surrogate_level(surrogate, c, "minus", warm_xi=warm)
                 warm = (level.xi,)
         assert capped == []
 
@@ -1490,13 +1543,13 @@ class TestWeightScaling:
             u = random_cone_point(base, rng)
             for branch in ("plus", "minus"):
                 try:
-                    lam, t = lambda_tilde(base, self.C, u, branch)
+                    lam, t = lambda_tilde(base, self.C, branch, u)
                 except InfeasibleRayError:
                     # which branches a ray has depends on (N, B) alone
                     with pytest.raises(InfeasibleRayError):
-                        lambda_tilde(scaled, self.C, u, branch)
+                        lambda_tilde(scaled, self.C, branch, u)
                     continue
-                lam_k, t_k = lambda_tilde(scaled, self.C, u, branch)
+                lam_k, t_k = lambda_tilde(scaled, self.C, branch, u)
                 assert t_k == t
                 assert abs(self.KAPPA * lam_k - lam) <= 1e-13 * abs(lam)
                 solved += 1
