@@ -86,6 +86,11 @@ class ConeTag(Enum):
         return ConeTag.A_POS_B_POS if self.a_sign > 0 else ConeTag.A_NEG_B_POS
 
 
+def _identity(v: Array) -> Array:
+    """M v and M^{-1} v of the identity metric M = I."""
+    return v
+
+
 @dataclass(frozen=True)
 class FunctionalTriple:
     """Even homogeneous triple (N, A, B) with gradients and a problem norm.
@@ -96,10 +101,10 @@ class FunctionalTriple:
     callable must be homogeneous of the declared degree and even; property
     tests enforce this on randomized inputs.
 
-    metric and metric_solve optionally give a symmetric positive definite
-    matrix M for the sphere geometry, as an apply (M v) and a solve
-    (M^{-1} v); sphere descent then steps along M^{-1} grad instead of grad.
-    None means M = I.
+    metric and metric_solve give the symmetric positive definite matrix M
+    of the sphere geometry, as an apply (M v) and a solve (M^{-1} v); sphere
+    descent steps along M^{-1} grad.  Both default to _identity, M = I, the
+    Euclidean coefficient metric.
     """
 
     exponents: Exponents
@@ -110,8 +115,8 @@ class FunctionalTriple:
     grad_N: Callable[[Array], Array]
     grad_A: Callable[[Array], Array]
     grad_B: Callable[[Array], Array]
-    metric: Callable[[Array], Array] | None = None
-    metric_solve: Callable[[Array], Array] | None = None
+    metric: Callable[[Array], Array] = _identity
+    metric_solve: Callable[[Array], Array] = _identity
 
     def norm_of(self, u: Array) -> float:
         return float(self.eval_N(u)) ** (1.0 / self.exponents.eta)

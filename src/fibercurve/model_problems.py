@@ -24,9 +24,9 @@ corners, and the gradient kernel and the metric share one forward-difference
 stencil (per axis, a difference at each cell's lower corner and its transpose
 scatter).
 The metric M (the p = 2 stiffness, plus the lumped mass on truncated
-problems) has one solver per input: Thomas sweeps in 1D, a DST-I
-diagonalization on 2D Dirichlet grids, and none on 2D truncated grids, where
-descent keeps the Euclidean metric.
+problems) has one solver per input: Thomas sweeps in 1D and a DST-I
+diagonalization on 2D Dirichlet grids.  2D truncated grids have none, and
+their triples carry the identity pair, M = I, as the Euclidean metric.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .functional_core import ConeTag, Exponents, FunctionalTriple, _inside_cone, cone_membership
+from .functional_core import (
+    ConeTag, Exponents, FunctionalTriple, _identity, _inside_cone, cone_membership,
+)
 from .nehari_minmax import SphereConstraint, minimize_c0
 
 Array = np.ndarray
@@ -575,7 +577,8 @@ def _dirichlet_2d_solver(grid: Grid):
 
 
 def _stiffness_metric(grid: Grid, mass_w: Array | None):
-    """(apply, solve) of the p = 2 matrix M of the problem norm, or (None, None).
+    """(apply, solve) of the p = 2 matrix M of the problem norm, or the
+    identity pair where no solver for M exists.
 
     M is half the Hessian of the p = 2 gradient part plus, for truncated
     problems, the lumped mass diag(mass_w * vol), so v^T M v = N(v) at p = 2.
@@ -599,7 +602,7 @@ def _stiffness_metric(grid: Grid, mass_w: Array | None):
         # The truncated 2D stencil has no x-differences along the last row of
         # nodes, so its stiffness is not a Kronecker sum and no sine transform
         # diagonalizes it; descent keeps the Euclidean metric there.
-        return None, None
+        return _identity, _identity
     differences, scatter, factors = _forward_differences(grid)
 
     def apply(v: Array) -> Array:

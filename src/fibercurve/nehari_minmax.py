@@ -19,7 +19,7 @@ the gradient f_n grad_N + f_a grad_A + f_b grad_B, for the level
 which is automatically tangent at exact roots, and one multistart minimizes
 it for ground levels and both thresholds.  Steps follow the Sobolev
 gradient d = M^{-1} grad_u for the triple's metric M (the p = 2 stiffness of
-the problem norm on model problems, the identity on triples without one),
+the problem norm on model problems, the identity pair by default),
 with Barzilai-Borwein steps s^T M s / s^T y and a nonmonotone Armijo test on
 the decrease step * grad_u^T d.  The descent carries M u, so it applies M
 once, at its start.  In this metric the iteration count does not grow with
@@ -54,6 +54,7 @@ compute_c_star_star minimizes c0 over the A and B cone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -85,6 +86,24 @@ class SpherePoint(NamedTuple):
     nrm: float
     value: float
     gradient: Callable[[], tuple[Array, float]]
+
+
+class Descent(NamedTuple):
+    """What a descent (_sphere_descend) returns.
+
+    u is the unit vector it stopped at and value the objective there;
+    iterations counts the points it measured (read the gradient of), and
+    residual is u's relative residual, the stopping test's ratio, nan at a
+    merge stop, whose point is never measured.  converged is the stop's
+    verdict: true at residual <= _STOP_RTOL, or at a rounding-floor or
+    exhausted line-search stop with residual <= _CERTIFY_RTOL.
+    """
+
+    u: Array
+    value: float
+    iterations: int
+    converged: bool
+    residual: float
 
 
 Evaluation = Callable[[Array], SpherePoint]
@@ -131,10 +150,14 @@ class SurrogateInvalidError(InfeasibleLevelError):
 
 @dataclass
 class OptimizerParams:
-    """A descent's iteration cap; it stops earlier on the relative residual
-    test of _sphere_descend."""
+    """A descent's iteration cap, the most points it measures (at least 1);
+    it stops earlier on the relative residual test of _sphere_descend."""
 
     max_iter: int = 5000
+
+    def __post_init__(self) -> None:
+        if not (self.max_iter >= 1):
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 # line search: Armijo factor, first step, backtracking factor, smallest step
@@ -376,8 +399,7 @@ def lambda_tilde(
     extract_critical_point's.  Raises InfeasibleRayError when the ray
     leaves the working cone or has no critical scaling on the branch.
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    _check_branch(branch)
     lam, t, _ = _level_internal(constraint.working, c, branch, u)
     return constraint.lambda_sign * lam, t
 
@@ -399,6 +421,7 @@ def extract_critical_point(
     takes A(t u) = lambda_sign * a * t**alpha from the working A(u) = a, so
     negative cones get positive slopes, like their reported levels.
     """
+    _check_branch(branch)
     working = constraint.working
     lam_int, t, a = _level_internal(working, c, branch, u)
     lam = constraint.lambda_sign * lam_int
@@ -445,8 +468,8 @@ def _sphere_descend(
     start: SpherePoint,
     params: OptimizerParams,
     *,
-    merge: Callable[[Array, float], bool] | None = None,
-) -> tuple[Array, float, int, bool, float]:
+    merge: Callable[[Array, float], bool],
+) -> Descent:
     """Preconditioned gradient descent on the sphere, from an evaluated start.
 
     evaluate(v) takes any representative v of a ray and returns its
@@ -477,8 +500,11 @@ def _sphere_descend(
     over the largest of its chain-rule terms.  It is scale-free, whatever
     the objective's magnitude (the zero level near 8e8 at p = 3), and for
     the level it is the certificate's residual_grad.  The descent stops,
-    converged, at residual <= _STOP_RTOL.  Returns (u, value, iterations,
-    converged, residual).
+    converged, at residual <= _STOP_RTOL.  Every stop but a merge is at a
+    measured point, one whose gradient the descent has read: the stopping
+    tests run at the top of an iteration, after u's residual, and
+    params.max_iter bounds the points measured, so iterations is also the
+    number of gradient reads.  Returns a Descent.
 
     The first trial, which has no Barzilai-Borwein quotient yet, is capped at
     step ||d||_M <= 2 ||u||_M.  The gradient is tangent, so d is M-orthogonal
@@ -507,30 +533,31 @@ def _sphere_descend(
     c**, where the level's numerator cancels.  A stop at max_iter is not
     converged.
 
-    merge(u, value), when given, is asked after every accepted step; when it
-    holds, the descent stops there, not converged, with the residual of the
-    iterate before (see _multistart).
+    merge(u, value) is asked after every accepted step; when it holds, the
+    descent stops there, not converged, with residual nan: u was never
+    measured, and _descend_merging drops the descent.
     """
     apply_m, solve_m = metric
     u, _, value, gradient = start
     mu = apply_m(u)  # M u, carried from here on
     radius = math.sqrt(float(u @ mu))  # ||u||_M
-    residual = math.inf
     step_next = _STEP_INIT
     prev_u: Array | None = None
     prev_mu: Array | None = None
     prev_grad: Array | None = None
     recent = [value]
-    for it in range(1, params.max_iter + 1):
+    for it in itertools.count(1):
         grad, scale2 = gradient()
         residual = math.sqrt(float(grad @ grad) / scale2)
         if residual <= _STOP_RTOL:
-            return u, value, it, True, residual
+            return Descent(u, value, it, True, residual)
         if len(recent) == _WINDOW:
             top = max(recent)
             if top - min(recent) <= _ROUNDING_ULPS * math.ulp(top):
                 # rounding floor: the last accepted values no longer move
-                return u, value, it, residual <= _CERTIFY_RTOL, residual
+                return Descent(u, value, it, residual <= _CERTIFY_RTOL, residual)
+        if it >= params.max_iter:
+            return Descent(u, value, it, False, residual)
         direction = solve_m(grad)
         slope = float(grad @ direction)
         # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope), and a step below
@@ -557,22 +584,16 @@ def _sphere_descend(
             step *= _STEP_FACTOR
         else:
             # line search exhausted: flat valley or cone-boundary pin
-            return u, value, it, residual <= _CERTIFY_RTOL, residual
+            return Descent(u, value, it, residual <= _CERTIFY_RTOL, residual)
         prev_u, prev_mu, prev_grad = u, mu, grad
         u, _, value, gradient = trial
         mu = (mu - step * grad) / trial.nrm
-        if merge is not None and merge(u, value):
-            return u, value, it, False, residual
+        if merge(u, value):
+            return Descent(u, value, it, False, math.nan)
         recent.append(value)
         if len(recent) > _WINDOW:
             recent.pop(0)
         step_next = step * 2.0
-    return u, value, params.max_iter, False, residual
-
-
-def _identity(v: Array) -> Array:
-    """M v and M^{-1} v of the identity metric M = I."""
-    return v
 
 
 def _seed_key(seed) -> tuple[int, ...]:
@@ -583,6 +604,12 @@ def _seed_key(seed) -> tuple[int, ...]:
     for s in seed:
         out.extend(_seed_key(s))
     return tuple(out)
+
+
+def _check_branch(branch: str) -> None:
+    """A level lives on the plus or the minus branch; raises ValueError otherwise."""
+    if branch not in _BRANCHES:
+        raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
 
 
 def _check_multistart(multistart: int, least: int) -> None:
@@ -651,15 +678,15 @@ def _multistart(
     params: OptimizerParams | None,
     extra_starts: Sequence[Array] = (),
     feasible: Callable[[Array], bool] | None = None,
-) -> tuple[list[tuple[Array, float, int, bool, float]], int]:
+) -> tuple[list[Descent], int]:
     """The one multistart minimizer of ground levels and thresholds.
 
     Descends from the usable extra_starts, then from count drawn starts
     (_start_rule(evaluate, feasible)), in one _descend_merging, in the
-    triple's metric or, on a triple without one, the identity.  Returns the
-    descents that did not merge, sorted by value (ties in start order), and
-    the merge count.  Whether a descent merges depends only on the starts
-    before it, so more drawn starts can only add results.
+    working triple's metric pair.  Returns the descents that did not merge,
+    sorted by value (ties in start order), and the merge count.  Whether a
+    descent merges depends only on the starts before it, so more drawn
+    starts can only add results.
     """
     usable = _start_rule(evaluate, feasible)
     starts = [
@@ -668,9 +695,9 @@ def _multistart(
     ]
     starts += _draw_starts(constraint, count, seed, purpose, usable)
     working = constraint.working
-    metric = (working.metric or _identity, working.metric_solve or _identity)
+    metric = (working.metric, working.metric_solve)
     results, merged = _descend_merging(metric, evaluate, starts, params or OptimizerParams())
-    return sorted(results, key=lambda r: r[1]), merged
+    return sorted(results, key=lambda r: r.value), merged
 
 
 def _descend_merging(
@@ -678,11 +705,11 @@ def _descend_merging(
     evaluate: Evaluation,
     starts: Sequence[SpherePoint],
     params: OptimizerParams,
-) -> tuple[list[tuple[Array, float, int, bool, float]], int]:
+) -> tuple[list[Descent], int]:
     """Descend from every evaluated start in order; a descent into a found basin merges.
 
-    Returns the _sphere_descend result of every descent that did not merge, in
-    start order, and the number that merged.  This is the clustering rule of
+    Returns the Descent of every descent that did not merge, in start order,
+    and the number that merged.  This is the clustering rule of
     multi-level single linkage (Rinnooy Kan and Timmer, Math. Programming 39,
     1987), and the solver's only test of "a minimizer already found": the end
     point of every descent that does not merge is found, converged or not, and
@@ -707,12 +734,11 @@ def _descend_merging(
     merged = 0
     for start in starts:
         result = _sphere_descend(metric, evaluate, start, params, merge=merges)
-        u, value = result[:2]
-        if merges(u, value):
+        if merges(result.u, result.value):
             merged += 1
             continue
-        m = _sign_aligned(u)
-        found.append((value, m, _MERGE_RTOL * float(np.max(m))))
+        m = _sign_aligned(result.u)
+        found.append((result.value, m, _MERGE_RTOL * float(np.max(m))))
         results.append(result)
     return results, merged
 
@@ -740,8 +766,7 @@ def minimize_ground_level(
     record counts the descents run (starts) and merged (merged_starts).  Raises
     InfeasibleLevelError when nothing feasible exists at this (c, branch).
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    _check_branch(branch)
     _check_multistart(multistart, 0)
     evaluate = _sphere_evaluation(
         constraint, _level_objective(constraint.working.exponents, c, branch)
@@ -753,9 +778,9 @@ def minimize_ground_level(
         raise InfeasibleLevelError(
             f"no feasible start for branch {branch!r} at c={c!r}"
         )
-    u, _, iters, ok, _ = results[0]
+    best = results[0]
     record = extract_critical_point(
-        constraint, c, branch, u, k=1, iterations=iters, converged=ok
+        constraint, c, branch, best.u, k=1, iterations=best.iterations, converged=best.converged
     )
     return record.lam, replace(record, starts=len(results) + merged, merged_starts=merged)
 
@@ -791,12 +816,12 @@ def _sign_aligned(u: Array) -> Array:
     return -u if u[int(np.argmax(np.abs(u)))] < 0.0 else u
 
 
-def _near_best(results: list[tuple[Array, float, int, bool, float]]) -> tuple[float, list[Array]]:
+def _near_best(results: list[Descent]) -> tuple[float, list[Array]]:
     """The best value of _multistart's results and the sign-aligned minimizers
     within relative _LEVEL_RTOL of it."""
-    best = results[0][1]
+    best = results[0].value
     close = _LEVEL_RTOL * (1.0 + abs(best))
-    return best, [_sign_aligned(u) for u, value, _, _, _ in results if abs(value - best) <= close]
+    return best, [_sign_aligned(r.u) for r in results if abs(r.value - best) <= close]
 
 
 def compute_c_star(
@@ -1089,8 +1114,7 @@ def surrogate_level(
     ends of the polishes that did not merge and then the evaluated starts;
     the first wins ties.
     """
-    if branch not in _BRANCHES:
-        raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    _check_branch(branch)
     constraint = surrogate.constraint
     working = constraint.working
     e = working.exponents
@@ -1128,7 +1152,7 @@ def surrogate_level(
     starts = [polish(s) for s in polish_starts]
     results, _ = _descend_merging(metric, polish, starts, OptimizerParams(max_iter=_POLISH_ITER))
     # the highest level of the polish ends, then of the starts; the first wins ties
-    ends = [(u, value) for u, value, _, _, _ in results] + [(p.u, p.value) for p in starts]
+    ends = [(r.u, r.value) for r in results] + [(p.u, p.value) for p in starts]
     best_s = min(ends, key=lambda end: end[1])[0]
 
     best_xi = _xi_of_s(e.alpha, best_s)

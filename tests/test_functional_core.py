@@ -160,9 +160,12 @@ def test_norm_of_default():
 
 
 def test_toy_triple_has_identity_metric():
-    # no metric means sphere descent runs in the Euclidean coefficient metric
-    assert TOY.metric is None and TOY.metric_solve is None
-    assert TOY.with_negated_a().metric is None
+    # the default metric pair is M = I: sphere descent runs in the Euclidean
+    # coefficient metric
+    u = np.array([1.0, 2.0, -0.5])
+    for triple in (TOY, TOY.with_negated_a()):
+        assert triple.metric(u) is u
+        assert triple.metric_solve(u) is u
 
 
 def test_cone_membership_margins():

@@ -345,11 +345,14 @@ class TestStiffnessMetric:
         assert flipped.metric is tri.metric
         assert flipped.metric_solve is tri.metric_solve
 
-    def test_truncated_2d_has_no_metric(self):
+    def test_truncated_2d_has_the_identity_pair(self):
+        # no solver for M exists there, so descent keeps the Euclidean metric
         grid = Grid(((-3.0, 3.0), (-3.0, 3.0)), (9, 9), dirichlet=False)
         weights = weights_from_expressions(grid, "exp(-x^2-y^2)", "exp(-x^2-y^2)")
         tri = build_triple(PLaplacianProblem(grid, weights, 3.0, 1.5, 4.0))
-        assert tri.metric is None and tri.metric_solve is None
+        v = np.random.default_rng(8).normal(size=tri.dim)
+        assert tri.metric(v) is v
+        assert tri.metric_solve(v) is v
 
 
 def _kernel_problem(dimension, kind, p):
@@ -451,8 +454,7 @@ class TestKernelBitIdentity:
         tri = build_triple(problem)
         ref = _reference_kernels(problem)
         if dimension == 2 and kind == "truncated_rn":
-            assert tri.metric is None
-            del ref["metric"]
+            del ref["metric"]  # the identity pair (test_truncated_2d_has_the_identity_pair)
         rng = np.random.default_rng(11)
         for _ in range(20):
             u = rng.standard_normal(tri.dim)

@@ -312,6 +312,59 @@ class TestStopIsTheCertificate:
         best = min(ends, key=lambda out: out[1])
         assert best[4] == pytest.approx(record.residual_grad, rel=1e-2)
 
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_capped_descent_residual_is_the_records(self, monkeypatch, max_iter):
+        # A descent cut at max_iter stops at the last point it measured, with
+        # that point's residual.  Stopping one step later, at a point never
+        # measured, it reported the residual of the point before: 0.751
+        # against the record's 0.972 at max_iter 1.
+        problem = dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2")
+        con = SphereConstraint(build_triple(problem), tag=ConeTag.A_POS)
+        descents = recording_descents(monkeypatch)
+        _, record = minimize_ground_level(
+            con, -0.01, "plus", multistart=1, params=OptimizerParams(max_iter=max_iter)
+        )
+        ((_, _, out, merged),) = descents
+        assert not merged
+        assert (out.iterations, out.converged) == (max_iter, False)
+        assert not record.converged
+        assert out.residual == pytest.approx(record.residual_grad, rel=1e-2)
+
+
+class TestBranchCheck:
+    """Every entry point that takes a branch rejects any but plus and minus
+    before it reads a ray, here the zero ray, whose N = 0 raises otherwise."""
+
+    @pytest.mark.parametrize("branch", [None, "foo"])
+    @pytest.mark.parametrize(
+        "entry", ["extract_critical_point", "lambda_tilde", "ground", "surrogate"]
+    )
+    def test_other_branches_raise(self, const_con_plus, entry, branch):
+        dim = const_con_plus.triple.dim
+        zero = np.zeros(dim)
+        solves = {
+            "extract_critical_point": lambda: extract_critical_point(
+                const_con_plus, -0.01, branch, zero
+            ),
+            "lambda_tilde": lambda: lambda_tilde(const_con_plus, -0.01, branch, zero),
+            "ground": lambda: minimize_ground_level(
+                const_con_plus, -0.01, branch, multistart=0, extra_starts=[zero]
+            ),
+            "surrogate": lambda: surrogate_level(
+                GenusSurrogate(const_con_plus, np.ones((1, dim)), n_samples=4),
+                -0.01, branch, warm_xi=[np.zeros(1)],
+            ),
+        }
+        with pytest.raises(ValueError, match=r"branch must be one of \('plus', 'minus'\)"):
+            solves[entry]()
+
+
+class TestOptimizerParams:
+    @pytest.mark.parametrize("max_iter", [0, -5, math.nan])
+    def test_max_iter_below_one_raises(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            OptimizerParams(max_iter=max_iter)
+
 
 class TestGroundLevelRegression:
     """Frozen multistart results; deterministic given (fixture, seed)."""
@@ -650,14 +703,14 @@ def recording_descents(monkeypatch) -> list:
     descents = []
     descend = nm._sphere_descend
 
-    def recording(metric, evaluate, start, params, *, merge=None):
+    def recording(metric, evaluate, start, params, *, merge):
         merged = [False]
 
         def watching(u, value):
             merged.append(merge(u, value))
             return merged[-1]
 
-        out = descend(metric, evaluate, start, params, merge=None if merge is None else watching)
+        out = descend(metric, evaluate, start, params, merge=watching)
         descents.append((merge, params, out, merged[-1]))
         return out
 
@@ -792,6 +845,8 @@ class TestGradNCountsIterations:
         assert len(descents) == rec.starts == 9
         assert rec.merged_starts > 0
         assert calls["grad_N"] == sum(out[2] for _, _, out, _ in descents) + 2
+        # only a merge stop ends at a point it never measured
+        assert all(math.isnan(out.residual) == merged for _, _, out, merged in descents)
 
 
 # the objective-gradient instances: 1D p = 2 and p = 3, 2D p = 2, truncated p = 3
@@ -934,7 +989,7 @@ class TestFirstTrial:
         first = []  # (metric, u, u - step d) of every descent that tried a step
         descend = nm._sphere_descend
 
-        def descending(metric, evaluate, start, params, *, merge=None):
+        def descending(metric, evaluate, start, params, *, merge):
             trials = []
 
             def evaluating(v):
@@ -961,7 +1016,7 @@ class TestFirstTrial:
         assert any(u.size == 3 for _, u, _ in first)
 
         def m_norm(metric, x):
-            return math.sqrt(float(x @ (x if metric is None else metric[0](x))))
+            return math.sqrt(float(x @ metric[0](x)))
 
         for metric, u, v in first:
             assert m_norm(metric, u - v) <= 2.0 * m_norm(metric, u) * (1.0 + 1e-12)
@@ -1005,7 +1060,7 @@ class TestStartRule:
         starts = []
         descend = nm._sphere_descend
 
-        def recording(metric, evaluate, start, params, *, merge=None):
+        def recording(metric, evaluate, start, params, *, merge):
             starts.append(start.u)
             return descend(metric, evaluate, start, params, merge=merge)
 
@@ -1136,7 +1191,7 @@ class TestMultistartMerge:
         lam, rec = minimize_ground_level(
             con, -1.0, "plus", multistart=4, seed=0, params=OptimizerParams(max_iter=200)
         )
-        assert lam == -49.97418148302787
+        assert lam == -49.97418191907463
         assert not rec.converged
         assert (rec.starts, rec.merged_starts) == (4, 3)
         curve = EnergyCurve(branch="plus", k=1, points=(rec,), verdicts={})
@@ -1156,8 +1211,8 @@ class TestMultistartMerge:
         con = SphereConstraint(two_basin_triple(w_low), tag=ConeTag.A_POS)
         evaluate = level_evaluation(con, self.C, "plus")
         axes = [evaluate(np.array([1.0, 0.0])), evaluate(np.array([0.0, 1.0]))]
-        identity = (nm._identity, nm._identity)
-        results, merged = nm._descend_merging(identity, evaluate, axes, OptimizerParams())
+        metric = (con.working.metric, con.working.metric_solve)
+        results, merged = nm._descend_merging(metric, evaluate, axes, OptimizerParams())
         assert merged == 0
         assert [tuple(u) for u, _, _, converged, _ in results if converged] == [(1, 0), (0, 1)]
         assert results[1][1] == pytest.approx(results[0][1] / w_low, rel=1e-12)
@@ -1176,7 +1231,7 @@ class TestMultistartMerge:
         merged = []
         descend = nm._sphere_descend
 
-        def recording(metric, evaluate, start, params, *, merge=None):
+        def recording(metric, evaluate, start, params, *, merge):
             def watching(u, value):
                 if merge(u, value):
                     merged.append((list(found[merge]), metric, evaluate, u, value))
@@ -1204,7 +1259,7 @@ class TestMultistartMerge:
             assert into
             _, v, m = min(into, key=lambda dvm: dvm[0])
             end, end_value, _, converged, _ = descend(
-                metric, evaluate, evaluate(u), OptimizerParams()
+                metric, evaluate, evaluate(u), OptimizerParams(), merge=lambda u, value: False
             )
             assert converged
             assert distance(end, m) <= 1e-3
