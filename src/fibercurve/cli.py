@@ -101,7 +101,7 @@ class ConfigError(Exception):
 
 
 DEFAULT_TOLERANCES = {
-    # a descent's converged stop meets this bound of the certificate
+    # a converged record's residual meets this bound of the certificate
     "residual_grad": _CERTIFY_RTOL,
     "energy_defect_rel": 1e-8,
     "max_iter": 5000,
@@ -421,9 +421,11 @@ def _certified(record, tol: dict) -> bool:
 
 
 def _certify_points(curves, tol) -> tuple[bool, int]:
-    """Residual and defect certification over converged ground (k = 1) points."""
+    """Residual and defect certification over converged ground (k = 1)
+    points: whether all of them pass, and how many do."""
     checked = [p for curve in curves for p in curve.points if p.k == 1 and p.converged]
-    return all(_certified(p, tol) for p in checked), len(checked)
+    passed = sum(_certified(p, tol) for p in checked)
+    return passed == len(checked), passed
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +569,9 @@ def _run_battery(setup: Setup, quiet: bool):
         ordering = ordering_check(fams["plus"][1], fams["minus"][1], noise=tol["curve_noise"])
         verdicts["pdm_ordering"] = ordering["ok"]
         verdicts["pdm_worst_gap"] = ordering["worst_gap"]
-    certified, n_checked = _certify_points(curves, tol)
+    certified, n_certified = _certify_points(curves, tol)
     verdicts["residuals_certified"] = certified
-    verdicts["n_points_certified"] = n_checked
+    verdicts["n_points_certified"] = n_certified
 
     extras: dict[str, object] = {}
     if "plus" in cfg["branches"]:

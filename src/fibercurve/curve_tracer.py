@@ -35,6 +35,7 @@ from .nehari_minmax import (
     OptimizerParams,
     SphereConstraint,
     SurrogateLevel,
+    _check_branch,
     minimize_c0,
     minimize_ground_level,
     surrogate_level,
@@ -65,8 +66,10 @@ _MAX_EXPAND = 60  # moves of a seed window that does not bracket the target
 class EnergyCurve:
     """Sampled level curve with shape verdicts.
 
-    points are the records of the curve's levels, by increasing c; k >= 2
-    records are surrogate bounds, never converged.  truncation_reason is
+    points are the records of the curve's levels, by increasing c; a record
+    is converged iff its residual_grad meets the certificate's bound, and
+    k >= 2 records are surrogate bounds, whose residuals on the full problem
+    stay far above it.  truncation_reason is
     empty for a fully traced grid; otherwise it explains why tracing
     stopped early (the remaining grid values are dropped).
     lambda_sign is the constraint's: -1.0 on A-negative cones, whose levels
@@ -159,6 +162,7 @@ class _LevelChain:
 
     def __init__(self, constraint, branch, ks, basis=None, n_samples=64, multistart=32,
                  warm_multistart=8, seed=0, params=None, extra_starts=()):
+        _check_branch(branch)
         self.ks = sorted(set(int(k) for k in ks))
         if any(k < 1 for k in self.ks):
             raise ValueError("k values must be positive")
@@ -251,7 +255,8 @@ def trace_curve(
 
     Ground curves warm-start each level from the previous minimizer and keep a
     reduced multistart for basin changes.  k >= 2 needs a disjoint basis and
-    returns surrogate records (not converged).  Tracing truncates, not fails,
+    returns surrogate records, whose residuals stay far above the bound a
+    converged record meets.  Tracing truncates, not fails,
     when a level becomes infeasible.  This is trace_family for the one k.
     """
     return trace_family(
@@ -445,8 +450,11 @@ def intersect_with_lambda(
     whose roots can lie at |c| far below 1; after at most _MAX_REFINE steps.
     Each k follows its own _LevelChain, seeded (seed, k), whose probes after
     the first draw max(2, multistart // 8) starts beside the warm one.  Each
-    k either yields a root entry or a skip entry with a reason; family
-    verdicts compare the roots across k.
+    k either yields a root entry or a skip entry with a reason (the level
+    infeasible, or the target not reachable or not bracketed); family
+    verdicts compare the roots across k.  A branch other than plus and
+    minus, a k below 1 or a k >= 2 without a basis is the caller's error
+    and raises ValueError before any level is solved.
 
     Returns a dict with "points" (one per solved k: k, c, lam, record,
     iterations = refinement steps, probes = level solves including the
@@ -461,22 +469,25 @@ def intersect_with_lambda(
     slope_sign = -constraint.lambda_sign
     c_ceiling = 0.0 if branch == "plus" else math.inf
 
+    chains = [
+        (k, _LevelChain(
+            constraint, branch, (k,), basis=basis, n_samples=n_samples,
+            multistart=multistart, warm_multistart=max(2, multistart // 8),
+            seed=(seed, k), params=params,
+        ))
+        for k in map(int, ks)
+    ]
     points = []
     skipped = []
-    for k in map(int, ks):
+    for k, chain in chains:
         try:
-            chain = _LevelChain(
-                constraint, branch, (k,), basis=basis, n_samples=n_samples,
-                multistart=multistart, warm_multistart=max(2, multistart // 8),
-                seed=(seed, k), params=params,
-            )
             entry = _intersect_single(
                 chain, k, lam_target, c_lo, c_hi, slope_sign, c_floor, c_ceiling
             )
         except InfeasibleLevelError as exc:
             skipped.append({"k": k, "reason": f"level infeasible: {exc}"})
             continue
-        except ValueError as exc:
+        except ValueError as exc:  # not reachable, or not bracketed
             skipped.append({"k": k, "reason": str(exc)})
             continue
         points.append(entry)

@@ -25,13 +25,14 @@ the decrease step * grad_u^T d.  The descent carries M u, so it applies M
 once, at its start.  In this metric the iteration count does not grow with
 the number of grid nodes.  A descent stops on one relative test: the
 gradient's norm against the largest norm of its three chain-rule terms,
-which for the level is the certificate's residual_grad.  It stops converged
-once that ratio is at most _STOP_RTOL; at the rounding floor, when its
-recent values no longer move in floating point, or when its line search is
-exhausted, it is converged iff the ratio meets the certificate's bound
-_CERTIFY_RTOL.  Ground levels (k = 1) are exact multistart minima; k >= 2
-levels are genus-type surrogate bounds from spheres of coefficient
-combinations over disjoint-support bases, labeled as surrogates everywhere.
+which for the level is the certificate's residual_grad.  It stops once
+that ratio is at most _STOP_RTOL, at max_iter, or when its line search is
+exhausted, and gives no verdict: a level is converged iff its record's own
+residual_grad meets the certificate's bound _CERTIFY_RTOL
+(extract_critical_point).  Ground levels (k = 1) are exact multistart
+minima; k >= 2 levels are genus-type surrogate bounds from spheres of
+coefficient combinations over disjoint-support bases, labeled as surrogates
+everywhere.
 On such a basis N, A and B are additive (checked on every pair), so a
 surrogate level is a function of the 3k numbers N(e_i), A(e_i), B(e_i): its
 sampling and polish never touch the grid.
@@ -54,6 +55,7 @@ compute_c_star_star minimizes c0 over the A and B cone.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -94,15 +96,13 @@ class Descent(NamedTuple):
     u is the unit vector it stopped at and value the objective there;
     iterations counts the points it measured (read the gradient of), and
     residual is u's relative residual, the stopping test's ratio, nan at a
-    merge stop, whose point is never measured.  converged is the stop's
-    verdict: true at residual <= _STOP_RTOL, or at a rounding-floor or
-    exhausted line-search stop with residual <= _CERTIFY_RTOL.
+    merge stop, whose point is never measured.  It carries no verdict: the
+    record of u decides convergence (extract_critical_point).
     """
 
     u: Array
     value: float
     iterations: int
-    converged: bool
     residual: float
 
 
@@ -167,9 +167,8 @@ _STEP_INIT = 1.0
 _STEP_FACTOR = 0.5
 _STEP_MIN = 1e-16
 # the descent's stopping ratio ||grad|| / max_i ||f_i grad_i|| (_sphere_descend):
-# a descent stops converged at _STOP_RTOL, and a rounding-floor or exhausted
-# line-search stop is converged at _CERTIFY_RTOL, the bound a certified
-# level's residual_grad meets
+# a descent stops at _STOP_RTOL, and a record is converged when its
+# residual_grad, the same ratio, meets _CERTIFY_RTOL (extract_critical_point)
 _STOP_RTOL = 1e-8
 _CERTIFY_RTOL = 1e-6
 # iteration cap of the surrogate polish, and random draws per start
@@ -232,12 +231,11 @@ class CriticalPointRecord:
     a surrogate maximum at its optimizer; residual_grad is the
     coefficient-gradient norm of the energy at (lam, v) relative to the
     largest of its three term norms; energy_defect is |phi(lam, v) - c|.
-    converged reports the descent's stop, whose test is this residual
-    (_sphere_descend), so a converged level has residual_grad <=
-    _CERTIFY_RTOL; certification also checks the energy defect.  Ground levels
-    (minimize_ground_level) also count the descents their multistart ran
-    (starts) and how many of those merged into a minimizer found before them
-    (merged_starts); other records leave both 0.
+    converged is residual_grad <= _CERTIFY_RTOL, whatever stopped the
+    descent that found v; certification also checks the energy defect.
+    Ground levels (minimize_ground_level) also count the descents their
+    multistart ran (starts) and how many of those merged into a minimizer
+    found before them (merged_starts); other records leave both 0.
     """
 
     branch: str
@@ -258,7 +256,12 @@ class CriticalPointRecord:
 
 @dataclass(frozen=True)
 class SurrogateLevel:
-    """Record of a surrogate level (not converged) and its maximizing coefficients xi."""
+    """Record of a surrogate level and its maximizing coefficients xi.
+
+    The record's converged follows its residual_grad, as every record's
+    does; the maximizer is a point of the full problem that is not critical
+    there, so its residual stays far above the bound.
+    """
 
     record: CriticalPointRecord
     xi: Array
@@ -411,13 +414,14 @@ def extract_critical_point(
     u: Array,
     k: int = 1,
     iterations: int = 0,
-    converged: bool = True,
 ) -> CriticalPointRecord:
     """Scale u to its critical point and certify residual and energy defect.
 
     The residual and defect are evaluated on the original triple with the
     reported (sign-adjusted) parameter, which coincides with the working
-    problem's residual by the sign-flip identity.  The slope -alpha/A(t u)
+    problem's residual by the sign-flip identity.  The record is converged
+    iff its residual meets _CERTIFY_RTOL: this is the one place that
+    verdict is made, for every record.  The slope -alpha/A(t u)
     takes A(t u) = lambda_sign * a * t**alpha from the working A(u) = a, so
     negative cones get positive slopes, like their reported levels.
     """
@@ -448,7 +452,7 @@ def extract_critical_point(
         residual_grad=residual,
         energy_defect=defect,
         iterations=iterations,
-        converged=converged,
+        converged=residual <= _CERTIFY_RTOL,
     )
 
 
@@ -499,12 +503,14 @@ def _sphere_descend(
     residual ||grad|| / max_i ||f_i grad_i||, the Euclidean gradient norm
     over the largest of its chain-rule terms.  It is scale-free, whatever
     the objective's magnitude (the zero level near 8e8 at p = 3), and for
-    the level it is the certificate's residual_grad.  The descent stops,
-    converged, at residual <= _STOP_RTOL.  Every stop but a merge is at a
-    measured point, one whose gradient the descent has read: the stopping
-    tests run at the top of an iteration, after u's residual, and
-    params.max_iter bounds the points measured, so iterations is also the
-    number of gradient reads.  Returns a Descent.
+    the level it is the certificate's residual_grad.  The descent stops at
+    residual <= _STOP_RTOL or at params.max_iter, both tested at the top of
+    an iteration, after u's residual; when its line search is exhausted; or
+    at a merge.  Every stop but a merge is at a measured point, one whose
+    gradient the descent has read, and params.max_iter bounds the points
+    measured, so iterations is also the number of gradient reads.  Returns
+    a Descent, which gives no verdict: whether u is converged is for its
+    record to say (extract_critical_point).
 
     The first trial, which has no Barzilai-Borwein quotient yet, is capped at
     step ||d||_M <= 2 ||u||_M.  The gradient is tangent, so d is M-orthogonal
@@ -522,20 +528,9 @@ def _sphere_descend(
     one ulp above the single remembered value fails, a trial equal to it
     passes without progress, and the descent runs to max_iter.
 
-    The same allowance ends a descent whose values have stopped moving in
-    floating point: once the window of the last _WINDOW accepted values spans
-    no more than _ROUNDING_ULPS units in the last place of its maximum, the
-    gradient is at its rounding floor and further steps only trade rounding
-    noise.  Such a stop, like an exhausted line search, counts as converged
-    iff residual <= _CERTIFY_RTOL: converged means the point would certify.
-    It ends descents whose level carries more rounding noise than a step
-    toward the optimum can gain, as on minus-branch levels at c far above
-    c**, where the level's numerator cancels.  A stop at max_iter is not
-    converged.
-
     merge(u, value) is asked after every accepted step; when it holds, the
-    descent stops there, not converged, with residual nan: u was never
-    measured, and _descend_merging drops the descent.
+    descent stops there with residual nan: u was never measured, and
+    _descend_merging drops the descent.
     """
     apply_m, solve_m = metric
     u, _, value, gradient = start
@@ -545,19 +540,12 @@ def _sphere_descend(
     prev_u: Array | None = None
     prev_mu: Array | None = None
     prev_grad: Array | None = None
-    recent = [value]
+    recent = collections.deque([value], maxlen=_WINDOW)
     for it in itertools.count(1):
         grad, scale2 = gradient()
         residual = math.sqrt(float(grad @ grad) / scale2)
-        if residual <= _STOP_RTOL:
-            return Descent(u, value, it, True, residual)
-        if len(recent) == _WINDOW:
-            top = max(recent)
-            if top - min(recent) <= _ROUNDING_ULPS * math.ulp(top):
-                # rounding floor: the last accepted values no longer move
-                return Descent(u, value, it, residual <= _CERTIFY_RTOL, residual)
-        if it >= params.max_iter:
-            return Descent(u, value, it, False, residual)
+        if residual <= _STOP_RTOL or it >= params.max_iter:
+            return Descent(u, value, it, residual)
         direction = solve_m(grad)
         slope = float(grad @ direction)
         # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope), and a step below
@@ -584,15 +572,13 @@ def _sphere_descend(
             step *= _STEP_FACTOR
         else:
             # line search exhausted: flat valley or cone-boundary pin
-            return Descent(u, value, it, residual <= _CERTIFY_RTOL, residual)
+            return Descent(u, value, it, residual)
         prev_u, prev_mu, prev_grad = u, mu, grad
         u, _, value, gradient = trial
         mu = (mu - step * grad) / trial.nrm
         if merge(u, value):
-            return Descent(u, value, it, False, math.nan)
+            return Descent(u, value, it, math.nan)
         recent.append(value)
-        if len(recent) > _WINDOW:
-            recent.pop(0)
         step_next = step * 2.0
 
 
@@ -780,7 +766,7 @@ def minimize_ground_level(
         )
     best = results[0]
     record = extract_critical_point(
-        constraint, c, branch, best.u, k=1, iterations=best.iterations, converged=best.converged
+        constraint, c, branch, best.u, k=1, iterations=best.iterations
     )
     return record.lam, replace(record, starts=len(results) + merged, merged_starts=merged)
 
@@ -1089,8 +1075,9 @@ def surrogate_level(
     the polish on the per-basis scalars N(e_i), A(e_i), B(e_i) through its
     sphere evaluation (_coefficient_evaluation); only the maximizer is
     evaluated on the model of the surrogate's constraint, and its record
-    (extract_critical_point, not converged) is the reported level.  Any
-    infeasible sampled or polished ray raises SurrogateInvalidError, as does
+    (extract_critical_point, whose residual on the full problem stays far
+    above the certificate's bound) is the reported level.  Any infeasible
+    sampled or polished ray raises SurrogateInvalidError, as does
     a basis that is not additive when the surrogate is built: a basis
     violating the cone must be rebuilt, not silently skipped.
 
@@ -1158,5 +1145,5 @@ def surrogate_level(
     best_xi = _xi_of_s(e.alpha, best_s)
     u_best = surrogate.basis.T @ best_xi
     u_best = u_best / working.norm_of(u_best)
-    record = extract_critical_point(constraint, c, branch, u_best, k=k, converged=False)
+    record = extract_critical_point(constraint, c, branch, u_best, k=k)
     return SurrogateLevel(record=record, xi=best_xi)

@@ -343,6 +343,19 @@ class TestTraceAndThresholds:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["verdicts"]["limit_ratio_ok"] is False
 
+    def test_points_certified_counts_the_points_that_pass(self, tmp_path):
+        # no level meets a residual bound of 1e-12: every converged ground
+        # point is checked and none passes (13 were counted, as checked)
+        cfg = {"problem": json.loads(json.dumps(BASE_PROBLEM)), "ks": [1], "multistart": 2,
+               "seed": 1, "tolerances": {"residual_grad": 1e-12}}
+        cfg_path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(["report", "--config", str(cfg_path), "--out", str(out_dir), "--quiet"])
+        assert code == 0
+        verdicts = json.loads((out_dir / "report.json").read_text())["verdicts"]
+        assert verdicts["residuals_certified"] is False
+        assert verdicts["n_points_certified"] == 0
+
 
 class TestZeroLevelSolve:
     def test_report_runs_one_zero_level_multistart(self, tmp_path, monkeypatch):

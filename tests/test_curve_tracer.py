@@ -398,15 +398,26 @@ class TestIntersect:
         assert pt["record"].converged and pt["record"].residual_grad <= 1e-6
         assert pt["probes"] <= 8
 
-    def test_missing_basis_skips_higher_k(self, const_con_plus):
-        lam_truth, _ = minimize_ground_level(const_con_plus, -0.05, "plus", multistart=4)
-        out = intersect_with_lambda(
-            const_con_plus, "plus", lam_truth, -0.2, -0.01, ks=(1, 2), multistart=4
-        )
-        assert [p["k"] for p in out["points"]] == [1]
-        (skip,) = out["skipped"]
-        assert skip["k"] == 2
-        assert "basis is required" in skip["reason"]
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"branch": "foo"}, "branch must be one of"),
+            ({"ks": (0, 1)}, "k values must be positive"),
+            ({"ks": (1, 2)}, "basis is required"),
+        ],
+        ids=["branch", "k0", "missing_basis"],
+    )
+    def test_caller_errors_raise(self, monkeypatch, const_con_plus, kwargs, message):
+        # a caller error is not a skipped k: it raises before any level solve
+        def solve(*args, **kw):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(ct, "minimize_ground_level", solve)
+        args = {"branch": "plus", "ks": (1,), **kwargs}
+        with pytest.raises(ValueError, match=message):
+            intersect_with_lambda(
+                const_con_plus, args["branch"], 1.0, -0.2, -0.01, ks=args["ks"], multistart=4
+            )
 
     def test_unreachable_target_reports_reason(self, const_con_plus):
         out = intersect_with_lambda(

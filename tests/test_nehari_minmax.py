@@ -249,7 +249,7 @@ class TestWarmStartAtRoundingFloor:
 
         def recording(*args, **kwargs):
             out = descend(*args, **kwargs)
-            residuals.append(out[4])
+            residuals.append(out.residual)
             return out
 
         monkeypatch.setattr(nm, "_sphere_descend", recording)
@@ -258,8 +258,8 @@ class TestWarmStartAtRoundingFloor:
             extra_starts=[cold.coefficients / cold.t_root],
         )
         assert warm.converged
-        # converged by the relative stopping test itself, not by the
-        # rounding-floor stop, whose verdict asks only for _CERTIFY_RTOL
+        # stopped by the relative stopping test itself, not at max_iter or
+        # by an exhausted line search short of it
         assert residuals[0] <= nm._STOP_RTOL
         assert warm.iterations <= 50
         assert warm.residual_grad <= 1e-6
@@ -305,12 +305,12 @@ class TestStopIsTheCertificate:
         _, record = minimize_ground_level(con, c, branch, multistart=4)
         ends = [out for _, _, out, merged in descents if not merged]
         assert ends
-        for u, _, _, converged, residual in ends:
-            assert converged
-            certificate = extract_critical_point(con, c, branch, u).residual_grad
-            assert residual == pytest.approx(certificate, rel=1e-2)
-        best = min(ends, key=lambda out: out[1])
-        assert best[4] == pytest.approx(record.residual_grad, rel=1e-2)
+        for out in ends:
+            assert out.residual <= nm._STOP_RTOL
+            certificate = extract_critical_point(con, c, branch, out.u).residual_grad
+            assert out.residual == pytest.approx(certificate, rel=1e-2)
+        best = min(ends, key=lambda out: out.value)
+        assert best.residual == pytest.approx(record.residual_grad, rel=1e-2)
 
     @pytest.mark.parametrize("max_iter", [1, 3])
     def test_capped_descent_residual_is_the_records(self, monkeypatch, max_iter):
@@ -326,9 +326,44 @@ class TestStopIsTheCertificate:
         )
         ((_, _, out, merged),) = descents
         assert not merged
-        assert (out.iterations, out.converged) == (max_iter, False)
+        assert out.iterations == max_iter
+        assert out.residual > nm._CERTIFY_RTOL
         assert not record.converged
         assert out.residual == pytest.approx(record.residual_grad, rel=1e-2)
+
+
+class TestOneVerdict:
+    """A record is converged iff its own residual_grad meets _CERTIFY_RTOL,
+    whatever stopped the descent that found it."""
+
+    def test_refine_p3_truncated_level_converges(self):
+        # The refine benchmark's trunc_p3_n161 instance.  A stop at the
+        # rounding floor, where the last ten values spanned 4 ulps, ended its
+        # best descent at residual 7.5e-7; the relative test ends it three
+        # iterations later at 8.3e-9, 5 ulps away in the level.
+        problem = truncated_problem_1d(161, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0)
+        con = SphereConstraint(build_triple(problem), tag=ConeTag.A_POS)
+        lam, record = minimize_ground_level(con, -0.01, "plus", multistart=2, seed=0)
+        assert record.converged
+        assert record.residual_grad <= nm._STOP_RTOL
+        assert lam == pytest.approx(0.15843253329002716, rel=1e-14)
+
+    def test_capped_level_converges_by_its_residual(self):
+        # Cut at max_iter 12 and 13 the level's residual is 7.0e-7 and
+        # 7.1e-8, within the certificate's bound: both are converged, and
+        # at 13 the level is the converged one to the last digit.  A stop at
+        # max_iter reported them not converged.
+        problem = dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2")
+        con = SphereConstraint(build_triple(problem), tag=ConeTag.A_POS)
+        converged = []
+        for max_iter in range(1, 15):
+            _, record = minimize_ground_level(
+                con, -0.01, "plus", multistart=1, seed=0,
+                params=OptimizerParams(max_iter=max_iter),
+            )
+            assert record.converged == (record.residual_grad <= nm._CERTIFY_RTOL)
+            converged.append(record.converged)
+        assert converged[11] and converged[12]
 
 
 class TestBranchCheck:
@@ -460,7 +495,7 @@ class TestMeshRefinement:
 
         def counting(*args, **kwargs):
             out = descend(*args, **kwargs)
-            iters.append(out[2])
+            iters.append(out.iterations)
             return out
 
         prob = dirichlet_problem_1d(n, "1+x", "cos(2*pi*x)+0.2", p=p)
@@ -568,7 +603,7 @@ class TestThresholds:
         evaluate = nm._sphere_evaluation(con, negated_extremal)
         # purpose 3 is unused by the library: these starts are the test's own
         results, _ = nm._multistart(con, evaluate, 3, 8, 0, None)
-        direct = -results[0][1]
+        direct = -results[0].value
         assert abs(compute_c_star(con, multistart=8, seed=0) - direct) <= 1e-12 * abs(direct)
 
     def test_one_inside_minimizer_is_enough(self, monkeypatch, signed_con_both):
@@ -637,9 +672,9 @@ class TestThresholds:
                     radius = nm._MERGE_RTOL * float(np.max(np.abs(w)))
                     assert float(np.max(np.abs(u - w))) > radius
             levels.append(c_ss)
-        assert descents and all(out[2] > 1 for _, _, out, _ in descents)
+        assert descents and all(out.iterations > 1 for _, _, out, _ in descents)
         ends = [out for _, _, out, merged in descents if not merged]
-        assert ends and all(out[3] and out[4] <= 1e-8 for out in ends)
+        assert ends and all(out.residual <= 1e-8 for out in ends)
         assert max(levels) < 1e9
         assert abs(levels[2] - levels[1]) < 0.01 * levels[1]
 
@@ -737,7 +772,7 @@ class TestOneScalarSetPerTrial:
 
         def descending(*args, **kwargs):
             out = descend(*args, **kwargs)
-            excluded.add(out[0].tobytes())
+            excluded.add(out.u.tobytes())
             return out
 
         def certifying(*args, **kwargs):
@@ -844,7 +879,7 @@ class TestGradNCountsIterations:
         )
         assert len(descents) == rec.starts == 9
         assert rec.merged_starts > 0
-        assert calls["grad_N"] == sum(out[2] for _, _, out, _ in descents) + 2
+        assert calls["grad_N"] == sum(out.iterations for _, _, out, _ in descents) + 2
         # only a merge stop ends at a point it never measured
         assert all(math.isnan(out.residual) == merged for _, _, out, merged in descents)
 
@@ -1164,7 +1199,7 @@ class TestMultistartMerge:
         assert len(minimizers) == 1 and minimizers[0][0] == 1.0
         ((results, merged),) = calls
         assert (len(results), merged) == (1, 3)
-        assert results[0][0][0] == -1.0
+        assert results[0].u[0] == -1.0
 
     def test_unconverged_repeat_merges(self, pos_con_plus):
         # Every descent that does not merge is a merge target, converged or
@@ -1176,8 +1211,8 @@ class TestMultistartMerge:
             (tri.metric, tri.metric_solve), evaluate, [start, start], OptimizerParams(max_iter=3)
         )
         assert (len(results), merged) == (1, 1)
-        _, _, iterations, converged, _ = results[0]
-        assert (iterations, converged) == (3, False)
+        assert results[0].iterations == 3
+        assert results[0].residual > nm._CERTIFY_RTOL
 
     def test_unconverged_level_stays_flagged_when_repeats_merge(self, signed_problem):
         # On the signed instance no descent of this level converges in 200
@@ -1214,8 +1249,8 @@ class TestMultistartMerge:
         metric = (con.working.metric, con.working.metric_solve)
         results, merged = nm._descend_merging(metric, evaluate, axes, OptimizerParams())
         assert merged == 0
-        assert [tuple(u) for u, _, _, converged, _ in results if converged] == [(1, 0), (0, 1)]
-        assert results[1][1] == pytest.approx(results[0][1] / w_low, rel=1e-12)
+        assert [tuple(r.u) for r in results if r.residual <= nm._STOP_RTOL] == [(1, 0), (0, 1)]
+        assert results[1].value == pytest.approx(results[0].value / w_low, rel=1e-12)
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_merged_iterates_descend_into_their_minimizer(self, monkeypatch, pos_problem, branch):
@@ -1240,8 +1275,8 @@ class TestMultistartMerge:
 
             found.setdefault(merge, [])
             out = descend(metric, evaluate, start, params, merge=watching)
-            if out[3]:
-                found[merge].append((out[1], out[0]))
+            if out.residual <= nm._CERTIFY_RTOL:
+                found[merge].append((out.value, out.u))
             return out
 
         monkeypatch.setattr(nm, "_sphere_descend", recording)
@@ -1258,12 +1293,12 @@ class TestMultistartMerge:
             ]
             assert into
             _, v, m = min(into, key=lambda dvm: dvm[0])
-            end, end_value, _, converged, _ = descend(
+            end = descend(
                 metric, evaluate, evaluate(u), OptimizerParams(), merge=lambda u, value: False
             )
-            assert converged
-            assert distance(end, m) <= 1e-3
-            assert end_value >= v - 1e-6 * (1.0 + abs(v))
+            assert end.residual <= nm._STOP_RTOL
+            assert distance(end.u, m) <= 1e-3
+            assert end.value >= v - 1e-6 * (1.0 + abs(v))
 
 
 class TestSurrogates:
@@ -1385,17 +1420,17 @@ class TestSurrogates:
                     if ascent.max_iter == nm._POLISH_ITER]
         assert len(polishes) >= 36
         maxima = {}  # merge predicate -> the (value, s) its call's polishes converged to
-        for merge, (s, value, iterations, converged, residual), merged in polishes:
+        for merge, out, merged in polishes:
             if merged:
-                aligned = nm._sign_aligned(s)
+                aligned = nm._sign_aligned(out.u)
                 assert any(
-                    value > v and float(np.max(np.abs(aligned - nm._sign_aligned(m))))
+                    out.value > v and float(np.max(np.abs(aligned - nm._sign_aligned(m))))
                     <= nm._MERGE_RTOL * float(np.max(np.abs(m)))
                     for v, m in maxima[merge]
                 )
                 continue
-            assert converged and residual <= nm._STOP_RTOL and iterations <= 30
-            maxima.setdefault(merge, []).append((value, s))
+            assert out.residual <= nm._STOP_RTOL and out.iterations <= 30
+            maxima.setdefault(merge, []).append((out.value, out.u))
         assert any(merged for _, _, merged in polishes)
 
     def test_warm_start_at_the_maximizer_merges_the_sample_polishes(self, monkeypatch):
@@ -1409,21 +1444,22 @@ class TestSurrogates:
         surrogate = GenusSurrogate(con, basis, n_samples=16)
         descents = recording_descents(monkeypatch)
         cold = surrogate_level(surrogate, 12.0, "minus")
-        cold_polishes = [(out[2], out[3], merged) for _, _, out, merged in descents]
+        cold_polishes = [(out.iterations, out.residual, merged) for _, _, out, merged in descents]
         descents.clear()
         warm = surrogate_level(surrogate, 12.0, "minus", warm_xi=[cold.xi])
-        polishes = [(out[2], out[3], merged) for _, _, out, merged in descents]
+        polishes = [(out.iterations, out.residual, merged) for _, _, out, merged in descents]
         assert (warm.record.lam, warm.record.t_root) == (cold.record.lam, cold.record.t_root)
         assert np.array_equal(warm.xi, cold.xi)
-        assert polishes[0][:2] == (1, True)  # the warm start converges where it starts
+        # the warm start converges where it starts
+        assert polishes[0][0] == 1 and polishes[0][1] <= nm._STOP_RTOL
         assert len(cold_polishes) == len(polishes) - 1 == 3
         assert not any(merged for _, _, merged in cold_polishes)
         assert any(iterations > 2 for iterations, _, _ in cold_polishes)
-        for (cold_iterations, _, _), (iterations, converged, merged) in zip(
+        for (cold_iterations, _, _), (iterations, residual, merged) in zip(
             cold_polishes, polishes[1:]
         ):
             if cold_iterations == 1:
-                assert converged and iterations == 1
+                assert residual <= nm._STOP_RTOL and iterations == 1
             else:
                 assert merged and iterations < cold_iterations
 
@@ -1477,9 +1513,10 @@ class TestSurrogates:
 
     def test_polish_stops_at_rounding_floor(self, monkeypatch):
         # The minus-branch surrogates of the intersect benchmark sit at levels
-        # near 1.45e4, where the coefficient gradient rests near 8e-8; the
-        # polish must end, by its relative test or when its values stop
-        # moving, instead of running to the polish's iteration cap.
+        # near 1.45e4, where the coefficient gradient rests near 8e-8, at the
+        # rounding floor of the level; the polish must end by its relative
+        # test, which that gradient meets, instead of running to the
+        # polish's iteration cap.
         expr = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
         problem = dirichlet_problem_1d(31, expr, expr)
         con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)
@@ -1490,8 +1527,8 @@ class TestSurrogates:
 
         def counting(*args, **kwargs):
             out = descend(*args, **kwargs)
-            if args[3].max_iter == nm._POLISH_ITER and out[2] == nm._POLISH_ITER:
-                capped.append(out[4])
+            if args[3].max_iter == nm._POLISH_ITER and out.iterations == nm._POLISH_ITER:
+                capped.append(out.residual)
             return out
 
         monkeypatch.setattr(nm, "_sphere_descend", counting)
@@ -1561,8 +1598,7 @@ class TestExtractCriticalPoint:
         while rec is None:
             u = random_cone_point(pos_con_plus, rng)
             try:
-                rec = extract_critical_point(pos_con_plus, c, "minus", u, k=2,
-                                             iterations=7, converged=False)
+                rec = extract_critical_point(pos_con_plus, c, "minus", u, k=2, iterations=7)
             except InfeasibleRayError:
                 continue
         tri = pos_con_plus.triple

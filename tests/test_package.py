@@ -93,6 +93,9 @@ def test_benchmark_tracer_targets_resolve():
     assert missing == []
     ground = inspect.signature(fibercurve.minimize_ground_level).parameters
     assert {"constraint", "multistart", "extra_starts"} <= set(ground)
+    # the ground hook reads the record's converged, which ground.unconverged counts
+    record_fields = {f.name for f in dataclasses.fields(fibercurve.CriticalPointRecord)}
+    assert "converged" in record_fields
     # the tracer times the six functional callables of every built triple
     fields = {f.name for f in dataclasses.fields(fibercurve.FunctionalTriple)}
     assert set(tracing.TRIPLE_FIELDS) <= fields
