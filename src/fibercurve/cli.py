@@ -576,17 +576,17 @@ def _run_battery(setup: Setup, quiet: bool):
     extras: dict[str, object] = {}
     if "plus" in cfg["branches"]:
         t0 = time.perf_counter()
-        if sum(c > c_star for c in cfg["limit_schedule"]) < 2:  # Setup checked the rest
+        usable = [c for c in cfg["limit_schedule"] if c > c_star]
+        if len(usable) < 2:  # Setup checked the rest
             limit = {"schedule_error": f"need two usable levels above c* = {c_star!r}"}
         else:
             limit = limit_check_zero(
                 setup.constraint_for_branch("plus"),
-                schedule=cfg["limit_schedule"],
+                schedule=usable,
                 tol_limit=tol["limit_ratio"],
                 seed=cfg["seed"],
                 multistart=cfg["multistart"],
                 params=setup.params,
-                c_star_value=c_star,
             )
         timing["zero_limit"] = time.perf_counter() - t0
         extras["zero_limit"] = limit

@@ -36,6 +36,7 @@ from .nehari_minmax import (
     SphereConstraint,
     SurrogateLevel,
     _check_branch,
+    _check_multistart,
     minimize_c0,
     minimize_ground_level,
     surrogate_level,
@@ -157,7 +158,10 @@ class _LevelChain:
     GenusSurrogate of each k, which holds what its levels read that does not
     depend on c, is built at the first call of that k, so a basis that is
     not additive drops k at that call.  A k whose level is infeasible is
-    dropped, and truncation[k] says where and why.
+    dropped, and truncation[k] says where and why.  Arguments are checked
+    here, before any level is solved: a branch other than plus and minus, a
+    k below 1, a negative multistart or warm_multistart, and for a k >= 2 a
+    missing or short basis or n_samples below 1 raise ValueError.
     """
 
     def __init__(self, constraint, branch, ks, basis=None, n_samples=64, multistart=32,
@@ -166,10 +170,14 @@ class _LevelChain:
         self.ks = sorted(set(int(k) for k in ks))
         if any(k < 1 for k in self.ks):
             raise ValueError("k values must be positive")
+        _check_multistart(multistart, 0)
+        _check_multistart(warm_multistart, 0)
         surrogate_ks = [k for k in self.ks if k >= 2]
         if surrogate_ks:
             if basis is None:
                 raise ValueError("a disjoint-support basis is required for k >= 2")
+            if n_samples < 1:
+                raise ValueError("n_samples must be positive")
             basis = np.atleast_2d(np.asarray(basis, dtype=float))
             if basis.shape[0] < surrogate_ks[-1]:
                 raise ValueError(
@@ -357,7 +365,6 @@ def limit_check_zero(
     seed: int = 0,
     multistart: int = 32,
     params: OptimizerParams | None = None,
-    c_star_value: float | None = None,
 ) -> dict:
     """Diagnostics for the plus ground level vanishing as c -> 0-.
 
@@ -365,14 +372,13 @@ def limit_check_zero(
     decreases, its endpoint ratio falls below tol_limit, every minimizer obeys
     the closed-form scaling bound t <= (alpha*eta*beta*|c| / ((eta-alpha)*
     (beta-eta)*N(u)))**(1/eta), and the scalings track |c|**(1/eta) within a
-    factor 3.  Entries at or below c_star_value are dropped first.
-    Every level draws multistart starts beside the warm one.
+    factor 3.  The schedule is used as given: a caller that knows c* passes
+    only its entries above c*.  Every level draws multistart starts beside
+    the warm one.
     """
     schedule = sorted(float(c) for c in schedule)
     if any(c >= 0.0 for c in schedule):
         raise ValueError("zero-limit schedule must be negative")
-    if c_star_value is not None:
-        schedule = [c for c in schedule if c > c_star_value]
     if len(schedule) < 2:
         raise ValueError("zero-limit schedule needs at least two usable levels")
     chain = _LevelChain(
@@ -452,9 +458,10 @@ def intersect_with_lambda(
     the first draw max(2, multistart // 8) starts beside the warm one.  Each
     k either yields a root entry or a skip entry with a reason (the level
     infeasible, or the target not reachable or not bracketed); family
-    verdicts compare the roots across k.  A branch other than plus and
-    minus, a k below 1 or a k >= 2 without a basis is the caller's error
-    and raises ValueError before any level is solved.
+    verdicts compare the roots across k.  An argument _LevelChain rejects
+    (a branch other than plus and minus, a k below 1, a negative multistart,
+    a k >= 2 without a basis or with n_samples below 1) is the caller's
+    error and raises ValueError before any level is solved.
 
     Returns a dict with "points" (one per solved k: k, c, lam, record,
     iterations = refinement steps, probes = level solves including the

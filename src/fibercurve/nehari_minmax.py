@@ -460,8 +460,6 @@ def extract_critical_point(
 # descent machinery
 
 
-# Armijo slack for rounding noise in the level values, in units in the last place
-_ROUNDING_ULPS = 4
 # accepted values the nonmonotone Armijo reference remembers
 _WINDOW = 10
 
@@ -520,13 +518,12 @@ def _sphere_descend(
     degrees, and the backtracking must halve it 20 to 35 times before it
     tests a nearby point.
 
-    The Armijo reference carries an allowance of _ROUNDING_ULPS units in the
-    last place of its value, in the spirit of the approximate Wolfe test of
-    Hager and Zhang (SIAM J. Optim. 16, 2005).  A warm start that already sits
-    at a minimizer asks for decreases (about 1e-20) far below the rounding of
-    the value itself (ulp(35) is about 7e-15); without the allowance a trial
-    one ulp above the single remembered value fails, a trial equal to it
-    passes without progress, and the descent runs to max_iter.
+    The Armijo reference is the largest of the last _WINDOW accepted values,
+    with no allowance for rounding, so every accepted value lies strictly
+    below it.  A warm start that already sits at a minimizer, where the
+    asked-for decrease (about 1e-20) is far below the rounding of the value
+    itself (ulp(35) is about 7e-15), is ended by the relative stopping test,
+    at its first measured point or soon after, not by the line search.
 
     merge(u, value) is asked after every accepted step; when it holds, the
     descent stops there with residual nan: u was never measured, and
@@ -561,7 +558,6 @@ def _sphere_descend(
         if prev_grad is None:
             step = min(step, 2.0 * radius / math.sqrt(slope))
         reference = max(recent)
-        reference += _ROUNDING_ULPS * math.ulp(reference)
         while step >= step_min:
             try:
                 trial = evaluate(u - step * direction)
@@ -642,8 +638,9 @@ def _draw_starts(
             g = rng.standard_normal(dim)
             if support is not None and support.any():  # an empty support restricts nothing
                 g = np.where(support, g, 0.0)
-            # a one-signed profile is feasible more often than a sign-changing one
-            start = (usable(g) or usable(np.abs(g))) if np.any(g) else None
+            # each draw is evaluated once; usable rejects a zero draw, whose
+            # norm _unit_vector refuses
+            start = usable(g)
             if start is not None:
                 starts.append(start)
                 break
@@ -852,15 +849,16 @@ def compute_c_star_star(
     inside minimizers are its minimizers.  Only when none lies inside does a
     second solve run, over the A and B cone.  Returns the threshold (always
     > 0) and the distinct minimizers found within relative 1e-6 of the best
-    value (the numerical stand-in for the minimizing set).
+    value (the numerical stand-in for the minimizing set).  multistart is
+    checked on entry, whether or not the second solve runs.
     """
+    _check_multistart(multistart, 1)
     working = constraint.working
     if zero_level is None:
         zero_level = minimize_c0(constraint, multistart, seed, params)
     best, minimizers = zero_level
     keep = [u for u in minimizers if _inside_cone(float(working.eval_A(u)))]
     if not keep:
-        _check_multistart(multistart, 1)
         both = replace(constraint, tag=constraint.tag.b_positive)
         evaluate = _sphere_evaluation(both, _zero_level(working.exponents))
         best, keep = _near_best(
@@ -1097,9 +1095,10 @@ def surrogate_level(
     samples, once from each distinct start, in one multistart
     (_descend_merging): a polish that comes within the merge radius of
     where an earlier polish that did not merge ended, while not above it,
-    stops there and is dropped.  The level is the highest of one list, the
-    ends of the polishes that did not merge and then the evaluated starts;
-    the first wins ties.
+    stops there and is dropped.  The level is the highest of the ends of the
+    polishes that did not merge; the first wins ties.  No start is above its
+    polish's end: an accepted step lies strictly below the Armijo reference,
+    and a polish that merges stops near a found end not above its own value.
     """
     _check_branch(branch)
     constraint = surrogate.constraint
@@ -1138,9 +1137,8 @@ def surrogate_level(
     polish = _coefficient_evaluation(e, c, branch, surrogate.scalars)
     starts = [polish(s) for s in polish_starts]
     results, _ = _descend_merging(metric, polish, starts, OptimizerParams(max_iter=_POLISH_ITER))
-    # the highest level of the polish ends, then of the starts; the first wins ties
-    ends = [(r.u, r.value) for r in results] + [(p.u, p.value) for p in starts]
-    best_s = min(ends, key=lambda end: end[1])[0]
+    # the highest level of the polish ends; the first wins ties
+    best_s = min(results, key=lambda r: r.value).u
 
     best_xi = _xi_of_s(e.alpha, best_s)
     u_best = surrogate.basis.T @ best_xi

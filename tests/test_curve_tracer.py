@@ -99,6 +99,14 @@ class TestTraceCurve:
         with pytest.raises(ValueError, match="disjoint-support basis"):
             trace_curve(const_con_plus, [-0.1, -0.01], "plus", k=2)
 
+    def test_negative_warm_multistart_raises_before_a_solve(self, monkeypatch, const_con_plus):
+        def solve(*args, **kw):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(ct, "minimize_ground_level", solve)
+        with pytest.raises(ValueError, match="multistart must be at least 0, got -1"):
+            trace_family(const_con_plus, [-0.1, -0.01], "plus", ks=(1,), warm_multistart=-1)
+
 
 class TestLipschitzVerdict:
     @staticmethod
@@ -277,9 +285,7 @@ class TestLimitCheckZero:
         with pytest.raises(ValueError, match="must be negative"):
             limit_check_zero(signed_con_plus, schedule=(-1e-2, 1e-3))
         with pytest.raises(ValueError, match="two usable levels"):
-            limit_check_zero(
-                signed_con_plus, schedule=(-1e-2, -1e-3), c_star_value=-1e-3
-            )
+            limit_check_zero(signed_con_plus, schedule=(-1e-2,))
 
 
 class TestIntersect:
@@ -404,20 +410,26 @@ class TestIntersect:
             ({"branch": "foo"}, "branch must be one of"),
             ({"ks": (0, 1)}, "k values must be positive"),
             ({"ks": (1, 2)}, "basis is required"),
+            ({"ks": (2,), "basis": True, "n_samples": 0}, "n_samples must be positive"),
+            ({"multistart": -3}, "multistart must be at least 0, got -3"),
         ],
-        ids=["branch", "k0", "missing_basis"],
+        ids=["branch", "k0", "missing_basis", "n_samples0", "negative_multistart"],
     )
-    def test_caller_errors_raise(self, monkeypatch, const_con_plus, kwargs, message):
+    def test_caller_errors_raise(
+        self, monkeypatch, const_problem, const_con_plus, kwargs, message
+    ):
         # a caller error is not a skipped k: it raises before any level solve
         def solve(*args, **kw):
             raise AssertionError("a level was solved")
 
         monkeypatch.setattr(ct, "minimize_ground_level", solve)
-        args = {"branch": "plus", "ks": (1,), **kwargs}
+        monkeypatch.setattr(ct, "surrogate_level", solve)
+        args = {"branch": "plus", "ks": (1,), "multistart": 4, **kwargs}
+        if args.get("basis"):
+            args["basis"] = build_disjoint_basis(const_problem, ConeTag.A_POS, 2)
+        branch = args.pop("branch")
         with pytest.raises(ValueError, match=message):
-            intersect_with_lambda(
-                const_con_plus, args["branch"], 1.0, -0.2, -0.01, ks=args["ks"], multistart=4
-            )
+            intersect_with_lambda(const_con_plus, branch, 1.0, -0.2, -0.01, **args)
 
     def test_unreachable_target_reports_reason(self, const_con_plus):
         out = intersect_with_lambda(

@@ -237,8 +237,9 @@ class TestWarmStartAtRoundingFloor:
     def test_warm_start_converges(self, monkeypatch):
         # A warm start from the minimizer at a nearby level begins at the
         # rounding floor of the level value: the Armijo decrease it asks for
-        # (about 1e-20) is far below ulp(lambda).  Without a rounding
-        # allowance in the line search this ran to max_iter = 5000.
+        # (about 1e-20) is far below ulp(lambda), so the line search cannot
+        # end the descent.  The relative stopping test does, at a residual
+        # the rounding floor already meets, well before max_iter = 5000.
         expr = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
         tri = build_triple(dirichlet_problem_1d(31, expr, expr))
         con = SphereConstraint(triple=tri, tag=ConeTag.A_POS_B_POS)
@@ -283,6 +284,45 @@ class TestWarmStartAtRoundingFloor:
         assert warm.converged
         assert warm.residual_grad <= nm._CERTIFY_RTOL
         assert lam == pytest.approx(1.6509135756581086, rel=1e-12)
+
+
+    def test_warm_p3_descent_stays_below_its_window(self, monkeypatch):
+        # The Armijo reference is the largest of the last _WINDOW measured
+        # values, with no allowance for rounding, so every value a descent
+        # measures lies strictly below it.  With a 4-ulp allowance the warm
+        # descent accepted 1.6509135756581166 over its start's
+        # 1.6509135756581157 at iteration 1.
+        problem = dirichlet_problem_1d(31, "1+x", "cos(2*pi*x)+0.2", p=3.0, alpha=1.5, beta=4.0)
+        tag = ConeTag.A_POS
+        con = SphereConstraint(
+            build_triple(problem), tag=tag, start_support=cone_node_mask(problem, tag)
+        )
+        _, record = minimize_ground_level(con, -0.05, "plus", multistart=4)
+        descents = []
+        descend = nm._sphere_descend
+
+        def measuring(metric, evaluate, start, params, *, merge):
+            measured = []
+            descents.append(measured)
+
+            def wrap(point):
+                def gradient():
+                    measured.append(point.value)
+                    return point.gradient()
+
+                return point._replace(gradient=gradient)
+
+            return descend(metric, lambda v: wrap(evaluate(v)), wrap(start), params, merge=merge)
+
+        monkeypatch.setattr(nm, "_sphere_descend", measuring)
+        minimize_ground_level(
+            con, -0.04999, "plus", multistart=4,
+            extra_starts=[record.coefficients / record.t_root],
+        )
+        assert descents and all(descents)
+        for measured in descents:
+            for i in range(1, len(measured)):
+                assert measured[i] < max(measured[max(0, i - nm._WINDOW):i])
 
 
 class TestStopIsTheCertificate:
@@ -705,6 +745,13 @@ class TestMultistartCount:
         with pytest.raises(ValueError, match="multistart must be at least 1, got 0"):
             solve(con_both, multistart=0)
 
+    def test_c_star_star_checks_multistart_with_a_zero_level(self, con_both):
+        # the check does not wait for the second solve, which a zero level
+        # with a minimizer inside the A cone never runs
+        zero_level = minimize_c0(con_both, multistart=2)
+        with pytest.raises(ValueError, match="multistart must be at least 1, got 0"):
+            compute_c_star_star(con_both, multistart=0, zero_level=zero_level)
+
     def test_given_c_star_star_runs_no_solve(self, con_both):
         c_star_star, _ = compute_c_star_star(con_both, multistart=2)
         assert compute_c_star(con_both, multistart=0, c_star_star=c_star_star) < 0.0
@@ -1104,6 +1151,31 @@ class TestStartRule:
         assert len(starts) == 8
         a_cone = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
         assert all(a_cone.feasible(u) for u in starts)
+
+    def test_each_draw_is_evaluated_once(self, monkeypatch):
+        # A's weight has mean zero, so many draws leave the A cone.  A
+        # rejected draw is not tried again in another form: N is read once
+        # per draw.
+        tri = build_triple(dirichlet_problem_1d(31, "sin(2*pi*x)", "cos(2*pi*x)+0.2"))
+        recorded, seen = recording_triple(tri)
+        con = SphereConstraint(triple=recorded, tag=ConeTag.A_POS)
+        usable = nm._start_rule(level_evaluation(con, -0.01, "plus"))
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                draws.append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(nm.np.random, "default_rng", CountingRng)
+        starts = nm._draw_starts(con, 16, 0, nm._PURPOSE["plus"], usable)
+        assert len(starts) == 16
+        assert len(draws) == 42
+        assert sum(seen["eval_N"].values()) == len(draws)
 
     def test_empty_support_draws_the_unrestricted_starts(self, pos_triple):
         # a grid too coarse for a weight's sign structure leaves an empty
@@ -1514,9 +1586,9 @@ class TestSurrogates:
     def test_polish_stops_at_rounding_floor(self, monkeypatch):
         # The minus-branch surrogates of the intersect benchmark sit at levels
         # near 1.45e4, where the coefficient gradient rests near 8e-8, at the
-        # rounding floor of the level; the polish must end by its relative
-        # test, which that gradient meets, instead of running to the
-        # polish's iteration cap.
+        # rounding floor of the level, and the line search asks for decreases
+        # below the level's rounding; what ends the polish short of its
+        # iteration cap is its relative test, which that gradient meets.
         expr = "0.5*(sin(2*pi*x)-0.5+abs(sin(2*pi*x)-0.5))"
         problem = dirichlet_problem_1d(31, expr, expr)
         con = SphereConstraint(triple=build_triple(problem), tag=ConeTag.A_POS_B_POS)

@@ -101,6 +101,45 @@ def test_benchmark_tracer_targets_resolve():
     assert set(tracing.TRIPLE_FIELDS) <= fields
 
 
+def test_reference_script_library_calls_resolve():
+    """The library calls of perfbench/make_reference.py, which regenerates the
+    benchmark's reference levels and which neither the tests nor the
+    benchmark run, resolve: OptimizerParams takes its max_iter=MAX_ITER,
+    minimize_ground_level takes every keyword it passes, and the record has
+    the iterations and residual_grad fields it prints."""
+    import ast
+    import dataclasses
+    import inspect
+
+    from fibercurve import nehari_minmax as nm
+
+    tree = ast.parse((README.parent / "perfbench" / "make_reference.py").read_text())
+    (max_iter,) = [
+        ast.literal_eval(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MAX_ITER"
+    ]
+    assert max_iter == 400_000
+    assert nm.OptimizerParams(max_iter=max_iter).max_iter == max_iter
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("nm.")
+    ]
+    assert {ast.unparse(call.func) for call in calls} == {
+        "nm.OptimizerParams", "nm.minimize_ground_level"
+    }
+    for call in calls:
+        signature = inspect.signature(getattr(nm, call.func.attr))
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+    ground = inspect.signature(nm.minimize_ground_level).parameters
+    assert "params" in ground
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "rec"
+    }
+    assert read == {"iterations", "residual_grad"}
+    assert read <= {f.name for f in dataclasses.fields(nm.CriticalPointRecord)}
+
+
 def test_traced_report_computes_what_an_untraced_one_does(tmp_path):
     """A report run inside the benchmark's tracer writes the artifacts of a
     bare run, so the traced pass measures the program it claims to."""
