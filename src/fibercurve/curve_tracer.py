@@ -160,8 +160,9 @@ class _LevelChain:
     not additive drops k at that call.  A k whose level is infeasible is
     dropped, and truncation[k] says where and why.  Arguments are checked
     here, before any level is solved: a branch other than plus and minus, a
-    k below 1, a negative multistart or warm_multistart, and for a k >= 2 a
-    missing or short basis or n_samples below 1 raise ValueError.
+    k below 1, a negative multistart or warm_multistart, a multistart of 0
+    for k = 1 without extra_starts, and for a k >= 2 a missing or short
+    basis or n_samples below 1 raise ValueError.
     """
 
     def __init__(self, constraint, branch, ks, basis=None, n_samples=64, multistart=32,
@@ -172,6 +173,8 @@ class _LevelChain:
             raise ValueError("k values must be positive")
         _check_multistart(multistart, 0)
         _check_multistart(warm_multistart, 0)
+        if 1 in self.ks and not extra_starts:
+            _check_multistart(multistart, 1)  # the first k = 1 solve has no other start
         surrogate_ks = [k for k in self.ks if k >= 2]
         if surrogate_ks:
             if basis is None:

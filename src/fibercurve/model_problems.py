@@ -24,9 +24,11 @@ corners, and the gradient kernel and the metric share one forward-difference
 stencil (per axis, a difference at each cell's lower corner and its transpose
 scatter).
 The metric M (the p = 2 stiffness, plus the lumped mass on truncated
-problems) has one solver per input: Thomas sweeps in 1D and a DST-I
-diagonalization on 2D Dirichlet grids.  2D truncated grids have none, and
-their triples carry the identity pair, M = I, as the Euclidean metric.
+problems) has one solver per input, each a few whole-array numpy
+operations: in 1D the two Thomas sweeps as running products and cumulative
+sums, and on 2D Dirichlet grids a DST-I diagonalization applied with
+orthonormal sine matrices.  2D truncated grids have none, and their triples
+carry the identity pair, M = I, as the Euclidean metric.
 """
 
 from __future__ import annotations
@@ -518,11 +520,44 @@ def _gradient_part(grid: Grid, p: float):
     return value, grad_full
 
 
-def _tridiagonal_solver(diag: Array, off: float):
-    """M^{-1} v for the symmetric tridiagonal M with diagonal diag and constant off-diagonal off.
+def _recurrence(q: Array, w: Array, step: int):
+    """u -> z with z_i = q_i z_{i-step} + w_i u_i along z[::step], where
+    0 < q <= 1 and z = w u at the first entry (q is not read there).
 
-    The Thomas factorization (pivots and multipliers, O(n) floats) is computed
-    once; each solve is one forward and one backward sweep.
+    z = P cumsum(w u / P), with P the running product of q: the
+    semiseparable form of a bidiagonal inverse (Meurant, SIAM J. Matrix
+    Anal. Appl. 13, 1992).  P restarts at 1 in blocks before it falls below
+    1e-150, so w / P stays finite; a block starts on the last entry of the
+    one before, which carries z across.
+    """
+    q, w = q[::step], w[::step].copy()
+    blocks, s, e = [], 0, 0
+    while e < q.size:
+        P = np.cumprod(np.concatenate([[1.0], q[s + 1 :]]))
+        below = np.flatnonzero(P < 1e-150)
+        e = s + max(2, below[0]) if below.size else q.size
+        w[s + 1 : e] /= P[1 : e - s]
+        blocks.append((slice(s, e), P[: e - s]))
+        s = e - 1
+    w = w[::step]
+
+    def run(u: Array) -> Array:
+        z = u * w
+        for block, P in blocks:
+            segment = z[::step][block]
+            np.add.accumulate(segment, out=segment)
+            segment *= P
+        return z
+
+    return run
+
+
+def _tridiagonal_solver(diag: Array, off: float):
+    """M^{-1} v for the symmetric tridiagonal M with diagonal diag and constant off-diagonal off < 0.
+
+    The Thomas pivots are computed once.  Both sweeps are recurrences with
+    q_i = -off / pivot_i in (0, 1): forward y_i = q_i y_{i-1} + v_i / pivot_i,
+    then backward x_i = q_i x_{i+1} + y_i.
     """
     n = diag.size
     inv_pivot = [0.0] * n
@@ -531,47 +566,34 @@ def _tridiagonal_solver(diag: Array, off: float):
         pivot = float(diag[i]) - (off * ratio[i - 1] if i else 0.0)
         inv_pivot[i] = 1.0 / pivot
         ratio[i] = off * inv_pivot[i]
+    q = -np.array(ratio)
+    forward = _recurrence(q, np.array(inv_pivot), 1)
+    backward = _recurrence(q, np.ones(n), -1)
 
     def solve(v: Array) -> Array:
-        x = np.asarray(v, dtype=float).tolist()
-        prev = 0.0
-        for i in range(n):
-            prev = (x[i] - off * prev) * inv_pivot[i]
-            x[i] = prev
-        for i in range(n - 2, -1, -1):
-            x[i] -= ratio[i] * x[i + 1]
-        return np.array(x)
+        return backward(forward(v))
 
     return solve
 
 
-def _dst1(x: Array, axis: int) -> Array:
-    """Unnormalized DST-I along axis, X_k = sum_j x_j sin(pi j k / (n + 1)), via an rfft.
-
-    The transform is the imaginary part of the FFT of the odd extension
-    (0, x, 0, -reversed x); applied twice it returns (n + 1)/2 times the input.
-    """
-    x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
-    n = x.shape[-1]
-    zero = np.zeros(x.shape[:-1] + (1,))
-    ext = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
-    out = -0.5 * np.fft.rfft(ext, axis=-1).imag[..., 1 : n + 1]
-    return np.moveaxis(out, -1, axis)
-
-
 def _dirichlet_2d_solver(grid: Grid):
-    """M^{-1} v for the 2D Dirichlet 5-point stiffness, diagonalized by DST-I on both axes."""
+    """M^{-1} v for the 2D Dirichlet 5-point stiffness, diagonalized by DST-I on both axes.
+
+    S = sqrt(2 / (n + 1)) sin(pi j k / (n + 1)) is orthonormal and symmetric
+    on each axis, so M^{-1} V = S0 ((S0 V S1) * scale) S1.
+    """
     shape = grid.dof_shape
-    eig = [
-        4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2 / h**2
-        for n, h in zip(shape, grid.spacing)
-    ]
-    norm = (2.0 / (shape[0] + 1)) * (2.0 / (shape[1] + 1))
-    scale = norm / (grid.cell_volume * (eig[0][:, None] + eig[1][None, :]))
+    sines, eig = [], []
+    for n, h in zip(shape, grid.spacing):
+        k = np.arange(1, n + 1)
+        phase = np.outer(k, k) % (2 * (n + 1))  # exact, so every sine argument is in [0, 2 pi)
+        sines.append(np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * phase / (n + 1)))
+        eig.append(4.0 * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2 / h**2)
+    s0, s1 = sines
+    scale = 1.0 / (grid.cell_volume * (eig[0][:, None] + eig[1][None, :]))
 
     def solve(v: Array) -> Array:
-        coeffs = _dst1(_dst1(np.reshape(v, shape), 0), 1) * scale
-        return _dst1(_dst1(coeffs, 0), 1).ravel()
+        return (s0 @ ((s0 @ np.reshape(v, shape) @ s1) * scale) @ s1).ravel()
 
     return solve
 

@@ -520,7 +520,10 @@ def _sphere_descend(
 
     The Armijo reference is the largest of the last _WINDOW accepted values,
     with no allowance for rounding, so every accepted value lies strictly
-    below it.  A warm start that already sits at a minimizer, where the
+    below it.  The test compares trial - reference, exact for nearby values,
+    with -c1 step grad^T d: reference - c1 step grad^T d would round to the
+    reference once the decrease is below half its ulp, and accept an equal
+    value.  A warm start that already sits at a minimizer, where the
     asked-for decrease (about 1e-20) is far below the rounding of the value
     itself (ulp(35) is about 7e-15), is ended by the relative stopping test,
     at its first measured point or soon after, not by the line search.
@@ -563,7 +566,7 @@ def _sphere_descend(
                 trial = evaluate(u - step * direction)
             except InfeasibleRayError:
                 trial = None
-            if trial is not None and trial.value <= reference - _ARMIJO_C1 * step * slope:
+            if trial is not None and trial.value - reference <= -_ARMIJO_C1 * step * slope:
                 break
             step *= _STEP_FACTOR
         else:

@@ -107,6 +107,19 @@ class TestTraceCurve:
         with pytest.raises(ValueError, match="multistart must be at least 0, got -1"):
             trace_family(const_con_plus, [-0.1, -0.01], "plus", ks=(1,), warm_multistart=-1)
 
+    def test_zero_multistart_without_starts_raises_before_a_solve(self, monkeypatch):
+        # the first k = 1 level would draw no start; it was reported as an
+        # infeasible level, an empty curve truncated at its first c
+        tri = build_triple(dirichlet_problem_1d(15, "1+x", "cos(2*pi*x)+0.2"))
+        con = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
+
+        def solve(*args, **kw):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(ct, "minimize_ground_level", solve)
+        with pytest.raises(ValueError, match="multistart must be at least 1, got 0"):
+            trace_family(con, [-0.2, -0.1], "plus", ks=(1,), multistart=0)
+
 
 class TestLipschitzVerdict:
     @staticmethod
@@ -412,8 +425,11 @@ class TestIntersect:
             ({"ks": (1, 2)}, "basis is required"),
             ({"ks": (2,), "basis": True, "n_samples": 0}, "n_samples must be positive"),
             ({"multistart": -3}, "multistart must be at least 0, got -3"),
+            # k = 1 without extra starts: the first solve would have no start
+            ({"multistart": 0}, "multistart must be at least 1, got 0"),
         ],
-        ids=["branch", "k0", "missing_basis", "n_samples0", "negative_multistart"],
+        ids=["branch", "k0", "missing_basis", "n_samples0", "negative_multistart",
+             "zero_multistart"],
     )
     def test_caller_errors_raise(
         self, monkeypatch, const_problem, const_con_plus, kwargs, message
@@ -588,8 +604,10 @@ class TestLevelChain:
             assert np.array_equal(fresh.record.coefficients, level.record.coefficients)
 
     def test_level_of_a_dropped_k_raises(self, const_con_plus):
-        # no start is drawn and the plus branch has no level at c > 0
-        chain = ct._LevelChain(const_con_plus, "plus", (1,), multistart=0)
+        # the plus branch has no level at c > 0, so the one extra start is
+        # not usable, and no start is drawn
+        u = np.ones(const_con_plus.triple.dim)
+        chain = ct._LevelChain(const_con_plus, "plus", (1,), multistart=0, extra_starts=[u])
         for c in (0.1, 0.2):
             with pytest.raises(nm.InfeasibleLevelError, match="stopped at c=0.1: no feasible"):
                 chain.level(c, 1)

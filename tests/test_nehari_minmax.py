@@ -325,6 +325,28 @@ class TestWarmStartAtRoundingFloor:
                 assert measured[i] < max(measured[max(0, i - nm._WINDOW):i])
 
 
+class TestArmijoIsStrict:
+    def test_an_equal_value_is_not_a_decrease(self):
+        # Every trial of a flat objective equals the reference.  Once the
+        # asked-for decrease c1 step grad^T d is below half an ulp of the
+        # value, reference - decrease rounds to the reference; the test on
+        # the difference trial - reference still rejects the trial, so the
+        # line search is exhausted at the start instead of moving on.
+        def evaluate(v):
+            nrm = float(np.linalg.norm(v))
+            u = v / nrm
+            tangent = 1e-3 * np.array([-u[1], u[0]])
+            return nm.SpherePoint(u, nrm, 1.0, lambda: (tangent, 1.0))
+
+        start = evaluate(np.array([1.0, 0.0]))
+        identity = (lambda v: v, lambda g: g)
+        out = nm._sphere_descend(
+            identity, evaluate, start, OptimizerParams(max_iter=50), merge=lambda u, value: False
+        )
+        assert out.iterations == 1
+        assert np.array_equal(out.u, start.u)
+
+
 class TestStopIsTheCertificate:
     @pytest.mark.parametrize(
         "a_expr,tag,branch,c",
@@ -528,7 +550,7 @@ class TestMeshRefinement:
 
     C = -0.01
 
-    def _solve(self, n, p, monkeypatch):
+    def _solve(self, n, p, monkeypatch, multistart=2):
         """Level, record and the iteration count of every start."""
         iters = []
         descend = nm._sphere_descend
@@ -542,7 +564,7 @@ class TestMeshRefinement:
         con = SphereConstraint(triple=build_triple(prob), tag=ConeTag.A_POS)
         with monkeypatch.context() as patch:
             patch.setattr(nm, "_sphere_descend", counting)
-            lam, rec = minimize_ground_level(con, self.C, "plus", multistart=2, seed=0)
+            lam, rec = minimize_ground_level(con, self.C, "plus", multistart=multistart, seed=0)
         return lam, rec, iters
 
     def _assert_certified(self, rec, c=C):
@@ -562,6 +584,15 @@ class TestMeshRefinement:
         order = np.log2((levels[1] - levels[0]) / (levels[2] - levels[1]))
         assert abs(order - 2.0) <= 0.3
         assert max(per_start) <= 1.5 * min(per_start)
+
+    def test_p2_iterations_do_not_grow_up_to_4095_nodes(self, monkeypatch):
+        # 65 times the nodes cost at most 3 more iterations (13 at both)
+        _, coarse, coarse_iters = self._solve(63, 2.0, monkeypatch, multistart=1)
+        _, fine, fine_iters = self._solve(4095, 2.0, monkeypatch, multistart=1)
+        self._assert_certified(coarse)
+        self._assert_certified(fine)
+        assert len(coarse_iters) == len(fine_iters) == 1
+        assert fine_iters[0] <= coarse_iters[0] + 3
 
     def test_p3_certifies_within_default_max_iter(self, monkeypatch):
         _, rec, iters = self._solve(127, 3.0, monkeypatch)
@@ -1298,7 +1329,7 @@ class TestMultistartMerge:
         lam, rec = minimize_ground_level(
             con, -1.0, "plus", multistart=4, seed=0, params=OptimizerParams(max_iter=200)
         )
-        assert lam == -49.97418191907463
+        assert lam == -49.974181919074624
         assert not rec.converged
         assert (rec.starts, rec.merged_starts) == (4, 3)
         curve = EnergyCurve(branch="plus", k=1, points=(rec,), verdicts={})
