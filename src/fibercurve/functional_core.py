@@ -86,9 +86,21 @@ class ConeTag(Enum):
         return ConeTag.A_POS_B_POS if self.a_sign > 0 else ConeTag.A_NEG_B_POS
 
 
+# a metric M as (apply, solve), v -> M v and g -> M^{-1} g
+Metric = tuple[Callable[[Array], Array], Callable[[Array], Array]]
+
+
 def _identity(v: Array) -> Array:
     """M v and M^{-1} v of the identity metric M = I."""
     return v
+
+
+_IDENTITY_PAIR: Metric = (_identity, _identity)
+
+
+def _euclidean(u: Array) -> Metric:
+    """The identity pair at every point: the Euclidean coefficient metric."""
+    return _IDENTITY_PAIR
 
 
 @dataclass(frozen=True)
@@ -101,10 +113,12 @@ class FunctionalTriple:
     callable must be homogeneous of the declared degree and even; property
     tests enforce this on randomized inputs.
 
-    metric and metric_solve give the symmetric positive definite matrix M
-    of the sphere geometry, as an apply (M v) and a solve (M^{-1} v); sphere
-    descent steps along M^{-1} grad.  Both default to _identity, M = I, the
-    Euclidean coefficient metric.
+    metric_at(u) gives the symmetric positive definite matrix M(u) of the
+    sphere geometry at the point u, as a pair of an apply (M v) and a solve
+    (M^{-1} v); sphere descent steps along M(u)^{-1} grad.  A metric that
+    does not depend on the point returns the same pair object at every u,
+    and descent then applies it once.  The default is _euclidean, M = I at
+    every u, the Euclidean coefficient metric.
     """
 
     exponents: Exponents
@@ -115,8 +129,7 @@ class FunctionalTriple:
     grad_N: Callable[[Array], Array]
     grad_A: Callable[[Array], Array]
     grad_B: Callable[[Array], Array]
-    metric: Callable[[Array], Array] = _identity
-    metric_solve: Callable[[Array], Array] = _identity
+    metric_at: Callable[[Array], Metric] = _euclidean
 
     def norm_of(self, u: Array) -> float:
         return float(self.eval_N(u)) ** (1.0 / self.exponents.eta)

@@ -328,10 +328,10 @@ class TestTraceAndThresholds:
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(["thresholds", "--config", str(cfg_path), "--out", str(out_dir)])
         assert code == 0
-        assert "c_star_star = 823349754.2208085 (2 minimizer(s))" in out
+        assert "c_star_star = 823349754.220809 (2 minimizer(s))" in out
         thresholds = json.loads((out_dir / "report.json").read_text())["thresholds"]
         assert thresholds["n_zero_level_minimizers"] == 2
-        assert thresholds["c_star_star"] == 823349754.2208085
+        assert thresholds["c_star_star"] == 823349754.220809
 
     def test_report_subcommand_does_not_gate(self, tmp_path):
         # same failing config as the default verify run, but the report

@@ -164,8 +164,9 @@ def test_toy_triple_has_identity_metric():
     # coefficient metric
     u = np.array([1.0, 2.0, -0.5])
     for triple in (TOY, TOY.with_negated_a()):
-        assert triple.metric(u) is u
-        assert triple.metric_solve(u) is u
+        apply, solve = triple.metric_at(u)
+        assert apply(u) is u
+        assert solve(u) is u
 
 
 def test_cone_membership_margins():

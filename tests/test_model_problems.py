@@ -20,10 +20,12 @@ from fibercurve.model_problems import (
     weights_from_expressions,
 )
 from fibercurve.model_problems import (
+    _WEIGHT_RATIO,
     _dof_node_weights,
     _embed,
     _gradient_part,
     _restrict,
+    _stiffness_metric,
 )
 
 
@@ -321,8 +323,19 @@ def _reference_metric_solve(problem):
     return solve_2d
 
 
+def _stiffness_pair(problem):
+    """The p = 2 pair (apply, solve) of the problem's grid, plus the lumped
+    mass on truncated grids."""
+    grid = problem.grid
+    mass_w = None
+    if not grid.dirichlet:
+        mass_w = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel()
+    return _stiffness_metric(grid, mass_w)
+
+
 class TestStiffnessMetric:
-    """The p = 2 metric M that sphere descent preconditions with."""
+    """The p = 2 metric M that sphere descent preconditions with on p = 2
+    problems and on 2D grids."""
 
     @pytest.mark.parametrize(
         "prob",
@@ -338,7 +351,7 @@ class TestStiffnessMetric:
              "dirichlet_2d_16x12", "dirichlet_2d_32x32"],
     )
     def test_solve_equals_reference(self, prob):
-        solve = build_triple(prob).metric_solve
+        _, solve = _stiffness_pair(prob)
         reference = _reference_metric_solve(prob)
         rng = np.random.default_rng(4)
         for _ in range(3):
@@ -352,7 +365,7 @@ class TestStiffnessMetric:
         # 1 / product overflows (a RuntimeWarning fails the test).
         prob = truncated_problem_1d(8001, 400.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0)
         v = np.random.default_rng(3).normal(size=prob.grid.n_dof)
-        got = build_triple(prob).metric_solve(v)
+        got = _stiffness_pair(prob)[1](v)
         expected = _reference_metric_solve(prob)(v)
         assert np.all(np.isfinite(got))
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -367,11 +380,11 @@ class TestStiffnessMetric:
         ids=["dirichlet_1d", "truncated_1d", "dirichlet_2d_16x12"],
     )
     def test_solve_inverts_apply(self, prob):
-        tri = build_triple(prob)
+        apply, solve = _stiffness_pair(prob)
         rng = np.random.default_rng(5)
         for _ in range(3):
-            v = rng.normal(size=tri.dim)
-            back = tri.metric_solve(tri.metric(v))
+            v = rng.normal(size=prob.grid.n_dof)
+            back = solve(apply(v))
             assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
 
     @pytest.mark.parametrize(
@@ -385,8 +398,9 @@ class TestStiffnessMetric:
     def test_quadratic_form_is_n_at_p2(self, prob):
         tri = build_triple(prob)
         rng = np.random.default_rng(6)
-        v = rng.normal(size=tri.dim)
-        assert float(v @ tri.metric(v)) == pytest.approx(tri.eval_N(v), rel=1e-12)
+        u, v = rng.normal(size=(2, tri.dim))
+        apply, _ = tri.metric_at(u)
+        assert float(v @ apply(v)) == pytest.approx(tri.eval_N(v), rel=1e-12)
 
     @pytest.mark.parametrize(
         "prob",
@@ -401,44 +415,129 @@ class TestStiffnessMetric:
         # apply runs the stiffness stencil itself; the p = 2 gradient kernel
         # gives twice its floats (the factors 2 and 0.5 are exact)
         grid = prob.grid
-        tri = build_triple(prob)
+        apply, _ = _stiffness_pair(prob)
         _, stiff_full = _gradient_part(grid, 2.0)
         mass = None
         if not grid.dirichlet:
             mass = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel() * grid.cell_volume
         rng = np.random.default_rng(9)
         for _ in range(15):
-            v = rng.normal(size=tri.dim)
+            v = rng.normal(size=grid.n_dof)
             expected = 0.5 * _restrict(grid, stiff_full(_embed(grid, v)))
             if mass is not None:
                 expected = expected + mass * v
-            assert np.array_equal(tri.metric(v), expected)
+            assert np.array_equal(apply(v), expected)
 
     def test_truncated_form_adds_lumped_mass(self):
-        prob = truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=2.5)
+        prob = truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=2.0)
         tri = build_triple(prob)
         h = prob.grid.spacing[0]
         rng = np.random.default_rng(7)
-        v = rng.normal(size=tri.dim)
+        u, v = rng.normal(size=(2, tri.dim))
+        apply, _ = tri.metric_at(u)
         lumped = np.full(tri.dim, h)
         lumped[[0, -1]] = 0.5 * h
         expected = float(np.sum(np.diff(v) ** 2) / h + np.sum(lumped * v * v))
-        assert float(v @ tri.metric(v)) == pytest.approx(expected, rel=1e-12)
+        assert float(v @ apply(v)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            dirichlet_problem_1d(63, "1+x", "cos(2*pi*x)+0.2"),
+            truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=2.0),
+            dirichlet_problem_2d((16, 12), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)"),
+            dirichlet_problem_2d((16, 12), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)", p=3.0),
+        ],
+        ids=["dirichlet_1d", "truncated_1d", "dirichlet_2d", "dirichlet_2d_p3"],
+    )
+    def test_p2_and_2d_metrics_are_the_stiffness_pair(self, prob):
+        # one pair at every point, the one _stiffness_metric builds, so
+        # descent applies M once
+        tri = build_triple(prob)
+        rng = np.random.default_rng(10)
+        u, w, v = rng.normal(size=(3, tri.dim))
+        pair = tri.metric_at(u)
+        assert tri.metric_at(w) is pair
+        for got, expected in zip(pair, _stiffness_pair(prob)):
+            assert np.array_equal(got(v), expected(v))
 
     def test_negated_a_keeps_metric(self, pos_problem):
         tri = build_triple(pos_problem)
         flipped = tri.with_negated_a()
-        assert flipped.metric is tri.metric
-        assert flipped.metric_solve is tri.metric_solve
+        assert flipped.metric_at is tri.metric_at
 
     def test_truncated_2d_has_the_identity_pair(self):
         # no solver for M exists there, so descent keeps the Euclidean metric
         grid = Grid(((-3.0, 3.0), (-3.0, 3.0)), (9, 9), dirichlet=False)
         weights = weights_from_expressions(grid, "exp(-x^2-y^2)", "exp(-x^2-y^2)")
         tri = build_triple(PLaplacianProblem(grid, weights, 3.0, 1.5, 4.0))
-        v = np.random.default_rng(8).normal(size=tri.dim)
-        assert tri.metric(v) is v
-        assert tri.metric_solve(v) is v
+        u, v = np.random.default_rng(8).normal(size=(2, tri.dim))
+        apply, solve = tri.metric_at(u)
+        assert apply(v) is v
+        assert solve(v) is v
+
+
+def _weighted_problem(kind, n, p):
+    alpha, beta = (1.2 if p < 2.0 else 1.5), max(4.0, p + 1.0)
+    if kind == "dirichlet":
+        return dirichlet_problem_1d(n, "1+x", "cos(2*pi*x)+0.2", p=p, alpha=alpha, beta=beta)
+    radius = 400.0 if n == 8001 else 4.0
+    return truncated_problem_1d(n, radius, "exp(-x^2)", "exp(-x^2/2)", p=p, alpha=alpha, beta=beta)
+
+
+class TestWeightedMetric:
+    """The 1D metric at p != 2: the stiffness with cell weights |Du|^(p-2),
+    plus the lumped mass weighted by |u|^(p-2) on truncated grids, each set
+    clipped to a largest-to-smallest ratio of _WEIGHT_RATIO."""
+
+    CASES = [("dirichlet", 31), ("dirichlet", 4095), ("truncated", 41), ("truncated", 8001)]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("kind,n", CASES)
+    def test_solve_inverts_apply(self, kind, n, p):
+        tri = build_triple(_weighted_problem(kind, n, p))
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            u, v = rng.normal(size=(2, tri.dim))
+            apply, solve = tri.metric_at(u)
+            mv = apply(v)
+            assert float(v @ mv) > 0.0
+            assert np.linalg.norm(solve(mv) - v) <= 1e-10 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", ["dirichlet", "truncated"])
+    def test_form_is_the_clipped_weighted_stiffness(self, kind, p):
+        prob = _weighted_problem(kind, 41, p)
+        grid, h = prob.grid, prob.grid.spacing[0]
+        tri = build_triple(prob)
+        rng = np.random.default_rng(13)
+        u, v = rng.normal(size=(2, tri.dim))
+
+        def clipped(x):
+            w = np.maximum(x, x.max() * _WEIGHT_RATIO ** (-1.0 / abs(p - 2.0))) ** (p - 2.0)
+            assert w.max() <= _WEIGHT_RATIO * w.min() * (1.0 + 1e-12)
+            return w
+
+        slopes = np.abs(np.diff(_embed(grid, u)) / h)
+        expected = np.sum(clipped(slopes) * np.diff(_embed(grid, v)) ** 2) / h
+        if not grid.dirichlet:
+            lumped = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel() * h
+            expected += np.sum(lumped * clipped(np.abs(u)) * v * v)
+        apply, _ = tri.metric_at(u)
+        assert float(v @ apply(v)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,n", CASES[::2])
+    def test_sphere_points_raise_no_warning(self, kind, n):
+        # a RuntimeWarning fails the test: flat cells get the clipped weight,
+        # and a constant u, whose slopes are all 0, gets weight 1
+        tri = build_triple(_weighted_problem(kind, n, 1.5))
+        points = [np.random.default_rng(14).normal(size=tri.dim)]
+        if kind == "truncated":
+            points.append(np.ones(tri.dim))
+        for u in points:
+            u = u / tri.norm_of(u)
+            apply, solve = tri.metric_at(u)
+            assert np.all(np.isfinite(solve(apply(u))))
 
 
 def _kernel_problem(dimension, kind, p):
@@ -503,9 +602,33 @@ def _reference_kernels(problem):
         grad = _restrict(grid, gradient_part(_embed(grid, u), problem.p)[1])
         return grad if mass_w is None else grad + power_grad(mass_w, problem.p, u)
 
-    def metric(v):
-        out = 0.5 * _restrict(grid, gradient_part(_embed(grid, v), 2.0)[1])
-        return out if mass_w is None else out + mass_w * vol * v
+    def clipped(x):
+        floor = np.max(x) * _WEIGHT_RATIO ** (-1.0 / abs(problem.p - 2.0))
+        return np.maximum(x, floor) ** (problem.p - 2.0)
+
+    def metric_at(u):
+        """v -> M(u) v: the p = 2 stiffness, or in 1D at p != 2 the clipped
+        weighted stiffness and mass."""
+        if grid.dimension == 2 or problem.p == 2.0:
+
+            def apply(v):
+                out = 0.5 * _restrict(grid, gradient_part(_embed(grid, v), 2.0)[1])
+                return out if mass_w is None else out + mass_w * vol * v
+
+            return apply
+        h = grid.spacing[0]
+        w = clipped(np.abs(np.diff(_embed(grid, u)) / h))
+
+        def apply(v):
+            full = _embed(grid, v)
+            c = w * (np.diff(full) / h)
+            out = np.zeros_like(full)
+            out[:-1] -= c
+            out[1:] += c
+            out = _restrict(grid, out)
+            return out if mass_w is None else out + mass_w * vol * clipped(np.abs(u)) * v
+
+        return apply
 
     return {
         "eval_N": eval_n,
@@ -514,7 +637,7 @@ def _reference_kernels(problem):
         "grad_N": grad_n,
         "grad_A": lambda u: power_grad(abar, problem.alpha, u),
         "grad_B": lambda u: power_grad(bbar, problem.beta, u),
-        "metric": metric,
+        "metric_at": metric_at,
     }
 
 
@@ -540,11 +663,15 @@ class TestKernelBitIdentity:
         tri = build_triple(problem)
         ref = _reference_kernels(problem)
         if dimension == 2 and kind == "truncated_rn":
-            del ref["metric"]  # the identity pair (test_truncated_2d_has_the_identity_pair)
+            del ref["metric_at"]  # the identity pair (test_truncated_2d_has_the_identity_pair)
         rng = np.random.default_rng(11)
         for _ in range(20):
             u = rng.standard_normal(tri.dim)
             for name, expected in ref.items():
+                if name == "metric_at":
+                    v = rng.standard_normal(tri.dim)
+                    assert np.array_equal(tri.metric_at(u)[0](v), expected(u)(v)), name
+                    continue
                 got = getattr(tri, name)(u)
                 if name.startswith("eval"):
                     assert type(got) is float

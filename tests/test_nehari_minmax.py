@@ -301,7 +301,7 @@ class TestWarmStartAtRoundingFloor:
         descents = []
         descend = nm._sphere_descend
 
-        def measuring(metric, evaluate, start, params, *, merge):
+        def measuring(metric_at, evaluate, start, params, *, merge):
             measured = []
             descents.append(measured)
 
@@ -312,7 +312,7 @@ class TestWarmStartAtRoundingFloor:
 
                 return point._replace(gradient=gradient)
 
-            return descend(metric, lambda v: wrap(evaluate(v)), wrap(start), params, merge=merge)
+            return descend(metric_at, lambda v: wrap(evaluate(v)), wrap(start), params, merge=merge)
 
         monkeypatch.setattr(nm, "_sphere_descend", measuring)
         minimize_ground_level(
@@ -341,7 +341,8 @@ class TestArmijoIsStrict:
         start = evaluate(np.array([1.0, 0.0]))
         identity = (lambda v: v, lambda g: g)
         out = nm._sphere_descend(
-            identity, evaluate, start, OptimizerParams(max_iter=50), merge=lambda u, value: False
+            lambda u: identity, evaluate, start, OptimizerParams(max_iter=50),
+            merge=lambda u, value: False,
         )
         assert out.iterations == 1
         assert np.array_equal(out.u, start.u)
@@ -541,17 +542,23 @@ class TestGroundLevelRegression:
 
 
 class TestMeshRefinement:
-    """Ground level at c = -0.01 on refined 1D Dirichlet grids.
+    """Ground level at c = -0.01 on refined 1D grids.
 
-    Sphere descent runs in the p = 2 stiffness metric of the problem norm, so
-    its iteration count must not grow with the number of nodes, and every
-    refined level must certify.
+    Sphere descent runs in the metric of the problem norm at the iterate:
+    the p = 2 stiffness at p = 2, and the stiffness with cell weights
+    |Du|^(p-2) at other p (plus the weighted lumped mass on truncated
+    grids).  So its iteration count must not grow with the number of nodes,
+    and every refined level must certify.
     """
 
     C = -0.01
 
-    def _solve(self, n, p, monkeypatch, multistart=2):
+    def _solve(self, n, p, monkeypatch, multistart=2, alpha=1.5):
         """Level, record and the iteration count of every start."""
+        prob = dirichlet_problem_1d(n, "1+x", "cos(2*pi*x)+0.2", p=p, alpha=alpha)
+        return self._solve_problem(prob, monkeypatch, multistart)
+
+    def _solve_problem(self, prob, monkeypatch, multistart):
         iters = []
         descend = nm._sphere_descend
 
@@ -560,7 +567,6 @@ class TestMeshRefinement:
             iters.append(out.iterations)
             return out
 
-        prob = dirichlet_problem_1d(n, "1+x", "cos(2*pi*x)+0.2", p=p)
         con = SphereConstraint(triple=build_triple(prob), tag=ConeTag.A_POS)
         with monkeypatch.context() as patch:
             patch.setattr(nm, "_sphere_descend", counting)
@@ -593,6 +599,38 @@ class TestMeshRefinement:
         self._assert_certified(fine)
         assert len(coarse_iters) == len(fine_iters) == 1
         assert fine_iters[0] <= coarse_iters[0] + 3
+
+    def test_p3_iterations_do_not_grow_up_to_4095_nodes(self, monkeypatch):
+        # 18 iterations at n = 63 and 27 at n = 4095; in the p = 2 metric
+        # they were 38 and 177, and n = 4095 ended at residual 2.2e-7
+        _, coarse, coarse_iters = self._solve(63, 3.0, monkeypatch, multistart=1)
+        _, fine, fine_iters = self._solve(4095, 3.0, monkeypatch, multistart=1)
+        self._assert_certified(coarse)
+        self._assert_certified(fine)
+        assert fine.residual_grad <= nm._STOP_RTOL
+        assert len(coarse_iters) == len(fine_iters) == 1
+        assert fine_iters[0] <= 2 * coarse_iters[0]
+
+    def test_p15_certifies_at_255_nodes(self, monkeypatch):
+        # 37 iterations; in the p = 2 metric the descent took 754 and ended
+        # at residual 2.4e-6, uncertified
+        _, rec, iters = self._solve(255, 1.5, monkeypatch, multistart=1, alpha=1.2)
+        self._assert_certified(rec)
+        assert iters == [rec.iterations]
+
+    def test_truncated_p3_iterations_do_not_grow_with_the_radius(self, monkeypatch):
+        # h = 0.1 at R = 2 and 8: 18 and 26 iterations; in the p = 2 metric
+        # 30 and 363
+        iters = []
+        for radius in (2.0, 8.0):
+            prob = truncated_problem_1d(
+                int(20 * radius) + 1, radius, "exp(-x^2)", "exp(-x^2/2)", p=3.0
+            )
+            _, rec, per_start = self._solve_problem(prob, monkeypatch, multistart=1)
+            self._assert_certified(rec)
+            iters += per_start
+        assert len(iters) == 2
+        assert iters[1] <= 2 * iters[0]
 
     def test_p3_certifies_within_default_max_iter(self, monkeypatch):
         _, rec, iters = self._solve(127, 3.0, monkeypatch)
@@ -816,14 +854,14 @@ def recording_descents(monkeypatch) -> list:
     descents = []
     descend = nm._sphere_descend
 
-    def recording(metric, evaluate, start, params, *, merge):
+    def recording(metric_at, evaluate, start, params, *, merge):
         merged = [False]
 
         def watching(u, value):
             merged.append(merge(u, value))
             return merged[-1]
 
-        out = descend(metric, evaluate, start, params, merge=watching)
+        out = descend(metric_at, evaluate, start, params, merge=watching)
         descents.append((merge, params, out, merged[-1]))
         return out
 
@@ -1040,9 +1078,11 @@ class TrackedMs(np.ndarray):
 
 
 class TestMetricOncePerDescent:
-    """A descent applies M once, to its start, and carries M u: an accepted
-    trial (u - step d) / nrm has M u = (M u - step grad) / nrm.  The
-    Barzilai-Borwein numerator s^T M s is then s^T (M u - M u_prev)."""
+    """A descent applies M once per metric: to its start, and again only
+    where the metric at an accepted point is a new pair.  While the pair
+    stays it carries M u: an accepted trial (u - step d) / nrm has M u =
+    (M u - step grad) / nrm.  The Barzilai-Borwein numerator s^T M s is
+    then s^T (M u - M u_prev), in the metric the step was taken in."""
 
     @pytest.mark.parametrize(
         "problem",
@@ -1054,12 +1094,14 @@ class TestMetricOncePerDescent:
     )
     def test_carried_numerator_matches_the_metric(self, monkeypatch, problem):
         tri = build_triple(problem)
+        apply, solve = tri.metric_at(np.ones(tri.dim))
         applied = []
 
-        def metric(v):
+        def tracked(v):
             applied.append(v)
-            return tri.metric(v).view(TrackedMs)
+            return apply(v).view(TrackedMs)
 
+        pair = (tracked, solve)
         norms = []  # Euclidean norms of every evaluated unit vector
         sphere_evaluation = nm._sphere_evaluation
 
@@ -1075,7 +1117,9 @@ class TestMetricOncePerDescent:
 
         monkeypatch.setattr(nm, "_sphere_evaluation", recording)
         monkeypatch.setattr(TrackedMs, "log", [])
-        con = SphereConstraint(dataclasses.replace(tri, metric=metric), tag=ConeTag.A_POS)
+        con = SphereConstraint(
+            dataclasses.replace(tri, metric_at=lambda u: pair), tag=ConeTag.A_POS
+        )
         _, rec = minimize_ground_level(con, -0.01, "plus", multistart=2, seed=0)
         assert rec.converged
         assert len(applied) == rec.starts == 2
@@ -1084,12 +1128,39 @@ class TestMetricOncePerDescent:
         assert len(products) >= 2 + 10
         eps = np.finfo(float).eps
         for s, m_s in products:
-            exact = tri.metric(s)
+            exact = apply(s)
             carried = float(s @ m_s)
             # s is a difference of unit vectors, each rounded to about eps |u|
             # per entry, and s^T M s is only defined to that rounding of s
             floor = 4.0 * eps * max(norms) * float(np.linalg.norm(exact))
             assert abs(carried - float(s @ exact)) <= 1e-10 * float(s @ exact) + floor
+
+    def test_a_point_metric_is_applied_once_per_accepted_point(self):
+        # d1_p3_n127 of the refine benchmark: the metric at u is rebuilt at
+        # the start and at every accepted point, and each new pair is
+        # applied once, to that point
+        tri = build_triple(dirichlet_problem_1d(127, "1+x", "cos(2*pi*x)+0.2", p=3.0))
+        built, applied = [], []
+
+        def metric_at(u):
+            apply, solve = tri.metric_at(u)
+            built.append((np.array(u), apply))
+
+            def counting(v):
+                applied.append(v)
+                return apply(v)
+
+            return counting, solve
+
+        con = SphereConstraint(dataclasses.replace(tri, metric_at=metric_at), tag=ConeTag.A_POS)
+        _, rec = minimize_ground_level(con, -0.01, "plus", multistart=1, seed=0)
+        assert rec.converged
+        # one build at the start and one per accepted step; none at the
+        # last measured point, which takes no step
+        assert len(built) == rec.iterations
+        assert len(applied) == len(built)
+        for (u, _), v in zip(built, applied):
+            assert np.array_equal(u, v)
 
 
 class TestFirstTrial:
@@ -1099,10 +1170,10 @@ class TestFirstTrial:
         # step is capped at step ||d||_M <= 2 ||u||_M.  Descents on the report
         # benchmark's instance: ground levels and surrogate polishes along
         # two short curves per branch, and the zero-level multistart.
-        first = []  # (metric, u, u - step d) of every descent that tried a step
+        first = []  # (metric at u, u, u - step d) of every descent that tried a step
         descend = nm._sphere_descend
 
-        def descending(metric, evaluate, start, params, *, merge):
+        def descending(metric_at, evaluate, start, params, *, merge):
             trials = []
 
             def evaluating(v):
@@ -1110,11 +1181,11 @@ class TestFirstTrial:
                 return evaluate(v)
 
             try:
-                return descend(metric, evaluating, start, params, merge=merge)
+                return descend(metric_at, evaluating, start, params, merge=merge)
             finally:
                 if trials:
                     # the start's unit vector and the first trial before normalizing
-                    first.append((metric, start.u, trials[0]))
+                    first.append((metric_at(start.u), start.u, trials[0]))
 
         monkeypatch.setattr(nm, "_sphere_descend", descending)
         basis = build_disjoint_basis(pos_problem, ConeTag.A_POS_B_POS, 3)
@@ -1173,9 +1244,9 @@ class TestStartRule:
         starts = []
         descend = nm._sphere_descend
 
-        def recording(metric, evaluate, start, params, *, merge):
+        def recording(metric_at, evaluate, start, params, *, merge):
             starts.append(start.u)
-            return descend(metric, evaluate, start, params, merge=merge)
+            return descend(metric_at, evaluate, start, params, merge=merge)
 
         monkeypatch.setattr(nm, "_sphere_descend", recording)
         minimize_c0(SphereConstraint(tri), multistart=8, seed=0)
@@ -1311,7 +1382,7 @@ class TestMultistartMerge:
         evaluate = level_evaluation(pos_con_plus, -0.01, "plus")
         start = evaluate(random_cone_point(pos_con_plus, np.random.default_rng(0)))
         results, merged = nm._descend_merging(
-            (tri.metric, tri.metric_solve), evaluate, [start, start], OptimizerParams(max_iter=3)
+            tri.metric_at, evaluate, [start, start], OptimizerParams(max_iter=3)
         )
         assert (len(results), merged) == (1, 1)
         assert results[0].iterations == 3
@@ -1349,8 +1420,9 @@ class TestMultistartMerge:
         con = SphereConstraint(two_basin_triple(w_low), tag=ConeTag.A_POS)
         evaluate = level_evaluation(con, self.C, "plus")
         axes = [evaluate(np.array([1.0, 0.0])), evaluate(np.array([0.0, 1.0]))]
-        metric = (con.working.metric, con.working.metric_solve)
-        results, merged = nm._descend_merging(metric, evaluate, axes, OptimizerParams())
+        results, merged = nm._descend_merging(
+            con.working.metric_at, evaluate, axes, OptimizerParams()
+        )
         assert merged == 0
         assert [tuple(r.u) for r in results if r.residual <= nm._STOP_RTOL] == [(1, 0), (0, 1)]
         assert results[1].value == pytest.approx(results[0].value / w_low, rel=1e-12)
@@ -1369,15 +1441,15 @@ class TestMultistartMerge:
         merged = []
         descend = nm._sphere_descend
 
-        def recording(metric, evaluate, start, params, *, merge):
+        def recording(metric_at, evaluate, start, params, *, merge):
             def watching(u, value):
                 if merge(u, value):
-                    merged.append((list(found[merge]), metric, evaluate, u, value))
+                    merged.append((list(found[merge]), metric_at, evaluate, u, value))
                     return True
                 return False
 
             found.setdefault(merge, [])
-            out = descend(metric, evaluate, start, params, merge=watching)
+            out = descend(metric_at, evaluate, start, params, merge=watching)
             if out.residual <= nm._CERTIFY_RTOL:
                 found[merge].append((out.value, out.u))
             return out
@@ -1389,7 +1461,7 @@ class TestMultistartMerge:
         def distance(u, m):
             return float(np.max(np.abs(nm._sign_aligned(u) - nm._sign_aligned(m))))
 
-        for minima, metric, evaluate, u, value in merged:
+        for minima, metric_at, evaluate, u, value in merged:
             into = [
                 (distance(u, m), v, m) for v, m in minima
                 if value > v and distance(u, m) <= nm._MERGE_RTOL * float(np.max(np.abs(m)))
@@ -1397,7 +1469,7 @@ class TestMultistartMerge:
             assert into
             _, v, m = min(into, key=lambda dvm: dvm[0])
             end = descend(
-                metric, evaluate, evaluate(u), OptimizerParams(), merge=lambda u, value: False
+                metric_at, evaluate, evaluate(u), OptimizerParams(), merge=lambda u, value: False
             )
             assert end.residual <= nm._STOP_RTOL
             assert distance(end.u, m) <= 1e-3
