@@ -536,7 +536,7 @@ def _recurrence(q: Array, w: Array, step: int):
     q, w = q[::step], w[::step].copy()
     blocks, s, e = [], 0, 0
     while e < q.size:
-        P = np.cumprod(np.concatenate([[1.0], q[s + 1 :]]))
+        P = np.multiply.accumulate(np.concatenate([[1.0], q[s + 1 :]]))
         below = np.flatnonzero(P < 1e-150)
         e = s + max(2, below[0]) if below.size else q.size
         w[s + 1 : e] /= P[1 : e - s]
@@ -566,15 +566,15 @@ def _tridiagonal_solver(diag: Array, off: Array):
     ratios lie in (0, 1] and a forward product from k to i is at most the
     ratio of the cell weights at k and i.
     """
-    inv_pivot = []
-    append = inv_pivot.append
+    inverses = []
+    append = inverses.append
     ratio = below = 0.0
     for d, o in zip(diag.tolist(), off.tolist() + [0.0]):
         inv = 1.0 / (d - below * ratio)
         append(inv)
         ratio = o * inv
         below = o
-    inv_pivot = np.array(inv_pivot)
+    inv_pivot = np.fromiter(inverses, float, diag.size)
     # the first entry of each sweep reads no ratio
     forward = _recurrence(np.concatenate([[1.0], -off * inv_pivot[1:]]), inv_pivot, 1)
     backward = _recurrence(
