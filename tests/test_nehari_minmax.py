@@ -1144,7 +1144,7 @@ class TestMetricOncePerDescent:
 
         def metric_at(u):
             apply, solve = tri.metric_at(u)
-            built.append((np.array(u), apply))
+            built.append(np.array(u))
 
             def counting(v):
                 applied.append(v)
@@ -1155,11 +1155,11 @@ class TestMetricOncePerDescent:
         con = SphereConstraint(dataclasses.replace(tri, metric_at=metric_at), tag=ConeTag.A_POS)
         _, rec = minimize_ground_level(con, -0.01, "plus", multistart=1, seed=0)
         assert rec.converged
-        # one build at the start and one per accepted step; none at the
-        # last measured point, which takes no step
+        # one build at the start and one per accepted step, as many as the
+        # points measured
         assert len(built) == rec.iterations
         assert len(applied) == len(built)
-        for (u, _), v in zip(built, applied):
+        for u, v in zip(built, applied):
             assert np.array_equal(u, v)
 
 
