@@ -23,15 +23,15 @@ degree-of-freedom nodes, quadrature and cone node masks loop over cell
 corners, and the gradient kernel and the metric share one forward-difference
 stencil (per axis, a difference at each cell's lower corner and its transpose
 scatter).
-The metric M (the p = 2 stiffness, plus the lumped mass on truncated
-problems) has one solver per input, each a few whole-array numpy
-operations: in 1D the two Thomas sweeps as running products and cumulative
-sums, and on 2D Dirichlet grids a DST-I diagonalization applied with
-orthonormal sine matrices.  2D truncated grids have none, and their triples
-carry the identity pair, M = I, as the Euclidean metric.  On 1D grids at
-p != 2 the metric follows the iterate: the stiffness with cell weights
-|Du|^(p-2) (and the lumped mass weighted by |u|^(p-2) on truncated grids),
-rebuilt at every point descent asks for (_weighted_metric).
+Each grid kind has one metric M for sphere descent and one solver.  On 1D
+grids M is K_w, the stiffness with cell weights |Du|^(p-2) (plus, on truncated
+grids, the lumped mass weighted by |u|^(p-2)), rebuilt at every point
+descent asks for at p != 2 and one fixed pair with unit weights at p = 2
+(_weighted_metric).  Dirichlet grids solve it by a running sum, truncated
+grids by the two Thomas sweeps as running products and cumulative sums.
+2D Dirichlet grids keep the p = 2 stiffness at every p, solved by a DST-I
+diagonalization applied with orthonormal sine matrices.  2D truncated grids
+have no solver, and their triples keep the Euclidean metric, M = I.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .functional_core import (
-    ConeTag, Exponents, FunctionalTriple, _identity, _inside_cone, cone_membership,
+    ConeTag, Exponents, FunctionalTriple, _euclidean, _inside_cone, cone_membership,
 )
 from .nehari_minmax import SphereConstraint, minimize_c0
 
@@ -587,11 +587,16 @@ def _tridiagonal_solver(diag: Array, off: Array):
     return solve
 
 
-def _dirichlet_2d_solver(grid: Grid):
-    """M^{-1} v for the 2D Dirichlet 5-point stiffness, diagonalized by DST-I on both axes.
+def _dirichlet_2d_metric(grid: Grid):
+    """metric_at of a 2D Dirichlet grid: the 5-point stiffness M at every point.
 
-    S = sqrt(2 / (n + 1)) sin(pi j k / (n + 1)) is orthonormal and symmetric
-    on each axis, so M^{-1} V = S0 ((S0 V S1) * scale) S1.
+    M is half the Hessian of the p = 2 gradient part, so v^T M v = N(v) at
+    p = 2, and it stays the metric at every p.  apply scatters the
+    differences themselves through the gradient kernel's stencil: the same
+    floats as half the p = 2 kernel, whose factors 2 and 0.5 are exact,
+    without its powers.  DST-I diagonalizes M on both axes: S = sqrt(2 /
+    (n + 1)) sin(pi j k / (n + 1)) is orthonormal and symmetric on each
+    axis, so M^{-1} V = S0 ((S0 V S1) * scale) S1.
     """
     shape = grid.dof_shape
     sines, eig = [], []
@@ -602,48 +607,16 @@ def _dirichlet_2d_solver(grid: Grid):
         eig.append(4.0 * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2 / h**2)
     s0, s1 = sines
     scale = 1.0 / (grid.cell_volume * (eig[0][:, None] + eig[1][None, :]))
+    differences, scatter, factors = _forward_differences(grid)
+
+    def apply(v: Array) -> Array:
+        return _restrict(grid, scatter(differences(_embed(grid, v)), factors))
 
     def solve(v: Array) -> Array:
         return (s0 @ ((s0 @ np.reshape(v, shape) @ s1) * scale) @ s1).ravel()
 
-    return solve
-
-
-def _stiffness_metric(grid: Grid, mass_w: Array | None):
-    """(apply, solve) of the p = 2 matrix M of the problem norm, or the
-    identity pair where no solver for M exists.
-
-    M is half the Hessian of the p = 2 gradient part plus, for truncated
-    problems, the lumped mass diag(mass_w * vol), so v^T M v = N(v) at p = 2.
-    It is the Sobolev metric of sphere descent at p = 2 and on 2D grids at
-    every p, the same pair at every point.  apply
-    scatters the differences themselves through the gradient kernel's
-    stencil: the same floats as half the p = 2 kernel, whose factors 2 and
-    0.5 are exact, without its powers.
-    """
-    mass = None if mass_w is None else mass_w * grid.cell_volume
-    if grid.dimension == 1:
-        h = grid.spacing[0]
-        diag = np.full(grid.n_dof, 2.0 / h)
-        if not grid.dirichlet:
-            diag[0] = diag[-1] = 1.0 / h
-        if mass is not None:
-            diag += mass
-        solve = _tridiagonal_solver(diag, np.full(grid.n_dof - 1, -1.0 / h))
-    elif grid.dirichlet:
-        solve = _dirichlet_2d_solver(grid)
-    else:
-        # The truncated 2D stencil has no x-differences along the last row of
-        # nodes, so its stiffness is not a Kronecker sum and no sine transform
-        # diagonalizes it; descent keeps the Euclidean metric there.
-        return _identity, _identity
-    differences, scatter, factors = _forward_differences(grid)
-
-    def apply(v: Array) -> Array:
-        out = _restrict(grid, scatter(differences(_embed(grid, v)), factors))
-        return out if mass is None else out + mass * np.asarray(v, dtype=float)
-
-    return apply, solve
+    pair = (apply, solve)
+    return lambda u: pair  # the same pair at every point: descent applies it once
 
 
 # Largest-to-smallest ratio of the weights of the p-Laplacian metric
@@ -654,15 +627,19 @@ _WEIGHT_RATIO = 100.0
 
 
 def _weighted_metric(grid: Grid, p: float, mass_w: Array | None):
-    """metric_at of a 1D grid at p != 2: u -> (apply, solve) of M(u) = K_w.
+    """metric_at of a 1D grid: u -> (apply, solve) of M(u) = K_w.
 
     K_w is the stiffness with cell weights |Du|^(p-2), the p-Laplacian's
     own weight (Huang, Li and Liu, J. Sci. Comput. 32, 2007), and on
-    truncated grids M(u) adds the lumped mass weighted by |u|^(p-2).  Each
-    set of weights is clipped so that none differs from another of the set
-    by more than _WEIGHT_RATIO: for p < 2 the weight of a flat cell is
-    infinite, and for p > 2 it is 0.  A set whose magnitudes are all 0 (the
-    slopes of a constant u) gets weight 1.
+    truncated grids M(u) adds the lumped mass weighted by |u|^(p-2), so
+    v^T M(u) v = N(v) at p = 2.  At p = 2 every weight is 1, and metric_at
+    returns one pair at every point, which descent applies once.  At other
+    p each set of weights is clipped so that none differs from another of
+    the set by more than _WEIGHT_RATIO: for p < 2 the weight of a flat cell
+    is infinite, and for p > 2 it is 0.  The floor's ratio to the largest
+    magnitude, _WEIGHT_RATIO^(-1/|p-2|), is kept at least the smallest
+    normal float, where near p = 2 it would underflow to 0.  A set whose
+    magnitudes are all 0 (the slopes of a constant u) gets weight 1.
 
     On Dirichlet grids M(u) x = v has a closed form.  The flux w_j Dx_j of
     cell j is q0 - S_j, with S_j the sum of v over the nodes left of the
@@ -673,22 +650,15 @@ def _weighted_metric(grid: Grid, p: float, mass_w: Array | None):
     """
     h = grid.spacing[0]
     differences, scatter, factors = _forward_differences(grid)
-    floor_ratio = _WEIGHT_RATIO ** (-1.0 / abs(p - 2.0))
     mass = None if mass_w is None else mass_w * grid.cell_volume
 
-    def weights(magnitudes: Array) -> Array:
-        top = float(magnitudes.max())
-        if top == 0.0:
-            return np.ones_like(magnitudes)
-        return np.maximum(magnitudes, top * floor_ratio) ** (p - 2.0)
-
-    def metric_at(u: Array):
-        w = weights(np.abs(differences(_embed(grid, u))[0]))
+    def pair(w: Array, m: Array | None):
+        """(apply, solve) of the stiffness with cell weights w plus diag(m)."""
 
         def stiffness(v: Array) -> Array:
             return _restrict(grid, scatter([w * differences(_embed(grid, v))[0]], factors))
 
-        if mass is None:
+        if m is None:
             r = h / w
             total = float(np.add.reduce(r))
 
@@ -699,7 +669,6 @@ def _weighted_metric(grid: Grid, p: float, mass_w: Array | None):
 
             return stiffness, solve
 
-        m = mass * weights(np.abs(u))
         off = w * (-1.0 / h)
         diag = m.copy()
         diag[:-1] -= off
@@ -709,6 +678,22 @@ def _weighted_metric(grid: Grid, p: float, mass_w: Array | None):
             return stiffness(v) + m * v
 
         return apply, _tridiagonal_solver(diag, off)
+
+    if p == 2.0:
+        fixed = pair(np.ones(grid.cell_shape), mass)
+        return lambda u: fixed
+
+    floor_ratio = max(_WEIGHT_RATIO ** (-1.0 / abs(p - 2.0)), np.finfo(float).tiny)
+
+    def weights(magnitudes: Array) -> Array:
+        top = float(magnitudes.max())
+        if top == 0.0:
+            return np.ones_like(magnitudes)
+        return np.maximum(magnitudes, top * floor_ratio) ** (p - 2.0)
+
+    def metric_at(u: Array):
+        w = weights(np.abs(differences(_embed(grid, u))[0]))
+        return pair(w, None if mass is None else mass * weights(np.abs(u)))
 
     return metric_at
 
@@ -758,9 +743,10 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
 
     On Dirichlet problems that is the gradient seminorm; truncated
     whole-space problems add the |u|^p mass term, which also enters the
-    metric.  The metric is the p = 2 stiffness pair (_stiffness_metric) at
-    p = 2 and on 2D grids, and on 1D grids at p != 2 the stiffness weighted
-    by the iterate's |Du|^(p-2) (_weighted_metric).
+    metric.  The metric follows the grid: K_w on 1D grids at every p
+    (_weighted_metric), the p = 2 stiffness on 2D Dirichlet grids
+    (_dirichlet_2d_metric), and the triple's default Euclidean metric on 2D
+    truncated grids.
     """
     grid = problem.grid
     n_value, n_grad_full = _gradient_part(grid, problem.p)
@@ -788,13 +774,15 @@ def build_triple(problem: PLaplacianProblem) -> FunctionalTriple:
         def grad_n(u: Array) -> Array:
             return _restrict(grid, n_grad_full(_embed(grid, u))) + m_grad(u)
 
-    if grid.dimension == 1 and problem.p != 2.0:
+    if grid.dimension == 1:
         metric_at = _weighted_metric(grid, problem.p, mass_w)
+    elif grid.dirichlet:
+        metric_at = _dirichlet_2d_metric(grid)
     else:
-        pair = _stiffness_metric(grid, mass_w)
-
-        def metric_at(u: Array):
-            return pair  # the same pair at every point: descent applies it once
+        # The truncated 2D stencil has no x-differences along the last row of
+        # nodes, so its stiffness is not a Kronecker sum and no sine transform
+        # diagonalizes it; descent keeps the Euclidean metric there.
+        metric_at = _euclidean
 
     return FunctionalTriple(
         exponents=problem.exponents,

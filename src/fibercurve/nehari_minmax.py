@@ -20,9 +20,10 @@ which is automatically tangent at exact roots, and one multistart minimizes
 it for ground levels and both thresholds.  Steps follow the Sobolev
 gradient d = M(u)^{-1} grad_u for the triple's metric at the iterate
 (FunctionalTriple.metric_at: on model problems the stiffness of the problem
-norm, with the p-Laplacian's cell weights |Du|^(p-2) on 1D grids at p != 2;
-the identity pair by default), with Barzilai-Borwein steps s^T M s / s^T y
-and a nonmonotone Armijo test on the decrease step * grad_u^T d.  The
+norm, with the p-Laplacian's cell weights |Du|^(p-2) on 1D grids, all 1 at
+p = 2; the identity pair by default), with Barzilai-Borwein steps
+s^T M s / s^T y and a nonmonotone Armijo test on the decrease
+step * grad_u^T d.  The
 descent carries M u while the metric stays, so a metric that does not
 depend on u is applied once, at the start.  In this metric the iteration
 count does not grow with the number of grid nodes: 18 and 27 iterations at

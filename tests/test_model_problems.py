@@ -1,5 +1,7 @@
 """Grid, weights, discretized triples, sign structure, basis construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from fibercurve.model_problems import (
     _embed,
     _gradient_part,
     _restrict,
-    _stiffness_metric,
 )
 
 
@@ -323,14 +324,10 @@ def _reference_metric_solve(problem):
     return solve_2d
 
 
-def _stiffness_pair(problem):
-    """The p = 2 pair (apply, solve) of the problem's grid, plus the lumped
-    mass on truncated grids."""
-    grid = problem.grid
-    mass_w = None
-    if not grid.dirichlet:
-        mass_w = _dof_node_weights(grid, np.ones(grid.cell_shape)).ravel()
-    return _stiffness_metric(grid, mass_w)
+def _p2_pair(problem):
+    """The metric pair of the problem at p = 2: the stiffness, plus the
+    lumped mass on truncated grids, the same at every point."""
+    return build_triple(replace(problem, p=2.0)).metric_at(np.zeros(problem.grid.n_dof))
 
 
 class TestStiffnessMetric:
@@ -351,7 +348,7 @@ class TestStiffnessMetric:
              "dirichlet_2d_16x12", "dirichlet_2d_32x32"],
     )
     def test_solve_equals_reference(self, prob):
-        _, solve = _stiffness_pair(prob)
+        _, solve = _p2_pair(prob)
         reference = _reference_metric_solve(prob)
         rng = np.random.default_rng(4)
         for _ in range(3):
@@ -365,22 +362,19 @@ class TestStiffnessMetric:
         # 1 / product overflows (a RuntimeWarning fails the test).
         prob = truncated_problem_1d(8001, 400.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0)
         v = np.random.default_rng(3).normal(size=prob.grid.n_dof)
-        got = _stiffness_pair(prob)[1](v)
+        got = _p2_pair(prob)[1](v)
         expected = _reference_metric_solve(prob)(v)
         assert np.all(np.isfinite(got))
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize(
         "prob",
-        [
-            dirichlet_problem_1d(63, "1+x", "cos(2*pi*x)+0.2"),
-            truncated_problem_1d(41, 4.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0),
-            dirichlet_problem_2d((16, 12), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)"),
-        ],
-        ids=["dirichlet_1d", "truncated_1d", "dirichlet_2d_16x12"],
+        [dirichlet_problem_2d((16, 12), "1+x*y", "0.5+sin(pi*x)*sin(pi*y)")],
+        ids=["dirichlet_2d_16x12"],
     )
     def test_solve_inverts_apply(self, prob):
-        apply, solve = _stiffness_pair(prob)
+        # the 1D pairs are the p = 2 inputs of TestWeightedMetric's test
+        apply, solve = _p2_pair(prob)
         rng = np.random.default_rng(5)
         for _ in range(3):
             v = rng.normal(size=prob.grid.n_dof)
@@ -415,7 +409,7 @@ class TestStiffnessMetric:
         # apply runs the stiffness stencil itself; the p = 2 gradient kernel
         # gives twice its floats (the factors 2 and 0.5 are exact)
         grid = prob.grid
-        apply, _ = _stiffness_pair(prob)
+        apply, _ = _p2_pair(prob)
         _, stiff_full = _gradient_part(grid, 2.0)
         mass = None
         if not grid.dirichlet:
@@ -451,14 +445,14 @@ class TestStiffnessMetric:
         ids=["dirichlet_1d", "truncated_1d", "dirichlet_2d", "dirichlet_2d_p3"],
     )
     def test_p2_and_2d_metrics_are_the_stiffness_pair(self, prob):
-        # one pair at every point, the one _stiffness_metric builds, so
-        # descent applies M once
+        # one pair at every point, the p = 2 stiffness at every p on 2D
+        # grids, so descent applies M once
         tri = build_triple(prob)
         rng = np.random.default_rng(10)
         u, w, v = rng.normal(size=(3, tri.dim))
         pair = tri.metric_at(u)
         assert tri.metric_at(w) is pair
-        for got, expected in zip(pair, _stiffness_pair(prob)):
+        for got, expected in zip(pair, _p2_pair(prob)):
             assert np.array_equal(got(v), expected(v))
 
     def test_negated_a_keeps_metric(self, pos_problem):
@@ -486,13 +480,14 @@ def _weighted_problem(kind, n, p):
 
 
 class TestWeightedMetric:
-    """The 1D metric at p != 2: the stiffness with cell weights |Du|^(p-2),
+    """The 1D metric at every p: the stiffness with cell weights |Du|^(p-2),
     plus the lumped mass weighted by |u|^(p-2) on truncated grids, each set
-    clipped to a largest-to-smallest ratio of _WEIGHT_RATIO."""
+    clipped to a largest-to-smallest ratio of _WEIGHT_RATIO; at p = 2 every
+    weight is 1."""
 
     CASES = [("dirichlet", 31), ("dirichlet", 4095), ("truncated", 41), ("truncated", 8001)]
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("kind,n", CASES)
     def test_solve_inverts_apply(self, kind, n, p):
         tri = build_triple(_weighted_problem(kind, n, p))
@@ -526,12 +521,18 @@ class TestWeightedMetric:
         apply, _ = tri.metric_at(u)
         assert float(v @ apply(v)) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.5, 1.999, 2.001])
     @pytest.mark.parametrize("kind,n", CASES[::2])
-    def test_sphere_points_raise_no_warning(self, kind, n):
+    def test_sphere_points_raise_no_warning(self, kind, n, p):
         # a RuntimeWarning fails the test: flat cells get the clipped weight,
-        # and a constant u, whose slopes are all 0, gets weight 1
-        tri = build_triple(_weighted_problem(kind, n, 1.5))
-        points = [np.random.default_rng(14).normal(size=tri.dim)]
+        # also near p = 2, where the floor's ratio 100^(-1/|p-2|) would
+        # underflow to 0, and a constant u, whose slopes are all 0, gets
+        # weight 1
+        tri = build_triple(_weighted_problem(kind, n, p))
+        rng = np.random.default_rng(14)
+        block = np.zeros(tri.dim)  # every cell outside the block is flat
+        block[n // 3 : 2 * n // 3] = 1.0 + rng.random(2 * n // 3 - n // 3)
+        points = [rng.normal(size=tri.dim), block]
         if kind == "truncated":
             points.append(np.ones(tri.dim))
         for u in points:
