@@ -234,6 +234,12 @@ def merge_config(user: dict) -> dict:
         if value < 0.0 or (value == 0.0 and key != "curve_noise"):
             need = "at least 0" if key == "curve_noise" else "positive"
             raise ConfigError(f"tolerances.{key} must be {need}, got {value!r}")
+    # a record is converged only at a residual within the certificate's bound
+    if tol["residual_grad"] > _CERTIFY_RTOL:
+        raise ConfigError(
+            f"tolerances.residual_grad must be at most {_CERTIFY_RTOL!r}, the bound of a "
+            f"converged record, got {tol['residual_grad']!r}"
+        )
     deltas = cfg["threshold_deltas"]
     if not deltas or not all(0.0 < d < 1.0 for d in deltas):
         raise ConfigError(f"threshold_deltas must list deltas in (0, 1), got {deltas!r}")

@@ -12,10 +12,11 @@ against the larger record slope of its endpoints (with a safety factor,
 since the slope is known only at the endpoints).
 
 Also here, on the same chain: the zero-limit diagnostic for c -> 0- on the
-plus branch, the level-set intersections lambda(c) = target (a bracketed
-Newton iteration on the records' slopes, with power-law extrapolation toward
-the plus ceiling c = 0), and the continuation of the minus curve through the
-upper threshold where its sign flips.
+plus branch, the level-set intersections lambda(c) = target (one bracketed
+Newton iteration on the records' slopes, in branch coordinates: log|level|
+over log|c| on the plus branch, where the power law toward the ceiling c = 0
+is a line), and the continuation of the minus curve through the upper
+threshold where its sign flips.
 """
 
 from __future__ import annotations
@@ -441,22 +442,25 @@ def intersect_with_lambda(
 
     The level is strictly monotone in c along a branch, with the exact slope
     -alpha/A(t u) at the optimizer, so a sign change of level - target
-    brackets a unique root and every probe also yields the derivative.  When
-    the seed window [c_lo, c_hi] does not bracket the target for some k, the
-    window moves along the monotone direction, at most _MAX_EXPAND times, by
-    at least doubling, or by 1.5 Newton steps when those reach further;
-    toward the plus-branch ceiling c = 0 it extrapolates the local power law
-    level ~ K|c|**gamma (gamma = c * slope / level) past the target, and
-    halves the gap to the ceiling when that guess leaves the admissible
-    interval; a move down that would reach or pass c_floor probes c_floor
-    itself, and the target is not reachable when that probe does not
-    bracket it.
-    Inside the bracket a safeguarded Newton iteration (rtsafe) refines the
-    root (on the plus branch in log|c| and log|level|, where the power law
-    is nearly linear), bisecting whenever a Newton step leaves the bracket
-    or fails to halve the step before last; it stops when the step or the
-    bracket is below _TOL_C * (1 + |c|), or _TOL_C * |c| on the plus branch,
-    whose roots can lie at |c| far below 1; after at most _MAX_REFINE steps.
+    brackets a unique root and every probe also yields the derivative.  The
+    root is sought in branch coordinates x with f(x) = 0: on the minus
+    branch x = c and f = level - target; on the plus branch x = log(-c) and
+    f = log(level / target), in which the power law level ~ K|c|**gamma
+    toward the ceiling c = 0 is a line of slope gamma = c * slope / level,
+    and the ceiling is x -> -inf.  Plus levels have the constraint's
+    lambda_sign at every c < 0, so a plus target of the other sign, or 0, is
+    not reachable, and no level is solved for it.  Probes are exact c
+    values.  When the seed window [c_lo, c_hi] does not bracket the target
+    for some k, the window moves in x along the monotone direction, at most
+    _MAX_EXPAND times, by at least doubling, or by 1.5 Newton steps when
+    those reach further; a move down in c that would reach or pass c_floor
+    probes c_floor itself, and the target is not reachable when that probe
+    does not bracket it.  Inside the bracket a safeguarded Newton iteration
+    (rtsafe) refines the root, bisecting whenever a Newton step leaves the
+    bracket or fails to halve the step before last; it stops when the step
+    or the bracket in x is below _TOL_C * (1 + |c|) on the minus branch and
+    _TOL_C on the plus branch (relative in c: plus roots can lie at |c| far
+    below 1), when a Newton step rounds to zero, or after _MAX_REFINE steps.
     Each k follows its own _LevelChain, seeded (seed, k), whose probes after
     the first draw max(2, multistart // 8) starts beside the warm one.  Each
     k either yields a root entry or a skip entry with a reason (the level
@@ -474,11 +478,6 @@ def intersect_with_lambda(
     """
     if not (c_lo < c_hi):
         raise ValueError("need c_lo < c_hi")
-    # Reported levels fall with c when the reported multiplier is +lambda and
-    # rise when the A-negative reduction flips the sign at the boundary.
-    slope_sign = -constraint.lambda_sign
-    c_ceiling = 0.0 if branch == "plus" else math.inf
-
     chains = [
         (k, _LevelChain(
             constraint, branch, (k,), basis=basis, n_samples=n_samples,
@@ -491,9 +490,7 @@ def intersect_with_lambda(
     skipped = []
     for k, chain in chains:
         try:
-            entry = _intersect_single(
-                chain, k, lam_target, c_lo, c_hi, slope_sign, c_floor, c_ceiling
-            )
+            entry = _intersect_single(chain, k, lam_target, c_lo, c_hi, c_floor)
         except InfeasibleLevelError as exc:
             skipped.append({"k": k, "reason": f"level infeasible: {exc}"})
             continue
@@ -521,27 +518,19 @@ def intersect_with_lambda(
 
 
 class _Sample(NamedTuple):
-    """One probe of the intersection: f = level - target, and the level's record."""
+    """One probe of the intersection at c, in the branch coordinates x: f(x)
+    and its derivative df = f'(x), and the level's record."""
 
     c: float
+    x: float
     f: float
+    df: float
     record: CriticalPointRecord
 
-
-def _power_law_root(point: _Sample, lam_target: float) -> float | None:
-    """Where the local power law through a plus-branch probe reaches lam_target.
-
-    Toward the ceiling c = 0 the plus level behaves like K|c|**gamma with
-    gamma = c * slope / level, a line in log|c| and log|level|; this is the
-    Newton step in those coordinates, c * (lam_target / level)**(1/gamma).
-    Returns None when the probe does not fit a power law (gamma <= 0, or
-    level and target of different signs).
-    """
-    gamma = point.c * point.record.slope / point.record.lam
-    ratio = lam_target / point.record.lam
-    if point.c < 0.0 and gamma > 0.0 and ratio > 0.0:
-        return point.c * ratio ** (1.0 / gamma)
-    return None
+    @property
+    def step(self) -> float:
+        """The Newton step, x - step being the root of the tangent at x."""
+        return self.f / self.df
 
 
 def _intersect_single(
@@ -550,56 +539,56 @@ def _intersect_single(
     lam_target: float,
     c_lo: float,
     c_hi: float,
-    slope_sign: int,
     c_floor: float | None,
-    c_ceiling: float,
 ) -> dict:
+    plus = chain.branch == "plus"
+    if plus and not chain.constraint.lambda_sign * lam_target > 0.0:
+        raise ValueError(
+            f"k={k}: target {lam_target!r} not reachable: every plus level has the "
+            f"sign of {chain.constraint.lambda_sign!r}"
+        )
+
     def sample(c: float) -> _Sample:
         # The record's slope is the exact envelope derivative -alpha/A(t u) at
         # the optimizer u: the ground minimizer for k = 1, the surrogate
         # maximizer for k >= 2 (Danskin's theorem, since both levels are
         # extrema over c-free sets of rays).
         record = chain.level(c, k)
-        return _Sample(c, record.lam - lam_target, record)
+        if plus:
+            # x = log(-c), f = log(level / target): the power law K|c|**gamma
+            # is a line of slope gamma = c * slope / level
+            return _Sample(c, math.log(-c), math.log(record.lam / lam_target),
+                           c * record.slope / record.lam, record)
+        return _Sample(c, c, record.lam - lam_target, record.slope, record)
+
+    def c_of(x: float) -> float:
+        return -math.exp(x) if plus else x
 
     def result(point: _Sample, iterations: int) -> dict:
         return {"k": k, "c": point.c, "lam": point.record.lam, "record": point.record,
                 "iterations": iterations, "probes": chain.calls}
 
     lo, hi = sample(c_lo), sample(c_hi)
+    if hi.x < lo.x:
+        lo, hi = hi, lo
     expansions = 0
-    width = c_hi - c_lo
+    width = hi.x - lo.x
     while lo.f * hi.f > 0.0 and expansions < _MAX_EXPAND:
         expansions += 1
-        # Decide which way the target lies from the monotone direction.
-        target_above = (lo.f > 0.0) == (slope_sign < 0)
-        end = hi if target_above else lo
-        width = max(2.0 * width, 1.5 * abs(end.f / end.record.slope))
-        if target_above:
-            c_new = end.c + width
-            if c_new >= c_ceiling:
-                # The plus ceiling is c = 0, where the level vanishes like
-                # K|c|**gamma; aim at half the |c| the power law predicts.
-                guess = _power_law_root(end, lam_target)
-                if guess is not None and guess > end.c:
-                    c_new = 0.5 * guess
-                if not (end.c < c_new < c_ceiling):
-                    c_new = 0.5 * (end.c + c_ceiling)
-            if not (c_new > end.c):
-                raise ValueError(
-                    f"k={k}: target {lam_target!r} not reachable below c={c_ceiling!r}"
-                )
-            lo, hi = hi, sample(c_new)
-        else:
-            c_new = end.c - width
-            if c_floor is not None and c_new <= c_floor:
-                # one probe at the floor decides whether the target is reachable
-                c_new = c_floor
-            if not (c_new < end.c):
+        # f is monotone in x: the target lies at larger x when f and f' differ in sign
+        rise = (lo.f > 0.0) == (lo.df < 0.0)
+        end = hi if rise else lo
+        width = max(2.0 * width, 1.5 * abs(end.step))
+        c_new = c_of(end.x + width if rise else end.x - width)
+        if c_floor is not None and c_new <= c_floor:
+            # one probe at the floor decides whether the target is reachable
+            if end.c <= c_floor:
                 raise ValueError(
                     f"k={k}: target {lam_target!r} not reachable above c={c_floor!r}"
                 )
-            lo, hi = sample(c_new), lo
+            c_new = c_floor
+        new = sample(c_new)
+        lo, hi = (hi, new) if rise else (new, lo)
     if lo.f == 0.0:
         return result(lo, 0)
     if hi.f == 0.0:
@@ -611,31 +600,29 @@ def _intersect_single(
         )
 
     # Safeguarded Newton (rtsafe, Numerical Recipes 9.4) from the better end;
-    # [a, b] stays a bracket and f_a is the sign reference of its left end.
-    a, b, f_a = lo.c, hi.c, lo.f
+    # [a, b] stays a bracket in x and f_a is the sign reference of its left end.
+    a, b, f_a = lo.x, hi.x, lo.f
     point = lo if abs(lo.f) <= abs(hi.f) else hi
     dx_old = dx = b - a
-    # plus roots approach the ceiling c = 0, so their stop is relative to |c|
-    plus = chain.branch == "plus"
     it = 0
     for it in range(1, _MAX_REFINE + 1):
-        newton = _power_law_root(point, lam_target) if plus else None
-        if newton is None:
-            newton = point.c - point.f / point.record.slope
-        if not (a < newton < b) or abs(2.0 * (newton - point.c)) > abs(dx_old):
+        newton = point.x - point.step
+        if newton == point.x:  # the tangent's root is the probe itself
+            break
+        if not (a < newton < b) or abs(2.0 * (newton - point.x)) > abs(dx_old):
             dx_old, dx = dx, 0.5 * (b - a)
-            c = a + dx
+            point = sample(c_of(a + dx))
         else:
-            dx_old, dx = dx, newton - point.c
-            c = newton
-        point = sample(c)
-        tol = _TOL_C * (abs(c) if plus else 1.0 + abs(c))
+            dx_old, dx = dx, newton - point.x
+            point = sample(c_of(newton))
+        # in x = log(-c) a step is relative in c, as plus roots can lie at |c| << 1
+        tol = _TOL_C if plus else _TOL_C * (1.0 + abs(point.c))
         if point.f == 0.0 or abs(dx) <= tol:
             break
         if (point.f > 0.0) == (f_a > 0.0):
-            a, f_a = c, point.f
+            a, f_a = point.x, point.f
         else:
-            b = c
+            b = point.x
         if b - a <= tol:
             break
     return result(point, it)

@@ -165,8 +165,8 @@ def eval_weight_expression(expr: str, coords: dict[str, Array]):
     """Evaluate a weight expression over coordinate arrays.
 
     Grammar: binary + - * / ^, unary minus, calls to sin/cos/exp/abs, numeric
-    constants, names pi and e, and the coordinate variables present in coords.
-    Anything else is rejected by name.
+    constants (not True or False), names pi and e, and the coordinate
+    variables present in coords.  Anything else is rejected by name.
     """
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
@@ -177,7 +177,7 @@ def eval_weight_expression(expr: str, coords: dict[str, Array]):
         if isinstance(node, ast.Expression):
             return walk(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
+            if type(node.value) in (int, float):  # bool is an int subclass
                 return float(node.value)
             raise ValueError(f"non-numeric constant {node.value!r} in weight expression")
         if isinstance(node, ast.Name):

@@ -115,7 +115,7 @@ def build_report(
     timing_seconds: Mapping | None = None,
 ) -> dict:
     """Assemble the run report; curve points inline the CSV fields and the
-    multistart counts (curve_rows)."""
+    multistart counts (curve_rows).  write_report_json makes it strict JSON."""
     curve_block = {}
     for curve in curves:
         key = f"{curve.branch}_k{curve.k}"
@@ -135,10 +135,12 @@ def build_report(
     }
     if extras:
         report.update(extras)
-    return _sanitize(report)
+    return report
 
 
 def write_report_json(path, report: Mapping) -> None:
+    """Write the report as strict JSON: arrays as lists, non-finite floats as
+    their repr strings."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_sanitize(report), fh, sort_keys=True, indent=2)
         fh.write("\n")

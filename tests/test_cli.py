@@ -514,6 +514,8 @@ class TestConfigErrors:
             ("trace", battery_config(problem=dict(BASE_PROBLEM, n_interior=[None]))),
             ("solve", solve_config(tolerances={"gtol": "1e-8"})),
             ("solve", solve_config(tolerances={"residual_grad": "1e-6"})),
+            # converged records already meet 1e-6, so a looser bound would be ignored
+            ("solve", solve_config(tolerances={"residual_grad": 1e-4})),
             ("trace", battery_config(multistart=2.7)),
             ("trace", battery_config(seed=True)),
             ("trace", battery_config(problem=dict(BASE_PROBLEM, bounds=[0, "a"]))),
@@ -558,6 +560,7 @@ class TestConfigErrors:
         ],
         ids=["c_grid_n_1", "ks_empty", "ks_zero", "solve_k_zero", "ks_not_int",
              "multistart_not_int", "n_interior_null", "gtol_string", "residual_grad_string",
+             "residual_grad_above_certificate",
              "multistart_fraction", "seed_bool", "bounds_not_number", "bounds_not_pairs",
              "weight_file_missing", "limit_schedule_positive", "limit_schedule_short",
              "threshold_deltas_empty", "threshold_delta_above_one", "max_iter_zero",
@@ -575,6 +578,14 @@ class TestConfigErrors:
         assert code == 1
         assert "config error" in err
         assert "Traceback" not in err
+
+    def test_loose_residual_grad_names_the_bound(self, tmp_path):
+        cfg_path = write_config(tmp_path, solve_config(tolerances={"residual_grad": 1e-4}))
+        code, _, err = run_cli(
+            ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "tolerances.residual_grad must be at most 1e-06" in err
 
     def test_removed_gtol_key_names_itself(self, tmp_path):
         # descents stop on the certificate's relative residual, so there is

@@ -390,9 +390,10 @@ class TestIntersect:
 
     def test_power_law_expansion_toward_plus_ceiling(self, const_con_plus):
         # The root sits far above the window, near the ceiling c = 0, where
-        # the level vanishes like |c|**((eta-alpha)/eta).  Halving the gap to
-        # the ceiling needs about 20 probes to get there; the power-law
-        # extrapolation needs one.
+        # the level vanishes like |c|**((eta-alpha)/eta).  In x = log(-c) and
+        # log|level| that power law is a line and the ceiling is x -> -inf,
+        # so one move of 1.5 Newton steps brackets the root; halving the gap
+        # to c = 0 took about 20 probes.
         c_truth = -1e-8
         lam_truth, _ = minimize_ground_level(const_con_plus, c_truth, "plus", multistart=8)
         out = intersect_with_lambda(
@@ -407,8 +408,8 @@ class TestIntersect:
         # The intersect benchmark's plus k = 1 root (target 10 in
         # [-0.5, -0.01]).  Newton in c crept along the concave side of
         # lambda ~ K|c|**gamma (-0.041, -0.082) until the rtsafe safeguard
-        # bisected three times: 12 probes.  In log|c| the power law is
-        # nearly linear and the root takes 5.
+        # bisected three times: 12 probes.  The plus branch's coordinates,
+        # log|level| over log(-c), make the power law nearly linear.
         tri = build_triple(dirichlet_problem_1d(31, "sin(2*pi*x)+0.3", "cos(2*pi*x)+0.2"))
         con = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
         out = intersect_with_lambda(con, "plus", 10.0, -0.5, -0.01, multistart=8, seed=0)
@@ -454,6 +455,27 @@ class TestIntersect:
         assert not out["points"]
         (skip,) = out["skipped"]
         assert "not" in skip["reason"]
+
+    @pytest.mark.parametrize("target", [-5.0, 0.0])
+    def test_plus_target_of_the_other_sign_solves_no_level(self, monkeypatch, const_con_plus,
+                                                           target):
+        # Plus levels are positive at every c < 0 on an A-positive cone, so
+        # no level is solved for a target of the other sign, or 0.  Searching
+        # for it took 62 level solves toward the ceiling c = 0.
+        probes = []
+        level = ct._LevelChain.level
+
+        def recording(chain, c, k):
+            probes.append(c)
+            return level(chain, c, k)
+
+        monkeypatch.setattr(ct._LevelChain, "level", recording)
+        out = intersect_with_lambda(const_con_plus, "plus", target, -0.2, -0.1, multistart=2)
+        assert not out["points"]
+        (skip,) = out["skipped"]
+        assert skip["k"] == 1
+        assert "not reachable" in skip["reason"]
+        assert probes == []
 
     def test_infeasible_level_is_skipped(self, const_con_plus):
         # the plus branch has no critical scaling at c > 0 on any ray

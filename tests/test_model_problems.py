@@ -111,6 +111,12 @@ class TestWeightExpressions:
         with pytest.raises(ValueError):
             eval_weight_expression("__import__('os')", {"x": np.zeros(3)})
 
+    @pytest.mark.parametrize("expr", ["1+True", "x*False+2"])
+    def test_rejects_bool_constants(self, expr):
+        # bool is an int in Python, but the grammar admits numbers only
+        with pytest.raises(ValueError, match="non-numeric constant"):
+            eval_weight_expression(expr, {"x": np.zeros(3)})
+
     def test_rejects_syntax_error(self):
         with pytest.raises(ValueError, match="cannot parse"):
             eval_weight_expression("1 +", {"x": np.zeros(3)})
