@@ -60,7 +60,7 @@ _TREND_FACTOR = 3.0  # largest ratio of the zero-limit scalings t / |c|**(1/eta)
 _LIPSCHITZ_SAFETY = 3.0
 _ZERO_LEVEL_ABS = 1e-4  # largest |level| of the minus curve at c**
 _MAX_REFINE = 200  # refinement steps of one intersection root inside its bracket
-_TOL_C = 1e-10  # refinement stop of an intersection root, in units of 1 + |c| (plus: |c|)
+_TOL_C = 1e-10  # refinement stop of an intersection root in x: times 1 + |c| on minus only
 _MAX_EXPAND = 60  # moves of a seed window that does not bracket the target
 
 
