@@ -445,7 +445,7 @@ def intersect_with_lambda(
     brackets a unique root and every probe also yields the derivative.  The
     root is sought in branch coordinates x with f(x) = 0: on the minus
     branch x = c and f = level - target; on the plus branch x = log(-c) and
-    f = log(level / target), in which the power law level ~ K|c|**gamma
+    f = log|level| - log|target|, in which the power law level ~ K|c|**gamma
     toward the ceiling c = 0 is a line of slope gamma = c * slope / level,
     and the ceiling is x -> -inf.  Plus levels have the constraint's
     lambda_sign at every c < 0, so a plus target of the other sign, or 0, is
@@ -453,9 +453,12 @@ def intersect_with_lambda(
     values.  When the seed window [c_lo, c_hi] does not bracket the target
     for some k, the window moves in x along the monotone direction, at most
     _MAX_EXPAND times, by at least doubling, or by 1.5 Newton steps when
-    those reach further; a move down in c that would reach or pass c_floor
-    probes c_floor itself, and the target is not reachable when that probe
-    does not bracket it.  Inside the bracket a safeguarded Newton iteration
+    those reach further; a plus move toward the ceiling goes at most one
+    Newton step plus log 2, to half the |c| the power law predicts.  A move
+    down in c that would reach or pass c_floor probes c_floor itself, and
+    the target is not reachable when that probe does not bracket it; a plus
+    move whose c leaves the floats (0, or past the largest) ends with the
+    target not bracketed.  Inside the bracket a safeguarded Newton iteration
     (rtsafe) refines the root, bisecting whenever a Newton step leaves the
     bracket or fails to halve the step before last; it stops when the step
     or the bracket in x is below _TOL_C * (1 + |c|) on the minus branch and
@@ -555,14 +558,19 @@ def _intersect_single(
         # extrema over c-free sets of rays).
         record = chain.level(c, k)
         if plus:
-            # x = log(-c), f = log(level / target): the power law K|c|**gamma
-            # is a line of slope gamma = c * slope / level
-            return _Sample(c, math.log(-c), math.log(record.lam / lam_target),
-                           c * record.slope / record.lam, record)
+            # x = log(-c), f = log|level| - log|target|: the power law
+            # K|c|**gamma is a line of slope gamma = c * slope / level
+            f = math.log(abs(record.lam)) - math.log(abs(lam_target))
+            return _Sample(c, math.log(-c), f, c * record.slope / record.lam, record)
         return _Sample(c, c, record.lam - lam_target, record.slope, record)
 
     def c_of(x: float) -> float:
-        return -math.exp(x) if plus else x
+        if not plus:
+            return x
+        try:
+            return -math.exp(x)
+        except OverflowError:  # past the largest float
+            return -math.inf
 
     def result(point: _Sample, iterations: int) -> dict:
         return {"k": k, "c": point.c, "lam": point.record.lam, "record": point.record,
@@ -579,14 +587,20 @@ def _intersect_single(
         rise = (lo.f > 0.0) == (lo.df < 0.0)
         end = hi if rise else lo
         width = max(2.0 * width, 1.5 * abs(end.step))
+        if plus and not rise:
+            # toward the ceiling the power law is nearly exact: move at most
+            # to half the |c| it predicts
+            width = min(width, abs(end.step) + math.log(2.0))
         c_new = c_of(end.x + width if rise else end.x - width)
-        if c_floor is not None and c_new <= c_floor:
+        if c_floor is not None and c_new <= c_floor and rise == plus:
             # one probe at the floor decides whether the target is reachable
             if end.c <= c_floor:
                 raise ValueError(
                     f"k={k}: target {lam_target!r} not reachable above c={c_floor!r}"
                 )
             c_new = c_floor
+        if plus and not -math.inf < c_new < 0.0:
+            break  # c left the floats: the target is not bracketed
         new = sample(c_new)
         lo, hi = (hi, new) if rise else (new, lo)
     if lo.f == 0.0:
@@ -609,12 +623,9 @@ def _intersect_single(
         newton = point.x - point.step
         if newton == point.x:  # the tangent's root is the probe itself
             break
-        if not (a < newton < b) or abs(2.0 * (newton - point.x)) > abs(dx_old):
-            dx_old, dx = dx, 0.5 * (b - a)
-            point = sample(c_of(a + dx))
-        else:
-            dx_old, dx = dx, newton - point.x
-            point = sample(c_of(newton))
+        bisect = not (a < newton < b) or abs(2.0 * (newton - point.x)) > abs(dx_old)
+        dx_old, dx = dx, 0.5 * (b - a) if bisect else newton - point.x
+        point = sample(c_of(a + dx if bisect else newton))
         # in x = log(-c) a step is relative in c, as plus roots can lie at |c| << 1
         tol = _TOL_C if plus else _TOL_C * (1.0 + abs(point.c))
         if point.f == 0.0 or abs(dx) <= tol:

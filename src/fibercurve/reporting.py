@@ -115,7 +115,9 @@ def build_report(
     timing_seconds: Mapping | None = None,
 ) -> dict:
     """Assemble the run report; curve points inline the CSV fields and the
-    multistart counts (curve_rows).  write_report_json makes it strict JSON."""
+    multistart counts (curve_rows).  The dict is not strict JSON: it can hold
+    numpy arrays, non-finite floats and non-str keys, which write_report_json
+    converts when it writes the report."""
     curve_block = {}
     for curve in curves:
         key = f"{curve.branch}_k{curve.k}"

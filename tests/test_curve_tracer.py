@@ -392,8 +392,7 @@ class TestIntersect:
         # The root sits far above the window, near the ceiling c = 0, where
         # the level vanishes like |c|**((eta-alpha)/eta).  In x = log(-c) and
         # log|level| that power law is a line and the ceiling is x -> -inf,
-        # so one move of 1.5 Newton steps brackets the root; halving the gap
-        # to c = 0 took about 20 probes.
+        # so a move to half the |c| the line predicts brackets the root.
         c_truth = -1e-8
         lam_truth, _ = minimize_ground_level(const_con_plus, c_truth, "plus", multistart=8)
         out = intersect_with_lambda(
@@ -404,12 +403,46 @@ class TestIntersect:
         assert pt["lam"] == pytest.approx(lam_truth, rel=1e-6)
         assert pt["probes"] <= 12
 
+    def test_far_plus_root_is_probed_near_itself(self, monkeypatch, const_con_plus):
+        # The root of target 1e-12 lies near c = -1.3e-52.  A move toward the
+        # ceiling goes at most to half the |c| the power law predicts, so no
+        # probe lands far beyond the root.
+        probes = []
+        level = ct._LevelChain.level
+
+        def recording(chain, c, k):
+            probes.append(c)
+            return level(chain, c, k)
+
+        monkeypatch.setattr(ct._LevelChain, "level", recording)
+        out = intersect_with_lambda(const_con_plus, "plus", 1e-12, -0.2, -0.1, multistart=2)
+        (pt,) = out["points"]
+        assert pt["lam"] == pytest.approx(1e-12, rel=1e-9)
+        assert pt["probes"] <= 6
+        assert min(abs(c) for c in probes) >= 1e-2 * abs(pt["c"])
+
+    def test_plus_root_near_the_smallest_floats_is_found(self, const_con_plus):
+        # target 1e-60 has its root near c = -1.3e-244: the moves toward the
+        # ceiling stay above it instead of rounding c to 0
+        out = intersect_with_lambda(const_con_plus, "plus", 1e-60, -0.2, -0.1, multistart=2)
+        (pt,) = out["points"]
+        assert pt["lam"] == pytest.approx(1e-60, rel=1e-9)
+        assert -1e-200 < pt["c"] < 0.0
+
+    def test_plus_target_beyond_the_floats_skips(self, const_con_plus):
+        # moving away from the ceiling toward level 1e300 would take c past
+        # the largest float: the target is not bracketed, and nothing raises
+        out = intersect_with_lambda(const_con_plus, "plus", 1e300, -0.2, -0.1, multistart=2)
+        assert not out["points"]
+        (skip,) = out["skipped"]
+        assert skip["k"] == 1
+        assert "not bracketed" in skip["reason"]
+
     def test_log_newton_along_plus_power_law(self):
         # The intersect benchmark's plus k = 1 root (target 10 in
-        # [-0.5, -0.01]).  Newton in c crept along the concave side of
-        # lambda ~ K|c|**gamma (-0.041, -0.082) until the rtsafe safeguard
-        # bisected three times: 12 probes.  The plus branch's coordinates,
-        # log|level| over log(-c), make the power law nearly linear.
+        # [-0.5, -0.01]).  The level follows lambda ~ K|c|**gamma, concave
+        # in c; the plus branch's coordinates, log|level| over log(-c), make
+        # it nearly linear, so Newton steps need no bisection.
         tri = build_triple(dirichlet_problem_1d(31, "sin(2*pi*x)+0.3", "cos(2*pi*x)+0.2"))
         con = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
         out = intersect_with_lambda(con, "plus", 10.0, -0.5, -0.01, multistart=8, seed=0)
@@ -460,8 +493,7 @@ class TestIntersect:
     def test_plus_target_of_the_other_sign_solves_no_level(self, monkeypatch, const_con_plus,
                                                            target):
         # Plus levels are positive at every c < 0 on an A-positive cone, so
-        # no level is solved for a target of the other sign, or 0.  Searching
-        # for it took 62 level solves toward the ceiling c = 0.
+        # no level is solved for a target of the other sign, or 0.
         probes = []
         level = ct._LevelChain.level
 
