@@ -592,8 +592,9 @@ def _intersect_single(
             # to half the |c| it predicts
             width = min(width, abs(end.step) + math.log(2.0))
         c_new = c_of(end.x + width if rise else end.x - width)
+        # a move down in c (a rise in x = log(-c) on the plus branch) that
+        # passes the floor probes it: one probe decides reachability
         if c_floor is not None and c_new <= c_floor and rise == plus:
-            # one probe at the floor decides whether the target is reachable
             if end.c <= c_floor:
                 raise ValueError(
                     f"k={k}: target {lam_target!r} not reachable above c={c_floor!r}"

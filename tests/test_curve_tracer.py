@@ -442,7 +442,7 @@ class TestIntersect:
         # The intersect benchmark's plus k = 1 root (target 10 in
         # [-0.5, -0.01]).  The level follows lambda ~ K|c|**gamma, concave
         # in c; the plus branch's coordinates, log|level| over log(-c), make
-        # it nearly linear, so Newton steps need no bisection.
+        # it nearly linear, so Newton converges in a few probes.
         tri = build_triple(dirichlet_problem_1d(31, "sin(2*pi*x)+0.3", "cos(2*pi*x)+0.2"))
         con = SphereConstraint(triple=tri, tag=ConeTag.A_POS)
         out = intersect_with_lambda(con, "plus", 10.0, -0.5, -0.01, multistart=8, seed=0)
