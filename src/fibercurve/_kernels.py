@@ -224,7 +224,8 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14, branch=None):
       b >  0, c ~= c_bar    -> (CASE_DEGENERATE, t_bar, t_bar)
       b >  0, c <  c_bar    -> (CASE_NO_CRITICAL, nan, nan)
 
-    The degenerate band is |c - c_bar| <= deg_rtol * (1 + |c_bar|).  With
+    The degenerate band is |c - c_bar| <= deg_rtol * (1 + |c_bar|).  Where
+    r = c/c_bar underflows to 0 (a subnormal c < 0), t_plus is NaN.  With
     branch "plus" or "minus" only that root is solved for: the other slot is
     NaN whatever the case, and the requested slot is the one the call without
     branch returns.
@@ -278,7 +279,9 @@ def classify(n, b, alpha, eta, beta, c, deg_rtol=1e-14, branch=None):
             near = math.sqrt(2.0 * (1.0 - r) / (eta * beta))
             seed_plus, seed_minus = max(lo, 1.0 - near), min(s_tangent, 1.0 + near)
         t_plus = t_minus = _NAN
-        if branch != "minus":
+        # lo = 0 when r underflows (c subnormal): s has lost the plus root,
+        # and the ray is reported off the plus branch
+        if branch != "minus" and lo > 0.0:
             t_plus = t_bar * _solve_h(r, eta, beta, lo, 1.0, seed_plus, True)
         if branch != "plus":
             t_minus = t_bar * _solve_h(r, eta, beta, 1.0, s_tangent, seed_minus, False)

@@ -50,6 +50,7 @@ Config sketch (defaults shown in config.echo.json after any run)::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -670,21 +671,16 @@ def _battery_command(setup: Setup, out_dir: str, quiet: bool, gate: bool) -> int
     return EXIT_VERIFY if gate and not all_ok else EXIT_OK
 
 
-def cmd_verify(setup: Setup, out_dir: str, quiet: bool) -> int:
-    return _battery_command(setup, out_dir, quiet, gate=True)
-
-
-def cmd_report(setup: Setup, out_dir: str, quiet: bool) -> int:
-    return _battery_command(setup, out_dir, quiet, gate=False)
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "trace": cmd_trace,
-    "thresholds": cmd_thresholds,
-    "verify": cmd_verify,
-    "report": cmd_report,
-}
+_SUBCOMMANDS = (
+    ("solve", cmd_solve, "one critical point at a prescribed value"),
+    ("trace", cmd_trace, "level curves over a grid of prescribed values"),
+    ("thresholds", cmd_thresholds, "the two threshold constants"),
+    ("verify", functools.partial(_battery_command, gate=True),
+     "verification battery (exit 3 on failed verdicts)"),
+    ("report", functools.partial(_battery_command, gate=False),
+     "full artifact bundle without verdict gating"),
+)
+_COMMANDS = {name: command for name, command, _ in _SUBCOMMANDS}
 
 
 def main(argv=None) -> int:
@@ -699,13 +695,7 @@ def main(argv=None) -> int:
     common.add_argument("--seed", type=int, default=None, help="override config seed")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "one critical point at a prescribed value"),
-        ("trace", "level curves over a grid of prescribed values"),
-        ("thresholds", "the two threshold constants"),
-        ("verify", "verification battery (exit 3 on failed verdicts)"),
-        ("report", "full artifact bundle without verdict gating"),
-    ):
+    for name, _, help_text in _SUBCOMMANDS:
         sub.add_parser(name, parents=[common], help=help_text)
     args = parser.parse_args(argv)
 

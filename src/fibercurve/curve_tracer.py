@@ -105,13 +105,6 @@ def _curve_verdicts(points: Sequence[CriticalPointRecord], sign: float, noise: f
         "lambda_first": lams[0] if lams else math.nan,
         "lambda_last": lams[-1] if lams else math.nan,
     }
-    if len(points) < 2:
-        verdicts.update(
-            monotone_decreasing=True, max_successive_jump=0.0, lipschitz_ok=True,
-            norm_monotone=True,
-        )
-        return verdicts
-
     mono = True
     lip = True
     max_jump = 0.0
@@ -128,7 +121,7 @@ def _curve_verdicts(points: Sequence[CriticalPointRecord], sign: float, noise: f
             lip = False
 
     norms = [p.u_norm for p in points]
-    if points[0].branch == "plus":
+    if points and points[0].branch == "plus":
         norm_mono = all(n1 <= n0 * (1.0 + 1e-9) + noise for n0, n1 in zip(norms, norms[1:]))
     else:
         norm_mono = all(n1 >= n0 * (1.0 - 1e-9) - noise for n0, n1 in zip(norms, norms[1:]))
@@ -254,28 +247,22 @@ def trace_curve(
     constraint: SphereConstraint,
     c_values: Sequence[float],
     branch: str,
-    k: int = 1,
-    basis: Array | None = None,
     multistart: int = 32,
     warm_multistart: int = 8,
     seed: int = 0,
-    params: OptimizerParams | None = None,
-    noise: float = 1e-6,
-    n_samples: int = 64,
 ) -> EnergyCurve:
-    """Trace one (branch, k) curve over c_values (sorted by increasing c).
+    """Trace the ground (k = 1) curve of one branch over c_values (sorted by
+    increasing c).
 
-    Ground curves warm-start each level from the previous minimizer and keep a
-    reduced multistart for basin changes.  k >= 2 needs a disjoint basis and
-    returns surrogate records, whose residuals stay far above the bound a
-    converged record meets.  Tracing truncates, not fails,
-    when a level becomes infeasible.  This is trace_family for the one k.
+    Each level warm-starts from the previous minimizer and keeps a reduced
+    multistart for basin changes.  Tracing truncates, not fails, when a
+    level becomes infeasible.  This is trace_family for k = 1; surrogate
+    curves (k >= 2) are traced there.
     """
     return trace_family(
-        constraint, c_values, branch, ks=(k,), basis=basis,
-        multistart=multistart, warm_multistart=warm_multistart, seed=seed,
-        params=params, noise=noise, n_samples=n_samples,
-    )[k]
+        constraint, c_values, branch, ks=(1,), multistart=multistart,
+        warm_multistart=warm_multistart, seed=seed,
+    )[1]
 
 
 def trace_family(
@@ -435,7 +422,6 @@ def intersect_with_lambda(
     n_samples: int = 64,
     multistart: int = 32,
     seed: int = 0,
-    params: OptimizerParams | None = None,
     c_floor: float | None = None,
 ) -> dict:
     """Solve level_k(c) = lam_target in c for each k in ks.
@@ -460,10 +446,12 @@ def intersect_with_lambda(
     move whose c leaves the floats (0, or past the largest) ends with the
     target not bracketed.  Inside the bracket a safeguarded Newton iteration
     (rtsafe) refines the root, bisecting whenever a Newton step leaves the
-    bracket or fails to halve the step before last; it stops when the step
-    or the bracket in x is below _TOL_C * (1 + |c|) on the minus branch and
-    _TOL_C on the plus branch (relative in c: plus roots can lie at |c| far
-    below 1), when a Newton step rounds to zero, or after _MAX_REFINE steps.
+    bracket or fails to halve the step before last; it stops at a probe
+    where level = target, when the step in x is below _TOL_C * (1 + |c|) on
+    the minus branch and _TOL_C on the plus branch (relative in c: plus
+    roots can lie at |c| far below 1), when a Newton step rounds to zero,
+    or after _MAX_REFINE steps.  A window end where level = target is the
+    root, found with no refinement step.
     Each k follows its own _LevelChain, seeded (seed, k), whose probes after
     the first draw max(2, multistart // 8) starts beside the warm one.  Each
     k either yields a root entry or a skip entry with a reason (the level
@@ -485,7 +473,7 @@ def intersect_with_lambda(
         (k, _LevelChain(
             constraint, branch, (k,), basis=basis, n_samples=n_samples,
             multistart=multistart, warm_multistart=max(2, multistart // 8),
-            seed=(seed, k), params=params,
+            seed=(seed, k),
         ))
         for k in map(int, ks)
     ]
@@ -635,8 +623,6 @@ def _intersect_single(
             a, f_a = point.x, point.f
         else:
             b = point.x
-        if b - a <= tol:
-            break
     return result(point, it)
 
 

@@ -345,9 +345,11 @@ def dirichlet_problem_1d(
     p: float = 2.0,
     alpha: float = 1.5,
     beta: float = 4.0,
-    bounds: tuple[float, float] = (0.0, 1.0),
 ) -> PLaplacianProblem:
-    grid = Grid((bounds,), (n_interior + 2,))
+    """Dirichlet problem on [0, 1] with n_interior interior nodes.  A problem
+    on another interval is built from Grid, weights_from_expressions and
+    PLaplacianProblem."""
+    grid = Grid(((0.0, 1.0),), (n_interior + 2,))
     weights = weights_from_expressions(grid, a_expr, b_expr)
     return PLaplacianProblem(grid, weights, p, alpha, beta)
 
@@ -359,9 +361,10 @@ def dirichlet_problem_2d(
     p: float = 2.0,
     alpha: float = 1.5,
     beta: float = 4.0,
-    bounds: tuple[tuple[float, float], tuple[float, float]] = ((0.0, 1.0), (0.0, 1.0)),
 ) -> PLaplacianProblem:
-    grid = Grid(bounds, (n_interior[0] + 2, n_interior[1] + 2))
+    """Dirichlet problem on the unit square with n_interior interior nodes
+    per axis; another box is built as for dirichlet_problem_1d."""
+    grid = Grid(((0.0, 1.0), (0.0, 1.0)), (n_interior[0] + 2, n_interior[1] + 2))
     weights = weights_from_expressions(grid, a_expr, b_expr)
     return PLaplacianProblem(grid, weights, p, alpha, beta)
 

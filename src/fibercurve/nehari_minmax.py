@@ -834,7 +834,6 @@ def compute_c_star(
     constraint: SphereConstraint,
     multistart: int = 32,
     seed: int = 0,
-    params: OptimizerParams | None = None,
     c_star_star: float | None = None,
 ) -> float:
     """Lower threshold: sup of the degenerate-collision level over the A and B cone.
@@ -843,11 +842,11 @@ def compute_c_star(
     exponents, so the sup of c_bar is -kappa times the inf of c0 over the same
     cone: c* = -kappa * c**.  c_star_star is that upper threshold of this
     constraint when the caller has it; otherwise compute_c_star_star runs
-    with multistart, seed and params (one zero-level solve over the B > 0
-    cone, any-inside rule).  Always strictly negative.
+    with multistart and seed (one zero-level solve over the B > 0 cone,
+    any-inside rule).  Always strictly negative.
     """
     if c_star_star is None:
-        c_star_star, _ = compute_c_star_star(constraint, multistart, seed, params)
+        c_star_star, _ = compute_c_star_star(constraint, multistart, seed)
     e = constraint.triple.exponents
     c_star = -K.threshold_ratio(e.alpha, e.eta, e.beta) * c_star_star
     if not (c_star < 0.0):

@@ -158,9 +158,20 @@ _SVG_TITLE = "level curves"
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if not (hi > lo):
-        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _axis_range(values: list[float]) -> tuple[float, float]:
+    """The drawn range of one axis: the values' span, padded by 6% at each
+    end.  A span below 1e-12 is first widened at each end by 1, or by
+    |value| 2**-50 (at least 4 spacings of the doubles) where that is
+    larger, so that the axis ticks differ."""
+    lo, hi = min(values), max(values)
+    if hi - lo < 1e-12:
+        widen = max(1.0, abs(lo) * 2.0**-50)
+        lo, hi = lo - widen, hi + widen
+    pad = 0.06 * (hi - lo)
+    return lo - pad, hi + pad
 
 
 def _fmt(x: float) -> str:
@@ -191,16 +202,8 @@ def render_diagram_svg(
     if not cs:
         cs = [0.0, 1.0]
 
-    lam_lo, lam_hi = min(lams), max(lams)
-    c_lo, c_hi = min(cs), max(cs)
-    if lam_hi - lam_lo < 1e-12:
-        lam_lo, lam_hi = lam_lo - 1.0, lam_hi + 1.0
-    if c_hi - c_lo < 1e-12:
-        c_lo, c_hi = c_lo - 1.0, c_hi + 1.0
-    lam_pad = 0.06 * (lam_hi - lam_lo)
-    c_pad = 0.06 * (c_hi - c_lo)
-    lam_lo, lam_hi = lam_lo - lam_pad, lam_hi + lam_pad
-    c_lo, c_hi = c_lo - c_pad, c_hi + c_pad
+    lam_lo, lam_hi = _axis_range(lams)
+    c_lo, c_hi = _axis_range(cs)
 
     width, height = _SVG_SIZE
     ml, mr, mt, mb = 74, 20, 34, 52

@@ -9,6 +9,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -274,6 +275,16 @@ class TestSolve:
         assert report["verdicts"]["certified"] is True
         assert report["solution"]["lambda"] == pytest.approx(43.89875290660286, rel=1e-9)
 
+    def test_subnormal_c_exits_without_traceback(self, tmp_path):
+        # c/c_bar underflows to 0 at c = -5e-324, where the plus root of a ray
+        # is lost: the kernel reports the ray off the plus branch
+        cfg = solve_config(c=-5e-324, multistart=2)
+        cfg["problem"].update(n_interior=31, weights={"a": "1", "b": "1"})
+        cfg_path = write_config(tmp_path, cfg)
+        code, _, err = run_cli(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+
     def test_solve_requires_c(self, tmp_path):
         cfg = solve_config()
         del cfg["c"]
@@ -294,6 +305,23 @@ class TestTraceAndThresholds:
         rows = list(csv.DictReader(io.StringIO((out_dir / "curves.csv").read_text())))
         assert len(rows) == 8
         assert (out_dir / "diagram.svg").exists()
+
+    def test_one_value_grid(self, tmp_path):
+        # one-point curves get the verdicts of longer ones, and the diagram
+        # widens their empty lambda and c ranges
+        cfg_path = write_config(tmp_path, battery_config(c_grid={"values": [-0.1]}))
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(["trace", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 0
+        assert "curve plus k=1: 1 points" in out
+        curves = json.loads((out_dir / "report.json").read_text())["curves"]
+        for curve in curves.values():
+            assert curve["verdicts"]["n_points"] == 1
+            assert curve["verdicts"]["lipschitz_worst_ratio"] == 0.0
+        assert len(curves) == 2
+        svg = (out_dir / "diagram.svg").read_text()
+        ticks = re.findall(r'<line x1="([-0-9.]+)" y1="([-0-9.]+)"', svg)
+        assert len(set(ticks)) == len(ticks) >= 10
 
     def test_infeasible_surrogate_truncates_without_traceback(self, tmp_path):
         # Far below c*, the first coefficient sample of the k = 2 surrogate

@@ -1,5 +1,6 @@
 """Curve tracing over energy levels, shape verdicts, intersection solves."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -94,10 +95,6 @@ class TestTraceCurve:
     def test_rejects_unsorted_grid(self, const_con_plus):
         with pytest.raises(ValueError, match="strictly increasing"):
             trace_curve(const_con_plus, [-0.01, -0.1], "plus")
-
-    def test_k2_needs_basis(self, const_con_plus):
-        with pytest.raises(ValueError, match="disjoint-support basis"):
-            trace_curve(const_con_plus, [-0.1, -0.01], "plus", k=2)
 
     def test_negative_warm_multistart_raises_before_a_solve(self, monkeypatch, const_con_plus):
         def solve(*args, **kw):
@@ -429,6 +426,14 @@ class TestIntersect:
         assert pt["lam"] == pytest.approx(1e-60, rel=1e-9)
         assert -1e-200 < pt["c"] < 0.0
 
+    def test_plus_root_among_the_subnormal_floats_ends_in_one_entry(self, const_con_plus):
+        # target 1e-78 has its root at a subnormal c, where c / c_bar of a ray
+        # can underflow to 0 and the ray is reported off the plus branch: the
+        # k gets a point or a skip entry, and nothing raises
+        out = intersect_with_lambda(const_con_plus, "plus", 1e-78, -0.2, -0.1, multistart=2)
+        (entry,) = out["points"] + out["skipped"]
+        assert entry["k"] == 1
+
     def test_plus_target_beyond_the_floats_skips(self, const_con_plus):
         # moving away from the ceiling toward level 1e300 would take c past
         # the largest float: the target is not bracketed, and nothing raises
@@ -450,6 +455,69 @@ class TestIntersect:
         assert pt["lam"] == pytest.approx(10.0, rel=1e-9)
         assert pt["record"].converged and pt["record"].residual_grad <= 1e-6
         assert pt["probes"] <= 8
+
+    @staticmethod
+    def window_end_levels(monkeypatch, con, branch):
+        """The levels intersect_with_lambda reads at the ends of the window
+        [-0.2, -0.1] with multistart 2: its first two probes, whatever the
+        target."""
+        ends = []
+        level = ct._LevelChain.level
+
+        class Read(Exception):
+            pass
+
+        def recording(chain, c, k):
+            record = level(chain, c, k)
+            ends.append(record.lam)
+            if len(ends) == 2:
+                raise Read
+            return record
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ct._LevelChain, "level", recording)
+            with pytest.raises(Read):
+                intersect_with_lambda(con, branch, 1.0, -0.2, -0.1, multistart=2)
+        return ends
+
+    @pytest.mark.parametrize(
+        "branch,end,ulps,probes",
+        [
+            ("plus", 0, 0, 2), ("plus", 0, 1, 4), ("plus", 0, -1, 2),
+            ("plus", 1, 0, 2), ("plus", 1, 1, 3), ("plus", 1, -1, 4),
+            ("minus", 0, 0, 2), ("minus", 0, 1, 4), ("minus", 0, -1, 3),
+            ("minus", 1, 0, 2), ("minus", 1, 1, 3), ("minus", 1, -1, 4),
+        ],
+    )
+    def test_target_at_a_window_end(self, monkeypatch, const_con_plus, branch, end, ulps,
+                                    probes):
+        # A target equal to a window end's level is that end, found by the
+        # two window probes.  One ulp away, the root lies just inside or
+        # just outside the window: one Newton step, after a move of the
+        # window when outside, stops on its size (at plus -0.2 one ulp down,
+        # the log levels round equal and the end is the root).
+        c_end = (-0.2, -0.1)[end]
+        target = self.window_end_levels(monkeypatch, const_con_plus, branch)[end]
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, math.copysign(math.inf, ulps))
+        out = intersect_with_lambda(const_con_plus, branch, target, -0.2, -0.1, multistart=2)
+        (pt,) = out["points"]
+        assert pt["probes"] == probes
+        assert pt["lam"] == pytest.approx(target, rel=1e-14)
+        assert pt["c"] == pytest.approx(c_end, rel=1e-13)
+        if ulps == 0:
+            assert (pt["c"], pt["lam"], pt["iterations"]) == (c_end, target, 0)
+
+    def test_newton_step_below_half_an_ulp_ends_the_refinement(self, const_con_plus):
+        # Target 1e-6 has its root near c = -1.34e-28, x = log(-c) = -64.18.
+        # The first refinement step lands where f is 1.8e-15 and the next
+        # Newton step, 7.1e-15, is below half an ulp of x: the tangent's root
+        # is the probe itself, which ends the refinement (bisecting on took
+        # three more probes to the same c).
+        out = intersect_with_lambda(const_con_plus, "plus", 1e-6, -0.2, -0.1, multistart=2)
+        (pt,) = out["points"]
+        assert (pt["probes"], pt["iterations"]) == (4, 2)
+        assert pt["lam"] == pytest.approx(1e-6, rel=1e-14)
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -474,12 +542,15 @@ class TestIntersect:
 
         monkeypatch.setattr(ct, "minimize_ground_level", solve)
         monkeypatch.setattr(ct, "surrogate_level", solve)
-        args = {"branch": "plus", "ks": (1,), "multistart": 4, **kwargs}
-        if args.get("basis"):
+        args = {"branch": "plus", "ks": (1,), "basis": None, "n_samples": 64, "multistart": 4,
+                **kwargs}
+        if args["basis"]:
             args["basis"] = build_disjoint_basis(const_problem, ConeTag.A_POS, 2)
-        branch = args.pop("branch")
         with pytest.raises(ValueError, match=message):
-            intersect_with_lambda(const_con_plus, branch, 1.0, -0.2, -0.01, **args)
+            intersect_with_lambda(
+                const_con_plus, args["branch"], 1.0, -0.2, -0.01, ks=args["ks"],
+                basis=args["basis"], n_samples=args["n_samples"], multistart=args["multistart"],
+            )
 
     def test_unreachable_target_reports_reason(self, const_con_plus):
         out = intersect_with_lambda(

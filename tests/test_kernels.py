@@ -178,6 +178,19 @@ def test_small_plus_root_is_relatively_accurate(c):
     assert abs(t_plus - ref) <= 1e-14 * ref
 
 
+@pytest.mark.parametrize("branch", ["plus", None])
+def test_plus_root_lost_to_underflow_is_nan(branch):
+    """At a subnormal c, r = c/c_bar underflows to 0 and takes the plus root
+    with it: that slot is NaN, not a division by zero, and the minus root
+    is the one of c = 0."""
+    ray = (30.0, 2.0, 1.5, 2.0, 4.0)
+    case, t_plus, t_minus = K.classify(*ray, -5e-324, branch=branch)
+    assert case == K.CASE_TWO_ROOTS
+    assert math.isnan(t_plus)
+    if branch is None:
+        assert t_minus == K.classify(*ray, 0.0)[2]
+
+
 # ---------------------------------------------------------------------------
 # property tests: derandomized, so every run draws the same examples
 

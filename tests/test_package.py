@@ -1,5 +1,6 @@
 """The package namespace: every exported name resolves, the README's library
-example runs as printed, and numpy is the only runtime dependency."""
+example runs as printed, numpy is the only runtime dependency, and every
+keyword option of an exported function has a caller."""
 
 import contextlib
 import io
@@ -167,3 +168,97 @@ def test_traced_report_computes_what_an_untraced_one_does(tmp_path):
     for r in reports:
         r.pop("timing_seconds")
     assert reports[0] == reports[1]
+
+
+def _calls_by_name() -> dict:
+    """Every call in src/, perfbench/, tests/ and the README quick start, by
+    called name (the last part of a dotted name): a list of (positional
+    argument count, keyword names).  A *name or **name argument counts as
+    the tuple display, or the dict display or dict(...) call, that every
+    assignment to that name in its file binds; where the scan cannot read
+    it, the count is math.inf and the keyword set None, which set every
+    option."""
+    import ast
+    import math
+
+    root = README.parent
+    sources = [p.read_text() for d in ("src", "perfbench", "tests")
+               for p in sorted((root / d).rglob("*.py"))]
+    quick_start = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                            README.read_text(), re.S)
+    sources.append(quick_start.group(1))
+    calls: dict = {}
+    for source in sources:
+        tree = ast.parse(source)
+        bound: dict = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound.setdefault(target.id, []).append(node.value)
+
+        def values(expr):
+            return bound.get(expr.id, []) if isinstance(expr, ast.Name) else [expr]
+
+        def size(expr):
+            sizes = {
+                len(v.elts) if isinstance(v, (ast.Tuple, ast.List))
+                and not any(isinstance(e, ast.Starred) for e in v.elts) else math.inf
+                for v in values(expr)
+            }
+            return sizes.pop() if len(sizes) == 1 else math.inf
+
+        def keys(expr):
+            found = set()
+            for v in values(expr) or [None]:
+                if isinstance(v, ast.Dict) and all(
+                    isinstance(k, ast.Constant) and isinstance(k.value, str) for k in v.keys
+                ):
+                    found |= {k.value for k in v.keys}
+                elif isinstance(v, ast.Call) and ast.unparse(v.func) == "dict" and not v.args:
+                    more = [keys(kw.value) if kw.arg is None else {kw.arg} for kw in v.keywords]
+                    if None in more:
+                        return None
+                    found = found.union(*more)
+                else:
+                    return None
+            return found
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                positions = sum(size(a.value) if isinstance(a, ast.Starred) else 1
+                                for a in node.args)
+                named = set()
+                for kw in node.keywords:
+                    more = {kw.arg} if kw.arg else keys(kw.value)
+                    named = None if named is None or more is None else named | more
+                calls.setdefault(name, []).append((positions, named))
+    return calls
+
+
+def test_every_public_option_has_a_caller():
+    """Each keyword option (a parameter with a default) of a function in
+    fibercurve.__all__ is set by some call, by keyword or by position, in the
+    package, the benchmark, the tests or the README quick start.  An option
+    no call sets is a configuration that nothing runs."""
+    import inspect
+
+    calls = _calls_by_name()
+    unset = []
+    for name in fibercurve.__all__:
+        func = getattr(fibercurve, name)
+        if not inspect.isfunction(func):
+            continue
+        for index, param in enumerate(inspect.signature(func).parameters.values()):
+            if param.default is inspect.Parameter.empty or param.kind not in (
+                inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
+            ):
+                continue
+            positional = param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if not any(
+                named is None or param.name in named or positional and positions > index
+                for positions, named in calls.get(name, ())
+            ):
+                unset.append(f"{name}({param.name}=...)")
+    assert unset == []

@@ -1,10 +1,13 @@
-"""CSV serialization of traced curves."""
+"""CSV serialization of traced curves, and the SVG diagram's axes."""
+
+import re
 
 import numpy as np
+import pytest
 
 from fibercurve.curve_tracer import EnergyCurve
 from fibercurve.nehari_minmax import CriticalPointRecord
-from fibercurve.reporting import CSV_COLUMNS, write_curves_csv
+from fibercurve.reporting import CSV_COLUMNS, render_diagram_svg, write_curves_csv
 
 
 def record(k=1, converged=True, **fields):
@@ -53,3 +56,15 @@ def test_flags_follow_k_and_convergence(tmp_path):
     assert [(row["k"], row["flags"]) for row in rows] == [
         ("1", ""), ("1", "not_converged"), ("2", "surrogate"),
     ]
+
+
+@pytest.mark.parametrize("c,lam", [(-0.5, 0.1), (1e30, -8.5e19)])
+def test_one_point_diagram_has_five_ticks_per_axis(c, lam):
+    # a one-point curve spans no lambda and no c: each axis is widened by 1,
+    # or, where |value| passes 2**50 and 1 is below 4 spacings of the
+    # doubles, by |value| 2**-50
+    curve = EnergyCurve(branch="minus", k=1, points=(record(c=c, lam=lam),), verdicts={})
+    svg = render_diagram_svg([curve])
+    x_ticks = re.findall(r'<line x1="([-0-9.]+)" y1="428"', svg)
+    y_ticks = re.findall(r'<line x1="69" y1="([-0-9.]+)"', svg)
+    assert len(set(x_ticks)) == len(set(y_ticks)) == 5
