@@ -708,7 +708,8 @@ def main(argv=None) -> int:
         setup = Setup(cfg)
         notes = setup.problem.diagnostics()
         _write_echo(args.out, cfg)
-    except (ConfigError, ValueError) as exc:
+    # an OSError names the path that could not be made or written
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for note in notes:

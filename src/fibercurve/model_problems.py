@@ -46,11 +46,9 @@ from typing import Sequence
 import numpy as np
 
 from .functional_core import (
-    ConeTag, Exponents, FunctionalTriple, _euclidean, _inside_cone, cone_membership,
+    Array, ConeTag, Exponents, FunctionalTriple, _euclidean, _inside_cone, cone_membership,
 )
 from .nehari_minmax import SphereConstraint, minimize_c0
-
-Array = np.ndarray
 
 __all__ = [
     "Grid",
@@ -247,14 +245,20 @@ def weights_from_expressions(grid: Grid, a_expr: str, b_expr: str) -> WeightFiel
     return WeightField(a=a, b=b, provenance=("expression", a_expr, b_expr))
 
 
+def _parse_tokens(path: str, kind: type, tokens: Sequence[str]) -> list:
+    """The tokens of weight file path as kind (float or int); a bad one
+    raises ValueError naming the file."""
+    try:
+        return [kind(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValueError(f"bad value in weight file {path}: {exc}") from None
+
+
 def _read_weight_csv(path: str, cell_shape: tuple[int, ...]) -> Array:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(cell_shape) == 1:
-        try:
-            values = np.array([float(ln) for ln in lines])
-        except ValueError as exc:
-            raise ValueError(f"bad value in weight file {path}: {exc}") from None
+        values = np.array(_parse_tokens(path, float, lines))
         if values.shape != cell_shape:
             raise ValueError(
                 f"weight file {path} has {values.size} values, grid needs {cell_shape[0]}"
@@ -263,15 +267,15 @@ def _read_weight_csv(path: str, cell_shape: tuple[int, ...]) -> Array:
     header = lines[0].split(",") if lines else []
     if len(header) != 2:
         raise ValueError(f'weight file {path} must start with a "rows,cols" header')
-    rows, cols = (int(tok) for tok in header)
+    rows, cols = _parse_tokens(path, int, header)
     if (rows, cols) != cell_shape:
         raise ValueError(
             f"weight file {path} declares {rows}x{cols} cells, grid needs "
             f"{cell_shape[0]}x{cell_shape[1]}"
         )
-    flat: list[float] = []
-    for ln in lines[1:]:
-        flat.extend(float(tok) for tok in ln.split(",") if tok.strip())
+    flat = _parse_tokens(
+        path, float, [tok for ln in lines[1:] for tok in ln.split(",") if tok.strip()]
+    )
     if len(flat) != rows * cols:
         raise ValueError(f"weight file {path} has {len(flat)} values, expected {rows * cols}")
     return np.array(flat).reshape(rows, cols)

@@ -113,8 +113,9 @@ class Descent(NamedTuple):
 
 
 Evaluation = Callable[[Array], SpherePoint]
-# a start rule: the evaluated point of a usable candidate, None for any other
-StartRule = Callable[[Array], SpherePoint | None]
+# a start rule: the evaluated point of a usable candidate, the reason it is
+# rejected for any other
+StartRule = Callable[[Array], SpherePoint | str]
 # the metric at a point: u -> (apply, solve) of M(u) (FunctionalTriple.metric_at)
 MetricAt = Callable[[Array], Metric]
 
@@ -630,16 +631,20 @@ def _start_rule(
     """The start rule: a candidate is usable when the descent's own
     evaluate is finite there (it is +inf outside the cone and raises off the
     branch) and feasible, when given, holds at its unit vector; that
-    evaluation is the descent's start."""
+    evaluation is the descent's start.  A rejected candidate gives the
+    reason: the InfeasibleRayError's text, "outside the cone", or "outside
+    the A cone" where feasible fails."""
 
-    def usable(v: Array) -> SpherePoint | None:
+    def usable(v: Array) -> SpherePoint | str:
         try:
             point = evaluate(v)
-        except InfeasibleRayError:
-            return None
-        if math.isfinite(point.value) and (feasible is None or feasible(point.u)):
-            return point
-        return None
+        except InfeasibleRayError as exc:
+            return str(exc)
+        if not math.isfinite(point.value):
+            return "outside the cone"
+        if feasible is not None and not feasible(point.u):
+            return "outside the A cone"
+        return point
 
     return usable
 
@@ -664,13 +669,13 @@ def _draw_starts(
             # each draw is evaluated once; usable rejects a zero draw, whose
             # norm _unit_vector refuses
             start = usable(g)
-            if start is not None:
+            if isinstance(start, SpherePoint):
                 starts.append(start)
                 break
         else:
             raise InfeasibleLevelError(
                 f"could not sample a feasible start (index {i}) after "
-                f"{_START_ATTEMPTS} attempts; check the cone support"
+                f"{_START_ATTEMPTS} attempts; the last draw: {start}"
             )
     return starts
 
@@ -697,7 +702,7 @@ def _multistart(
     usable = _start_rule(evaluate, feasible)
     starts = [
         start for w in extra_starts
-        if (start := usable(np.asarray(w, dtype=float))) is not None
+        if isinstance(start := usable(np.asarray(w, dtype=float)), SpherePoint)
     ]
     starts += _draw_starts(constraint, count, seed, purpose, usable)
     results, merged = _descend_merging(

@@ -47,6 +47,11 @@ GATING_VERDICTS = (
 )
 
 CSV_HEADER = "branch,k,c,lambda,t_root,u_norm,residual_grad,energy_defect,converged,flags"
+# the end of a solve's message where no ray has a plus root
+NO_PLUS_START = (
+    "could not sample a feasible start (index 0) after 200 attempts; "
+    "the last draw: no plus-branch critical scaling on this ray\n"
+)
 
 
 def battery_config(**extra):
@@ -258,6 +263,8 @@ class TestSolve:
         code, _, err = run_cli(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "non-convergence" in err
+        # every draw lies in the cone: the message names the missing root
+        assert err.endswith(NO_PLUS_START)
 
     def test_empty_cone_support_restricts_no_start(self, tmp_path):
         # a changes sign from cell to cell on 15 nodes: no node has a > 0 on
@@ -282,8 +289,9 @@ class TestSolve:
         cfg["problem"].update(n_interior=31, weights={"a": "1", "b": "1"})
         cfg_path = write_config(tmp_path, cfg)
         code, _, err = run_cli(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-        assert code in (0, 2)
+        assert code == 2
         assert "Traceback" not in err
+        assert err.endswith(NO_PLUS_START)
 
     def test_solve_requires_c(self, tmp_path):
         cfg = solve_config()
@@ -607,6 +615,42 @@ class TestConfigErrors:
         assert "config error" in err
         assert "Traceback" not in err
 
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("")
+        cfg_path = write_config(tmp_path, battery_config())
+        code, _, err = run_cli(["thresholds", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        assert err.startswith("config error: ") and str(out) in err
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "dimension,text,message",
+        [
+            (1, "1.0\nabc\n",
+             "bad value in weight file {}: could not convert string to float: 'abc'"),
+            (2, "4,5\n" + "1,1,1,1\n" * 4, "weight file {} declares 4x5 cells, grid needs 4x4"),
+            (2, "4,4\n" + "1,1,1,1\n" * 3 + "1,1,1\n", "weight file {} has 15 values, expected 16"),
+            (2, "4,x\n" + "1,1,1,1\n" * 4,
+             "bad value in weight file {}: invalid literal for int() with base 10: 'x'"),
+            (2, "4,4\n" + "1,1,1,1\n" * 3 + "1,q,1,1\n",
+             "bad value in weight file {}: could not convert string to float: 'q'"),
+        ],
+        ids=["1d_not_a_number", "2d_header_shape", "2d_value_count", "2d_header_not_a_number",
+             "2d_value_not_a_number"],
+    )
+    def test_weight_file_errors(self, tmp_path, dimension, text, message):
+        # the a file is bad, the b file is good; 3 interior nodes per axis make 4x4 cells
+        good = "1\n" * 16 if dimension == 1 else "4,4\n" + "1,1,1,1\n" * 4
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        a_path.write_text(text)
+        b_path.write_text(good)
+        n_interior = 15 if dimension == 1 else [3, 3]
+        problem = dict(BASE_PROBLEM, dimension=dimension, n_interior=n_interior,
+                       weights={"a_csv": str(a_path), "b_csv": str(b_path)})
+        err = self.run_expecting_config_error(tmp_path, battery_config(problem=problem))
+        assert err == f"config error: {message.format(a_path)}\n"
+
     def test_loose_residual_grad_names_the_bound(self, tmp_path):
         cfg_path = write_config(tmp_path, solve_config(tolerances={"residual_grad": 1e-4}))
         code, _, err = run_cli(
@@ -674,11 +718,17 @@ class TestConfigErrors:
             ("trace", battery_config(c_grid={"values": [-0.5, -0.1, -0.5]}),
              "c_grid values must be distinct"),
             ("trace", battery_config(c_grid=None), "this command needs a c_grid section"),
+            ("thresholds",
+             battery_config(problem=dict(BASE_PROBLEM, weights={"a": "~x", "b": "1"})),
+             "operator Invert not allowed in weight expression"),
+            ("thresholds",
+             battery_config(problem=dict(BASE_PROBLEM, weights={"a": "sin(x, 2)", "b": "1"})),
+             "sin takes exactly one argument"),
         ],
         ids=["root_not_object", "section_not_object", "problem_kind", "n_interior_missing",
              "bounds_not_pairs_of_two", "truncated_radius_missing", "weights_form",
              "c_grid_not_object", "c_grid_incomplete", "c_grid_empty", "c_grid_repeated",
-             "trace_without_c_grid"],
+             "trace_without_c_grid", "weight_unary_invert", "weight_call_two_arguments"],
     )
     def test_config_error_messages(self, tmp_path, command, cfg, message):
         cfg_path = write_config(tmp_path, cfg)

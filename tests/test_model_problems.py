@@ -90,6 +90,10 @@ class TestWeightExpressions:
         out = eval_weight_expression("-abs(x - 0.5)", {"x": x})
         assert np.allclose(out, -np.abs(x - 0.5))
 
+    def test_unary_plus_keeps_its_operand(self):
+        x = np.array([0.0, 0.5, 1.0])
+        assert np.array_equal(eval_weight_expression("+x - +1", {"x": x}), x - 1.0)
+
     def test_scalar_expression_broadcasts(self):
         out = eval_weight_expression("1 + 2", {"x": np.zeros(4)})
         assert out.shape == ()

@@ -520,8 +520,13 @@ class TestGroundLevelRegression:
         assert lam_warm <= lam_cold + 1e-14
 
     def test_no_plus_branch_above_zero(self, const_con_plus):
-        with pytest.raises(InfeasibleLevelError):
+        # the draws lie in the cone, and the failure names the missing root
+        with pytest.raises(InfeasibleLevelError) as info:
             minimize_ground_level(const_con_plus, 0.05, "plus", multistart=2)
+        assert str(info.value) == (
+            "could not sample a feasible start (index 0) after 200 attempts; "
+            "the last draw: no plus-branch critical scaling on this ray"
+        )
 
     def test_no_minus_branch_without_positive_b(self):
         prob = dirichlet_problem_1d(15, "1", "-1")
@@ -539,6 +544,21 @@ class TestGroundLevelRegression:
         u = np.ones(const_con_plus.triple.dim)
         with pytest.raises(InfeasibleLevelError, match="no feasible start for branch 'plus'"):
             minimize_ground_level(const_con_plus, 0.1, "plus", multistart=0, extra_starts=[u])
+
+    @pytest.mark.parametrize(
+        "solve,reason",
+        [
+            (lambda con: minimize_ground_level(con, -0.01, "plus", multistart=2),
+             "outside the cone"),
+            (lambda con: minimize_c0(con, multistart=2), "outside the A cone"),
+        ],
+        ids=["ground", "zero_level"],
+    )
+    def test_start_failure_names_the_cone(self, solve, reason):
+        # A < 0 on every ray: no draw lies in the A > 0 cone
+        con = SphereConstraint(build_triple(dirichlet_problem_1d(15, "-1", "1")))
+        with pytest.raises(InfeasibleLevelError, match=f"the last draw: {reason}$"):
+            solve(con)
 
 
 class TestMeshRefinement:

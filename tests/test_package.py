@@ -1,4 +1,5 @@
-"""The package namespace: every exported name resolves, the README's library
+"""The package namespace: it exports each public module's __all__ and
+nothing else, every exported name resolves, the README's library
 example runs as printed, numpy is the only runtime dependency, and every
 keyword option of an exported function has a caller."""
 
@@ -22,6 +23,32 @@ def test_star_import_resolves_every_export():
     missing = [name for name in fibercurve.__all__ if name not in namespace]
     assert missing == []
     assert len(set(fibercurve.__all__)) == len(fibercurve.__all__)
+
+
+PUBLIC_MODULES = (
+    "curve_tracer", "fibering", "functional_core", "model_problems", "nehari_minmax", "reporting",
+)
+
+
+def test_package_exports_each_modules_list():
+    """Each public module's __all__ is the one list of its public names: the
+    package exports their sorted union, no list repeats a name or shares one
+    with another list, and every listed name resolves in its module to the
+    object the package exports.  _kernels and cli stay unexported."""
+    import importlib
+
+    package_dir = pathlib.Path(fibercurve.__file__).parent
+    stems = {p.stem for p in package_dir.glob("*.py")} - {"__init__", "_kernels", "cli"}
+    assert stems == set(PUBLIC_MODULES)
+    modules = [importlib.import_module(f"fibercurve.{stem}") for stem in PUBLIC_MODULES]
+    listed = [(module, name) for module in modules for name in module.__all__]
+    names = [name for _, name in listed]
+    assert len(set(names)) == len(names)
+    assert fibercurve.__all__ == sorted(names)
+    unresolved = [f"{module.__name__}.{name}" for module, name in listed
+                  if not hasattr(module, name)]
+    assert unresolved == []
+    assert all(getattr(fibercurve, name) is getattr(module, name) for module, name in listed)
 
 
 def test_readme_quick_start_certifies():
