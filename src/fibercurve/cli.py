@@ -419,10 +419,11 @@ def _trace_branches(setup: Setup, basis, plus_grid, minus_grid, log=None):
 
 
 def _certified(record, tol: dict) -> bool:
-    """Converged, with residual and energy defect within the tolerances."""
+    """Residual and energy defect within the tolerances; the residual bound
+    is at most _CERTIFY_RTOL (merge_config), so a certified record is also
+    converged."""
     return (
-        record.converged
-        and record.residual_grad <= tol["residual_grad"]
+        record.residual_grad <= tol["residual_grad"]
         and record.energy_defect <= tol["energy_defect_rel"] * (1.0 + abs(record.c))
     )
 
@@ -465,7 +466,6 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
                 "c": c,
                 "lambda": point.lam,
                 "t_root": point.t_root,
-                "u_norm": point.u_norm,
                 "residual_grad": point.residual_grad,
                 "energy_defect": point.energy_defect,
                 "converged": point.converged,
@@ -527,7 +527,6 @@ def cmd_thresholds(setup: Setup, out_dir: str, quiet: bool) -> int:
         "c_star": c_star,
         "c_star_star": c2,
         "n_zero_level_minimizers": len(minimizers),
-        "ordered": bool(c_star < 0.0 < c2),
     }
     report = build_report(setup.cfg, thresholds=thresholds, timing_seconds={"total": elapsed})
     write_report_json(os.path.join(out_dir, "report.json"), report)
@@ -566,11 +565,12 @@ def _run_battery(setup: Setup, quiet: bool):
     )
     timing["curves"] = time.perf_counter() - t0
 
-    verdicts: dict[str, object] = {"thresholds_ordered": bool(c_star < 0.0 < c2)}
-    verdicts["curve_monotone"] = all(c.verdicts["monotone_decreasing"] for c in curves)
-    verdicts["curve_lipschitz"] = all(c.verdicts["lipschitz_ok"] for c in curves)
-    verdicts["norm_monotone"] = all(c.verdicts["norm_monotone"] for c in curves)
-    verdicts["k_monotone"] = all(c.verdicts.get("k_monotone", True) for c in curves)
+    verdicts: dict[str, object] = {
+        "curve_monotone": all(c.verdicts["monotone_decreasing"] for c in curves),
+        "curve_lipschitz": all(c.verdicts["lipschitz_ok"] for c in curves),
+        "norm_monotone": all(c.verdicts["norm_monotone"] for c in curves),
+        "k_monotone": all(c.verdicts.get("k_monotone", True) for c in curves),
+    }
 
     if "plus" in fams and "minus" in fams:
         ordering = ordering_check(fams["plus"][1], fams["minus"][1], noise=tol["curve_noise"])
@@ -618,8 +618,8 @@ def _run_battery(setup: Setup, quiet: bool):
             extras["zero_crossing"] = {
                 key: crossing[key]
                 for key in (
-                    "c_star_star", "minimizer_a_margins", "positive_before",
-                    "zero_at_threshold", "negative_after", "ok",
+                    "minimizer_a_margins", "positive_before", "zero_at_threshold",
+                    "negative_after", "ok",
                 )
             }
             verdicts["zero_crossing"] = crossing["ok"]

@@ -99,12 +99,6 @@ def geometric_grid(c_from: float, c_to: float, n: int) -> np.ndarray:
 def _curve_verdicts(points: Sequence[CriticalPointRecord], sign: float, noise: float) -> dict:
     """Shape checks for one traced curve, ordered by increasing c; sign is
     the constraint's lambda_sign."""
-    lams = [p.lam for p in points]
-    verdicts: dict = {
-        "n_points": len(points),
-        "lambda_first": lams[0] if lams else math.nan,
-        "lambda_last": lams[-1] if lams else math.nan,
-    }
     mono = True
     lip = True
     max_jump = 0.0
@@ -120,20 +114,19 @@ def _curve_verdicts(points: Sequence[CriticalPointRecord], sign: float, noise: f
         if jump > bound:
             lip = False
 
-    norms = [p.u_norm for p in points]
+    norms = [p.t_root for p in points]  # the norm of each critical point
     if points and points[0].branch == "plus":
         norm_mono = all(n1 <= n0 * (1.0 + 1e-9) + noise for n0, n1 in zip(norms, norms[1:]))
     else:
         norm_mono = all(n1 >= n0 * (1.0 - 1e-9) - noise for n0, n1 in zip(norms, norms[1:]))
 
-    verdicts.update(
-        monotone_decreasing=mono,
-        max_successive_jump=max_jump,
-        lipschitz_ok=lip,
-        lipschitz_worst_ratio=worst_ratio,
-        norm_monotone=norm_mono,
-    )
-    return verdicts
+    return {
+        "monotone_decreasing": mono,
+        "max_successive_jump": max_jump,
+        "lipschitz_ok": lip,
+        "lipschitz_worst_ratio": worst_ratio,
+        "norm_monotone": norm_mono,
+    }
 
 
 class _LevelChain:
@@ -362,10 +355,10 @@ def limit_check_zero(
     Checks, over the schedule of negative c approaching 0: the level magnitude
     decreases, its endpoint ratio falls below tol_limit, every minimizer obeys
     the closed-form scaling bound t <= (alpha*eta*beta*|c| / ((eta-alpha)*
-    (beta-eta)*N(u)))**(1/eta), and the scalings track |c|**(1/eta) within a
-    factor 3.  The schedule is used as given: a caller that knows c* passes
-    only its entries above c*.  Every level draws multistart starts beside
-    the warm one.
+    (beta-eta)))**(1/eta) of a unit u (N(u) = 1), and the scalings track
+    |c|**(1/eta) within a factor 3.  The schedule is used as given: a caller
+    that knows c* passes only its entries above c*.  Every level draws
+    multistart starts beside the warm one.
     """
     schedule = sorted(float(c) for c in schedule)
     if any(c >= 0.0 for c in schedule):
@@ -380,9 +373,8 @@ def limit_check_zero(
     rows = []
     for c in schedule:
         record = chain.level(c, 1)
-        n_val = float(constraint.working.eval_N(record.coefficients / record.t_root))
         t_bound = (
-            e.alpha * e.eta * e.beta * (-c) / ((e.eta - e.alpha) * (e.beta - e.eta) * n_val)
+            e.alpha * e.eta * e.beta * (-c) / ((e.eta - e.alpha) * (e.beta - e.eta))
         ) ** (1.0 / e.eta)
         rows.append(
             {
@@ -399,12 +391,10 @@ def limit_check_zero(
     trend = [r["t_over_scaling"] for r in rows]
     trend_ratio = max(trend) / min(trend)
     return {
-        "schedule": schedule,
         "points": rows,
         "magnitude_decreasing": all(m1 <= m0 * (1.0 + 1e-9) for m0, m1 in zip(mags, mags[1:])),
         "limit_ratio": ratio,
         "limit_ok": ratio < tol_limit,
-        "tol_limit": tol_limit,
         "bound_ok": all(r["bound_ok"] for r in rows),
         "trend_ratio": trend_ratio,
         "trend_ok": trend_ratio <= _TREND_FACTOR,
@@ -464,8 +454,8 @@ def intersect_with_lambda(
     Returns a dict with "points" (one per solved k: k, c, lam, record,
     iterations = refinement steps, probes = level solves including the
     bracketing ones), "skipped" (k, reason), "c_increasing", and "norms_ok"
-    (plus branch: extracted norms strictly decreasing along the schedule;
-    minus branch: strictly increasing).
+    (the critical points' norms t_root strictly decreasing along the roots
+    on the plus branch, strictly increasing on the minus branch).
     """
     if not (c_lo < c_hi):
         raise ValueError("need c_lo < c_hi")
@@ -491,20 +481,17 @@ def intersect_with_lambda(
         points.append(entry)
 
     cs = [p["c"] for p in points]
-    norms = [p["record"].u_norm for p in points]
+    norms = [p["record"].t_root for p in points]  # the norm of each root's critical point
     c_increasing = all(c1 > c0 for c0, c1 in zip(cs, cs[1:]))
     if branch == "plus":
         norms_ok = all(n1 < n0 for n0, n1 in zip(norms, norms[1:]))
-        direction = "decreasing"
     else:
         norms_ok = all(n1 > n0 for n0, n1 in zip(norms, norms[1:]))
-        direction = "increasing"
     return {
         "points": points,
         "skipped": skipped,
         "c_increasing": bool(c_increasing),
         "norms_ok": bool(norms_ok),
-        "norm_direction": direction,
     }
 
 

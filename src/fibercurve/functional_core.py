@@ -191,21 +191,17 @@ def lambda_of(triple: FunctionalTriple, c: float, u: Array) -> float:
 
 
 # Relative margin of the cone rule: a value within _CONE_RTOL of 0, relative
-# to 1 + the magnitudes of the cone's values, counts as the boundary.
+# to 1 + its own magnitude, counts as the boundary.
 _CONE_RTOL = 1e-12
 
 
 def _inside_cone(a: float, b: float | None = None) -> bool:
-    """The one cone rule on ray scalars: a, and b when given, exceed
-    _CONE_RTOL times 1 + their magnitudes.  a is the sign-adjusted A (a
-    negative cone is the positive cone of -A, since phi(lam, u; A) =
-    phi(-lam, u; -A)); _inside_cone(b) is the B > 0 cone alone."""
-    margin = a
-    scale = 1.0 + abs(a)
-    if b is not None:
-        margin = min(margin, b)
-        scale += abs(b)
-    return margin > _CONE_RTOL * scale
+    """The one cone rule on ray scalars: a, and b when given, each exceed
+    _CONE_RTOL times 1 + its own magnitude, so scaling one weight moves no
+    other scalar's margin.  a is the sign-adjusted A (a negative cone is the
+    positive cone of -A, since phi(lam, u; A) = phi(-lam, u; -A));
+    _inside_cone(b) is the B > 0 cone alone."""
+    return a > _CONE_RTOL * (1.0 + abs(a)) and (b is None or b > _CONE_RTOL * (1.0 + abs(b)))
 
 
 def cone_membership(
@@ -214,9 +210,9 @@ def cone_membership(
     """Cone test returning (member, margin) by the one cone rule (_inside_cone).
 
     The margin is the smallest of the quantities defining the cone
-    (sign-adjusted A, and B where required); membership holds when it exceeds
-    _CONE_RTOL times 1 + their magnitudes.  The zero vector has margin 0 and
-    is never a member.
+    (sign-adjusted A, and B where required); membership holds when each of
+    them exceeds _CONE_RTOL times 1 + its own magnitude.  The zero vector
+    has margin 0 and is never a member.
     """
     a = tag.a_sign * float(triple.eval_A(u))
     b = float(triple.eval_B(u)) if tag.needs_b_pos else None

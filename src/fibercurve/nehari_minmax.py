@@ -167,12 +167,14 @@ class OptimizerParams:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
-# line search: Armijo factor, first step, backtracking factor, smallest step
-# in units of ||u||_M / ||d||_M (scale-free, like the first-trial cap)
+# line search: Armijo factor, first step, backtracking factor, and the
+# smallest and largest step in units of ||u||_M / ||d||_M, turns in radians
+# (scale-free, like the first-trial cap)
 _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
 _STEP_FACTOR = 0.5
 _STEP_MIN = 1e-16
+_STEP_MAX = 1e12
 # the descent's stopping ratio ||grad|| / max_i ||f_i grad_i|| (_sphere_descend):
 # a descent stops at _STOP_RTOL, and a record is converged when its
 # residual_grad, the same ratio, meets _CERTIFY_RTOL (extract_critical_point)
@@ -196,8 +198,9 @@ class SphereConstraint:
     mask (model problems pass the sign-structure mask so starts are feasible
     by construction); an empty mask restricts nothing.  Every cone decision
     follows the one cone rule (functional_core._inside_cone): a point is
-    inside when A of the working problem, and B on B-positive cones, exceed
-    _CONE_RTOL times 1 + their magnitudes; closer points count as boundary.
+    inside when A of the working problem, and B on B-positive cones, each
+    exceed _CONE_RTOL times 1 + its own magnitude; closer points count as
+    boundary.
     The descents apply the rule to the scalars their levels then read, and
     accept a start where their objective is finite; feasible(u) applies it
     alone (minimize_c0's A > 0 starts).
@@ -232,7 +235,8 @@ def _outside_cone() -> Array:
 class CriticalPointRecord:
     """One candidate critical pair (lam, v) with its certification data.
 
-    coefficients is the scaled vector v = t_root * u; slope is the level's
+    coefficients is the scaled vector v = t_root * u of a unit u, so t_root
+    is also the problem norm N(v)**(1/eta) of v; slope is the level's
     c-derivative along the ray of u, -alpha/A(v) with the original (signed)
     A, which by Danskin's theorem is also the c-slope of a ground minimum or
     a surrogate maximum at its optimizer; residual_grad is the
@@ -252,7 +256,6 @@ class CriticalPointRecord:
     coefficients: Array
     t_root: float
     slope: float
-    u_norm: float
     residual_grad: float
     energy_defect: float
     iterations: int
@@ -455,7 +458,6 @@ def extract_critical_point(
         coefficients=v,
         t_root=t,
         slope=slope,
-        u_norm=triple.norm_of(v),
         residual_grad=residual,
         energy_defect=defect,
         iterations=iterations,
@@ -561,7 +563,9 @@ def _sphere_descend(
         direction = solve_m(grad)
         slope = float(grad @ direction)
         # ||d||_M = sqrt(grad^T M^{-1} grad) = sqrt(slope), and a step below
-        # step_min turns u by less than _STEP_MIN radians on the sphere
+        # step_min turns u by less than _STEP_MIN radians on the sphere; the
+        # cap is the turn _STEP_MAX in the same units, so scaling the
+        # objective scales the steps it allows
         step_min = _STEP_MIN * radius / math.sqrt(slope)
         if prev_grad is not None:
             s = u - prev_u
@@ -569,7 +573,7 @@ def _sphere_descend(
             sy = float(s @ y)
             if sy > 0.0 and math.isfinite(sy):
                 step_next = float(s @ m_s) / sy
-        step = min(max(step_next, step_min), 1e12)
+        step = min(max(step_next, step_min), _STEP_MAX * radius / math.sqrt(slope))
         if prev_grad is None:
             step = min(step, 2.0 * radius / math.sqrt(slope))
         reference = max(recent)

@@ -33,7 +33,6 @@ CSV_COLUMNS = (
     "c",
     "lambda",
     "t_root",
-    "u_norm",
     "residual_grad",
     "energy_defect",
     "converged",
@@ -57,7 +56,6 @@ def curve_rows(curves: Sequence[EnergyCurve]) -> list[dict]:
                     "c": p.c,
                     "lambda": p.lam,
                     "t_root": p.t_root,
-                    "u_norm": p.u_norm,
                     "residual_grad": p.residual_grad,
                     "energy_defect": p.energy_defect,
                     "converged": p.converged,

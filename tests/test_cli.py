@@ -32,7 +32,6 @@ TRUNCATED_PROBLEM = {"kind": "truncated_rn", "n_nodes": 41, "radius": 4.0, "p": 
                      "weights": {"a": "1", "b": "1"}}
 
 GATING_VERDICTS = (
-    "thresholds_ordered",
     "curve_monotone",
     "curve_lipschitz",
     "norm_monotone",
@@ -46,7 +45,7 @@ GATING_VERDICTS = (
     "zero_crossing",
 )
 
-CSV_HEADER = "branch,k,c,lambda,t_root,u_norm,residual_grad,energy_defect,converged,flags"
+CSV_HEADER = "branch,k,c,lambda,t_root,residual_grad,energy_defect,converged,flags"
 # the end of a solve's message where no ray has a plus root
 NO_PLUS_START = (
     "could not sample a feasible start (index 0) after 200 attempts; "
@@ -176,7 +175,6 @@ class TestArtifacts:
             float(row["c"])
             float(row["lambda"])
             assert float(row["t_root"]) > 0.0
-            assert float(row["u_norm"]) > 0.0
             assert row["converged"] in ("True", "False")
 
     def test_report_structure(self, verify_pass):
@@ -324,7 +322,7 @@ class TestTraceAndThresholds:
         assert "curve plus k=1: 1 points" in out
         curves = json.loads((out_dir / "report.json").read_text())["curves"]
         for curve in curves.values():
-            assert curve["verdicts"]["n_points"] == 1
+            assert len(curve["points"]) == 1
             assert curve["verdicts"]["lipschitz_worst_ratio"] == 0.0
         assert len(curves) == 2
         svg = (out_dir / "diagram.svg").read_text()

@@ -68,7 +68,7 @@ class TestTraceCurve:
         assert v["monotone_decreasing"]
         assert v["lipschitz_ok"]
         assert v["norm_monotone"]
-        assert v["lambda_first"] > v["lambda_last"] > 0.0
+        assert curve.points[0].lam > curve.points[-1].lam > 0.0
         lams = [p.lam for p in curve.points]
         assert lams == sorted(lams, reverse=True)
 
@@ -90,7 +90,6 @@ class TestTraceCurve:
         curve = trace_curve(const_con_plus, [0.0, 0.1], "plus", multistart=2)
         assert curve.points == ()
         assert "stopped at c=0.0" in curve.truncation_reason
-        assert curve.verdicts["n_points"] == 0
 
     def test_rejects_unsorted_grid(self, const_con_plus):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -127,8 +126,8 @@ class TestLipschitzVerdict:
         def record(c, lam, slope):
             return nm.CriticalPointRecord(
                 branch="plus", k=1, c=c, lam=sign * lam, coefficients=np.ones(3), t_root=1.0,
-                slope=-sign * slope, u_norm=1.0, residual_grad=0.0, energy_defect=0.0,
-                iterations=0, converged=True,
+                slope=-sign * slope, residual_grad=0.0, energy_defect=0.0, iterations=0,
+                converged=True,
             )
 
         return [record(-1.0, 4.0, 2.0), record(-0.5, 4.0 - jump, 1.0)]

@@ -14,7 +14,7 @@ from fibercurve import (
     phi,
     phi_grad,
 )
-from fibercurve.functional_core import _CONE_RTOL
+from fibercurve.functional_core import _CONE_RTOL, _inside_cone
 
 
 def power_triple(wn, wa, wb, alpha=1.5, eta=2.0, beta=4.0):
@@ -211,6 +211,26 @@ def test_phi_rejects_non_finite_data():
     bad = power_triple([1.0, np.nan], [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
         phi(bad, 0.5, np.array([1.0, 1.0]))
+
+
+def test_gradient_and_parameter_reject_non_finite_data():
+    bad = power_triple([1.0, np.nan], [1.0, 1.0], [1.0, 1.0])
+    u = np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite energy gradient"):
+        phi_grad(bad, 0.5, u)
+    with pytest.raises(ValueError, match="non-finite parameter value"):
+        lambda_of(bad, -0.01, u)
+
+
+@pytest.mark.parametrize(
+    "a, b, inside",
+    [(1e16, 0.1, True), (0.1, 1e16, True), (1.0, 1e-13, False), (1e-13, 1.0, False)],
+    ids=["large_a", "large_b", "small_b", "small_a"],
+)
+def test_each_cone_scalar_meets_its_own_margin(a, b, inside):
+    """A scalar's margin grows with its own magnitude alone: a large A moves
+    no B margin, and a B within 1e-12 of 0 is outside whatever A is."""
+    assert _inside_cone(a, b) is inside
 
 
 def test_identities_on_discretized_triples(pos_triple, two_d_triple, truncated_triple):

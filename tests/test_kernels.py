@@ -50,6 +50,8 @@ def test_bad_t_raises():
         K.fiber_value(1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.01, 0.0)
     with pytest.raises(ValueError, match="t > 0 only"):
         K.fiber_d1(1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.01, -1.0)
+    with pytest.raises(ValueError, match="t > 0 only"):
+        K.fiber_d2(1.0, 1.0, 1.0, 1.5, 2.0, 4.0, -0.01, 0.0)
     with pytest.raises(ValueError, match="t >= 0 only"):
         K.g_value(1.0, 1.0, 1.5, 2.0, 4.0, -0.01, -0.5)
 

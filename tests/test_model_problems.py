@@ -867,3 +867,13 @@ class TestConjectureWeight:
         prob = dirichlet_problem_1d(63, "1", "sin(2*pi*x)")
         with pytest.raises(ValueError, match="no cells"):
             construct_weight_for_conjecture(prob, bump_center=0.75, bump_radius=1e-6)
+
+    def test_bump_center_needs_every_coordinate(self):
+        prob = dirichlet_problem_2d((7, 7), "1", "sin(2*pi*x)")
+        with pytest.raises(ValueError, match="bump_center needs 2 coordinates, got 1"):
+            construct_weight_for_conjecture(prob, bump_center=0.75, bump_radius=0.1)
+
+    def test_b_without_positive_part_rejected(self):
+        prob = dirichlet_problem_1d(63, "1", "-1")
+        with pytest.raises(ValueError, match="no positive part"):
+            construct_weight_for_conjecture(prob, bump_center=0.75, bump_radius=0.1)

@@ -507,9 +507,22 @@ class TestGroundLevelRegression:
         assert rec.branch == "plus" and rec.k == 1
         assert rec.residual_grad <= 1e-6
         assert rec.energy_defect <= 1e-10
-        # coefficients are t_root * (unit vector), so their norm is t_root
-        assert rec.u_norm == pytest.approx(rec.t_root, rel=1e-12)
         assert phi(tri, rec.lam, rec.coefficients) == pytest.approx(-0.01, abs=1e-10)
+
+    def test_t_root_is_the_norm_of_the_critical_point(
+        self, const_con_plus, signed_problem, signed_con_both
+    ):
+        # coefficients are t_root * (unit vector), so their norm is t_root,
+        # on ground records and k >= 2 surrogate records alike; no record
+        # field repeats it
+        _, ground = minimize_ground_level(const_con_plus, -0.01, "plus")
+        basis = build_disjoint_basis(signed_problem, ConeTag.A_POS_B_POS, 2)
+        surrogate = surrogate_level(
+            GenusSurrogate(signed_con_both, basis, n_samples=16), -0.05, "plus"
+        ).record
+        assert surrogate.k == 2
+        for rec, con in ((ground, const_con_plus), (surrogate, signed_con_both)):
+            assert con.triple.norm_of(rec.coefficients) == pytest.approx(rec.t_root, rel=1e-12)
 
     def test_warm_start_can_only_help(self, pos_con_plus):
         lam_cold, rec = minimize_ground_level(pos_con_plus, -0.012, "plus", multistart=2)
@@ -918,7 +931,7 @@ class TestOneScalarSetPerTrial:
         recorded, seen = recording_triple(tri)
         con = SphereConstraint(triple=recorded, tag=ConeTag.A_POS_B_POS)
         # a descent's result is evaluated again, and certification reads its
-        # scaled vector t u more than once (the energy and u_norm read N)
+        # scaled vector t u
         excluded = set()
         descend, extract = nm._sphere_descend, nm.extract_critical_point
 
@@ -1369,7 +1382,7 @@ class TestMultistartMerge:
         )
         assert lam == pytest.approx(0.5 * lam_high, rel=1e-10)
         assert rec.converged
-        assert abs(rec.coefficients[1]) / rec.u_norm == pytest.approx(1.0, abs=1e-6)
+        assert abs(rec.coefficients[1]) / rec.t_root == pytest.approx(1.0, abs=1e-6)
         assert rec.starts == 10
         # the second warm start lies in the first one's basin, as do some draws
         assert rec.merged_starts >= 1
@@ -1873,3 +1886,54 @@ class TestWeightScaling:
         c_ss, _ = compute_c_star_star(base, multistart=4, seed=0)
         c_ss_k, _ = compute_c_star_star(scaled, multistart=4, seed=0)
         assert abs(c_ss_k - c_ss) <= 1e-12 * c_ss
+
+
+class TestNoAbsoluteScale:
+    """The descent's step bounds are turns, and each cone scalar meets its
+    own margin, so a weight scaled by s moves every level by exactly 1/s:
+    1D Dirichlet n = 63, a = s (1+x), b = cos(2 pi x) + 0.2, multistart 2."""
+
+    @staticmethod
+    def constraint(s, tag, p=2.0, beta=4.0):
+        prob = dirichlet_problem_1d(63, f"{s!r}*(1+x)", "cos(2*pi*x)+0.2", p=p, beta=beta)
+        mask = cone_node_mask(prob, tag)
+        return SphereConstraint(build_triple(prob), tag=tag, start_support=mask)
+
+    @staticmethod
+    def certified(rec):
+        return rec.converged and rec.energy_defect <= 1e-8 * (1.0 + abs(rec.c))
+
+    @pytest.mark.parametrize("scale", [1e8, 1e16, 1e24])
+    @pytest.mark.parametrize("p, beta", [(2.0, 4.0), (3.0, 5.0)], ids=["p2", "p3"])
+    def test_plus_level_scales_with_the_weight(self, p, beta, scale):
+        # an absolute step cap of 1e12 would stop s = 1e16 and 1e24 at
+        # max_iter off the level; a cap that is a turn scales with them
+        lam, _ = minimize_ground_level(
+            self.constraint(1.0, ConeTag.A_POS, p, beta), -0.01, "plus", multistart=2, seed=0
+        )
+        lam_s, rec = minimize_ground_level(
+            self.constraint(scale, ConeTag.A_POS, p, beta), -0.01, "plus", multistart=2, seed=0
+        )
+        assert self.certified(rec)
+        assert lam_s * scale == pytest.approx(lam, rel=1e-12)
+
+    def test_plus_level_far_below_rounding(self):
+        # |c|**((eta-alpha)/eta) at p = 3: 20 decades of c are 10 of the level
+        con = self.constraint(1.0, ConeTag.A_POS, 3.0, 5.0)
+        records = [minimize_ground_level(con, c, "plus", multistart=2, seed=0)[1]
+                   for c in (-1e-40, -1e-60)]
+        assert all(self.certified(rec) for rec in records)
+        assert records[1].lam / records[0].lam == pytest.approx(1e-10, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e8, 1e16])
+    def test_minus_level_scales_with_the_weight(self, scale):
+        # a B margin that grew with |A| would leave s = 1e8 off the level
+        # and draw no start inside the cone at s = 1e16
+        lam, _ = minimize_ground_level(
+            self.constraint(1.0, ConeTag.A_POS_B_POS), 5.0, "minus", multistart=2, seed=0
+        )
+        lam_s, rec = minimize_ground_level(
+            self.constraint(scale, ConeTag.A_POS_B_POS), 5.0, "minus", multistart=2, seed=0
+        )
+        assert self.certified(rec)
+        assert lam_s * scale == pytest.approx(lam, rel=1e-12)

@@ -1,11 +1,14 @@
 """The package namespace: it exports each public module's __all__ and
 nothing else, every exported name resolves, the README's library
-example runs as printed, numpy is the only runtime dependency, and every
-keyword option of an exported function has a caller."""
+example runs as printed, numpy is the only runtime dependency, every
+keyword option of an exported function has a caller, a traced report
+writes what a bare one does, and no curves.csv column restates another."""
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -168,26 +171,30 @@ def test_reference_script_library_calls_resolve():
     assert read <= {f.name for f in dataclasses.fields(nm.CriticalPointRecord)}
 
 
+# a small report: 1D Dirichlet n = 15, both branches, k = 1 and 2
+REPORT_CONFIG = {
+    "problem": {"kind": "dirichlet", "dimension": 1, "n_interior": 15,
+                "weights": {"a": "1+x", "b": "cos(2*pi*x)+0.2"}},
+    "ks": [1, 2], "multistart": 2, "n_samples": 8, "seed": 1,
+}
+
+
+def run_report(tmp_path, out, context=contextlib.nullcontext()) -> int:
+    """fibercurve report on REPORT_CONFIG into out, inside context."""
+    from fibercurve import cli
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(REPORT_CONFIG))
+    with context, contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["report", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+
+
 def test_traced_report_computes_what_an_untraced_one_does(tmp_path):
     """A report run inside the benchmark's tracer writes the artifacts of a
     bare run, so the traced pass measures the program it claims to."""
-    from fibercurve import cli
-
-    cfg = {
-        "problem": {"kind": "dirichlet", "dimension": 1, "n_interior": 15,
-                    "weights": {"a": "1+x", "b": "cos(2*pi*x)+0.2"}},
-        "ks": [1, 2], "multistart": 2, "n_samples": 8, "seed": 1,
-    }
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
-
-    def report(out, context):
-        with context, contextlib.redirect_stdout(io.StringIO()):
-            return cli.main(["report", "--config", str(cfg_path), "--out", str(out), "--quiet"])
-
     bare, traced = tmp_path / "bare", tmp_path / "traced"
     tracer = benchmark_tracing().Tracer()
-    assert report(bare, contextlib.nullcontext()) == report(traced, tracer)
+    assert run_report(tmp_path, bare) == run_report(tmp_path, traced, tracer)
     assert tracer.calls["cli"] == 1 and tracer.calls["functional.eval_N"] > 0
     for name in ("curves.csv", "diagram.svg", "config.echo.json"):
         assert (traced / name).read_text() == (bare / name).read_text(), name
@@ -195,6 +202,31 @@ def test_traced_report_computes_what_an_untraced_one_does(tmp_path):
     for r in reports:
         r.pop("timing_seconds")
     assert reports[0] == reports[1]
+
+
+def test_each_csv_number_has_one_column(tmp_path):
+    """No two numeric columns of curves.csv agree on every row: a column that
+    restates another (a norm that is always t_root) is one number twice."""
+    from fibercurve.reporting import CSV_COLUMNS
+
+    run_report(tmp_path, tmp_path)
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "curves.csv").read_text())))
+    assert len(rows) > 2
+    columns = {}
+    for name in CSV_COLUMNS:
+        try:
+            columns[name] = [float(row[name]) for row in rows]
+        except ValueError:  # branch, converged and flags are words
+            continue
+    assert {"c", "lambda", "t_root", "residual_grad", "energy_defect"} <= set(columns)
+    names = sorted(columns)
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            same = all(
+                math.isclose(x, y, rel_tol=1e-12, abs_tol=0.0)
+                for x, y in zip(columns[first], columns[second])
+            )
+            assert not same, f"{first} and {second} agree on every row"
 
 
 def _calls_by_name() -> dict:

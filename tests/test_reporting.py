@@ -13,7 +13,7 @@ from fibercurve.reporting import CSV_COLUMNS, render_diagram_svg, write_curves_c
 def record(k=1, converged=True, **fields):
     values = dict(
         branch="plus", k=k, c=-0.5, lam=0.1, coefficients=np.ones(3), t_root=2.0,
-        slope=-0.75, u_norm=1.0, residual_grad=1e-9, energy_defect=0.0, iterations=7,
+        slope=-0.75, residual_grad=1e-9, energy_defect=0.0, iterations=7,
         converged=converged,
     )
     values.update(fields)
