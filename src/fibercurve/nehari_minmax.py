@@ -26,9 +26,10 @@ s^T M s / s^T y and a nonmonotone Armijo test on the decrease
 step * grad_u^T d.  The
 descent carries M u while the metric stays, so a metric that does not
 depend on u is applied once, at the start.  In this metric the iteration
-count does not grow with the number of grid nodes: 18 and 27 iterations at
-n = 63 and 4095 for p = 3 in 1D, where the p = 2 stiffness took 38 and
-177.  A descent stops on one relative test: the
+count does not grow with the number of grid nodes: from drawn starts
+(_draw_starts) 12 and 16 iterations at n = 63 and 4095 for p = 3 in 1D;
+from white-noise starts 18 and 27, and in the p = 2 stiffness 38 and 177.
+A descent stops on one relative test: the
 gradient's norm against the largest norm of its three chain-rule terms,
 which for the level is the certificate's residual_grad.  It stops once
 that ratio is at most _STOP_RTOL, at max_iter, or when its line search is
@@ -195,8 +196,11 @@ class SphereConstraint:
     """Unit sphere of the problem norm intersected with an open cone.
 
     start_support optionally restricts random start vectors to a boolean DOF
-    mask (model problems pass the sign-structure mask so starts are feasible
-    by construction); an empty mask restricts nothing.  Every cone decision
+    mask; an empty mask restricts nothing.  Model problems pass the
+    sign-structure mask (cone_node_mask), which makes A, and B on B-positive
+    cones, positive at every start, but not by the margin of the cone rule:
+    that rule still decides whether a start is usable (_draw_starts smooths
+    the draws so that it passes on fine grids).  Every cone decision
     follows the one cone rule (functional_core._inside_cone): a point is
     inside when A of the working problem, and B on B-positive cones, each
     exceed _CONE_RTOL times 1 + its own magnitude; closer points count as
@@ -660,19 +664,34 @@ def _draw_starts(
     purpose: int,
     usable: StartRule,
 ) -> list[SpherePoint]:
-    """Deterministic usable starts, evaluated; seeds derive from (seed, purpose, index)."""
+    """Deterministic usable starts, evaluated; seeds derive from (seed, purpose, index).
+
+    A draw is s = mask * M^{-1}(mask * g): g is white noise, one standard
+    normal per node, and (apply, solve) of M is the working metric at
+    mask * g.  Unmasked, s solves M s = g, the Gaussian field of precision
+    M^2 (Lindgren, Rue and Lindstrom, J. R. Stat. Soc. B 73, 2011, their
+    alpha = 2): on 1D Dirichlet grids at p = 2, white noise integrated
+    twice and pinned to 0 at both ends.  It is no rougher on a finer grid,
+    where white noise put every B-positive start within the cone margin
+    from n = 2047 nodes on.  The mask, start_support, applies on both sides
+    of the solve, so every start is 0 off the support; an empty or absent
+    support restricts nothing.  With the identity pair s is g masked, the
+    white draw, bit for bit.
+    """
     dim = constraint.triple.dim
     support = constraint.start_support
+    if support is None or not support.any():  # an empty support restricts nothing
+        support = np.ones(dim, dtype=bool)
+    metric_at = constraint.working.metric_at
     starts: list[SpherePoint] = []
     for i in range(count):
         rng = np.random.default_rng(_seed_key(seed) + (purpose, i))
         for _ in range(_START_ATTEMPTS):
-            g = rng.standard_normal(dim)
-            if support is not None and support.any():  # an empty support restricts nothing
-                g = np.where(support, g, 0.0)
+            g = np.where(support, rng.standard_normal(dim), 0.0)
+            _, solve = metric_at(g)
             # each draw is evaluated once; usable rejects a zero draw, whose
             # norm _unit_vector refuses
-            start = usable(g)
+            start = usable(np.where(support, solve(g), 0.0))
             if isinstance(start, SpherePoint):
                 starts.append(start)
                 break

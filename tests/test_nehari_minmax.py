@@ -796,16 +796,16 @@ class TestThresholds:
         assert minimizers and all(con.feasible(u) for u in minimizers)
 
     def test_zero_level_descends_at_any_scale(self, monkeypatch):
-        # 1D Dirichlet p = 3, beta = 4: c0 = const N**4 / B**3 is 1e18 to 1e26
-        # at random starts, with gradients to match.  The step floor is
+        # 1D Dirichlet p = 3, beta = 4: c0 = const N**4 / B**3 is 1e14 to 2.4e20
+        # at the drawn starts, with gradients to match.  The step floor is
         # relative, step ||d||_M >= _STEP_MIN ||u||_M, so these descents run;
         # an absolute floor of 1e-16 lay above their first-trial cap, every
-        # descent stopped at iteration 1, and c** was the best start's value
-        # (8.5e16, 3.6e20 and 2.8e24 at n = 31, 63 and 127).  The stopping
-        # test is relative, so with c0 near 8e8 every descent that does not
-        # merge converges; an absolute ||g|| <= 1e-8 left all of them at the
-        # rounding floor, unconverged.  Each solve's found set holds their
-        # end points, so no minimizer returned repeats another.
+        # descent stopped at iteration 1, and c** was the best white-noise
+        # start's value (8.5e16, 3.6e20 and 2.8e24 at n = 31, 63 and 127).
+        # The stopping test is relative, so with c0 near 8e8 every descent
+        # that does not merge converges; an absolute ||g|| <= 1e-8 left all
+        # of them at the rounding floor, unconverged.  Each solve's found set
+        # holds their end points, so no minimizer returned repeats another.
         descents = recording_descents(monkeypatch)
         levels = []
         for n in (31, 63, 127):
@@ -1184,10 +1184,11 @@ class TestMetricOncePerDescent:
             floor = 4.0 * eps * max(norms) * float(np.linalg.norm(exact))
             assert abs(carried - float(s @ exact)) <= 1e-10 * float(s @ exact) + floor
 
-    def test_a_point_metric_is_applied_once_per_accepted_point(self):
+    def test_a_point_metric_is_applied_once_per_accepted_point(self, monkeypatch):
         # d1_p3_n127 of the refine benchmark: the metric at u is rebuilt at
         # the start and at every accepted point, and each new pair is
-        # applied once, to that point
+        # applied once, to that point.  Only the descent's builds count: the
+        # start draw solves in the metric at its masked noise too.
         tri = build_triple(dirichlet_problem_1d(127, "1+x", "cos(2*pi*x)+0.2", p=3.0))
         built, applied = [], []
 
@@ -1201,7 +1202,13 @@ class TestMetricOncePerDescent:
 
             return counting, solve
 
-        con = SphereConstraint(dataclasses.replace(tri, metric_at=metric_at), tag=ConeTag.A_POS)
+        descend = nm._sphere_descend
+
+        def descending(_, evaluate, start, params, *, merge):
+            return descend(metric_at, evaluate, start, params, merge=merge)
+
+        monkeypatch.setattr(nm, "_sphere_descend", descending)
+        con = SphereConstraint(tri, tag=ConeTag.A_POS)
         _, rec = minimize_ground_level(con, -0.01, "plus", multistart=1, seed=0)
         assert rec.converged
         # one build at the start and one per accepted step, as many as the
@@ -1325,7 +1332,7 @@ class TestStartRule:
         monkeypatch.setattr(nm.np.random, "default_rng", CountingRng)
         starts = nm._draw_starts(con, 16, 0, nm._PURPOSE["plus"], usable)
         assert len(starts) == 16
-        assert len(draws) == 42
+        assert len(draws) == 34
         assert sum(seen["eval_N"].values()) == len(draws)
 
     def test_empty_support_draws_the_unrestricted_starts(self, pos_triple):
@@ -1339,6 +1346,67 @@ class TestStartRule:
             for con in (free, empty)
         )
         assert [p.u.tobytes() for p in empty_starts] == [p.u.tobytes() for p in free_starts]
+
+
+class TestSmoothedStarts:
+    """A start is mask * M^{-1}(mask * g) of white noise g: the Gaussian
+    field of precision M^2, kept on the start support."""
+
+    @pytest.mark.parametrize("support", [None, [True, False]], ids=["free", "masked"])
+    def test_identity_metric_draws_are_white(self, support):
+        # with M = I the draw is g masked, bit for bit
+        mask = None if support is None else np.array(support)
+        con = SphereConstraint(two_basin_triple(), tag=ConeTag.A_POS, start_support=mask)
+        usable = nm._start_rule(level_evaluation(con, -1e-3, "plus"))
+        starts = nm._draw_starts(con, 8, 0, nm._PURPOSE["plus"], usable)
+        white = []
+        for i in range(8):
+            g = np.random.default_rng((0, nm._PURPOSE["plus"], i)).standard_normal(2)
+            white.append(usable(g if mask is None else np.where(mask, g, 0.0)).u)
+        assert [p.u.tobytes() for p in starts] == [u.tobytes() for u in white]
+
+    @pytest.mark.parametrize(
+        "problem, c",
+        [
+            (dirichlet_problem_1d(63, "1+x", "cos(2*pi*x)+0.2"), 5.0),
+            (dirichlet_problem_1d(63, "1+x", "cos(2*pi*x)+0.2", p=3.0), 5.0),
+            (dirichlet_problem_2d((15, 15), "1+x", "cos(2*pi*x)*cos(2*pi*y)+0.2"), 1.0),
+        ],
+        ids=["d1_p2", "d1_p3", "d2_15x15"],
+    )
+    def test_masked_starts_stay_on_the_support(self, problem, c):
+        # the solve spreads the masked noise over every node; the second mask
+        # takes it back to the nodes cone_node_mask vouches for
+        tag = ConeTag.A_POS_B_POS
+        mask = cone_node_mask(problem, tag)
+        assert 0 < mask.sum() < mask.size
+        con = SphereConstraint(build_triple(problem), tag=tag, start_support=mask)
+        usable = nm._start_rule(level_evaluation(con, c, "minus"))
+        for start in nm._draw_starts(con, 8, 0, nm._PURPOSE["minus"], usable):
+            assert np.all(start.u[~mask] == 0.0)
+            assert np.all(start.u[mask] != 0.0)
+
+    @staticmethod
+    def level(n, c, branch, tag):
+        prob = dirichlet_problem_1d(n, "1+x", "cos(2*pi*x)+0.2")
+        mask = cone_node_mask(prob, tag)
+        con = SphereConstraint(build_triple(prob), tag=tag, start_support=mask)
+        return minimize_ground_level(con, c, branch, multistart=4, seed=0)
+
+    @pytest.mark.parametrize("n", [2047, 4095])
+    def test_fine_grid_minus_level_solves(self, n):
+        # white starts put every B-positive draw within the cone margin from
+        # n = 2047 on, and no minus level had a start there
+        lam, rec = self.level(n, 5.0, "minus", ConeTag.A_POS_B_POS)
+        assert rec.converged and rec.energy_defect <= 1e-8 * (1.0 + abs(rec.c))
+        # the levels rise toward the continuum: 17.91845 at n = 511
+        assert lam == pytest.approx(17.9189, rel=1e-5)
+
+    def test_plus_iterations_do_not_grow_with_the_grid(self):
+        coarse = self.level(63, -0.01, "plus", ConeTag.A_POS)[1]
+        fine = self.level(4095, -0.01, "plus", ConeTag.A_POS)[1]
+        assert coarse.converged and fine.converged
+        assert abs(fine.iterations - coarse.iterations) <= 2
 
 
 def two_basin_triple(w_low=2.0):
@@ -1449,7 +1517,7 @@ class TestMultistartMerge:
         lam, rec = minimize_ground_level(
             con, -1.0, "plus", multistart=4, seed=0, params=OptimizerParams(max_iter=200)
         )
-        assert lam == -49.97418191907463
+        assert lam == -49.97417732472885
         assert not rec.converged
         assert (rec.starts, rec.merged_starts) == (4, 3)
         curve = EnergyCurve(branch="plus", k=1, points=(rec,), verdicts={})
