@@ -8,9 +8,11 @@ thresholds  the two threshold constants and the zero-crossing minimizers
 verify      full verification battery; nonzero exit when a verdict fails
 report      thresholds + curves + verdicts in one artifact bundle (no gating)
 
-All subcommands read a JSON config (--config), write artifacts into --out
-(report.json, config.echo.json, and where applicable curves.csv and
-diagram.svg), and are deterministic for a fixed config and seed: rerunning
+All subcommands read a JSON config (--config) and write artifacts into
+--out: config.echo.json (the merged config), report.json (what no other
+artifact holds: thresholds, verdicts, per-curve verdicts, timings), and, for
+every command that traces curves, curves.csv (one row per curve point) and
+diagram.svg.  They are deterministic for a fixed config and seed: rerunning
 produces byte-identical artifacts except for the "timing_seconds" subtree of
 report.json.
 
@@ -378,6 +380,23 @@ def _write_echo(out_dir: str, cfg: dict) -> None:
         fh.write("\n")
 
 
+def _write_artifacts(out_dir: str, curves=None, thresholds=None, **report) -> None:
+    """Build the report from thresholds and the build_report keywords in
+    report, and write report.json; a command that traced curves also writes
+    curves.csv and diagram.svg, which draws the thresholds it has."""
+    write_report_json(
+        os.path.join(out_dir, "report.json"),
+        build_report(curves or (), thresholds=thresholds, **report),
+    )
+    if curves is not None:
+        write_curves_csv(os.path.join(out_dir, "curves.csv"), curves)
+        thresholds = thresholds or {}
+        write_diagram_svg(
+            os.path.join(out_dir, "diagram.svg"), curves,
+            c_star=thresholds.get("c_star"), c_star_star=thresholds.get("c_star_star"),
+        )
+
+
 def _trace(setup: Setup, branch: str, c_values, ks, basis):
     """trace_family on the branch's constraint with the config's solver settings."""
     cfg = setup.cfg
@@ -455,27 +474,11 @@ def cmd_solve(setup: Setup, out_dir: str, quiet: bool) -> int:
         )
     point = curves[0].points[0]
     certified = _certified(point, cfg["tolerances"])
-    report = build_report(
-        cfg,
-        curves=curves,
-        verdicts={"certified": certified},
-        extras={
-            "solution": {
-                "branch": branch,
-                "k": k,
-                "c": c,
-                "lambda": point.lam,
-                "t_root": point.t_root,
-                "residual_grad": point.residual_grad,
-                "energy_defect": point.energy_defect,
-                "converged": point.converged,
-                "coefficients": point.coefficients,
-            }
-        },
+    _write_artifacts(
+        out_dir, curves, verdicts={"certified": certified},
+        extras={"solution": {"coefficients": point.coefficients}},
         timing_seconds={"total": elapsed},
     )
-    write_report_json(os.path.join(out_dir, "report.json"), report)
-    write_curves_csv(os.path.join(out_dir, "curves.csv"), curves)
     _say(quiet, f"lambda = {point.lam!r} at c={c!r} ({branch}, k={k})")
     _say(quiet, f"residual_grad = {point.residual_grad:.3e}, "
                 f"energy_defect = {point.energy_defect:.3e}")
@@ -494,10 +497,7 @@ def cmd_trace(setup: Setup, out_dir: str, quiet: bool) -> int:
         setup, basis, setup.c_values, setup.c_values, log=lambda line: _say(quiet, line)
     )
     elapsed = time.perf_counter() - t0
-    report = build_report(setup.cfg, curves=curves, timing_seconds={"total": elapsed})
-    write_report_json(os.path.join(out_dir, "report.json"), report)
-    write_curves_csv(os.path.join(out_dir, "curves.csv"), curves)
-    write_diagram_svg(os.path.join(out_dir, "diagram.svg"), curves)
+    _write_artifacts(out_dir, curves, timing_seconds={"total": elapsed})
     if not any(curve.points for curve in curves):
         _say(quiet, "no curve produced any point")
         return EXIT_NOCONV
@@ -505,33 +505,34 @@ def cmd_trace(setup: Setup, out_dir: str, quiet: bool) -> int:
 
 
 def _thresholds(setup: Setup):
-    """(c_star, c_star_star, c** minimizers, zero_level) on the cone with B > 0.
+    """(thresholds block, zero_level) on the cone with B > 0.
 
-    zero_level = (c0, minimizers) is the one zero-level solve over the B > 0
-    cone alone; c** comes from it, c* from c**, and the crossing reuses it.
+    The block holds c_star, c_star_star and the number of distinct c**
+    minimizers.  zero_level = (c0, minimizers) is the one zero-level solve
+    over the B > 0 cone alone; c** comes from it, c* from c**, and the
+    crossing reuses it.
     """
     cfg = setup.cfg
     constraint = setup.cone_both
     opts = dict(multistart=cfg["multistart"], seed=cfg["seed"], params=setup.params)
     zero_level = minimize_c0(constraint, **opts)
     c2, minimizers = compute_c_star_star(constraint, zero_level=zero_level, **opts)
-    c_star = compute_c_star(constraint, c_star_star=c2)
-    return c_star, c2, minimizers, zero_level
+    thresholds = {
+        "c_star": compute_c_star(constraint, c_star_star=c2),
+        "c_star_star": c2,
+        "n_zero_level_minimizers": len(minimizers),
+    }
+    return thresholds, zero_level
 
 
 def cmd_thresholds(setup: Setup, out_dir: str, quiet: bool) -> int:
     t0 = time.perf_counter()
-    c_star, c2, minimizers, _ = _thresholds(setup)
+    thresholds, _ = _thresholds(setup)
     elapsed = time.perf_counter() - t0
-    thresholds = {
-        "c_star": c_star,
-        "c_star_star": c2,
-        "n_zero_level_minimizers": len(minimizers),
-    }
-    report = build_report(setup.cfg, thresholds=thresholds, timing_seconds={"total": elapsed})
-    write_report_json(os.path.join(out_dir, "report.json"), report)
-    _say(quiet, f"c_star = {c_star!r}")
-    _say(quiet, f"c_star_star = {c2!r} ({len(minimizers)} minimizer(s))")
+    _write_artifacts(out_dir, thresholds=thresholds, timing_seconds={"total": elapsed})
+    _say(quiet, f"c_star = {thresholds['c_star']!r}")
+    _say(quiet, f"c_star_star = {thresholds['c_star_star']!r} "
+                f"({thresholds['n_zero_level_minimizers']} minimizer(s))")
     return EXIT_OK
 
 
@@ -550,7 +551,8 @@ def _run_battery(setup: Setup, quiet: bool):
     basis = setup.basis(max(cfg["ks"]))
 
     t0 = time.perf_counter()
-    c_star, c2, minimizers, zero_level = _thresholds(setup)
+    thresholds, zero_level = _thresholds(setup)
+    c_star, c2 = thresholds["c_star"], thresholds["c_star_star"]
     timing["thresholds"] = time.perf_counter() - t0
     _say(quiet, f"c_star = {c_star!r}, c_star_star = {c2!r}")
 
@@ -629,11 +631,6 @@ def _run_battery(setup: Setup, quiet: bool):
             verdicts["zero_crossing"] = False
         timing["zero_crossing"] = time.perf_counter() - t0
 
-    thresholds = {
-        "c_star": c_star,
-        "c_star_star": c2,
-        "n_zero_level_minimizers": len(minimizers),
-    }
     return curves, thresholds, verdicts, extras, timing, ground_ok
 
 
@@ -654,15 +651,8 @@ def _battery_command(setup: Setup, out_dir: str, quiet: bool, gate: bool) -> int
     curves, thresholds, verdicts, extras, timing, ground_ok = _run_battery(setup, quiet)
     all_ok = _print_verdicts(verdicts, quiet)
     verdicts["all_ok"] = all_ok
-    report = build_report(
-        setup.cfg, curves=curves, thresholds=thresholds, verdicts=verdicts,
-        extras=extras, timing_seconds=timing,
-    )
-    write_report_json(os.path.join(out_dir, "report.json"), report)
-    write_curves_csv(os.path.join(out_dir, "curves.csv"), curves)
-    write_diagram_svg(
-        os.path.join(out_dir, "diagram.svg"), curves,
-        c_star=thresholds["c_star"], c_star_star=thresholds["c_star_star"],
+    _write_artifacts(
+        out_dir, curves, thresholds, verdicts=verdicts, extras=extras, timing_seconds=timing
     )
     if not ground_ok:
         if gate:

@@ -941,15 +941,13 @@ def construct_weight_for_conjecture(
         SphereConstraint(triple, start_support=support_mask), multistart=multistart, seed=seed
     )
 
-    bplus_bar = _dof_node_weights(grid, b_plus).ravel()
-    theta_bar = _dof_node_weights(grid, theta).ravel()
-    vol = grid.cell_volume
-    pos_part = []
-    bump_part = []
-    for u in minimizers:
-        w = np.abs(u) ** problem.alpha
-        pos_part.append(float(np.sum(bplus_bar * w) * vol))
-        bump_part.append(float(np.sum(theta_bar * w) * vol))
+    # A_eps(u) = A_+(u) - eps * A_bump(u), each part the A quadrature of build_triple
+    pos_a, bump_a = (
+        _power_term(grid, _dof_node_weights(grid, cell).ravel(), problem.alpha)[0]
+        for cell in (b_plus, theta)
+    )
+    pos_part = [pos_a(u) for u in minimizers]
+    bump_part = [bump_a(u) for u in minimizers]
 
     for eps in schedule:
         if all(_inside_cone(pa - eps * ba) for pa, ba in zip(pos_part, bump_part)):

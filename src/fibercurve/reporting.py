@@ -37,15 +37,16 @@ CSV_COLUMNS = (
     "energy_defect",
     "converged",
     "flags",
+    "starts",
+    "merged_starts",
 )
 
 
 def curve_rows(curves: Sequence[EnergyCurve]) -> list[dict]:
-    """One dict per curve point: the CSV_COLUMNS, and the descents the
-    point's multistart ran and merged (starts, merged_starts; 0 for
-    surrogates), which only the JSON report carries.  flags is derived:
-    "surrogate" for k >= 2, "not_converged" for an unconverged ground
-    level, empty otherwise."""
+    """One dict per curve point, keyed by CSV_COLUMNS.  starts and
+    merged_starts count the descents the point's multistart ran and merged
+    (0 for surrogates).  flags is derived: "surrogate" for k >= 2,
+    "not_converged" for an unconverged ground level, empty otherwise."""
     rows = []
     for curve in curves:
         for p in curve.points:
@@ -105,30 +106,25 @@ def _sanitize(obj):
 
 
 def build_report(
-    config: Mapping,
     curves: Sequence[EnergyCurve] = (),
     thresholds: Mapping | None = None,
     verdicts: Mapping | None = None,
     extras: Mapping | None = None,
     timing_seconds: Mapping | None = None,
 ) -> dict:
-    """Assemble the run report; curve points inline the CSV fields and the
-    multistart counts (curve_rows).  The dict is not strict JSON: it can hold
-    numpy arrays, non-finite floats and non-str keys, which write_report_json
-    converts when it writes the report."""
-    curve_block = {}
-    for curve in curves:
-        key = f"{curve.branch}_k{curve.k}"
-        curve_block[key] = {
-            "branch": curve.branch,
-            "k": curve.k,
-            "points": curve_rows([curve]),
-            "verdicts": dict(curve.verdicts),
-            "truncation_reason": curve.truncation_reason,
-        }
+    """Assemble the run report: what no other artifact holds.  Each curve,
+    keyed "<branch>_k<k>", keeps its verdicts and truncation reason; its
+    points are the rows of curves.csv.  The dict is not strict JSON: it can
+    hold numpy arrays, non-finite floats and non-str keys, which
+    write_report_json converts when it writes the report."""
     report = {
-        "config": dict(config),
-        "curves": curve_block,
+        "curves": {
+            f"{curve.branch}_k{curve.k}": {
+                "verdicts": dict(curve.verdicts),
+                "truncation_reason": curve.truncation_reason,
+            }
+            for curve in curves
+        },
         "thresholds": dict(thresholds or {}),
         "verdicts": dict(verdicts or {}),
         "timing_seconds": dict(timing_seconds or {}),

@@ -9,7 +9,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -45,7 +49,9 @@ GATING_VERDICTS = (
     "zero_crossing",
 )
 
-CSV_HEADER = "branch,k,c,lambda,t_root,residual_grad,energy_defect,converged,flags"
+CSV_HEADER = (
+    "branch,k,c,lambda,t_root,residual_grad,energy_defect,converged,flags,starts,merged_starts"
+)
 # the end of a solve's message where no ray has a plus root
 NO_PLUS_START = (
     "could not sample a feasible start (index 0) after 200 attempts; "
@@ -87,6 +93,14 @@ def write_config(directory, cfg, name="cfg.json"):
     path = directory / name
     path.write_text(json.dumps(cfg, indent=2))
     return path
+
+
+def csv_points(out_dir):
+    """The rows of out_dir's curves.csv by curve key, "<branch>_k<k>" as in report.json."""
+    points = {}
+    for row in csv.DictReader(io.StringIO((out_dir / "curves.csv").read_text())):
+        points.setdefault(f"{row['branch']}_k{row['k']}", []).append(row)
+    return points
 
 
 def run_cli(args):
@@ -179,7 +193,7 @@ class TestArtifacts:
 
     def test_report_structure(self, verify_pass):
         report = json.loads((verify_pass["dir"] / "report.json").read_text())
-        for key in ("config", "curves", "thresholds", "verdicts", "timing_seconds"):
+        for key in ("curves", "thresholds", "verdicts", "timing_seconds"):
             assert key in report
         assert sorted(report["curves"]) == ["minus_k1", "plus_k1"]
         thresholds = report["thresholds"]
@@ -191,19 +205,36 @@ class TestArtifacts:
     def test_points_count_their_starts(self, verify_pass):
         # a curve's first level draws multistart starts, each later one the
         # warm start and warm_multistart draws; merged descents count in both
-        report = json.loads((verify_pass["dir"] / "report.json").read_text())
-        points = [p for curve in report["curves"].values() for p in curve["points"]]
-        for curve in report["curves"].values():
-            starts = [p["starts"] for p in curve["points"]]
+        curves = csv_points(verify_pass["dir"])
+        points = [p for curve in curves.values() for p in curve]
+        for curve in curves.values():
+            starts = [int(p["starts"]) for p in curve]
             assert starts == [8] + [5] * (len(starts) - 1)
-        assert all(0 <= p["merged_starts"] < p["starts"] for p in points)
-        assert sum(p["merged_starts"] for p in points) > 0
+        assert all(0 <= int(p["merged_starts"]) < int(p["starts"]) for p in points)
+        assert sum(int(p["merged_starts"]) for p in points) > 0
 
-    def test_curve_points_mirror_csv(self, verify_pass):
+    def test_report_restates_no_other_artifact(self, verify_pass, tmp_path):
+        # config.echo.json holds the config and curves.csv the points; the
+        # report keeps only what no other artifact holds
         report = json.loads((verify_pass["dir"] / "report.json").read_text())
-        rows = list(csv.DictReader(io.StringIO((verify_pass["dir"] / "curves.csv").read_text())))
-        n_points = sum(len(curve["points"]) for curve in report["curves"].values())
-        assert n_points == len(rows)
+        points = csv_points(verify_pass["dir"])
+        assert "config" not in report
+        assert sorted(report["curves"]) == sorted(points)
+        for curve in report["curves"].values():
+            assert sorted(curve) == ["truncation_reason", "verdicts"]
+        for row in (row for curve in points.values() for row in curve if row["k"] == "1"):
+            assert 0 <= int(row["merged_starts"]) < int(row["starts"])
+        # a solve's solution is the coefficient vector of its one curve point
+        cfg_path = write_config(tmp_path, solve_config())
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["solve", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 0, err
+        report = json.loads((out_dir / "report.json").read_text())
+        assert "config" not in report
+        assert list(report["solution"]) == ["coefficients"]
+        assert len(report["solution"]["coefficients"]) == BASE_PROBLEM["n_interior"]
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["config.echo.json", "curves.csv", "diagram.svg", "report.json"]
 
     def test_diagram_svg(self, verify_pass):
         svg = (verify_pass["dir"] / "diagram.svg").read_text()
@@ -241,10 +272,9 @@ class TestSolve:
         assert code == 0
         assert "lambda =" in out
         assert "residual_grad" in out
-        report = json.loads((out_dir / "report.json").read_text())
-        point = report["curves"]["plus_k1"]["points"][0]
-        assert point["converged"] is True
-        assert point["residual_grad"] <= 1e-6
+        point = csv_points(out_dir)["plus_k1"][0]
+        assert point["converged"] == "True"
+        assert float(point["residual_grad"]) <= 1e-6
 
     def test_iteration_starved_solve_exits_nonconverged(self, tmp_path):
         cfg = solve_config(c=-0.05, tolerances={"max_iter": 1})
@@ -278,7 +308,8 @@ class TestSolve:
         assert code == 0, err
         report = json.loads((out_dir / "report.json").read_text())
         assert report["verdicts"]["certified"] is True
-        assert report["solution"]["lambda"] == pytest.approx(43.89875290660286, rel=1e-9)
+        (point,) = csv_points(out_dir)["plus_k1"]
+        assert float(point["lambda"]) == pytest.approx(43.89875290660286, rel=1e-9)
 
     def test_subnormal_c_exits_without_traceback(self, tmp_path):
         # c/c_bar underflows to 0 at c = -5e-324, where the plus root of a ray
@@ -321,8 +352,9 @@ class TestTraceAndThresholds:
         assert code == 0
         assert "curve plus k=1: 1 points" in out
         curves = json.loads((out_dir / "report.json").read_text())["curves"]
-        for curve in curves.values():
-            assert len(curve["points"]) == 1
+        points = csv_points(out_dir)
+        for key, curve in curves.items():
+            assert len(points[key]) == 1
             assert curve["verdicts"]["lipschitz_worst_ratio"] == 0.0
         assert len(curves) == 2
         svg = (out_dir / "diagram.svg").read_text()
@@ -352,6 +384,22 @@ class TestTraceAndThresholds:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["thresholds"]["c_star"] < 0.0
         assert report["thresholds"]["c_star_star"] > 0.0
+
+    def test_module_entry_point_runs_thresholds(self, tmp_path):
+        # python -m fibercurve.cli is the same front end as the console script
+        cfg = solve_config(multistart=2)
+        cfg["problem"]["n_interior"] = 7
+        cfg_path = write_config(tmp_path, cfg)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "fibercurve.cli", "thresholds", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        thresholds = json.loads((tmp_path / "out" / "report.json").read_text())["thresholds"]
+        assert thresholds["c_star"] < 0.0 < thresholds["c_star_star"]
 
     def test_thresholds_counts_distinct_minimizers(self, tmp_path):
         # p = 3: the zero level's descents end in two basins, where c0 is
@@ -429,7 +477,7 @@ class TestZeroLevelSolve:
     def test_negative_a_cone_mirrors_the_positive_one(self, tmp_path):
         # a -> -a with cone A_NEG is the same problem: equal thresholds and
         # an equal crossing through c**, with negated levels
-        reports = {}
+        reports, points = {}, {}
         for cone, a in (("A_POS", "1+x"), ("A_NEG", "-(1+x)")):
             cfg = battery_config(cone=cone)
             cfg["problem"]["weights"]["a"] = a
@@ -440,6 +488,7 @@ class TestZeroLevelSolve:
             )
             assert code == 0, err
             reports[cone] = json.loads((out_dir / "report.json").read_text())
+            points[cone] = csv_points(out_dir)["minus_k1"]
         pos, neg = reports["A_POS"], reports["A_NEG"]
         assert neg["thresholds"] == pos["thresholds"]
         assert neg["zero_crossing"] == pos["zero_crossing"]
@@ -448,8 +497,8 @@ class TestZeroLevelSolve:
         # plus <= minus is compared on sign-adjusted levels, so pdm_ordering
         # and its worst gap mirror too
         assert neg["verdicts"] == pos["verdicts"]
-        assert [p["lambda"] for p in neg["curves"]["minus_k1"]["points"]] == [
-            -p["lambda"] for p in pos["curves"]["minus_k1"]["points"]
+        assert [float(p["lambda"]) for p in points["A_NEG"]] == [
+            -float(p["lambda"]) for p in points["A_POS"]
         ]
 
 

@@ -821,6 +821,13 @@ class TestTruncationDiagnostics:
         prob = truncated_problem_1d(41, 6.0, "exp(-x^2)", "exp(-x^2/2)", p=3.0)
         assert prob.diagnostics() == ()
 
+    def test_zero_weight_has_no_notes(self):
+        # a weight of zero mass has no tail share to report: it is skipped
+        # before either mass ratio divides by its mass
+        prob = truncated_problem_1d(41, 4.0, "0", "exp(-x^2/2)")
+        assert not prob.weights.a.any()
+        assert prob.diagnostics() == ()
+
     @pytest.mark.parametrize(
         "bounds,n_nodes,a_expr,b_expr,note",
         [

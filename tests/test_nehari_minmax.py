@@ -795,6 +795,37 @@ class TestThresholds:
         assert c2 > 10.0 * c0
         assert minimizers and all(con.feasible(u) for u in minimizers)
 
+    def test_caller_supplied_thresholds_are_checked_without_a_solve(
+        self, monkeypatch, pos_triple
+    ):
+        # c* = -kappa c** from a given c**, and c** from a given zero level,
+        # run no descent: c* reads nothing, c** reads A once per minimizer to
+        # keep the ones inside the A cone.  A wrong sign still raises.
+        reads = Counter()
+
+        def counted(name, fn):
+            def wrapped(u):
+                reads[name] += 1
+                return fn(u)
+            return wrapped
+
+        fields = ("eval_N", "eval_A", "eval_B", "grad_N", "grad_A", "grad_B")
+        counting = dataclasses.replace(
+            pos_triple, **{f: counted(f, getattr(pos_triple, f)) for f in fields}
+        )
+        con = SphereConstraint(counting, tag=ConeTag.A_POS_B_POS)
+        u = np.ones(pos_triple.dim)
+        mins = [u / pos_triple.norm_of(u)]
+        purposes = count_multistart_purposes(monkeypatch)
+        with pytest.raises(RuntimeError, match=r"computed lower threshold "
+                           r"0\.06666666666666667 is not negative"):
+            compute_c_star(con, c_star_star=-1.0)
+        assert not reads
+        with pytest.raises(RuntimeError, match=r"computed upper threshold -1\.0 is not positive"):
+            compute_c_star_star(con, zero_level=(-1.0, mins))
+        assert reads == Counter({"eval_A": len(mins)})
+        assert not purposes
+
     def test_zero_level_descends_at_any_scale(self, monkeypatch):
         # 1D Dirichlet p = 3, beta = 4: c0 = const N**4 / B**3 is 1e14 to 2.4e20
         # at the drawn starts, with gradients to match.  The step floor is
